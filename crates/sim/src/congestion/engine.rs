@@ -8,6 +8,7 @@
 use super::implicit_route;
 use crate::machine::{PhysicalMachine, PortModel, SimError};
 use crate::metrics::LatencySummary;
+use crate::routing::{self, Trust};
 use ftdb_core::{FaultSet, FtDeBruijn2, LinkFaultSet};
 use ftdb_graph::traversal::Searcher;
 use ftdb_graph::{Embedding, NodeId};
@@ -959,37 +960,44 @@ impl CongestionSim {
     /// Loads a workload of logical pairs routed with the oblivious de
     /// Bruijn scheme through `placement`. Pairs whose fixed route is
     /// infeasible on the machine as loaded (faulty node, missing link,
-    /// out-of-range endpoint) are injected as immediately-dropped packets.
+    /// out-of-range endpoint, a node a short placement does not map) are
+    /// injected as immediately-dropped packets.
     pub fn load_oblivious(
         &mut self,
         db: &DeBruijn2,
         placement: &Embedding,
         pairs: &[(NodeId, NodeId)],
     ) {
+        self.load_oblivious_packets(db, placement, pairs.iter().map(|&(s, t)| (0, s, t)));
+    }
+
+    /// The loop behind both oblivious loaders: `(inject_cycle, source,
+    /// target)` packets, validated and appended in order.
+    fn load_oblivious_packets(
+        &mut self,
+        db: &DeBruijn2,
+        placement: &Embedding,
+        packets: impl ExactSizeIterator<Item = (u32, NodeId, NodeId)>,
+    ) {
         let implicit = self.capture_implicit_ctx(db, placement);
+        // Route feasibility belongs to the (machine, placement) pair, so an
+        // implicit load proves it once, in O(V + E), and then checks each
+        // packet at the tier that proof earned. Materialized packets store
+        // the walked path, so they always walk.
+        let trust = if implicit {
+            routing::workload_trust(db, placement, &self.machine)
+        } else {
+            Trust::Checked
+        };
         let mut path = Vec::with_capacity(db.h() + 1);
-        self.reserve_for(pairs.len(), if implicit { 0 } else { db.h() + 1 });
-        for &(s, t) in pairs {
-            // The validation walk (health + link checks per hop) runs either
-            // way; only the *storage* differs — implicit packets keep two
-            // words of shift-register state instead of the walked path.
-            match crate::routing::route_logical_debruijn_into(
-                db,
-                placement,
-                &self.machine,
-                s,
-                t,
-                &mut path,
-            ) {
-                Ok(_) if implicit => self.push_packet_implicit(s as u32, t as u32, 0),
-                Ok(_) => self.push_packet(&path, t as u32, 0),
+        self.reserve_for(packets.len(), if implicit { 0 } else { db.h() + 1 });
+        for (cycle, s, t) in packets {
+            match trust.check_route(db, placement, &self.machine, s, t, &mut path) {
+                Ok(()) if implicit => self.push_packet_implicit(s as u32, t as u32, cycle),
+                Ok(()) => self.push_packet(&path, t as u32, cycle),
                 Err(_) => {
-                    let hint = if s < placement.len() {
-                        placement.apply(s)
-                    } else {
-                        0
-                    };
-                    self.push_dead_packet(hint, 0);
+                    let hint = placement.as_slice().get(s).copied().unwrap_or(0);
+                    self.push_dead_packet(hint, cycle);
                 }
             }
         }
@@ -1031,34 +1039,9 @@ impl CongestionSim {
                 self.inject_at[last as usize]
             );
         }
-        let implicit = self.capture_implicit_ctx(db, placement);
-        let mut path = Vec::with_capacity(db.h() + 1);
-        self.reserve_for(injections.len(), if implicit { 0 } else { db.h() + 1 });
         self.pending_inject.reserve(injections.len());
         self.open_loop_sources = db.node_count() as u32;
-        for &(cycle, s, t) in injections {
-            match crate::routing::route_logical_debruijn_into(
-                db,
-                placement,
-                &self.machine,
-                s,
-                t,
-                &mut path,
-            ) {
-                Ok(_) if implicit => self.push_packet_implicit(s as u32, t as u32, cycle),
-                Ok(_) => self.push_packet(&path, t as u32, cycle),
-                Err(_) => {
-                    let hint = if s < placement.len() {
-                        placement.apply(s)
-                    } else {
-                        0
-                    };
-                    self.push_dead_packet(hint, cycle);
-                }
-            }
-        }
-        self.loaded_path_len = self.path.len() as u32;
-        self.loaded_seg_len = self.seg_start.len() as u32;
+        self.load_oblivious_packets(db, placement, injections.iter().copied());
     }
 
     /// Loads a workload of *physical* pairs routed adaptively (BFS through
@@ -2710,6 +2693,31 @@ mod tests {
         assert_eq!(report.injected, 3);
         assert_eq!(report.dropped, 2);
         assert_eq!(report.delivered, 1);
+    }
+
+    #[test]
+    fn short_placement_drops_unplaced_routes_at_load() {
+        // identity(8) maps half of B(2,4): (3, 12) leaves the placement at
+        // node 15 and (9, 1) starts outside it, so both drop at load instead
+        // of panicking; (0, 5) and (0, 3) stay inside it and deliver.
+        let db = DeBruijn2::new(4);
+        let short = Embedding::identity(8);
+        for route_source in [RouteSource::Implicit, RouteSource::Materialized] {
+            let machine = PhysicalMachine::new(db.graph().clone(), PortModel::MultiPort);
+            let config = CongestionConfig {
+                route_source,
+                ..CongestionConfig::default()
+            };
+            let mut sim = CongestionSim::new(machine, config);
+            sim.load_oblivious(&db, &short, &[(3, 12), (0, 5)]);
+            sim.load_oblivious_timed(&db, &short, &[(2, 9, 1), (3, 0, 3)]);
+            let report = sim.run();
+            assert_eq!(
+                (report.injected, report.delivered, report.dropped),
+                (4, 2, 2),
+                "{route_source:?}"
+            );
+        }
     }
 
     #[test]

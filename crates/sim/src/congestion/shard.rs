@@ -35,6 +35,7 @@ use super::engine::{
 use super::implicit_route;
 use crate::machine::{PhysicalMachine, PortModel};
 use crate::metrics::LatencySummary;
+use crate::routing;
 use ftdb_core::LinkFaultSet;
 use ftdb_graph::traversal::Searcher;
 use ftdb_graph::{Embedding, NodeId};
@@ -240,23 +241,23 @@ impl ShardCore {
         }
     }
 
-    /// Appends default (not-hosted) per-packet state for a new packet id.
-    fn push_packet_defaults(&mut self, id: usize) {
-        self.entry.push(pk(0, NO_SLOT));
-        self.imp_pos.push(0);
-        self.imp_rem.push(1);
-        self.cursor.push(NEVER);
-        self.seg_end.push(0);
-        self.occupied_slot.push(NO_SLOT);
-        self.vc.push(0);
-        self.blocked_since.push(NEVER);
-        self.blocked_next.push(NONE_ID);
-        self.in_network.push(false);
-        let words = (id >> 6) + 1;
-        if self.queued_now.len() < words {
-            self.queued_now.resize(words, 0);
-            self.queued_next.resize(words, 0);
-        }
+    /// Extends every per-packet array to `packets` ids with default
+    /// (not-hosted) state: one bulk extension per load, not a push per
+    /// packet per array.
+    fn grow_packets(&mut self, packets: usize) {
+        self.entry.resize(packets, pk(0, NO_SLOT));
+        self.imp_pos.resize(packets, 0);
+        self.imp_rem.resize(packets, 1);
+        self.cursor.resize(packets, NEVER);
+        self.seg_end.resize(packets, 0);
+        self.occupied_slot.resize(packets, NO_SLOT);
+        self.vc.resize(packets, 0);
+        self.blocked_since.resize(packets, NEVER);
+        self.blocked_next.resize(packets, NONE_ID);
+        self.in_network.resize(packets, false);
+        let words = packets.div_ceil(64);
+        self.queued_now.resize(words, 0);
+        self.queued_next.resize(words, 0);
     }
 
     fn is_alive(&self, ctx: &ShardCtx<'_>, node: NodeId) -> bool {
@@ -1105,15 +1106,13 @@ impl ShardedSim {
 
     /// Appends one implicit packet, mirroring the single engine's
     /// `push_packet_implicit` + `push_outcome` semantics with the hosted
-    /// state placed in the home shard only.
+    /// state placed in the home shard only. The loader has already grown
+    /// every core's packet arrays past this id.
     fn push_implicit(&mut self, s: u32, t: u32, inject_cycle: u32) {
         let id = self.inject_at.len();
         let (entry, pos, rem) =
             implicit_entry_in(&self.machine, &self.imp_place, self.imp_mask, s, t);
         let zero_hop = pk_terminal(entry);
-        for core in &mut self.cores {
-            core.push_packet_defaults(id);
-        }
         self.inject_at.push(inject_cycle);
         self.logical_target.push(t);
         let home = shard_of(pk_node(entry), self.machine.node_count(), self.shards);
@@ -1144,10 +1143,6 @@ impl ShardedSim {
     /// Records a packet that could not be routed at load time: injected and
     /// immediately dropped, like the single engine's `push_dead_packet`.
     fn push_dead(&mut self, inject_cycle: u32) {
-        let id = self.inject_at.len();
-        for core in &mut self.cores {
-            core.push_packet_defaults(id);
-        }
         self.inject_at.push(inject_cycle);
         self.logical_target.push(NO_LOGICAL);
         self.delivered_at.push(NEVER);
@@ -1164,19 +1159,39 @@ impl ShardedSim {
         placement: &Embedding,
         pairs: &[(NodeId, NodeId)],
     ) {
+        self.load_oblivious_packets(db, placement, pairs.iter().map(|&(s, t)| (0, s, t)));
+    }
+
+    /// The loop behind both oblivious loaders, sized once per load: every
+    /// route is checked at the tier [`routing::workload_trust`] proves for
+    /// the (machine, placement) pair, as in the single engine's loader.
+    fn load_oblivious_packets(
+        &mut self,
+        db: &DeBruijn2,
+        placement: &Embedding,
+        packets: impl ExactSizeIterator<Item = (u32, NodeId, NodeId)>,
+    ) {
         self.capture_implicit_ctx(db, placement);
-        let mut path = Vec::with_capacity(db.h() + 1);
-        for &(s, t) in pairs {
-            match crate::routing::route_logical_debruijn_into(
-                db,
-                placement,
-                &self.machine,
-                s,
-                t,
-                &mut path,
-            ) {
-                Ok(_) => self.push_implicit(s as u32, t as u32, 0),
-                Err(_) => self.push_dead(0),
+        let trust = routing::workload_trust(db, placement, &self.machine);
+        let added = packets.len();
+        let total = self.inject_at.len() + added;
+        for core in &mut self.cores {
+            core.grow_packets(total);
+        }
+        for table in [
+            &mut self.inject_at,
+            &mut self.logical_target,
+            &mut self.delivered_at,
+            &mut self.dropped_at,
+            &mut self.latencies,
+        ] {
+            table.reserve(added);
+        }
+        let mut path = Vec::new();
+        for (cycle, s, t) in packets {
+            match trust.check_route(db, placement, &self.machine, s, t, &mut path) {
+                Ok(()) => self.push_implicit(s as u32, t as u32, cycle),
+                Err(_) => self.push_dead(cycle),
             }
         }
     }
@@ -1204,22 +1219,8 @@ impl ShardedSim {
                  already-queued cycle {last}"
             );
         }
-        self.capture_implicit_ctx(db, placement);
-        let mut path = Vec::with_capacity(db.h() + 1);
         self.open_loop_sources = db.node_count() as u32;
-        for &(cycle, s, t) in injections {
-            match crate::routing::route_logical_debruijn_into(
-                db,
-                placement,
-                &self.machine,
-                s,
-                t,
-                &mut path,
-            ) {
-                Ok(_) => self.push_implicit(s as u32, t as u32, cycle),
-                Err(_) => self.push_dead(cycle),
-            }
-        }
+        self.load_oblivious_packets(db, placement, injections.iter().copied());
     }
 
     /// Schedules processor `node` to die at the start of `cycle`. Every
@@ -1975,6 +1976,32 @@ mod tests {
                 assert_report_fields_equal(&got, &want);
                 assert_eq!(got, want, "shards={shards} threads={threads}");
             }
+        }
+    }
+
+    #[test]
+    fn short_placement_drops_unplaced_routes_at_load() {
+        // identity(8) maps half of B(2,4): routes that leave it drop at load
+        // instead of panicking, exactly as in the single engine. The timed
+        // load appends to the batch load, so the per-load table growth is
+        // exercised across two loads.
+        let (db, machine) = machine_for(4, PortModel::MultiPort);
+        let short = Embedding::identity(8);
+        let pairs = [(3, 12), (0, 5)];
+        let injections = [(2, 9, 1), (3, 0, 3)];
+        let mut want =
+            super::super::CongestionSim::new(machine.clone(), CongestionConfig::default());
+        want.load_oblivious(&db, &short, &pairs);
+        want.load_oblivious_timed(&db, &short, &injections);
+        let want = want.run();
+        assert_eq!((want.injected, want.delivered, want.dropped), (4, 2, 2));
+        for shards in [1usize, 2, 3] {
+            let mut got = ShardedSim::new(machine.clone(), CongestionConfig::default(), shards, 1);
+            got.load_oblivious(&db, &short, &pairs);
+            got.load_oblivious_timed(&db, &short, &injections);
+            let got = got.run();
+            assert_report_fields_equal(&got, &want);
+            assert_eq!(got, want, "shards={shards}");
         }
     }
 

@@ -51,6 +51,14 @@ pub enum SimError {
         /// The number of logical nodes (valid endpoints are `0..limit`).
         limit: usize,
     },
+    /// A route visits a logical node that the placement gives no physical
+    /// image: the placement is shorter than the logical topology.
+    UnplacedNode {
+        /// The logical node without an image.
+        node: NodeId,
+        /// The number of logical nodes the placement maps (`0..placed`).
+        placed: usize,
+    },
     /// A dynamic fault scenario asked for more faults than the
     /// fault-tolerant construction is built to tolerate.
     FaultBudgetExceeded {
@@ -82,6 +90,12 @@ impl std::fmt::Display for SimError {
             }
             SimError::EndpointOutOfRange { node, limit } => {
                 write!(f, "route endpoint {node} is out of range (0..{limit})")
+            }
+            SimError::UnplacedNode { node, placed } => {
+                write!(
+                    f,
+                    "logical node {node} has no placement image (the placement maps 0..{placed})"
+                )
             }
             SimError::FaultBudgetExceeded { faults, budget } => {
                 write!(
@@ -286,5 +300,11 @@ mod tests {
         assert!(SimError::EndpointOutOfRange { node: 9, limit: 8 }
             .to_string()
             .contains("out of range"));
+        assert!(SimError::UnplacedNode {
+            node: 15,
+            placed: 8
+        }
+        .to_string()
+        .contains("no placement image"));
     }
 }

@@ -75,7 +75,9 @@ impl RouteScratch {
 /// physical path into `out`.
 ///
 /// Returns the hop count on delivery. `out` is cleared first; once its
-/// capacity reaches `h + 1` no allocation happens.
+/// capacity reaches `h + 1` no allocation happens. A placement shorter than
+/// the logical topology is an error ([`SimError::UnplacedNode`]) for the
+/// routes that leave its domain, not a panic.
 pub fn route_logical_debruijn_into(
     db: &DeBruijn2,
     placement: &Embedding,
@@ -89,7 +91,7 @@ pub fn route_logical_debruijn_into(
     let g = machine.graph();
     let h = db.h();
     let mut current = source;
-    let mut physical = placement.apply(source);
+    let mut physical = image(placement, source)?;
     if !machine.is_healthy(physical) {
         return Err(SimError::FaultyProcessor { node: physical });
     }
@@ -97,7 +99,7 @@ pub fn route_logical_debruijn_into(
     for i in (0..h).rev() {
         let next = db.route_step(current, target >> i);
         if next != current {
-            let next_physical = placement.apply(next);
+            let next_physical = image(placement, next)?;
             // `physical` is already known healthy, so only the new endpoint
             // and the connecting link need checking (same classification as
             // `PhysicalMachine::check_link`, including its allowance for a
@@ -120,6 +122,21 @@ pub fn route_logical_debruijn_into(
     }
     debug_assert_eq!(current, target);
     Ok(out.len() - 1)
+}
+
+/// Physical image of logical node `x` under `placement`, or
+/// [`SimError::UnplacedNode`] when the placement does not reach `x`.
+// analyzer: alloc-free
+#[inline]
+fn image(placement: &Embedding, x: NodeId) -> Result<NodeId, SimError> {
+    placement
+        .as_slice()
+        .get(x)
+        .copied()
+        .ok_or(SimError::UnplacedNode {
+            node: x,
+            placed: placement.len(),
+        })
 }
 
 /// Routes one packet along the logical de Bruijn route from logical node
@@ -199,25 +216,59 @@ pub fn route_adaptive(
 }
 
 /// How much per-packet validation a workload run still needs, decided once
-/// per workload by [`workload_trust`]. All tiers produce byte-identical
-/// statistics; the cheaper tiers just skip checks that the upfront
-/// validation proved can never fail.
+/// per workload (and once per congestion-engine load) by
+/// [`workload_trust`]. All tiers produce byte-identical statistics; the
+/// cheaper tiers just skip checks that the upfront validation proved can
+/// never fail.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Trust {
-    /// Placement images are in range, every logical edge maps to a physical
-    /// link, and the machine has no faults: nothing can fail, count hops
+pub(crate) enum Trust {
+    /// Placement images are in range and healthy, and every logical edge
+    /// maps to a physical link: only the endpoints can fail, count hops
     /// with pure arithmetic.
     Full,
-    /// Links are valid but faults exist: check processor health per hop.
+    /// Links are valid but some placement image is faulty: check processor
+    /// health per hop.
     Health,
     /// No guarantees: run the full per-hop link + health checks.
     Checked,
 }
 
+impl Trust {
+    /// Whether the oblivious route from `source` to `target` is deliverable:
+    /// `Ok` exactly when [`route_logical_debruijn_into`] would deliver it,
+    /// at this tier's per-packet cost. Only `Checked` walks the physical
+    /// path, into `path`; the congestion loaders that store paths pass
+    /// `Checked` for that reason.
+    #[inline]
+    pub(crate) fn check_route(
+        self,
+        db: &DeBruijn2,
+        placement: &Embedding,
+        machine: &PhysicalMachine,
+        source: NodeId,
+        target: NodeId,
+        path: &mut Vec<NodeId>,
+    ) -> Result<(), SimError> {
+        match self {
+            Trust::Full => check_endpoints(db, source, target),
+            Trust::Health => {
+                oblivious_hops_health(db, placement, machine, source, target).map(drop)
+            }
+            Trust::Checked => {
+                route_logical_debruijn_into(db, placement, machine, source, target, path).map(drop)
+            }
+        }
+    }
+}
+
 /// Validates `placement` against the machine once: O(V + E) instead of
 /// O(packets · h). This is the batching win — a production machine
 /// validates its routing table when it is installed, not per packet.
-fn workload_trust(db: &DeBruijn2, placement: &Embedding, machine: &PhysicalMachine) -> Trust {
+pub(crate) fn workload_trust(
+    db: &DeBruijn2,
+    placement: &Embedding,
+    machine: &PhysicalMachine,
+) -> Trust {
     let n = machine.node_count();
     if placement.len() != db.node_count() || placement.as_slice().iter().any(|&p| p >= n) {
         return Trust::Checked;
@@ -232,7 +283,9 @@ fn workload_trust(db: &DeBruijn2, placement: &Embedding, machine: &PhysicalMachi
     if !edges_ok {
         return Trust::Checked;
     }
-    if machine.faults().is_empty() {
+    // Routes only visit placement images, so faults elsewhere (the idle
+    // spares of a reconfigured B^k(2,h) host) cannot drop a packet.
+    if placement.as_slice().iter().all(|&p| machine.is_healthy(p)) {
         Trust::Full
     } else {
         Trust::Health
@@ -617,13 +670,14 @@ mod tests {
 
     #[test]
     fn workload_tiers_match_per_packet_reference() {
-        // The trust-tier drivers must aggregate exactly what per-packet
-        // routing reports, on (a) a healthy machine (Full), (b) a faulty
-        // machine (Health), and (c) a machine whose graph is missing links
-        // (Checked).
+        // The trust-tier workload runs and the per-packet tier check must agree
+        // with per-packet routing on (a) a healthy machine (Full), (b) a
+        // faulty machine (Health), (c) a machine whose graph is missing
+        // links (Checked), and (d) a reconfigured B^k(2,h) host, whose
+        // faults all sit off the placement (Full).
         let db = DeBruijn2::new(5);
         let n = db.node_count();
-        let placement = Embedding::identity(n);
+        let identity = Embedding::identity(n);
         let mut rng = rand::rngs::StdRng::seed_from_u64(17);
         let pairs = workload::permutation_pairs(n, &mut rng);
         let healthy = PhysicalMachine::new(db.graph().clone(), PortModel::MultiPort);
@@ -631,16 +685,69 @@ mod tests {
         faulty.inject_fault(3);
         faulty.inject_fault(20);
         let sparse = PhysicalMachine::new(ftdb_graph::generators::cycle(n), PortModel::MultiPort);
-        for machine in [&healthy, &faulty, &sparse] {
+        let ft = FtDeBruijn2::new(5, 2);
+        let faults = FaultSet::from_nodes(ft.node_count(), [4, 19]);
+        let reconfigured_placement = ft.reconfigure_verified(&faults).unwrap();
+        let reconfigured =
+            PhysicalMachine::with_faults(ft.graph().clone(), faults, PortModel::MultiPort);
+        let cases = [
+            (&healthy, &identity, Trust::Full),
+            (&faulty, &identity, Trust::Health),
+            (&sparse, &identity, Trust::Checked),
+            (&reconfigured, &reconfigured_placement, Trust::Full),
+        ];
+        let mut path = Vec::new();
+        for (machine, placement, tier) in cases {
+            assert_eq!(workload_trust(&db, placement, machine), tier);
             let mut reference = RoutingStats::default();
             for &(s, t) in &pairs {
-                reference.record(&route_logical_debruijn(&db, &placement, machine, s, t));
+                let outcome = route_logical_debruijn(&db, placement, machine, s, t);
+                let checked = tier.check_route(&db, placement, machine, s, t, &mut path);
+                assert_eq!(
+                    checked.is_ok(),
+                    outcome.hops().is_some(),
+                    "{tier:?} ({s},{t})"
+                );
+                reference.record(&outcome);
             }
-            let driver = run_logical_workload(&db, &placement, machine, &pairs);
-            assert_eq!(driver, reference);
-            let batched = run_logical_workload_batched(&db, &placement, machine, &pairs, 3);
-            assert_eq!(batched, reference);
+            let sequential = run_logical_workload(&db, placement, machine, &pairs);
+            assert_eq!(sequential, reference, "{tier:?}");
+            let batched = run_logical_workload_batched(&db, placement, machine, &pairs, 3);
+            assert_eq!(batched, reference, "{tier:?}");
         }
+    }
+
+    #[test]
+    fn short_placement_is_an_error_not_a_panic() {
+        // identity(8) maps only half of B(2,4). The route 3 → 7 → 15 → 14 →
+        // 12 leaves the placement's domain at 15; 0 → 1 → 2 → 5 stays inside.
+        let db = DeBruijn2::new(4);
+        let machine = PhysicalMachine::new(db.graph().clone(), PortModel::MultiPort);
+        let short = Embedding::identity(8);
+        let mut path = Vec::new();
+        assert_eq!(
+            route_logical_debruijn_into(&db, &short, &machine, 3, 12, &mut path),
+            Err(SimError::UnplacedNode {
+                node: 15,
+                placed: 8
+            })
+        );
+        assert_eq!(
+            route_logical_debruijn_into(&db, &short, &machine, 9, 1, &mut path),
+            Err(SimError::UnplacedNode { node: 9, placed: 8 })
+        );
+        assert_eq!(
+            route_logical_debruijn_into(&db, &short, &machine, 0, 5, &mut path),
+            Ok(3)
+        );
+        assert_eq!(workload_trust(&db, &short, &machine), Trust::Checked);
+        let pairs = [(3, 12), (0, 5), (9, 1)];
+        let stats = run_logical_workload(&db, &short, &machine, &pairs);
+        assert_eq!((stats.delivered, stats.dropped), (1, 2));
+        assert_eq!(
+            run_logical_workload_batched(&db, &short, &machine, &pairs, 2),
+            stats
+        );
     }
 
     #[test]

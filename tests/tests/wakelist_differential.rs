@@ -11,7 +11,8 @@
 //! per-link flit counts, and the same per-packet outcome stamps.
 
 use ftdb_analysis::sim_experiments::{sim5_load_sweep, SweepScenario};
-use ftdb_graph::Embedding;
+use ftdb_core::FaultSet;
+use ftdb_graph::{Embedding, Graph};
 use ftdb_sim::congestion::{
     measure_open_loop, CongestionConfig, CongestionReport, CongestionSim, EngineKind,
     FaultResponse, FlowControl, RouteSource, ShardedSim, Switching,
@@ -41,7 +42,7 @@ fn drive(
     engine: EngineKind,
     route_source: RouteSource,
     h: usize,
-    port: PortModel,
+    machine: &PhysicalMachine,
     flow: FlowControl,
     response: FaultResponse,
     pairs: &[(usize, usize)],
@@ -49,7 +50,6 @@ fn drive(
     timed: Option<&[(u32, usize, usize)]>,
 ) -> RunOutcome {
     let db = DeBruijn2::new(h);
-    let machine = PhysicalMachine::new(db.graph().clone(), port);
     let config = CongestionConfig {
         flow_control: flow,
         fault_response: response,
@@ -59,7 +59,7 @@ fn drive(
         // caps on both engines keep truncated runs comparable too.
         max_cycles: 5_000,
     };
-    let mut sim = CongestionSim::new(machine, config);
+    let mut sim = CongestionSim::new(machine.clone(), config);
     let placement = Embedding::identity(db.node_count());
     match timed {
         Some(injections) => sim.load_oblivious_timed(&db, &placement, injections),
@@ -87,72 +87,113 @@ fn drive(
     }
 }
 
+/// Static damage to the machine a run loads onto. Each kind sends the
+/// oblivious loaders down a different validation tier, decided once per
+/// load: the healthy graph earns `Full` (endpoint checks only), static node
+/// faults on placement images `Health` (a health check per hop), and
+/// missing shift links `Checked` (the full per-hop walk). Packets whose
+/// routes the damage breaks drop at load.
+#[derive(Clone, Copy, Debug)]
+enum Damage {
+    None,
+    /// Up to `count` static node faults drawn from `seed`.
+    Nodes {
+        count: usize,
+        seed: u64,
+    },
+    /// Up to `count` de Bruijn links removed from the graph, drawn from
+    /// `seed`.
+    Links {
+        count: usize,
+        seed: u64,
+    },
+}
+
+/// The `B(2,h)` machine with `damage` applied.
+fn machine_of(h: usize, port: PortModel, damage: Damage) -> PhysicalMachine {
+    let db = DeBruijn2::new(h);
+    let n = db.node_count();
+    match damage {
+        Damage::None => PhysicalMachine::new(db.graph().clone(), port),
+        Damage::Nodes { count, seed } => {
+            let mut rng = ftdb_tests::seeded_rng(seed);
+            let faults = FaultSet::from_nodes(n, (0..count).map(|_| rng.random_range(0..n)));
+            PhysicalMachine::with_faults(db.graph().clone(), faults, port)
+        }
+        Damage::Links { count, seed } => {
+            let mut rng = ftdb_tests::seeded_rng(seed);
+            let edges: Vec<(usize, usize)> = db.graph().edges().collect();
+            let cut: Vec<(usize, usize)> = (0..count)
+                .map(|_| edges[rng.random_range(0..edges.len())])
+                .collect();
+            let adjacency = (0..n)
+                .map(|u| {
+                    db.graph()
+                        .neighbor_ids(u)
+                        .filter(|&v| !cut.contains(&(u.min(v), u.max(v))))
+                        .collect()
+                })
+                .collect();
+            let graph = Graph::from_adjacency(adjacency, format!("B(2,{h}) minus links"))
+                .expect("a subgraph of a simple graph is simple");
+            PhysicalMachine::new(graph, port)
+        }
+    }
+}
+
 #[allow(clippy::too_many_arguments)]
 fn assert_engines_agree(
     h: usize,
     port: PortModel,
+    damage: Damage,
     flow: FlowControl,
     response: FaultResponse,
     pairs: &[(usize, usize)],
     schedule: &[(u32, usize)],
     timed: Option<&[(u32, usize, usize)]>,
 ) {
-    let wake = drive(
-        EngineKind::WakeList,
-        RouteSource::Implicit,
-        h,
-        port,
-        flow,
-        response,
-        pairs,
-        schedule,
-        timed,
-    );
-    let naive = drive(
-        EngineKind::NaiveScan,
-        RouteSource::Implicit,
-        h,
-        port,
-        flow,
-        response,
-        pairs,
-        schedule,
-        timed,
-    );
+    let machine = machine_of(h, port, damage);
+    let run = |engine, route_source| {
+        drive(
+            engine,
+            route_source,
+            h,
+            &machine,
+            flow,
+            response,
+            pairs,
+            schedule,
+            timed,
+        )
+    };
+    let wake = run(EngineKind::WakeList, RouteSource::Implicit);
+    let naive = run(EngineKind::NaiveScan, RouteSource::Implicit);
     assert_report_fields_equal(&wake.report, &naive.report);
     assert_eq!(
         wake, naive,
-        "engines diverged (h={h}, {port:?}, {flow:?}, {response:?})"
+        "engines diverged (h={h}, {port:?}, {damage:?}, {flow:?}, {response:?})"
     );
     // "Byte-identical" taken literally: the rendered reports match too.
     assert_eq!(wake.report_text, naive.report_text);
     // Route-source differential: the O(1) digit-shift generator (the
     // default above) must reproduce the materialized-path engine
     // byte-for-byte on the same workload — including mid-run re-routes,
-    // which materialize implicit packets into the segment side table.
-    let materialized = drive(
-        EngineKind::WakeList,
-        RouteSource::Materialized,
-        h,
-        port,
-        flow,
-        response,
-        pairs,
-        schedule,
-        timed,
-    );
+    // which materialize implicit packets into the segment side table. The
+    // materialized loader walks every route, so it is also the per-packet
+    // reference for the implicit loader's once-per-load validation tier.
+    let materialized = run(EngineKind::WakeList, RouteSource::Materialized);
     assert_report_fields_equal(&wake.report, &materialized.report);
     assert_eq!(
         wake, materialized,
-        "route sources diverged (h={h}, {port:?}, {flow:?}, {response:?})"
+        "route sources diverged (h={h}, {port:?}, {damage:?}, {flow:?}, {response:?})"
     );
     // Shard differential: the partitioned engine must reproduce the
     // single-table run byte-for-byte for every shard count — and a
     // threaded run must match its own serial run (one worker per shard,
     // deterministic (dst, src) barrier merge).
-    for (shards, threads) in [(1usize, 1usize), (2, 1), (4, 1), (4, 2)] {
+    for (shards, threads) in [(1usize, 1usize), (2, 1), (2, 2), (4, 1), (4, 2)] {
         let sharded = drive_sharded(
-            shards, threads, h, port, flow, response, pairs, schedule, timed,
+            shards, threads, h, &machine, flow, response, pairs, schedule, timed,
         );
         assert_report_fields_equal(&wake.report, &sharded.report);
         assert_eq!(
@@ -168,7 +209,7 @@ fn assert_engines_agree(
                 &sharded.counts,
                 &sharded.outcomes
             ),
-            "sharded engine diverged (h={h}, {port:?}, {flow:?}, {response:?}, \
+            "sharded engine diverged (h={h}, {port:?}, {damage:?}, {flow:?}, {response:?}, \
              shards={shards}, threads={threads})"
         );
     }
@@ -190,7 +231,7 @@ fn drive_sharded(
     shards: usize,
     threads: usize,
     h: usize,
-    port: PortModel,
+    machine: &PhysicalMachine,
     flow: FlowControl,
     response: FaultResponse,
     pairs: &[(usize, usize)],
@@ -198,7 +239,6 @@ fn drive_sharded(
     timed: Option<&[(u32, usize, usize)]>,
 ) -> ShardedOutcome {
     let db = DeBruijn2::new(h);
-    let machine = PhysicalMachine::new(db.graph().clone(), port);
     let config = CongestionConfig {
         flow_control: flow,
         fault_response: response,
@@ -206,7 +246,7 @@ fn drive_sharded(
         route_source: RouteSource::Implicit,
         max_cycles: 5_000,
     };
-    let mut sim = ShardedSim::new(machine, config, shards, threads);
+    let mut sim = ShardedSim::new(machine.clone(), config, shards, threads);
     let placement = Embedding::identity(db.node_count());
     match timed {
         Some(injections) => sim.load_oblivious_timed(&db, &placement, injections),
@@ -303,11 +343,22 @@ fn response_of(reroute: bool) -> FaultResponse {
     }
 }
 
+/// Machine generator: `sel` picks a healthy graph (0), static node faults
+/// (1) or missing links (2), with `count` of them drawn from `seed`.
+fn damage_of(sel: u8, count: usize, seed: u64) -> Damage {
+    match sel {
+        0 => Damage::None,
+        1 => Damage::Nodes { count, seed },
+        _ => Damage::Links { count, seed },
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Batch workloads: random pair sets, random fault schedules, both
-    /// flow-control modes, both port models, both fault responses.
+    /// flow-control modes, both port models, both fault responses, and
+    /// healthy, node-faulted and link-deficient machines.
     #[test]
     fn engines_agree_on_random_batch_workloads(
         h in 3usize..6,
@@ -318,6 +369,8 @@ proptest! {
         reroute in 0u8..2,
         packets in 1usize..200,
         faults in 0usize..4,
+        damage_sel in 0u8..3,
+        damage_count in 1usize..4,
         seed in 0u64..10_000,
     ) {
         let n = 1usize << h;
@@ -329,6 +382,7 @@ proptest! {
         assert_engines_agree(
             h,
             port_of(single_port == 1),
+            damage_of(damage_sel, damage_count, seed ^ 0xDA4A),
             flow_of(depth, vc_sel, worm_sel),
             response_of(reroute == 1),
             &pairs,
@@ -348,12 +402,15 @@ proptest! {
         worm_sel in 0u8..3,
         root_seed in 0usize..64,
         single_port in 0u8..2,
+        damage_sel in 0u8..3,
+        damage_count in 1usize..4,
     ) {
         let n = 1usize << h;
         let pairs = workload::all_to_one(n, root_seed % n);
         assert_engines_agree(
             h,
             port_of(single_port == 1),
+            damage_of(damage_sel, damage_count, root_seed as u64),
             flow_of(depth, vc_sel, worm_sel),
             FaultResponse::Drop,
             &pairs,
@@ -374,6 +431,8 @@ proptest! {
         load_pct in 5u32..95,
         faults in 0usize..3,
         reroute in 0u8..2,
+        damage_sel in 0u8..3,
+        damage_count in 1usize..4,
         seed in 0u64..10_000,
     ) {
         let n = 1usize << h;
@@ -393,6 +452,7 @@ proptest! {
         assert_engines_agree(
             h,
             PortModel::MultiPort,
+            damage_of(damage_sel, damage_count, seed ^ 0xDA4A),
             flow_of(depth, vc_sel, worm_sel),
             response_of(reroute == 1),
             &[],
@@ -423,13 +483,22 @@ fn virtual_channels_break_the_depth_one_hotspot_deadlock() {
                 switching: Switching::StoreAndForward,
             };
             // Pin every engine variant to the same report first…
-            assert_engines_agree(h, port, flow, FaultResponse::Drop, &pairs, &[], None);
+            assert_engines_agree(
+                h,
+                port,
+                Damage::None,
+                flow,
+                FaultResponse::Drop,
+                &pairs,
+                &[],
+                None,
+            );
             // …then pin what that report says.
             let run = drive(
                 EngineKind::WakeList,
                 RouteSource::Implicit,
                 h,
-                port,
+                &machine_of(h, port, Damage::None),
                 flow,
                 FaultResponse::Drop,
                 &pairs,
@@ -453,6 +522,45 @@ fn virtual_channels_break_the_depth_one_hotspot_deadlock() {
                 );
             }
         }
+    }
+}
+
+/// Pins the machine axis of the property suites: on each damaged machine
+/// some routes really break at load (so the `Health` and `Checked` tiers
+/// are exercised, not vacuous) while others deliver, and every engine
+/// variant drops exactly the same packets.
+#[test]
+fn damaged_machines_drop_the_same_packets_at_load() {
+    let h = 5;
+    let n = 1usize << h;
+    let mut rng = ftdb_tests::seeded_rng(3);
+    let pairs = workload::uniform_pairs(n, 4 * n, &mut rng);
+    let (port, flow, response) = (
+        PortModel::MultiPort,
+        FlowControl::Infinite,
+        FaultResponse::Drop,
+    );
+    for damage in [
+        Damage::Nodes { count: 3, seed: 1 },
+        Damage::Links { count: 3, seed: 2 },
+    ] {
+        assert_engines_agree(h, port, damage, flow, response, &pairs, &[], None);
+        let machine = machine_of(h, port, damage);
+        let run = drive(
+            EngineKind::WakeList,
+            RouteSource::Implicit,
+            h,
+            &machine,
+            flow,
+            response,
+            &pairs,
+            &[],
+            None,
+        );
+        // No mid-run faults: every drop happened at load.
+        assert!(run.report.dropped > 0, "{damage:?} broke no route");
+        assert!(run.report.delivered > 0, "{damage:?} broke every route");
+        assert!(run.report.completed, "{damage:?}");
     }
 }
 
