@@ -457,6 +457,23 @@ pub fn render_reliability(curve: &ReliabilityCurve) -> TextTable {
 mod tests {
     use super::*;
 
+    #[test]
+    fn a_packet_saved_by_a_re_route_stays_delivered_across_the_grid() {
+        // Trial 71 of the default B(2,9) link sweep. Its one packet that a
+        // dead link forces to re-route used to be reported lost at
+        // p = 0.001 and 0.005 — a cycle whose only event was the re-route
+        // read as a deadlock — yet delivered at p = 0.01 on a superset of
+        // the dead links.
+        let spec = ReliabilitySpec::canonical(9);
+        let db = DeBruijn2::new(spec.h);
+        let machine = PhysicalMachine::new(db.graph().clone(), PortModel::MultiPort);
+        let mut sim = CongestionSim::new(machine, reliability_config());
+        let outcome = run_trial(&db, &mut sim, FaultModel::Link, &spec, 71);
+        let delivered: Vec<u64> = outcome.per_p.iter().map(|&(_, d, _)| d).collect();
+        assert!(delivered.windows(2).all(|w| w[1] <= w[0]), "{delivered:?}");
+        assert_eq!(delivered[0], db.node_count() as u64, "{delivered:?}");
+    }
+
     fn tiny_spec(threads: usize, shards: usize) -> ReliabilitySpec {
         ReliabilitySpec {
             h: 5,

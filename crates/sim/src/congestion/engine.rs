@@ -1777,6 +1777,7 @@ impl CongestionSim {
         // dead-next-hop check only matters once a dynamic fault has fired.
         let hazard = !self.dead_list.is_empty() || !self.dead_link_list.is_empty();
         let mut moved = 0;
+        let mut rerouted = 0;
         // Examine the queued packets in ascending id order (= age order),
         // clearing each bitmap word as it is consumed; survivors set their
         // bit in the next-cycle bitmap, which is all-zero on entry.
@@ -1817,6 +1818,7 @@ impl CongestionSim {
                                     self.resolve_dropped(id, stamp);
                                     continue;
                                 }
+                                rerouted += 1;
                                 if self.cursor[id] + 1 == self.seg_end[self.seg_of[id] as usize] {
                                     // The oblivious route revisited the target
                                     // and the packet was sitting on it: the
@@ -1934,18 +1936,15 @@ impl CongestionSim {
             injected,
             credits_applied,
             faults_fired,
+            rerouted,
             live: self.in_flight,
             pending_injections: (self.pending_inject.len() - self.inject_pos) as u64,
         }
     }
 
     /// Steps until cycle `horizon` (capped by `max_cycles`), the workload
-    /// drains, or the network hard-deadlocks. A hard deadlock — only
-    /// possible under bounded-buffer flow control — is proven, not guessed:
-    /// a cycle in which nothing moved, no timed credit return or claim
-    /// expiry is in flight, and no injection or fault remains scheduled can
-    /// never be followed by a different one. The per-cycle loop performs no
-    /// allocation.
+    /// drains, or the stop rule proves a hard deadlock. The per-cycle loop
+    /// performs no allocation.
     // analyzer: alloc-free
     pub fn run_until(&mut self, horizon: u32) {
         let horizon = horizon.min(self.config.max_cycles);
@@ -1953,20 +1952,34 @@ impl CongestionSim {
             && self.cycle < horizon
         {
             let events = self.step();
-            if events.moved == 0
-                && events.injected == 0
-                && events.faults_fired == 0
-                && self.in_flight > 0
-                && !self.credits_pending()
-                && !self.serves_pending()
-                && self.inject_pos >= self.pending_inject.len()
-                && self.schedule_pos >= self.schedule.len()
-                && self.link_schedule_pos >= self.link_schedule.len()
-            {
+            if self.proves_deadlock(&events) {
                 self.deadlocked = true;
                 break;
             }
         }
+    }
+
+    /// The stop rule: whether the cycle that produced `events` proves a
+    /// hard deadlock. It is proven, not guessed — only possible under
+    /// bounded-buffer flow control: a cycle in which nothing moved, was
+    /// injected, was killed or was re-routed, with live packets left, no
+    /// timed credit return or claim expiry in flight and no injection or
+    /// fault still scheduled, can never be followed by a different one. A
+    /// re-routed packet moves in a later cycle, so a re-route is activity;
+    /// its new path avoids every dead node and link, so a packet re-routes
+    /// at most once per fault epoch and every run still terminates.
+    // analyzer: alloc-free
+    fn proves_deadlock(&self, events: &CycleEvents) -> bool {
+        events.moved == 0
+            && events.injected == 0
+            && events.faults_fired == 0
+            && events.rerouted == 0
+            && self.in_flight > 0
+            && !self.credits_pending()
+            && !self.serves_pending()
+            && self.inject_pos >= self.pending_inject.len()
+            && self.schedule_pos >= self.schedule.len()
+            && self.link_schedule_pos >= self.link_schedule.len()
     }
 
     /// Steps until the workload drains, `max_cycles` is hit, or the network
@@ -2303,6 +2316,9 @@ pub struct CycleEvents {
     /// Processors plus directed links killed by the fault schedules this
     /// cycle.
     pub faults_fired: usize,
+    /// Packets re-routed around a dead hop this cycle
+    /// ([`FaultResponse::RerouteAdaptive`]); each moves in a later cycle.
+    pub rerouted: u64,
     /// Packets still in flight afterwards.
     pub live: u64,
     /// Loaded packets whose injection cycle has not arrived yet.
@@ -2345,6 +2361,8 @@ pub struct RecoveryOutcome {
 ///    packet at its logical target's *new* physical image and re-routes it
 ///    through the surviving machine.
 /// 4. The run drains; `drain_cycles` is the measured recovery latency.
+///    A run that hard-deadlocks stops where [`CongestionSim::run`] would
+///    and reports `deadlocked`.
 ///
 /// Returns an error if the fault schedule exceeds the construction's
 /// budget `k` (reconfiguration is only guaranteed below it).
@@ -2382,7 +2400,9 @@ pub fn run_recovery(
         // reconfiguration can re-target in-flight packets the same cycle the
         // processors die — packets lost are exactly those hosted on them.
         let before_drop = sim.counts().2;
-        if sim.fire_due_faults() > 0 {
+        let fired = sim.fire_due_faults();
+        let mut retargeted = 0;
+        if fired > 0 {
             if fault_cycle == NEVER {
                 fault_cycle = sim.cycle();
             }
@@ -2395,9 +2415,18 @@ pub fn run_recovery(
                         faults: faults.len(),
                     })?;
             let (r, _, _) = sim.retarget_and_reroute(&placement);
+            retargeted = r;
             rerouted += r;
         }
-        sim.step();
+        // The faults and re-routes that ran ahead of `step` belong to this
+        // cycle's activity under the stop rule.
+        let mut events = sim.step();
+        events.faults_fired += fired;
+        events.rerouted += retargeted;
+        if sim.proves_deadlock(&events) {
+            sim.deadlocked = true;
+            break;
+        }
     }
     let report = sim.report();
     let drain_cycles = if fault_cycle == NEVER {
@@ -2943,6 +2972,86 @@ mod tests {
             CongestionConfig::default(),
         );
         assert!(err.is_err());
+    }
+
+    #[test]
+    fn recovery_applies_the_stop_rule() {
+        // The depth-1 hot spot deadlocks with no fault at all: the recovery
+        // driver must prove it exactly as `run` does instead of stepping to
+        // `max_cycles`.
+        let ft = FtDeBruijn2::new(5, 1);
+        let pairs = workload::all_to_one(ft.target().node_count(), 2);
+        let config = CongestionConfig {
+            max_cycles: 100_000,
+            ..credit_config(1)
+        };
+        let outcome = run_recovery(&ft, &pairs, &[], PortModel::MultiPort, config)
+            .expect("an empty schedule is within budget");
+        let machine = PhysicalMachine::new(ft.graph().clone(), PortModel::MultiPort);
+        let mut sim = CongestionSim::new(machine, config);
+        let initial = ft.reconfigure(&FaultSet::empty(ft.node_count()));
+        sim.load_oblivious(ft.target(), &initial, &pairs);
+        let want = sim.run();
+        assert!(want.deadlocked && want.cycles < 100, "{want:?}");
+        assert_eq!(outcome.report, want);
+    }
+
+    fn reroute_config() -> CongestionConfig {
+        CongestionConfig {
+            fault_response: FaultResponse::RerouteAdaptive,
+            ..CongestionConfig::default()
+        }
+    }
+
+    #[test]
+    fn a_reroute_only_cycle_is_activity_not_deadlock() {
+        // 0 -> 4 on B(2,5) routes 0 -> 1 -> 2 -> 4, and node 2 dies at
+        // cycle 0. At cycle 1 the packet's only event is its re-route at
+        // node 1: nothing moves, yet the run is not stuck.
+        let db = DeBruijn2::new(5);
+        let machine = PhysicalMachine::new(db.graph().clone(), PortModel::MultiPort);
+        let mut sim = CongestionSim::new(machine, reroute_config());
+        sim.load_oblivious(&db, &Embedding::identity(db.node_count()), &[(0, 4)]);
+        sim.schedule_fault(0, 2);
+        let report = sim.run();
+        assert!(!report.deadlocked && report.completed, "{report:?}");
+        assert_eq!((report.delivered, report.dropped), (1, 0));
+        sim.reset();
+        let first = sim.step();
+        assert_eq!((first.faults_fired, first.moved, first.rerouted), (1, 1, 0));
+        let second = sim.step();
+        assert_eq!(
+            (second.faults_fired, second.moved, second.rerouted),
+            (0, 0, 1)
+        );
+    }
+
+    #[test]
+    fn single_packet_reroutes_never_deadlock_on_unbounded_buffers() {
+        // Every (source, target, victim) on B(2,4) with the kill at cycle 0,
+        // 1 or 2. Unbounded buffers cannot deadlock, so each run must end
+        // with its packet delivered or dropped.
+        let db = DeBruijn2::new(4);
+        let n = db.node_count();
+        let placement = Embedding::identity(n);
+        let machine = PhysicalMachine::new(db.graph().clone(), PortModel::MultiPort);
+        let mut sim = CongestionSim::new(machine, reroute_config());
+        for s in 0..n {
+            for t in 0..n {
+                for victim in 0..n {
+                    for kill in 0..3 {
+                        sim.clear_workload();
+                        sim.load_oblivious(&db, &placement, &[(s, t)]);
+                        sim.schedule_fault(kill, victim);
+                        let report = sim.run();
+                        assert!(
+                            !report.deadlocked && report.completed,
+                            "{s}->{t}, node {victim} killed at cycle {kill}: {report:?}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     fn credit_config(buffer_depth: u32) -> CongestionConfig {

@@ -153,6 +153,8 @@ struct ShardCore {
     moved: u64,
     injected: u64,
     killed: usize,
+    /// Packets re-routed this cycle (activity under the stop rule).
+    rerouted: u64,
     /// Per-VC flit totals for this core's links (summed by the driver).
     vc_flits: Vec<u64>,
     /// Per-VC closed head-of-line blocked spans (summed by the driver; the
@@ -234,6 +236,7 @@ impl ShardCore {
             moved: 0,
             injected: 0,
             killed: 0,
+            rerouted: 0,
             vc_flits: vec![0; if track_vc { vcs } else { 0 }],
             vc_hol_blocked_cycles: vec![0; if track_vc { vcs } else { 0 }],
             searcher: Searcher::default(),
@@ -727,6 +730,7 @@ impl ShardCore {
         self.moved = 0;
         self.injected = 0;
         self.killed = 0;
+        self.rerouted = 0;
         self.apply_pending_credits(cycle);
         self.apply_due_serves(cycle);
         self.inject_due(ctx, cycle);
@@ -774,6 +778,7 @@ impl ShardCore {
                                     self.resolve(ctx, id, stamp, RES_DROPPED);
                                     continue;
                                 }
+                                self.rerouted += 1;
                                 if self.cursor[id] + 1 == self.seg_end[id] {
                                     self.resolve(ctx, id, stamp, RES_DELIVERED);
                                     continue;
@@ -883,6 +888,7 @@ struct WorkerOut {
     moved: u64,
     injected: u64,
     killed: usize,
+    rerouted: u64,
     resolved: Vec<(u32, u32, u8)>,
     batches: Vec<BoundaryBatch>,
     pending_empty: bool,
@@ -1346,10 +1352,12 @@ impl ShardedSim {
             let cycle = self.cycle;
             let mut moved = 0u64;
             let mut injected = 0u64;
+            let mut rerouted = 0u64;
             for core in &mut self.cores {
                 core.phase(&ctx, cycle);
                 moved += core.moved;
                 injected += core.injected;
+                rerouted += core.rerouted;
             }
             let killed = self.cores.first().map_or(0, |c| c.killed);
             // Injections enter the network before any resolution of the
@@ -1396,6 +1404,7 @@ impl ShardedSim {
             if moved == 0
                 && injected == 0
                 && killed == 0
+                && rerouted == 0
                 && self.live > 0
                 && self.cores.iter().all(|c| c.fifos_drained())
                 && self.cores.iter().all(|c| c.injects_done())
@@ -1481,6 +1490,7 @@ impl ShardedSim {
                 outs.sort_by_key(|o| o.shard);
                 let moved: u64 = outs.iter().map(|o| o.moved).sum();
                 let injected: u64 = outs.iter().map(|o| o.injected).sum();
+                let rerouted: u64 = outs.iter().map(|o| o.rerouted).sum();
                 let killed = outs.first().map_or(0, |o| o.killed);
                 any_pending = outs.iter().any(|o| !o.injects_done);
                 let all_pending_empty = outs.iter().all(|o| o.pending_empty);
@@ -1520,6 +1530,7 @@ impl ShardedSim {
                 if moved == 0
                     && injected == 0
                     && killed == 0
+                    && rerouted == 0
                     && *live > 0
                     && all_pending_empty
                     && !credits_shipped
@@ -1667,6 +1678,7 @@ fn worker_loop(
                         moved: core.moved,
                         injected: core.injected,
                         killed: core.killed,
+                        rerouted: core.rerouted,
                         resolved: std::mem::take(&mut core.resolved),
                         batches: core.take_batches(shard),
                         pending_empty: core.fifos_drained(),
@@ -1871,6 +1883,34 @@ mod tests {
                 assert_report_fields_equal(&got, &want);
                 assert_eq!(got, want, "vcs={vcs} {switching:?} threaded");
             }
+        }
+    }
+
+    #[test]
+    fn a_reroute_only_cycle_is_not_a_deadlock_in_any_configuration() {
+        // 0 -> 4 on B(2,5) routes 0 -> 1 -> 2 -> 4, and node 2 dies at
+        // cycle 0: at cycle 1 the packet only re-routes, which every
+        // configuration must count as activity.
+        let (db, _) = machine_for(5, PortModel::MultiPort);
+        let config = CongestionConfig {
+            fault_response: FaultResponse::RerouteAdaptive,
+            ..CongestionConfig::default()
+        };
+        let placement = Embedding::identity(db.node_count());
+        let machine = PhysicalMachine::new(db.graph().clone(), PortModel::MultiPort);
+        let mut single = super::super::CongestionSim::new(machine, config);
+        single.load_oblivious(&db, &placement, &[(0, 4)]);
+        single.schedule_fault(0, 2);
+        let want = single.run();
+        assert!(!want.deadlocked && want.delivered == 1, "{want:?}");
+        for (shards, threads) in [(1usize, 1usize), (2, 1), (2, 2)] {
+            let machine = PhysicalMachine::new(db.graph().clone(), PortModel::MultiPort);
+            let mut sim = ShardedSim::new(machine, config, shards, threads);
+            sim.load_oblivious(&db, &placement, &[(0, 4)]);
+            sim.schedule_fault(0, 2);
+            let got = sim.run();
+            assert_report_fields_equal(&got, &want);
+            assert_eq!(got, want, "shards={shards} threads={threads}");
         }
     }
 

@@ -167,6 +167,13 @@ fn assert_engines_agree(
         )
     };
     let wake = run(EngineKind::WakeList, RouteSource::Implicit);
+    // Unbounded buffers cannot deadlock, mid-run re-routes included.
+    if flow == FlowControl::Infinite {
+        assert!(
+            !wake.report.deadlocked,
+            "deadlock under unbounded buffers (h={h}, {port:?}, {damage:?}, {response:?})"
+        );
+    }
     let naive = run(EngineKind::NaiveScan, RouteSource::Implicit);
     assert_report_fields_equal(&wake.report, &naive.report);
     assert_eq!(
