@@ -102,9 +102,9 @@ pub struct ReliabilitySpec {
     /// Worker threads for the trial fan-out (results are byte-identical
     /// for any value).
     pub threads: usize,
-    /// When `> 1`, each run executes on a [`ShardedSim`] with this shard
-    /// count instead of the single-table engine (byte-identical reports;
-    /// exercised by the CI determinism job).
+    /// When `> 1`, each worker runs its trials on one serial [`ShardedSim`]
+    /// with this shard count instead of the single-table engine
+    /// (byte-identical reports; exercised by the CI determinism job).
     pub shards: usize,
 }
 
@@ -258,11 +258,35 @@ fn draw_trial_faults(
     }
 }
 
-/// Runs one trial's healthy baseline plus its whole `p` row on a reused
-/// single-table engine (or fresh sharded engines when `spec.shards > 1`).
+/// One worker's warmed engine, reused for every run of its trial chunk
+/// through `clear_workload`. There is one per worker, so the variants' size
+/// difference costs nothing.
+#[allow(clippy::large_enum_variant)]
+enum TrialEngine {
+    /// The single-table engine (`spec.shards == 1`): the reference the CI
+    /// determinism job diffs every shard count against.
+    Single(CongestionSim),
+    /// A serial [`ShardedSim`]: the trial fan-out owns the thread budget
+    /// (reports are identical either way).
+    Sharded(ShardedSim),
+}
+
+impl TrialEngine {
+    fn new(db: &DeBruijn2, shards: usize) -> TrialEngine {
+        let machine = PhysicalMachine::new(db.graph().clone(), PortModel::MultiPort);
+        if shards > 1 {
+            TrialEngine::Sharded(ShardedSim::new(machine, reliability_config(), shards, 1))
+        } else {
+            TrialEngine::Single(CongestionSim::new(machine, reliability_config()))
+        }
+    }
+}
+
+/// Runs one trial's healthy baseline plus its whole `p` row on the
+/// worker's reused engine.
 fn run_trial(
     db: &DeBruijn2,
-    sim: &mut CongestionSim,
+    engine: &mut TrialEngine,
     model: FaultModel,
     spec: &ReliabilitySpec,
     trial: usize,
@@ -275,36 +299,35 @@ fn run_trial(
 
     let mut run_one = |p: Option<f64>| -> (u64, u64, f64) {
         let faults = p.map(|p| draw_trial_faults(db, model, spec, p, fault_seed));
-        if spec.shards > 1 {
-            let machine = PhysicalMachine::new(db.graph().clone(), PortModel::MultiPort);
-            // The trial fan-out owns the thread budget; each sharded run
-            // stays serial (reports are identical either way).
-            let mut sharded = ShardedSim::new(machine, reliability_config(), spec.shards, 1);
-            sharded.load_oblivious(db, &placement, &pairs);
-            if let Some(faults) = &faults {
-                for &node in &faults.nodes {
-                    sharded.schedule_fault(spec.kill_cycle, node);
+        let report = match engine {
+            TrialEngine::Single(sim) => {
+                sim.clear_workload();
+                sim.load_oblivious(db, &placement, &pairs);
+                if let Some(faults) = &faults {
+                    for &node in &faults.nodes {
+                        sim.schedule_fault(spec.kill_cycle, node);
+                    }
+                    if let Some(links) = &faults.links {
+                        sim.schedule_link_faults(spec.kill_cycle, links);
+                    }
                 }
-                if let Some(links) = &faults.links {
-                    sharded.schedule_link_faults(spec.kill_cycle, links);
-                }
+                sim.run()
             }
-            let report = sharded.run();
-            (report.injected, report.delivered, report.latency.mean)
-        } else {
-            sim.clear_workload();
-            sim.load_oblivious(db, &placement, &pairs);
-            if let Some(faults) = &faults {
-                for &node in &faults.nodes {
-                    sim.schedule_fault(spec.kill_cycle, node);
+            TrialEngine::Sharded(sim) => {
+                sim.clear_workload();
+                sim.load_oblivious(db, &placement, &pairs);
+                if let Some(faults) = &faults {
+                    for &node in &faults.nodes {
+                        sim.schedule_fault(spec.kill_cycle, node);
+                    }
+                    if let Some(links) = &faults.links {
+                        sim.schedule_link_faults(spec.kill_cycle, links);
+                    }
                 }
-                if let Some(links) = &faults.links {
-                    sim.schedule_link_faults(spec.kill_cycle, links);
-                }
+                sim.run()
             }
-            let report = sim.run();
-            (report.injected, report.delivered, report.latency.mean)
-        }
+        };
+        (report.injected, report.delivered, report.latency.mean)
     };
 
     let (_, _, healthy_mean) = run_one(None);
@@ -322,10 +345,9 @@ fn trial_chunk(
     spec: &ReliabilitySpec,
     trials: std::ops::Range<usize>,
 ) -> Vec<TrialOutcome> {
-    let machine = PhysicalMachine::new(db.graph().clone(), PortModel::MultiPort);
-    let mut sim = CongestionSim::new(machine, reliability_config());
+    let mut engine = TrialEngine::new(db, spec.shards);
     trials
-        .map(|trial| run_trial(db, &mut sim, model, spec, trial))
+        .map(|trial| run_trial(db, &mut engine, model, spec, trial))
         .collect()
 }
 
@@ -466,9 +488,8 @@ mod tests {
         // the dead links.
         let spec = ReliabilitySpec::canonical(9);
         let db = DeBruijn2::new(spec.h);
-        let machine = PhysicalMachine::new(db.graph().clone(), PortModel::MultiPort);
-        let mut sim = CongestionSim::new(machine, reliability_config());
-        let outcome = run_trial(&db, &mut sim, FaultModel::Link, &spec, 71);
+        let mut engine = TrialEngine::new(&db, 1);
+        let outcome = run_trial(&db, &mut engine, FaultModel::Link, &spec, 71);
         let delivered: Vec<u64> = outcome.per_p.iter().map(|&(_, d, _)| d).collect();
         assert!(delivered.windows(2).all(|w| w[1] <= w[0]), "{delivered:?}");
         assert_eq!(delivered[0], db.node_count() as u64, "{delivered:?}");

@@ -118,7 +118,7 @@
 //! byte-identical).
 //!
 //! **Sharded engine.** [`ShardedSim`] partitions the CSR graph along the
-//! de Bruijn label-prefix (necklace) cut, gives each shard its own wake-list
+//! de Bruijn label-prefix cut, gives each shard its own wake-list
 //! core, and exchanges boundary flits/credits at cycle barriers over
 //! channels with a deterministic (shard-id, packet-age) merge — the
 //! [`CongestionReport`] is byte-identical to [`CongestionSim`] for any shard

@@ -21,6 +21,11 @@
 //! examined again only on the following cycle, exactly like a mover in the
 //! single engine; its VC index rides along in the [`Flit`].
 //!
+//! One engine can serve many workloads: [`ShardedSim::clear_workload`]
+//! drops the loaded workload and both fault schedules but keeps the
+//! machine, every buffer's capacity, the per-destination boundary buffers
+//! and each core's warmed re-route [`Searcher`].
+//!
 //! The sharded engine only carries implicit (O(1)) route state per packet —
 //! materialized segments appear only as re-route spills — and does not
 //! support `reset`, recovery re-targeting, or adaptive loads; use
@@ -146,10 +151,10 @@ struct ShardCore {
     // --- per-cycle outputs ------------------------------------------------
     /// `(id, cycle, RES_*)` resolutions this cycle, drained by the driver.
     resolved: Vec<(u32, u32, u8)>,
-    /// Outbound flits per destination shard.
-    out_flits: Vec<Vec<Flit>>,
-    /// Outbound credit returns (global slot ids) per destination shard.
-    out_credits: Vec<Vec<u32>>,
+    /// Outbound flits, path words and credit returns, one buffer per
+    /// destination shard (indexed by it), kept for the core's life: the
+    /// drivers empty them in place at every barrier.
+    out: Vec<BoundaryBatch>,
     moved: u64,
     injected: u64,
     killed: usize,
@@ -168,6 +173,7 @@ struct ShardCore {
 impl ShardCore {
     #[allow(clippy::too_many_arguments)]
     fn new(
+        shard: usize,
         node_lo: usize,
         node_hi: usize,
         slot_lo: usize,
@@ -231,8 +237,9 @@ impl ShardCore {
             pending_inject: Vec::new(),
             inject_pos: 0,
             resolved: Vec::new(),
-            out_flits: vec![Vec::new(); shards],
-            out_credits: vec![Vec::new(); shards],
+            out: (0..shards)
+                .map(|dst| BoundaryBatch::new(shard as u32, dst as u32))
+                .collect(),
             moved: 0,
             injected: 0,
             killed: 0,
@@ -244,10 +251,10 @@ impl ShardCore {
         }
     }
 
-    /// Extends every per-packet array to `packets` ids with default
-    /// (not-hosted) state: one bulk extension per load, not a push per
-    /// packet per array.
-    fn grow_packets(&mut self, packets: usize) {
+    /// Resizes every per-packet array to `packets` ids, giving new ids the
+    /// default (not-hosted) state: one bulk resize per load (or per clear,
+    /// to 0), not a push per packet per array. Capacity is kept.
+    fn resize_packets(&mut self, packets: usize) {
         self.entry.resize(packets, pk(0, NO_SLOT));
         self.imp_pos.resize(packets, 0);
         self.imp_rem.resize(packets, 1);
@@ -390,7 +397,7 @@ impl ShardCore {
             self.return_credit_local(gu - self.slot_lo * self.vcs, cycle);
         } else {
             let owner = ctx.slot_start.partition_point(|&x| (x as usize) <= slot) - 1;
-            self.out_credits[owner].push(g);
+            self.out[owner].credits.push(g);
         }
     }
 
@@ -641,11 +648,13 @@ impl ShardCore {
     /// state travels in the flit; its occupied buffer slot stays recorded
     /// (globally) and drains back to this shard when the packet next moves.
     fn emigrate(&mut self, ctx: &ShardCtx<'_>, id: usize, now: usize) {
-        let dest = shard_of(now, ctx.n, ctx.shards);
-        let path = if self.cursor[id] == IMPLICIT_ACTIVE {
-            Vec::new()
+        let out = &mut self.out[shard_of(now, ctx.n, ctx.shards)];
+        let path_len = if self.cursor[id] == IMPLICIT_ACTIVE {
+            0
         } else {
-            self.arena[self.cursor[id] as usize..self.seg_end[id] as usize].to_vec()
+            let path = &self.arena[self.cursor[id] as usize..self.seg_end[id] as usize];
+            out.path_words.extend_from_slice(path);
+            path.len() as u32
         };
         // A mover's blocked span was closed by `note_unblocked` on the move
         // that triggered this migration, so no HoL state needs to travel.
@@ -653,14 +662,14 @@ impl ShardCore {
             self.blocked_since[id] == NEVER,
             "blocked span crossed a barrier"
         );
-        self.out_flits[dest].push(Flit {
+        out.flits.push(Flit {
             id: id as u32,
             entry: self.entry[id],
             pos: self.imp_pos[id],
             rem: self.imp_rem[id],
             occupied_slot: self.occupied_slot[id],
             vc: self.vc[id],
-            path,
+            path_len,
         });
         self.in_network[id] = false;
         self.cursor[id] = NEVER;
@@ -672,8 +681,9 @@ impl ShardCore {
     /// same `generating_cycle + packet_flits` a local return would carry)
     /// and in-migrating flits into the hosted table, queued for this
     /// cycle's examination — the same timing a mover has in the
-    /// single-table engine.
-    fn apply_inbound(&mut self, flits: &[Flit], credits: &[u32], now: u32) {
+    /// single-table engine. `path_words` holds the materialized flits'
+    /// remaining paths in flit order.
+    fn apply_inbound(&mut self, flits: &[Flit], path_words: &[u64], credits: &[u32], now: u32) {
         let due = now + self.packet_flits - 1;
         for &g in credits {
             let gu = g as usize;
@@ -684,6 +694,7 @@ impl ShardCore {
             );
             self.push_credit((gu - self.slot_lo * self.vcs) as u32, due);
         }
+        let mut words = path_words;
         for flit in flits {
             let id = flit.id as usize;
             self.entry[id] = flit.entry;
@@ -691,35 +702,71 @@ impl ShardCore {
             self.imp_rem[id] = flit.rem;
             self.occupied_slot[id] = flit.occupied_slot;
             self.vc[id] = flit.vc;
-            if flit.path.is_empty() {
+            if flit.path_len == 0 {
                 self.cursor[id] = IMPLICIT_ACTIVE;
             } else {
+                let (path, rest) = words.split_at(flit.path_len as usize);
+                words = rest;
                 let start = self.arena.len() as u32;
-                self.arena.extend_from_slice(&flit.path);
+                self.arena.extend_from_slice(path);
                 self.cursor[id] = start;
-                self.seg_end[id] = start + flit.path.len() as u32;
+                self.seg_end[id] = start + flit.path_len;
             }
             self.in_network[id] = true;
             self.queue_now(id);
         }
     }
 
-    /// Collects this cycle's outbound batches (one per destination shard
-    /// with traffic), leaving the buffers empty for the next cycle.
-    fn take_batches(&mut self, src: u32) -> Vec<BoundaryBatch> {
-        let mut batches = Vec::new();
-        for dst in 0..self.out_flits.len() {
-            if self.out_flits[dst].is_empty() && self.out_credits[dst].is_empty() {
-                continue;
+    /// Copies this cycle's non-empty outbound buffers into batches for the
+    /// threaded driver's channel and empties the buffers in place.
+    fn take_batches(&mut self) -> Vec<BoundaryBatch> {
+        let mut shipped = Vec::new();
+        for out in &mut self.out {
+            if !out.is_empty() {
+                shipped.push(out.clone());
+                out.clear();
             }
-            batches.push(BoundaryBatch {
-                src,
-                dst: dst as u32,
-                flits: std::mem::take(&mut self.out_flits[dst]),
-                credits: std::mem::take(&mut self.out_credits[dst]),
-            });
         }
-        batches
+        shipped
+    }
+
+    /// Drops the loaded workload and both fault schedules, rewinding every
+    /// gate, queue and metric to its state after [`ShardCore::new`] while
+    /// keeping every buffer's capacity and the warmed [`Searcher`]. Only
+    /// the nodes and links on the dead lists are un-marked. The per-cycle
+    /// outputs (`resolved`, `out`, the counters) need nothing: the drivers
+    /// drain or reset them every cycle.
+    fn clear_workload(&mut self) {
+        for gate in &mut self.links {
+            gate.claim = NEVER;
+            gate.credits = self.flow_depth;
+        }
+        self.credit_fifo.clear();
+        self.credit_fifo_pos = 0;
+        self.credit_mark.fill(0);
+        self.blocked_head.fill(NONE_ID);
+        self.blocked_tail.fill(NONE_ID);
+        self.served_fifo.clear();
+        self.served_fifo_pos = 0;
+        self.node_claim.fill(NEVER);
+        for &node in &self.dead_list {
+            self.dead[node as usize] = false;
+        }
+        self.dead_list.clear();
+        self.schedule.clear();
+        self.schedule_pos = 0;
+        for &slot in &self.dead_link_list {
+            self.dead_link[slot as usize] = false;
+        }
+        self.dead_link_list.clear();
+        self.link_schedule.clear();
+        self.link_schedule_pos = 0;
+        self.resize_packets(0);
+        self.arena.clear();
+        self.pending_inject.clear();
+        self.inject_pos = 0;
+        self.vc_flits.fill(0);
+        self.vc_hol_blocked_cycles.fill(0);
     }
 
     /// One shard's share of a cycle, phase-for-phase identical to the
@@ -868,6 +915,7 @@ enum WorkerCmd {
     Cycle {
         cycle: u32,
         flits: Vec<Flit>,
+        path_words: Vec<u64>,
         credits: Vec<u32>,
     },
     /// Apply inbound traffic without running a cycle (the exit flush, so
@@ -875,6 +923,7 @@ enum WorkerCmd {
     Apply {
         now: u32,
         flits: Vec<Flit>,
+        path_words: Vec<u64>,
         credits: Vec<u32>,
     },
     /// Join.
@@ -998,6 +1047,7 @@ impl ShardedSim {
         let cores = (0..shards)
             .map(|s| {
                 ShardCore::new(
+                    s,
                     shard_floor(s, n, shards),
                     shard_floor(s + 1, n, shards),
                     slot_start[s] as usize,
@@ -1071,6 +1121,38 @@ impl ShardedSim {
             self.dropped,
             self.live,
         )
+    }
+
+    /// Discards the loaded workload, both fault schedules and the implicit
+    /// context, keeping the machine, every buffer's capacity and each
+    /// core's warmed re-route search, so one engine can `load_*` and run
+    /// many workloads — the counterpart of
+    /// [`super::CongestionSim::clear_workload`]. The next load may come
+    /// through a different placement.
+    pub fn clear_workload(&mut self) {
+        for core in &mut self.cores {
+            core.clear_workload();
+        }
+        for table in [
+            &mut self.inject_at,
+            &mut self.logical_target,
+            &mut self.delivered_at,
+            &mut self.dropped_at,
+            &mut self.latencies,
+        ] {
+            table.clear();
+        }
+        self.imp_mask = 0;
+        self.imp_place.clear();
+        self.imp_ctx = false;
+        self.delivered = 0;
+        self.dropped = 0;
+        self.live = 0;
+        self.total_flits = 0;
+        self.cycle = 0;
+        self.deadlocked = false;
+        self.open_loop_sources = 0;
+        self.last_queued_inject = None;
     }
 
     /// Captures (or checks) the implicit-routing context. Unlike the single
@@ -1182,7 +1264,7 @@ impl ShardedSim {
         let added = packets.len();
         let total = self.inject_at.len() + added;
         for core in &mut self.cores {
-            core.grow_packets(total);
+            core.resize_packets(total);
         }
         for table in [
             &mut self.inject_at,
@@ -1363,14 +1445,21 @@ impl ShardedSim {
             // Injections enter the network before any resolution of the
             // same cycle (the engine's in_flight += 1 at injection).
             self.live += injected;
-            let mut batches: Vec<BoundaryBatch> = Vec::new();
-            for (s, core) in self.cores.iter_mut().enumerate() {
-                batches.append(&mut core.take_batches(s as u32));
-            }
-            batches.sort_by_key(|b| (b.dst, b.src));
-            for b in &batches {
-                // Inbound traffic lands at the start of the *next* cycle.
-                self.cores[b.dst as usize].apply_inbound(&b.flits, &b.credits, cycle + 1);
+            // The barrier: each destination core adopts its inbound traffic
+            // in ascending source order (the loop nest is the `(dst, src)`
+            // merge order), straight from the senders' buffers, which are
+            // then emptied in place. Inbound traffic lands at the start of
+            // the *next* cycle.
+            for dst in 0..self.cores.len() {
+                let (lower, rest) = self.cores.split_at_mut(dst);
+                let Some((core, upper)) = rest.split_first_mut() else {
+                    continue;
+                };
+                for sender in lower.iter_mut().chain(upper.iter_mut()) {
+                    let out = &mut sender.out[dst];
+                    core.apply_inbound(&out.flits, &out.path_words, &out.credits, cycle + 1);
+                    out.clear();
+                }
             }
             {
                 let ShardedSim {
@@ -1468,12 +1557,14 @@ impl ShardedSim {
             }
             drop(res_tx);
             let mut inbound_flits: Vec<Vec<Flit>> = (0..shards).map(|_| Vec::new()).collect();
+            let mut inbound_words: Vec<Vec<u64>> = (0..shards).map(|_| Vec::new()).collect();
             let mut inbound_credits: Vec<Vec<u32>> = (0..shards).map(|_| Vec::new()).collect();
             'run: while (*live > 0 || any_pending) && *cycle < horizon {
                 for (shard, tx) in cmd_txs.iter().enumerate() {
                     let cmd = WorkerCmd::Cycle {
                         cycle: *cycle,
                         flits: std::mem::take(&mut inbound_flits[shard]),
+                        path_words: std::mem::take(&mut inbound_words[shard]),
                         credits: std::mem::take(&mut inbound_credits[shard]),
                     };
                     if tx.send(cmd).is_err() {
@@ -1519,6 +1610,7 @@ impl ShardedSim {
                         credits_shipped = true;
                     }
                     inbound_flits[b.dst as usize].extend(b.flits);
+                    inbound_words[b.dst as usize].extend(b.path_words);
                     inbound_credits[b.dst as usize].extend(b.credits);
                 }
                 *total_flits += moved * pf;
@@ -1545,11 +1637,13 @@ impl ShardedSim {
             // consistent post-barrier state, then join the workers.
             for (shard, tx) in cmd_txs.iter().enumerate() {
                 let flits = std::mem::take(&mut inbound_flits[shard]);
+                let path_words = std::mem::take(&mut inbound_words[shard]);
                 let credits = std::mem::take(&mut inbound_credits[shard]);
                 if !flits.is_empty() || !credits.is_empty() {
                     let _ = tx.send(WorkerCmd::Apply {
                         now: *cycle,
                         flits,
+                        path_words,
                         credits,
                     });
                 }
@@ -1668,10 +1762,11 @@ fn worker_loop(
             WorkerCmd::Cycle {
                 cycle,
                 flits,
+                path_words,
                 credits,
             } => {
                 let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    core.apply_inbound(&flits, &credits, cycle);
+                    core.apply_inbound(&flits, &path_words, &credits, cycle);
                     core.phase(ctx, cycle);
                     WorkerOut {
                         shard,
@@ -1680,7 +1775,7 @@ fn worker_loop(
                         killed: core.killed,
                         rerouted: core.rerouted,
                         resolved: std::mem::take(&mut core.resolved),
-                        batches: core.take_batches(shard),
+                        batches: core.take_batches(),
                         pending_empty: core.fifos_drained(),
                         injects_done: core.injects_done(),
                         schedule_done: core.schedule_pos >= core.schedule.len()
@@ -1702,8 +1797,9 @@ fn worker_loop(
             WorkerCmd::Apply {
                 now,
                 flits,
+                path_words,
                 credits,
-            } => core.apply_inbound(&flits, &credits, now),
+            } => core.apply_inbound(&flits, &path_words, &credits, now),
             WorkerCmd::Stop => return,
         }
     }
@@ -2042,6 +2138,183 @@ mod tests {
             let got = got.run();
             assert_report_fields_equal(&got, &want);
             assert_eq!(got, want, "shards={shards}");
+        }
+    }
+
+    /// One load of the reuse sequence: pairs routed through a placement
+    /// (or, when `timed` is set, that open-loop schedule instead), with
+    /// node and link kills fired at cycle 2.
+    struct Load<'a> {
+        placement: &'a Embedding,
+        pairs: &'a [(NodeId, NodeId)],
+        timed: Option<&'a [(u32, NodeId, NodeId)]>,
+        kills: &'a [NodeId],
+        links: Option<&'a LinkFaultSet>,
+    }
+
+    /// Every packet's `(injected, delivered, dropped)` stamps, by id.
+    type Outcomes = Vec<(u32, Option<u32>, Option<u32>)>;
+
+    /// Runs `sim` to the end and returns its report, the report's `Debug`
+    /// text and every packet's outcome.
+    fn observe(sim: &mut impl CongestionEngine) -> (CongestionReport, String, Outcomes) {
+        sim.run_until(u32::MAX);
+        let report = sim.report();
+        let text = format!("{report:?}");
+        let outcomes = (0..sim.counts().0 as usize)
+            .map(|id| sim.packet_outcome(id))
+            .collect();
+        (report, text, outcomes)
+    }
+
+    fn load_sharded(sim: &mut ShardedSim, db: &DeBruijn2, load: &Load<'_>) {
+        match load.timed {
+            Some(injections) => sim.load_oblivious_timed(db, load.placement, injections),
+            None => sim.load_oblivious(db, load.placement, load.pairs),
+        }
+        for &node in load.kills {
+            sim.schedule_fault(2, node);
+        }
+        if let Some(links) = load.links {
+            sim.schedule_link_faults(2, links);
+        }
+    }
+
+    fn load_single(sim: &mut super::super::CongestionSim, db: &DeBruijn2, load: &Load<'_>) {
+        match load.timed {
+            Some(injections) => sim.load_oblivious_timed(db, load.placement, injections),
+            None => sim.load_oblivious(db, load.placement, load.pairs),
+        }
+        for &node in load.kills {
+            sim.schedule_fault(2, node);
+        }
+        if let Some(links) = load.links {
+            sim.schedule_link_faults(2, links);
+        }
+    }
+
+    #[test]
+    fn a_reused_engine_matches_fresh_engines_across_workloads() {
+        // One engine per (flow control, port model, shards, threads) runs
+        // the sequence twice with `clear_workload` between loads, and every
+        // run must equal a fresh ShardedSim and the single-table engine on
+        // the same load. The complement map is a de Bruijn automorphism, so
+        // its load routes through a non-identity placement: without the
+        // clear, `capture_implicit_ctx` rejects it after the identity loads
+        // (and the identity loads after it). The open-loop load leaves its
+        // injection queue behind, and on the second pass its schedule
+        // starts before the one already queued.
+        let db = DeBruijn2::new(6);
+        let n = db.node_count();
+        let identity = Embedding::identity(n);
+        let complement = Embedding::from_map((0..n).map(|v| n - 1 - v).collect());
+        let mut rng = rand::rngs::StdRng::seed_from_u64(21);
+        let perm = workload::permutation_pairs(n, &mut rng);
+        let hot = workload::all_to_one(n, 5);
+        let burst = LinkFaultSet::burst(db.graph(), 20, 2).expect("burst center in range");
+        let open_loop = workload::open_loop_injections(
+            n,
+            &workload::OpenLoopSpec {
+                offered_load: 0.2,
+                process: workload::InjectionProcess::Bernoulli,
+                warmup_cycles: 4,
+                measure_cycles: 8,
+                drain_cycles: 64,
+                seed: 3,
+            },
+        );
+        let loads = [
+            Load {
+                placement: &identity,
+                pairs: &perm,
+                timed: None,
+                kills: &[],
+                links: None,
+            },
+            Load {
+                placement: &identity,
+                pairs: &perm,
+                timed: None,
+                kills: &[],
+                links: Some(&burst),
+            },
+            Load {
+                placement: &identity,
+                pairs: &perm,
+                timed: None,
+                kills: &[9, 30, 41],
+                links: None,
+            },
+            Load {
+                placement: &identity,
+                pairs: &hot,
+                timed: None,
+                kills: &[],
+                links: None,
+            },
+            Load {
+                placement: &complement,
+                pairs: &perm,
+                timed: None,
+                kills: &[12],
+                links: None,
+            },
+            Load {
+                placement: &identity,
+                pairs: &[],
+                timed: Some(&open_loop),
+                kills: &[33],
+                links: None,
+            },
+        ];
+        let flows = [
+            FlowControl::Infinite,
+            FlowControl::CreditBased { buffer_depth: 1 },
+            FlowControl::VirtualChannel {
+                vcs: 2,
+                buffer_depth: 1,
+                switching: Switching::Wormhole { packet_flits: 3 },
+            },
+        ];
+        for (flow_control, port) in flows
+            .into_iter()
+            .flat_map(|f| [(f, PortModel::MultiPort), (f, PortModel::SinglePort)])
+        {
+            let config = CongestionConfig {
+                flow_control,
+                fault_response: FaultResponse::RerouteAdaptive,
+                ..CongestionConfig::default()
+            };
+            let machine = PhysicalMachine::new(db.graph().clone(), port);
+            for (shards, threads) in [(2usize, 1usize), (2, 2), (4, 1), (4, 2)] {
+                let mut reused = ShardedSim::new(machine.clone(), config, shards, threads);
+                for (i, load) in loads.iter().chain(&loads).enumerate() {
+                    let what = format!(
+                        "{flow_control:?} {port:?} shards={shards} threads={threads} load={i}"
+                    );
+                    reused.clear_workload();
+                    load_sharded(&mut reused, &db, load);
+                    let got = observe(&mut reused);
+                    let mut fresh = ShardedSim::new(machine.clone(), config, shards, threads);
+                    load_sharded(&mut fresh, &db, load);
+                    let fresh = observe(&mut fresh);
+                    let mut single = super::super::CongestionSim::new(machine.clone(), config);
+                    load_single(&mut single, &db, load);
+                    let single = observe(&mut single);
+                    if i == 3 && flow_control == (FlowControl::CreditBased { buffer_depth: 1 }) {
+                        // The depth-1 hot spot wedges within a few cycles,
+                        // before the claim expiries the node-kill load left
+                        // behind fall due, and keeps packets parked, which
+                        // the next load must not inherit.
+                        assert!(got.0.deadlocked, "{what}: hot spot drained");
+                    }
+                    for want in [&fresh, &single] {
+                        assert_report_fields_equal(&got.0, &want.0);
+                        assert_eq!(got.1, want.1, "{what}: report text");
+                        assert_eq!(got.2, want.2, "{what}: packet outcomes");
+                    }
+                }
+            }
         }
     }
 

@@ -349,3 +349,61 @@ fn credit_flow_cycle_loop_is_allocation_free_after_warmup() {
     sim.check_credit_conservation()
         .expect("credit conservation after the measured runs");
 }
+
+#[test]
+fn sharded_serial_cycle_loop_is_allocation_free_after_warmup() {
+    let _guard = serial_guard();
+    // The serial barrier hands each core's per-destination buffers (flits,
+    // re-routed path words, credits) straight to the receiving core and
+    // empties them in place, so once one run has grown them a second run of
+    // the same load allocates nothing. Credit flow ships credits across
+    // shards; node kills under `RerouteAdaptive` ship re-routed paths.
+    use ftdb_sim::congestion::{CongestionConfig, FaultResponse, FlowControl, ShardedSim};
+    let db = DeBruijn2::new(8);
+    let n = db.node_count();
+    let placement = Embedding::identity(n);
+    let mut rng = ftdb_tests::seeded_rng(808);
+    let pairs = workload::permutation_pairs(n, &mut rng);
+    let credit = CongestionConfig {
+        flow_control: FlowControl::CreditBased { buffer_depth: 2 },
+        ..CongestionConfig::default()
+    };
+    let reroute = CongestionConfig {
+        flow_control: FlowControl::Infinite,
+        fault_response: FaultResponse::RerouteAdaptive,
+        ..CongestionConfig::default()
+    };
+    for (config, kills) in [(credit, &[][..]), (reroute, &[3usize, 77, 140, 201][..])] {
+        for shards in [2usize, 4] {
+            let machine = PhysicalMachine::new(db.graph().clone(), PortModel::MultiPort);
+            let mut sim = ShardedSim::new(machine, config, shards, 1);
+            let load = |sim: &mut ShardedSim| {
+                sim.load_oblivious(&db, &placement, &pairs);
+                for &node in kills {
+                    sim.schedule_fault(2, node);
+                }
+            };
+            load(&mut sim);
+            let warm = sim.run();
+            assert!(warm.delivered > 0, "warm-up must deliver packets");
+            // Retries absorb a stray harness allocation, as in
+            // `assert_eventually_alloc_free`; only `run()` is counted.
+            let mut best = u64::MAX;
+            for _ in 0..5 {
+                sim.clear_workload();
+                load(&mut sim);
+                let before = allocations();
+                let report = sim.run();
+                best = best.min(allocations() - before);
+                assert_eq!(report.delivered, warm.delivered, "shards={shards}");
+                if best == 0 {
+                    break;
+                }
+            }
+            assert_eq!(
+                best, 0,
+                "sharded serial cycle loop allocated ({config:?}, shards={shards})"
+            );
+        }
+    }
+}
