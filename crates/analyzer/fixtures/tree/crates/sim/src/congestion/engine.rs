@@ -40,3 +40,20 @@ pub fn ping(n: u64) -> u64 {
 pub fn pong(n: u64) -> u64 {
     ping(n)
 }
+
+pub struct Sim;
+
+impl Sim {
+    // analyzer: alloc-free
+    pub fn advance(&self, x: u64) -> u64 {
+        // rustfmt's continuation layout: the receiver sits on the line
+        // above, and the call still leaves the alloc-free subgraph.
+        let slot = self
+            .slot_of(x);
+        slot
+    }
+
+    pub fn slot_of(&self, x: u64) -> u64 {
+        x
+    }
+}

@@ -328,17 +328,24 @@ enum CallKind {
 /// Collects and resolves the call sites inside one function's span.
 fn collect_calls(f: &FnItem, unit: &FileUnit, resolver: &Resolver<'_>) -> Vec<CallSite> {
     let mut sites = Vec::new();
+    // The last non-blank code line: a rustfmt continuation line's
+    // receiver ends it.
+    let mut prev = "";
     for idx in f.sig_line - 1..f.end_line.min(unit.lines.len()) {
         if unit.exempt[idx] {
             continue;
         }
         let code = unit.lines[idx].code.as_str();
         let trimmed = code.trim_start();
+        if trimmed.is_empty() {
+            continue;
+        }
+        let above = std::mem::replace(&mut prev, code);
         if trimmed.starts_with("use ") || trimmed.starts_with("#[") {
             continue;
         }
         let lineno = idx + 1;
-        for (name, kind) in call_tokens(code) {
+        for (name, kind) in call_tokens(code, above) {
             let candidates = resolver.resolve(f, &name, &kind);
             let callee = match &kind {
                 CallKind::Method(_) => format!(".{name}"),
@@ -363,8 +370,11 @@ fn collect_calls(f: &FnItem, unit: &FileUnit, resolver: &Resolver<'_>) -> Vec<Ca
 }
 
 /// Extracts `(callee name, kind)` for every call-shaped token on a masked
-/// line.
-fn call_tokens(code: &str) -> Vec<(String, CallKind)> {
+/// line. `above` is the previous non-blank code line: a `.name(` that opens
+/// the line continues a call chain from there, so its receiver is the
+/// token that line ends with (`let slot = self` / `.edge_slot(..)` is a
+/// `self` method call).
+fn call_tokens(code: &str, above: &str) -> Vec<(String, CallKind)> {
     let bytes = code.as_bytes();
     let mut out = Vec::new();
     for (open, &b) in bytes.iter().enumerate() {
@@ -394,11 +404,18 @@ fn call_tokens(code: &str) -> Vec<(String, CallKind)> {
         let kind = match before {
             Some('!') => continue, // negated call — shape is receiver-less anyway
             Some('.') => {
-                let recv_start = ident_start(code, start - 1);
-                let receiver = &code[recv_start..start - 1];
+                let dot = start - 1;
+                let (text, recv_end) = if code[..dot].trim().is_empty() {
+                    let above = above.trim_end();
+                    (above, above.len())
+                } else {
+                    (code, dot)
+                };
+                let recv_start = ident_start(text, recv_end);
+                let receiver = &text[recv_start..recv_end];
                 let self_recv = receiver == "self"
-                    && !code[..recv_start].ends_with('.')
-                    && !code[..recv_start].ends_with(is_ident_char);
+                    && !text[..recv_start].ends_with('.')
+                    && !text[..recv_start].ends_with(is_ident_char);
                 CallKind::Method(self_recv)
             }
             Some(':') if code[..start].ends_with("::") => {
@@ -770,6 +787,24 @@ mod tests {
         let src = "pub fn f() {}\n\n#[cfg(test)]\nmod tests {\n    fn helper_in_tests() {\n        super::f();\n    }\n}\n";
         let (_, g) = graph_of(&[("crates/sim/src/a.rs", src)]);
         assert!(g.fns.iter().all(|f| f.name != "helper_in_tests"));
+    }
+
+    #[test]
+    fn continuation_lines_carry_the_previous_lines_receiver() {
+        // rustfmt breaks `let slot = self.edge_slot(u, v)` before the dot:
+        // the continuation's receiver is the token the line above ends
+        // with, so the call is a `self` method edge into the caller's impl.
+        // A continuation after a field access or a call is not.
+        let src = "impl Sim {\n    pub fn hop(&self) {\n        let slot = self\n            .edge_slot(1)\n            // a comment between links of the chain\n            .expect();\n        let n = self.links\n            .first();\n    }\n    fn edge_slot(&self, v: u32) -> Option<u32> {\n        Some(v)\n    }\n}\n";
+        let (_, g) = graph_of(&[("crates/sim/src/a.rs", src)]);
+        let (ci, _) = find(&g, "hop");
+        let site = |n: &str| g.calls[ci].iter().find(|c| c.callee == n).unwrap();
+        let edge_slot = site(".edge_slot");
+        assert!(edge_slot.self_receiver, "continuation lost its receiver");
+        assert_eq!(edge_slot.line, 4);
+        assert_eq!(edge_slot.candidates, vec![find(&g, "edge_slot").0]);
+        assert!(!site(".expect").self_receiver, "receiver is a call result");
+        assert!(!site(".first").self_receiver, "receiver is a field");
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! reference implementation that [`super::shard::ShardedSim`] must match
 //! byte-for-byte.
 
-use super::implicit_route;
+use super::implicit_route::{self, ImplicitRoute};
 use crate::machine::{PhysicalMachine, PortModel, SimError};
 use crate::metrics::LatencySummary;
 use crate::routing::{self, Trust};
@@ -68,8 +68,12 @@ pub(crate) fn pk_terminal(entry: u64) -> bool {
 
 /// CSR slot of directed edge `(u, v)` in `machine`'s graph, mirroring
 /// `Graph::has_edge`'s scan strategy (rows are sorted; short rows scan
-/// linearly). Shared by the single-table and sharded engines; only used at
-/// load/re-route time — the cycle loops read the packed hop slots.
+/// linearly). Shared by the single-table and sharded engines, which call it
+/// off the hop path only: to build the implicit successor-slot table
+/// ([`ImplicitRoute`]), to pack the hop slots of materialized loads and
+/// re-routes, and to resolve a scheduled link fault. Debug builds also
+/// check every implicit hop's table slot against it.
+// analyzer: alloc-free
 pub(crate) fn edge_slot_in(machine: &PhysicalMachine, u: NodeId, v: u32) -> Option<usize> {
     let (offsets, neighbors) = machine.graph().csr();
     let start = offsets[u] as usize;
@@ -78,36 +82,6 @@ pub(crate) fn edge_slot_in(machine: &PhysicalMachine, u: NodeId, v: u32) -> Opti
         row.iter().position(|&x| x == v).map(|p| start + p)
     } else {
         row.binary_search(&v).ok().map(|p| start + p)
-    }
-}
-
-/// Initial cached entry and shift-register state of an implicit packet from
-/// logical `s` to logical `t` under the implicit context `(imp_place,
-/// imp_mask)` — O(h). Returns `(entry, pos, rem)`; a terminal entry (see
-/// [`pk_terminal`]) means the packet is born on its target. Shared by the
-/// single-table and sharded engines.
-pub(crate) fn implicit_entry_in(
-    machine: &PhysicalMachine,
-    imp_place: &[u32],
-    imp_mask: u32,
-    s: u32,
-    t: u32,
-) -> (u64, u32, u32) {
-    let src_phys = implicit_route::apply_place(imp_place, s);
-    let rem0 = implicit_route::rem_init(imp_mask.trailing_ones(), t);
-    match implicit_route::next_hop(imp_place, imp_mask, src_phys, s, rem0) {
-        None => (pk(src_phys, NO_SLOT), s, 1),
-        Some((p1, pos1, rem1)) => {
-            let slot = edge_slot_in(machine, src_phys as usize, p1)
-                // analyzer: allow(expect) -- the route was validated against this CSR by the loader; a missing shift edge is a loader bug
-                .expect("implicit routes only traverse physical links");
-            let delivers = implicit_route::route_ends_at(imp_place, imp_mask, p1, pos1, rem1);
-            (
-                pk(src_phys, slot as u32) | if delivers { DELIVERS } else { 0 },
-                pos1,
-                rem1,
-            )
-        }
     }
 }
 
@@ -433,15 +407,11 @@ pub struct CongestionSim {
     /// Logical source per implicit-loaded packet (`NO_LOGICAL` otherwise):
     /// `reset` re-derives the initial entry/register from it in O(h).
     origin: Vec<u32>,
-    /// Logical-node mask of the implicit context (`2^h - 1`).
-    imp_mask: u32,
-    /// Logical→physical map of the implicit context as dense `u32`s; empty
-    /// = identity placement (the common healthy case stores nothing).
-    imp_place: Vec<u32>,
-    /// Whether an implicit context (mask + placement) has been captured; a
-    /// later oblivious load through a *different* context falls back to
-    /// materialized paths rather than mixing generators.
-    imp_ctx: bool,
+    /// The implicit context (mask, placement and successor-slot table) of
+    /// the oblivious loads; a later oblivious load through a *different*
+    /// context falls back to materialized paths rather than mixing
+    /// generators.
+    implicit: ImplicitRoute,
     /// Logical target per packet (NO_LOGICAL for adaptive loads); lets the
     /// recovery driver re-target packets after a reconfiguration.
     logical_target: Vec<u32>,
@@ -693,9 +663,7 @@ impl CongestionSim {
             imp_pos: Vec::new(),
             imp_rem: Vec::new(),
             origin: Vec::new(),
-            imp_mask: 0,
-            imp_place: Vec::new(),
-            imp_ctx: false,
+            implicit: ImplicitRoute::default(),
             logical_target: Vec::new(),
             delivered_at: Vec::new(),
             dropped_at: Vec::new(),
@@ -773,12 +741,6 @@ impl CongestionSim {
         self.machine.is_healthy(node) && !self.dead[node]
     }
 
-    /// CSR slot of directed edge `(u, v)`. Only used at load/re-route time —
-    /// the cycle loop reads the packed hop slots.
-    fn edge_slot(&self, u: NodeId, v: u32) -> Option<usize> {
-        edge_slot_in(&self.machine, u, v)
-    }
-
     /// Fills the packed hop slots of `path[from..to]` (`to` exclusive; the
     /// final entry keeps `NO_SLOT`). The links were validated when the
     /// route was computed, so a missing slot here is a loader bug.
@@ -786,8 +748,7 @@ impl CongestionSim {
         for i in from..to.saturating_sub(1) {
             let u = pk_node(self.path[i]);
             let v = pk_node(self.path[i + 1]) as u32;
-            let slot = self
-                .edge_slot(u, v)
+            let slot = edge_slot_in(&self.machine, u, v)
                 // analyzer: allow(expect) -- every loaded path was computed against this CSR, so a missing slot is a loader bug; aborting beats simulating a phantom link
                 .expect("loaded paths only traverse physical links");
             let delivers = if i + 2 == to { DELIVERS } else { 0 };
@@ -869,20 +830,12 @@ impl CongestionSim {
         self.push_outcome(id, end - start == 1, inject_cycle);
     }
 
-    /// Initial cached entry and shift-register state of an implicit packet
-    /// from logical `s` to logical `t` under the captured context — O(h),
-    /// used at load and by `reset`. Returns `(entry, pos, rem)`; a terminal
-    /// entry (see [`pk_terminal`]) means the packet is born on its target.
-    fn implicit_entry(&self, s: u32, t: u32) -> (u64, u32, u32) {
-        implicit_entry_in(&self.machine, &self.imp_place, self.imp_mask, s, t)
-    }
-
     /// Appends one implicit packet: O(1) route state derived from the
     /// digit-shift generator over the captured implicit context. The route
     /// was already validated by the loader (`s`/`t` are logical endpoints).
     fn push_packet_implicit(&mut self, s: u32, t: u32, inject_cycle: u32) {
         let id = self.inject_at.len();
-        let (entry, pos, rem) = self.implicit_entry(s, t);
+        let (entry, pos, rem) = self.implicit.first_entry(&self.machine, s, t);
         let zero_hop = pk_terminal(entry);
         self.entry.push(entry);
         self.imp_pos.push(pos);
@@ -919,44 +872,6 @@ impl CongestionSim {
         self.dropped += 1;
     }
 
-    /// Captures (or checks) the implicit-routing context for an oblivious
-    /// load: the logical mask and the placement map. Returns true when the
-    /// load can use the digit-shift generator; a context mismatch (second
-    /// load through a different placement or radix) falls back to
-    /// materialized paths so the generator state stays well-defined.
-    fn capture_implicit_ctx(&mut self, db: &DeBruijn2, placement: &Embedding) -> bool {
-        if self.config.route_source == RouteSource::Materialized {
-            return false;
-        }
-        let mask = (db.node_count() - 1) as u32;
-        let identity = placement
-            .as_slice()
-            .iter()
-            .enumerate()
-            .all(|(i, &v)| i == v);
-        if self.imp_ctx {
-            let same_place = if identity {
-                self.imp_place.is_empty()
-            } else {
-                self.imp_place.len() == placement.len()
-                    && placement
-                        .as_slice()
-                        .iter()
-                        .zip(self.imp_place.iter())
-                        .all(|(&a, &b)| a as u32 == b)
-            };
-            return self.imp_mask == mask && same_place;
-        }
-        self.imp_ctx = true;
-        self.imp_mask = mask;
-        self.imp_place.clear();
-        if !identity {
-            self.imp_place
-                .extend(placement.as_slice().iter().map(|&v| v as u32));
-        }
-        true
-    }
-
     /// Loads a workload of logical pairs routed with the oblivious de
     /// Bruijn scheme through `placement`. Pairs whose fixed route is
     /// infeasible on the machine as loaded (faulty node, missing link,
@@ -979,7 +894,11 @@ impl CongestionSim {
         placement: &Embedding,
         packets: impl ExactSizeIterator<Item = (u32, NodeId, NodeId)>,
     ) {
-        let implicit = self.capture_implicit_ctx(db, placement);
+        // A context mismatch (a second load through a different placement
+        // or radix) loads materialized paths, so the generator state of
+        // the packets already loaded stays well-defined.
+        let implicit = self.config.route_source == RouteSource::Implicit
+            && self.implicit.capture(db, placement, &self.machine);
         // Route feasibility belongs to the (machine, placement) pair, so an
         // implicit load proves it once, in O(V + E), and then checks each
         // packet at the tier that proof earned. Materialized packets store
@@ -1625,38 +1544,29 @@ impl CongestionSim {
     // analyzer: alloc-free
     fn route_target(&self, id: usize) -> NodeId {
         if self.cursor[id] == IMPLICIT_ACTIVE {
-            implicit_route::apply_place(&self.imp_place, self.logical_target[id]) as usize
+            self.implicit.image(self.logical_target[id]) as usize
         } else {
             let seg = self.seg_of[id] as usize;
             pk_node(self.path[self.seg_end[seg] as usize - 1])
         }
     }
 
-    /// Advances packet `id` past the hop it just won: `next_node` (the CSR
-    /// target of the crossed slot) becomes its current node and the cached
-    /// entry is recomputed — an O(1) shift-register step for implicit
-    /// packets, a cursor bump for materialized ones. Never called on a
-    /// delivering hop.
+    /// Advances packet `id` past the hop it just won: the hop's target
+    /// becomes its current node and the cached entry is recomputed — for
+    /// implicit packets an O(1) shift-register step whose next link is one
+    /// successor-slot table read ([`ImplicitRoute::advance`]), for
+    /// materialized ones a cursor bump. Never called on a delivering hop.
     #[inline]
     // analyzer: alloc-free
-    fn advance_route(&mut self, id: usize, crossed_slot: usize) {
-        let next_node = self.machine.graph().csr().1[crossed_slot];
+    fn advance_route(&mut self, id: usize) {
         let at = self.cursor[id];
         if at == IMPLICIT_ACTIVE {
-            let (pos, rem) = (self.imp_pos[id], self.imp_rem[id]);
-            let (p2, pos2, rem2) =
-                implicit_route::next_hop(&self.imp_place, self.imp_mask, next_node, pos, rem)
-                    // analyzer: allow(expect) -- the crossed entry lacked DELIVERS, so the register provably holds another hop
-                    .expect("a non-delivering hop always has a successor");
-            let slot = self
-                .edge_slot(next_node as usize, p2)
-                // analyzer: allow(expect) -- the loader validated every shift edge of this route against this CSR
-                .expect("implicit routes only traverse physical links");
-            let delivers =
-                implicit_route::route_ends_at(&self.imp_place, self.imp_mask, p2, pos2, rem2);
-            self.entry[id] = pk(next_node, slot as u32) | if delivers { DELIVERS } else { 0 };
-            self.imp_pos[id] = pos2;
-            self.imp_rem[id] = rem2;
+            let (entry, pos, rem) =
+                self.implicit
+                    .advance(&self.machine, self.imp_pos[id], self.imp_rem[id]);
+            self.entry[id] = entry;
+            self.imp_pos[id] = pos;
+            self.imp_rem[id] = rem;
         } else {
             let next = at + 1;
             self.cursor[id] = next;
@@ -1885,18 +1795,19 @@ impl CongestionSim {
                         // too (its credit also returns after the tail).
                         self.resolve_delivered(id, stamp);
                     } else {
+                        self.advance_route(id);
                         if track_vc {
                             // Dateline rule: a hop that descends the physical
                             // label closes a de Bruijn shift cycle, so the
-                            // packet moves up one VC (capped at the top).
-                            let next = self.machine.graph().csr().1[slot] as usize;
+                            // packet moves up one VC (capped at the top). The
+                            // advanced entry holds the node the hop reached.
+                            let next = pk_node(self.entry[id]);
                             if vc + 1 < vcs
                                 && implicit_route::dateline_crossing(here as u32, next as u32)
                             {
                                 self.vc[id] = (vc + 1) as u8;
                             }
                         }
-                        self.advance_route(id, slot);
                         self.queued_next[wi] |= 1u64 << (id & 63);
                     }
                 } else if park
@@ -2196,8 +2107,11 @@ impl CongestionSim {
             }
             if self.resolved_at_load[id] == NEVER {
                 if self.origin[id] != NO_LOGICAL {
-                    let (entry, pos, rem) =
-                        self.implicit_entry(self.origin[id], self.logical_target[id]);
+                    let (entry, pos, rem) = self.implicit.first_entry(
+                        &self.machine,
+                        self.origin[id],
+                        self.logical_target[id],
+                    );
                     self.entry[id] = entry;
                     self.imp_pos[id] = pos;
                     self.imp_rem[id] = rem;
@@ -2273,17 +2187,18 @@ impl CongestionSim {
         self.loaded_seg_len = 0;
         // The implicit context dies with the workload: the next load may
         // come through a different placement or radix.
-        self.imp_ctx = false;
-        self.imp_mask = 0;
-        self.imp_place.clear();
+        self.implicit.clear();
     }
 
     /// Bytes of heap capacity currently devoted to per-packet route state —
     /// the path arena, segment table, cached entries, shift registers and
-    /// cursors. Implicit workloads keep this O(packets) regardless of `h`;
-    /// materialized ones pay O(packets × h) for the arena. Reported into
-    /// `BENCH_perf.json` by the perf harness so the implicit-routing win is
-    /// a tracked number.
+    /// cursors, plus the implicit placement map. Implicit workloads keep
+    /// this O(packets) regardless of `h`; materialized ones pay
+    /// O(packets × h) for the arena. Reported into `BENCH_perf.json` by the
+    /// perf harness so the implicit-routing win is a tracked number. The
+    /// implicit successor-slot table (8 B per logical label) is left out:
+    /// it belongs to the (machine, placement) pair, not to any packet, and
+    /// shows in peak RSS instead.
     pub fn route_state_bytes(&self) -> usize {
         use std::mem::size_of;
         self.path.capacity() * size_of::<u64>()
@@ -2296,9 +2211,9 @@ impl CongestionSim {
                 + self.cursor.capacity()
                 + self.imp_pos.capacity()
                 + self.imp_rem.capacity()
-                + self.origin.capacity()
-                + self.imp_place.capacity())
+                + self.origin.capacity())
                 * size_of::<u32>()
+            + self.implicit.placement_bytes()
     }
 }
 

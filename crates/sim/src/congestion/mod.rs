@@ -64,9 +64,10 @@
 //! report — byte-identical to the naive full rescan. The rescan is retained
 //! as [`EngineKind::NaiveScan`] and the equivalence is enforced by a
 //! differential property test (`tests/tests/wakelist_differential.rs`).
-//! Wake-list bookkeeping aside, the hot path also precomputes each hop's CSR
-//! link slot next to the node (one packed `u64` per path entry), so the
-//! per-move neighbour search of earlier revisions is gone.
+//! Wake-list bookkeeping aside, every packet's cached entry carries its next
+//! hop's CSR link slot next to the node (one packed `u64`): materialized
+//! paths store them from load, and implicit routes read them from a per-load
+//! successor-slot table, so no move runs a neighbour search.
 //!
 //! **Dynamic faults.** A fault schedule (`Vec<(cycle, node)>`) kills
 //! processors *mid-run*. A packet sitting on a dying node is lost with it.
@@ -108,7 +109,9 @@
 //! walks: hop `i` of the route from `s` to `t` is computable in O(1) from
 //! the current label and the remaining target bits, so the engine does not
 //! need to materialize paths at all. [`implicit_route`] holds the digit-shift
-//! next-hop generators (de Bruijn and shuffle-exchange); under the default
+//! next-hop generators (de Bruijn and shuffle-exchange) and the implicit
+//! context both engines share: the load's placement plus a successor-slot
+//! table naming the link of every logical shift edge. Under the default
 //! [`RouteSource::Implicit`] a packet carries O(1) route state (a packed
 //! current entry plus a two-word shift register) instead of O(h) path
 //! entries, which is what makes million-node runs fit in memory. Adaptive

@@ -33,11 +33,11 @@
 
 use super::boundary::{shard_floor, shard_of, BoundaryBatch, Flit};
 use super::engine::{
-    edge_slot_in, implicit_entry_in, pk, pk_node, pk_slot, pk_terminal, CongestionConfig,
-    CongestionEngine, CongestionReport, EngineKind, FaultResponse, FlowControl, LinkGate,
-    RouteSource, Switching, DELIVERS, IMPLICIT_ACTIVE, NEVER, NONE_ID, NO_LOGICAL, NO_SLOT,
+    edge_slot_in, pk, pk_node, pk_slot, pk_terminal, CongestionConfig, CongestionEngine,
+    CongestionReport, EngineKind, FaultResponse, FlowControl, LinkGate, RouteSource, Switching,
+    DELIVERS, IMPLICIT_ACTIVE, NEVER, NONE_ID, NO_LOGICAL, NO_SLOT,
 };
-use super::implicit_route;
+use super::implicit_route::{self, ImplicitRoute};
 use crate::machine::{PhysicalMachine, PortModel};
 use crate::metrics::LatencySummary;
 use crate::routing;
@@ -64,8 +64,8 @@ struct ShardCtx<'a> {
     slot_start: &'a [u32],
     inject_at: &'a [u32],
     logical_target: &'a [u32],
-    imp_place: &'a [u32],
-    imp_mask: u32,
+    /// The engine's implicit context, shared read-only by every core.
+    implicit: &'a ImplicitRoute,
     n: usize,
     shards: usize,
     single_port: bool,
@@ -562,7 +562,7 @@ impl ShardCore {
     /// The physical node hosted packet `id`'s route ends on.
     fn route_target(&self, ctx: &ShardCtx<'_>, id: usize) -> NodeId {
         if self.cursor[id] == IMPLICIT_ACTIVE {
-            implicit_route::apply_place(ctx.imp_place, ctx.logical_target[id]) as usize
+            ctx.implicit.image(ctx.logical_target[id]) as usize
         } else {
             pk_node(self.arena[self.seg_end[id] as usize - 1])
         }
@@ -616,26 +616,19 @@ impl ShardCore {
         true
     }
 
-    /// Advances hosted packet `id` past the hop it just won — an O(1)
-    /// shift-register step for implicit packets, an arena-cursor bump for
-    /// materialized ones. Never called on a delivering hop.
-    fn advance_route(&mut self, ctx: &ShardCtx<'_>, id: usize, crossed_slot: usize) {
-        let next_node = ctx.machine.graph().csr().1[crossed_slot];
+    /// Advances hosted packet `id` past the hop it just won — for implicit
+    /// packets the shared context's O(1) step ([`ImplicitRoute::advance`]),
+    /// for materialized ones an arena-cursor bump. Never called on a
+    /// delivering hop.
+    fn advance_route(&mut self, ctx: &ShardCtx<'_>, id: usize) {
         let at = self.cursor[id];
         if at == IMPLICIT_ACTIVE {
-            let (pos, rem) = (self.imp_pos[id], self.imp_rem[id]);
-            let (p2, pos2, rem2) =
-                implicit_route::next_hop(ctx.imp_place, ctx.imp_mask, next_node, pos, rem)
-                    // analyzer: allow(expect) -- the crossed entry lacked DELIVERS, so the register provably holds another hop
-                    .expect("a non-delivering hop always has a successor");
-            let slot = edge_slot_in(ctx.machine, next_node as usize, p2)
-                // analyzer: allow(expect) -- the loader validated every shift edge of this route against this CSR
-                .expect("implicit routes only traverse physical links");
-            let delivers =
-                implicit_route::route_ends_at(ctx.imp_place, ctx.imp_mask, p2, pos2, rem2);
-            self.entry[id] = pk(next_node, slot as u32) | if delivers { DELIVERS } else { 0 };
-            self.imp_pos[id] = pos2;
-            self.imp_rem[id] = rem2;
+            let (entry, pos, rem) =
+                ctx.implicit
+                    .advance(ctx.machine, self.imp_pos[id], self.imp_rem[id]);
+            self.entry[id] = entry;
+            self.imp_pos[id] = pos;
+            self.imp_rem[id] = rem;
         } else {
             let next = at + 1;
             self.cursor[id] = next;
@@ -872,18 +865,16 @@ impl ShardCore {
                     if entry & DELIVERS != 0 {
                         self.resolve(ctx, id, stamp, RES_DELIVERED);
                     } else {
-                        if track_vc {
-                            // Dateline rule, identical to the single engine:
-                            // a label-descending hop bumps the VC (capped).
-                            let next = ctx.machine.graph().csr().1[slot] as usize;
-                            if vc + 1 < vcs
-                                && implicit_route::dateline_crossing(here as u32, next as u32)
-                            {
-                                self.vc[id] = (vc + 1) as u8;
-                            }
-                        }
-                        self.advance_route(ctx, id, slot);
+                        self.advance_route(ctx, id);
                         let now = pk_node(self.entry[id]);
+                        // Dateline rule, identical to the single engine: a
+                        // label-descending hop bumps the VC (capped).
+                        if track_vc
+                            && vc + 1 < vcs
+                            && implicit_route::dateline_crossing(here as u32, now as u32)
+                        {
+                            self.vc[id] = (vc + 1) as u8;
+                        }
                         if now >= self.node_lo && now < self.node_hi {
                             self.queued_next[wi] |= 1u64 << (id & 63);
                         } else {
@@ -968,9 +959,7 @@ pub struct ShardedSim {
     dropped_at: Vec<u32>,
     latencies: Vec<u32>,
     // --- implicit context -------------------------------------------------
-    imp_mask: u32,
-    imp_place: Vec<u32>,
-    imp_ctx: bool,
+    implicit: ImplicitRoute,
     // --- run state --------------------------------------------------------
     delivered: u64,
     dropped: u64,
@@ -1074,9 +1063,7 @@ impl ShardedSim {
             delivered_at: Vec::new(),
             dropped_at: Vec::new(),
             latencies: Vec::new(),
-            imp_mask: 0,
-            imp_place: Vec::new(),
-            imp_ctx: false,
+            implicit: ImplicitRoute::default(),
             delivered: 0,
             dropped: 0,
             live: 0,
@@ -1142,9 +1129,7 @@ impl ShardedSim {
         ] {
             table.clear();
         }
-        self.imp_mask = 0;
-        self.imp_place.clear();
-        self.imp_ctx = false;
+        self.implicit.clear();
         self.delivered = 0;
         self.dropped = 0;
         self.live = 0;
@@ -1155,51 +1140,13 @@ impl ShardedSim {
         self.last_queued_inject = None;
     }
 
-    /// Captures (or checks) the implicit-routing context. Unlike the single
-    /// engine there is no materialized fallback, so a second load through a
-    /// different placement or radix is a hard error.
-    fn capture_implicit_ctx(&mut self, db: &DeBruijn2, placement: &Embedding) {
-        let mask = (db.node_count() - 1) as u32;
-        let identity = placement
-            .as_slice()
-            .iter()
-            .enumerate()
-            .all(|(i, &v)| i == v);
-        if self.imp_ctx {
-            let same_place = if identity {
-                self.imp_place.is_empty()
-            } else {
-                self.imp_place.len() == placement.len()
-                    && placement
-                        .as_slice()
-                        .iter()
-                        .zip(self.imp_place.iter())
-                        .all(|(&a, &b)| a as u32 == b)
-            };
-            assert!(
-                self.imp_mask == mask && same_place,
-                "the sharded engine cannot mix implicit contexts; route every \
-                 load through one placement (CongestionSim materializes instead)"
-            );
-            return;
-        }
-        self.imp_ctx = true;
-        self.imp_mask = mask;
-        self.imp_place.clear();
-        if !identity {
-            self.imp_place
-                .extend(placement.as_slice().iter().map(|&v| v as u32));
-        }
-    }
-
     /// Appends one implicit packet, mirroring the single engine's
     /// `push_packet_implicit` + `push_outcome` semantics with the hosted
     /// state placed in the home shard only. The loader has already grown
     /// every core's packet arrays past this id.
     fn push_implicit(&mut self, s: u32, t: u32, inject_cycle: u32) {
         let id = self.inject_at.len();
-        let (entry, pos, rem) =
-            implicit_entry_in(&self.machine, &self.imp_place, self.imp_mask, s, t);
+        let (entry, pos, rem) = self.implicit.first_entry(&self.machine, s, t);
         let zero_hop = pk_terminal(entry);
         self.inject_at.push(inject_cycle);
         self.logical_target.push(t);
@@ -1259,7 +1206,14 @@ impl ShardedSim {
         placement: &Embedding,
         packets: impl ExactSizeIterator<Item = (u32, NodeId, NodeId)>,
     ) {
-        self.capture_implicit_ctx(db, placement);
+        // Unlike the single engine there is no materialized fallback, so a
+        // second load through a different placement or radix is an error.
+        let captured = self.implicit.capture(db, placement, &self.machine);
+        assert!(
+            captured,
+            "the sharded engine cannot mix implicit contexts; route every \
+             load through one placement (CongestionSim materializes instead)"
+        );
         let trust = routing::workload_trust(db, placement, &self.machine);
         let added = packets.len();
         let total = self.inject_at.len() + added;
@@ -1423,8 +1377,7 @@ impl ShardedSim {
                 slot_start: &self.slot_start,
                 inject_at: &self.inject_at,
                 logical_target: &self.logical_target,
-                imp_place: &self.imp_place,
-                imp_mask: self.imp_mask,
+                implicit: &self.implicit,
                 n: self.machine.node_count(),
                 shards: self.shards,
                 single_port: self.machine.port_model() == PortModel::SinglePort,
@@ -1522,8 +1475,7 @@ impl ShardedSim {
             delivered_at,
             dropped_at,
             latencies,
-            imp_mask,
-            imp_place,
+            implicit,
             delivered,
             dropped,
             live,
@@ -1537,8 +1489,7 @@ impl ShardedSim {
             slot_start,
             inject_at,
             logical_target,
-            imp_place,
-            imp_mask: *imp_mask,
+            implicit,
             n: machine.node_count(),
             shards,
             single_port: machine.port_model() == PortModel::SinglePort,
@@ -1727,7 +1678,9 @@ impl ShardedSim {
     /// cores — the sharded counterpart of
     /// [`super::CongestionSim::route_state_bytes`]. O(packets) for the
     /// implicit workloads this engine carries (re-route spills add the
-    /// materialized exception).
+    /// materialized exception). Like the single engine's count, it leaves
+    /// out the implicit successor-slot table, which belongs to the
+    /// (machine, placement) pair rather than to any packet.
     pub fn route_state_bytes(&self) -> usize {
         use std::mem::size_of;
         let per_core: usize = self
@@ -1742,7 +1695,9 @@ impl ShardedSim {
                         * size_of::<u32>()
             })
             .sum();
-        per_core + (self.logical_target.capacity() + self.imp_place.capacity()) * size_of::<u32>()
+        per_core
+            + self.logical_target.capacity() * size_of::<u32>()
+            + self.implicit.placement_bytes()
     }
 }
 
@@ -2200,7 +2155,7 @@ mod tests {
         // run must equal a fresh ShardedSim and the single-table engine on
         // the same load. The complement map is a de Bruijn automorphism, so
         // its load routes through a non-identity placement: without the
-        // clear, `capture_implicit_ctx` rejects it after the identity loads
+        // clear, the implicit context rejects it after the identity loads
         // (and the identity loads after it). The open-loop load leaves its
         // injection queue behind, and on the second pass its schedule
         // starts before the one already queued.

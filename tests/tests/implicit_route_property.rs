@@ -26,7 +26,15 @@ fn implicit_physical_path(place: &[u32], h: u32, s: u32, t: u32) -> Vec<u32> {
     let start = apply_place(place, s);
     let mut out = vec![start];
     let (mut phys, mut pos, mut rem) = (start, s, rem_init(h, t));
-    while let Some((p, np, nr)) = next_hop(place, mask, phys, pos, rem) {
+    while let Some((p, np, nr, key)) = next_hop(place, mask, phys, pos, rem) {
+        // The key names the shift that left `phys`: from a label placed on
+        // `phys` to the new position (the successor-slot table's index).
+        assert_eq!(key & mask, np, "key {key} does not end at {np}");
+        assert_eq!(
+            apply_place(place, key >> 1),
+            phys,
+            "key {key} starts off {phys}"
+        );
         out.push(p);
         phys = p;
         pos = np;

@@ -9,9 +9,14 @@
 //! naive scan (`EngineKind::NaiveScan`): the same `CongestionReport`
 //! (including `deadlocked` and the latency distribution), the same
 //! per-link flit counts, and the same per-packet outcome stamps.
+//!
+//! The same suite pins the route sources (implicit against materialized)
+//! and the sharded engine against the single-table one, on identity loads
+//! and on placed ones: a reconfigured `B^k(2,h)` host and a non-injective
+//! fold.
 
 use ftdb_analysis::sim_experiments::{sim5_load_sweep, SweepScenario};
-use ftdb_core::FaultSet;
+use ftdb_core::{FaultSet, FtDeBruijn2};
 use ftdb_graph::{Embedding, Graph};
 use ftdb_sim::congestion::{
     measure_open_loop, CongestionConfig, CongestionReport, CongestionSim, EngineKind,
@@ -33,16 +38,17 @@ struct RunOutcome {
     outcomes: Vec<(u32, Option<u32>, Option<u32>)>,
 }
 
-/// Builds, loads, faults and drains one engine, collecting every
-/// observable output. Stepping manually (instead of `run`) exercises the
-/// deadlock-detection path of `run_until` through the same entry point the
-/// sweep drivers use.
+/// Builds, loads through `placement`, faults and drains one engine,
+/// collecting every observable output. Stepping manually (instead of
+/// `run`) exercises the deadlock-detection path of `run_until` through the
+/// same entry point the sweep drivers use.
 #[allow(clippy::too_many_arguments)]
 fn drive(
     engine: EngineKind,
     route_source: RouteSource,
     h: usize,
     machine: &PhysicalMachine,
+    placement: &Embedding,
     flow: FlowControl,
     response: FaultResponse,
     pairs: &[(usize, usize)],
@@ -60,10 +66,9 @@ fn drive(
         max_cycles: 5_000,
     };
     let mut sim = CongestionSim::new(machine.clone(), config);
-    let placement = Embedding::identity(db.node_count());
     match timed {
-        Some(injections) => sim.load_oblivious_timed(&db, &placement, injections),
-        None => sim.load_oblivious(&db, &placement, pairs),
+        Some(injections) => sim.load_oblivious_timed(&db, placement, injections),
+        None => sim.load_oblivious(&db, placement, pairs),
     }
     for &(cycle, node) in schedule {
         sim.schedule_fault(cycle, node);
@@ -141,6 +146,52 @@ fn machine_of(h: usize, port: PortModel, damage: Damage) -> PhysicalMachine {
     }
 }
 
+/// A placed load: the logical `B(2,h)` routes through a placement that is
+/// not the identity, so both implicit engines take every hop's node from
+/// the placement map.
+#[derive(Clone, Copy, Debug)]
+enum Placed {
+    /// The SIM5 set-up: `B^2(2,h)` reconfigured (`reconfigure_verified`)
+    /// around up to two static faults on processors the zero-fault
+    /// placement uses, drawn from `seed`.
+    Reconfigured { seed: u64 },
+    /// A non-injective placement: `B(2,h)` folded 2-to-1 onto a `B(2,h-1)`
+    /// machine by dropping the top label bit. Every shift edge maps to a
+    /// link or to coinciding endpoints, so routes deliver over collapsed
+    /// hops, like routing's
+    /// `non_injective_placement_delivers_over_coinciding_endpoints`.
+    Folded,
+}
+
+/// The host machine and placement of a [`Placed`] load.
+fn placed_host(h: usize, port: PortModel, kind: Placed) -> (PhysicalMachine, Embedding) {
+    let n = 1usize << h;
+    match kind {
+        Placed::Reconfigured { seed } => {
+            let ft = FtDeBruijn2::new(h, 2);
+            let initial = ft.reconfigure(&FaultSet::empty(ft.node_count()));
+            let mut rng = ftdb_tests::seeded_rng(seed);
+            let faults = FaultSet::from_nodes(
+                ft.node_count(),
+                (0..2).map(|_| initial.apply(rng.random_range(0..n))),
+            );
+            let placement = ft
+                .reconfigure_verified(&faults)
+                .expect("two faults are within B^2(2,h)'s budget");
+            let machine = PhysicalMachine::with_faults(ft.graph().clone(), faults, port);
+            (machine, placement)
+        }
+        Placed::Folded => {
+            let half = DeBruijn2::new(h - 1);
+            let machine = PhysicalMachine::new(half.graph().clone(), port);
+            (
+                machine,
+                Embedding::from_map((0..n).map(|x| x % (n / 2)).collect()),
+            )
+        }
+    }
+}
+
 #[allow(clippy::too_many_arguments)]
 fn assert_engines_agree(
     h: usize,
@@ -153,12 +204,69 @@ fn assert_engines_agree(
     timed: Option<&[(u32, usize, usize)]>,
 ) {
     let machine = machine_of(h, port, damage);
-    let run = |engine, route_source| {
+    let identity = Embedding::identity(1 << h);
+    let what = format!("h={h}, {port:?}, {damage:?}, {flow:?}, {response:?}");
+    let wake = assert_sources_and_shards_agree(
+        h, &machine, &identity, flow, response, pairs, schedule, timed, &what,
+    );
+    // Unbounded buffers cannot deadlock, mid-run re-routes included.
+    if flow == FlowControl::Infinite {
+        assert!(
+            !wake.report.deadlocked,
+            "deadlock under unbounded buffers ({what})"
+        );
+    }
+    let naive = drive(
+        EngineKind::NaiveScan,
+        RouteSource::Implicit,
+        h,
+        &machine,
+        &identity,
+        flow,
+        response,
+        pairs,
+        schedule,
+        timed,
+    );
+    assert_report_fields_equal(&wake.report, &naive.report);
+    assert_eq!(wake, naive, "engines diverged ({what})");
+    // "Byte-identical" taken literally: the rendered reports match too.
+    assert_eq!(wake.report_text, naive.report_text);
+}
+
+/// The route-source and shard differentials of one load through
+/// `placement`; returns the wake-list implicit run they all match.
+///
+/// Route sources: the O(1) digit-shift generator (the default) must
+/// reproduce the materialized-path engine byte-for-byte on the same
+/// workload — including mid-run re-routes, which materialize implicit
+/// packets into the segment side table. The materialized loader walks
+/// every route, so it is also the per-packet reference for the implicit
+/// loader's once-per-load validation tier and its successor-slot table.
+///
+/// Shards: the partitioned engine must reproduce the single-table run
+/// byte-for-byte for every shard count — and a threaded run must match its
+/// own serial run (one worker per shard, deterministic (dst, src) barrier
+/// merge).
+#[allow(clippy::too_many_arguments)]
+fn assert_sources_and_shards_agree(
+    h: usize,
+    machine: &PhysicalMachine,
+    placement: &Embedding,
+    flow: FlowControl,
+    response: FaultResponse,
+    pairs: &[(usize, usize)],
+    schedule: &[(u32, usize)],
+    timed: Option<&[(u32, usize, usize)]>,
+    what: &str,
+) -> RunOutcome {
+    let run = |route_source| {
         drive(
-            engine,
+            EngineKind::WakeList,
             route_source,
             h,
-            &machine,
+            machine,
+            placement,
             flow,
             response,
             pairs,
@@ -166,41 +274,13 @@ fn assert_engines_agree(
             timed,
         )
     };
-    let wake = run(EngineKind::WakeList, RouteSource::Implicit);
-    // Unbounded buffers cannot deadlock, mid-run re-routes included.
-    if flow == FlowControl::Infinite {
-        assert!(
-            !wake.report.deadlocked,
-            "deadlock under unbounded buffers (h={h}, {port:?}, {damage:?}, {response:?})"
-        );
-    }
-    let naive = run(EngineKind::NaiveScan, RouteSource::Implicit);
-    assert_report_fields_equal(&wake.report, &naive.report);
-    assert_eq!(
-        wake, naive,
-        "engines diverged (h={h}, {port:?}, {damage:?}, {flow:?}, {response:?})"
-    );
-    // "Byte-identical" taken literally: the rendered reports match too.
-    assert_eq!(wake.report_text, naive.report_text);
-    // Route-source differential: the O(1) digit-shift generator (the
-    // default above) must reproduce the materialized-path engine
-    // byte-for-byte on the same workload — including mid-run re-routes,
-    // which materialize implicit packets into the segment side table. The
-    // materialized loader walks every route, so it is also the per-packet
-    // reference for the implicit loader's once-per-load validation tier.
-    let materialized = run(EngineKind::WakeList, RouteSource::Materialized);
+    let wake = run(RouteSource::Implicit);
+    let materialized = run(RouteSource::Materialized);
     assert_report_fields_equal(&wake.report, &materialized.report);
-    assert_eq!(
-        wake, materialized,
-        "route sources diverged (h={h}, {port:?}, {damage:?}, {flow:?}, {response:?})"
-    );
-    // Shard differential: the partitioned engine must reproduce the
-    // single-table run byte-for-byte for every shard count — and a
-    // threaded run must match its own serial run (one worker per shard,
-    // deterministic (dst, src) barrier merge).
+    assert_eq!(wake, materialized, "route sources diverged ({what})");
     for (shards, threads) in [(1usize, 1usize), (2, 1), (2, 2), (4, 1), (4, 2)] {
         let sharded = drive_sharded(
-            shards, threads, h, &machine, flow, response, pairs, schedule, timed,
+            shards, threads, h, machine, placement, flow, response, pairs, schedule, timed,
         );
         assert_report_fields_equal(&wake.report, &sharded.report);
         assert_eq!(
@@ -216,10 +296,10 @@ fn assert_engines_agree(
                 &sharded.counts,
                 &sharded.outcomes
             ),
-            "sharded engine diverged (h={h}, {port:?}, {damage:?}, {flow:?}, {response:?}, \
-             shards={shards}, threads={threads})"
+            "sharded engine diverged ({what}, shards={shards}, threads={threads})"
         );
     }
+    wake
 }
 
 /// The sharded observables: everything [`drive`] collects except the
@@ -239,6 +319,7 @@ fn drive_sharded(
     threads: usize,
     h: usize,
     machine: &PhysicalMachine,
+    placement: &Embedding,
     flow: FlowControl,
     response: FaultResponse,
     pairs: &[(usize, usize)],
@@ -254,10 +335,9 @@ fn drive_sharded(
         max_cycles: 5_000,
     };
     let mut sim = ShardedSim::new(machine.clone(), config, shards, threads);
-    let placement = Embedding::identity(db.node_count());
     match timed {
-        Some(injections) => sim.load_oblivious_timed(&db, &placement, injections),
-        None => sim.load_oblivious(&db, &placement, pairs),
+        Some(injections) => sim.load_oblivious_timed(&db, placement, injections),
+        None => sim.load_oblivious(&db, placement, pairs),
     }
     for &(cycle, node) in schedule {
         sim.schedule_fault(cycle, node);
@@ -469,6 +549,124 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// The placement axis: batch or open-loop loads through a reconfigured
+    /// host or a non-injective fold, with mid-run faults on physical
+    /// nodes, every flow-control mode, both port models and both fault
+    /// responses. Implicit routes must match materialized ones, and every
+    /// shard configuration the single-table engine, field by field and
+    /// packet by packet.
+    #[test]
+    fn placed_loads_agree_across_route_sources_and_shards(
+        h in 3usize..6,
+        folded in 0u8..2,
+        depth in 0u32..4,
+        vc_sel in 0u8..4,
+        worm_sel in 0u8..3,
+        single_port in 0u8..2,
+        reroute in 0u8..2,
+        packets in 1usize..160,
+        faults in 0usize..3,
+        open_loop in 0u8..2,
+        seed in 0u64..10_000,
+    ) {
+        let n = 1usize << h;
+        let kind = if folded == 1 { Placed::Folded } else { Placed::Reconfigured { seed } };
+        let port = port_of(single_port == 1);
+        let (machine, placement) = placed_host(h, port, kind);
+        let mut rng = ftdb_tests::seeded_rng(seed ^ 0x9ACE);
+        let pairs = workload::uniform_pairs(n, packets, &mut rng);
+        let schedule: Vec<(u32, usize)> = (0..faults)
+            .map(|_| (rng.random_range(0..16) as u32, rng.random_range(0..machine.node_count())))
+            .collect();
+        let spec = OpenLoopSpec {
+            offered_load: 0.05 + (seed % 60) as f64 / 100.0,
+            process: InjectionProcess::Bernoulli,
+            warmup_cycles: 8,
+            measure_cycles: 16,
+            drain_cycles: 48,
+            seed,
+        };
+        let injections = workload::open_loop_injections(n, &spec);
+        let flow = flow_of(depth, vc_sel, worm_sel);
+        let response = response_of(reroute == 1);
+        assert_sources_and_shards_agree(
+            h,
+            &machine,
+            &placement,
+            flow,
+            response,
+            &pairs,
+            &schedule,
+            (open_loop == 1).then_some(injections.as_slice()),
+            &format!("h={h}, {kind:?}, {port:?}, {flow:?}, {response:?}"),
+        );
+    }
+}
+
+/// Pins the placement axis: both placed hosts really place (no identity
+/// map), the reconfigured host avoids the faults it was built around, the
+/// fold collapses hops (a packet between labels that differ only in the
+/// top bit is born on its target), and every packet of a permutation
+/// delivers on both.
+#[test]
+fn placed_hosts_route_through_their_placements() {
+    let h = 5;
+    let n = 1usize << h;
+    let mut rng = ftdb_tests::seeded_rng(8);
+    let perm = workload::permutation_pairs(n, &mut rng);
+    for kind in [Placed::Reconfigured { seed: 4 }, Placed::Folded] {
+        let (machine, placement) = placed_host(h, PortModel::MultiPort, kind);
+        assert!(
+            (0..n).any(|x| placement.apply(x) != x),
+            "{kind:?} is the identity"
+        );
+        assert!(
+            (0..n).all(|x| machine.is_healthy(placement.apply(x))),
+            "{kind:?} places a label on a faulty processor"
+        );
+        let run = assert_sources_and_shards_agree(
+            h,
+            &machine,
+            &placement,
+            FlowControl::CreditBased { buffer_depth: 2 },
+            FaultResponse::Drop,
+            &perm,
+            &[],
+            None,
+            &format!("{kind:?}"),
+        );
+        assert_eq!(run.report.delivered, n as u64, "{kind:?}");
+    }
+    // The fold collapses hops. 16 -> 0 is one logical shift between two
+    // labels placed on node 0, so that packet is born on its target, and
+    // the fold carries fewer flits than identity-placed B(2,5) does.
+    let drain = |machine: &PhysicalMachine, placement: &Embedding, pairs: &[(usize, usize)]| {
+        let run = drive(
+            EngineKind::WakeList,
+            RouteSource::Implicit,
+            h,
+            machine,
+            placement,
+            FlowControl::Infinite,
+            FaultResponse::Drop,
+            pairs,
+            &[],
+            None,
+        );
+        assert_eq!(run.report.delivered, pairs.len() as u64);
+        run.report.total_flits
+    };
+    let (fold_machine, fold) = placed_host(h, PortModel::MultiPort, Placed::Folded);
+    let healthy = machine_of(h, PortModel::MultiPort, Damage::None);
+    let identity = Embedding::identity(n);
+    assert_eq!(drain(&fold_machine, &fold, &[(n / 2, 0)]), 0);
+    assert_eq!(drain(&healthy, &identity, &[(n / 2, 0)]), 1);
+    assert!(drain(&fold_machine, &fold, &perm) < drain(&healthy, &identity, &perm));
+}
+
 /// The ROADMAP's crisp acceptance test for virtual channels: the depth-1
 /// hot-spot workload that hard-deadlocks under single-channel credit flow
 /// (see `depth_one_hot_spot_deadlocks_and_is_detected`) must drain to
@@ -506,6 +704,7 @@ fn virtual_channels_break_the_depth_one_hotspot_deadlock() {
                 RouteSource::Implicit,
                 h,
                 &machine_of(h, port, Damage::None),
+                &Embedding::identity(n),
                 flow,
                 FaultResponse::Drop,
                 &pairs,
@@ -558,6 +757,7 @@ fn damaged_machines_drop_the_same_packets_at_load() {
             RouteSource::Implicit,
             h,
             &machine,
+            &Embedding::identity(n),
             flow,
             response,
             &pairs,
