@@ -120,16 +120,19 @@ pub struct ReconfigAblationRow {
     pub search_ok: bool,
 }
 
-/// Runs ABL2 for the given `(h, k)` pairs (small instances only).
+/// Runs ABL2 for the given `(h, k)` pairs (small instances only), with
+/// `threads` exhaustive-verification workers (the rows do not depend on
+/// it).
 pub fn reconfig_ablation(
     params: &[(usize, usize)],
     per_fault_budget: u64,
+    threads: usize,
 ) -> Vec<ReconfigAblationRow> {
     params
         .iter()
         .map(|&(h, k)| {
             let ft = FtDeBruijn2::new(h, k);
-            let rank = verify_exhaustive(ft.target().graph(), ft.graph(), k, 4);
+            let rank = verify_exhaustive(ft.target().graph(), ft.graph(), k, threads);
             let general = is_tolerant_general(ft.target().graph(), ft.graph(), k, per_fault_budget);
             ReconfigAblationRow {
                 h,
@@ -186,7 +189,7 @@ mod tests {
 
     #[test]
     fn reconfig_ablation_agrees_both_ways() {
-        let rows = reconfig_ablation(&[(3, 1), (3, 2)], 10_000_000);
+        let rows = reconfig_ablation(&[(3, 1), (3, 2)], 10_000_000, 2);
         assert!(rows.iter().all(|r| r.rank_map_ok && r.search_ok));
         let text = render_reconfig_ablation(&rows).render();
         assert!(!text.contains("NO"));

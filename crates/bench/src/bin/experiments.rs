@@ -24,10 +24,11 @@
 //! `0.001,0.005,0.01,0.02,0.05`) and `--fault-model node|link|burst|all`
 //! (default `all`). Every experiment is seeded and the parallel drivers
 //! merge in deterministic order, so the output is byte-identical for any
-//! `N` — CI diffs `--threads 4` against `--threads 1`, `--shards 1/2/4`
-//! against each other, the `sim-vc` grid at each `--vcs 1/2/4` across
-//! `--shards 1/2/4`, and the `sim-reliability` curves across both knobs,
-//! to enforce exactly that.
+//! `N` — CI diffs `--threads 4` against `--threads 1`, `tolerance
+//! ablation` at `--threads 1/3/4` (three workers cut the exhaustive
+//! verification into uneven blocks), `--shards 1/2/4` against each other,
+//! the `sim-vc` grid at each `--vcs 1/2/4` across `--shards 1/2/4`, and the
+//! `sim-reliability` curves across both knobs, to enforce exactly that.
 
 use ftdb_analysis::ablation::{
     offset_ablation, reconfig_ablation, render_offset_ablation, render_reconfig_ablation,
@@ -157,7 +158,7 @@ fn run(name: &str, threads: usize, shards: usize, vcs: u32, rel: &ReliabilityArg
                 ],
                 200_000,
                 500,
-                std::thread::available_parallelism().map_or(4, |p| p.get()),
+                threads,
             );
             println!("{}", render_tolerance(&rows).render());
         }
@@ -258,7 +259,11 @@ fn run(name: &str, threads: usize, shards: usize, vcs: u32, rel: &ReliabilityArg
         "ablation" => {
             let abl1 = offset_ablation(&[(3, 1), (3, 2), (4, 1), (4, 2)], 50_000_000);
             println!("{}", render_offset_ablation(&abl1).render());
-            let abl2 = reconfig_ablation(&[(3, 1), (3, 2), (3, 3), (4, 1), (4, 2)], 50_000_000);
+            let abl2 = reconfig_ablation(
+                &[(3, 1), (3, 2), (3, 3), (4, 1), (4, 2)],
+                50_000_000,
+                threads,
+            );
             println!("{}", render_reconfig_ablation(&abl2).render());
         }
         "all" => {

@@ -5,30 +5,46 @@
 //!
 //! * **Exhaustive** — enumerate every fault set of size `k` (there are
 //!   `C(N+k, k)` of them) and check that the rank-based reconfiguration is a
-//!   valid embedding for each. The enumeration is split across worker
-//!   threads with `crossbeam::scope`, since the checks are embarrassingly
-//!   parallel and the instances used in the experiments run into the
-//!   hundreds of thousands of fault sets.
+//!   valid embedding for each. The enumeration is cut into contiguous
+//!   blocks, one per worker thread under `crossbeam::scope`, since the
+//!   checks are embarrassingly parallel and the instances used in the
+//!   experiments run into the hundreds of thousands of fault sets.
 //! * **Sampled** — draw random fault sets, for instances where exhaustive
 //!   enumeration is intractable.
 //!
-//! The exhaustive sweep is engineered as an allocation-free kernel: fault
-//! sets come from an in-place revolving-door enumerator
-//! ([`crate::fault::RevolvingDoor`]), the rank map `φ` is rebuilt into a
-//! reusable buffer, edge preservation is checked against a dense host
-//! adjacency bit-matrix (O(1) per edge for the instance sizes that are
-//! exhaustively enumerable), and failures are collected per worker and
-//! merged after the join — no `Mutex` in the hot loop.
+//! Both modes run one allocation-free kernel, built on the displacement
+//! bound that the paper's proof rests on. The rank map sends target node `x`
+//! to `φ(x) = x + δ(x)`. For sorted faults `f_0 < … < f_{k−1}`, `δ(x)` is the
+//! number of thresholds `f_i − i` that are `≤ x`, so `0 ≤ δ(x) ≤ k`
+//! (Lemma 1). The image of a target edge `(a, b)` is therefore always one of
+//! the `(k+1)²` host pairs `(a + i, b + j)` with `i, j ∈ 0..=k`. One mask of
+//! `(k+1)²` bits per target edge, with bit `i·(k+1) + j` set when the host
+//! has the edge `(a + i, b + j)`, answers every edge test of every fault set
+//! exactly. The masks are built once per call, so the check does not depend
+//! on the host's size.
+//!
+//! Each worker keeps `δ`, a per-edge "bad" flag and the number of bad
+//! edges. It primes them with one full check at the first fault set of its
+//! block. From there the in-place revolving-door enumerator
+//! ([`crate::fault::RevolvingDoor`]) swaps one fault per step, which moves
+//! at most two thresholds (by two nodes in total on average). A step
+//! therefore recomputes `δ` only between each old and new threshold, and
+//! re-tests only the edges incident to those nodes. A fault set passes
+//! exactly when no edge is bad. Failures are collected per worker and merged
+//! after the join — no `Mutex` in the hot loop. [`check_fault_set`]
+//! (reconfigure, then verify the embedding) stays the independent reference
+//! that the kernel is tested against.
 //!
 //! The same machinery accepts an *arbitrary* candidate host graph, which is
 //! how the experiments show that a plain de Bruijn graph with a spare node
 //! bolted on is **not** `(k, G)`-tolerant — i.e. that the widened edge
 //! blocks of the paper's construction are actually needed.
 
-use crate::fault::{FaultSet, RevolvingDoor};
+use crate::fault::{Combinations, FaultSet, RevolvingDoor};
 use crate::reconfig::reconfigure;
 use ftdb_graph::Graph;
 use rand::SeedableRng;
+use std::ops::Range;
 
 /// Outcome of a tolerance verification run.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -62,109 +78,226 @@ pub fn check_fault_set(target: &Graph, host: &Graph, faults: &FaultSet) -> bool 
     phi.verify(target, host).is_ok()
 }
 
-/// Node-count limit under which the verifier builds a dense adjacency
-/// bit-matrix of the host (`n²` bits — 2 MiB at the limit). Exhaustive
-/// enumeration is only tractable well below this size anyway.
-const ADJACENCY_MATRIX_LIMIT: usize = 4096;
-
-/// Dense adjacency bit-matrix for O(1) `has_edge` in the verification
-/// kernel.
-struct AdjacencyMatrix {
-    words: Vec<u64>,
-    stride: usize,
+/// The displacement masks of a target's edges in a host, for fault sets of
+/// one size `k`, with the target's edge incidence lists. Built once per
+/// call and shared read-only by every worker.
+struct EdgeMasks {
+    /// Target edges `(a, b)` with `a < b`, in [`Graph::edges`] order.
+    edges: Vec<(u32, u32)>,
+    /// The ids of the edges incident to target node `x` are
+    /// `incident[offsets[x]..offsets[x + 1]]`.
+    offsets: Vec<usize>,
+    incident: Vec<u32>,
+    /// `k + 1`, the number of displacements a node can have.
+    side: usize,
+    /// One flat bitset for every `k`: edge `e`'s mask is the `(k+1)²` bits
+    /// from bit `e·(k+1)²` on.
+    bits: Vec<u64>,
+    /// Whether the host has room for the target after `k` faults. When it
+    /// has not, every fault set fails and no mask is built.
+    fits: bool,
 }
 
-impl AdjacencyMatrix {
-    fn build(g: &Graph) -> Self {
-        let n = g.node_count();
-        let stride = n.div_ceil(64);
-        let mut words = vec![0u64; n * stride];
-        for u in g.nodes() {
-            let row = u * stride;
-            for &v in g.neighbors(u) {
-                words[row + v as usize / 64] |= 1u64 << (v as usize % 64);
+impl EdgeMasks {
+    fn new(target: &Graph, host: &Graph, k: usize) -> Self {
+        let nodes = target.node_count();
+        let edges: Vec<(u32, u32)> = target.edges().map(|(a, b)| (a as u32, b as u32)).collect();
+        // Incidence lists: every (endpoint, edge id) pair, sorted by node.
+        let mut by_node: Vec<(u32, u32)> = edges
+            .iter()
+            .zip(0..)
+            .flat_map(|(&(a, b), e)| [(a, e), (b, e)])
+            .collect();
+        by_node.sort_unstable();
+        let offsets = (0..=nodes)
+            .map(|x| by_node.partition_point(|&(y, _)| (y as usize) < x))
+            .collect();
+        let incident = by_node.into_iter().map(|(_, e)| e).collect();
+        let side = k.saturating_add(1);
+        let fits = host
+            .node_count()
+            .checked_sub(nodes)
+            .is_some_and(|spare| spare >= k);
+        let mut bits = Vec::new();
+        if fits {
+            let area = side * side;
+            bits = vec![0u64; (edges.len() * area).div_ceil(64)];
+            for (e, &(a, b)) in edges.iter().enumerate() {
+                for i in 0..side {
+                    for j in 0..side {
+                        if host.has_edge(a as usize + i, b as usize + j) {
+                            let bit = e * area + i * side + j;
+                            bits[bit / 64] |= 1 << (bit % 64);
+                        }
+                    }
+                }
             }
         }
-        AdjacencyMatrix { words, stride }
+        EdgeMasks {
+            edges,
+            offsets,
+            incident,
+            side,
+            bits,
+            fits,
+        }
     }
 
-    #[inline]
-    fn has_edge(&self, u: usize, v: usize) -> bool {
-        self.words[u * self.stride + v / 64] >> (v % 64) & 1 == 1
+    /// The ids of the target edges incident to node `x`.
+    fn incident(&self, x: usize) -> &[u32] {
+        &self.incident[self.offsets[x]..self.offsets[x + 1]]
+    }
+
+    /// Whether edge `e` keeps a host edge when its endpoints move by the
+    /// displacements in `delta`.
+    fn holds(&self, e: usize, delta: &[usize]) -> bool {
+        let (a, b) = self.edges[e];
+        let bit = (e * self.side + delta[a as usize]) * self.side + delta[b as usize];
+        self.bits[bit / 64] >> (bit % 64) & 1 == 1
     }
 }
 
-/// Per-worker scratch for the exhaustive sweep: the rank map `φ` and the
-/// sorted fault slice are rebuilt in place for every combination.
+/// One worker's incremental state over the shared [`EdgeMasks`]: `δ` under
+/// the last fault set checked, its thresholds, and the edges it breaks.
 struct VerifyKernel<'a> {
-    target_edges: &'a [(u32, u32)],
-    host: &'a Graph,
-    matrix: Option<&'a AdjacencyMatrix>,
-    /// `phi[x]` = host image of target node `x`; reused across checks.
-    phi: Vec<u32>,
+    masks: &'a EdgeMasks,
+    /// `delta[x]` = `δ(x)`, the displacement of target node `x`.
+    delta: Vec<usize>,
+    /// The thresholds `f_i − i` of the last fault set, non-decreasing.
+    thresholds: Vec<usize>,
+    /// `bad[e]`: the images of edge `e` are not adjacent in the host.
+    bad: Vec<bool>,
+    /// The number of `true` entries of `bad`.
+    bad_count: usize,
 }
 
 impl<'a> VerifyKernel<'a> {
-    fn new(
-        target_nodes: usize,
-        target_edges: &'a [(u32, u32)],
-        host: &'a Graph,
-        matrix: Option<&'a AdjacencyMatrix>,
-    ) -> Self {
+    fn new(masks: &'a EdgeMasks) -> Self {
         VerifyKernel {
-            target_edges,
-            host,
-            matrix,
-            phi: vec![0; target_nodes],
+            masks,
+            delta: vec![0; masks.offsets.len() - 1],
+            thresholds: Vec::new(),
+            bad: vec![false; masks.edges.len()],
+            bad_count: 0,
         }
     }
 
-    /// Allocation-free equivalent of [`check_fault_set`] for a sorted fault
-    /// slice: recomputes the rank map into the scratch buffer and checks
-    /// every target edge against the host adjacency.
-    fn check(&mut self, faults: &[usize]) -> bool {
-        let n = self.host.node_count();
-        let target_nodes = self.phi.len();
-        if n < target_nodes + faults.len() {
+    /// Full check of a sorted fault set, equivalent to [`check_fault_set`]:
+    /// computes `δ` and every edge's flag from scratch.
+    fn prime(&mut self, faults: &[usize]) -> bool {
+        if !self.masks.fits {
             return false;
         }
-        // φ(x) = the (x+1)-st healthy host node: walk 0..n skipping the
-        // sorted fault positions until the map is full.
-        let mut fi = 0usize;
-        let mut x = 0usize;
-        for v in 0..n {
-            if fi < faults.len() && faults[fi] == v {
-                fi += 1;
-                continue;
-            }
-            self.phi[x] = v as u32;
-            x += 1;
-            if x == target_nodes {
-                break;
-            }
+        self.thresholds.clear();
+        self.thresholds
+            .extend(faults.iter().enumerate().map(|(i, &f)| f - i));
+        for (x, d) in self.delta.iter_mut().enumerate() {
+            *d = self.thresholds.partition_point(|&t| t <= x);
         }
-        if x < target_nodes {
+        self.bad_count = 0;
+        for (e, bad) in self.bad.iter_mut().enumerate() {
+            *bad = !self.masks.holds(e, &self.delta);
+            self.bad_count += usize::from(*bad);
+        }
+        self.bad_count == 0
+    }
+
+    /// Checks a sorted fault set of the same size as the last one checked,
+    /// moving `δ` only where the thresholds moved and re-testing only the
+    /// edges incident to those nodes. Exact for any such pair of sets; cheap
+    /// for consecutive sets of the revolving-door order.
+    fn step(&mut self, faults: &[usize]) -> bool {
+        if !self.masks.fits {
             return false;
         }
-        match self.matrix {
-            Some(m) => self.target_edges.iter().all(|&(a, b)| {
-                m.has_edge(self.phi[a as usize] as usize, self.phi[b as usize] as usize)
-            }),
-            None => self.target_edges.iter().all(|&(a, b)| {
-                self.host
-                    .has_edge(self.phi[a as usize] as usize, self.phi[b as usize] as usize)
-            }),
+        let nodes = self.delta.len();
+        // δ(x) counts the thresholds ≤ x: lowering one raises δ between
+        // its new and old value, raising one lowers δ there.
+        for (i, (&f, &old)) in faults.iter().zip(&self.thresholds).enumerate() {
+            let new = f - i;
+            let moved = &mut self.delta[between(old, new, nodes)];
+            if new < old {
+                moved.iter_mut().for_each(|d| *d += 1);
+            } else {
+                moved.iter_mut().for_each(|d| *d -= 1);
+            }
+        }
+        for (i, (&f, old)) in faults.iter().zip(&mut self.thresholds).enumerate() {
+            let new = f - i;
+            for x in between(*old, new, nodes) {
+                for &e in self.masks.incident(x) {
+                    let e = e as usize;
+                    let bad = !self.masks.holds(e, &self.delta);
+                    let was = std::mem::replace(&mut self.bad[e], bad);
+                    self.bad_count = self.bad_count + usize::from(bad) - usize::from(was);
+                }
+            }
+            *old = new;
+        }
+        self.bad_count == 0
+    }
+}
+
+/// The target nodes whose `δ` changes when a threshold moves from `old` to
+/// `new`: those in `[min, max)`, clipped to the `nodes` target nodes.
+fn between(old: usize, new: usize, nodes: usize) -> Range<usize> {
+    old.min(new).min(nodes)..old.max(new).min(nodes)
+}
+
+/// The first enumeration index of block `part` when `total` fault sets are
+/// cut into `parts` contiguous blocks. The first `total % parts` blocks take
+/// one set more; no intermediate value exceeds `total`.
+fn block_start(total: u128, parts: usize, part: usize) -> u128 {
+    let (parts, part) = (parts as u128, part as u128);
+    part * (total / parts) + part.min(total % parts)
+}
+
+/// What one worker found in its block: sets checked, sets failed, and its
+/// first failing sets in enumeration order.
+type BlockResult = (u64, u64, Vec<Vec<usize>>);
+
+/// Checks the fault sets `block` of the revolving-door order of the
+/// `k`-subsets of `0..n`: the enumerator is advanced unchecked to the
+/// block's start, the kernel primed there and stepped to the block's end.
+fn check_block(masks: &EdgeMasks, n: usize, k: usize, block: Range<u128>) -> BlockResult {
+    let mut kernel = VerifyKernel::new(masks);
+    let mut enumerator = RevolvingDoor::new(n, k);
+    for _ in 0..block.start {
+        if enumerator.next_set().is_none() {
+            break;
         }
     }
+    let mut checked = 0u64;
+    let mut failure_count = 0u64;
+    let mut failures = Vec::new();
+    for index in block.clone() {
+        let Some(combo) = enumerator.next_set() else {
+            break;
+        };
+        let passed = if index == block.start {
+            kernel.prime(combo)
+        } else {
+            kernel.step(combo)
+        };
+        checked += 1;
+        if !passed {
+            failure_count += 1;
+            if failures.len() < ToleranceReport::MAX_RECORDED {
+                failures.push(combo.to_vec());
+            }
+        }
+    }
+    (checked, failure_count, failures)
 }
 
 /// Exhaustively verifies that `host` is `(k, target)`-tolerant *under the
 /// rank-based reconfiguration*, checking all `C(|host|, k)` fault sets.
 ///
-/// `threads` controls the parallel fan-out (use 1 for deterministic
-/// single-thread runs; the recorded failures are identical either way — the
-/// first [`ToleranceReport::MAX_RECORDED`] failing sets in enumeration
-/// order, sorted).
+/// `threads` sets the number of contiguous blocks the enumeration is cut
+/// into, one worker each (use 1 for a single-thread run). The report is
+/// identical for any thread count: the recorded failures are the first
+/// [`ToleranceReport::MAX_RECORDED`] failing sets in enumeration order,
+/// sorted.
 pub fn verify_exhaustive(
     target: &Graph,
     host: &Graph,
@@ -173,72 +306,49 @@ pub fn verify_exhaustive(
 ) -> ToleranceReport {
     let n = host.node_count();
     let threads = threads.max(1);
-    let target_edges: Vec<(u32, u32)> = target.edges().map(|(a, b)| (a as u32, b as u32)).collect();
-    let matrix = (n <= ADJACENCY_MATRIX_LIMIT).then(|| AdjacencyMatrix::build(host));
-    let matrix = matrix.as_ref();
+    let masks = EdgeMasks::new(target, host, k);
+    let total = Combinations::total(n, k);
+    let blocks: Vec<Range<u128>> = (0..threads)
+        .map(|w| block_start(total, threads, w)..block_start(total, threads, w + 1))
+        .filter(|block| !block.is_empty())
+        .collect();
 
-    // Each worker advances its own in-place enumerator over the full stream
-    // (advancing is O(1) amortised and allocation-free) and checks its
-    // round-robin share. Failures are collected locally, tagged with the
-    // global enumeration index, and merged after the join — the hot loop
-    // takes no lock. Known scaling bound: the enumeration itself is
-    // replicated per worker (threads · C(n,k) advance steps), which caps
-    // parallel speedup once the per-set check is this cheap; contiguous
-    // ranges via combination unranking would remove that if wider machines
-    // demand it.
-    type WorkerResult = (u64, u64, Vec<(u64, Vec<usize>)>);
-    let mut worker_results: Vec<WorkerResult> = Vec::with_capacity(threads);
+    // Each worker checks one contiguous block with its own kernel and
+    // enumerator, and collects its failures locally; the hot loop takes no
+    // lock. Known scaling bound: a worker reaches its block by advancing its
+    // enumerator unchecked from the start, so the enumeration before each
+    // block end is replicated (about (threads + 1) / 2 · C(n, k) advance
+    // steps in all). An advance costs a few nanoseconds against a step's
+    // tens, which caps parallel speedup only on wide machines; unranking the
+    // revolving-door order would remove it if they demand it.
+    let mut results: Vec<BlockResult> = Vec::with_capacity(blocks.len());
     crossbeam::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|worker| {
-                let target_edges = &target_edges;
-                scope.spawn(move |_| {
-                    let mut kernel =
-                        VerifyKernel::new(target.node_count(), target_edges, host, matrix);
-                    let mut enumerator = RevolvingDoor::new(n, k);
-                    let mut checked = 0u64;
-                    let mut failure_count = 0u64;
-                    let mut failures: Vec<(u64, Vec<usize>)> = Vec::new();
-                    let mut index = 0u64;
-                    while let Some(combo) = enumerator.next_set() {
-                        let mine = index % threads as u64 == worker as u64;
-                        index += 1;
-                        if !mine {
-                            continue;
-                        }
-                        checked += 1;
-                        if !kernel.check(combo) {
-                            failure_count += 1;
-                            if failures.len() < ToleranceReport::MAX_RECORDED {
-                                failures.push((index - 1, combo.to_vec()));
-                            }
-                        }
-                    }
-                    (checked, failure_count, failures)
-                })
+        let handles: Vec<_> = blocks
+            .into_iter()
+            .map(|block| {
+                let masks = &masks;
+                scope.spawn(move |_| check_block(masks, n, k, block))
             })
             .collect();
         for handle in handles {
             // analyzer: allow(expect) -- a worker panic must propagate, not yield a truncated tolerance report
-            worker_results.push(handle.join().expect("verification worker panicked"));
+            results.push(handle.join().expect("verification worker panicked"));
         }
     })
     .expect("verification scope panicked"); // analyzer: allow(expect) -- crossbeam scope errors only reflect a worker panic that is already propagating
 
+    // The blocks are contiguous and joined in order, so the concatenated
+    // failures are in global enumeration order: keep the first
+    // MAX_RECORDED, then sort them for stable presentation.
     let mut checked = 0u64;
     let mut failure_count = 0u64;
-    let mut tagged: Vec<(u64, Vec<usize>)> = Vec::new();
-    for (c, f, fails) in worker_results {
+    let mut failures: Vec<Vec<usize>> = Vec::new();
+    for (c, f, fails) in results {
         checked += c;
         failure_count += f;
-        tagged.extend(fails);
+        failures.extend(fails);
     }
-    // Keep the first MAX_RECORDED failures in global enumeration order —
-    // deterministic regardless of the thread count — then sort them for
-    // stable presentation.
-    tagged.sort();
-    tagged.truncate(ToleranceReport::MAX_RECORDED);
-    let mut failures: Vec<Vec<usize>> = tagged.into_iter().map(|(_, f)| f).collect();
+    failures.truncate(ToleranceReport::MAX_RECORDED);
     failures.sort();
     ToleranceReport {
         checked,
@@ -266,9 +376,8 @@ pub fn verify_sampled(
             failure_count: 0,
         };
     }
-    let target_edges: Vec<(u32, u32)> = target.edges().map(|(a, b)| (a as u32, b as u32)).collect();
-    let matrix = (n <= ADJACENCY_MATRIX_LIMIT).then(|| AdjacencyMatrix::build(host));
-    let mut kernel = VerifyKernel::new(target.node_count(), &target_edges, host, matrix.as_ref());
+    let masks = EdgeMasks::new(target, host, k);
+    let mut kernel = VerifyKernel::new(&masks);
     let mut combo: Vec<usize> = Vec::with_capacity(k);
     let mut failures = Vec::new();
     let mut failure_count = 0;
@@ -280,7 +389,7 @@ pub fn verify_sampled(
         };
         combo.clear();
         combo.extend(faults.iter());
-        if !kernel.check(&combo) {
+        if !kernel.prime(&combo) {
             failure_count += 1;
             if failures.len() < ToleranceReport::MAX_RECORDED {
                 failures.push(combo.clone());
@@ -315,7 +424,112 @@ mod tests {
     use super::*;
     use crate::ft_debruijn::FtDeBruijn2;
     use crate::ft_debruijn_m::FtDeBruijnM;
+    use crate::ft_shuffle::NaturalFtShuffleExchange;
+    use ftdb_graph::GraphBuilder;
     use ftdb_topology::{DeBruijn2, DeBruijnM};
+    use rand::RngExt;
+
+    /// A host of `nodes` nodes carrying `edges`.
+    fn graph_of(nodes: usize, edges: impl IntoIterator<Item = (usize, usize)>) -> Graph {
+        let mut b = GraphBuilder::new(nodes);
+        b.add_edges(edges);
+        b.build()
+    }
+
+    /// Hosts on which the rank map fails for some fault set, each with its
+    /// target and fault count: plain de Bruijn graphs with isolated spares,
+    /// a host too small for the target, and tolerant hosts with edges
+    /// removed (one of them at k = 8, where a mask spans two words).
+    fn non_tolerant_hosts() -> Vec<(String, Graph, Graph, usize)> {
+        let mut hosts = Vec::new();
+        for (h, spares) in [(3, 1), (4, 2)] {
+            let target = DeBruijn2::new(h).graph().clone();
+            let host = graph_of(target.node_count() + spares, target.edges());
+            hosts.push((
+                format!("B(2,{h}) plus {spares} spares"),
+                target,
+                host,
+                spares,
+            ));
+        }
+        let small = FtDeBruijn2::new(3, 1);
+        hosts.push((
+            "B(2,3) in B^1(2,3) at k = 2, too small".into(),
+            small.target().graph().clone(),
+            small.graph().clone(),
+            2,
+        ));
+        let ft = FtDeBruijn2::new(4, 2);
+        let mut rng = rand::rngs::StdRng::seed_from_u64(17);
+        let m = ft.graph().edge_count();
+        let removed: Vec<usize> = (0..3).map(|_| rng.random_range(0..m)).collect();
+        let host = graph_of(
+            ft.node_count(),
+            ft.graph()
+                .edges()
+                .enumerate()
+                .filter(|(e, _)| !removed.contains(e))
+                .map(|(_, edge)| edge),
+        );
+        hosts.push((
+            "B^2(2,4) minus random edges".into(),
+            ft.target().graph().clone(),
+            host,
+            2,
+        ));
+        let wide = FtDeBruijn2::new(2, 8);
+        let host = graph_of(
+            wide.node_count(),
+            wide.graph().edges().filter(|&edge| edge != (0, 1)),
+        );
+        hosts.push((
+            "B^8(2,2) minus one edge".into(),
+            wide.target().graph().clone(),
+            host,
+            8,
+        ));
+        hosts
+    }
+
+    /// The plain reference: every fault set in revolving-door order through
+    /// `check_fault_set`, failures tagged by their enumeration index. One
+    /// kernel is stepped through the same order alongside, and each of its
+    /// verdicts must equal the reference's.
+    fn stepped_reference(target: &Graph, host: &Graph, k: usize) -> ToleranceReport {
+        let n = host.node_count();
+        let masks = EdgeMasks::new(target, host, k);
+        let mut kernel = VerifyKernel::new(&masks);
+        let mut enumerator = RevolvingDoor::new(n, k);
+        let mut tagged = Vec::new();
+        let mut checked = 0u64;
+        while let Some(combo) = enumerator.next_set() {
+            let faults = FaultSet::from_nodes(n, combo.iter().copied());
+            let passed = check_fault_set(target, host, &faults);
+            let fast = if checked == 0 {
+                kernel.prime(combo)
+            } else {
+                kernel.step(combo)
+            };
+            assert_eq!(
+                fast, passed,
+                "kernel disagrees on {combo:?} for {host:?}, k = {k}"
+            );
+            if !passed {
+                tagged.push((checked, combo.to_vec()));
+            }
+            checked += 1;
+        }
+        let failure_count = tagged.len() as u64;
+        tagged.sort();
+        tagged.truncate(ToleranceReport::MAX_RECORDED);
+        let mut failures: Vec<Vec<usize>> = tagged.into_iter().map(|(_, f)| f).collect();
+        failures.sort();
+        ToleranceReport {
+            checked,
+            failures,
+            failure_count,
+        }
+    }
 
     #[test]
     fn ft_graph_passes_exhaustive_check_k1() {
@@ -358,28 +572,36 @@ mod tests {
 
     #[test]
     fn kernel_agrees_with_check_fault_set() {
-        // The fast kernel and the reference path must classify every fault
-        // set identically, on a tolerant and on a non-tolerant host.
-        let ft = FtDeBruijn2::new(3, 2);
-        let target = ft.target().graph();
-        for host in [ft.graph().clone(), {
-            let mut b = ftdb_graph::GraphBuilder::new(10);
-            b.add_edges(target.edges());
-            b.build()
-        }] {
-            let target_edges: Vec<(u32, u32)> =
-                target.edges().map(|(a, b)| (a as u32, b as u32)).collect();
-            let matrix = AdjacencyMatrix::build(&host);
-            let mut kernel =
-                VerifyKernel::new(target.node_count(), &target_edges, &host, Some(&matrix));
-            let mut rd = RevolvingDoor::new(host.node_count(), 2);
-            while let Some(combo) = rd.next_set() {
-                let faults = FaultSet::from_nodes(host.node_count(), combo.iter().copied());
-                assert_eq!(
-                    kernel.check(combo),
-                    check_fault_set(target, &host, &faults),
-                    "kernel disagrees on {combo:?} for {host:?}"
-                );
+        // The incremental kernel and the reference path must classify every
+        // fault set identically, stepped through the whole revolving-door
+        // order, on tolerant hosts and on hosts that fail.
+        for h in 3..=5 {
+            for k in 1..=3 {
+                let ft = FtDeBruijn2::new(h, k);
+                let report = stepped_reference(ft.target().graph(), ft.graph(), k);
+                assert!(report.is_tolerant(), "B^{k}(2,{h})");
+            }
+        }
+        let base_m = FtDeBruijnM::new(3, 3, 2);
+        assert!(stepped_reference(base_m.target().graph(), base_m.graph(), 2).is_tolerant());
+        let se = NaturalFtShuffleExchange::new(4, 2);
+        assert!(stepped_reference(se.target().graph(), se.graph(), 2).is_tolerant());
+        // k = 8: each mask has 81 bits, so it spans two words.
+        let wide = FtDeBruijn2::new(2, 8);
+        assert!(stepped_reference(wide.target().graph(), wide.graph(), 8).is_tolerant());
+        // Where sets fail, the report must equal the reference's at any
+        // thread count: blocks of uneven size, and empty ones when there
+        // are more threads than fault sets.
+        for (name, target, host, k) in non_tolerant_hosts() {
+            let reference = stepped_reference(&target, &host, k);
+            assert!(
+                !reference.is_tolerant(),
+                "{name} should fail some fault set"
+            );
+            let more_than_sets = reference.checked as usize + 2;
+            for threads in [1, 2, 3, 7, more_than_sets] {
+                let report = verify_exhaustive(&target, &host, k, threads);
+                assert_eq!(report, reference, "{name} at {threads} threads");
             }
         }
     }

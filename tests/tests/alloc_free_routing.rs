@@ -165,7 +165,7 @@ fn workload_driver_allocations_do_not_scale_with_packet_count() {
 #[test]
 fn exhaustive_verifier_hot_loop_is_allocation_light() {
     let _guard = serial_guard();
-    // The verifier allocates its scratch (kernel buffers, adjacency matrix,
+    // The verifier allocates its scratch (kernel buffers, edge masks,
     // enumerator) once per call — the per-fault-set loop itself must not
     // allocate. Checking 4x the fault sets (k=2 vs the same run repeated)
     // must not multiply the allocation count.
