@@ -31,8 +31,7 @@ use crate::report::TextTable;
 use ftdb_core::LinkFaultSet;
 use ftdb_graph::Embedding;
 use ftdb_sim::congestion::{
-    CongestionConfig, CongestionSim, EngineKind, FaultResponse, FlowControl, RouteSource,
-    ShardedSim,
+    CongestionConfig, EngineKind, FaultResponse, FlowControl, RouteSource, ShardedSim,
 };
 use ftdb_sim::machine::{PhysicalMachine, PortModel};
 use ftdb_sim::workload;
@@ -102,9 +101,9 @@ pub struct ReliabilitySpec {
     /// Worker threads for the trial fan-out (results are byte-identical
     /// for any value).
     pub threads: usize,
-    /// When `> 1`, each worker runs its trials on one serial [`ShardedSim`]
-    /// with this shard count instead of the single-table engine
-    /// (byte-identical reports; exercised by the CI determinism job).
+    /// Shards of each worker's serial [`ShardedSim`] (1, the single-table
+    /// engine, by default; byte-identical reports for any count, exercised
+    /// by the CI determinism job).
     pub shards: usize,
 }
 
@@ -259,34 +258,19 @@ fn draw_trial_faults(
 }
 
 /// One worker's warmed engine, reused for every run of its trial chunk
-/// through `clear_workload`. There is one per worker, so the variants' size
-/// difference costs nothing.
-#[allow(clippy::large_enum_variant)]
-enum TrialEngine {
-    /// The single-table engine (`spec.shards == 1`): the reference the CI
-    /// determinism job diffs every shard count against.
-    Single(CongestionSim),
-    /// A serial [`ShardedSim`]: the trial fan-out owns the thread budget
-    /// (reports are identical either way).
-    Sharded(ShardedSim),
-}
-
-impl TrialEngine {
-    fn new(db: &DeBruijn2, shards: usize) -> TrialEngine {
-        let machine = PhysicalMachine::new(db.graph().clone(), PortModel::MultiPort);
-        if shards > 1 {
-            TrialEngine::Sharded(ShardedSim::new(machine, reliability_config(), shards, 1))
-        } else {
-            TrialEngine::Single(CongestionSim::new(machine, reliability_config()))
-        }
-    }
+/// through `clear_workload`: a serial [`ShardedSim`] with `shards` shards
+/// (one is the single-table engine), since the trial fan-out owns the
+/// thread budget. Reports are identical for any shard count.
+fn trial_engine(db: &DeBruijn2, shards: usize) -> ShardedSim {
+    let machine = PhysicalMachine::new(db.graph().clone(), PortModel::MultiPort);
+    ShardedSim::new(machine, reliability_config(), shards.max(1), 1)
 }
 
 /// Runs one trial's healthy baseline plus its whole `p` row on the
 /// worker's reused engine.
 fn run_trial(
     db: &DeBruijn2,
-    engine: &mut TrialEngine,
+    sim: &mut ShardedSim,
     model: FaultModel,
     spec: &ReliabilitySpec,
     trial: usize,
@@ -299,34 +283,17 @@ fn run_trial(
 
     let mut run_one = |p: Option<f64>| -> (u64, u64, f64) {
         let faults = p.map(|p| draw_trial_faults(db, model, spec, p, fault_seed));
-        let report = match engine {
-            TrialEngine::Single(sim) => {
-                sim.clear_workload();
-                sim.load_oblivious(db, &placement, &pairs);
-                if let Some(faults) = &faults {
-                    for &node in &faults.nodes {
-                        sim.schedule_fault(spec.kill_cycle, node);
-                    }
-                    if let Some(links) = &faults.links {
-                        sim.schedule_link_faults(spec.kill_cycle, links);
-                    }
-                }
-                sim.run()
+        sim.clear_workload();
+        sim.load_oblivious(db, &placement, &pairs);
+        if let Some(faults) = &faults {
+            for &node in &faults.nodes {
+                sim.schedule_fault(spec.kill_cycle, node);
             }
-            TrialEngine::Sharded(sim) => {
-                sim.clear_workload();
-                sim.load_oblivious(db, &placement, &pairs);
-                if let Some(faults) = &faults {
-                    for &node in &faults.nodes {
-                        sim.schedule_fault(spec.kill_cycle, node);
-                    }
-                    if let Some(links) = &faults.links {
-                        sim.schedule_link_faults(spec.kill_cycle, links);
-                    }
-                }
-                sim.run()
+            if let Some(links) = &faults.links {
+                sim.schedule_link_faults(spec.kill_cycle, links);
             }
-        };
+        }
+        let report = sim.run();
         (report.injected, report.delivered, report.latency.mean)
     };
 
@@ -345,9 +312,9 @@ fn trial_chunk(
     spec: &ReliabilitySpec,
     trials: std::ops::Range<usize>,
 ) -> Vec<TrialOutcome> {
-    let mut engine = TrialEngine::new(db, spec.shards);
+    let mut sim = trial_engine(db, spec.shards);
     trials
-        .map(|trial| run_trial(db, &mut engine, model, spec, trial))
+        .map(|trial| run_trial(db, &mut sim, model, spec, trial))
         .collect()
 }
 
@@ -488,8 +455,8 @@ mod tests {
         // the dead links.
         let spec = ReliabilitySpec::canonical(9);
         let db = DeBruijn2::new(spec.h);
-        let mut engine = TrialEngine::new(&db, 1);
-        let outcome = run_trial(&db, &mut engine, FaultModel::Link, &spec, 71);
+        let mut sim = trial_engine(&db, 1);
+        let outcome = run_trial(&db, &mut sim, FaultModel::Link, &spec, 71);
         let delivered: Vec<u64> = outcome.per_p.iter().map(|&(_, d, _)| d).collect();
         assert!(delivered.windows(2).all(|w| w[1] <= w[0]), "{delivered:?}");
         assert_eq!(delivered[0], db.node_count() as u64, "{delivered:?}");

@@ -260,7 +260,8 @@ fn main() {
         sim.load_oblivious(&db, &placement, &pairs);
         let mut last = sim.run(); // warm + model numbers (deterministic)
         let m = measure(repeats, || {
-            sim.reset();
+            sim.clear_workload();
+            sim.load_oblivious(&db, &placement, &pairs);
             last = sim.run();
             assert_eq!(last.dropped, 0);
             black_box(last.cycles);
@@ -359,7 +360,8 @@ fn main() {
             "bench workload must drain"
         );
         let m = measure(repeats, || {
-            sim.reset();
+            sim.clear_workload();
+            sim.load_oblivious(&db, &placement, &pairs);
             last = sim.run();
             black_box(last.cycles);
         });
@@ -403,7 +405,8 @@ fn main() {
         let mut last = measure_open_loop(&mut sim, &spec);
         assert!(!last.deadlocked, "pre-collapse load must flow");
         let m = measure(repeats, || {
-            sim.reset();
+            sim.clear_workload();
+            sim.load_oblivious_timed(&db, &Embedding::identity(n), &injections);
             last = measure_open_loop(&mut sim, &spec);
             black_box(last.window_delivered);
         });
@@ -461,7 +464,8 @@ fn main() {
         sim.load_oblivious_timed(&db, &Embedding::identity(n), &injections);
         let mut last = measure_open_loop(&mut sim, &spec);
         let m = measure(repeats, || {
-            sim.reset();
+            sim.clear_workload();
+            sim.load_oblivious_timed(&db, &Embedding::identity(n), &injections);
             last = measure_open_loop(&mut sim, &spec);
             black_box(last.window_delivered);
         });
@@ -531,7 +535,8 @@ fn main() {
         sim.load_oblivious_timed(&db, &Embedding::identity(n), &injections);
         let mut last = measure_open_loop(&mut sim, &spec);
         let m = measure(repeats, || {
-            sim.reset();
+            sim.clear_workload();
+            sim.load_oblivious_timed(&db, &Embedding::identity(n), &injections);
             last = measure_open_loop(&mut sim, &spec);
             black_box(last.window_delivered);
         });

@@ -14,9 +14,9 @@
 //!   the batch's path words) must move to the destination shard before the
 //!   next cycle's examination pass;
 //! * a credit return: a packet vacated (or drained) an input buffer whose
-//!   link slot belongs to another shard. The single-table engine already
-//!   defers every credit return by `packet_flits` cycles (its timed credit
-//!   FIFO — at least one full cycle), so shipping a return at the barrier
+//!   link slot belongs to another shard. Every core already defers each
+//!   credit return by `packet_flits` cycles (its timed credit FIFO — at
+//!   least one full cycle), so shipping a return at the barrier
 //!   and re-enqueuing it at the owner with the same due cycle changes
 //!   nothing observable.
 //!
@@ -114,6 +114,7 @@ impl BoundaryBatch {
 /// On the `reliability_grid` benchmark grid, 45% of moved flits cross a
 /// shard boundary at 2 shards and 67% at 4.
 #[inline]
+// analyzer: alloc-free
 pub fn shard_of(node: usize, n: usize, shards: usize) -> usize {
     debug_assert!(node < n);
     node * shards / n

@@ -22,7 +22,7 @@
 //! equally O(1)-recomputable (the property suite checks it against
 //! `ShuffleExchange::route`).
 //!
-//! Both congestion engines route implicit packets through one
+//! The congestion engine routes implicit packets through one
 //! `ImplicitRoute`: the captured (mask, placement) context of the load
 //! plus a successor-slot table that names the CSR slot of every logical
 //! shift edge, so a hop reads its next node from the register and its
@@ -288,7 +288,7 @@ impl ImplicitRoute {
 
     /// The cached entry and register of a packet that has just crossed a
     /// non-delivering hop to the image of `pos`, with `rem` target bits
-    /// left — the implicit half of both engines' `advance_route`.
+    /// left — the implicit half of the engine's `advance_route`.
     // analyzer: alloc-free
     #[inline]
     pub(crate) fn advance(&self, machine: &PhysicalMachine, pos: u32, rem: u32) -> (u64, u32, u32) {

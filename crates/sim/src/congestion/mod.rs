@@ -7,7 +7,7 @@
 //! see. This module adds the missing time dimension:
 //!
 //! * Packets advance **one hop per cycle** along a precomputed physical
-//!   route (oblivious de Bruijn or adaptive BFS).
+//!   route (oblivious de Bruijn, or a BFS re-route after a fault).
 //! * Each **directed link carries at most one flit per cycle**.
 //! * Per-node output arbitration follows the machine's [`PortModel`]:
 //!   `SinglePort` processors send at most one flit per cycle in total
@@ -81,10 +81,9 @@
 //! embeddability.
 //!
 //! A second schedule kills individual **directed links** (CSR edge slots)
-//! mid-run — [`CongestionSim::schedule_link_fault`], the bulk
-//! [`CongestionSim::schedule_link_faults`] over an
-//! [`ftdb_core::LinkFaultSet`], and the sharded mirrors on
-//! [`ShardedSim`]. A link kill is a *local* wake event: only the packets
+//! mid-run — [`ShardedSim::schedule_link_fault`] and the bulk
+//! [`ShardedSim::schedule_link_faults`] over an
+//! [`ftdb_core::LinkFaultSet`]. A link kill is a *local* wake event: only the packets
 //! parked on the dead slot's gates are flushed to re-examination (every
 //! other packet's movability is untouched), the hazard check extends to
 //! `dead_link[slot]`, and re-route BFS avoids dead slots via an edge
@@ -98,34 +97,34 @@
 //! pre-link-fault code path. The reliability story — correlated bursts, Monte-Carlo
 //! delivery/slowdown curves — is written up in `docs/RELIABILITY.md`.
 //!
-//! The steady-state cycle loop is allocation-free after loading, in the
-//! spirit of PR 2: claims are epoch-stamped arrays indexed by CSR edge
-//! slot, the examination lists and blocked queues are sized at load, and
-//! [`CongestionSim::reset`] rewinds a loaded workload for reuse without
-//! touching the allocator ([`CongestionSim::clear_workload`] additionally
-//! lets one warmed engine serve a whole sweep of different workloads).
+//! The steady-state cycle loop is allocation-free after loading: claims
+//! are epoch-stamped arrays indexed by CSR edge slot, the examination
+//! lists and blocked queues are sized at load, and
+//! [`ShardedSim::clear_workload`] lets one warmed engine serve a whole
+//! sweep of different workloads without growing again.
 //!
 //! **Implicit O(1) routing.** Oblivious de Bruijn routes are shift-register
 //! walks: hop `i` of the route from `s` to `t` is computable in O(1) from
 //! the current label and the remaining target bits, so the engine does not
 //! need to materialize paths at all. [`implicit_route`] holds the digit-shift
 //! next-hop generators (de Bruijn and shuffle-exchange) and the implicit
-//! context both engines share: the load's placement plus a successor-slot
-//! table naming the link of every logical shift edge. Under the default
+//! context every shard core shares: the load's placement plus a
+//! successor-slot table naming the link of every logical shift edge. Under the default
 //! [`RouteSource::Implicit`] a packet carries O(1) route state (a packed
 //! current entry plus a two-word shift register) instead of O(h) path
-//! entries, which is what makes million-node runs fit in memory. Adaptive
-//! loads and mid-run re-routes fall back to materialized segments spliced
-//! into a shared side arena ([`RouteSource::Materialized`] forces the old
-//! representation everywhere; the differential suite proves the two
-//! byte-identical).
+//! entries, which is what makes million-node runs fit in memory. Mid-run
+//! re-routes, and a second load through a different placement, fall back
+//! to materialized segments in the path arena of the shard core hosting
+//! the packet ([`RouteSource::Materialized`] forces that representation
+//! everywhere; the differential suite proves the two byte-identical).
 //!
-//! **Sharded engine.** [`ShardedSim`] partitions the CSR graph along the
-//! de Bruijn label-prefix cut, gives each shard its own wake-list
-//! core, and exchanges boundary flits/credits at cycle barriers over
-//! channels with a deterministic (shard-id, packet-age) merge — the
-//! [`CongestionReport`] is byte-identical to [`CongestionSim`] for any shard
-//! count. See [`shard`] and [`boundary`].
+//! **One kernel, any shard count.** [`ShardedSim`] partitions the CSR
+//! graph along the de Bruijn label-prefix cut, gives each shard its own
+//! wake-list core, and exchanges boundary flits/credits at cycle barriers
+//! with a deterministic (shard-id, packet-age) merge. The single-table
+//! engine [`CongestionSim`] is that kernel with one shard (so no barrier
+//! traffic), and the [`CongestionReport`] is byte-identical for any shard
+//! and thread count. See [`shard`] and [`boundary`].
 
 pub mod boundary;
 mod engine;
@@ -133,8 +132,8 @@ pub mod implicit_route;
 pub mod shard;
 
 pub use engine::{
-    measure_open_loop, run_open_loop, run_recovery, CongestionConfig, CongestionEngine,
-    CongestionReport, CongestionSim, CycleEvents, EngineKind, FaultResponse, FlowControl,
-    OpenLoopReport, RecoveryOutcome, RouteSource, Switching,
+    measure_open_loop, run_open_loop, run_recovery, CongestionConfig, CongestionReport,
+    CongestionSim, CycleEvents, EngineKind, FaultResponse, FlowControl, OpenLoopReport,
+    RecoveryOutcome, RouteSource, Switching,
 };
 pub use shard::ShardedSim;

@@ -1,9 +1,11 @@
-//! The sharded congestion engine: [`ShardedSim`] partitions the machine's
-//! nodes into contiguous label ranges (the de Bruijn prefix cut, see
-//! [`super::boundary`]), runs one wake-list core per shard, and exchanges
-//! boundary flits and credit returns at cycle barriers. Its
-//! [`CongestionReport`] is byte-identical to [`super::CongestionSim`]'s for
-//! any shard count and thread count — enforced by the differential suite
+//! The congestion engine's one cycle kernel: [`ShardedSim`] partitions the
+//! machine's nodes into contiguous label ranges (the de Bruijn prefix cut,
+//! see [`super::boundary`]), runs one wake-list core ([`ShardCore`]) per
+//! shard, and exchanges boundary flits and credit returns at cycle
+//! barriers. With one shard there is no barrier traffic at all, and that
+//! configuration is [`super::CongestionSim`]. Its [`CongestionReport`] is
+//! byte-identical for any shard count and thread count — enforced by the
+//! differential suite, the golden outputs of `tests/tests/engine_golden.rs`
 //! and the CI shard-determinism job.
 //!
 //! Why equivalence holds: every resource a packet contends for in a cycle —
@@ -12,36 +14,38 @@
 //! node, so it is owned by exactly one shard and arbitration never races.
 //! Per-shard examination in ascending packet id equals the global id order
 //! restricted to each shard, and winners are decided per-resource, so
-//! splitting the scan changes nothing. Credit returns already take effect
-//! at least one cycle late in the single-table engine (`packet_flits`
-//! cycles under wormhole — the timed credit FIFO), which makes barrier
-//! shipping invisible: a credit generated at cycle `c` is due at
-//! `c + packet_flits`, and the barrier delivers it to its owner before the
-//! phase of cycle `c + 1 <= c + packet_flits`. A migrating packet is
-//! examined again only on the following cycle, exactly like a mover in the
-//! single engine; its VC index rides along in the [`Flit`].
+//! splitting the scan changes nothing. Credit returns take effect at least
+//! one cycle late (`packet_flits` cycles under wormhole — the timed credit
+//! FIFO), which makes barrier shipping invisible: a credit generated at
+//! cycle `c` is due at `c + packet_flits`, and the barrier delivers it to
+//! its owner before the phase of cycle `c + 1 <= c + packet_flits`. A
+//! migrating packet is examined again only on the following cycle, exactly
+//! like a mover that stays on its shard; its VC index rides along in the
+//! [`Flit`].
+//!
+//! Route state: an oblivious packet rides the shared implicit context
+//! ([`ImplicitRoute`], O(1) state per packet). Materialized paths —
+//! [`RouteSource::Materialized`] loads, a second load through a different
+//! placement, and mid-run re-routes — live in the arena of the core that
+//! hosts the packet and travel in the barrier's path words when it
+//! migrates.
 //!
 //! One engine can serve many workloads: [`ShardedSim::clear_workload`]
 //! drops the loaded workload and both fault schedules but keeps the
 //! machine, every buffer's capacity, the per-destination boundary buffers
 //! and each core's warmed re-route [`Searcher`].
-//!
-//! The sharded engine only carries implicit (O(1)) route state per packet —
-//! materialized segments appear only as re-route spills — and does not
-//! support `reset`, recovery re-targeting, or adaptive loads; use
-//! [`super::CongestionSim`] for those.
 
 use super::boundary::{shard_floor, shard_of, BoundaryBatch, Flit};
 use super::engine::{
-    edge_slot_in, pk, pk_node, pk_slot, pk_terminal, CongestionConfig, CongestionEngine,
-    CongestionReport, EngineKind, FaultResponse, FlowControl, LinkGate, RouteSource, Switching,
+    edge_slot_in, pk, pk_node, pk_slot, pk_terminal, CongestionConfig, CongestionReport,
+    CycleEvents, EngineKind, FaultResponse, FlowControl, LinkGate, RouteSource, Switching,
     DELIVERS, IMPLICIT_ACTIVE, NEVER, NONE_ID, NO_LOGICAL, NO_SLOT,
 };
 use super::implicit_route::{self, ImplicitRoute};
 use crate::machine::{PhysicalMachine, PortModel};
 use crate::metrics::LatencySummary;
-use crate::routing;
-use ftdb_core::LinkFaultSet;
+use crate::routing::{self, Trust};
+use ftdb_core::{FaultSet, LinkFaultSet};
 use ftdb_graph::traversal::Searcher;
 use ftdb_graph::{Embedding, NodeId};
 use ftdb_topology::DeBruijn2;
@@ -55,6 +59,59 @@ const RES_DELIVERED: u8 = 1;
 const RES_DROPPED_AT_INJECT: u8 = 2;
 /// Resolution code: delivered at injection (born on its target).
 const RES_DELIVERED_AT_INJECT: u8 = 3;
+
+/// The stop rule: whether the cycle `events` summarizes proves a hard
+/// deadlock. It is proven, not guessed — only possible under bounded-buffer
+/// flow control: a cycle in which nothing moved, was injected, was killed
+/// or was re-routed, with live packets left, no injection still queued,
+/// and (`timers_idle`) no timed credit return or claim expiry in flight and
+/// no fault still scheduled, can never be followed by a different one. A
+/// re-routed packet moves in a later cycle, so a re-route is activity; its
+/// new path avoids every dead node and link, so a packet re-routes at most
+/// once per fault epoch and every run still terminates.
+// analyzer: alloc-free
+fn proves_deadlock(events: &CycleEvents, timers_idle: bool) -> bool {
+    events.moved == 0
+        && events.injected == 0
+        && events.faults_fired == 0
+        && events.rerouted == 0
+        && events.live > 0
+        && events.pending_injections == 0
+        && timers_idle
+}
+
+/// Appends `nodes` to `arena` as a packed path — consecutive duplicates
+/// (artifacts of non-injective placements) collapsed, since they cost no
+/// cycle and no link — and returns its `[start, end)` bounds.
+fn spill(arena: &mut Vec<u64>, machine: &PhysicalMachine, nodes: &[NodeId]) -> (u32, u32) {
+    let start = arena.len();
+    for &node in nodes {
+        if arena.len() == start || arena.last().map_or(true, |&t| pk_node(t) != node) {
+            arena.push(node as u64);
+        }
+    }
+    pack_hop_slots(&mut arena[start..], machine);
+    (start as u32, arena.len() as u32)
+}
+
+/// Fills the packed hop slots of a path (the final entry keeps `NO_SLOT`;
+/// the hop onto it carries `DELIVERS`). The links were validated when the
+/// route was computed, so a missing slot here is a loader or search bug.
+fn pack_hop_slots(path: &mut [u64], machine: &PhysicalMachine) {
+    let len = path.len();
+    for i in 0..len.saturating_sub(1) {
+        let u = pk_node(path[i]);
+        let v = pk_node(path[i + 1]) as u32;
+        let slot = edge_slot_in(machine, u, v)
+            // analyzer: allow(expect) -- every loaded or re-routed path was computed against this CSR, so a missing slot is a loader bug; aborting beats simulating a phantom link
+            .expect("routes only traverse physical links");
+        let delivers = if i + 2 == len { DELIVERS } else { 0 };
+        path[i] = pk(u as u32, slot as u32) | delivers;
+    }
+    if let Some(last) = path.last_mut() {
+        *last = pk(pk_node(*last) as u32, NO_SLOT);
+    }
+}
 
 /// Read-only cycle context shared by every shard core (and, in threaded
 /// runs, by every worker thread).
@@ -75,42 +132,67 @@ struct ShardCtx<'a> {
 
 /// One shard's share of the engine state. Link-gate state (`links`, the
 /// credit FIFO marks, blocked queues) is indexed by *local* gate id
-/// (`global_gidx - slot_lo * vcs`, one gate per (link slot, VC) exactly
-/// like the single engine); packet arrays span the full id space so global
-/// packet ids index directly (a packet is *hosted* by the shard owning its
-/// current node — `cursor != NEVER` exactly there).
+/// (`global_gidx - slot_lo * vcs`, one gate per (link slot, VC)); packet
+/// arrays span the full id space so global packet ids index directly (a
+/// packet is *hosted* by the shard owning its current node — `cursor !=
+/// NEVER` exactly there).
 struct ShardCore {
     node_lo: usize,
     node_hi: usize,
     slot_lo: usize,
     slot_hi: usize,
+    /// Buffer depth per (directed link, VC) buffer (0 =
+    /// [`FlowControl::Infinite`]).
     flow_depth: u32,
     /// Virtual channels per link; 1 for the legacy flow-control modes.
     vcs: usize,
-    /// Flits per packet (link/credit hold time); 1 outside wormhole.
+    /// Flits per packet: every hop holds its link for this many cycles and
+    /// returns the freed upstream credit this many cycles later (1 =
+    /// store-and-forward; [`Switching::Wormhole`] sets it higher).
     packet_flits: u32,
-    /// Whether per-VC metrics (`vc`, `blocked_since`) are live.
+    /// Whether per-VC metrics (`vc`, `blocked_since`) are live — true only
+    /// under [`FlowControl::VirtualChannel`].
     track_vc: bool,
     // --- local link state (local gate ids: (slot - slot_lo) * vcs + vc) --
+    /// Per-(slot, VC) gate. The physical link's claim stamp lives only in
+    /// the slot's *first* gate (the VCs share one flit per cycle of link
+    /// bandwidth); `credits` is meaningful in every gate (each VC owns its
+    /// own downstream buffer).
     links: Vec<LinkGate>,
-    /// Timed credit returns `(due_cycle, local_gidx, count)`, due-sorted;
-    /// mirrors the single engine's FIFO (barrier-shipped returns land with
-    /// the same due cycle they would have had locally).
+    /// Timed credit returns `(due_cycle, local_gidx, count)`, due cycles
+    /// nondecreasing (a credit returned during cycle `c` is due at
+    /// `c + packet_flits`; barrier-shipped returns land with the same due
+    /// cycle). `credit_fifo_pos` is the applied prefix; the tail is
+    /// compacted in place, so the cycle loop never reallocates once the
+    /// reserve is warm.
     credit_fifo: Vec<(u32, u32, u32)>,
     credit_fifo_pos: usize,
-    /// Per-gate coalescing cursor into `credit_fifo` (entry index + 1).
+    /// Per-gate coalescing cursor into `credit_fifo` (entry index + 1):
+    /// credits for the same gate due the same cycle merge into one entry.
     credit_mark: Vec<u32>,
+    /// Head of each gate's blocked queue (`NONE_ID` = empty). Every packet
+    /// parked on a gate sits in the same upstream node and competes for
+    /// the same port, link claim and credits, so only the oldest can ever
+    /// move: the queue is kept sorted by id (= age) and a wake event pops
+    /// exactly one head.
     blocked_head: Vec<u32>,
+    /// Tail of each gate's blocked queue: packets park mostly in age order,
+    /// so the common insert is an O(1) tail append.
     blocked_tail: Vec<u32>,
-    /// Timed claim expiries `(due_cycle, local_slot)`; on expiry every VC
-    /// queue head of the slot that can admit a flit is woken.
+    /// Timed claim expiries `(due_cycle, local_slot)`, due when the link's
+    /// claim expires (`move cycle + packet_flits`). Each due slot's VC
+    /// queue heads are woken at the *start* of the due cycle, after every
+    /// park of the claiming cycle has settled. Under wormhole the pending
+    /// tail doubles as the quiescence witness for a streaming body.
     served_fifo: Vec<(u32, u32)>,
     served_fifo_pos: usize,
     // --- local node state ------------------------------------------------
+    /// Per-node output-port claim stamp (consulted under `SinglePort`).
     node_claim: Vec<u32>,
     // --- dynamic faults (full copies: hazard checks need remote deads) ---
     dead: Vec<bool>,
     dead_list: Vec<u32>,
+    /// `(cycle, node)` kills sorted by cycle; applied before movement.
     schedule: Vec<(u32, u32)>,
     schedule_pos: usize,
     /// `(cycle, global CSR slot)` directed-link kills; every core carries
@@ -122,34 +204,57 @@ struct ShardCore {
     dead_link: Vec<bool>,
     dead_link_list: Vec<u32>,
     // --- packet state (full id space; valid while hosted here) -----------
+    /// Cached packed entry of each hosted packet's current position: node,
+    /// the CSR slot of its next hop, and the `DELIVERS` flag. The cycle
+    /// loop reads only this.
     entry: Vec<u64>,
+    /// Logical shift-register position *after* the pending hop (implicit
+    /// packets only).
     imp_pos: Vec<u32>,
+    /// Remaining target bits after the pending hop, sentinel-encoded (see
+    /// [`implicit_route::rem_init`]).
     imp_rem: Vec<u32>,
     /// `NEVER` = resolved or hosted elsewhere, [`IMPLICIT_ACTIVE`] = riding
     /// the digit-shift generator, else an index into the local `arena`.
     cursor: Vec<u32>,
-    /// Local-arena end of a materialized (re-routed/migrated) segment.
+    /// Local-arena end of a materialized segment.
     seg_end: Vec<u32>,
     /// *Global* gate id (`slot * vcs + vc`) of the buffer the packet
     /// occupies (may belong to another shard after a migration; credits
-    /// route home at the barrier).
+    /// route home at the barrier). `NO_SLOT` while the packet waits in its
+    /// source's injection queue.
     occupied_slot: Vec<u32>,
-    /// Current virtual channel per hosted packet (0 outside VC mode).
+    /// Current virtual channel per hosted packet (dateline rule: injected
+    /// on VC 0, bumped — capped at `vcs - 1` — after every hop that
+    /// descends the physical label; see
+    /// [`implicit_route::dateline_crossing`]).
     vc: Vec<u8>,
-    /// First-failure cycle per hosted blocked packet (`NEVER` = clear);
-    /// only maintained when `track_vc`.
+    /// Cycle each hosted packet first failed examination since it last
+    /// moved (`NEVER` = not blocked); feeds `vc_hol_blocked_cycles` and is
+    /// only maintained when `track_vc`. Set on the first failing
+    /// examination under both scan disciplines, so the totals agree even
+    /// though the naive rescan re-fails every cycle.
     blocked_since: Vec<u32>,
+    /// Intrusive next-pointers threading the blocked queues through the
+    /// packet table.
     blocked_next: Vec<u32>,
     in_network: Vec<bool>,
+    /// Bitmap work-queue of packets to examine this cycle (bit per packet
+    /// id). Scanning set bits low-to-high *is* oldest-first arbitration,
+    /// and re-waking an already-queued packet is naturally idempotent.
     queued_now: Vec<u64>,
+    /// The bitmap being built for the next cycle; swapped with
+    /// `queued_now` after each examination pass.
     queued_next: Vec<u64>,
-    /// Local path arena for re-route spills and migrated-in segments.
+    /// Local path arena: materialized loads of home packets, re-route
+    /// spills and migrated-in segments, as packed entries (see [`pk`]).
     arena: Vec<u64>,
     // --- injection (home-shard packets only) ------------------------------
+    /// Packet ids not yet injected, sorted by injection cycle.
     pending_inject: Vec<u32>,
     inject_pos: usize,
     // --- per-cycle outputs ------------------------------------------------
-    /// `(id, cycle, RES_*)` resolutions this cycle, drained by the driver.
+    /// `(id, cycle, RES_*)` resolutions, drained by the driver.
     resolved: Vec<(u32, u32, u8)>,
     /// Outbound flits, path words and credit returns, one buffer per
     /// destination shard (indexed by it), kept for the core's life: the
@@ -157,6 +262,7 @@ struct ShardCore {
     out: Vec<BoundaryBatch>,
     moved: u64,
     injected: u64,
+    credits_applied: u64,
     killed: usize,
     /// Packets re-routed this cycle (activity under the stop rule).
     rerouted: u64,
@@ -188,6 +294,7 @@ impl ShardCore {
     ) -> Self {
         let slots = slot_hi - slot_lo;
         let gates = slots * vcs;
+        // Credit state is only materialised when bounded.
         let credit_len = if flow_depth > 0 { gates } else { 0 };
         ShardCore {
             node_lo,
@@ -205,6 +312,10 @@ impl ShardCore {
                 };
                 gates
             ],
+            // Live credit entries are coalesced per (due, gate) and due
+            // cycles span at most `packet_flits` values, so one gate's
+            // worth of slack per flit keeps the steady state
+            // allocation-free.
             credit_fifo: Vec::with_capacity(credit_len * packet_flits as usize),
             credit_fifo_pos: 0,
             credit_mark: vec![0; credit_len],
@@ -242,6 +353,7 @@ impl ShardCore {
                 .collect(),
             moved: 0,
             injected: 0,
+            credits_applied: 0,
             killed: 0,
             rerouted: 0,
             vc_flits: vec![0; if track_vc { vcs } else { 0 }],
@@ -270,33 +382,46 @@ impl ShardCore {
         self.queued_next.resize(words, 0);
     }
 
+    /// Whether `node` is usable (healthy in the static fault set and not
+    /// killed by the dynamic schedule).
+    // analyzer: alloc-free
     fn is_alive(&self, ctx: &ShardCtx<'_>, node: NodeId) -> bool {
         ctx.machine.is_healthy(node) && !self.dead[node]
     }
 
+    /// Queues packet `id` for examination *this* cycle (wake events fire
+    /// before the examination pass).
     #[inline]
+    // analyzer: alloc-free
     fn queue_now(&mut self, id: usize) {
         self.queued_now[id >> 6] |= 1u64 << (id & 63);
     }
 
-    /// Parks `id` on local slot `ls`'s blocked queue, sorted by id (= age);
-    /// mirrors the single-table engine exactly.
-    fn park_on_slot(&mut self, id: usize, ls: usize) {
+    /// Parks packet `id` on local gate `lg`'s blocked queue, keeping the
+    /// queue sorted by id (= age): it will not be examined again until the
+    /// gate sees a credit with `id` at the queue head (or a whole-network
+    /// wake). Packets park in injection order on their first hop and in
+    /// examination order everywhere else, so the insert is almost always an
+    /// O(1) tail append (or head prepend for a re-parking ex-head).
+    // analyzer: alloc-free
+    fn park_on_slot(&mut self, id: usize, lg: usize) {
         let id32 = id as u32;
-        let head = self.blocked_head[ls];
+        let head = self.blocked_head[lg];
         if head == NONE_ID {
-            self.blocked_head[ls] = id32;
-            self.blocked_tail[ls] = id32;
+            self.blocked_head[lg] = id32;
+            self.blocked_tail[lg] = id32;
             self.blocked_next[id] = NONE_ID;
-        } else if id32 > self.blocked_tail[ls] {
-            let tail = self.blocked_tail[ls] as usize;
+        } else if id32 > self.blocked_tail[lg] {
+            let tail = self.blocked_tail[lg] as usize;
             self.blocked_next[tail] = id32;
-            self.blocked_tail[ls] = id32;
+            self.blocked_tail[lg] = id32;
             self.blocked_next[id] = NONE_ID;
         } else if id32 < head {
             self.blocked_next[id] = head;
-            self.blocked_head[ls] = id32;
+            self.blocked_head[lg] = id32;
         } else {
+            // Mid-queue insert: rare (a buffered packet joining a long
+            // injection queue), and bounded by the queue length.
             let mut prev = head as usize;
             while self.blocked_next[prev] != NONE_ID && self.blocked_next[prev] < id32 {
                 prev = self.blocked_next[prev] as usize;
@@ -306,38 +431,51 @@ impl ShardCore {
         }
     }
 
-    fn wake_head(&mut self, ls: usize) {
-        let head = self.blocked_head[ls];
+    /// Pops gate `lg`'s oldest parked packet back into this cycle's work
+    /// queue. Only the head can ever move (everything behind it shares the
+    /// same node port, link claim and credit counter and is strictly
+    /// younger), so one head per wake event is exact — no thundering herd.
+    // analyzer: alloc-free
+    fn wake_head(&mut self, lg: usize) {
+        let head = self.blocked_head[lg];
         if head != NONE_ID {
             self.queue_now(head as usize);
-            self.blocked_head[ls] = self.blocked_next[head as usize];
-            if self.blocked_head[ls] == NONE_ID {
-                self.blocked_tail[ls] = NONE_ID;
+            self.blocked_head[lg] = self.blocked_next[head as usize];
+            if self.blocked_head[lg] == NONE_ID {
+                self.blocked_tail[lg] = NONE_ID;
             }
         }
     }
 
-    fn wake_slot(&mut self, ls: usize) {
-        let mut cur = self.blocked_head[ls];
+    /// Drains gate `lg`'s blocked queue into this cycle's work queue.
+    // analyzer: alloc-free
+    fn wake_slot(&mut self, lg: usize) {
+        let mut cur = self.blocked_head[lg];
         while cur != NONE_ID {
             self.queue_now(cur as usize);
             cur = self.blocked_next[cur as usize];
         }
-        self.blocked_head[ls] = NONE_ID;
-        self.blocked_tail[ls] = NONE_ID;
+        self.blocked_head[lg] = NONE_ID;
+        self.blocked_tail[lg] = NONE_ID;
     }
 
+    /// Wakes every parked packet — the response to whole-network events (a
+    /// node kill, a recovery driver re-routing in flight) that can change
+    /// any packet's next hop or its movability.
+    // analyzer: alloc-free
     fn wake_all_parked(&mut self) {
-        for ls in 0..self.blocked_head.len() {
-            if self.blocked_head[ls] != NONE_ID {
-                self.wake_slot(ls);
+        for lg in 0..self.blocked_head.len() {
+            if self.blocked_head[lg] != NONE_ID {
+                self.wake_slot(lg);
             }
         }
     }
 
-    /// Records that blocked packet `id` became unblocked at `cycle`; the
-    /// mirror of the single engine's `note_unblocked`.
+    /// Records that blocked packet `id` became unblocked (moved or
+    /// resolved) at `cycle`, folding the blocked span into the per-VC
+    /// head-of-line counter.
     #[inline]
+    // analyzer: alloc-free
     fn note_unblocked(&mut self, id: usize, cycle: u32) {
         if self.track_vc {
             let since = self.blocked_since[id];
@@ -351,6 +489,7 @@ impl ShardCore {
     /// Records that packet `id` failed examination at `cycle`; only the
     /// *first* failure since the last move sticks.
     #[inline]
+    // analyzer: alloc-free
     fn note_blocked(&mut self, id: usize, cycle: u32) {
         if self.track_vc && self.blocked_since[id] == NEVER {
             self.blocked_since[id] = cycle;
@@ -358,78 +497,87 @@ impl ShardCore {
     }
 
     /// Enqueues a credit return for *local* gate `lg`, due at `due`,
-    /// coalescing per (due, gate) through `credit_mark` exactly like the
-    /// single engine's `return_credit` — one FIFO entry (and so one wake)
-    /// per gate per generating cycle, whatever mix of local and
-    /// barrier-shipped returns produced it.
+    /// coalescing per (due, gate) through `credit_mark` — one FIFO entry
+    /// (and so one wake) per gate per generating cycle, whatever mix of
+    /// local and barrier-shipped returns produced it. A stale mark only
+    /// coalesces when both the due cycle and the gate match, and applied
+    /// entries are always due in the past.
+    // analyzer: alloc-free
     fn push_credit(&mut self, lg: u32, due: u32) {
         let m = self.credit_mark[lg as usize] as usize;
         if m > 0 && m <= self.credit_fifo.len() {
             let entry = &mut self.credit_fifo[m - 1];
-            // A stale mark only coalesces when both the due cycle and the
-            // gate match — applied entries are always due in the past.
             if entry.0 == due && entry.1 == lg {
                 entry.2 += 1;
                 return;
             }
         }
         self.credit_mark[lg as usize] = self.credit_fifo.len() as u32 + 1;
+        // analyzer: allow(alloc) -- capacity reserved at construction (one gate's worth per flit of packet length); the counting-allocator tests prove the cycle loop never reallocates
         self.credit_fifo.push((due, lg, 1));
     }
 
-    /// Schedules a credit return for *local* gate `lg` generated at
-    /// `cycle`: due `packet_flits` cycles later, when the tail flit clears
-    /// the slot.
-    fn return_credit_local(&mut self, lg: usize, cycle: u32) {
-        self.push_credit(lg as u32, cycle + self.packet_flits);
-    }
-
-    /// Returns a credit for *global* gate `g` generated at `cycle`: locally
-    /// when this shard owns the gate's link slot, else shipped to the owner
-    /// at the cycle barrier (the owner restores the due cycle from the
-    /// barrier timing). Slot ownership follows the contiguous CSR cut, so
-    /// the owner is the last shard whose slot range starts at or before the
-    /// gate's slot (skipping any empty shards in between).
-    fn return_credit_global(&mut self, ctx: &ShardCtx<'_>, g: u32, cycle: u32) {
+    /// Returns a credit for *global* gate `g` generated at `cycle`: due
+    /// `packet_flits` cycles later (the slot drains when the tail flit
+    /// clears it), locally when this shard owns the gate's link slot, else
+    /// shipped to the owner at the cycle barrier (the owner restores the
+    /// due cycle from the barrier timing). Slot ownership follows the
+    /// contiguous CSR cut, so the owner is the last shard whose slot range
+    /// starts at or before the gate's slot.
+    // analyzer: alloc-free
+    fn return_credit(&mut self, ctx: &ShardCtx<'_>, g: u32, cycle: u32) {
         let gu = g as usize;
         let slot = gu / self.vcs;
         if slot >= self.slot_lo && slot < self.slot_hi {
-            self.return_credit_local(gu - self.slot_lo * self.vcs, cycle);
+            self.push_credit(
+                (gu - self.slot_lo * self.vcs) as u32,
+                cycle + self.packet_flits,
+            );
         } else {
             let owner = ctx.slot_start.partition_point(|&x| (x as usize) <= slot) - 1;
+            // analyzer: allow(alloc) -- the per-destination barrier buffer keeps its capacity for the core's life; the counting-allocator tests prove reruns never reallocate
             self.out[owner].credits.push(g);
         }
     }
 
     /// Resolves hosted packet `id` with resolution `code`, releasing its
     /// buffer slot (possibly to another shard) under credit flow control.
+    /// Every path that removes a live packet from the network goes through
+    /// here — fault kills included, which would otherwise leak the dead
+    /// processor's input slots and starve the upstream links forever.
+    // analyzer: alloc-free
     fn resolve(&mut self, ctx: &ShardCtx<'_>, id: usize, cycle: u32, code: u8) {
         self.note_unblocked(id, cycle);
+        // analyzer: allow(alloc) -- drained by the driver every cycle, so it keeps the capacity of the busiest cycle; the counting-allocator tests prove reruns never reallocate
         self.resolved.push((id as u32, cycle, code));
         self.in_network[id] = false;
         self.cursor[id] = NEVER;
         if self.flow_depth > 0 {
             let g = self.occupied_slot[id];
             if g != NO_SLOT {
-                self.return_credit_global(ctx, g, cycle);
+                self.return_credit(ctx, g, cycle);
                 self.occupied_slot[id] = NO_SLOT;
             }
         }
     }
 
     /// Applies the credit returns due by `cycle` (local and barrier-shipped
-    /// share the FIFO, with identical due cycles) and wakes each
-    /// replenished gate's queue head; the applied prefix is reclaimed
-    /// exactly like the single engine's. Per-gate independence makes the
-    /// application order irrelevant, so the interleaving of local and
-    /// remote returns cannot perturb the outcome.
-    fn apply_pending_credits(&mut self, cycle: u32) {
+    /// share the FIFO, with identical due cycles), wakes each replenished
+    /// gate's queue head, and returns how many credits were applied. The
+    /// applied prefix is reclaimed in place (full clear when drained, front
+    /// compaction when the tail lags), so the FIFO never grows past its
+    /// reserve in steady state. Per-gate independence makes the
+    /// application order irrelevant.
+    // analyzer: alloc-free
+    fn apply_pending_credits(&mut self, cycle: u32) -> u64 {
+        let mut applied = 0;
         while self.credit_fifo_pos < self.credit_fifo.len() {
             let (due, lg, count) = self.credit_fifo[self.credit_fifo_pos];
             if due > cycle {
                 break;
             }
             self.credit_fifo_pos += 1;
+            applied += count as u64;
             let lgu = lg as usize;
             self.links[lgu].credits += count;
             debug_assert!(
@@ -442,13 +590,21 @@ impl ShardCore {
             self.credit_fifo.clear();
             self.credit_fifo_pos = 0;
         } else if self.credit_fifo_pos >= 64 && self.credit_fifo_pos * 2 >= self.credit_fifo.len() {
+            // Stale coalescing marks survive compaction harmlessly: a mark
+            // only fires when both the due cycle and the gate match.
             self.credit_fifo.drain(..self.credit_fifo_pos);
             self.credit_fifo_pos = 0;
         }
+        applied
     }
 
-    /// Wakes the served-slot VC queue heads whose link claims expire by
-    /// `cycle`; the mirror of the single engine's `apply_due_serves`.
+    /// Wakes the served-slot queues that have come due: when a link's claim
+    /// expires, the head of *every* VC queue on that slot that could now
+    /// admit a flit gets one examination (under credit flow only where the
+    /// gate has a credit — otherwise the credit return will wake it).
+    /// Extra wakes are harmless: examination is a pure function of engine
+    /// state, and an immovable woken packet re-parks identically.
+    // analyzer: alloc-free
     fn apply_due_serves(&mut self, cycle: u32) {
         while self.served_fifo_pos < self.served_fifo.len() {
             let (due, ls) = self.served_fifo[self.served_fifo_pos];
@@ -474,16 +630,29 @@ impl ShardCore {
         }
     }
 
-    /// Whether timed credit returns or claim expiries are still in flight
-    /// on this core — the per-core share of the single engine's
-    /// `credits_pending() || serves_pending()` quiescence veto.
-    fn fifos_drained(&self) -> bool {
+    /// This core's share of the stop rule's `timers_idle`: no timed credit
+    /// return or claim expiry in flight, and no node or link kill still
+    /// scheduled.
+    // analyzer: alloc-free
+    fn timers_idle(&self) -> bool {
         self.credit_fifo_pos >= self.credit_fifo.len()
             && self.served_fifo_pos >= self.served_fifo.len()
+            && self.schedule_pos >= self.schedule.len()
+            && self.link_schedule_pos >= self.link_schedule.len()
     }
 
-    /// Injects due home packets; mirrors the single engine's
-    /// `inject_due_packets` with resolutions routed through the driver.
+    /// Home packets loaded with a future injection cycle that have not
+    /// entered the network yet.
+    // analyzer: alloc-free
+    fn pending_injections(&self) -> u64 {
+        (self.pending_inject.len() - self.inject_pos) as u64
+    }
+
+    /// Moves home packets whose injection cycle has arrived into the
+    /// examination list (in age order). A packet whose source died before
+    /// its injection cycle is dropped at injection, and a zero-hop packet
+    /// injected on a living source is delivered on the spot (latency 0).
+    // analyzer: alloc-free
     fn inject_due(&mut self, ctx: &ShardCtx<'_>, cycle: u32) {
         while self.inject_pos < self.pending_inject.len() {
             let id = self.pending_inject[self.inject_pos] as usize;
@@ -491,31 +660,35 @@ impl ShardCore {
                 break;
             }
             self.inject_pos += 1;
-            let source = pk_node(self.entry[id]);
-            if !self.is_alive(ctx, source) {
-                self.cursor[id] = NEVER;
-                self.resolved
-                    .push((id as u32, cycle, RES_DROPPED_AT_INJECT));
+            let code = if !self.is_alive(ctx, pk_node(self.entry[id])) {
+                RES_DROPPED_AT_INJECT
             } else if pk_terminal(self.entry[id]) {
-                self.cursor[id] = NEVER;
-                self.resolved
-                    .push((id as u32, cycle, RES_DELIVERED_AT_INJECT));
+                RES_DELIVERED_AT_INJECT
             } else {
                 self.queue_now(id);
                 self.in_network[id] = true;
                 self.injected += 1;
-            }
+                continue;
+            };
+            self.cursor[id] = NEVER;
+            // analyzer: allow(alloc) -- drained by the driver every cycle, so it keeps the capacity of the busiest cycle; the counting-allocator tests prove reruns never reallocate
+            self.resolved.push((id as u32, cycle, code));
         }
     }
 
-    /// Applies due schedule entries (every core holds the full node and
-    /// link schedules, so `killed` agrees across shards), drops packets
-    /// hosted on dead nodes, and wakes every parked packet — mirroring
-    /// `fire_due_faults`. Directed-link kills are marked globally but wake
-    /// only the gates of locally-owned dead slots: parked packets live on
-    /// the shard owning their next-hop slot, so the per-link wake stays a
-    /// local event with no barrier traffic.
-    fn fire_due_faults(&mut self, ctx: &ShardCtx<'_>, cycle: u32) {
+    /// Applies the schedule entries due by `cycle`, before any flit moves
+    /// that cycle, and returns how many nodes and links died. Every core
+    /// holds the full node and link schedules, so the count agrees across
+    /// shards, and a second call in the same cycle finds nothing due.
+    /// Packets hosted on a dying node die with it and give their buffer
+    /// slots back; every parked packet is woken, because its next hop may
+    /// now lead into a dead node. A directed-link kill is a local wake
+    /// event: only the gates of the dead slot are flushed (on the shard
+    /// that owns it, where every packet parked on them lives), and packets
+    /// buffered downstream keep flying — the link died, not the receiving
+    /// buffer — so credit conservation holds per gate with no eviction.
+    fn fire_faults(&mut self, ctx: &ShardCtx<'_>, cycle: u32) -> usize {
+        let mut killed = 0;
         while self.schedule_pos < self.schedule.len() && self.schedule[self.schedule_pos].0 <= cycle
         {
             let (_, node) = self.schedule[self.schedule_pos];
@@ -523,10 +696,10 @@ impl ShardCore {
             if !self.dead[node as usize] {
                 self.dead[node as usize] = true;
                 self.dead_list.push(node);
-                self.killed += 1;
+                killed += 1;
             }
         }
-        if self.killed > 0 {
+        if killed > 0 {
             for id in 0..self.in_network.len() {
                 if self.in_network[id] && self.dead[pk_node(self.entry[id])] {
                     self.resolve(ctx, id, cycle, RES_DROPPED);
@@ -543,7 +716,7 @@ impl ShardCore {
             if !self.dead_link[slot as usize] {
                 self.dead_link[slot as usize] = true;
                 self.dead_link_list.push(slot);
-                self.killed += 1;
+                killed += 1;
             }
         }
         for i in first_new_link..self.dead_link_list.len() {
@@ -557,9 +730,13 @@ impl ShardCore {
                 }
             }
         }
+        killed
     }
 
-    /// The physical node hosted packet `id`'s route ends on.
+    /// The physical node hosted packet `id`'s route ends on — where a
+    /// re-route must aim: the placement image of an implicit packet's
+    /// logical target, or the final entry of a materialized segment.
+    // analyzer: alloc-free
     fn route_target(&self, ctx: &ShardCtx<'_>, id: usize) -> NodeId {
         if self.cursor[id] == IMPLICIT_ACTIVE {
             ctx.implicit.image(ctx.logical_target[id]) as usize
@@ -568,28 +745,15 @@ impl ShardCore {
         }
     }
 
-    /// Fills packed hop slots of `arena[from..to]`, like the single
-    /// engine's `pack_hop_slots` over its path arena.
-    fn pack_hop_slots(&mut self, ctx: &ShardCtx<'_>, from: usize, to: usize) {
-        for i in from..to.saturating_sub(1) {
-            let u = pk_node(self.arena[i]);
-            let v = pk_node(self.arena[i + 1]) as u32;
-            let slot = edge_slot_in(ctx.machine, u, v)
-                // analyzer: allow(expect) -- the BFS route was computed against this CSR, so a missing slot is a search bug; aborting beats simulating a phantom link
-                .expect("re-routes only traverse physical links");
-            let delivers = if i + 2 == to { DELIVERS } else { 0 };
-            self.arena[i] = pk(u as u32, slot as u32) | delivers;
-        }
-        if to > from {
-            let last = pk_node(self.arena[to - 1]) as u32;
-            self.arena[to - 1] = pk(last, NO_SLOT);
-        }
-    }
-
     /// Replaces hosted packet `id`'s remaining route with a BFS path from
-    /// its current node to `target`, spilled into the local arena. Returns
-    /// false (packet untouched) when no healthy path exists.
+    /// its current node to `target` through the surviving machine, spilled
+    /// into the local arena (an implicit packet materializes here: the
+    /// re-route is not a shift-register walk). Returns false (packet
+    /// untouched) when `target` is dead or no healthy path reaches it.
     fn reroute_packet(&mut self, ctx: &ShardCtx<'_>, id: usize, target: NodeId) -> bool {
+        if !self.is_alive(ctx, target) {
+            return false;
+        }
         let here = pk_node(self.entry[id]);
         let machine = ctx.machine;
         let dead = &self.dead;
@@ -605,21 +769,53 @@ impl ShardCore {
         if !found {
             return false;
         }
-        let start = self.arena.len() as u32;
-        self.arena
-            .extend(self.reroute_path.iter().map(|&v| v as u64));
-        let end = self.arena.len();
-        self.pack_hop_slots(ctx, start as usize, end);
+        let (start, end) = spill(&mut self.arena, machine, &self.reroute_path);
         self.cursor[id] = start;
-        self.seg_end[id] = end as u32;
+        self.seg_end[id] = end;
         self.entry[id] = self.arena[start as usize];
         true
+    }
+
+    /// Re-targets every hosted packet at `placement`'s image of its logical
+    /// target and re-routes it — the drain step of online reconfiguration.
+    /// Packets already on the new image deliver, packets with no healthy
+    /// path drop, and every parked packet is woken, since its route just
+    /// changed under it. Returns `(rerouted, delivered_in_place, dropped)`.
+    fn retarget(
+        &mut self,
+        ctx: &ShardCtx<'_>,
+        placement: &Embedding,
+        cycle: u32,
+    ) -> (u64, u64, u64) {
+        let mut counts = (0, 0, 0);
+        for id in 0..self.in_network.len() {
+            let logical = ctx.logical_target[id];
+            if !self.in_network[id] || logical == NO_LOGICAL {
+                continue;
+            }
+            let target = placement.apply(logical as usize);
+            if pk_node(self.entry[id]) == target {
+                self.resolve(ctx, id, cycle, RES_DELIVERED);
+                counts.1 += 1;
+            } else if self.reroute_packet(ctx, id, target) {
+                // The packet stays in the same physical buffer: a re-route
+                // replaces its remaining path, not its position.
+                counts.0 += 1;
+            } else {
+                self.resolve(ctx, id, cycle, RES_DROPPED);
+                counts.2 += 1;
+            }
+        }
+        self.wake_all_parked();
+        counts
     }
 
     /// Advances hosted packet `id` past the hop it just won — for implicit
     /// packets the shared context's O(1) step ([`ImplicitRoute::advance`]),
     /// for materialized ones an arena-cursor bump. Never called on a
     /// delivering hop.
+    #[inline]
+    // analyzer: alloc-free
     fn advance_route(&mut self, ctx: &ShardCtx<'_>, id: usize) {
         let at = self.cursor[id];
         if at == IMPLICIT_ACTIVE {
@@ -640,6 +836,7 @@ impl ShardCore {
     /// another shard — to its new host at the cycle barrier. Its route
     /// state travels in the flit; its occupied buffer slot stays recorded
     /// (globally) and drains back to this shard when the packet next moves.
+    // analyzer: alloc-free
     fn emigrate(&mut self, ctx: &ShardCtx<'_>, id: usize, now: usize) {
         let out = &mut self.out[shard_of(now, ctx.n, ctx.shards)];
         let path_len = if self.cursor[id] == IMPLICIT_ACTIVE {
@@ -655,6 +852,7 @@ impl ShardCore {
             self.blocked_since[id] == NEVER,
             "blocked span crossed a barrier"
         );
+        // analyzer: allow(alloc) -- the per-destination barrier buffer keeps its capacity for the core's life; the counting-allocator tests prove reruns never reallocate
         out.flits.push(Flit {
             id: id as u32,
             entry: self.entry[id],
@@ -673,9 +871,10 @@ impl ShardCore {
     /// returns into the timed FIFO (due `now + packet_flits - 1`, i.e. the
     /// same `generating_cycle + packet_flits` a local return would carry)
     /// and in-migrating flits into the hosted table, queued for this
-    /// cycle's examination — the same timing a mover has in the
-    /// single-table engine. `path_words` holds the materialized flits'
-    /// remaining paths in flit order.
+    /// cycle's examination — the same timing a mover has when it stays on
+    /// its shard. `path_words` holds the materialized flits' remaining
+    /// paths in flit order.
+    // analyzer: alloc-free
     fn apply_inbound(&mut self, flits: &[Flit], path_words: &[u64], credits: &[u32], now: u32) {
         let due = now + self.packet_flits - 1;
         for &g in credits {
@@ -762,30 +961,40 @@ impl ShardCore {
         self.vc_hol_blocked_cycles.fill(0);
     }
 
-    /// One shard's share of a cycle, phase-for-phase identical to the
-    /// single-table engine's `step`: apply due credits, wake due served
+    /// One shard's share of a cycle: apply due credits, wake due served
     /// slots, inject due packets, fire due faults, then examine queued
     /// packets in ascending id order.
+    // analyzer: alloc-free
     fn phase(&mut self, ctx: &ShardCtx<'_>, cycle: u32) {
         self.moved = 0;
         self.injected = 0;
-        self.killed = 0;
         self.rerouted = 0;
-        self.apply_pending_credits(cycle);
+        self.credits_applied = self.apply_pending_credits(cycle);
         self.apply_due_serves(cycle);
         self.inject_due(ctx, cycle);
-        self.fire_due_faults(ctx, cycle);
+        // analyzer: trusted-call -- grows dead_list only when a scheduled fault fires; cold by design
+        self.killed = self.fire_faults(ctx, cycle);
         self.exam(ctx, cycle);
     }
 
-    /// The examination pass (the single engine's `step` body) over this
-    /// shard's queued packets.
+    /// The examination pass over this shard's queued packets: every packet
+    /// whose gating resources could have changed is examined in age order,
+    /// and moves when it wins its output port, its link and (under credit
+    /// flow control) a free downstream buffer slot on its VC. A packet that
+    /// fails on a full buffer parks on that gate's blocked queue; a packet
+    /// that fails on a per-cycle claim is re-examined next cycle.
+    // analyzer: alloc-free
     fn exam(&mut self, ctx: &ShardCtx<'_>, stamp: u32) {
         let credit_based = self.flow_depth > 0;
         let vcs = self.vcs;
         let pf = self.packet_flits;
         let track_vc = self.track_vc;
+        // Loaded paths never cross statically-faulty processors, so the
+        // dead-next-hop check only matters once a dynamic fault has fired.
         let hazard = !self.dead_list.is_empty() || !self.dead_link_list.is_empty();
+        // Examine the queued packets in ascending id order (= age order),
+        // clearing each bitmap word as it is consumed; survivors set their
+        // bit in the next-cycle bitmap, which is all-zero on entry.
         for wi in 0..self.queued_now.len() {
             let mut word = self.queued_now[wi];
             if word == 0 {
@@ -797,14 +1006,20 @@ impl ShardCore {
                 let id = base + word.trailing_zeros() as usize;
                 word &= word - 1;
                 if self.cursor[id] == NEVER {
+                    // Resolved while queued (fault kill, re-target): skip.
                     continue;
                 }
                 let entry = self.entry[id];
                 let slot = pk_slot(entry) as usize;
                 debug_assert!(slot >= self.slot_lo && slot < self.slot_hi, "foreign slot");
                 if hazard {
+                    // The next node on the route is the CSR target of the
+                    // cached hop slot.
                     let next = ctx.machine.graph().csr().1[slot] as usize;
                     if self.dead[next] || self.dead_link[slot] {
+                        // The precomputed route runs into a node (or
+                        // crosses a directed link) that died after the
+                        // route was computed.
                         match ctx.fault_response {
                             FaultResponse::Drop => {
                                 self.resolve(ctx, id, stamp, RES_DROPPED);
@@ -812,17 +1027,20 @@ impl ShardCore {
                             }
                             FaultResponse::RerouteAdaptive => {
                                 let target = self.route_target(ctx, id);
-                                if !self.is_alive(ctx, target)
-                                    || !self.reroute_packet(ctx, id, target)
-                                {
+                                // analyzer: trusted-call -- BFS re-route runs only after a dynamic fault; cold by design
+                                if !self.reroute_packet(ctx, id, target) {
                                     self.resolve(ctx, id, stamp, RES_DROPPED);
                                     continue;
                                 }
                                 self.rerouted += 1;
                                 if self.cursor[id] + 1 == self.seg_end[id] {
+                                    // The oblivious route revisited the
+                                    // target and the packet was sitting on
+                                    // it: the re-route is the empty path.
                                     self.resolve(ctx, id, stamp, RES_DELIVERED);
                                     continue;
                                 }
+                                // Rerouted this cycle; it may move next cycle.
                                 self.queued_next[wi] |= 1u64 << (id & 63);
                                 continue;
                             }
@@ -833,28 +1051,41 @@ impl ShardCore {
                 let ls = slot - self.slot_lo;
                 let vc = self.vc[id] as usize;
                 let lg = ls * vcs + vc;
-                // The physical link claim lives at the slot's VC-0 gate and
-                // holds for `packet_flits` cycles, exactly like the single
-                // engine (`claim != stamp` for single-flit packets).
+                // The physical link (and, under `SinglePort`, the output
+                // port) is free when its last claim has fully streamed —
+                // `packet_flits` cycles. Claims never exceed the current
+                // stamp, so for single-flit packets this is `claim != stamp`.
                 let link_claim = self.links[ls * vcs].claim;
                 let link_free = link_claim == NEVER || stamp - link_claim >= pf;
                 let port_claim = self.node_claim[here - self.node_lo];
                 let port_free = !ctx.single_port || port_claim == NEVER || stamp - port_claim >= pf;
                 let credit_free = !credit_based || self.links[lg].credits > 0;
                 if port_free && credit_free && link_free {
+                    // Claim and move (the head flit; under wormhole the body
+                    // streams behind it, keeping the link busy for
+                    // `packet_flits` cycles).
                     self.links[ls * vcs].claim = stamp;
                     if ctx.single_port {
                         self.node_claim[here - self.node_lo] = stamp;
                     }
                     if credit_based {
+                        // Take a slot downstream on this packet's VC; the
+                        // slot vacated upstream returns to its gate once the
+                        // tail flit clears it.
                         self.links[lg].credits -= 1;
                         let prev = self.occupied_slot[id];
                         if prev != NO_SLOT {
-                            self.return_credit_global(ctx, prev, stamp);
+                            self.return_credit(ctx, prev, stamp);
                         }
                         self.occupied_slot[id] = (slot * vcs + vc) as u32;
                     }
                     if ctx.park || pf > 1 {
+                        // Whoever queues behind this move wakes when the
+                        // claim expires. Under wormhole the pending entry is
+                        // also the quiescence witness for the streaming
+                        // body, which the naive rescan's deadlock proof
+                        // needs too.
+                        // analyzer: allow(alloc) -- capacity reserved at construction and kept across cycles; the counting-allocator tests prove the cycle loop never reallocates
                         self.served_fifo.push((stamp + pf, ls as u32));
                     }
                     self.moved += 1;
@@ -863,12 +1094,15 @@ impl ShardCore {
                         self.note_unblocked(id, stamp);
                     }
                     if entry & DELIVERS != 0 {
+                        // Consumed at the target: the just-taken slot drains
+                        // too (its credit also returns after the tail).
                         self.resolve(ctx, id, stamp, RES_DELIVERED);
                     } else {
                         self.advance_route(ctx, id);
                         let now = pk_node(self.entry[id]);
-                        // Dateline rule, identical to the single engine: a
-                        // label-descending hop bumps the VC (capped).
+                        // Dateline rule: a hop that descends the physical
+                        // label closes a de Bruijn shift cycle, so the
+                        // packet moves up one VC (capped at the top).
                         if track_vc
                             && vc + 1 < vcs
                             && implicit_route::dateline_crossing(here as u32, now as u32)
@@ -884,19 +1118,28 @@ impl ShardCore {
                 } else if ctx.park
                     && (!credit_free || (link_claim == stamp && self.blocked_head[lg] != NONE_ID))
                 {
+                    // Blocked on the gate itself: zero credits on this VC's
+                    // buffer (which only return at a cycle boundary), or a
+                    // link claim lost while the gate already has a queue.
+                    // Parking is exact: the sorted queue's head is woken by
+                    // the credit return or the served-slot claim expiry, and
+                    // nothing behind the head could have moved anyway. A
+                    // claim loser finding an empty queue just retries — a
+                    // one-cycle wait is cheaper as a rescan than as a
+                    // park/wake round trip.
                     self.note_blocked(id, stamp);
                     self.park_on_slot(id, lg);
                 } else {
+                    // Blocked on the node's output port alone (`SinglePort`),
+                    // on a still-streaming wormhole body, or running the
+                    // naive rescan: re-examine next cycle, when per-cycle
+                    // claims expire.
                     self.note_blocked(id, stamp);
                     self.queued_next[wi] |= 1u64 << (id & 63);
                 }
             }
         }
         std::mem::swap(&mut self.queued_now, &mut self.queued_next);
-    }
-
-    fn injects_done(&self) -> bool {
-        self.inject_pos >= self.pending_inject.len()
     }
 }
 
@@ -927,20 +1170,72 @@ struct WorkerOut {
     shard: u32,
     moved: u64,
     injected: u64,
+    credits_applied: u64,
     killed: usize,
     rerouted: u64,
+    pending_injections: u64,
     resolved: Vec<(u32, u32, u8)>,
     batches: Vec<BoundaryBatch>,
-    pending_empty: bool,
-    injects_done: bool,
-    schedule_done: bool,
+    /// The core's timers before the barrier; credits shipped across the
+    /// barrier are checked separately.
+    timers_idle: bool,
 }
 
-/// The sharded wake-list congestion engine. See the module docs for the
-/// partition and the equivalence argument; see [`super::CongestionSim`] for
-/// the cycle model. `shards = 1, threads = 1` degenerates to the single
-/// engine (modulo layout); reports are byte-identical in every
-/// configuration.
+/// Per-packet run outcomes and the counters derived from them, written
+/// only by the driver as it drains the cores' resolutions.
+#[derive(Default)]
+struct Outcomes {
+    delivered_at: Vec<u32>,
+    dropped_at: Vec<u32>,
+    /// Latencies of delivered packets, in resolution order (the report
+    /// sorts them).
+    latencies: Vec<u32>,
+    delivered: u64,
+    dropped: u64,
+    /// Packets in the network (injected, not yet delivered or dropped).
+    live: u64,
+}
+
+impl Outcomes {
+    /// Applies one drained resolution.
+    // analyzer: alloc-free
+    fn apply(&mut self, inject_at: &[u32], (id, cycle, code): (u32, u32, u8)) {
+        let id = id as usize;
+        if code & 1 == 1 {
+            self.delivered_at[id] = cycle;
+            self.delivered += 1;
+            // analyzer: allow(alloc) -- capacity reserved at load; the counting-allocator tests prove the cycle loop never reallocates
+            self.latencies.push(cycle - inject_at[id]);
+        } else {
+            self.dropped_at[id] = cycle;
+            self.dropped += 1;
+        }
+        if code < RES_DROPPED_AT_INJECT {
+            self.live -= 1;
+        }
+    }
+
+    /// Applies every resolution the cores hold, in core order.
+    // analyzer: alloc-free
+    fn take_resolutions(&mut self, inject_at: &[u32], cores: &mut [ShardCore]) {
+        for core in cores {
+            for res in core.resolved.drain(..) {
+                self.apply(inject_at, res);
+            }
+        }
+    }
+}
+
+/// The congestion engine. See the module docs for the partition and the
+/// equivalence argument, and [`super`] for the cycle model. With
+/// `shards = 1` it is the single-table engine ([`super::CongestionSim`]);
+/// reports are byte-identical in every configuration.
+///
+/// Lifecycle: [`ShardedSim::new`] → `load_*` workload →
+/// ([`ShardedSim::schedule_fault`])* → [`ShardedSim::run`] (or
+/// [`ShardedSim::step`] in a driver loop) → [`ShardedSim::report`].
+/// [`ShardedSim::clear_workload`] discards the workload (keeping the
+/// machine and the engine's capacity) so one engine can serve many loads.
 pub struct ShardedSim {
     machine: PhysicalMachine,
     config: CongestionConfig,
@@ -953,35 +1248,41 @@ pub struct ShardedSim {
     slot_start: Vec<u32>,
     cores: Vec<ShardCore>,
     // --- global packet table (driver-owned) -------------------------------
+    /// Injection cycle per packet (0 for the batch `load_*` APIs).
     inject_at: Vec<u32>,
+    /// Logical target per packet (`NO_LOGICAL` for packets dropped at
+    /// load); lets the recovery driver re-target packets after a
+    /// reconfiguration.
     logical_target: Vec<u32>,
-    delivered_at: Vec<u32>,
-    dropped_at: Vec<u32>,
-    latencies: Vec<u32>,
-    // --- implicit context -------------------------------------------------
+    outcomes: Outcomes,
+    /// The implicit context (mask, placement and successor-slot table) of
+    /// the oblivious loads; a later load through a *different* context
+    /// falls back to materialized paths rather than mixing generators.
     implicit: ImplicitRoute,
     // --- run state --------------------------------------------------------
-    delivered: u64,
-    dropped: u64,
-    live: u64,
     total_flits: u64,
     cycle: u32,
+    /// Set when the stop rule proves that no flit can ever move again.
     deadlocked: bool,
+    /// Logical sources behind the last timed load (0 = none): open-loop
+    /// rates are per *logical* source, which on `B^k(2,h)` hosts is fewer
+    /// than the physical node count.
     open_loop_sources: u32,
     /// Latest injection cycle queued by a timed load, for the cross-load
-    /// append assert (mirrors the single engine's check).
+    /// ordering assert.
     last_queued_inject: Option<u32>,
 }
 
 impl ShardedSim {
-    /// Creates a sharded engine over `machine` with `shards` contiguous
-    /// node partitions, run by one worker thread per shard when
-    /// `threads > 1` (and serially, still shard-by-shard, otherwise).
+    /// Creates an engine over `machine` with `shards` contiguous node
+    /// partitions, run by one worker thread per shard when `threads > 1`
+    /// (and serially, still shard-by-shard, otherwise). The machine's
+    /// static fault set (if any) is honoured at load time; dynamic faults
+    /// are layered on top via [`ShardedSim::schedule_fault`].
     ///
     /// # Panics
-    /// Panics when `shards == 0` or when `config` asks for materialized
-    /// routes — the sharded engine carries O(1) implicit route state only;
-    /// use [`super::CongestionSim`] for materialized loads.
+    /// Panics when `shards == 0` or when `config` asks for an empty buffer,
+    /// no virtual channel or an empty wormhole train.
     pub fn new(
         machine: PhysicalMachine,
         config: CongestionConfig,
@@ -989,11 +1290,6 @@ impl ShardedSim {
         threads: usize,
     ) -> Self {
         assert!(shards >= 1, "at least one shard");
-        assert!(
-            config.route_source == RouteSource::Implicit,
-            "the sharded engine carries O(1) implicit route state only; \
-             use CongestionSim for materialized loads"
-        );
         let (flow_depth, vcs, packet_flits) = match config.flow_control {
             FlowControl::Infinite => (0, 1, 1),
             FlowControl::CreditBased { buffer_depth } => {
@@ -1060,13 +1356,8 @@ impl ShardedSim {
             cores,
             inject_at: Vec::new(),
             logical_target: Vec::new(),
-            delivered_at: Vec::new(),
-            dropped_at: Vec::new(),
-            latencies: Vec::new(),
+            outcomes: Outcomes::default(),
             implicit: ImplicitRoute::default(),
-            delivered: 0,
-            dropped: 0,
-            live: 0,
             total_flits: 0,
             cycle: 0,
             deadlocked: false,
@@ -1100,22 +1391,41 @@ impl ShardedSim {
         }
     }
 
-    /// `(injected, delivered, dropped, in_flight)` so far.
+    /// `(injected, delivered, dropped, in_flight)` — the conservation
+    /// invariant `delivered + dropped + in_flight + pending_injections ==
+    /// injected` holds after every load and step (for the batch `load_*`
+    /// APIs `pending_injections` is always 0).
     pub fn counts(&self) -> (u64, u64, u64, u64) {
         (
             self.inject_at.len() as u64,
-            self.delivered,
-            self.dropped,
-            self.live,
+            self.outcomes.delivered,
+            self.outcomes.dropped,
+            self.outcomes.live,
         )
+    }
+
+    /// Packets loaded with a future injection cycle that have not entered
+    /// the network yet.
+    // analyzer: alloc-free
+    pub fn pending_injections(&self) -> u64 {
+        self.cores.iter().map(ShardCore::pending_injections).sum()
+    }
+
+    /// Whether the run so far ended in a proven hard buffer deadlock.
+    pub fn deadlocked(&self) -> bool {
+        self.deadlocked
+    }
+
+    /// Logical sources behind the last timed load (0 = none loaded).
+    pub(crate) fn open_loop_sources(&self) -> u32 {
+        self.open_loop_sources
     }
 
     /// Discards the loaded workload, both fault schedules and the implicit
     /// context, keeping the machine, every buffer's capacity and each
     /// core's warmed re-route search, so one engine can `load_*` and run
-    /// many workloads — the counterpart of
-    /// [`super::CongestionSim::clear_workload`]. The next load may come
-    /// through a different placement.
+    /// many workloads (the parallel sweep harness keeps one engine per
+    /// worker). The next load may come through a different placement.
     pub fn clear_workload(&mut self) {
         for core in &mut self.cores {
             core.clear_workload();
@@ -1123,16 +1433,16 @@ impl ShardedSim {
         for table in [
             &mut self.inject_at,
             &mut self.logical_target,
-            &mut self.delivered_at,
-            &mut self.dropped_at,
-            &mut self.latencies,
+            &mut self.outcomes.delivered_at,
+            &mut self.outcomes.dropped_at,
+            &mut self.outcomes.latencies,
         ] {
             table.clear();
         }
         self.implicit.clear();
-        self.delivered = 0;
-        self.dropped = 0;
-        self.live = 0;
+        self.outcomes.delivered = 0;
+        self.outcomes.dropped = 0;
+        self.outcomes.live = 0;
         self.total_flits = 0;
         self.cycle = 0;
         self.deadlocked = false;
@@ -1140,34 +1450,32 @@ impl ShardedSim {
         self.last_queued_inject = None;
     }
 
-    /// Appends one implicit packet, mirroring the single engine's
-    /// `push_packet_implicit` + `push_outcome` semantics with the hosted
-    /// state placed in the home shard only. The loader has already grown
-    /// every core's packet arrays past this id.
-    fn push_implicit(&mut self, s: u32, t: u32, inject_cycle: u32) {
+    /// Appends the outcome bookkeeping of packet `id == inject_at.len()`,
+    /// whose route state is already in `home`'s core: a zero-hop packet
+    /// injected at load is delivered on the spot (latency 0), a timed one
+    /// waits in its home core's injection queue, and every other packet is
+    /// live from cycle 0.
+    fn admit(&mut self, home: usize, t: u32, inject_cycle: u32) {
         let id = self.inject_at.len();
-        let (entry, pos, rem) = self.implicit.first_entry(&self.machine, s, t);
-        let zero_hop = pk_terminal(entry);
         self.inject_at.push(inject_cycle);
         self.logical_target.push(t);
-        let home = shard_of(pk_node(entry), self.machine.node_count(), self.shards);
+        self.outcomes.dropped_at.push(NEVER);
         let core = &mut self.cores[home];
-        core.entry[id] = entry;
-        core.imp_pos[id] = pos;
-        core.imp_rem[id] = rem;
-        if zero_hop && inject_cycle == 0 {
-            self.delivered_at.push(0);
-            self.dropped_at.push(NEVER);
-            self.delivered += 1;
-            self.latencies.push(0);
+        if pk_terminal(core.entry[id]) && inject_cycle == 0 {
+            // Loading precedes any dynamic fault, so the batch semantics
+            // deliver a packet born on its target at injection.
+            core.cursor[id] = NEVER;
+            self.outcomes.delivered_at.push(0);
+            self.outcomes.delivered += 1;
+            self.outcomes.latencies.push(0);
         } else {
-            self.delivered_at.push(NEVER);
-            self.dropped_at.push(NEVER);
-            core.cursor[id] = IMPLICIT_ACTIVE;
+            // Timed zero-hop packets resolve at their injection cycle, in
+            // `inject_due` — by then their source may have died.
+            self.outcomes.delivered_at.push(NEVER);
             if inject_cycle == 0 {
                 core.queue_now(id);
                 core.in_network[id] = true;
-                self.live += 1;
+                self.outcomes.live += 1;
             } else {
                 core.pending_inject.push(id as u32);
                 self.last_queued_inject = Some(inject_cycle);
@@ -1176,18 +1484,21 @@ impl ShardedSim {
     }
 
     /// Records a packet that could not be routed at load time: injected and
-    /// immediately dropped, like the single engine's `push_dead_packet`.
+    /// immediately dropped (mirroring the static kernels' accounting,
+    /// where infeasible packets count as dropped).
     fn push_dead(&mut self, inject_cycle: u32) {
         self.inject_at.push(inject_cycle);
         self.logical_target.push(NO_LOGICAL);
-        self.delivered_at.push(NEVER);
-        self.dropped_at.push(inject_cycle);
-        self.dropped += 1;
+        self.outcomes.delivered_at.push(NEVER);
+        self.outcomes.dropped_at.push(inject_cycle);
+        self.outcomes.dropped += 1;
     }
 
     /// Loads a workload of logical pairs routed with the oblivious de
-    /// Bruijn scheme through `placement`; see
-    /// [`super::CongestionSim::load_oblivious`]. Every packet is implicit.
+    /// Bruijn scheme through `placement`. Pairs whose fixed route is
+    /// infeasible on the machine as loaded (faulty node, missing link,
+    /// out-of-range endpoint, a node a short placement does not map) are
+    /// injected as immediately-dropped packets.
     pub fn load_oblivious(
         &mut self,
         db: &DeBruijn2,
@@ -1197,50 +1508,95 @@ impl ShardedSim {
         self.load_oblivious_packets(db, placement, pairs.iter().map(|&(s, t)| (0, s, t)));
     }
 
-    /// The loop behind both oblivious loaders, sized once per load: every
-    /// route is checked at the tier [`routing::workload_trust`] proves for
-    /// the (machine, placement) pair, as in the single engine's loader.
+    /// The loop behind both oblivious loaders: `(inject_cycle, source,
+    /// target)` packets, validated and appended in order, each hosted by
+    /// the core owning its source.
     fn load_oblivious_packets(
         &mut self,
         db: &DeBruijn2,
         placement: &Embedding,
         packets: impl ExactSizeIterator<Item = (u32, NodeId, NodeId)>,
     ) {
-        // Unlike the single engine there is no materialized fallback, so a
-        // second load through a different placement or radix is an error.
-        let captured = self.implicit.capture(db, placement, &self.machine);
-        assert!(
-            captured,
-            "the sharded engine cannot mix implicit contexts; route every \
-             load through one placement (CongestionSim materializes instead)"
-        );
-        let trust = routing::workload_trust(db, placement, &self.machine);
+        // A context mismatch (a second load through a different placement
+        // or radix) loads materialized paths, so the generator state of
+        // the packets already loaded stays well-defined.
+        let implicit = self.config.route_source == RouteSource::Implicit
+            && self.implicit.capture(db, placement, &self.machine);
+        // Route feasibility belongs to the (machine, placement) pair, so an
+        // implicit load proves it once, in O(V + E), and then checks each
+        // packet at the tier that proof earned. Materialized packets store
+        // the walked path, so they always walk.
+        let trust = if implicit {
+            routing::workload_trust(db, placement, &self.machine)
+        } else {
+            Trust::Checked
+        };
         let added = packets.len();
         let total = self.inject_at.len() + added;
         for core in &mut self.cores {
             core.resize_packets(total);
+            if !implicit {
+                // Sources spread evenly over the shards; a route holds at
+                // most h + 1 nodes.
+                core.arena
+                    .reserve(added.div_ceil(self.shards) * (db.h() + 1));
+            }
         }
         for table in [
             &mut self.inject_at,
             &mut self.logical_target,
-            &mut self.delivered_at,
-            &mut self.dropped_at,
-            &mut self.latencies,
+            &mut self.outcomes.delivered_at,
+            &mut self.outcomes.dropped_at,
+            &mut self.outcomes.latencies,
         ] {
             table.reserve(added);
         }
-        let mut path = Vec::new();
+        let n = self.machine.node_count();
+        let mut path = Vec::with_capacity(db.h() + 1);
         for (cycle, s, t) in packets {
-            match trust.check_route(db, placement, &self.machine, s, t, &mut path) {
-                Ok(()) => self.push_implicit(s as u32, t as u32, cycle),
-                Err(_) => self.push_dead(cycle),
+            if trust
+                .check_route(db, placement, &self.machine, s, t, &mut path)
+                .is_err()
+            {
+                self.push_dead(cycle);
+                continue;
             }
+            let id = self.inject_at.len();
+            let home = if implicit {
+                let (entry, pos, rem) =
+                    self.implicit.first_entry(&self.machine, s as u32, t as u32);
+                let home = shard_of(pk_node(entry), n, self.shards);
+                let core = &mut self.cores[home];
+                core.entry[id] = entry;
+                core.imp_pos[id] = pos;
+                core.imp_rem[id] = rem;
+                core.cursor[id] = IMPLICIT_ACTIVE;
+                home
+            } else {
+                let home = shard_of(path.first().copied().unwrap_or(0), n, self.shards);
+                let core = &mut self.cores[home];
+                let (start, end) = spill(&mut core.arena, &self.machine, &path);
+                core.entry[id] = core.arena[start as usize];
+                core.cursor[id] = start;
+                core.seg_end[id] = end;
+                home
+            };
+            self.admit(home, t as u32, cycle);
         }
     }
 
-    /// Loads an open-loop schedule of `(inject_cycle, source, target)`
-    /// logical triples; see
-    /// [`super::CongestionSim::load_oblivious_timed`].
+    /// Loads an open-loop workload: `(inject_cycle, source, target)` logical
+    /// triples (non-decreasing in cycle, as produced by
+    /// [`crate::workload::open_loop_injections`]), each routed with the
+    /// oblivious de Bruijn scheme through `placement` at load time. A packet
+    /// enters its source's (unbounded) injection queue at `inject_cycle`
+    /// and competes for the first link's output port — and, under credit
+    /// flow control, the first link's buffer credit — from that cycle on.
+    ///
+    /// # Panics
+    /// Panics when the schedule is unsorted or starts before a schedule
+    /// already queued by an earlier load (it would inject late instead of
+    /// on time).
     pub fn load_oblivious_timed(
         &mut self,
         db: &DeBruijn2,
@@ -1265,8 +1621,9 @@ impl ShardedSim {
         self.load_oblivious_packets(db, placement, injections.iter().copied());
     }
 
-    /// Schedules processor `node` to die at the start of `cycle`. Every
-    /// core carries the full schedule (hazard checks need remote deads).
+    /// Schedules processor `node` to die at the *start* of `cycle` (before
+    /// any flit moves that cycle). Every core carries the full schedule
+    /// (hazard checks need remote deads).
     ///
     /// # Panics
     /// Panics if `node` is out of range.
@@ -1278,11 +1635,11 @@ impl ShardedSim {
         }
     }
 
-    /// Schedules the directed link `from -> to` to die at the start of
-    /// `cycle` — the sharded counterpart of
-    /// [`super::CongestionSim::schedule_link_fault`]. Every core carries the
-    /// full link schedule (the hazard check needs remote dead links); the
-    /// kill's wake event stays local to the slot's owning shard.
+    /// Schedules the directed link `from -> to` to die at the *start* of
+    /// `cycle`. The reverse direction keeps carrying flits unless scheduled
+    /// separately. Every core carries the full link schedule (the hazard
+    /// check needs remote dead links); the kill's wake event stays local
+    /// to the slot's owning shard.
     ///
     /// # Panics
     /// Panics when the directed link does not exist in the machine's graph.
@@ -1308,7 +1665,9 @@ impl ShardedSim {
     }
 
     /// Schedules every directed slot in `faults` to die at the start of
-    /// `cycle`; the bulk form of [`ShardedSim::schedule_link_fault_slot`].
+    /// `cycle` — the bulk entry point for the correlated generators
+    /// ([`LinkFaultSet::bernoulli`], [`LinkFaultSet::burst`],
+    /// [`LinkFaultSet::from_node_faults`]).
     ///
     /// # Panics
     /// Panics when `faults` was built over a different graph (slot universe
@@ -1328,37 +1687,148 @@ impl ShardedSim {
         }
     }
 
-    /// Applies one drained resolution to the global packet table. Takes the
-    /// table's fields individually (not `&mut self`) so the run loops can
-    /// call it while `self.cores` is mutably borrowed.
-    #[allow(clippy::too_many_arguments)]
-    fn apply_resolution(
-        inject_at: &[u32],
-        delivered_at: &mut [u32],
-        dropped_at: &mut [u32],
-        latencies: &mut Vec<u32>,
-        delivered: &mut u64,
-        dropped: &mut u64,
-        live: &mut u64,
-        (id, cyc, code): (u32, u32, u8),
-    ) {
-        let id = id as usize;
-        if code & 1 == 1 {
-            delivered_at[id] = cyc;
-            *delivered += 1;
-            latencies.push(cyc - inject_at[id]);
-        } else {
-            dropped_at[id] = cyc;
-            *dropped += 1;
+    /// The dynamic faults applied so far, merged with the machine's static
+    /// fault set — the set a diagnosing runtime would hand to
+    /// `reconfigure_verified`.
+    pub fn current_fault_set(&self) -> FaultSet {
+        let mut faults = FaultSet::empty(self.machine.node_count());
+        for f in self.machine.faults().iter() {
+            faults.add(f);
         }
-        if code < RES_DROPPED_AT_INJECT {
-            *live -= 1;
+        for &d in self.cores.first().map_or(&[][..], |c| &c.dead_list[..]) {
+            faults.add(d as usize);
         }
+        faults
+    }
+
+    /// Splits the engine into the read-only cycle context, the cores and
+    /// the driver's outcome table.
+    // analyzer: alloc-free
+    fn parts(&mut self) -> (ShardCtx<'_>, &mut [ShardCore], &mut Outcomes) {
+        let ctx = ShardCtx {
+            machine: &self.machine,
+            slot_start: &self.slot_start,
+            inject_at: &self.inject_at,
+            logical_target: &self.logical_target,
+            implicit: &self.implicit,
+            n: self.machine.node_count(),
+            shards: self.shards,
+            single_port: self.machine.port_model() == PortModel::SinglePort,
+            park: self.config.engine == EngineKind::WakeList,
+            fault_response: self.config.fault_response,
+        };
+        (ctx, &mut self.cores, &mut self.outcomes)
+    }
+
+    /// Fires the node and link kills due this cycle ahead of
+    /// [`ShardedSim::step`], so a recovery driver can reconfigure and
+    /// re-target *before* the fault-cycle movement. The packets lost with
+    /// a dying node are in [`ShardedSim::counts`] when this returns. Returns
+    /// how many nodes and links died; a second call in the same cycle (and
+    /// the step that follows) finds nothing left to fire.
+    pub fn fire_due_faults(&mut self) -> usize {
+        let cycle = self.cycle;
+        let (ctx, cores, outcomes) = self.parts();
+        let mut fired = 0;
+        for core in cores.iter_mut() {
+            fired = core.fire_faults(&ctx, cycle);
+        }
+        outcomes.take_resolutions(ctx.inject_at, cores);
+        fired
+    }
+
+    /// Re-targets every in-flight packet at `placement`'s image of its
+    /// logical target and re-routes it adaptively — the drain step of
+    /// online reconfiguration. Packets without a healthy path (and packets
+    /// already at the new image) resolve immediately; every parked packet
+    /// is woken, since its route just changed under it. Returns
+    /// `(rerouted, delivered_in_place, dropped)`.
+    pub fn retarget_and_reroute(&mut self, placement: &Embedding) -> (u64, u64, u64) {
+        let cycle = self.cycle;
+        let (ctx, cores, outcomes) = self.parts();
+        let mut totals = (0, 0, 0);
+        for core in cores.iter_mut() {
+            let (rerouted, delivered, dropped) = core.retarget(&ctx, placement, cycle);
+            totals.0 += rerouted;
+            totals.1 += delivered;
+            totals.2 += dropped;
+        }
+        outcomes.take_resolutions(ctx.inject_at, cores);
+        totals
+    }
+
+    /// Simulates one cycle serially, whatever the thread count: every
+    /// core applies its due credits and claim expiries, injects due
+    /// packets, fires due faults and runs its examination pass; then the
+    /// barrier hands each core its inbound flits and credits (landing at
+    /// the start of the next cycle) and the driver applies the cycle's
+    /// resolutions. Returns a summary of what happened;
+    /// [`CycleEvents::is_idle`] is true only when the run has drained.
+    // analyzer: alloc-free
+    pub fn step(&mut self) -> CycleEvents {
+        let cycle = self.cycle;
+        let (ctx, cores, outcomes) = self.parts();
+        let mut events = CycleEvents {
+            cycle,
+            moved: 0,
+            injected: 0,
+            credits_applied: 0,
+            faults_fired: 0,
+            rerouted: 0,
+            live: 0,
+            pending_injections: 0,
+        };
+        for core in cores.iter_mut() {
+            core.phase(&ctx, cycle);
+            events.moved += core.moved;
+            events.injected += core.injected;
+            events.credits_applied += core.credits_applied;
+            events.faults_fired = core.killed;
+            events.rerouted += core.rerouted;
+        }
+        // Injections enter the network before any resolution of the same
+        // cycle.
+        outcomes.live += events.injected;
+        // The barrier: each destination core adopts its inbound traffic in
+        // ascending source order (the loop nest is the `(dst, src)` merge
+        // order), straight from the senders' buffers, which are then
+        // emptied in place.
+        for dst in 0..cores.len() {
+            let (lower, rest) = cores.split_at_mut(dst);
+            let Some((core, upper)) = rest.split_first_mut() else {
+                continue;
+            };
+            for sender in lower.iter_mut().chain(upper.iter_mut()) {
+                let out = &mut sender.out[dst];
+                core.apply_inbound(&out.flits, &out.path_words, &out.credits, cycle + 1);
+                out.clear();
+            }
+        }
+        outcomes.take_resolutions(ctx.inject_at, cores);
+        self.total_flits += events.moved * self.packet_flits as u64;
+        self.cycle += 1;
+        events.live = self.outcomes.live;
+        events.pending_injections = self.pending_injections();
+        events
+    }
+
+    /// Applies the stop rule to the cycle `events` summarizes (with any
+    /// faults or re-routes a driver ran ahead of [`ShardedSim::step`]
+    /// folded in), recording a proven deadlock. Returns whether the run
+    /// must stop.
+    // analyzer: alloc-free
+    pub(crate) fn detect_deadlock(&mut self, events: &CycleEvents) -> bool {
+        let idle = self.cores.iter().all(ShardCore::timers_idle);
+        if proves_deadlock(events, idle) {
+            self.deadlocked = true;
+        }
+        self.deadlocked
     }
 
     /// Steps until cycle `horizon` (capped by `max_cycles`), the workload
-    /// drains, or a hard deadlock is proven — the sharded counterpart of
-    /// [`super::CongestionSim::run_until`].
+    /// drains, or the stop rule proves a hard deadlock. Serial and
+    /// threaded runs are byte-identical; neither allocates per cycle on
+    /// the serial path.
     pub fn run_until(&mut self, horizon: u32) {
         let horizon = horizon.min(self.config.max_cycles);
         if self.threads > 1 && self.shards > 1 {
@@ -1368,94 +1838,11 @@ impl ShardedSim {
         }
     }
 
+    // analyzer: alloc-free
     fn run_serial(&mut self, horizon: u32) {
-        while (self.live > 0 || self.cores.iter().any(|c| !c.injects_done()))
-            && self.cycle < horizon
-        {
-            let ctx = ShardCtx {
-                machine: &self.machine,
-                slot_start: &self.slot_start,
-                inject_at: &self.inject_at,
-                logical_target: &self.logical_target,
-                implicit: &self.implicit,
-                n: self.machine.node_count(),
-                shards: self.shards,
-                single_port: self.machine.port_model() == PortModel::SinglePort,
-                park: self.config.engine == EngineKind::WakeList,
-                fault_response: self.config.fault_response,
-            };
-            let cycle = self.cycle;
-            let mut moved = 0u64;
-            let mut injected = 0u64;
-            let mut rerouted = 0u64;
-            for core in &mut self.cores {
-                core.phase(&ctx, cycle);
-                moved += core.moved;
-                injected += core.injected;
-                rerouted += core.rerouted;
-            }
-            let killed = self.cores.first().map_or(0, |c| c.killed);
-            // Injections enter the network before any resolution of the
-            // same cycle (the engine's in_flight += 1 at injection).
-            self.live += injected;
-            // The barrier: each destination core adopts its inbound traffic
-            // in ascending source order (the loop nest is the `(dst, src)`
-            // merge order), straight from the senders' buffers, which are
-            // then emptied in place. Inbound traffic lands at the start of
-            // the *next* cycle.
-            for dst in 0..self.cores.len() {
-                let (lower, rest) = self.cores.split_at_mut(dst);
-                let Some((core, upper)) = rest.split_first_mut() else {
-                    continue;
-                };
-                for sender in lower.iter_mut().chain(upper.iter_mut()) {
-                    let out = &mut sender.out[dst];
-                    core.apply_inbound(&out.flits, &out.path_words, &out.credits, cycle + 1);
-                    out.clear();
-                }
-            }
-            {
-                let ShardedSim {
-                    cores,
-                    inject_at,
-                    delivered_at,
-                    dropped_at,
-                    latencies,
-                    delivered,
-                    dropped,
-                    live,
-                    ..
-                } = self;
-                for core in cores {
-                    for res in core.resolved.drain(..) {
-                        Self::apply_resolution(
-                            inject_at,
-                            delivered_at,
-                            dropped_at,
-                            latencies,
-                            delivered,
-                            dropped,
-                            live,
-                            res,
-                        );
-                    }
-                }
-            }
-            self.total_flits += moved * self.packet_flits as u64;
-            self.cycle += 1;
-            if moved == 0
-                && injected == 0
-                && killed == 0
-                && rerouted == 0
-                && self.live > 0
-                && self.cores.iter().all(|c| c.fifos_drained())
-                && self.cores.iter().all(|c| c.injects_done())
-                && self.cores.iter().all(|c| {
-                    c.schedule_pos >= c.schedule.len()
-                        && c.link_schedule_pos >= c.link_schedule.len()
-                })
-            {
-                self.deadlocked = true;
+        while (self.outcomes.live > 0 || self.pending_injections() > 0) && self.cycle < horizon {
+            let events = self.step();
+            if self.detect_deadlock(&events) {
                 break;
             }
         }
@@ -1463,39 +1850,11 @@ impl ShardedSim {
 
     fn run_threaded(&mut self, horizon: u32) {
         let shards = self.shards;
-        let pf = self.packet_flits as u64;
-        let mut any_pending = self.cores.iter().any(|c| !c.injects_done());
-        let ShardedSim {
-            machine,
-            config,
-            slot_start,
-            cores,
-            inject_at,
-            logical_target,
-            delivered_at,
-            dropped_at,
-            latencies,
-            implicit,
-            delivered,
-            dropped,
-            live,
-            total_flits,
-            cycle,
-            deadlocked,
-            ..
-        } = self;
-        let ctx = ShardCtx {
-            machine,
-            slot_start,
-            inject_at,
-            logical_target,
-            implicit,
-            n: machine.node_count(),
-            shards,
-            single_port: machine.port_model() == PortModel::SinglePort,
-            park: config.engine == EngineKind::WakeList,
-            fault_response: config.fault_response,
-        };
+        let mut cycle = self.cycle;
+        let mut moved_total = 0u64;
+        let mut deadlocked = false;
+        let mut pending = self.pending_injections();
+        let (ctx, cores, outcomes) = self.parts();
         let scope_result = crossbeam::scope(|s| {
             let (res_tx, res_rx) = crossbeam::channel::unbounded::<Option<WorkerOut>>();
             let mut cmd_txs = Vec::with_capacity(shards);
@@ -1510,10 +1869,10 @@ impl ShardedSim {
             let mut inbound_flits: Vec<Vec<Flit>> = (0..shards).map(|_| Vec::new()).collect();
             let mut inbound_words: Vec<Vec<u64>> = (0..shards).map(|_| Vec::new()).collect();
             let mut inbound_credits: Vec<Vec<u32>> = (0..shards).map(|_| Vec::new()).collect();
-            'run: while (*live > 0 || any_pending) && *cycle < horizon {
+            'run: while (outcomes.live > 0 || pending > 0) && cycle < horizon {
                 for (shard, tx) in cmd_txs.iter().enumerate() {
                     let cmd = WorkerCmd::Cycle {
-                        cycle: *cycle,
+                        cycle,
                         flits: std::mem::take(&mut inbound_flits[shard]),
                         path_words: std::mem::take(&mut inbound_words[shard]),
                         credits: std::mem::take(&mut inbound_credits[shard]),
@@ -1530,26 +1889,12 @@ impl ShardedSim {
                     }
                 }
                 outs.sort_by_key(|o| o.shard);
-                let moved: u64 = outs.iter().map(|o| o.moved).sum();
                 let injected: u64 = outs.iter().map(|o| o.injected).sum();
-                let rerouted: u64 = outs.iter().map(|o| o.rerouted).sum();
-                let killed = outs.first().map_or(0, |o| o.killed);
-                any_pending = outs.iter().any(|o| !o.injects_done);
-                let all_pending_empty = outs.iter().all(|o| o.pending_empty);
-                let all_schedule_done = outs.iter().all(|o| o.schedule_done);
-                *live += injected;
+                pending = outs.iter().map(|o| o.pending_injections).sum();
+                outcomes.live += injected;
                 for o in &mut outs {
                     for res in o.resolved.drain(..) {
-                        Self::apply_resolution(
-                            inject_at,
-                            delivered_at,
-                            dropped_at,
-                            latencies,
-                            delivered,
-                            dropped,
-                            live,
-                            res,
-                        );
+                        outcomes.apply(ctx.inject_at, res);
                     }
                 }
                 let mut batches: Vec<BoundaryBatch> =
@@ -1564,23 +1909,25 @@ impl ShardedSim {
                     inbound_words[b.dst as usize].extend(b.path_words);
                     inbound_credits[b.dst as usize].extend(b.credits);
                 }
-                *total_flits += moved * pf;
-                *cycle += 1;
-                // The workers report their timed-FIFO state *before* the
-                // barrier; pre-barrier-drained plus nothing shipped is
-                // exactly the single engine's post-return emptiness check
-                // (and shipped flits imply `moved > 0` anyway).
-                if moved == 0
-                    && injected == 0
-                    && killed == 0
-                    && rerouted == 0
-                    && *live > 0
-                    && all_pending_empty
-                    && !credits_shipped
-                    && !any_pending
-                    && all_schedule_done
-                {
-                    *deadlocked = true;
+                let events = CycleEvents {
+                    cycle,
+                    moved: outs.iter().map(|o| o.moved).sum(),
+                    injected,
+                    credits_applied: outs.iter().map(|o| o.credits_applied).sum(),
+                    faults_fired: outs.first().map_or(0, |o| o.killed),
+                    rerouted: outs.iter().map(|o| o.rerouted).sum(),
+                    live: outcomes.live,
+                    pending_injections: pending,
+                };
+                moved_total += events.moved;
+                cycle += 1;
+                // The workers report their timers *before* the barrier;
+                // pre-barrier idle plus no credit shipped is exactly the
+                // post-barrier check of a serial step (shipped flits imply
+                // `moved > 0` anyway).
+                let idle = outs.iter().all(|o| o.timers_idle) && !credits_shipped;
+                if proves_deadlock(&events, idle) {
+                    deadlocked = true;
                     break 'run;
                 }
             }
@@ -1592,7 +1939,7 @@ impl ShardedSim {
                 let credits = std::mem::take(&mut inbound_credits[shard]);
                 if !flits.is_empty() || !credits.is_empty() {
                     let _ = tx.send(WorkerCmd::Apply {
-                        now: *cycle,
+                        now: cycle,
                         flits,
                         path_words,
                         credits,
@@ -1604,6 +1951,9 @@ impl ShardedSim {
         if let Err(payload) = scope_result {
             std::panic::resume_unwind(payload);
         }
+        self.cycle = cycle;
+        self.total_flits += moved_total * self.packet_flits as u64;
+        self.deadlocked |= deadlocked;
     }
 
     /// Steps until the workload drains, `max_cycles` is hit, or the network
@@ -1618,17 +1968,20 @@ impl ShardedSim {
         self.report()
     }
 
-    /// The report for the run so far — byte-identical to the single-table
-    /// engine's for the same workload, any shard/thread count.
+    /// The report for the run so far — byte-identical for any shard and
+    /// thread count. Latencies are measured from each packet's injection
+    /// cycle (0 for the batch `load_*` APIs).
     pub fn report(&mut self) -> CongestionReport {
         // Resolution order varies with the shard cut; the multiset of
-        // latencies does not. A full sort (idempotent) restores the
-        // canonical form the summary is computed from.
-        self.latencies.sort_unstable();
+        // latencies does not. A full sort (idempotent, and cheap on the
+        // already-sorted prefix) restores the canonical form.
+        self.outcomes.latencies.sort_unstable();
         // Per-VC counters are element-wise sums over the cores (u64 adds
         // commute, so the shard cut is invisible); still-open blocked spans
-        // are folded in from each packet's unique hosting core, exactly
-        // like the single engine's report-time scan.
+        // (up to the report cycle) are folded in from each packet's unique
+        // hosting core without disturbing the live accumulators, so a
+        // deadlocked report shows where the wait sits and a later report
+        // stays consistent with continued stepping.
         let first = self.cores.first();
         let track_vc = first.is_some_and(|c| c.track_vc);
         let vcs = first.map_or(0, |c| if c.track_vc { c.vcs } else { 0 });
@@ -1653,34 +2006,86 @@ impl ShardedSim {
         CongestionReport {
             cycles: self.cycle,
             injected: self.inject_at.len() as u64,
-            delivered: self.delivered,
-            dropped: self.dropped,
+            delivered: self.outcomes.delivered,
+            dropped: self.outcomes.dropped,
             total_flits: self.total_flits,
-            completed: self.live == 0 && self.cores.iter().all(|c| c.injects_done()),
+            completed: self.outcomes.live == 0 && self.pending_injections() == 0,
             deadlocked: self.deadlocked,
             vc_flits,
             vc_hol_blocked_cycles: vc_hol,
-            latency: LatencySummary::from_sorted(&self.latencies),
+            latency: LatencySummary::from_sorted(&self.outcomes.latencies),
         }
     }
 
-    /// Per-packet outcome; see [`super::CongestionSim::packet_outcome`].
+    /// Per-packet outcome: `(inject_cycle, delivered_cycle, dropped_cycle)`
+    /// with `None` for "not (yet)". Drives the open-loop measurement-window
+    /// accounting; `id` indexes packets in load order.
     pub fn packet_outcome(&self, id: usize) -> (u32, Option<u32>, Option<u32>) {
         let lift = |c: u32| if c == NEVER { None } else { Some(c) };
         (
             self.inject_at[id],
-            lift(self.delivered_at[id]),
-            lift(self.dropped_at[id]),
+            lift(self.outcomes.delivered_at[id]),
+            lift(self.outcomes.dropped_at[id]),
         )
     }
 
+    /// Checks credit conservation: for every (directed link, virtual
+    /// channel) gate, `free credits + in-flight timed returns + live
+    /// occupants == buffer_depth`. A gate's credits and timed returns sit
+    /// on the core that owns its link slot (or, for a return generated
+    /// this cycle on another core, in that core's barrier buffer), while
+    /// its occupants may be hosted by any core once they migrate on. Holds
+    /// through node and link kills: a killed packet's slot drains back as
+    /// a timed return, and a dead gate accumulates its full depth. Returns
+    /// the first violation; always `Ok` under [`FlowControl::Infinite`].
+    /// Allocates its tallies, so call it between steps.
+    pub fn check_credit_conservation(&self) -> Result<(), String> {
+        let Some(depth) = self.cores.first().map(|c| c.flow_depth) else {
+            return Ok(());
+        };
+        if depth == 0 {
+            return Ok(());
+        }
+        let vcs = self.cores.first().map_or(1, |c| c.vcs);
+        let gates = self.slot_start[self.shards] as usize * vcs;
+        let mut occupants = vec![0u32; gates];
+        let mut pending = vec![0u32; gates];
+        for core in &self.cores {
+            for (id, &g) in core.occupied_slot.iter().enumerate() {
+                if core.in_network[id] && g != NO_SLOT {
+                    occupants[g as usize] += 1;
+                }
+            }
+            let base = core.slot_lo * vcs;
+            for &(_, lg, count) in &core.credit_fifo[core.credit_fifo_pos..] {
+                pending[base + lg as usize] += count;
+            }
+            for &g in core.out.iter().flat_map(|out| &out.credits) {
+                pending[g as usize] += 1;
+            }
+        }
+        for core in &self.cores {
+            for (lg, gate) in core.links.iter().enumerate() {
+                let g = core.slot_lo * vcs + lg;
+                if gate.credits + pending[g] + occupants[g] != depth {
+                    return Err(format!(
+                        "gate {g}: credits {} + pending {} + occupants {} != depth {depth}",
+                        gate.credits, pending[g], occupants[g]
+                    ));
+                }
+            }
+        }
+        Ok(())
+    }
+
     /// Bytes of heap capacity devoted to per-packet route state across all
-    /// cores — the sharded counterpart of
-    /// [`super::CongestionSim::route_state_bytes`]. O(packets) for the
-    /// implicit workloads this engine carries (re-route spills add the
-    /// materialized exception). Like the single engine's count, it leaves
-    /// out the implicit successor-slot table, which belongs to the
-    /// (machine, placement) pair rather than to any packet.
+    /// cores: the path arenas, cached entries, shift registers, cursors
+    /// and segment ends, the logical targets, plus the implicit placement
+    /// map. Implicit workloads keep this O(packets) regardless of `h`;
+    /// materialized ones pay O(packets × h) for the arena. The implicit
+    /// successor-slot table (8 B per logical label) is left out: it belongs
+    /// to the (machine, placement) pair, not to any packet, and shows in
+    /// peak RSS instead.
     pub fn route_state_bytes(&self) -> usize {
         use std::mem::size_of;
         let per_core: usize = self
@@ -1727,14 +2132,13 @@ fn worker_loop(
                         shard,
                         moved: core.moved,
                         injected: core.injected,
+                        credits_applied: core.credits_applied,
                         killed: core.killed,
                         rerouted: core.rerouted,
+                        pending_injections: core.pending_injections(),
                         resolved: std::mem::take(&mut core.resolved),
                         batches: core.take_batches(),
-                        pending_empty: core.fifos_drained(),
-                        injects_done: core.injects_done(),
-                        schedule_done: core.schedule_pos >= core.schedule.len()
-                            && core.link_schedule_pos >= core.link_schedule.len(),
+                        timers_idle: core.timers_idle(),
                     }
                 }));
                 match out {
@@ -1759,34 +2163,6 @@ fn worker_loop(
         }
     }
 }
-
-impl CongestionEngine for ShardedSim {
-    fn run_until(&mut self, horizon: u32) {
-        ShardedSim::run_until(self, horizon);
-    }
-    fn counts(&self) -> (u64, u64, u64, u64) {
-        ShardedSim::counts(self)
-    }
-    fn packet_outcome(&self, id: usize) -> (u32, Option<u32>, Option<u32>) {
-        ShardedSim::packet_outcome(self, id)
-    }
-    fn cycle(&self) -> u32 {
-        ShardedSim::cycle(self)
-    }
-    fn deadlocked(&self) -> bool {
-        self.deadlocked
-    }
-    fn open_loop_sources(&self) -> u32 {
-        self.open_loop_sources
-    }
-    fn node_count(&self) -> usize {
-        self.machine.node_count()
-    }
-    fn report(&mut self) -> CongestionReport {
-        ShardedSim::report(self)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::super::measure_open_loop;
@@ -1798,18 +2174,6 @@ mod tests {
         let db = DeBruijn2::new(h);
         let machine = PhysicalMachine::new(db.graph().clone(), port);
         (db, machine)
-    }
-
-    fn single_report(
-        db: &DeBruijn2,
-        port: PortModel,
-        config: CongestionConfig,
-        pairs: &[(NodeId, NodeId)],
-    ) -> CongestionReport {
-        let machine = PhysicalMachine::new(db.graph().clone(), port);
-        let mut sim = super::super::CongestionSim::new(machine, config);
-        sim.load_oblivious(db, &Embedding::identity(db.node_count()), pairs);
-        sim.run()
     }
 
     fn sharded_report(
@@ -1868,7 +2232,7 @@ mod tests {
         let pairs = workload::permutation_pairs(n, &mut rng);
         for port in [PortModel::MultiPort, PortModel::SinglePort] {
             let config = CongestionConfig::default();
-            let want = single_report(&db, port, config, &pairs);
+            let want = sharded_report(&db, port, config, &pairs, 1, 1);
             assert_eq!(want.delivered, n as u64);
             for shards in 1..=4 {
                 let got = sharded_report(&db, port, config, &pairs, shards, 1);
@@ -1890,7 +2254,7 @@ mod tests {
                 },
                 ..CongestionConfig::default()
             };
-            let want = single_report(&db, PortModel::SinglePort, config, &pairs);
+            let want = sharded_report(&db, PortModel::SinglePort, config, &pairs, 1, 1);
             for shards in [1usize, 2, 3, 4] {
                 let got = sharded_report(&db, PortModel::SinglePort, config, &pairs, shards, 1);
                 assert_report_fields_equal(&got, &want);
@@ -1924,7 +2288,7 @@ mod tests {
                     },
                     ..CongestionConfig::default()
                 };
-                let want = single_report(&db, PortModel::SinglePort, config, &pairs);
+                let want = sharded_report(&db, PortModel::SinglePort, config, &pairs, 1, 1);
                 for shards in [1usize, 2, 3, 4] {
                     let got = sharded_report(&db, PortModel::SinglePort, config, &pairs, shards, 1);
                     assert_report_fields_equal(&got, &want);
@@ -1942,24 +2306,21 @@ mod tests {
         // 0 -> 4 on B(2,5) routes 0 -> 1 -> 2 -> 4, and node 2 dies at
         // cycle 0: at cycle 1 the packet only re-routes, which every
         // configuration must count as activity.
-        let (db, _) = machine_for(5, PortModel::MultiPort);
+        let (db, machine) = machine_for(5, PortModel::MultiPort);
         let config = CongestionConfig {
             fault_response: FaultResponse::RerouteAdaptive,
             ..CongestionConfig::default()
         };
-        let placement = Embedding::identity(db.node_count());
-        let machine = PhysicalMachine::new(db.graph().clone(), PortModel::MultiPort);
-        let mut single = super::super::CongestionSim::new(machine, config);
-        single.load_oblivious(&db, &placement, &[(0, 4)]);
-        single.schedule_fault(0, 2);
-        let want = single.run();
-        assert!(!want.deadlocked && want.delivered == 1, "{want:?}");
-        for (shards, threads) in [(1usize, 1usize), (2, 1), (2, 2)] {
-            let machine = PhysicalMachine::new(db.graph().clone(), PortModel::MultiPort);
-            let mut sim = ShardedSim::new(machine, config, shards, threads);
-            sim.load_oblivious(&db, &placement, &[(0, 4)]);
+        let run = |shards, threads| {
+            let mut sim = ShardedSim::new(machine.clone(), config, shards, threads);
+            sim.load_oblivious(&db, &Embedding::identity(db.node_count()), &[(0, 4)]);
             sim.schedule_fault(0, 2);
-            let got = sim.run();
+            sim.run()
+        };
+        let want = run(1, 1);
+        assert!(!want.deadlocked && want.delivered == 1, "{want:?}");
+        for (shards, threads) in [(2usize, 1usize), (2, 2)] {
+            let got = run(shards, threads);
             assert_report_fields_equal(&got, &want);
             assert_eq!(got, want, "shards={shards} threads={threads}");
         }
@@ -1967,7 +2328,7 @@ mod tests {
 
     #[test]
     fn matches_single_engine_with_mid_run_faults_both_responses() {
-        let (db, _) = machine_for(5, PortModel::SinglePort);
+        let (db, machine) = machine_for(5, PortModel::SinglePort);
         let n = db.node_count();
         let mut rng = rand::rngs::StdRng::seed_from_u64(11);
         let pairs = workload::uniform_pairs(n, 2 * n, &mut rng);
@@ -1976,19 +2337,16 @@ mod tests {
                 fault_response: response,
                 ..CongestionConfig::default()
             };
-            let machine = PhysicalMachine::new(db.graph().clone(), PortModel::SinglePort);
-            let mut want = super::super::CongestionSim::new(machine, config);
-            want.load_oblivious(&db, &Embedding::identity(n), &pairs);
-            want.schedule_fault(2, 3);
-            want.schedule_fault(4, 17);
-            let want = want.run();
+            let run = |shards| {
+                let mut sim = ShardedSim::new(machine.clone(), config, shards, 1);
+                sim.load_oblivious(&db, &Embedding::identity(n), &pairs);
+                sim.schedule_fault(2, 3);
+                sim.schedule_fault(4, 17);
+                sim.run()
+            };
+            let want = run(1);
             for shards in [2usize, 3] {
-                let machine = PhysicalMachine::new(db.graph().clone(), PortModel::SinglePort);
-                let mut got = ShardedSim::new(machine, config, shards, 1);
-                got.load_oblivious(&db, &Embedding::identity(n), &pairs);
-                got.schedule_fault(2, 3);
-                got.schedule_fault(4, 17);
-                let got = got.run();
+                let got = run(shards);
                 assert_report_fields_equal(&got, &want);
                 assert_eq!(got, want, "response={response:?} shards={shards}");
             }
@@ -1997,7 +2355,7 @@ mod tests {
 
     #[test]
     fn open_loop_report_matches_across_shards_and_threads() {
-        let (db, _) = machine_for(5, PortModel::SinglePort);
+        let (db, machine) = machine_for(5, PortModel::SinglePort);
         let n = db.node_count();
         let spec = crate::workload::OpenLoopSpec {
             offered_load: 0.30,
@@ -2012,17 +2370,15 @@ mod tests {
             flow_control: FlowControl::CreditBased { buffer_depth: 2 },
             ..CongestionConfig::default()
         };
-        let machine = PhysicalMachine::new(db.graph().clone(), PortModel::SinglePort);
-        let mut sim = super::super::CongestionSim::new(machine, config);
-        sim.load_oblivious_timed(&db, &Embedding::identity(n), &injections);
-        sim.schedule_fault(20, 5);
-        let want = measure_open_loop(&mut sim, &spec);
+        let run = |shards, threads| {
+            let mut sim = ShardedSim::new(machine.clone(), config, shards, threads);
+            sim.load_oblivious_timed(&db, &Embedding::identity(n), &injections);
+            sim.schedule_fault(20, 5);
+            measure_open_loop(&mut sim, &spec)
+        };
+        let want = run(1, 1);
         for (shards, threads) in [(2usize, 1usize), (3, 1), (2, 2), (3, 3)] {
-            let machine = PhysicalMachine::new(db.graph().clone(), PortModel::SinglePort);
-            let mut sharded = ShardedSim::new(machine, config, shards, threads);
-            sharded.load_oblivious_timed(&db, &Embedding::identity(n), &injections);
-            sharded.schedule_fault(20, 5);
-            let got = measure_open_loop(&mut sharded, &spec);
+            let got = run(shards, threads);
             assert_eq!(got, want, "shards={shards} threads={threads}");
         }
     }
@@ -2059,7 +2415,7 @@ mod tests {
             flow_control: FlowControl::CreditBased { buffer_depth: 1 },
             ..CongestionConfig::default()
         };
-        let want = single_report(&db, PortModel::MultiPort, config, &pairs);
+        let want = sharded_report(&db, PortModel::MultiPort, config, &pairs, 1, 1);
         for shards in [2usize, 4] {
             for threads in [1usize, 2] {
                 let got =
@@ -2073,24 +2429,21 @@ mod tests {
     #[test]
     fn short_placement_drops_unplaced_routes_at_load() {
         // identity(8) maps half of B(2,4): routes that leave it drop at load
-        // instead of panicking, exactly as in the single engine. The timed
-        // load appends to the batch load, so the per-load table growth is
-        // exercised across two loads.
+        // instead of panicking, at every shard count. The timed load appends
+        // to the batch load, so the per-load table growth is exercised
+        // across two loads.
         let (db, machine) = machine_for(4, PortModel::MultiPort);
         let short = Embedding::identity(8);
-        let pairs = [(3, 12), (0, 5)];
-        let injections = [(2, 9, 1), (3, 0, 3)];
-        let mut want =
-            super::super::CongestionSim::new(machine.clone(), CongestionConfig::default());
-        want.load_oblivious(&db, &short, &pairs);
-        want.load_oblivious_timed(&db, &short, &injections);
-        let want = want.run();
+        let run = |shards| {
+            let mut sim = ShardedSim::new(machine.clone(), CongestionConfig::default(), shards, 1);
+            sim.load_oblivious(&db, &short, &[(3, 12), (0, 5)]);
+            sim.load_oblivious_timed(&db, &short, &[(2, 9, 1), (3, 0, 3)]);
+            sim.run()
+        };
+        let want = run(1);
         assert_eq!((want.injected, want.delivered, want.dropped), (4, 2, 2));
-        for shards in [1usize, 2, 3] {
-            let mut got = ShardedSim::new(machine.clone(), CongestionConfig::default(), shards, 1);
-            got.load_oblivious(&db, &short, &pairs);
-            got.load_oblivious_timed(&db, &short, &injections);
-            let got = got.run();
+        for shards in [2usize, 3] {
+            let got = run(shards);
             assert_report_fields_equal(&got, &want);
             assert_eq!(got, want, "shards={shards}");
         }
@@ -2112,7 +2465,7 @@ mod tests {
 
     /// Runs `sim` to the end and returns its report, the report's `Debug`
     /// text and every packet's outcome.
-    fn observe(sim: &mut impl CongestionEngine) -> (CongestionReport, String, Outcomes) {
+    fn observe(sim: &mut ShardedSim) -> (CongestionReport, String, Outcomes) {
         sim.run_until(u32::MAX);
         let report = sim.report();
         let text = format!("{report:?}");
@@ -2123,19 +2476,6 @@ mod tests {
     }
 
     fn load_sharded(sim: &mut ShardedSim, db: &DeBruijn2, load: &Load<'_>) {
-        match load.timed {
-            Some(injections) => sim.load_oblivious_timed(db, load.placement, injections),
-            None => sim.load_oblivious(db, load.placement, load.pairs),
-        }
-        for &node in load.kills {
-            sim.schedule_fault(2, node);
-        }
-        if let Some(links) = load.links {
-            sim.schedule_link_faults(2, links);
-        }
-    }
-
-    fn load_single(sim: &mut super::super::CongestionSim, db: &DeBruijn2, load: &Load<'_>) {
         match load.timed {
             Some(injections) => sim.load_oblivious_timed(db, load.placement, injections),
             None => sim.load_oblivious(db, load.placement, load.pairs),
@@ -2254,7 +2594,7 @@ mod tests {
                     load_sharded(&mut fresh, &db, load);
                     let fresh = observe(&mut fresh);
                     let mut single = super::super::CongestionSim::new(machine.clone(), config);
-                    load_single(&mut single, &db, load);
+                    load_sharded(&mut single, &db, load);
                     let single = observe(&mut single);
                     if i == 3 && flow_control == (FlowControl::CreditBased { buffer_depth: 1 }) {
                         // The depth-1 hot spot wedges within a few cycles,
@@ -2274,14 +2614,117 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "implicit route state only")]
-    fn materialized_loads_are_rejected() {
-        let (_, machine) = machine_for(3, PortModel::MultiPort);
+    fn materialized_loads_match_across_shards() {
+        // Materialized paths live in the arena of the core hosting their
+        // source and travel in the barrier's path words; mid-run re-routes
+        // spill beside them. Every shard count must agree with the
+        // single-table run and with the implicit load, packet by packet.
+        let db = DeBruijn2::new(6);
+        let n = db.node_count();
+        let mut rng = rand::rngs::StdRng::seed_from_u64(5);
+        let pairs = workload::uniform_pairs(n, 3 * n, &mut rng);
+        let load = Load {
+            placement: &Embedding::identity(n),
+            pairs: &pairs,
+            timed: None,
+            kills: &[9, 40],
+            links: None,
+        };
+        for flow_control in [
+            FlowControl::Infinite,
+            FlowControl::VirtualChannel {
+                vcs: 2,
+                buffer_depth: 2,
+                switching: Switching::Wormhole { packet_flits: 2 },
+            },
+        ] {
+            let config = |route_source| CongestionConfig {
+                flow_control,
+                fault_response: FaultResponse::RerouteAdaptive,
+                route_source,
+                ..CongestionConfig::default()
+            };
+            let machine = PhysicalMachine::new(db.graph().clone(), PortModel::SinglePort);
+            let mut implicit =
+                super::super::CongestionSim::new(machine.clone(), config(RouteSource::Implicit));
+            load_sharded(&mut implicit, &db, &load);
+            let want = observe(&mut implicit);
+            for (shards, threads) in [(1usize, 1usize), (2, 1), (4, 1), (4, 2)] {
+                let mut sim = ShardedSim::new(
+                    machine.clone(),
+                    config(RouteSource::Materialized),
+                    shards,
+                    threads,
+                );
+                load_sharded(&mut sim, &db, &load);
+                let got = observe(&mut sim);
+                assert_eq!(got.1, want.1, "{flow_control:?} shards={shards}: report");
+                assert_eq!(got.2, want.2, "{flow_control:?} shards={shards}: outcomes");
+            }
+        }
+    }
+
+    #[test]
+    fn recovery_matches_across_shards() {
+        // The online recovery loop on a congested B^2(2,5): the fault
+        // firing ahead of the step, the drops it counts, the re-targeting
+        // and the drain must not depend on the shard count.
+        let ft = ftdb_core::FtDeBruijn2::new(5, 2);
+        let mut rng = rand::rngs::StdRng::seed_from_u64(8);
+        let pairs = workload::uniform_pairs(32, 96, &mut rng);
         let config = CongestionConfig {
-            route_source: RouteSource::Materialized,
+            flow_control: FlowControl::CreditBased { buffer_depth: 2 },
+            fault_response: FaultResponse::RerouteAdaptive,
             ..CongestionConfig::default()
         };
-        let _ = ShardedSim::new(machine, config, 2, 1);
+        let schedule = [(3, 6), (5, 21)];
+        let want =
+            super::super::run_recovery(&ft, &pairs, &schedule, PortModel::SinglePort, config)
+                .expect("two faults are within the budget");
+        assert!(want.rerouted > 0 && want.lost_on_dead_nodes > 0, "{want:?}");
+        let initial = ft.reconfigure(&ftdb_core::FaultSet::empty(ft.node_count()));
+        for shards in [2usize, 4] {
+            let machine = PhysicalMachine::new(ft.graph().clone(), PortModel::SinglePort);
+            let mut sim = ShardedSim::new(machine, config, shards, 1);
+            sim.load_oblivious(ft.target(), &initial, &pairs);
+            for &(cycle, node) in &schedule {
+                sim.schedule_fault(cycle, node);
+            }
+            let got = super::super::engine::recover(&mut sim, &ft, config.max_cycles)
+                .expect("two faults are within the budget");
+            assert_eq!(format!("{got:?}"), format!("{want:?}"), "shards={shards}");
+        }
+    }
+
+    #[test]
+    fn retargeting_wakes_parked_packets_on_every_shard() {
+        // A hot spot parks packets on full buffers all over the machine;
+        // re-targeting them through the complement placement, with no fault
+        // that cycle to wake them first, changes every route under them, so
+        // each core must wake its own parked packets for the run to match
+        // the one-shard engine.
+        let (db, machine) = machine_for(5, PortModel::SinglePort);
+        let n = db.node_count();
+        let complement = Embedding::from_map((0..n).map(|v| n - 1 - v).collect());
+        let config = CongestionConfig {
+            flow_control: FlowControl::CreditBased { buffer_depth: 2 },
+            ..CongestionConfig::default()
+        };
+        let run = |shards| {
+            let mut sim = ShardedSim::new(machine.clone(), config, shards, 1);
+            sim.load_oblivious(&db, &Embedding::identity(n), &workload::all_to_one(n, 3));
+            sim.run_until(6);
+            let counts = sim.retarget_and_reroute(&complement);
+            (counts, observe(&mut sim))
+        };
+        let want = run(1);
+        assert!(want.0 .0 > 0, "nothing re-routed: {:?}", want.0);
+        for shards in [2usize, 4] {
+            let got = run(shards);
+            assert_eq!(got.0, want.0, "shards={shards}: re-target counts");
+            assert_eq!(got.1 .1, want.1 .1, "shards={shards}: report");
+            assert_eq!(got.1 .2, want.1 .2, "shards={shards}: outcomes");
+        }
     }
 
     #[test]

@@ -46,7 +46,7 @@ pub mod routing;
 pub mod workload;
 
 pub use congestion::{
-    CongestionConfig, CongestionEngine, CongestionReport, CongestionSim, FaultResponse,
-    FlowControl, ShardedSim, Switching,
+    CongestionConfig, CongestionReport, CongestionSim, FaultResponse, FlowControl, ShardedSim,
+    Switching,
 };
 pub use machine::{PhysicalMachine, PortModel, SimError};

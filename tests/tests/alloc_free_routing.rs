@@ -5,6 +5,7 @@
 
 use ftdb_core::FaultSet;
 use ftdb_graph::Embedding;
+use ftdb_sim::congestion::ShardedSim;
 use ftdb_sim::machine::{PhysicalMachine, PortModel};
 use ftdb_sim::routing::{
     route_adaptive_into, route_logical_debruijn_into, run_logical_workload, RouteScratch,
@@ -64,6 +65,29 @@ fn assert_eventually_alloc_free(what: &str, mut region: impl FnMut()) {
         region();
         let delta = allocations() - before;
         best = best.min(delta);
+        if best == 0 {
+            return;
+        }
+    }
+    panic!("{what} allocated on the hot path ({best} allocations at best)");
+}
+
+/// Asserts that `run` allocates nothing once warm, counting `run` alone:
+/// before each of up to five attempts the engine is cleared and `reload`
+/// loads it again, outside the counted region.
+fn assert_reloaded_runs_alloc_free(
+    what: &str,
+    sim: &mut ShardedSim,
+    reload: impl Fn(&mut ShardedSim),
+    mut run: impl FnMut(&mut ShardedSim),
+) {
+    let mut best = u64::MAX;
+    for _ in 0..5 {
+        sim.clear_workload();
+        reload(sim);
+        let before = allocations();
+        run(sim);
+        best = best.min(allocations() - before);
         if best == 0 {
             return;
         }
@@ -195,9 +219,9 @@ fn exhaustive_verifier_hot_loop_is_allocation_light() {
 #[test]
 fn congestion_cycle_loop_is_allocation_free_after_warmup() {
     let _guard = serial_guard();
-    // The engine allocates while loading the workload; the cycle loop
-    // itself (including reset-and-rerun, which is what perf_report
-    // measures) must never touch the allocator.
+    // The engine allocates while loading the workload; the stepped cycle
+    // loop of a reloaded engine (what perf_report measures) must never
+    // touch the allocator.
     use ftdb_sim::congestion::{CongestionConfig, CongestionSim};
     let db = DeBruijn2::new(7);
     let n = db.node_count();
@@ -206,24 +230,15 @@ fn congestion_cycle_loop_is_allocation_free_after_warmup() {
     let placement = Embedding::identity(n);
     let mut rng = ftdb_tests::seeded_rng(512);
     let pairs = workload::uniform_pairs(n, 4 * n, &mut rng);
-    sim.load_oblivious(&db, &placement, &pairs);
+    let load = |sim: &mut ShardedSim| sim.load_oblivious(&db, &placement, &pairs);
+    load(&mut sim);
     // Warm-up run sizes any lazily-grown state.
-    let warm = loop {
-        let events = sim.step();
-        if events.is_idle() {
-            break sim.counts();
-        }
-    };
+    while !sim.step().is_idle() {}
+    let warm = sim.counts();
     assert!(warm.1 > 0, "warm-up must deliver packets");
     let mut delivered = 0;
-    assert_eventually_alloc_free("congestion cycle loop", || {
-        sim.reset();
-        loop {
-            let events = sim.step();
-            if events.is_idle() {
-                break;
-            }
-        }
+    assert_reloaded_runs_alloc_free("congestion cycle loop", &mut sim, load, |sim| {
+        while !sim.step().is_idle() {}
         delivered = sim.counts().1;
     });
     assert_eq!(delivered, warm.1);
@@ -253,7 +268,7 @@ fn implicit_route_state_is_o1_per_packet_not_oh() {
     // packet count at h = 8 and h = 14 must cost identical implicit route
     // state (it is a packed entry plus a two-word shift register per
     // packet), while the materialized representation pays O(h) per packet.
-    use ftdb_sim::congestion::{CongestionConfig, CongestionSim, RouteSource, ShardedSim};
+    use ftdb_sim::congestion::{CongestionConfig, CongestionSim, RouteSource};
     let packets = 512;
     let single_bytes = |h: usize, route_source: RouteSource| {
         let db = DeBruijn2::new(h);
@@ -311,8 +326,9 @@ fn credit_flow_cycle_loop_is_allocation_free_after_warmup() {
     let _guard = serial_guard();
     // The bounded-buffer engine adds credit counters, a pending-return set
     // and an injection queue to the cycle loop; all of them are sized at
-    // construction/load, so reset-and-rerun of a full open-loop run
-    // (inject -> credit-gated movement -> drain) must not allocate.
+    // construction/load, so rerunning a full open-loop run (inject ->
+    // credit-gated movement -> drain) on a reloaded engine must not
+    // allocate.
     use ftdb_sim::congestion::{CongestionConfig, CongestionSim, FlowControl};
     use ftdb_sim::workload::{open_loop_injections, InjectionProcess, OpenLoopSpec};
     let db = DeBruijn2::new(6);
@@ -334,14 +350,15 @@ fn credit_flow_cycle_loop_is_allocation_free_after_warmup() {
             ..CongestionConfig::default()
         },
     );
-    sim.load_oblivious_timed(&db, &Embedding::identity(n), &injections);
+    let placement = Embedding::identity(n);
+    let load = |sim: &mut ShardedSim| sim.load_oblivious_timed(&db, &placement, &injections);
+    load(&mut sim);
     // Warm-up run sizes any lazily-grown state.
     sim.run_until(spec.horizon());
     let warm = sim.counts();
     assert!(warm.1 > 0, "warm-up must deliver packets");
     let mut delivered = 0;
-    assert_eventually_alloc_free("credit-flow cycle loop", || {
-        sim.reset();
+    assert_reloaded_runs_alloc_free("credit-flow cycle loop", &mut sim, load, |sim| {
         sim.run_until(spec.horizon());
         delivered = sim.counts().1;
     });
@@ -358,7 +375,7 @@ fn sharded_serial_cycle_loop_is_allocation_free_after_warmup() {
     // empties them in place, so once one run has grown them a second run of
     // the same load allocates nothing. Credit flow ships credits across
     // shards; node kills under `RerouteAdaptive` ship re-routed paths.
-    use ftdb_sim::congestion::{CongestionConfig, FaultResponse, FlowControl, ShardedSim};
+    use ftdb_sim::congestion::{CongestionConfig, FaultResponse, FlowControl};
     let db = DeBruijn2::new(8);
     let n = db.node_count();
     let placement = Embedding::identity(n);
@@ -386,24 +403,12 @@ fn sharded_serial_cycle_loop_is_allocation_free_after_warmup() {
             load(&mut sim);
             let warm = sim.run();
             assert!(warm.delivered > 0, "warm-up must deliver packets");
-            // Retries absorb a stray harness allocation, as in
-            // `assert_eventually_alloc_free`; only `run()` is counted.
-            let mut best = u64::MAX;
-            for _ in 0..5 {
-                sim.clear_workload();
-                load(&mut sim);
-                let before = allocations();
-                let report = sim.run();
-                best = best.min(allocations() - before);
-                assert_eq!(report.delivered, warm.delivered, "shards={shards}");
-                if best == 0 {
-                    break;
-                }
-            }
-            assert_eq!(
-                best, 0,
-                "sharded serial cycle loop allocated ({config:?}, shards={shards})"
-            );
+            let mut delivered = 0;
+            let what = format!("sharded serial cycle loop ({config:?}, shards={shards})");
+            assert_reloaded_runs_alloc_free(&what, &mut sim, load, |sim| {
+                delivered = sim.run().delivered;
+            });
+            assert_eq!(delivered, warm.delivered, "shards={shards}");
         }
     }
 }

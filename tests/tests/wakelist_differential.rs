@@ -7,13 +7,15 @@
 //! rescanned — so for ANY workload, fault schedule, port model and
 //! flow-control mode it must produce results that are byte-identical to the
 //! naive scan (`EngineKind::NaiveScan`): the same `CongestionReport`
-//! (including `deadlocked` and the latency distribution), the same
-//! per-link flit counts, and the same per-packet outcome stamps.
+//! (including `deadlocked`, `total_flits` and the latency distribution)
+//! and the same per-packet outcome stamps.
 //!
 //! The same suite pins the route sources (implicit against materialized)
-//! and the sharded engine against the single-table one, on identity loads
-//! and on placed ones: a reconfigured `B^k(2,h)` host and a non-injective
-//! fold.
+//! and every shard count against the single-table engine (the one-shard
+//! kernel), on identity loads and on placed ones: a reconfigured
+//! `B^k(2,h)` host and a non-injective fold. Sharded runs also check
+//! credit conservation between run chunks, while packets sit in buffers
+//! that another shard owns.
 
 use ftdb_analysis::sim_experiments::{sim5_load_sweep, SweepScenario};
 use ftdb_core::{FaultSet, FtDeBruijn2};
@@ -33,19 +35,34 @@ use rand::RngExt;
 struct RunOutcome {
     report: CongestionReport,
     report_text: String,
-    link_loads: Vec<(usize, usize, u64)>,
     counts: (u64, u64, u64, u64),
     outcomes: Vec<(u32, Option<u32>, Option<u32>)>,
 }
 
-/// Builds, loads through `placement`, faults and drains one engine,
-/// collecting every observable output. Stepping manually (instead of
-/// `run`) exercises the deadlock-detection path of `run_until` through the
-/// same entry point the sweep drivers use.
-#[allow(clippy::too_many_arguments)]
-fn drive(
+/// One engine configuration of a differential run.
+#[derive(Clone, Copy, Debug)]
+struct Kernel {
     engine: EngineKind,
     route_source: RouteSource,
+    shards: usize,
+    threads: usize,
+}
+
+/// The reference: the single-table engine, wake lists, implicit routes.
+const REFERENCE: Kernel = Kernel {
+    engine: EngineKind::WakeList,
+    route_source: RouteSource::Implicit,
+    shards: 1,
+    threads: 1,
+};
+
+/// Builds, loads through `placement`, faults and drains one engine,
+/// collecting every observable output. The run advances in short
+/// `run_until` chunks (the entry point the sweep drivers use, deadlock
+/// detection included) and checks credit conservation after each.
+#[allow(clippy::too_many_arguments)]
+fn drive(
+    kernel: Kernel,
     h: usize,
     machine: &PhysicalMachine,
     placement: &Embedding,
@@ -59,13 +76,13 @@ fn drive(
     let config = CongestionConfig {
         flow_control: flow,
         fault_response: response,
-        engine,
-        route_source,
+        engine: kernel.engine,
+        route_source: kernel.route_source,
         // Small cap so pathological schedules still finish fast; identical
-        // caps on both engines keep truncated runs comparable too.
+        // caps on every engine keep truncated runs comparable too.
         max_cycles: 5_000,
     };
-    let mut sim = CongestionSim::new(machine.clone(), config);
+    let mut sim = ShardedSim::new(machine.clone(), config, kernel.shards, kernel.threads);
     match timed {
         Some(injections) => sim.load_oblivious_timed(&db, placement, injections),
         None => sim.load_oblivious(&db, placement, pairs),
@@ -73,20 +90,25 @@ fn drive(
     for &(cycle, node) in schedule {
         sim.schedule_fault(cycle, node);
     }
-    sim.run_to_quiescence();
+    loop {
+        let before = sim.cycle();
+        sim.run_until(before + 8);
+        sim.check_credit_conservation()
+            .unwrap_or_else(|msg| panic!("{kernel:?} at cycle {}: {msg}", sim.cycle()));
+        if sim.cycle() < before + 8 || sim.deadlocked() {
+            break;
+        }
+    }
     let report = sim.report();
     // The vendored serde derive is annotation-only, so "byte-identical" is
     // pinned on the deterministic Debug rendering of the full report.
     let report_text = format!("{report:?}");
-    sim.check_credit_conservation()
-        .expect("credit conservation at quiescence");
     let outcomes = (0..sim.counts().0 as usize)
         .map(|id| sim.packet_outcome(id))
         .collect();
     RunOutcome {
         report,
         report_text,
-        link_loads: sim.link_loads(),
         counts: sim.counts(),
         outcomes,
     }
@@ -217,8 +239,10 @@ fn assert_engines_agree(
         );
     }
     let naive = drive(
-        EngineKind::NaiveScan,
-        RouteSource::Implicit,
+        Kernel {
+            engine: EngineKind::NaiveScan,
+            ..REFERENCE
+        },
         h,
         &machine,
         &identity,
@@ -235,19 +259,19 @@ fn assert_engines_agree(
 }
 
 /// The route-source and shard differentials of one load through
-/// `placement`; returns the wake-list implicit run they all match.
+/// `placement`; returns the reference run they all match.
 ///
 /// Route sources: the O(1) digit-shift generator (the default) must
 /// reproduce the materialized-path engine byte-for-byte on the same
 /// workload — including mid-run re-routes, which materialize implicit
-/// packets into the segment side table. The materialized loader walks
+/// packets into the hosting core's arena. The materialized loader walks
 /// every route, so it is also the per-packet reference for the implicit
 /// loader's once-per-load validation tier and its successor-slot table.
 ///
-/// Shards: the partitioned engine must reproduce the single-table run
-/// byte-for-byte for every shard count — and a threaded run must match its
-/// own serial run (one worker per shard, deterministic (dst, src) barrier
-/// merge).
+/// Shards: every shard count must reproduce the single-table run
+/// byte-for-byte — threaded runs (one worker per shard, deterministic
+/// (dst, src) barrier merge) and, at 2 and 4 shards, the naive rescan and
+/// materialized routes too.
 #[allow(clippy::too_many_arguments)]
 fn assert_sources_and_shards_agree(
     h: usize,
@@ -260,100 +284,41 @@ fn assert_sources_and_shards_agree(
     timed: Option<&[(u32, usize, usize)]>,
     what: &str,
 ) -> RunOutcome {
-    let run = |route_source| {
+    let run = |kernel| {
         drive(
-            EngineKind::WakeList,
-            route_source,
-            h,
-            machine,
-            placement,
-            flow,
-            response,
-            pairs,
-            schedule,
-            timed,
+            kernel, h, machine, placement, flow, response, pairs, schedule, timed,
         )
     };
-    let wake = run(RouteSource::Implicit);
-    let materialized = run(RouteSource::Materialized);
-    assert_report_fields_equal(&wake.report, &materialized.report);
-    assert_eq!(wake, materialized, "route sources diverged ({what})");
-    for (shards, threads) in [(1usize, 1usize), (2, 1), (2, 2), (4, 1), (4, 2)] {
-        let sharded = drive_sharded(
-            shards, threads, h, machine, placement, flow, response, pairs, schedule, timed,
-        );
-        assert_report_fields_equal(&wake.report, &sharded.report);
-        assert_eq!(
-            (
-                &wake.report,
-                &wake.report_text,
-                &wake.counts,
-                &wake.outcomes
-            ),
-            (
-                &sharded.report,
-                &sharded.report_text,
-                &sharded.counts,
-                &sharded.outcomes
-            ),
-            "sharded engine diverged ({what}, shards={shards}, threads={threads})"
-        );
-    }
-    wake
-}
-
-/// The sharded observables: everything [`drive`] collects except the
-/// per-link flit map and the credit-conservation probe, which the sharded
-/// engine does not expose (its equivalence is pinned through the report,
-/// the counts and every per-packet outcome stamp instead).
-struct ShardedOutcome {
-    report: CongestionReport,
-    report_text: String,
-    counts: (u64, u64, u64, u64),
-    outcomes: Vec<(u32, Option<u32>, Option<u32>)>,
-}
-
-#[allow(clippy::too_many_arguments)]
-fn drive_sharded(
-    shards: usize,
-    threads: usize,
-    h: usize,
-    machine: &PhysicalMachine,
-    placement: &Embedding,
-    flow: FlowControl,
-    response: FaultResponse,
-    pairs: &[(usize, usize)],
-    schedule: &[(u32, usize)],
-    timed: Option<&[(u32, usize, usize)]>,
-) -> ShardedOutcome {
-    let db = DeBruijn2::new(h);
-    let config = CongestionConfig {
-        flow_control: flow,
-        fault_response: response,
-        engine: EngineKind::WakeList,
-        route_source: RouteSource::Implicit,
-        max_cycles: 5_000,
+    let reference = run(REFERENCE);
+    let materialized = Kernel {
+        route_source: RouteSource::Materialized,
+        ..REFERENCE
     };
-    let mut sim = ShardedSim::new(machine.clone(), config, shards, threads);
-    match timed {
-        Some(injections) => sim.load_oblivious_timed(&db, placement, injections),
-        None => sim.load_oblivious(&db, placement, pairs),
+    let naive = Kernel {
+        engine: EngineKind::NaiveScan,
+        ..REFERENCE
+    };
+    let mut kernels = vec![materialized];
+    for (shards, threads) in [(2usize, 1usize), (2, 2), (4, 1), (4, 2)] {
+        kernels.push(Kernel {
+            shards,
+            threads,
+            ..REFERENCE
+        });
     }
-    for &(cycle, node) in schedule {
-        sim.schedule_fault(cycle, node);
+    for shards in [2usize, 4] {
+        kernels.push(Kernel { shards, ..naive });
+        kernels.push(Kernel {
+            shards,
+            ..materialized
+        });
     }
-    sim.run_to_quiescence();
-    let report = sim.report();
-    let report_text = format!("{report:?}");
-    let outcomes = (0..sim.counts().0 as usize)
-        .map(|id| sim.packet_outcome(id))
-        .collect();
-    ShardedOutcome {
-        report,
-        report_text,
-        counts: sim.counts(),
-        outcomes,
+    for kernel in kernels {
+        let got = run(kernel);
+        assert_report_fields_equal(&reference.report, &got.report);
+        assert_eq!(reference, got, "{kernel:?} diverged ({what})");
     }
+    reference
 }
 
 /// Field-by-field equality over every public `CongestionReport` field,
@@ -645,8 +610,7 @@ fn placed_hosts_route_through_their_placements() {
     // the fold carries fewer flits than identity-placed B(2,5) does.
     let drain = |machine: &PhysicalMachine, placement: &Embedding, pairs: &[(usize, usize)]| {
         let run = drive(
-            EngineKind::WakeList,
-            RouteSource::Implicit,
+            REFERENCE,
             h,
             machine,
             placement,
@@ -700,8 +664,7 @@ fn virtual_channels_break_the_depth_one_hotspot_deadlock() {
             );
             // …then pin what that report says.
             let run = drive(
-                EngineKind::WakeList,
-                RouteSource::Implicit,
+                REFERENCE,
                 h,
                 &machine_of(h, port, Damage::None),
                 &Embedding::identity(n),
@@ -753,8 +716,7 @@ fn damaged_machines_drop_the_same_packets_at_load() {
         assert_engines_agree(h, port, damage, flow, response, &pairs, &[], None);
         let machine = machine_of(h, port, damage);
         let run = drive(
-            EngineKind::WakeList,
-            RouteSource::Implicit,
+            REFERENCE,
             h,
             &machine,
             &Embedding::identity(n),
