@@ -1,14 +1,13 @@
-// Seeded sharded-engine protocol violations: an unjoined spawn, a lock,
-// an unmatched channel send, and an unsorted boundary merge.
+// Seeded sharded-engine concurrency violations: an unjoined spawn and a
+// lock.
 
-/// Drives one worker round; every line below breaks one protocol rule.
-pub fn drive(batches: &mut Vec<(u32, u32)>, out_tx: Sender<u64>) -> u64 {
+/// Drives one worker round; both `let` lines below break a rule.
+pub fn drive(cores: &mut [u64]) -> u64 {
     let worker = std::thread::spawn(move || 1u64);
     let guard = std::sync::Mutex::new(0u64);
-    let _ = out_tx.send(1);
     let mut cycles = 0u64;
-    for b in batches.iter() {
-        cycles += (b.0 + b.1) as u64;
+    for core in cores.iter() {
+        cycles += *core;
     }
     let _ = (worker, guard);
     cycles

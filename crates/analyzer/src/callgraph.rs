@@ -92,16 +92,6 @@ pub struct CallGraph {
 }
 
 impl CallGraph {
-    /// Functions declared in `units[unit]`, as indices into
-    /// [`CallGraph::fns`].
-    pub fn fns_of_unit(&self, unit: usize) -> impl Iterator<Item = usize> + '_ {
-        self.fns
-            .iter()
-            .enumerate()
-            .filter(move |(_, f)| f.unit == unit)
-            .map(|(i, _)| i)
-    }
-
     /// Renders `fns[idx]` as `file.rs::name` for call-chain diagnostics.
     pub fn label(&self, units: &[FileUnit], idx: usize) -> String {
         let f = &self.fns[idx];

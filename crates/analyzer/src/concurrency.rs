@@ -1,24 +1,15 @@
-//! Sharded-concurrency protocol checker, scoped to the engine's
-//! shard/boundary modules ([`crate::policy::Policy::concurrency_files`]).
+//! Sharded-concurrency checker, scoped to the engine's shard/boundary
+//! modules ([`crate::policy::Policy::concurrency_files`]).
 //!
 //! The sharded engine's determinism claim — byte-identical reports for any
-//! shard count and any thread interleaving — rests on a narrow protocol:
-//! workers and driver communicate *only* over named channels whose sends
-//! are absorbed at the cycle barrier, cross-shard effects are merged in
-//! `(dst, src)`-sorted order, and nothing in the hot path blocks on a lock
-//! or reads a `Relaxed` atomic (both would admit interleaving-dependent
-//! states). This module makes each leg of that protocol a static rule:
+//! shard count and any thread count — rests on a narrow discipline: each
+//! cycle's per-shard work fans out over scoped workers that own disjoint
+//! groups of cores and join before anything crosses shards, and the
+//! barrier's buffer swap runs on one thread in a fixed order. Nothing may
+//! block on a lock or read a
+//! `Relaxed` atomic (both would admit interleaving-dependent states), and
+//! no thread may outlive the join. Two static rules hold that line:
 //!
-//! * **channel-protocol** — every channel endpoint must be named
-//!   `<stem>_tx`/`<stem>_rx` (bare `tx`/`rx` acts as a wildcard stem for
-//!   loop-local bindings), and every `send` stem must have a matching
-//!   barrier-phase `recv` stem in the scoped files (and vice versa), so a
-//!   channel cannot be written on one side and silently dropped on the
-//!   other.
-//! * **unsorted-merge** — iterating a value whose name mentions `batch`
-//!   inside a scoped function requires a preceding `(dst, src)`
-//!   `sort_by_key` in the same function: merges must go through the
-//!   deterministic order, not raw channel-arrival order.
 //! * **shard-lock** — `Mutex`, `RwLock`, and `Relaxed` atomics are banned
 //!   outright in the scoped files.
 //! * **thread-spawn** — `std::thread::spawn` is banned; workers must go
@@ -26,43 +17,23 @@
 //!   cycle barrier.
 
 use crate::analyze::{FileUnit, Finding};
-use crate::callgraph::CallGraph;
 use crate::lexer::is_ident_char;
 use crate::policy::Policy;
 use crate::rules::{word_positions, RuleId};
 
-/// One channel-endpoint operation discovered in the scoped files.
-struct EndpointOp {
-    unit: usize,
-    line: usize,
-    /// Receiver binding as written (`tx`, `res_tx`, ...).
-    receiver: String,
-    /// Protocol stem: `res_tx` → `res`; bare `tx`/`rx` → `""` (wildcard).
-    stem: Option<String>,
-}
-
 /// Runs every concurrency rule over the scoped units.
-pub fn check(units: &[FileUnit], graph: &CallGraph, policy: &Policy) -> Vec<Finding> {
+pub fn check(units: &[FileUnit], policy: &Policy) -> Vec<Finding> {
     let mut findings = Vec::new();
-    let scoped: Vec<usize> = units
+    for unit in units
         .iter()
-        .enumerate()
-        .filter(|(_, u)| policy.concurrency_files.iter().any(|p| p == &u.rel))
-        .map(|(i, _)| i)
-        .collect();
-    let mut sends = Vec::new();
-    let mut recvs = Vec::new();
-    for &u in &scoped {
-        let unit = &units[u];
+        .filter(|u| policy.concurrency_files.iter().any(|p| p == &u.rel))
+    {
         for (idx, line) in unit.lines.iter().enumerate() {
             if unit.exempt[idx] {
                 continue;
             }
             let code = line.code.as_str();
             let lineno = idx + 1;
-            collect_ops(code, u, lineno, "send", "_tx", "tx", &mut sends);
-            collect_ops(code, u, lineno, "recv", "_rx", "rx", &mut recvs);
-            collect_ops(code, u, lineno, "try_recv", "_rx", "rx", &mut recvs);
             for _ in word_positions(code, "Mutex")
                 .iter()
                 .chain(&word_positions(code, "RwLock"))
@@ -72,8 +43,8 @@ pub fn check(units: &[FileUnit], graph: &CallGraph, policy: &Policy) -> Vec<Find
                     &unit.rel,
                     lineno,
                     RuleId::ShardLock,
-                    "locks and `Relaxed` atomics are banned in the shard hot path — state \
-                     visible across threads must move through the barrier channels"
+                    "locks and `Relaxed` atomics are banned in the shard hot path — each \
+                     worker owns its cores outright and hands them back at the scope join"
                         .to_string(),
                 ));
             }
@@ -86,161 +57,6 @@ pub fn check(units: &[FileUnit], graph: &CallGraph, policy: &Policy) -> Vec<Find
                      worker entry points so every thread joins at the cycle barrier"
                         .to_string(),
                 ));
-            }
-        }
-    }
-    findings.extend(protocol_findings(units, &sends, &recvs));
-    findings.extend(merge_findings(units, graph, &scoped));
-    findings
-}
-
-/// Scans one line for `.{op}(` endpoint calls, recording each op (and its
-/// stem when the receiver follows the `*_tx`/`*_rx` convention).
-fn collect_ops(
-    code: &str,
-    unit: usize,
-    line: usize,
-    op: &str,
-    suffix: &str,
-    bare: &str,
-    out: &mut Vec<EndpointOp>,
-) {
-    for at in word_positions(code, op) {
-        let head = code[..at].trim_end();
-        if !head.ends_with('.') {
-            continue;
-        }
-        let after = code[at + op.len()..].trim_start();
-        if !after.starts_with('(') {
-            continue;
-        }
-        let recv_end = head.len() - 1;
-        let recv_start = code[..recv_end]
-            .char_indices()
-            .rev()
-            .take_while(|&(_, c)| is_ident_char(c))
-            .last()
-            .map(|(p, _)| p)
-            .unwrap_or(recv_end);
-        let receiver = code[recv_start..recv_end].to_string();
-        let stem = if receiver == bare {
-            Some(String::new())
-        } else {
-            receiver.strip_suffix(suffix).map(str::to_string)
-        };
-        out.push(EndpointOp {
-            unit,
-            line,
-            receiver,
-            stem,
-        });
-    }
-}
-
-/// Endpoint-naming and send/recv table matching.
-fn protocol_findings(
-    units: &[FileUnit],
-    sends: &[EndpointOp],
-    recvs: &[EndpointOp],
-) -> Vec<Finding> {
-    let mut findings = Vec::new();
-    for (ops, suffix, other) in [(sends, "_tx", "recv"), (recvs, "_rx", "send")] {
-        for op in ops {
-            if op.stem.is_none() {
-                findings.push(Finding::new(
-                    &units[op.unit].rel,
-                    op.line,
-                    RuleId::ChannelProtocol,
-                    format!(
-                        "channel endpoint `{}` does not follow the `<stem>{suffix}` naming \
-                         protocol, so its {other} pairing cannot be checked",
-                        op.receiver
-                    ),
-                ));
-            }
-        }
-    }
-    let send_stems: Vec<&str> = sends.iter().filter_map(|o| o.stem.as_deref()).collect();
-    let recv_stems: Vec<&str> = recvs.iter().filter_map(|o| o.stem.as_deref()).collect();
-    let matched = |stem: &str, others: &[&str]| {
-        (!others.is_empty() && stem.is_empty()) || others.iter().any(|&o| o == stem || o.is_empty())
-    };
-    for op in sends {
-        if let Some(stem) = op.stem.as_deref() {
-            if !matched(stem, &recv_stems) {
-                findings.push(Finding::new(
-                    &units[op.unit].rel,
-                    op.line,
-                    RuleId::ChannelProtocol,
-                    format!(
-                        "`{}` is sent to but never received at the cycle barrier — every \
-                         send needs a matching `{stem}_rx` recv in the protocol table",
-                        op.receiver
-                    ),
-                ));
-            }
-        }
-    }
-    for op in recvs {
-        if let Some(stem) = op.stem.as_deref() {
-            if !matched(stem, &send_stems) {
-                findings.push(Finding::new(
-                    &units[op.unit].rel,
-                    op.line,
-                    RuleId::ChannelProtocol,
-                    format!(
-                        "`{}` is received from but never sent to — every recv needs a \
-                         matching `{stem}_tx` send in the protocol table",
-                        op.receiver
-                    ),
-                ));
-            }
-        }
-    }
-    findings
-}
-
-/// Batch-merge ordering: a `for … in …batch…` loop inside a scoped
-/// function must be preceded (same function) by a `(dst, src)`
-/// `sort_by_key`.
-fn merge_findings(units: &[FileUnit], graph: &CallGraph, scoped: &[usize]) -> Vec<Finding> {
-    let mut findings = Vec::new();
-    for &u in scoped {
-        let unit = &units[u];
-        for fi in graph.fns_of_unit(u) {
-            let f = &graph.fns[fi];
-            for idx in f.sig_line - 1..f.end_line.min(unit.lines.len()) {
-                if unit.exempt[idx] {
-                    continue;
-                }
-                let code = unit.lines[idx].code.as_str();
-                let Some(iterated) = for_loop_iterated(code) else {
-                    continue;
-                };
-                if !iterated.contains("batch") {
-                    continue;
-                }
-                let sorted_above = (f.sig_line - 1..idx).any(|j| {
-                    let c = unit.lines[j].code.as_str();
-                    !word_positions(c, "sort_by_key").is_empty()
-                        && !word_positions(c, "dst").is_empty()
-                        && !word_positions(c, "src").is_empty()
-                });
-                if !sorted_above {
-                    findings.push(Finding::new(
-                        &unit.rel,
-                        idx + 1,
-                        RuleId::UnsortedMerge,
-                        format!(
-                            "`{}::{}` iterates `{}` in channel-arrival order — boundary \
-                             batches must be `sort_by_key(|b| (b.dst, b.src))`-ed before \
-                             merging, or the report depends on thread timing",
-                            f.module,
-                            f.name,
-                            iterated.trim()
-                        ),
-                    ));
-                }
             }
         }
     }
@@ -265,64 +81,19 @@ fn has_thread_spawn(code: &str) -> bool {
     false
 }
 
-/// For a `for <pat> in <expr> {` line, the iterated expression text.
-fn for_loop_iterated(code: &str) -> Option<String> {
-    let at = *word_positions(code, "for").first()?;
-    // Statement-position `for` only (skip `impl Trait for Type`).
-    let head = code[..at].trim();
-    if !head.is_empty() && !head.ends_with(['{', ';', '}']) {
-        return None;
-    }
-    let rest = &code[at + 3..];
-    let in_at = word_positions(rest, "in").into_iter().next()?;
-    let expr = rest[in_at + 2..].trim_end();
-    let expr = expr.strip_suffix('{').unwrap_or(expr);
-    Some(expr.to_string())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::analyze::parse_unit;
-    use crate::callgraph;
 
     const SHARD: &str = "crates/sim/src/congestion/shard.rs";
 
     fn run(src: &str) -> Vec<Finding> {
-        let units = vec![parse_unit(SHARD, src)];
-        let graph = callgraph::build(&units);
-        let policy = Policy::workspace();
-        check(&units, &graph, &policy)
+        check(&[parse_unit(SHARD, src)], &Policy::workspace())
     }
 
     fn rules_of(f: &[Finding]) -> Vec<(usize, RuleId)> {
         f.iter().map(|x| (x.line, x.rule)).collect()
-    }
-
-    #[test]
-    fn matched_protocol_is_clean() {
-        let src = "pub fn driver(cmd_tx: S, res_rx: R) {\n    cmd_tx.send(1);\n    res_rx.recv();\n}\npub fn worker(cmd_rx: R, res_tx: S) {\n    cmd_rx.recv();\n    res_tx.send(2);\n}\n";
-        assert_eq!(run(src), vec![]);
-    }
-
-    #[test]
-    fn bare_tx_rx_are_wildcards() {
-        let src = "pub fn driver(tx: S, res_rx: R) {\n    tx.send(1);\n    res_rx.recv();\n}\npub fn worker(res_tx: S) {\n    res_tx.send(2);\n}\n";
-        assert_eq!(run(src), vec![]);
-    }
-
-    #[test]
-    fn unmatched_send_and_bad_name_are_findings() {
-        let src = "pub fn driver(leak_tx: S, chan: S) {\n    leak_tx.send(1);\n    chan.send(2);\n}\npub fn worker(res_rx: R) {\n    res_rx.recv();\n}\n";
-        let f = run(src);
-        assert_eq!(
-            rules_of(&f),
-            vec![
-                (3, RuleId::ChannelProtocol), // `chan` breaks the naming protocol
-                (2, RuleId::ChannelProtocol), // `leak_tx` has no recv
-                (6, RuleId::ChannelProtocol), // `res_rx` has no send ("" absent)
-            ]
-        );
     }
 
     #[test]
@@ -336,27 +107,11 @@ mod tests {
     }
 
     #[test]
-    fn unsorted_batch_merge_is_a_finding() {
-        let src =
-            "pub fn apply(batches: Vec<B>) {\n    for b in &batches {\n        eat(b);\n    }\n}\n";
-        let f = run(src);
-        assert_eq!(rules_of(&f), vec![(2, RuleId::UnsortedMerge)]);
-        assert!(f[0].message.contains("shard::apply"), "{}", f[0].message);
-    }
-
-    #[test]
-    fn sorted_batch_merge_is_clean() {
-        let src = "pub fn apply(mut batches: Vec<B>) {\n    batches.sort_by_key(|b| (b.dst, b.src));\n    for b in &batches {\n        eat(b);\n    }\n}\n";
-        assert_eq!(run(src), vec![]);
-    }
-
-    #[test]
     fn out_of_scope_files_are_ignored() {
         let units = vec![parse_unit(
             "crates/sim/src/metrics.rs",
             "pub fn f() {\n    std::thread::spawn(|| {});\n}\n",
         )];
-        let graph = callgraph::build(&units);
-        assert_eq!(check(&units, &graph, &Policy::workspace()), vec![]);
+        assert_eq!(check(&units, &Policy::workspace()), vec![]);
     }
 }

@@ -247,8 +247,6 @@ fn describe(rule: RuleId) -> &'static str {
         RuleId::TransitivePanic => "panic-capable code reachable from a hot-path entry point",
         RuleId::AllocPropagation => "alloc-free function calling a non-alloc-free function",
         RuleId::AllocRecursion => "recursion (unbounded stack) inside the alloc-free subgraph",
-        RuleId::ChannelProtocol => "channel send/recv outside the barrier protocol table",
-        RuleId::UnsortedMerge => "boundary-batch merge without the (dst, src) sort",
         RuleId::ShardLock => "Mutex/RwLock/Relaxed atomics in the sharded hot path",
         RuleId::ThreadSpawn => "`std::thread::spawn` instead of the scoped worker entry points",
         RuleId::OverloadedAllow => "one `analyzer: allow` suppressing multiple findings",

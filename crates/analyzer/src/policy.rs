@@ -143,7 +143,7 @@ pub fn run(root: &Path, policy: &Policy) -> io::Result<Analysis> {
     raw.extend(interproc::transitive_panic(&units, &graph, policy));
     raw.extend(interproc::alloc_propagation(&units, &graph));
     raw.extend(interproc::alloc_recursion(&units, &graph));
-    raw.extend(concurrency::check(&units, &graph, policy));
+    raw.extend(concurrency::check(&units, policy));
     let mut findings = apply_allows(&mut units, raw);
     for audit in &policy.audits {
         findings.extend(differential_coverage(root, audit)?);

@@ -51,13 +51,6 @@ pub enum RuleId {
     /// Recursion inside the `alloc-free` subgraph — an unbounded stack is
     /// an unbounded allocation.
     AllocRecursion,
-    /// A channel `send`/`recv` outside the sharded engine's protocol table
-    /// (unmatched endpoint, or an endpoint ignoring the `_tx`/`_rx`
-    /// naming discipline the table is keyed by).
-    ChannelProtocol,
-    /// Boundary batches iterated in merge position without the
-    /// `(dst, src)` sort that makes the merge deterministic.
-    UnsortedMerge,
     /// `Mutex`/`RwLock`/`Relaxed` atomics in the shard hot path — shard
     /// state must be owned, not shared.
     ShardLock,
@@ -93,8 +86,6 @@ impl RuleId {
             RuleId::TransitivePanic => "transitive-panic",
             RuleId::AllocPropagation => "alloc-propagation",
             RuleId::AllocRecursion => "alloc-recursion",
-            RuleId::ChannelProtocol => "channel-protocol",
-            RuleId::UnsortedMerge => "unsorted-merge",
             RuleId::ShardLock => "shard-lock",
             RuleId::ThreadSpawn => "thread-spawn",
             RuleId::OverloadedAllow => "overloaded-allow",
@@ -110,7 +101,7 @@ impl RuleId {
 }
 
 /// Every rule, in diagnostic order.
-pub const ALL_RULES: [RuleId; 23] = [
+pub const ALL_RULES: [RuleId; 21] = [
     RuleId::Unwrap,
     RuleId::Expect,
     RuleId::Panic,
@@ -127,8 +118,6 @@ pub const ALL_RULES: [RuleId; 23] = [
     RuleId::TransitivePanic,
     RuleId::AllocPropagation,
     RuleId::AllocRecursion,
-    RuleId::ChannelProtocol,
-    RuleId::UnsortedMerge,
     RuleId::ShardLock,
     RuleId::ThreadSpawn,
     RuleId::OverloadedAllow,

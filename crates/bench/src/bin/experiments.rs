@@ -14,8 +14,9 @@
 //! Output is plain text on stdout; it is the source of the measured numbers
 //! recorded in `EXPERIMENTS.md`.
 //!
-//! `--threads N` sizes the worker pool of the sweep-style experiments
-//! (default: the machine's available parallelism). `--shards N` sizes the
+//! `--threads N` sizes the worker pool of the sweep-style experiments and
+//! the sharded engine's per-cycle shard workers (`min(N, shards)` of them;
+//! default: the machine's available parallelism). `--shards N` sizes the
 //! graph partition of the sharded-engine experiments (`sim-sharded`,
 //! `sim-vc`, `sim-million*`, `sim-reliability`; default 4), and `--vcs N`
 //! the virtual-channel count of `sim-vc` (default 2). `sim-reliability`

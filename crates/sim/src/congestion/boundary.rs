@@ -20,16 +20,15 @@
 //!   and re-enqueuing it at the owner with the same due cycle changes
 //!   nothing observable.
 //!
-//! Every shard core keeps one [`BoundaryBatch`] per destination shard for
-//! its whole life. The serial driver applies them in place in `(dst, src)`
-//! loop order and clears them, so the barrier allocates nothing once the
-//! buffers have grown. The threaded driver ships copies over a
-//! vendored-`crossbeam` channel from the scoped worker threads and sorts
-//! them by `(dst, src)` before applying. Either way the merge order is
-//! deterministic, which makes the report byte-identical for any shard
-//! count and any thread interleaving. Flits within a batch are already in
-//! examination order (ascending packet id = age), so the merge gives a
-//! total (shard-id, packet-age) order.
+//! Every shard core keeps one [`BoundaryBatch`] per peer shard. At the
+//! barrier each sender's batch for a destination is swapped with the
+//! destination's batch for that sender, which the destination adopts in
+//! ascending source order and empties in place: nothing is copied, and
+//! nothing is allocated once the buffers have grown. The merge order is
+//! fixed, which makes the report byte-identical for any shard count and
+//! any thread count. Flits within a batch are already in examination order
+//! (ascending packet id = age), so the merge gives a total (shard-id,
+//! packet-age) order.
 
 /// A packet mid-migration: everything the destination shard needs to host
 /// it. `entry` is already advanced to the node it just arrived on (the
@@ -60,42 +59,23 @@ pub struct Flit {
     pub path_len: u32,
 }
 
-/// One shard's cycle output destined for one other shard, shipped at the
-/// cycle barrier.
-#[derive(Clone, Debug)]
+/// One shard's cycle output destined for one other shard, adopted by that
+/// shard at the cycle barrier.
+#[derive(Debug, Default)]
 pub struct BoundaryBatch {
-    /// Sending shard.
-    pub src: u32,
-    /// Receiving shard.
-    pub dst: u32,
-    /// Packets that crossed into `dst` this cycle, in age order.
+    /// Packets that crossed into the destination shard this cycle, in age
+    /// order.
     pub flits: Vec<Flit>,
     /// The remaining paths of the materialized flits, concatenated in flit
     /// order (`Flit::path_len` words each).
     pub path_words: Vec<u64>,
-    /// Global gate ids (`slot * vcs + vc`) owned by `dst` whose buffers
-    /// drained this cycle (one entry per returned credit; a gate may
-    /// repeat).
+    /// Global gate ids (`slot * vcs + vc`) owned by the destination shard
+    /// whose buffers drained this cycle (one entry per returned credit; a
+    /// gate may repeat).
     pub credits: Vec<u32>,
 }
 
 impl BoundaryBatch {
-    /// An empty batch between `src` and `dst`.
-    pub fn new(src: u32, dst: u32) -> Self {
-        BoundaryBatch {
-            src,
-            dst,
-            flits: Vec::new(),
-            path_words: Vec::new(),
-            credits: Vec::new(),
-        }
-    }
-
-    /// True when there is nothing to ship.
-    pub fn is_empty(&self) -> bool {
-        self.flits.is_empty() && self.credits.is_empty()
-    }
-
     /// Empties the batch, keeping every buffer's capacity.
     pub(crate) fn clear(&mut self) {
         self.flits.clear();

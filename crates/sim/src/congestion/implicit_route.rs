@@ -276,7 +276,7 @@ impl ImplicitRoute {
     }
 
     /// Initial cached entry and shift-register state of a packet from
-    /// logical `s` to logical `t` — O(h), used at load and by `reset`.
+    /// logical `s` to logical `t` — O(h), used once per packet at load.
     /// Returns `(entry, pos, rem)`; a terminal entry (no outgoing slot)
     /// means the packet is born on its target.
     pub(crate) fn first_entry(&self, machine: &PhysicalMachine, s: u32, t: u32) -> (u64, u32, u32) {

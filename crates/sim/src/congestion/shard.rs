@@ -8,6 +8,12 @@
 //! differential suite, the golden outputs of `tests/tests/engine_golden.rs`
 //! and the CI shard-determinism job.
 //!
+//! [`ShardedSim::step`] is the only cycle body at every thread count.
+//! Threads change only where per-core work runs: on `min(threads, shards)`
+//! scoped workers, each owning a contiguous group of cores. The barrier's
+//! buffer swap, the resolution drain and the stop rule run on the calling
+//! thread.
+//!
 //! Why equivalence holds: every resource a packet contends for in a cycle —
 //! its node's output port, its outgoing link's claim stamp, that link's
 //! per-VC downstream credits — is a function of the packet's *current*
@@ -113,8 +119,8 @@ fn pack_hop_slots(path: &mut [u64], machine: &PhysicalMachine) {
     }
 }
 
-/// Read-only cycle context shared by every shard core (and, in threaded
-/// runs, by every worker thread).
+/// Read-only cycle context shared by every shard core and every worker
+/// thread.
 struct ShardCtx<'a> {
     machine: &'a PhysicalMachine,
     /// First global CSR slot of each shard; length `shards + 1`.
@@ -257,8 +263,9 @@ struct ShardCore {
     /// `(id, cycle, RES_*)` resolutions, drained by the driver.
     resolved: Vec<(u32, u32, u8)>,
     /// Outbound flits, path words and credit returns, one buffer per
-    /// destination shard (indexed by it), kept for the core's life: the
-    /// drivers empty them in place at every barrier.
+    /// destination shard (indexed by it). The barrier swaps entry `dst`
+    /// with entry `src` of the receiver, which adopts and empties it, so
+    /// buffers keep their capacity but move between cores.
     out: Vec<BoundaryBatch>,
     moved: u64,
     injected: u64,
@@ -279,7 +286,6 @@ struct ShardCore {
 impl ShardCore {
     #[allow(clippy::too_many_arguments)]
     fn new(
-        shard: usize,
         node_lo: usize,
         node_hi: usize,
         slot_lo: usize,
@@ -348,9 +354,7 @@ impl ShardCore {
             pending_inject: Vec::new(),
             inject_pos: 0,
             resolved: Vec::new(),
-            out: (0..shards)
-                .map(|dst| BoundaryBatch::new(shard as u32, dst as u32))
-                .collect(),
+            out: (0..shards).map(|_| BoundaryBatch::default()).collect(),
             moved: 0,
             injected: 0,
             credits_applied: 0,
@@ -909,25 +913,25 @@ impl ShardCore {
         }
     }
 
-    /// Copies this cycle's non-empty outbound buffers into batches for the
-    /// threaded driver's channel and empties the buffers in place.
-    fn take_batches(&mut self) -> Vec<BoundaryBatch> {
-        let mut shipped = Vec::new();
-        for out in &mut self.out {
-            if !out.is_empty() {
-                shipped.push(out.clone());
-                out.clear();
-            }
+    /// Adopts the batches the barrier swapped into `out` (entry `src` holds
+    /// what shard `src` sent here) in ascending source order at the start
+    /// of cycle `now`, emptying each in place.
+    // analyzer: alloc-free
+    fn adopt_inbound(&mut self, now: u32) {
+        for src in 0..self.out.len() {
+            let mut batch = std::mem::take(&mut self.out[src]);
+            self.apply_inbound(&batch.flits, &batch.path_words, &batch.credits, now);
+            batch.clear();
+            self.out[src] = batch;
         }
-        shipped
     }
 
     /// Drops the loaded workload and both fault schedules, rewinding every
     /// gate, queue and metric to its state after [`ShardCore::new`] while
     /// keeping every buffer's capacity and the warmed [`Searcher`]. Only
     /// the nodes and links on the dead lists are un-marked. The per-cycle
-    /// outputs (`resolved`, `out`, the counters) need nothing: the drivers
-    /// drain or reset them every cycle.
+    /// outputs (`resolved`, `out`, the counters) need nothing: every step
+    /// drains or resets them.
     fn clear_workload(&mut self) {
         for gate in &mut self.links {
             gate.claim = NEVER;
@@ -1143,44 +1147,6 @@ impl ShardCore {
     }
 }
 
-/// A command from the driver to a persistent worker thread.
-enum WorkerCmd {
-    /// Apply last cycle's inbound traffic, run one cycle phase, report.
-    Cycle {
-        cycle: u32,
-        flits: Vec<Flit>,
-        path_words: Vec<u64>,
-        credits: Vec<u32>,
-    },
-    /// Apply inbound traffic without running a cycle (the exit flush, so
-    /// the cores hold a consistent post-barrier state when the run stops).
-    Apply {
-        now: u32,
-        flits: Vec<Flit>,
-        path_words: Vec<u64>,
-        credits: Vec<u32>,
-    },
-    /// Join.
-    Stop,
-}
-
-/// One worker's cycle result. `None` on the result channel means the worker
-/// panicked (the payload re-raises through the scope join).
-struct WorkerOut {
-    shard: u32,
-    moved: u64,
-    injected: u64,
-    credits_applied: u64,
-    killed: usize,
-    rerouted: u64,
-    pending_injections: u64,
-    resolved: Vec<(u32, u32, u8)>,
-    batches: Vec<BoundaryBatch>,
-    /// The core's timers before the barrier; credits shipped across the
-    /// barrier are checked separately.
-    timers_idle: bool,
-}
-
 /// Per-packet run outcomes and the counters derived from them, written
 /// only by the driver as it drains the cores' resolutions.
 #[derive(Default)]
@@ -1275,10 +1241,11 @@ pub struct ShardedSim {
 
 impl ShardedSim {
     /// Creates an engine over `machine` with `shards` contiguous node
-    /// partitions, run by one worker thread per shard when `threads > 1`
-    /// (and serially, still shard-by-shard, otherwise). The machine's
-    /// static fault set (if any) is honoured at load time; dynamic faults
-    /// are layered on top via [`ShardedSim::schedule_fault`].
+    /// partitions. Each cycle's per-shard work runs on `min(threads, shards)`
+    /// worker threads, each owning a contiguous group of shards (0 counts
+    /// as 1); the stop rule runs on the calling thread. The
+    /// machine's static fault set (if any) is honoured at load time;
+    /// dynamic faults are layered on top via [`ShardedSim::schedule_fault`].
     ///
     /// # Panics
     /// Panics when `shards == 0` or when `config` asks for an empty buffer,
@@ -1332,7 +1299,6 @@ impl ShardedSim {
         let cores = (0..shards)
             .map(|s| {
                 ShardCore::new(
-                    s,
                     shard_floor(s, n, shards),
                     shard_floor(s + 1, n, shards),
                     slot_start[s] as usize,
@@ -1351,7 +1317,7 @@ impl ShardedSim {
             config,
             packet_flits,
             shards,
-            threads: threads.max(1),
+            threads: threads.clamp(1, shards),
             slot_start,
             cores,
             inject_at: Vec::new(),
@@ -1382,13 +1348,11 @@ impl ShardedSim {
         self.shards
     }
 
-    /// Worker threads a threaded run uses (one per shard when `> 1`).
+    /// Worker threads each cycle's per-shard work runs on:
+    /// `min(threads, shards)` of the `threads` passed to [`ShardedSim::new`].
+    // analyzer: alloc-free
     pub fn threads(&self) -> usize {
-        if self.threads > 1 && self.shards > 1 {
-            self.shards
-        } else {
-            1
-        }
+        self.threads
     }
 
     /// `(injected, delivered, dropped, in_flight)` — the conservation
@@ -1757,17 +1721,22 @@ impl ShardedSim {
         totals
     }
 
-    /// Simulates one cycle serially, whatever the thread count: every
-    /// core applies its due credits and claim expiries, injects due
-    /// packets, fires due faults and runs its examination pass; then the
-    /// barrier hands each core its inbound flits and credits (landing at
-    /// the start of the next cycle) and the driver applies the cycle's
-    /// resolutions. Returns a summary of what happened;
-    /// [`CycleEvents::is_idle`] is true only when the run has drained.
+    /// Simulates one cycle. Every core applies its due credits and claim
+    /// expiries, injects due packets, fires due faults and runs its
+    /// examination pass. The barrier then hands every outbound buffer to
+    /// its receiver, each core adopts its inbound flits and credits
+    /// (landing at the start of the next cycle), and the driver applies the
+    /// cycle's resolutions. The per-core work of both halves runs on
+    /// [`ShardedSim::threads`] workers, joined after each. Returns a
+    /// summary of what happened; [`CycleEvents::is_idle`] is true only when
+    /// the run has drained. With one worker a warm step allocates nothing.
     // analyzer: alloc-free
     pub fn step(&mut self) -> CycleEvents {
         let cycle = self.cycle;
+        let workers = self.threads();
         let (ctx, cores, outcomes) = self.parts();
+        // analyzer: trusted-call -- spawning scoped workers allocates; only the one-worker path is allocation-free, which the counting-allocator tests pin
+        fan_out(cores, workers, |core| core.phase(&ctx, cycle));
         let mut events = CycleEvents {
             cycle,
             moved: 0,
@@ -1778,8 +1747,7 @@ impl ShardedSim {
             live: 0,
             pending_injections: 0,
         };
-        for core in cores.iter_mut() {
-            core.phase(&ctx, cycle);
+        for core in cores.iter() {
             events.moved += core.moved;
             events.injected += core.injected;
             events.credits_applied += core.credits_applied;
@@ -1789,21 +1757,22 @@ impl ShardedSim {
         // Injections enter the network before any resolution of the same
         // cycle.
         outcomes.live += events.injected;
-        // The barrier: each destination core adopts its inbound traffic in
-        // ascending source order (the loop nest is the `(dst, src)` merge
-        // order), straight from the senders' buffers, which are then
-        // emptied in place.
-        for dst in 0..cores.len() {
+        // The barrier: each source's `out[dst]` trades places with its
+        // destination's `out[src]`, handing every batch to its receiver
+        // without a copy. Each core then adopts its batches in ascending
+        // source order (the `(dst, src)` merge order at any thread count),
+        // touching only itself.
+        for dst in 1..cores.len() {
             let (lower, rest) = cores.split_at_mut(dst);
-            let Some((core, upper)) = rest.split_first_mut() else {
+            let Some((core, _)) = rest.split_first_mut() else {
                 continue;
             };
-            for sender in lower.iter_mut().chain(upper.iter_mut()) {
-                let out = &mut sender.out[dst];
-                core.apply_inbound(&out.flits, &out.path_words, &out.credits, cycle + 1);
-                out.clear();
+            for (src, sender) in lower.iter_mut().enumerate() {
+                std::mem::swap(&mut sender.out[dst], &mut core.out[src]);
             }
         }
+        // analyzer: trusted-call -- spawning scoped workers allocates; only the one-worker path is allocation-free, which the counting-allocator tests pin
+        fan_out(cores, workers, |core| core.adopt_inbound(cycle + 1));
         outcomes.take_resolutions(ctx.inject_at, cores);
         self.total_flits += events.moved * self.packet_flits as u64;
         self.cycle += 1;
@@ -1826,134 +1795,18 @@ impl ShardedSim {
     }
 
     /// Steps until cycle `horizon` (capped by `max_cycles`), the workload
-    /// drains, or the stop rule proves a hard deadlock. Serial and
-    /// threaded runs are byte-identical; neither allocates per cycle on
-    /// the serial path.
+    /// drains, or the stop rule proves a hard deadlock. The loop is the
+    /// same at every thread count, so runs are byte-identical; with one
+    /// worker it allocates nothing per cycle.
+    // analyzer: alloc-free
     pub fn run_until(&mut self, horizon: u32) {
         let horizon = horizon.min(self.config.max_cycles);
-        if self.threads > 1 && self.shards > 1 {
-            self.run_threaded(horizon);
-        } else {
-            self.run_serial(horizon);
-        }
-    }
-
-    // analyzer: alloc-free
-    fn run_serial(&mut self, horizon: u32) {
         while (self.outcomes.live > 0 || self.pending_injections() > 0) && self.cycle < horizon {
             let events = self.step();
             if self.detect_deadlock(&events) {
                 break;
             }
         }
-    }
-
-    fn run_threaded(&mut self, horizon: u32) {
-        let shards = self.shards;
-        let mut cycle = self.cycle;
-        let mut moved_total = 0u64;
-        let mut deadlocked = false;
-        let mut pending = self.pending_injections();
-        let (ctx, cores, outcomes) = self.parts();
-        let scope_result = crossbeam::scope(|s| {
-            let (res_tx, res_rx) = crossbeam::channel::unbounded::<Option<WorkerOut>>();
-            let mut cmd_txs = Vec::with_capacity(shards);
-            for (shard, core) in cores.iter_mut().enumerate() {
-                let (cmd_tx, cmd_rx) = crossbeam::channel::unbounded::<WorkerCmd>();
-                cmd_txs.push(cmd_tx);
-                let res_tx = res_tx.clone();
-                let ctx = &ctx;
-                s.spawn(move |_| worker_loop(shard as u32, core, ctx, &cmd_rx, &res_tx));
-            }
-            drop(res_tx);
-            let mut inbound_flits: Vec<Vec<Flit>> = (0..shards).map(|_| Vec::new()).collect();
-            let mut inbound_words: Vec<Vec<u64>> = (0..shards).map(|_| Vec::new()).collect();
-            let mut inbound_credits: Vec<Vec<u32>> = (0..shards).map(|_| Vec::new()).collect();
-            'run: while (outcomes.live > 0 || pending > 0) && cycle < horizon {
-                for (shard, tx) in cmd_txs.iter().enumerate() {
-                    let cmd = WorkerCmd::Cycle {
-                        cycle,
-                        flits: std::mem::take(&mut inbound_flits[shard]),
-                        path_words: std::mem::take(&mut inbound_words[shard]),
-                        credits: std::mem::take(&mut inbound_credits[shard]),
-                    };
-                    if tx.send(cmd).is_err() {
-                        break 'run;
-                    }
-                }
-                let mut outs: Vec<WorkerOut> = Vec::with_capacity(shards);
-                for _ in 0..shards {
-                    match res_rx.recv() {
-                        Ok(Some(o)) => outs.push(o),
-                        Ok(None) | Err(_) => break 'run,
-                    }
-                }
-                outs.sort_by_key(|o| o.shard);
-                let injected: u64 = outs.iter().map(|o| o.injected).sum();
-                pending = outs.iter().map(|o| o.pending_injections).sum();
-                outcomes.live += injected;
-                for o in &mut outs {
-                    for res in o.resolved.drain(..) {
-                        outcomes.apply(ctx.inject_at, res);
-                    }
-                }
-                let mut batches: Vec<BoundaryBatch> =
-                    outs.iter_mut().flat_map(|o| o.batches.drain(..)).collect();
-                batches.sort_by_key(|b| (b.dst, b.src));
-                let mut credits_shipped = false;
-                for b in batches {
-                    if !b.credits.is_empty() {
-                        credits_shipped = true;
-                    }
-                    inbound_flits[b.dst as usize].extend(b.flits);
-                    inbound_words[b.dst as usize].extend(b.path_words);
-                    inbound_credits[b.dst as usize].extend(b.credits);
-                }
-                let events = CycleEvents {
-                    cycle,
-                    moved: outs.iter().map(|o| o.moved).sum(),
-                    injected,
-                    credits_applied: outs.iter().map(|o| o.credits_applied).sum(),
-                    faults_fired: outs.first().map_or(0, |o| o.killed),
-                    rerouted: outs.iter().map(|o| o.rerouted).sum(),
-                    live: outcomes.live,
-                    pending_injections: pending,
-                };
-                moved_total += events.moved;
-                cycle += 1;
-                // The workers report their timers *before* the barrier;
-                // pre-barrier idle plus no credit shipped is exactly the
-                // post-barrier check of a serial step (shipped flits imply
-                // `moved > 0` anyway).
-                let idle = outs.iter().all(|o| o.timers_idle) && !credits_shipped;
-                if proves_deadlock(&events, idle) {
-                    deadlocked = true;
-                    break 'run;
-                }
-            }
-            // Flush the last barrier's traffic so the cores are left in a
-            // consistent post-barrier state, then join the workers.
-            for (shard, tx) in cmd_txs.iter().enumerate() {
-                let flits = std::mem::take(&mut inbound_flits[shard]);
-                let path_words = std::mem::take(&mut inbound_words[shard]);
-                let credits = std::mem::take(&mut inbound_credits[shard]);
-                if !flits.is_empty() || !credits.is_empty() {
-                    let _ = tx.send(WorkerCmd::Apply {
-                        now: cycle,
-                        flits,
-                        path_words,
-                        credits,
-                    });
-                }
-                let _ = tx.send(WorkerCmd::Stop);
-            }
-        });
-        if let Err(payload) = scope_result {
-            std::panic::resume_unwind(payload);
-        }
-        self.cycle = cycle;
-        self.total_flits += moved_total * self.packet_flits as u64;
-        self.deadlocked |= deadlocked;
     }
 
     /// Steps until the workload drains, `max_cycles` is hit, or the network
@@ -2106,63 +1959,32 @@ impl ShardedSim {
     }
 }
 
-/// The persistent per-shard worker: applies the previous barrier's inbound
-/// traffic, runs the cycle phase, and reports. A panic anywhere in the
-/// cycle work sends `None` first so the driver never blocks on a dead
-/// worker, then re-raises (the scope join carries it to the caller).
-fn worker_loop(
-    shard: u32,
-    core: &mut ShardCore,
-    ctx: &ShardCtx<'_>,
-    cmd_rx: &crossbeam::channel::Receiver<WorkerCmd>,
-    res_tx: &crossbeam::channel::Sender<Option<WorkerOut>>,
-) {
-    while let Ok(cmd) = cmd_rx.recv() {
-        match cmd {
-            WorkerCmd::Cycle {
-                cycle,
-                flits,
-                path_words,
-                credits,
-            } => {
-                let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    core.apply_inbound(&flits, &path_words, &credits, cycle);
-                    core.phase(ctx, cycle);
-                    WorkerOut {
-                        shard,
-                        moved: core.moved,
-                        injected: core.injected,
-                        credits_applied: core.credits_applied,
-                        killed: core.killed,
-                        rerouted: core.rerouted,
-                        pending_injections: core.pending_injections(),
-                        resolved: std::mem::take(&mut core.resolved),
-                        batches: core.take_batches(),
-                        timers_idle: core.timers_idle(),
-                    }
-                }));
-                match out {
-                    Ok(o) => {
-                        if res_tx.send(Some(o)).is_err() {
-                            return;
-                        }
-                    }
-                    Err(payload) => {
-                        let _ = res_tx.send(None);
-                        std::panic::resume_unwind(payload);
-                    }
-                }
-            }
-            WorkerCmd::Apply {
-                now,
-                flits,
-                path_words,
-                credits,
-            } => core.apply_inbound(&flits, &path_words, &credits, now),
-            WorkerCmd::Stop => return,
-        }
+/// Runs `work` on every core, on `workers` threads: a plain loop with one
+/// worker. Otherwise the cores are cut into `workers` contiguous groups by
+/// the arithmetic that cuts nodes into shards ([`shard_floor`]); the
+/// calling thread runs the first group and one scoped thread runs each
+/// other, and the scope joins them all (a worker's panic resurfaces
+/// there). Each worker mutates only its own cores, so the split cannot
+/// change any core's state.
+fn fan_out(cores: &mut [ShardCore], workers: usize, work: impl Fn(&mut ShardCore) + Sync) {
+    let work = &work;
+    let run = move |group: &mut [ShardCore]| group.iter_mut().for_each(work);
+    if workers <= 1 {
+        return run(cores);
     }
+    let shards = cores.len();
+    std::thread::scope(|s| {
+        let (first, mut rest) = cores.split_at_mut(shard_floor(1, shards, workers));
+        for w in 1..workers {
+            let size = shard_floor(w + 1, shards, workers) - shard_floor(w, shards, workers);
+            let (group, tail) = std::mem::take(&mut rest).split_at_mut(size);
+            rest = tail;
+            s.spawn(move || run(group));
+        }
+        run(first);
+    });
 }
+
 #[cfg(test)]
 mod tests {
     use super::super::measure_open_loop;
@@ -2377,7 +2199,15 @@ mod tests {
             measure_open_loop(&mut sim, &spec)
         };
         let want = run(1, 1);
-        for (shards, threads) in [(2usize, 1usize), (3, 1), (2, 2), (3, 3)] {
+        for (shards, threads) in [
+            (2usize, 1usize),
+            (3, 1),
+            (2, 2),
+            (3, 3),
+            (3, 2),
+            (4, 3),
+            (2, 4),
+        ] {
             let got = run(shards, threads);
             assert_eq!(got, want, "shards={shards} threads={threads}");
         }
@@ -2394,9 +2224,19 @@ mod tests {
             ..CongestionConfig::default()
         };
         let serial = sharded_report(&db, PortModel::MultiPort, config, &pairs, 4, 1);
-        let threaded = sharded_report(&db, PortModel::MultiPort, config, &pairs, 4, 4);
-        assert_report_fields_equal(&threaded, &serial);
-        assert_eq!(serial, threaded);
+        for (shards, threads) in [(4usize, 4usize), (4, 3), (3, 2), (2, 4), (1, 4)] {
+            let machine = PhysicalMachine::new(db.graph().clone(), PortModel::MultiPort);
+            let mut sim = ShardedSim::new(machine, config, shards, threads);
+            assert_eq!(
+                sim.threads(),
+                threads.min(shards),
+                "shards={shards} threads={threads}"
+            );
+            sim.load_oblivious(&db, &Embedding::identity(n), &pairs);
+            let threaded = sim.run();
+            assert_report_fields_equal(&threaded, &serial);
+            assert_eq!(serial, threaded, "shards={shards} threads={threads}");
+        }
     }
 
     #[test]

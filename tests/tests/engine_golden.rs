@@ -279,7 +279,15 @@ fn retired_engine_outputs_hold_at_every_shard_count() {
     for sc in &scenarios {
         let (want_report, want_outcomes) = golden(sc.name);
         let db = DeBruijn2::new(sc.h);
-        for (shards, threads) in [(1usize, 1usize), (2, 1), (4, 1), (4, 2)] {
+        for (shards, threads) in [
+            (1usize, 1usize),
+            (2, 1),
+            (4, 1),
+            (4, 2),
+            (3, 2),
+            (4, 3),
+            (2, 4),
+        ] {
             let machine = PhysicalMachine::new(db.graph().clone(), sc.port);
             let mut sim = ShardedSim::new(machine, sc.config, shards, threads);
             let (report, outcomes) = observe(&mut sim, sc);

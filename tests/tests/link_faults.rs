@@ -222,7 +222,15 @@ fn sharded_engine_matches_single_table_through_link_bursts() {
         FlowControl::CreditBased { buffer_depth: 2 },
     ] {
         let single = run_with_burst(EngineKind::WakeList, flow, response, 0xD1, 2);
-        for (shards, threads) in [(1usize, 1usize), (2, 1), (4, 1), (4, 2)] {
+        for (shards, threads) in [
+            (1usize, 1usize),
+            (2, 1),
+            (4, 1),
+            (4, 2),
+            (3, 2),
+            (4, 3),
+            (2, 4),
+        ] {
             let db = DeBruijn2::new(5);
             let machine = PhysicalMachine::new(db.graph().clone(), PortModel::MultiPort);
             let mut sim = ShardedSim::new(

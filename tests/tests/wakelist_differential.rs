@@ -269,9 +269,9 @@ fn assert_engines_agree(
 /// loader's once-per-load validation tier and its successor-slot table.
 ///
 /// Shards: every shard count must reproduce the single-table run
-/// byte-for-byte — threaded runs (one worker per shard, deterministic
-/// (dst, src) barrier merge) and, at 2 and 4 shards, the naive rescan and
-/// materialized routes too.
+/// byte-for-byte — threaded runs too (`min(threads, shards)` workers
+/// running contiguous groups of shards, some of unequal size) and, at 2
+/// and 4 shards, the naive rescan and materialized routes.
 #[allow(clippy::too_many_arguments)]
 fn assert_sources_and_shards_agree(
     h: usize,
@@ -299,7 +299,15 @@ fn assert_sources_and_shards_agree(
         ..REFERENCE
     };
     let mut kernels = vec![materialized];
-    for (shards, threads) in [(2usize, 1usize), (2, 2), (4, 1), (4, 2)] {
+    for (shards, threads) in [
+        (2usize, 1usize),
+        (2, 2),
+        (4, 1),
+        (4, 2),
+        (3, 2),
+        (4, 3),
+        (2, 4),
+    ] {
         kernels.push(Kernel {
             shards,
             threads,
