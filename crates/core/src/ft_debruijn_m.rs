@@ -10,7 +10,7 @@
 //! [`crate::FtDeBruijn2`].
 
 use crate::fault::FaultSet;
-use crate::reconfig::reconfigure;
+use crate::reconfig::RankReconfig;
 use ftdb_graph::{Embedding, Graph, GraphBuilder, NodeId};
 use ftdb_topology::labels::{pow_nodes, x_fn};
 use ftdb_topology::DeBruijnM;
@@ -23,6 +23,7 @@ pub struct FtDeBruijnM {
     k: usize,
     graph: Graph,
     target: DeBruijnM,
+    reconfig: RankReconfig,
 }
 
 impl FtDeBruijnM {
@@ -50,6 +51,7 @@ impl FtDeBruijnM {
             k,
             graph: b.build(),
             target: DeBruijnM::new(m, h),
+            reconfig: RankReconfig::default(),
         }
     }
 
@@ -103,28 +105,25 @@ impl FtDeBruijnM {
     /// # Panics
     /// Panics if more than `k` faults are given or the universe mismatches.
     pub fn reconfigure(&self, faults: &FaultSet) -> Embedding {
-        assert!(
-            faults.len() <= self.k,
-            "{} faults exceed the fault budget k = {}",
-            faults.len(),
-            self.k
-        );
-        assert_eq!(
-            faults.universe(),
-            self.node_count(),
-            "fault set universe does not match the fault-tolerant graph"
-        );
-        reconfigure(self.target.node_count(), faults)
+        RankReconfig::reconfigure(self.target.graph(), &self.graph, self.k, faults)
     }
 
     /// Reconfigures and verifies the resulting embedding (Theorem 2).
+    ///
+    /// The result is exactly [`FtDeBruijnM::reconfigure`] followed by
+    /// [`Embedding::verify`], `Err` values included. The first call builds
+    /// displacement masks for the budget `k` and keeps them for every later
+    /// call; [`FtDeBruijn2::reconfigure_verified`](crate::FtDeBruijn2::reconfigure_verified)
+    /// gives their cost.
+    ///
+    /// # Panics
+    /// As [`FtDeBruijnM::reconfigure`].
     pub fn reconfigure_verified(
         &self,
         faults: &FaultSet,
     ) -> Result<Embedding, ftdb_graph::embedding::EmbeddingError> {
-        let phi = self.reconfigure(faults);
-        phi.verify(self.target.graph(), &self.graph)?;
-        Ok(phi)
+        self.reconfig
+            .reconfigure_verified(self.target.graph(), &self.graph, self.k, faults)
     }
 }
 
@@ -199,14 +198,18 @@ mod tests {
     }
 
     proptest! {
-        /// Randomised instantiation of Theorem 2.
+        /// Randomised instantiation of Theorem 2, through
+        /// `reconfigure_verified` and through `Embedding::verify`.
         #[test]
-        fn theorem_2_random_fault_sets(m in 2usize..5, h in 3usize..5, k in 0usize..4, seed in 0u64..200) {
+        fn theorem_2_random_fault_sets(m in 2usize..5, h in 3usize..5, k in 0usize..4, count in 0usize..4, seed in 0u64..200) {
             let ft = FtDeBruijnM::new(m, h, k);
             let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-            let faults = FaultSet::random(ft.node_count(), k, &mut rng).expect("k within node count");
+            let count = count % (k + 1);
+            let faults = FaultSet::random(ft.node_count(), count, &mut rng).expect("k within node count");
             let phi = ft.reconfigure(&faults);
-            prop_assert!(phi.verify(ft.target().graph(), ft.graph()).is_ok());
+            let verified = phi.verify(ft.target().graph(), ft.graph()).map(|()| phi);
+            prop_assert!(verified.is_ok());
+            prop_assert_eq!(ft.reconfigure_verified(&faults), verified);
         }
 
         /// The forward block has (m-1)(2k+1)+1 entries.

@@ -19,7 +19,7 @@
 
 use crate::fault::FaultSet;
 use crate::ft_debruijn::FtDeBruijn2;
-use crate::reconfig::reconfigure;
+use crate::reconfig::RankReconfig;
 use ftdb_graph::{Embedding, Graph, GraphBuilder, NodeId};
 use ftdb_topology::labels::{pow_nodes, x_fn};
 use ftdb_topology::se_embedding::{embed_se_into_debruijn_with_budget, SeEmbeddingResult};
@@ -162,6 +162,7 @@ pub struct NaturalFtShuffleExchange {
     k: usize,
     graph: Graph,
     target: ShuffleExchange,
+    reconfig: RankReconfig,
 }
 
 impl NaturalFtShuffleExchange {
@@ -192,6 +193,7 @@ impl NaturalFtShuffleExchange {
             k,
             graph: b.build(),
             target: ShuffleExchange::new(h),
+            reconfig: RankReconfig::default(),
         }
     }
 
@@ -237,24 +239,25 @@ impl NaturalFtShuffleExchange {
     /// # Panics
     /// Panics if more than `k` faults are given or the universe mismatches.
     pub fn reconfigure(&self, faults: &FaultSet) -> Embedding {
-        assert!(
-            faults.len() <= self.k,
-            "{} faults exceed the fault budget k = {}",
-            faults.len(),
-            self.k
-        );
-        assert_eq!(faults.universe(), self.node_count());
-        reconfigure(self.target.node_count(), faults)
+        RankReconfig::reconfigure(self.target.graph(), &self.graph, self.k, faults)
     }
 
     /// Reconfigures and verifies the embedding against the target SE graph.
+    ///
+    /// The result is exactly [`NaturalFtShuffleExchange::reconfigure`] followed by
+    /// [`Embedding::verify`], `Err` values included. The first call builds
+    /// displacement masks for the budget `k` and keeps them for every later
+    /// call; [`FtDeBruijn2::reconfigure_verified`](crate::FtDeBruijn2::reconfigure_verified)
+    /// gives their cost.
+    ///
+    /// # Panics
+    /// As [`NaturalFtShuffleExchange::reconfigure`].
     pub fn reconfigure_verified(
         &self,
         faults: &FaultSet,
     ) -> Result<Embedding, ftdb_graph::embedding::EmbeddingError> {
-        let phi = self.reconfigure(faults);
-        phi.verify(self.target.graph(), &self.graph)?;
-        Ok(phi)
+        self.reconfig
+            .reconfigure_verified(self.target.graph(), &self.graph, self.k, faults)
     }
 
     /// The forward exchange block of node `x`: the nodes `x + 1, …, x + k + 1`
@@ -366,13 +369,19 @@ mod tests {
     }
 
     proptest! {
-        /// Random fault sets are tolerated by the natural-labeling construction.
+        /// Random fault sets are tolerated by the natural-labeling
+        /// construction, through `reconfigure_verified` and through
+        /// `Embedding::verify`.
         #[test]
-        fn natural_random_faults_tolerated(h in 3usize..7, k in 1usize..4, seed in 0u64..200) {
+        fn natural_random_faults_tolerated(h in 3usize..7, k in 1usize..4, count in 0usize..4, seed in 0u64..200) {
             let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
             let natural = NaturalFtShuffleExchange::new(h, k);
-            let faults = FaultSet::random(natural.node_count(), k, &mut rng).expect("k within node count");
-            prop_assert!(natural.reconfigure_verified(&faults).is_ok());
+            let count = count % (k + 1);
+            let faults = FaultSet::random(natural.node_count(), count, &mut rng).expect("k within node count");
+            let phi = natural.reconfigure(&faults);
+            let verified = phi.verify(natural.target().graph(), natural.graph()).map(|()| phi);
+            prop_assert!(verified.is_ok());
+            prop_assert_eq!(natural.reconfigure_verified(&faults), verified);
         }
     }
 }

@@ -35,6 +35,13 @@
 //! (reconfigure, then verify the embedding) stays the independent reference
 //! that the kernel is tested against.
 //!
+//! The masks also serve online reconfiguration. Each rank-map construction
+//! (`FtDeBruijn2`, `FtDeBruijnM`, `NaturalFtShuffleExchange`) builds one set
+//! for its budget `k` on its first `reconfigure_verified` and keeps it. A
+//! call then tests the one map it produced: strictly increasing, every
+//! `φ(x) − x` in `0..=k`, and one mask bit per target edge. A map that
+//! fails goes to `Embedding::verify`, so the result is always `verify`'s.
+//!
 //! The same machinery accepts an *arbitrary* candidate host graph, which is
 //! how the experiments show that a plain de Bruijn graph with a spare node
 //! bolted on is **not** `(k, G)`-tolerant — i.e. that the widened edge
@@ -42,7 +49,7 @@
 
 use crate::fault::{Combinations, FaultSet, RevolvingDoor};
 use crate::reconfig::reconfigure;
-use ftdb_graph::Graph;
+use ftdb_graph::{Graph, NodeId};
 use rand::SeedableRng;
 use std::ops::Range;
 
@@ -79,9 +86,11 @@ pub fn check_fault_set(target: &Graph, host: &Graph, faults: &FaultSet) -> bool 
 }
 
 /// The displacement masks of a target's edges in a host, for fault sets of
-/// one size `k`, with the target's edge incidence lists. Built once per
-/// call and shared read-only by every worker.
-struct EdgeMasks {
+/// at most `k` faults, with the target's edge incidence lists. Built once
+/// per verification call and shared read-only by every worker; the
+/// rank-map constructions keep one set for their online reconfiguration.
+#[derive(Clone, Debug)]
+pub(crate) struct EdgeMasks {
     /// Target edges `(a, b)` with `a < b`, in [`Graph::edges`] order.
     edges: Vec<(u32, u32)>,
     /// The ids of the edges incident to target node `x` are
@@ -99,20 +108,28 @@ struct EdgeMasks {
 }
 
 impl EdgeMasks {
-    fn new(target: &Graph, host: &Graph, k: usize) -> Self {
+    pub(crate) fn new(target: &Graph, host: &Graph, k: usize) -> Self {
         let nodes = target.node_count();
         let edges: Vec<(u32, u32)> = target.edges().map(|(a, b)| (a as u32, b as u32)).collect();
-        // Incidence lists: every (endpoint, edge id) pair, sorted by node.
-        let mut by_node: Vec<(u32, u32)> = edges
-            .iter()
-            .zip(0..)
-            .flat_map(|(&(a, b), e)| [(a, e), (b, e)])
-            .collect();
-        by_node.sort_unstable();
-        let offsets = (0..=nodes)
-            .map(|x| by_node.partition_point(|&(y, _)| (y as usize) < x))
-            .collect();
-        let incident = by_node.into_iter().map(|(_, e)| e).collect();
+        // Incidence lists by counting sort: each node's edge ids ascend.
+        let mut offsets = vec![0; nodes + 1];
+        for &(a, b) in &edges {
+            offsets[a as usize + 1] += 1;
+            offsets[b as usize + 1] += 1;
+        }
+        let mut total = 0;
+        for offset in &mut offsets {
+            total += *offset;
+            *offset = total;
+        }
+        let mut incident = vec![0; total];
+        let mut next = offsets.clone();
+        for (&(a, b), e) in edges.iter().zip(0..) {
+            for x in [a as usize, b as usize] {
+                incident[next[x]] = e;
+                next[x] += 1;
+            }
+        }
         let side = k.saturating_add(1);
         let fits = host
             .node_count()
@@ -123,12 +140,15 @@ impl EdgeMasks {
             let area = side * side;
             bits = vec![0u64; (edges.len() * area).div_ceil(64)];
             for (e, &(a, b)) in edges.iter().enumerate() {
-                for i in 0..side {
-                    for j in 0..side {
-                        if host.has_edge(a as usize + i, b as usize + j) {
-                            let bit = e * area + i * side + j;
-                            bits[bit / 64] |= 1 << (bit % 64);
-                        }
+                let (a, b) = (a as usize, b as usize);
+                // Bit (i, j) is set when b + j is in the sorted row of
+                // a + i: one walk over that row's entries in b..=b + k.
+                for i in 0..side.min(host.node_count() - a) {
+                    let row = host.neighbors(a + i);
+                    let from = row.partition_point(|&v| (v as usize) < b);
+                    for &v in row[from..].iter().take_while(|&&v| v as usize <= b + k) {
+                        let bit = e * area + i * side + (v as usize - b);
+                        bits[bit / 64] |= 1 << (bit % 64);
                     }
                 }
             }
@@ -152,8 +172,44 @@ impl EdgeMasks {
     /// displacements in `delta`.
     fn holds(&self, e: usize, delta: &[usize]) -> bool {
         let (a, b) = self.edges[e];
-        let bit = (e * self.side + delta[a as usize]) * self.side + delta[b as usize];
+        self.moved_holds(e, delta[a as usize], delta[b as usize])
+    }
+
+    /// Whether edge `e` = `(a, b)` keeps a host edge when `a` moves by `i`
+    /// and `b` by `j`, both in `0..=k`: bit `(i, j)` of its mask.
+    // analyzer: alloc-free
+    fn moved_holds(&self, e: usize, i: usize, j: usize) -> bool {
+        let bit = (e * self.side + i) * self.side + j;
         self.bits[bit / 64] >> (bit % 64) & 1 == 1
+    }
+
+    /// Whether `map` is an embedding of the target into the host shaped
+    /// like a rank map of at most `k` faults, proved by the masks: it has
+    /// one image per target node, is strictly increasing, moves every node
+    /// by `map[x] − x ∈ 0..=k`, and keeps every target edge. Its last image,
+    /// at most `N − 1 + k`, is then a host node, since masks exist only for
+    /// hosts of `N + k` nodes or more. A `true` is exactly
+    /// [`ftdb_graph::Embedding::verify`]'s `Ok`; a `false` says nothing, and
+    /// the caller asks `verify` for the verdict.
+    // analyzer: alloc-free
+    pub(crate) fn accepts(&self, map: &[NodeId]) -> bool {
+        if !self.fits || map.len() + 1 != self.offsets.len() {
+            return false;
+        }
+        let k = self.side - 1;
+        // The least image node x may take: strict increase from map[0] ≥ 0
+        // gives map[x] ≥ x, so only the upper displacement bound needs a test.
+        let mut least = 0;
+        for (x, &image) in map.iter().enumerate() {
+            if image < least || image - x > k {
+                return false;
+            }
+            least = image + 1;
+        }
+        self.edges.iter().enumerate().all(|(e, &(a, b))| {
+            let (a, b) = (a as usize, b as usize);
+            self.moved_holds(e, map[a] - a, map[b] - b)
+        })
     }
 }
 
@@ -425,6 +481,7 @@ mod tests {
     use crate::ft_debruijn::FtDeBruijn2;
     use crate::ft_debruijn_m::FtDeBruijnM;
     use crate::ft_shuffle::NaturalFtShuffleExchange;
+    use crate::reconfig::RankReconfig;
     use ftdb_graph::GraphBuilder;
     use ftdb_topology::{DeBruijn2, DeBruijnM};
     use rand::RngExt;
@@ -434,6 +491,37 @@ mod tests {
         let mut b = GraphBuilder::new(nodes);
         b.add_edges(edges);
         b.build()
+    }
+
+    /// Tolerant hosts with their targets and fault counts: `B^k(2,h)` for
+    /// `h` in 3..=5 and `k` in 1..=3, one base-3 and one natural
+    /// shuffle-exchange host, and `B^8(2,2)`, where a mask of 81 bits spans
+    /// two words.
+    fn tolerant_hosts() -> Vec<(String, Graph, Graph, usize)> {
+        let mut hosts = Vec::new();
+        for (h, k) in (3..=5)
+            .flat_map(|h| (1..=3).map(move |k| (h, k)))
+            .chain([(2, 8)])
+        {
+            let ft = FtDeBruijn2::new(h, k);
+            let name = format!("B^{k}(2,{h})");
+            hosts.push((name, ft.target().graph().clone(), ft.graph().clone(), k));
+        }
+        let base_m = FtDeBruijnM::new(3, 3, 2);
+        hosts.push((
+            "B^2(3,3)".into(),
+            base_m.target().graph().clone(),
+            base_m.graph().clone(),
+            2,
+        ));
+        let se = NaturalFtShuffleExchange::new(4, 2);
+        hosts.push((
+            "SE^2(4)".into(),
+            se.target().graph().clone(),
+            se.graph().clone(),
+            2,
+        ));
+        hosts
     }
 
     /// Hosts on which the rank map fails for some fault set, each with its
@@ -494,11 +582,14 @@ mod tests {
     /// The plain reference: every fault set in revolving-door order through
     /// `check_fault_set`, failures tagged by their enumeration index. One
     /// kernel is stepped through the same order alongside, and each of its
-    /// verdicts must equal the reference's.
+    /// verdicts must equal the reference's. So must the masks' acceptance
+    /// of the set's rank map, and the online `reconfigure_verified` must
+    /// return exactly what `Embedding::verify` does.
     fn stepped_reference(target: &Graph, host: &Graph, k: usize) -> ToleranceReport {
         let n = host.node_count();
         let masks = EdgeMasks::new(target, host, k);
         let mut kernel = VerifyKernel::new(&masks);
+        let online = RankReconfig::default();
         let mut enumerator = RevolvingDoor::new(n, k);
         let mut tagged = Vec::new();
         let mut checked = 0u64;
@@ -514,6 +605,20 @@ mod tests {
                 fast, passed,
                 "kernel disagrees on {combo:?} for {host:?}, k = {k}"
             );
+            // Too small a host has no rank map; `check_fault_set` fails it.
+            if masks.fits {
+                let phi = reconfigure(target.node_count(), &faults);
+                assert_eq!(
+                    masks.accepts(phi.as_slice()),
+                    passed,
+                    "acceptance disagrees on {combo:?} for {host:?}, k = {k}"
+                );
+                let verified = phi.verify(target, host).map(|()| phi);
+                assert_eq!(
+                    online.reconfigure_verified(target, host, k, &faults),
+                    verified
+                );
+            }
             if !passed {
                 tagged.push((checked, combo.to_vec()));
             }
@@ -575,20 +680,9 @@ mod tests {
         // The incremental kernel and the reference path must classify every
         // fault set identically, stepped through the whole revolving-door
         // order, on tolerant hosts and on hosts that fail.
-        for h in 3..=5 {
-            for k in 1..=3 {
-                let ft = FtDeBruijn2::new(h, k);
-                let report = stepped_reference(ft.target().graph(), ft.graph(), k);
-                assert!(report.is_tolerant(), "B^{k}(2,{h})");
-            }
+        for (name, target, host, k) in tolerant_hosts() {
+            assert!(stepped_reference(&target, &host, k).is_tolerant(), "{name}");
         }
-        let base_m = FtDeBruijnM::new(3, 3, 2);
-        assert!(stepped_reference(base_m.target().graph(), base_m.graph(), 2).is_tolerant());
-        let se = NaturalFtShuffleExchange::new(4, 2);
-        assert!(stepped_reference(se.target().graph(), se.graph(), 2).is_tolerant());
-        // k = 8: each mask has 81 bits, so it spans two words.
-        let wide = FtDeBruijn2::new(2, 8);
-        assert!(stepped_reference(wide.target().graph(), wide.graph(), 8).is_tolerant());
         // Where sets fail, the report must equal the reference's at any
         // thread count: blocks of uneven size, and empty ones when there
         // are more threads than fault sets.
@@ -604,6 +698,71 @@ mod tests {
                 assert_eq!(report, reference, "{name} at {threads} threads");
             }
         }
+    }
+
+    #[test]
+    fn mask_bits_match_has_edge() {
+        // Bit (i, j) of edge (a, b), read through `moved_holds`, is the
+        // host edge (a + i, b + j), on every host of the two lists.
+        for (name, target, host, k) in tolerant_hosts().into_iter().chain(non_tolerant_hosts()) {
+            let masks = EdgeMasks::new(&target, &host, k);
+            if !masks.fits {
+                assert!(masks.bits.is_empty(), "{name}");
+                continue;
+            }
+            for (e, (a, b)) in target.edges().enumerate() {
+                for i in 0..=k {
+                    for j in 0..=k {
+                        assert_eq!(
+                            masks.moved_holds(e, i, j),
+                            host.has_edge(a + i, b + j),
+                            "{name}: edge ({a}, {b}) at ({i}, {j})"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn acceptance_rejects_maps_off_the_rank_map_shape() {
+        // B^2(2,4): N = 16 target nodes in 18 host nodes.
+        let ft = FtDeBruijn2::new(4, 2);
+        let (target, host) = (ft.target().graph(), ft.graph());
+        let masks = EdgeMasks::new(target, host, 2);
+        let n = target.node_count();
+        let identity: Vec<usize> = (0..n).collect();
+        // The rank maps of {} and {0, 1}: δ = 0 and δ = k everywhere.
+        assert!(masks.accepts(&identity));
+        assert!(masks.accepts(&(2..n + 2).collect::<Vec<_>>()));
+        let with = |x: usize, image: usize| {
+            let mut map = identity.clone();
+            map[x] = image;
+            map
+        };
+        // Nodes 4 and 5 both on host node 5, and swapped after a shift by
+        // one, with every δ in 0..=k.
+        let mut swapped: Vec<usize> = (1..n + 1).collect();
+        swapped.swap(4, 5);
+        for (what, map) in [
+            ("one image short", identity[..n - 1].to_vec()),
+            ("one image over", (0..=n).collect()),
+            ("an image past the host", with(n - 1, host.node_count())),
+            ("two equal images", with(4, 5)),
+            ("a decreasing pair", swapped),
+        ] {
+            assert!(!masks.accepts(&map), "{what}: {map:?}");
+        }
+        // In 18 nodes, δ = k + 1 puts the last image past the host; test it
+        // where there is room: masks for two faults in B^3(2,4)'s 19 nodes.
+        let roomy = FtDeBruijn2::new(4, 3);
+        let masks = EdgeMasks::new(target, roomy.graph(), 2);
+        assert!(masks.accepts(&identity));
+        assert!(!masks.accepts(&with(n - 1, n + 2)));
+        // A host with no room for the target accepts nothing.
+        let small = FtDeBruijn2::new(3, 1);
+        let masks = EdgeMasks::new(small.target().graph(), small.graph(), 2);
+        assert!(!masks.accepts(&(0..8).collect::<Vec<_>>()));
     }
 
     #[test]

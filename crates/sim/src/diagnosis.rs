@@ -19,7 +19,8 @@
 use crate::ascend_descend::allreduce_shuffle_exchange;
 use crate::machine::{PhysicalMachine, SimError};
 use ftdb_core::{FaultSet, FtShuffleExchange};
-use ftdb_graph::NodeId;
+use ftdb_graph::embedding::EmbeddingError;
+use ftdb_graph::{Embedding, NodeId};
 use ftdb_topology::ShuffleExchange;
 
 /// The outcome of one probing-based diagnosis pass.
@@ -94,12 +95,28 @@ pub struct RecoveryOutcome {
 /// 3. verification of the resulting embedding, and
 /// 4. a full Ascend all-reduce over the logical shuffle-exchange.
 ///
-/// Returns an error if any stage fails (it cannot, for `|actual_faults| ≤ k`,
-/// which is what the accompanying tests demonstrate).
+/// Returns an error if any stage fails:
+/// [`SimError::FaultBudgetExceeded`] when more than `k` processors are
+/// diagnosed faulty, [`SimError::ReconfigurationFailed`] when the embedding
+/// fails verification (it cannot, for at most `k` faults), and the
+/// all-reduce's own error when a step finds no link.
 pub fn detect_reconfigure_resume(
     ft: &FtShuffleExchange,
     actual_faults: &FaultSet,
     values: &[u64],
+) -> Result<RecoveryOutcome, SimError> {
+    recover_through(ft, actual_faults, values, |faults| {
+        ft.reconfigure_verified(faults)
+    })
+}
+
+/// [`detect_reconfigure_resume`] with its reconfigure-and-verify step
+/// passed in, so that a test can make the verification fail.
+fn recover_through(
+    ft: &FtShuffleExchange,
+    actual_faults: &FaultSet,
+    values: &[u64],
+    reconfigure_verified: impl FnOnce(&FaultSet) -> Result<Embedding, EmbeddingError>,
 ) -> Result<RecoveryOutcome, SimError> {
     let machine = PhysicalMachine::with_faults(
         ft.graph().clone(),
@@ -107,13 +124,17 @@ pub fn detect_reconfigure_resume(
         crate::machine::PortModel::MultiPort,
     );
     let diagnosis = diagnose(&machine);
-    // Reconfigure from what was *diagnosed*, not from ground truth.
-    let placement =
-        ft.reconfigure_verified(&diagnosis.diagnosed)
-            .map_err(|_| SimError::Unreachable {
-                source: 0,
-                target: 0,
-            })?;
+    // Reconfigure from what was *diagnosed*, not from ground truth; past
+    // the budget the reconfiguration would panic.
+    let faults = diagnosis.diagnosed.len();
+    if faults > ft.k() {
+        return Err(SimError::FaultBudgetExceeded {
+            faults,
+            budget: ft.k(),
+        });
+    }
+    let placement = reconfigure_verified(&diagnosis.diagnosed)
+        .map_err(|_| SimError::ReconfigurationFailed { faults })?;
     let se = ShuffleExchange::new(ft.h());
     let out = allreduce_shuffle_exchange(&se, &placement, &machine, values)?;
     Ok(RecoveryOutcome {
@@ -185,6 +206,34 @@ mod tests {
             assert_eq!(outcome.resumed_steps, 2 * h);
             assert_eq!(outcome.total, expected);
         }
+    }
+
+    #[test]
+    fn pipeline_rejects_more_faults_than_the_budget() {
+        let ft = FtShuffleExchange::new(4, 1).unwrap();
+        let actual = FaultSet::from_nodes(ft.node_count(), [3, 9]);
+        let values = workload::index_values(16);
+        assert_eq!(
+            detect_reconfigure_resume(&ft, &actual, &values),
+            Err(SimError::FaultBudgetExceeded {
+                faults: 2,
+                budget: 1
+            })
+        );
+    }
+
+    #[test]
+    fn pipeline_reports_a_failed_verification() {
+        // Verify the placement against a host that has lost every link.
+        let ft = FtShuffleExchange::new(4, 2).unwrap();
+        let actual = FaultSet::from_nodes(ft.node_count(), [5]);
+        let values = workload::index_values(16);
+        let unlinked = ftdb_graph::GraphBuilder::new(ft.node_count()).build();
+        let outcome = recover_through(&ft, &actual, &values, |faults| {
+            let phi = ft.reconfigure(faults);
+            phi.verify(ft.target().graph(), &unlinked).map(|()| phi)
+        });
+        assert_eq!(outcome, Err(SimError::ReconfigurationFailed { faults: 1 }));
     }
 
     #[test]

@@ -217,6 +217,38 @@ fn exhaustive_verifier_hot_loop_is_allocation_light() {
 }
 
 #[test]
+fn online_reconfiguration_allocates_only_the_returned_map() {
+    let _guard = serial_guard();
+    // The first call builds the construction's displacement masks, for the
+    // budget k whatever its own fault count. After it, a reconfiguration
+    // with k faults allocates its map and nothing else: the masks accept
+    // it without `Embedding::verify`'s scratch. A clone carries the masks.
+    let ft = ftdb_core::FtDeBruijn2::new(10, 4);
+    let n = ft.node_count();
+    assert!(ft.reconfigure_verified(&FaultSet::empty(n)).is_ok());
+    let clone = ft.clone();
+    let mut rng = ftdb_tests::seeded_rng(2024);
+    let sets: Vec<FaultSet> = (0..64)
+        .map(|_| FaultSet::random(n, 4, &mut rng).expect("k within node count"))
+        .collect();
+    for construction in [&ft, &clone] {
+        let mut best = u64::MAX;
+        for _ in 0..5 {
+            let before = allocations();
+            for faults in &sets {
+                assert!(construction.reconfigure_verified(faults).is_ok());
+            }
+            best = best.min(allocations() - before);
+        }
+        assert_eq!(
+            best,
+            sets.len() as u64,
+            "reconfigure_verified should allocate only its map"
+        );
+    }
+}
+
+#[test]
 fn congestion_cycle_loop_is_allocation_free_after_warmup() {
     let _guard = serial_guard();
     // The engine allocates while loading the workload; the stepped cycle
