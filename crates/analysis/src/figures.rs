@@ -178,7 +178,8 @@ pub fn figure5(faulty: NodeId) -> Figure {
     }
 }
 
-/// All five figures with the default fault choices used in `EXPERIMENTS.md`.
+/// All five figures with the default fault choices the `experiments` binary
+/// prints.
 pub fn all_figures() -> Vec<Figure> {
     vec![figure1(), figure2(), figure3(5), figure4(), figure5(4)]
 }

@@ -2,8 +2,8 @@
 //!
 //! Analysis and reporting layer: everything needed to regenerate the
 //! paper's figures, its comparison against prior constructions, and the
-//! corollary degree bounds, in a form suitable for `EXPERIMENTS.md` and for
-//! the `experiments` binary in `ftdb-bench`.
+//! corollary degree bounds, in the form the `experiments` binary in
+//! `ftdb-bench` prints.
 //!
 //! * [`comparison`] — the "ours vs. Samatham–Pradhan" node/degree tables
 //!   (experiments TAB1 and TAB2) and the shuffle-exchange degree table

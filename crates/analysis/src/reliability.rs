@@ -28,6 +28,7 @@
 //! expectation.
 
 use crate::report::TextTable;
+use ftdb_core::parallel::fan_out;
 use ftdb_core::LinkFaultSet;
 use ftdb_graph::Embedding;
 use ftdb_sim::congestion::{
@@ -319,33 +320,17 @@ fn trial_chunk(
 }
 
 /// Runs the Monte-Carlo sweep for one fault model: `spec.trials` seeded
-/// trials per grid probability, fanned out over `spec.threads` crossbeam
-/// workers in contiguous trial chunks and merged in trial order —
+/// trials per grid probability, fanned out over `spec.threads` workers in
+/// contiguous trial chunks ([`fan_out`]) and merged in trial order —
 /// byte-identical output for any `threads` and `shards` setting.
 pub fn reliability_sweep(spec: &ReliabilitySpec, model: FaultModel) -> ReliabilityCurve {
     let db = DeBruijn2::new(spec.h);
-    let threads = crate::sim_experiments::sweep_worker_count(spec.threads, spec.trials);
-    let outcomes: Vec<TrialOutcome> = if threads == 1 {
-        trial_chunk(&db, model, spec, 0..spec.trials)
-    } else {
-        let chunk = spec.trials.div_ceil(threads);
-        let db_ref = &db;
-        let mut merged = Vec::with_capacity(spec.trials);
-        crossbeam::scope(|scope| {
-            let handles: Vec<_> = (0..spec.trials)
-                .step_by(chunk.max(1))
-                .map(|lo| {
-                    let hi = (lo + chunk).min(spec.trials);
-                    scope.spawn(move |_| trial_chunk(db_ref, model, spec, lo..hi))
-                })
-                .collect();
-            for handle in handles {
-                merged.extend(handle.join().expect("reliability worker panicked"));
-            }
-        })
-        .expect("reliability scope panicked");
-        merged
-    };
+    let outcomes: Vec<TrialOutcome> = fan_out(0..spec.trials, spec.threads, |trials| {
+        trial_chunk(&db, model, spec, trials)
+    })
+    .into_iter()
+    .flatten()
+    .collect();
 
     let points = spec
         .p_grid

@@ -2,8 +2,8 @@
 
 use std::fmt::Write as _;
 
-/// A simple column-aligned text table, used by the experiment driver to
-/// print every table of `EXPERIMENTS.md`.
+/// A simple column-aligned text table, used by the `experiments` binary to
+/// print every table of its output.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct TextTable {
     title: String,
@@ -71,8 +71,8 @@ impl TextTable {
         out
     }
 
-    /// Renders the table as GitHub-flavoured markdown (used to paste results
-    /// into `EXPERIMENTS.md`).
+    /// Renders the table as GitHub-flavoured markdown (for pasting the
+    /// `experiments` binary's results into a document).
     pub fn render_markdown(&self) -> String {
         let mut out = String::new();
         let _ = writeln!(out, "### {}", self.title);

@@ -14,6 +14,7 @@
 //!   machines.
 
 use crate::report::{fmt_f64, fmt_steps, TextTable};
+use ftdb_core::parallel::fan_out;
 use ftdb_core::{FaultSet, FtDeBruijn2, FtShuffleExchange};
 use ftdb_graph::Embedding;
 use ftdb_sim::ascend_descend::{allreduce_hypercube, allreduce_shuffle_exchange};
@@ -170,7 +171,7 @@ pub fn sim1_routing_table(h: usize, k: usize, seed: u64) -> TextTable {
     let healthy = PhysicalMachine::new(db.graph().clone(), PortModel::MultiPort);
     push(
         "plain B(2,h), healthy",
-        run_logical_workload(&db, &Embedding::identity(n), &healthy, &pairs),
+        run_logical_workload(&db, &Embedding::identity(n), &healthy, &pairs, 1),
     );
 
     // Faulty, no spares.
@@ -178,7 +179,7 @@ pub fn sim1_routing_table(h: usize, k: usize, seed: u64) -> TextTable {
     faulted.inject_fault(1);
     push(
         "plain B(2,h), 1 fault, no spares",
-        run_logical_workload(&db, &Embedding::identity(n), &faulted, &pairs),
+        run_logical_workload(&db, &Embedding::identity(n), &faulted, &pairs, 1),
     );
 
     // Fault-tolerant, reconfigured.
@@ -191,7 +192,7 @@ pub fn sim1_routing_table(h: usize, k: usize, seed: u64) -> TextTable {
     let machine = PhysicalMachine::with_faults(ft.graph().clone(), faults, PortModel::MultiPort);
     push(
         "B^k(2,h), k faults, reconfigured",
-        run_logical_workload(&db, &placement, &machine, &pairs),
+        run_logical_workload(&db, &placement, &machine, &pairs, 1),
     );
     table
 }
@@ -392,20 +393,13 @@ fn sweep_chunk(
 }
 
 /// Runs one latency–throughput curve: an open-loop Bernoulli run per
-/// offered load. Deterministic for a fixed `(scenario, loads, seed)`.
-/// Single-threaded form of [`sim5_load_sweep_parallel`].
-pub fn sim5_load_sweep(scenario: &SweepScenario, loads: &[f64], seed: u64) -> Vec<OpenLoopReport> {
-    sim5_load_sweep_parallel(scenario, loads, seed, 1)
-}
-
-/// Runs one latency–throughput curve with the sweep points fanned out over
-/// `threads` crossbeam scoped workers (the pattern of
-/// `ftdb_sim::routing::run_logical_workload_batched`): every point is an
-/// independent `(load, fault-set, seed)` simulation, each worker reuses one
-/// warmed engine across its contiguous chunk, and the chunks are merged in
-/// load order after the join — so the result is byte-identical to the
-/// sequential sweep for any thread count.
-pub fn sim5_load_sweep_parallel(
+/// offered load, with the points fanned out over `threads` workers
+/// ([`fan_out`]). Every point is an independent `(load, fault-set, seed)`
+/// simulation, each worker reuses one warmed engine across its contiguous
+/// chunk, and the chunks are merged in load order — so the result is
+/// byte-identical for any thread count, and deterministic for a fixed
+/// `(scenario, loads, seed)`.
+pub fn sim5_load_sweep(
     scenario: &SweepScenario,
     loads: &[f64],
     seed: u64,
@@ -428,28 +422,12 @@ pub fn sim5_load_sweep_parallel(
         flow_control: scenario.flow,
         ..CongestionConfig::default()
     };
-    let threads = sweep_worker_count(threads, loads.len());
-    if threads == 1 {
-        return sweep_chunk(&ft, &faults, &placement, config, scenario.port, loads, seed);
-    }
-    let chunk = loads.len().div_ceil(threads);
-    let mut points = Vec::with_capacity(loads.len());
-    let (ft, faults, placement) = (&ft, &faults, &placement);
-    crossbeam::scope(|scope| {
-        let handles: Vec<_> = loads
-            .chunks(chunk)
-            .map(|slice| {
-                scope.spawn(move |_| {
-                    sweep_chunk(ft, faults, placement, config, scenario.port, slice, seed)
-                })
-            })
-            .collect();
-        for handle in handles {
-            points.extend(handle.join().expect("sweep worker panicked"));
-        }
+    fan_out(loads, threads, |loads| {
+        sweep_chunk(&ft, &faults, &placement, config, scenario.port, loads, seed)
     })
-    .expect("sweep scope panicked");
-    points
+    .into_iter()
+    .flatten()
+    .collect()
 }
 
 /// Renders one SIM5 curve as a [`TextTable`].
@@ -556,18 +534,10 @@ pub fn sim5_tables(h: usize, loads: &[f64], seed: u64, threads: usize) -> Vec<Te
         ),
     ];
     for (title, scenario) in scenarios {
-        let points = sim5_load_sweep_parallel(&scenario, loads, seed, threads);
+        let points = sim5_load_sweep(&scenario, loads, seed, threads);
         tables.push(render_sim5(title, &points));
     }
     tables
-}
-
-/// Effective worker count for a sweep of `points` points requested at
-/// `threads` workers — the clamp [`sim5_load_sweep_parallel`] applies before
-/// spawning. Exposed so drivers (`perf_report`) record the worker count
-/// that actually ran rather than the one requested.
-pub fn sweep_worker_count(threads: usize, points: usize) -> usize {
-    threads.max(1).min(points.max(1))
 }
 
 /// Injection windows for a SIM6 sharded open-loop run. The SIM5 windows
@@ -805,8 +775,8 @@ mod tests {
             flow: FlowControl::CreditBased { buffer_depth: 2 },
         };
         let loads = [0.1, 0.6];
-        let a = sim5_load_sweep(&scenario, &loads, 3);
-        let b = sim5_load_sweep(&scenario, &loads, 3);
+        let a = sim5_load_sweep(&scenario, &loads, 3, 1);
+        let b = sim5_load_sweep(&scenario, &loads, 3, 1);
         assert_eq!(a, b, "same scenario + seed must reproduce exactly");
         for point in &a {
             assert!(point.cum_delivered_by_window_end <= point.cum_injected_by_window_end);
@@ -830,9 +800,9 @@ mod tests {
             flow: FlowControl::CreditBased { buffer_depth: 2 },
         };
         let loads = [0.05, 0.2, 0.4, 0.6, 0.8];
-        let sequential = sim5_load_sweep(&scenario, &loads, 11);
+        let sequential = sim5_load_sweep(&scenario, &loads, 11, 1);
         for threads in [2usize, 3, 4, 8] {
-            let parallel = sim5_load_sweep_parallel(&scenario, &loads, 11, threads);
+            let parallel = sim5_load_sweep(&scenario, &loads, 11, threads);
             assert_eq!(parallel, sequential, "threads={threads}");
             let a = render_sim5("t".into(), &sequential).render();
             let b = render_sim5("t".into(), &parallel).render();

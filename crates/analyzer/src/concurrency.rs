@@ -1,5 +1,6 @@
 //! Sharded-concurrency checker, scoped to the engine's shard/boundary
-//! modules ([`crate::policy::Policy::concurrency_files`]).
+//! modules and the fan-out that spawns their workers
+//! ([`crate::policy::Policy::concurrency_files`]).
 //!
 //! The sharded engine's determinism claim — byte-identical reports for any
 //! shard count and any thread count — rests on a narrow discipline: each

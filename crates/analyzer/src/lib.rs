@@ -15,7 +15,7 @@
 //! | transitive panic-freedom | everything *reachable* from a hot-path module over the call graph ([`callgraph`], [`interproc`]) | the same panic family in helpers one or more calls away, with the offending call chain in the diagnostic |
 //! | allocation discipline | functions annotated `// analyzer: alloc-free` | `Vec::new`/`vec!`/`push`/`collect`/`to_vec`/`clone`/`format!`/`Box::new`/..., calls into non-`alloc-free` functions, recursion inside the alloc-free subgraph |
 //! | determinism | `crates/sim`, `crates/analysis` sources | `HashMap`/`HashSet`, `Instant`/`SystemTime`, `thread_rng`, float `==` |
-//! | sharded concurrency | `congestion/shard.rs` + `boundary.rs` ([`concurrency`]) | `Mutex`/`RwLock`/`Relaxed`, `std::thread::spawn` |
+//! | sharded concurrency | `congestion/shard.rs` + `boundary.rs` + the fan-out behind them, `core/src/parallel.rs` ([`concurrency`]) | `Mutex`/`RwLock`/`Relaxed`, `std::thread::spawn` |
 //! | differential coverage | `CongestionReport` ↔ its equivalence suites | a report field some equivalence suite never compares |
 //!
 //! Violations carry `file:line` diagnostics (interprocedural ones also a

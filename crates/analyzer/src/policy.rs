@@ -50,11 +50,13 @@ impl Policy {
                 "crates/graph/src/traversal.rs".into(),
                 "crates/graph/src/search.rs".into(),
                 "crates/core/src/verify.rs".into(),
+                "crates/core/src/parallel.rs".into(),
             ],
             determinism_prefixes: vec!["crates/sim/src/".into(), "crates/analysis/src/".into()],
             concurrency_files: vec![
                 "crates/sim/src/congestion/shard.rs".into(),
                 "crates/sim/src/congestion/boundary.rs".into(),
+                "crates/core/src/parallel.rs".into(),
             ],
             scan_roots: vec!["crates".into(), "examples".into(), "tests".into()],
             exclude_prefixes: vec!["crates/analyzer/fixtures".into()],
@@ -222,5 +224,12 @@ mod tests {
         assert!(p
             .concurrency_files
             .contains(&"crates/sim/src/congestion/boundary.rs".to_string()));
+        // The fan-out spawns the shard workers, so the thread and lock
+        // rules and the panic denylist follow it out of `congestion/`.
+        let set = p.rule_set_for("crates/core/src/parallel.rs");
+        assert!(set.panic_free && !set.determinism);
+        assert!(p
+            .concurrency_files
+            .contains(&"crates/core/src/parallel.rs".to_string()));
     }
 }

@@ -9,9 +9,7 @@ use ftdb_core::{FaultSet, FtDeBruijn2};
 use ftdb_graph::Embedding;
 use ftdb_sim::ascend_descend::allreduce_shuffle_exchange;
 use ftdb_sim::machine::{PhysicalMachine, PortModel};
-use ftdb_sim::routing::{
-    run_adaptive_workload, run_logical_workload, run_logical_workload_batched,
-};
+use ftdb_sim::routing::{run_adaptive_workload, run_logical_workload};
 use ftdb_sim::workload;
 use ftdb_topology::{DeBruijn2, ShuffleExchange};
 use rand::SeedableRng;
@@ -30,7 +28,7 @@ fn bench_oblivious_routing(c: &mut Criterion) {
         let pairs = workload::permutation_pairs(n, &mut rng);
         group.bench_with_input(BenchmarkId::new("healthy_permutation", h), &h, |b, _| {
             b.iter(|| {
-                let stats = run_logical_workload(&db, &placement, &machine, &pairs);
+                let stats = run_logical_workload(&db, &placement, &machine, &pairs, 1);
                 assert_eq!(stats.dropped, 0);
                 black_box(stats.total_hops)
             })
@@ -41,8 +39,7 @@ fn bench_oblivious_routing(c: &mut Criterion) {
             &h,
             |b, _| {
                 b.iter(|| {
-                    let stats =
-                        run_logical_workload_batched(&db, &placement, &machine, &pairs, threads);
+                    let stats = run_logical_workload(&db, &placement, &machine, &pairs, threads);
                     assert_eq!(stats.dropped, 0);
                     black_box(stats.total_hops)
                 })
@@ -70,7 +67,7 @@ fn bench_reconfigured_routing(c: &mut Criterion) {
             &h,
             |b, _| {
                 b.iter(|| {
-                    let stats = run_logical_workload(&db, &placement, &machine, &pairs);
+                    let stats = run_logical_workload(&db, &placement, &machine, &pairs, 1);
                     assert_eq!(stats.dropped, 0);
                     black_box(stats.total_hops)
                 })

@@ -11,8 +11,8 @@
 //! sim-sharded sim-vc sim-reliability sim-million sim-million-smoke ablation
 //! all` (default: `all`; the `sim-million*` scale runs and the
 //! Monte-Carlo `sim-reliability` sweep are excluded from `all`).
-//! Output is plain text on stdout; it is the source of the measured numbers
-//! recorded in `EXPERIMENTS.md`.
+//! Output is plain text on stdout, and it is where the measured numbers
+//! come from: run the experiment to read them.
 //!
 //! `--threads N` sizes the worker pool of the sweep-style experiments and
 //! the sharded engine's per-cycle shard workers (`min(N, shards)` of them;

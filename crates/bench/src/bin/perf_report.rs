@@ -25,8 +25,9 @@
 #![allow(clippy::disallowed_methods)]
 
 use ftdb_analysis::reliability::{reliability_sweep, FaultModel, ReliabilitySpec};
-use ftdb_analysis::sim_experiments::{sim5_load_sweep_parallel, sweep_worker_count, SweepScenario};
+use ftdb_analysis::sim_experiments::{sim5_load_sweep, SweepScenario};
 use ftdb_core::fault::Combinations;
+use ftdb_core::parallel::part_count;
 use ftdb_core::verify::verify_exhaustive;
 use ftdb_core::{FaultSet, FtDeBruijn2};
 use ftdb_graph::Embedding;
@@ -35,10 +36,7 @@ use ftdb_sim::congestion::{
     Switching,
 };
 use ftdb_sim::machine::{PhysicalMachine, PortModel};
-use ftdb_sim::routing::{
-    route_logical_debruijn_into, run_adaptive_workload, run_logical_workload,
-    run_logical_workload_batched,
-};
+use ftdb_sim::routing::{route_logical_debruijn_into, run_adaptive_workload, run_logical_workload};
 use ftdb_sim::workload;
 use ftdb_topology::DeBruijn2;
 use rand::SeedableRng;
@@ -170,7 +168,7 @@ fn main() {
         let mut rng = rand::rngs::StdRng::seed_from_u64(3);
         let pairs = workload::permutation_pairs(n, &mut rng);
         let m = measure(repeats, || {
-            let stats = run_logical_workload(&db, &placement, &machine, &pairs);
+            let stats = run_logical_workload(&db, &placement, &machine, &pairs, 1);
             assert_eq!(stats.dropped, 0);
             black_box(stats.total_hops);
         });
@@ -181,11 +179,11 @@ fn main() {
             "packet",
         ));
         if h == 10 {
-            // The batched engine (threads = available parallelism) and the
-            // path-materialising kernel, for the same permutation.
+            // The driver at `threads` workers (by default the available
+            // parallelism) and the path-materialising kernel, for the same
+            // permutation.
             let m = measure(repeats, || {
-                let stats =
-                    run_logical_workload_batched(&db, &placement, &machine, &pairs, threads);
+                let stats = run_logical_workload(&db, &placement, &machine, &pairs, threads);
                 assert_eq!(stats.dropped, 0);
                 black_box(stats.total_hops);
             });
@@ -565,7 +563,7 @@ fn main() {
 
     // ---- Parallel sweep harness ------------------------------------------
     // One SIM5-style latency-throughput curve fanned over `threads`
-    // crossbeam workers with per-worker engine reuse — the cost of a sweep
+    // workers with per-worker engine reuse — the cost of a sweep
     // campaign point, not of a single engine cycle. `threads` rides into
     // the BENCH JSON (top level and per suite) so datapoints from different
     // worker counts are never compared blind.
@@ -588,10 +586,10 @@ fn main() {
         // records the count that actually ran (the same clamp the sweep
         // itself applies — requesting more workers than sweep points spawns
         // only one per point).
-        let sweep_workers = sweep_worker_count(threads.max(2), loads.len());
-        let mut last = sim5_load_sweep_parallel(&scenario, loads, 7, sweep_workers);
+        let sweep_workers = part_count(loads.len(), threads.max(2));
+        let mut last = sim5_load_sweep(&scenario, loads, 7, sweep_workers);
         let m = measure(repeats, || {
-            last = sim5_load_sweep_parallel(&scenario, loads, 7, sweep_workers);
+            last = sim5_load_sweep(&scenario, loads, 7, sweep_workers);
             black_box(last.len());
         });
         let name = "sweep_parallel_h7".to_string();
@@ -617,7 +615,7 @@ fn main() {
     // ---- Monte-Carlo reliability sweep -----------------------------------
     // A small canonical reliability sweep (directed-link Bernoulli faults on
     // B(2,6)): the cost of one seeded trial — healthy baseline plus the
-    // faulted grid runs — through the crossbeam fan-out with per-worker
+    // faulted grid runs — through the trial fan-out with per-worker
     // engine reuse. Like `sweep_parallel_h7`, the worker count is floored at
     // 2 so the parallel path runs even on a single-CPU runner, and the count
     // that actually ran rides into the JSON.
@@ -626,7 +624,7 @@ fn main() {
         spec.trials = if quick { 8 } else { 32 };
         spec.p_grid = vec![0.0, 0.01, 0.05];
         spec.threads = threads.max(2);
-        let mc_workers = sweep_worker_count(spec.threads, spec.trials);
+        let mc_workers = part_count(spec.trials, spec.threads);
         let mut last = reliability_sweep(&spec, FaultModel::Link);
         let m = measure(repeats, || {
             last = reliability_sweep(&spec, FaultModel::Link);

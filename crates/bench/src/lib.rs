@@ -4,7 +4,7 @@
 //! de Bruijn workspace.
 //!
 //! * The `experiments` binary (`cargo run -p ftdb-bench --bin experiments`)
-//!   regenerates every figure and table reported in `EXPERIMENTS.md`
+//!   prints every figure and table of the reproduction on stdout
 //!   (FIG1–FIG5, TAB1–TAB3, COR1-4, THM1-2, SIM1, SIM2).
 //! * The Criterion benches (`cargo bench --workspace`) measure the costs of
 //!   the operations a real machine would perform: constructing the

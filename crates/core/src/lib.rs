@@ -22,9 +22,10 @@
 //!
 //! The crate also contains the reconfiguration algorithm ([`reconfig`]),
 //! fault modelling ([`fault`]), exhaustive/randomised `(k, G)`-tolerance
-//! verification ([`verify`], parallelised with `crossbeam`), the
-//! Samatham–Pradhan baseline used in the paper's comparison ([`baseline`]),
-//! and executable versions of the paper's technical lemmas ([`lemmas`]).
+//! verification ([`verify`]), the Samatham–Pradhan baseline used in the
+//! paper's comparison ([`baseline`]), executable versions of the paper's
+//! technical lemmas ([`lemmas`]), and the workspace's one thread fan-out
+//! ([`parallel`]), which the verifier and the simulation drivers share.
 //!
 //! ## Quick example
 //!
@@ -57,6 +58,7 @@ pub mod ft_shuffle;
 pub mod lemmas;
 pub mod linkfault;
 pub mod lowerbound;
+pub mod parallel;
 pub mod reconfig;
 pub mod verify;
 

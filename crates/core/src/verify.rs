@@ -6,7 +6,7 @@
 //! * **Exhaustive** — enumerate every fault set of size `k` (there are
 //!   `C(N+k, k)` of them) and check that the rank-based reconfiguration is a
 //!   valid embedding for each. The enumeration is cut into contiguous
-//!   blocks, one per worker thread under `crossbeam::scope`, since the
+//!   blocks, one per worker ([`crate::parallel::fan_out`]), since the
 //!   checks are embarrassingly parallel and the instances used in the
 //!   experiments run into the hundreds of thousands of fault sets.
 //! * **Sampled** — draw random fault sets, for instances where exhaustive
@@ -48,6 +48,7 @@
 //! blocks of the paper's construction are actually needed.
 
 use crate::fault::{Combinations, FaultSet, RevolvingDoor};
+use crate::parallel::fan_out;
 use crate::reconfig::reconfigure;
 use ftdb_graph::{Graph, NodeId};
 use rand::SeedableRng;
@@ -300,14 +301,6 @@ fn between(old: usize, new: usize, nodes: usize) -> Range<usize> {
     old.min(new).min(nodes)..old.max(new).min(nodes)
 }
 
-/// The first enumeration index of block `part` when `total` fault sets are
-/// cut into `parts` contiguous blocks. The first `total % parts` blocks take
-/// one set more; no intermediate value exceeds `total`.
-fn block_start(total: u128, parts: usize, part: usize) -> u128 {
-    let (parts, part) = (parts as u128, part as u128);
-    part * (total / parts) + part.min(total % parts)
-}
-
 /// What one worker found in its block: sets checked, sets failed, and its
 /// first failing sets in enumeration order.
 type BlockResult = (u64, u64, Vec<Vec<usize>>);
@@ -315,7 +308,7 @@ type BlockResult = (u64, u64, Vec<Vec<usize>>);
 /// Checks the fault sets `block` of the revolving-door order of the
 /// `k`-subsets of `0..n`: the enumerator is advanced unchecked to the
 /// block's start, the kernel primed there and stepped to the block's end.
-fn check_block(masks: &EdgeMasks, n: usize, k: usize, block: Range<u128>) -> BlockResult {
+fn check_block(masks: &EdgeMasks, n: usize, k: usize, block: Range<usize>) -> BlockResult {
     let mut kernel = VerifyKernel::new(masks);
     let mut enumerator = RevolvingDoor::new(n, k);
     for _ in 0..block.start {
@@ -350,7 +343,7 @@ fn check_block(masks: &EdgeMasks, n: usize, k: usize, block: Range<u128>) -> Blo
 /// rank-based reconfiguration*, checking all `C(|host|, k)` fault sets.
 ///
 /// `threads` sets the number of contiguous blocks the enumeration is cut
-/// into, one worker each (use 1 for a single-thread run). The report is
+/// into, one worker each (1 checks on the calling thread). The report is
 /// identical for any thread count: the recorded failures are the first
 /// [`ToleranceReport::MAX_RECORDED`] failing sets in enumeration order,
 /// sorted.
@@ -361,13 +354,9 @@ pub fn verify_exhaustive(
     threads: usize,
 ) -> ToleranceReport {
     let n = host.node_count();
-    let threads = threads.max(1);
     let masks = EdgeMasks::new(target, host, k);
-    let total = Combinations::total(n, k);
-    let blocks: Vec<Range<u128>> = (0..threads)
-        .map(|w| block_start(total, threads, w)..block_start(total, threads, w + 1))
-        .filter(|block| !block.is_empty())
-        .collect();
+    // A count past `usize::MAX` saturates: no enumeration that long ends.
+    let total = usize::try_from(Combinations::total(n, k)).unwrap_or(usize::MAX);
 
     // Each worker checks one contiguous block with its own kernel and
     // enumerator, and collects its failures locally; the hot loop takes no
@@ -377,23 +366,9 @@ pub fn verify_exhaustive(
     // steps in all). An advance costs a few nanoseconds against a step's
     // tens, which caps parallel speedup only on wide machines; unranking the
     // revolving-door order would remove it if they demand it.
-    let mut results: Vec<BlockResult> = Vec::with_capacity(blocks.len());
-    crossbeam::scope(|scope| {
-        let handles: Vec<_> = blocks
-            .into_iter()
-            .map(|block| {
-                let masks = &masks;
-                scope.spawn(move |_| check_block(masks, n, k, block))
-            })
-            .collect();
-        for handle in handles {
-            // analyzer: allow(expect) -- a worker panic must propagate, not yield a truncated tolerance report
-            results.push(handle.join().expect("verification worker panicked"));
-        }
-    })
-    .expect("verification scope panicked"); // analyzer: allow(expect) -- crossbeam scope errors only reflect a worker panic that is already propagating
+    let results = fan_out(0..total, threads, |block| check_block(&masks, n, k, block));
 
-    // The blocks are contiguous and joined in order, so the concatenated
+    // The blocks are contiguous and come back in order, so the concatenated
     // failures are in global enumeration order: keep the first
     // MAX_RECORDED, then sort them for stable presentation.
     let mut checked = 0u64;

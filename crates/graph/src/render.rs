@@ -4,7 +4,7 @@
 //! (`B_{2,4}`, `B^1_{2,4}`, the relabelled `B^1_{2,4}` after one fault, and
 //! the bus implementation of `B^1_{2,3}`). We regenerate them as DOT files
 //! (for graphical rendering with Graphviz) and as adjacency tables (for plain
-//! terminal inspection and for EXPERIMENTS.md).
+//! terminal inspection and for the `experiments` binary's output).
 
 use crate::graph::{Graph, NodeId};
 use std::fmt::Write as _;

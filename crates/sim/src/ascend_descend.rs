@@ -68,6 +68,21 @@ pub fn allreduce_hypercube(h: usize, values: &[u64]) -> AscendOutcome {
     }
 }
 
+/// [`SimError::SizeMismatch`] unless `placement` and `values` both hold one
+/// entry per logical node of an `n`-node network.
+fn check_sizes(n: usize, placement: &Embedding, values: &[u64]) -> Result<(), SimError> {
+    for (what, got) in [("values", values.len()), ("placement", placement.len())] {
+        if got != n {
+            return Err(SimError::SizeMismatch {
+                what,
+                expected: n,
+                got,
+            });
+        }
+    }
+    Ok(())
+}
+
 /// All-reduce (sum) executed with the shuffle-exchange emulation on a
 /// physical machine.
 ///
@@ -80,7 +95,9 @@ pub fn allreduce_hypercube(h: usize, values: &[u64]) -> AscendOutcome {
 /// Each phase performs an exchange step (logical edge `x ↔ x⊕1`) and a
 /// shuffle step (logical edge `x → shuffle(x)`), so the run takes `2h`
 /// steps. Every logical edge used must map to a healthy physical link;
-/// otherwise the run aborts with the corresponding [`SimError`].
+/// otherwise the run aborts with the corresponding [`SimError`]. `values`
+/// and `placement` need one entry per logical node
+/// ([`SimError::SizeMismatch`] otherwise).
 #[allow(clippy::needless_range_loop)]
 pub fn allreduce_shuffle_exchange(
     se: &ShuffleExchange,
@@ -89,12 +106,7 @@ pub fn allreduce_shuffle_exchange(
     values: &[u64],
 ) -> Result<AscendOutcome, SimError> {
     let n = se.node_count();
-    assert_eq!(values.len(), n, "need one value per logical node");
-    assert_eq!(
-        placement.len(),
-        n,
-        "placement must cover every logical node"
-    );
+    check_sizes(n, placement, values)?;
     let h = se.h();
     // `vals` and `scratch` ping-pong across the exchange and shuffle steps;
     // every slot is overwritten each step, so no clearing (and no per-phase
@@ -128,7 +140,8 @@ pub fn allreduce_shuffle_exchange(
 
 /// The Descend variant: dimensions in decreasing order. On the
 /// shuffle-exchange the emulation is symmetric (unshuffle instead of
-/// shuffle), and costs the same `2h` steps.
+/// shuffle), and costs the same `2h` steps. Inputs are checked as in
+/// [`allreduce_shuffle_exchange`].
 #[allow(clippy::needless_range_loop)]
 pub fn descend_shuffle_exchange(
     se: &ShuffleExchange,
@@ -137,8 +150,7 @@ pub fn descend_shuffle_exchange(
     values: &[u64],
 ) -> Result<AscendOutcome, SimError> {
     let n = se.node_count();
-    assert_eq!(values.len(), n);
-    assert_eq!(placement.len(), n);
+    check_sizes(n, placement, values)?;
     let h = se.h();
     let mut vals = values.to_vec();
     let mut scratch = vec![0u64; n];
@@ -216,6 +228,32 @@ mod tests {
             let out = descend_shuffle_exchange(&se, &placement, &machine, &seq(n)).unwrap();
             assert_eq!(out.steps, 2 * h);
             assert!(out.values.iter().all(|&v| v == total(n)));
+        }
+    }
+
+    #[test]
+    fn inputs_of_the_wrong_size_are_errors_not_panics() {
+        let se = ShuffleExchange::new(3);
+        let machine = PhysicalMachine::new(se.graph().clone(), PortModel::MultiPort);
+        let identity = Embedding::identity(8);
+        let short = Embedding::identity(5);
+        for run in [allreduce_shuffle_exchange, descend_shuffle_exchange] {
+            assert_eq!(
+                run(&se, &identity, &machine, &seq(9)),
+                Err(SimError::SizeMismatch {
+                    what: "values",
+                    expected: 8,
+                    got: 9
+                })
+            );
+            assert_eq!(
+                run(&se, &short, &machine, &seq(8)),
+                Err(SimError::SizeMismatch {
+                    what: "placement",
+                    expected: 8,
+                    got: 5
+                })
+            );
         }
     }
 

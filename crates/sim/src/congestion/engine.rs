@@ -692,7 +692,7 @@ mod tests {
         // Congestion changes *when* flits move, never *how many*: total
         // flits equals the static kernels' total hop count.
         let machine = PhysicalMachine::new(db.graph().clone(), PortModel::MultiPort);
-        let stats = run_logical_workload(&db, &placement, &machine, &pairs);
+        let stats = run_logical_workload(&db, &placement, &machine, &pairs, 1);
         assert_eq!(report.total_flits, stats.total_hops);
         // Latency is at least the hop count and at most the full run.
         assert!(report.latency.max as usize >= stats.max_hops.saturating_sub(1));

@@ -17,10 +17,6 @@
 //! binary heaps of bits: `rem = (1 << bits_left) | remaining_target_bits`.
 //! The sentinel's position *is* the count of bits left, so one `u32` carries
 //! both the queue and its length; `rem == 1` means the route is exhausted.
-//! A second generator covers the shuffle-exchange route automaton
-//! ([`se_next_hop`]), proving the paper's other constant-degree topology is
-//! equally O(1)-recomputable (the property suite checks it against
-//! `ShuffleExchange::route`).
 //!
 //! The congestion engine routes implicit packets through one
 //! `ImplicitRoute`: the captured (mask, placement) context of the load
@@ -143,7 +139,8 @@ pub fn route_ends_at(place: &[u32], mask: u32, phys: u32, pos: u32, rem: u32) ->
 }
 
 /// Hops remaining from state `(cur_phys, pos, rem)` — O(h) (it walks the
-/// register), used by loaders and tests, never by the cycle loop.
+/// register). Only tests call it, to check hop counts and latencies; the
+/// cycle loop never does.
 pub fn hops_left(place: &[u32], mask: u32, cur_phys: u32, pos: u32, rem: u32) -> u32 {
     let mut hops = 0;
     let (mut phys, mut pos, mut rem) = (cur_phys, pos, rem);
@@ -348,54 +345,12 @@ pub fn dateline_crossing(cur: u32, next: u32) -> bool {
     next < cur
 }
 
-/// One step of the shuffle-exchange route automaton of
-/// `ShuffleExchange::route`: round `j` (1-based) optionally exchanges the
-/// low bit to match target bit `(h - j + 1) % h`, then shuffles (rotates
-/// left). State is `(current, round, shuffled_pending)` where
-/// `shuffled_pending = true` means round `round`'s exchange has been
-/// emitted and the shuffle is next. Returns the next distinct node and the
-/// state after it, or `None` when the route is exhausted (self-steps are
-/// skipped, matching the route's duplicate dropping). O(1) amortized: at
-/// most `2h` states exist per route.
-#[inline]
-pub fn se_next_hop(
-    h: u32,
-    target: u32,
-    cur: u32,
-    round: u32,
-    shuffle_pending: bool,
-) -> Option<(u32, u32, bool)> {
-    let mask = (1u32 << h) - 1;
-    let mut c = cur;
-    let mut j = round;
-    let mut pending = shuffle_pending;
-    while j <= h {
-        if !pending {
-            let position = (h - j + 1) % h;
-            let want = (target >> position) & 1;
-            if c & 1 != want {
-                return Some((c ^ 1, j, true));
-            }
-        }
-        // Shuffle: rotate the h-bit label left.
-        let s = ((c << 1) | (c >> (h - 1))) & mask;
-        j += 1;
-        pending = false;
-        if s != c {
-            return Some((s, j, false));
-        }
-        c = s;
-    }
-    None
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::machine::PortModel;
     use ftdb_core::{FaultSet, FtDeBruijn2};
     use ftdb_graph::Graph;
-    use ftdb_topology::ShuffleExchange;
 
     /// Captures `placement` on a fresh context over `machine` and checks
     /// every table entry, key by key, against the placement's images: the
@@ -615,29 +570,6 @@ mod tests {
                         top_bit_set,
                         "h={h} cur={cur:#b} next={next:#b}"
                     );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn se_generator_matches_route_exhaustively_at_small_h() {
-        for h in 1..=5u32 {
-            let se = ShuffleExchange::new(h as usize);
-            let n = se.node_count();
-            for s in 0..n {
-                for t in 0..n {
-                    let want = se.route(s, t);
-                    let mut got = vec![s as u32];
-                    let (mut cur, mut round, mut pending) = (s as u32, 1, false);
-                    while let Some((nx, nj, np)) = se_next_hop(h, t as u32, cur, round, pending) {
-                        got.push(nx);
-                        cur = nx;
-                        round = nj;
-                        pending = np;
-                    }
-                    let want: Vec<u32> = want.iter().map(|&x| x as u32).collect();
-                    assert_eq!(got, want, "h={h} s={s} t={t}");
                 }
             }
         }

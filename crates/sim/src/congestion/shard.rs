@@ -51,6 +51,7 @@ use super::implicit_route::{self, ImplicitRoute};
 use crate::machine::{PhysicalMachine, PortModel};
 use crate::metrics::LatencySummary;
 use crate::routing::{self, Trust};
+use ftdb_core::parallel::fan_out;
 use ftdb_core::{FaultSet, LinkFaultSet};
 use ftdb_graph::traversal::Searcher;
 use ftdb_graph::{Embedding, NodeId};
@@ -1736,7 +1737,11 @@ impl ShardedSim {
         let workers = self.threads();
         let (ctx, cores, outcomes) = self.parts();
         // analyzer: trusted-call -- spawning scoped workers allocates; only the one-worker path is allocation-free, which the counting-allocator tests pin
-        fan_out(cores, workers, |core| core.phase(&ctx, cycle));
+        fan_out(&mut *cores, workers, |group| {
+            for core in group {
+                core.phase(&ctx, cycle);
+            }
+        });
         let mut events = CycleEvents {
             cycle,
             moved: 0,
@@ -1772,7 +1777,11 @@ impl ShardedSim {
             }
         }
         // analyzer: trusted-call -- spawning scoped workers allocates; only the one-worker path is allocation-free, which the counting-allocator tests pin
-        fan_out(cores, workers, |core| core.adopt_inbound(cycle + 1));
+        fan_out(&mut *cores, workers, |group| {
+            for core in group {
+                core.adopt_inbound(cycle + 1);
+            }
+        });
         outcomes.take_resolutions(ctx.inject_at, cores);
         self.total_flits += events.moved * self.packet_flits as u64;
         self.cycle += 1;
@@ -1957,32 +1966,6 @@ impl ShardedSim {
             + self.logical_target.capacity() * size_of::<u32>()
             + self.implicit.placement_bytes()
     }
-}
-
-/// Runs `work` on every core, on `workers` threads: a plain loop with one
-/// worker. Otherwise the cores are cut into `workers` contiguous groups by
-/// the arithmetic that cuts nodes into shards ([`shard_floor`]); the
-/// calling thread runs the first group and one scoped thread runs each
-/// other, and the scope joins them all (a worker's panic resurfaces
-/// there). Each worker mutates only its own cores, so the split cannot
-/// change any core's state.
-fn fan_out(cores: &mut [ShardCore], workers: usize, work: impl Fn(&mut ShardCore) + Sync) {
-    let work = &work;
-    let run = move |group: &mut [ShardCore]| group.iter_mut().for_each(work);
-    if workers <= 1 {
-        return run(cores);
-    }
-    let shards = cores.len();
-    std::thread::scope(|s| {
-        let (first, mut rest) = cores.split_at_mut(shard_floor(1, shards, workers));
-        for w in 1..workers {
-            let size = shard_floor(w + 1, shards, workers) - shard_floor(w, shards, workers);
-            let (group, tail) = std::mem::take(&mut rest).split_at_mut(size);
-            rest = tail;
-            s.spawn(move || run(group));
-        }
-        run(first);
-    });
 }
 
 #[cfg(test)]

@@ -96,6 +96,8 @@ pub struct RecoveryOutcome {
 /// 4. a full Ascend all-reduce over the logical shuffle-exchange.
 ///
 /// Returns an error if any stage fails:
+/// [`SimError::SizeMismatch`] when `actual_faults` is not over the
+/// machine's nodes or `values` does not hold one value per logical node,
 /// [`SimError::FaultBudgetExceeded`] when more than `k` processors are
 /// diagnosed faulty, [`SimError::ReconfigurationFailed`] when the embedding
 /// fails verification (it cannot, for at most `k` faults), and the
@@ -118,6 +120,13 @@ fn recover_through(
     values: &[u64],
     reconfigure_verified: impl FnOnce(&FaultSet) -> Result<Embedding, EmbeddingError>,
 ) -> Result<RecoveryOutcome, SimError> {
+    if actual_faults.universe() != ft.node_count() {
+        return Err(SimError::SizeMismatch {
+            what: "fault set",
+            expected: ft.node_count(),
+            got: actual_faults.universe(),
+        });
+    }
     let machine = PhysicalMachine::with_faults(
         ft.graph().clone(),
         actual_faults.clone(),
@@ -234,6 +243,35 @@ mod tests {
             phi.verify(ft.target().graph(), &unlinked).map(|()| phi)
         });
         assert_eq!(outcome, Err(SimError::ReconfigurationFailed { faults: 1 }));
+    }
+
+    #[test]
+    fn pipeline_rejects_values_not_one_per_logical_node() {
+        let ft = FtShuffleExchange::new(4, 1).unwrap();
+        let actual = FaultSet::from_nodes(ft.node_count(), [3]);
+        assert_eq!(
+            detect_reconfigure_resume(&ft, &actual, &[1, 2, 3]),
+            Err(SimError::SizeMismatch {
+                what: "values",
+                expected: 16,
+                got: 3
+            })
+        );
+    }
+
+    #[test]
+    fn pipeline_rejects_a_fault_set_over_another_machine() {
+        let ft = FtShuffleExchange::new(4, 1).unwrap();
+        let actual = FaultSet::from_nodes(40, [3]);
+        let values = workload::index_values(16);
+        assert_eq!(
+            detect_reconfigure_resume(&ft, &actual, &values),
+            Err(SimError::SizeMismatch {
+                what: "fault set",
+                expected: ft.node_count(),
+                got: 40
+            })
+        );
     }
 
     #[test]

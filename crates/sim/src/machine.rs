@@ -76,6 +76,16 @@ pub enum SimError {
         /// Number of faults in the set that failed to reconfigure.
         faults: usize,
     },
+    /// An input is sized for a different network than the one it is used
+    /// with.
+    SizeMismatch {
+        /// Which input: `"values"`, `"placement"` or `"fault set"`.
+        what: &'static str,
+        /// The size the network needs.
+        expected: usize,
+        /// The size given.
+        got: usize,
+    },
 }
 
 impl std::fmt::Display for SimError {
@@ -110,6 +120,11 @@ impl std::fmt::Display for SimError {
                      {faults} faults (construction bug)"
                 )
             }
+            SimError::SizeMismatch {
+                what,
+                expected,
+                got,
+            } => write!(f, "{what} has size {got}, the network needs {expected}"),
         }
     }
 }

@@ -21,11 +21,12 @@
 //! * `route_*_into` kernels that write the path into a caller-owned buffer
 //!   and report the hop count — zero heap allocation per packet once the
 //!   buffers are warm. [`RouteScratch`] bundles the buffers; the workload
-//!   drivers (sequential and batched) keep one scratch per worker thread
-//!   and route entire permutations without touching the allocator.
+//!   drivers keep one scratch per worker thread and route entire
+//!   permutations without touching the allocator.
 
 use crate::machine::{PhysicalMachine, SimError};
 use crate::metrics::RoutingStats;
+use ftdb_core::parallel::fan_out;
 use ftdb_graph::traversal::{self, Searcher};
 use ftdb_graph::{Embedding, NodeId};
 use ftdb_topology::DeBruijn2;
@@ -410,18 +411,29 @@ fn run_logical_chunk(
 /// Routes a whole workload of logical `(source, target)` pairs with the
 /// oblivious de Bruijn strategy and aggregates statistics.
 ///
-/// Single-threaded driver over the allocation-free kernels: the placement
-/// is validated once ([`workload_trust`]) and one path buffer serves every
-/// packet — zero allocation per packet.
+/// The placement is validated once ([`workload_trust`]); `pairs` is then
+/// cut into `threads` contiguous chunks ([`fan_out`]), each routed with one
+/// private path buffer — zero allocation per packet, no lock in the hot
+/// loop — and the statistics are merged in chunk order. The per-packet
+/// outcomes are independent, so the result is the same for any `threads`;
+/// with 1 the workload is routed on the calling thread.
 pub fn run_logical_workload(
     db: &DeBruijn2,
     placement: &Embedding,
     machine: &PhysicalMachine,
     pairs: &[(NodeId, NodeId)],
+    threads: usize,
 ) -> RoutingStats {
     let trust = workload_trust(db, placement, machine);
-    let mut path = Vec::with_capacity(db.h() + 1);
-    run_logical_chunk(db, placement, machine, pairs, trust, &mut path)
+    let chunks = fan_out(pairs, threads, |chunk| {
+        let mut path = Vec::with_capacity(db.h() + 1);
+        run_logical_chunk(db, placement, machine, chunk, trust, &mut path)
+    });
+    let mut stats = RoutingStats::default();
+    for chunk in &chunks {
+        stats.merge(chunk);
+    }
+    stats
 }
 
 /// Routes a workload of *physical* `(source, target)` pairs adaptively.
@@ -437,82 +449,6 @@ pub fn run_adaptive_workload(
             Err(_) => stats.record_dropped(),
         }
     }
-    stats
-}
-
-/// Splits `pairs` into `threads` contiguous chunks and routes each chunk on
-/// its own worker (crossbeam scoped threads), each with private
-/// [`RouteScratch`] buffers. Statistics are merged after the join, so the
-/// hot loop is lock- and allocation-free. With `threads <= 1` (or a tiny
-/// workload) this falls back to the sequential driver — same results either
-/// way, since the per-packet outcomes are independent.
-pub fn run_logical_workload_batched(
-    db: &DeBruijn2,
-    placement: &Embedding,
-    machine: &PhysicalMachine,
-    pairs: &[(NodeId, NodeId)],
-    threads: usize,
-) -> RoutingStats {
-    let threads = threads.max(1).min(pairs.len().max(1));
-    if threads == 1 {
-        return run_logical_workload(db, placement, machine, pairs);
-    }
-    let trust = workload_trust(db, placement, machine);
-    let chunk = pairs.len().div_ceil(threads);
-    let mut stats = RoutingStats::default();
-    crossbeam::scope(|scope| {
-        let handles: Vec<_> = pairs
-            .chunks(chunk)
-            .map(|slice| {
-                scope.spawn(move |_| {
-                    let mut path = Vec::with_capacity(db.h() + 1);
-                    run_logical_chunk(db, placement, machine, slice, trust, &mut path)
-                })
-            })
-            .collect();
-        for handle in handles {
-            stats.merge(&handle.join().expect("routing worker panicked")); // analyzer: allow(expect) -- a worker panic must propagate to the caller, not be merged into partial stats
-        }
-    })
-    .expect("routing scope panicked"); // analyzer: allow(expect) -- crossbeam scope errors only reflect a worker panic that is already propagating
-    stats
-}
-
-/// Batched counterpart of [`run_adaptive_workload`]: contiguous chunks, one
-/// BFS scratch per worker.
-pub fn run_adaptive_workload_batched(
-    machine: &PhysicalMachine,
-    pairs: &[(NodeId, NodeId)],
-    threads: usize,
-) -> RoutingStats {
-    let threads = threads.max(1).min(pairs.len().max(1));
-    if threads == 1 {
-        return run_adaptive_workload(machine, pairs);
-    }
-    let chunk = pairs.len().div_ceil(threads);
-    let mut stats = RoutingStats::default();
-    crossbeam::scope(|scope| {
-        let handles: Vec<_> = pairs
-            .chunks(chunk)
-            .map(|slice| {
-                scope.spawn(move |_| {
-                    let mut local = RoutingStats::default();
-                    let mut scratch = RouteScratch::new();
-                    for &(s, t) in slice {
-                        match route_adaptive_into(machine, s, t, &mut scratch) {
-                            Ok(hops) => local.record_delivered(hops),
-                            Err(_) => local.record_dropped(),
-                        }
-                    }
-                    local
-                })
-            })
-            .collect();
-        for handle in handles {
-            stats.merge(&handle.join().expect("routing worker panicked")); // analyzer: allow(expect) -- a worker panic must propagate to the caller, not be merged into partial stats
-        }
-    })
-    .expect("routing scope panicked"); // analyzer: allow(expect) -- crossbeam scope errors only reflect a worker panic that is already propagating
     stats
 }
 
@@ -621,7 +557,7 @@ mod tests {
             let pairs: Vec<(usize, usize)> = (0..db.node_count())
                 .flat_map(|s| [(s, (s * 7 + 3) % db.node_count()), (s, 0)])
                 .collect();
-            let stats = run_logical_workload(&db, &placement, &machine, &pairs);
+            let stats = run_logical_workload(&db, &placement, &machine, &pairs, 1);
             assert_eq!(stats.dropped, 0, "faulty={faulty}");
             assert_eq!(stats.delivered as usize, pairs.len());
             assert!(stats.max_hops <= db.h());
@@ -635,7 +571,7 @@ mod tests {
         machine.inject_fault(3);
         let placement = Embedding::identity(db.node_count());
         let pairs = vec![(0, 7), (0, 3), (5, 6)];
-        let stats = run_logical_workload(&db, &placement, &machine, &pairs);
+        let stats = run_logical_workload(&db, &placement, &machine, &pairs, 1);
         assert_eq!(stats.delivered + stats.dropped, 3);
         assert!(stats.dropped >= 1); // the packet to the faulty node
         let adaptive = run_adaptive_workload(&machine, &[(0, 7), (6, 2)]);
@@ -659,11 +595,11 @@ mod tests {
             reference.record(&route_logical_debruijn(&db, &collapsed, &machine, s, t));
         }
         assert_eq!(
-            run_logical_workload(&db, &collapsed, &machine, &pairs),
+            run_logical_workload(&db, &collapsed, &machine, &pairs, 1),
             reference
         );
         assert_eq!(
-            run_logical_workload_batched(&db, &collapsed, &machine, &pairs, 3),
+            run_logical_workload(&db, &collapsed, &machine, &pairs, 3),
             reference
         );
     }
@@ -710,10 +646,10 @@ mod tests {
                 );
                 reference.record(&outcome);
             }
-            let sequential = run_logical_workload(&db, placement, machine, &pairs);
+            let sequential = run_logical_workload(&db, placement, machine, &pairs, 1);
             assert_eq!(sequential, reference, "{tier:?}");
-            let batched = run_logical_workload_batched(&db, placement, machine, &pairs, 3);
-            assert_eq!(batched, reference, "{tier:?}");
+            let threaded = run_logical_workload(&db, placement, machine, &pairs, 3);
+            assert_eq!(threaded, reference, "{tier:?}");
         }
     }
 
@@ -742,10 +678,10 @@ mod tests {
         );
         assert_eq!(workload_trust(&db, &short, &machine), Trust::Checked);
         let pairs = [(3, 12), (0, 5), (9, 1)];
-        let stats = run_logical_workload(&db, &short, &machine, &pairs);
+        let stats = run_logical_workload(&db, &short, &machine, &pairs, 1);
         assert_eq!((stats.delivered, stats.dropped), (1, 2));
         assert_eq!(
-            run_logical_workload_batched(&db, &short, &machine, &pairs, 2),
+            run_logical_workload(&db, &short, &machine, &pairs, 2),
             stats
         );
     }
@@ -760,16 +696,10 @@ mod tests {
         let placement = Embedding::identity(n);
         let mut rng = rand::rngs::StdRng::seed_from_u64(11);
         let pairs = workload::permutation_pairs(n, &mut rng);
-        let sequential = run_logical_workload(&db, &placement, &machine, &pairs);
+        let sequential = run_logical_workload(&db, &placement, &machine, &pairs, 1);
         for threads in [1usize, 2, 4, 7] {
-            let batched = run_logical_workload_batched(&db, &placement, &machine, &pairs, threads);
-            assert_eq!(batched, sequential, "threads={threads}");
-        }
-        let uniform = workload::uniform_pairs(n, 100, &mut rng);
-        let seq_adaptive = run_adaptive_workload(&machine, &uniform);
-        for threads in [2usize, 5] {
-            let batched = run_adaptive_workload_batched(&machine, &uniform, threads);
-            assert_eq!(batched, seq_adaptive, "threads={threads}");
+            let threaded = run_logical_workload(&db, &placement, &machine, &pairs, threads);
+            assert_eq!(threaded, sequential, "threads={threads}");
         }
     }
 
@@ -778,9 +708,9 @@ mod tests {
         let db = DeBruijn2::new(3);
         let machine = PhysicalMachine::new(db.graph().clone(), PortModel::MultiPort);
         let placement = Embedding::identity(db.node_count());
-        let empty = run_logical_workload_batched(&db, &placement, &machine, &[], 4);
+        let empty = run_logical_workload(&db, &placement, &machine, &[], 4);
         assert_eq!(empty.delivered + empty.dropped, 0);
-        let single = run_logical_workload_batched(&db, &placement, &machine, &[(0, 5)], 16);
+        let single = run_logical_workload(&db, &placement, &machine, &[(0, 5)], 16);
         assert_eq!(single.delivered, 1);
     }
 
@@ -835,11 +765,11 @@ mod tests {
         faulty.inject_fault(6);
         let sparse = PhysicalMachine::new(ftdb_graph::generators::cycle(n), PortModel::MultiPort);
         for machine in [&healthy, &faulty, &sparse] {
-            let stats = run_logical_workload(&db, &placement, machine, &pairs);
+            let stats = run_logical_workload(&db, &placement, machine, &pairs, 1);
             assert_eq!(stats.delivered + stats.dropped, pairs.len() as u64);
             assert!(stats.dropped >= 2, "both malformed pairs must be dropped");
-            let batched = run_logical_workload_batched(&db, &placement, machine, &pairs, 2);
-            assert_eq!(batched, stats);
+            let threaded = run_logical_workload(&db, &placement, machine, &pairs, 2);
+            assert_eq!(threaded, stats);
         }
     }
 

@@ -17,7 +17,7 @@
 //! worker count for the parallel sweep harness (default: the machine's
 //! available parallelism; the output is byte-identical for any value).
 
-use ftdb_analysis::sim_experiments::{render_sim5, sim5_load_sweep_parallel, SweepScenario};
+use ftdb_analysis::sim_experiments::{render_sim5, sim5_load_sweep, SweepScenario};
 use ftdb_sim::congestion::FlowControl;
 use ftdb_sim::machine::PortModel;
 
@@ -70,7 +70,7 @@ fn main() {
             port: PortModel::MultiPort,
             flow,
         };
-        let points = sim5_load_sweep_parallel(&scenario, &loads, seed, threads);
+        let points = sim5_load_sweep(&scenario, &loads, seed, threads);
         let title = format!("faulted B^1(2,{h}) (1 fault, reconfigured), multi-port, {label}");
         println!("{}", render_sim5(title, &points).render());
         let peak = points.iter().map(|p| p.throughput).fold(0.0, f64::max);

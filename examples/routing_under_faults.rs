@@ -50,7 +50,7 @@ fn main() {
     let healthy = PhysicalMachine::new(db.graph().clone(), PortModel::MultiPort);
     print_stats(
         "plain B(2,h), healthy",
-        &run_logical_workload(&db, &Embedding::identity(n), &healthy, &pairs),
+        &run_logical_workload(&db, &Embedding::identity(n), &healthy, &pairs, 1),
     );
 
     // k faults, no spares: oblivious routing loses packets, adaptive routing
@@ -60,7 +60,7 @@ fn main() {
         PhysicalMachine::with_faults(db.graph().clone(), faults.clone(), PortModel::MultiPort);
     print_stats(
         "plain B(2,h), k faults, oblivious routing",
-        &run_logical_workload(&db, &Embedding::identity(n), &faulted, &pairs),
+        &run_logical_workload(&db, &Embedding::identity(n), &faulted, &pairs, 1),
     );
     print_stats(
         "plain B(2,h), k faults, adaptive rerouting",
@@ -76,7 +76,7 @@ fn main() {
     let machine = PhysicalMachine::with_faults(ft.graph().clone(), ft_faults, PortModel::MultiPort);
     print_stats(
         "B^k(2,h), k faults, reconfigured + oblivious",
-        &run_logical_workload(&db, &placement, &machine, &pairs),
+        &run_logical_workload(&db, &placement, &machine, &pairs, 1),
     );
 
     println!("\nThe fault-tolerant machine delivers the full permutation at the original");

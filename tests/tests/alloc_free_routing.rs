@@ -166,14 +166,14 @@ fn workload_driver_allocations_do_not_scale_with_packet_count() {
         .copied()
         .collect();
 
-    let _ = run_logical_workload(&db, &placement, &machine, &small); // warm caches
+    let _ = run_logical_workload(&db, &placement, &machine, &small, 1); // warm caches
     let mut scaled = false;
     for _ in 0..5 {
         let before_small = allocations();
-        let _ = run_logical_workload(&db, &placement, &machine, &small);
+        let _ = run_logical_workload(&db, &placement, &machine, &small, 1);
         let cost_small = allocations() - before_small;
         let before_large = allocations();
-        let _ = run_logical_workload(&db, &placement, &machine, &large);
+        let _ = run_logical_workload(&db, &placement, &machine, &large, 1);
         let cost_large = allocations() - before_large;
         if cost_small == cost_large {
             scaled = true;
@@ -397,6 +397,36 @@ fn credit_flow_cycle_loop_is_allocation_free_after_warmup() {
     assert_eq!(delivered, warm.1);
     sim.check_credit_conservation()
         .expect("credit conservation after the measured runs");
+}
+
+#[test]
+fn one_part_fan_out_allocates_nothing() {
+    let _guard = serial_guard();
+    // With one part the fan-out is a plain call: it never enters a thread
+    // scope (an empty `std::thread::scope` allocates on every call), and a
+    // unit result needs no buffer, so the call the sharded engine makes
+    // twice a cycle at one worker is free. Slices, mutable slices and
+    // ranges alike, at 0 and 1 workers, and at 8 workers over one item.
+    use ftdb_core::parallel::fan_out;
+    let mut cells = vec![0u64; 1_000];
+    let items: Vec<u64> = (0..1_000).collect();
+    let seen = AtomicU64::new(0);
+    assert_eventually_alloc_free("one-part fan_out", || {
+        for workers in [0, 1] {
+            fan_out(&mut cells[..], workers, |part| {
+                part.iter_mut().for_each(|c| *c += 1);
+            });
+            fan_out(&items[..], workers, |part| {
+                seen.fetch_add(part.iter().sum(), Ordering::Relaxed);
+            });
+            fan_out(0..1_000, workers, |range| {
+                seen.fetch_add(range.len() as u64, Ordering::Relaxed);
+            });
+        }
+        fan_out(&mut cells[..1], 8, |part| part[0] += 1);
+    });
+    assert!(cells[0] > cells[1] && cells[1] > 0);
+    assert!(seen.load(Ordering::Relaxed) > 0);
 }
 
 #[test]

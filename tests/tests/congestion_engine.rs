@@ -44,7 +44,7 @@ fn healthy_permutation_completes_within_analytic_order_bounds() {
         );
         // The longest packet needs at least its hop count in cycles.
         let machine = PhysicalMachine::new(db.graph().clone(), PortModel::MultiPort);
-        let stats = run_logical_workload(&db, &Embedding::identity(n), &machine, &pairs);
+        let stats = run_logical_workload(&db, &Embedding::identity(n), &machine, &pairs, 1);
         assert!(report.cycles as usize >= stats.max_hops);
     }
 }
@@ -65,7 +65,7 @@ fn congestion_engine_agrees_with_static_kernels_on_flit_totals() {
         workload::all_to_one(n, 3),
         workload::uniform_pairs(n, 2 * n, &mut rng),
     ] {
-        let stats = run_logical_workload(&db, &placement, &machine, &pairs);
+        let stats = run_logical_workload(&db, &placement, &machine, &pairs, 1);
         for port in [PortModel::MultiPort, PortModel::SinglePort] {
             let report = run_workload(&db, port, &pairs);
             assert!(report.completed);

@@ -34,6 +34,7 @@ fn infinite_buffers_plateau_flat_past_saturation_on_faulted_b1_2_8() {
         &faulted_b128_scenario(FlowControl::Infinite),
         &SWEEP_LOADS,
         SWEEP_SEED,
+        1,
     );
     assert!(
         points.iter().all(|p| !p.deadlocked),
@@ -60,6 +61,7 @@ fn credit_flow_shows_saturation_collapse_on_faulted_b1_2_8() {
         &faulted_b128_scenario(FlowControl::Infinite),
         &[*SWEEP_LOADS.last().expect("nonempty")],
         SWEEP_SEED,
+        1,
     )[0]
     .throughput;
     let by_depth: Vec<Vec<OpenLoopReport>> = (1..=4u32)
@@ -68,6 +70,7 @@ fn credit_flow_shows_saturation_collapse_on_faulted_b1_2_8() {
                 &faulted_b128_scenario(FlowControl::CreditBased { buffer_depth }),
                 &SWEEP_LOADS,
                 SWEEP_SEED,
+                1,
             )
         })
         .collect();

@@ -53,7 +53,7 @@ fn reconfigured_machine_routes_an_entire_permutation() {
     let placement = ft.reconfigure_verified(&faults).unwrap();
     let machine = PhysicalMachine::with_faults(ft.graph().clone(), faults, PortModel::MultiPort);
     let pairs = workload::permutation_pairs(db.node_count(), &mut rng);
-    let stats = run_logical_workload(&db, &placement, &machine, &pairs);
+    let stats = run_logical_workload(&db, &placement, &machine, &pairs, 1);
     assert_eq!(stats.dropped, 0);
     assert_eq!(stats.delivered as usize, db.node_count());
     assert!(stats.max_hops <= db.h());
@@ -66,7 +66,13 @@ fn unprotected_machine_loses_packets_under_the_same_faults() {
     let faults = FaultSet::random(db.node_count(), 3, &mut rng).expect("k within node count");
     let machine = PhysicalMachine::with_faults(db.graph().clone(), faults, PortModel::MultiPort);
     let pairs = workload::permutation_pairs(db.node_count(), &mut rng);
-    let stats = run_logical_workload(&db, &Embedding::identity(db.node_count()), &machine, &pairs);
+    let stats = run_logical_workload(
+        &db,
+        &Embedding::identity(db.node_count()),
+        &machine,
+        &pairs,
+        1,
+    );
     assert!(
         stats.dropped > 0,
         "faults must cost the unprotected machine packets"

@@ -3,19 +3,17 @@
 //! The sharded million-node engine never materializes oblivious routes: it
 //! recomputes each hop from two words of shift-register state
 //! (`ftdb_sim::congestion::implicit_route`). These properties pin the
-//! generators to the materialized loaders hop for hop — on healthy machines,
-//! on reconfigured fault-tolerant machines (where the embedding is a
-//! non-identity placement), and for the shuffle-exchange automaton — at
-//! random `(h, src, dst)` well beyond the exhaustive small-`h` unit tests.
+//! generators to the materialized loaders hop for hop — on healthy machines
+//! and on reconfigured fault-tolerant machines (where the embedding is a
+//! non-identity placement) — at random `(h, src, dst)` well beyond the
+//! exhaustive small-`h` unit tests.
 
 use ftdb_core::{FaultSet, FtDeBruijn2};
 use ftdb_graph::Embedding;
-use ftdb_sim::congestion::implicit_route::{
-    apply_place, hops_left, next_hop, rem_init, se_next_hop,
-};
+use ftdb_sim::congestion::implicit_route::{apply_place, hops_left, next_hop, rem_init};
 use ftdb_sim::machine::{PhysicalMachine, PortModel};
 use ftdb_sim::routing::route_logical_debruijn_into;
-use ftdb_topology::{DeBruijn2, ShuffleExchange};
+use ftdb_topology::DeBruijn2;
 use proptest::prelude::*;
 
 /// Walks the de Bruijn shift register from logical `s` to logical `t` under
@@ -114,34 +112,6 @@ proptest! {
             implicit_physical_path(&place, h, s, t),
             implicit_physical_path(&[], h, s, t)
         );
-    }
-
-    /// Shuffle-exchange automaton: `se_next_hop` replays
-    /// `ShuffleExchange::route` for random endpoints up to h = 14 — the
-    /// paper's other constant-degree topology is equally O(1)-recomputable.
-    #[test]
-    fn se_automaton_matches_route_at_random_larger_h(
-        h in 2u32..15,
-        raw_s in 0u32..u32::MAX,
-        raw_t in 0u32..u32::MAX,
-    ) {
-        let n = 1u32 << h;
-        let (s, t) = (raw_s % n, raw_t % n);
-        let se = ShuffleExchange::new(h as usize);
-        let want: Vec<u32> = se
-            .route(s as usize, t as usize)
-            .iter()
-            .map(|&x| x as u32)
-            .collect();
-        let mut got = vec![s];
-        let (mut cur, mut round, mut pending) = (s, 1, false);
-        while let Some((nx, nj, np)) = se_next_hop(h, t, cur, round, pending) {
-            got.push(nx);
-            cur = nx;
-            round = nj;
-            pending = np;
-        }
-        prop_assert_eq!(&got, &want, "h={} s={} t={}", h, s, t);
     }
 }
 

@@ -790,8 +790,8 @@ fn sweep_points_reproduce_under_both_engines() {
         flow: FlowControl::CreditBased { buffer_depth: 2 },
     };
     let loads = [0.15, 0.55];
-    let a = sim5_load_sweep(&scenario, &loads, 21);
-    let b = sim5_load_sweep(&scenario, &loads, 21);
+    let a = sim5_load_sweep(&scenario, &loads, 21, 1);
+    let b = sim5_load_sweep(&scenario, &loads, 21, 1);
     assert_eq!(a, b, "sweep must be deterministic");
     assert!(a[0].accepted >= a[1].accepted - 1e-9);
 }
