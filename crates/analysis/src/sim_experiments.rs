@@ -37,7 +37,7 @@ pub fn sim1_ascend_slowdown(h: usize, k: usize, fault_node: usize) -> Vec<Slowdo
     let se = ShuffleExchange::new(h);
     let n = se.node_count();
     let values = workload::index_values(n);
-    let reference = allreduce_hypercube(h, &values);
+    let reference = allreduce_hypercube(h, &values).expect("one value per logical node");
     let expected_total = reference.values[0];
     let mut rows = Vec::new();
     rows.push(SlowdownRow {

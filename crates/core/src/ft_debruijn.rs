@@ -41,11 +41,13 @@ impl FtDeBruijn2 {
             .checked_add(k)
             .expect("2^h + k overflows usize");
         let mut b = GraphBuilder::new(n).name(format!("B^{k}(2,{h})"));
-        for x in 0..n {
-            for r in -(k as i64)..=(k as i64 + 1) {
-                b.add_edge(x, x_fn(x, 2, r, n));
-            }
-        }
+        // Edge (x, X(x, 2, r, n)) for r = -k..=k+1, as the flat index
+        // x(2k+2) + r + k so that the builder sizes its edge list once.
+        let per_node = 2 * k + 2;
+        b.add_edges((0..n * per_node).map(|i| {
+            let (x, r) = (i / per_node, (i % per_node) as i64 - k as i64);
+            (x, x_fn(x, 2, r, n))
+        }));
         FtDeBruijn2 {
             h,
             k,

@@ -9,9 +9,19 @@ use crate::graph::{Graph, NodeId};
 /// maps to itself under `x -> 2x mod 2^h` — and the paper states that such
 /// self-loops "should be ignored") and de-duplicates parallel edges when the
 /// graph is finalised.
+///
+/// Edges are kept in one flat list of `u32` pairs, 8 bytes per edge and
+/// nothing per node, and [`GraphBuilder::build`] counting-sorts them
+/// straight into the graph's CSR arrays (4 bytes per node plus 8 per
+/// edge), so a build peaks at 16 bytes per edge plus 4 per node.
+/// [`GraphBuilder::add_edges`] sizes the list once from its iterator's
+/// lower size bound ([`GraphBuilder::add_edge`] grows it by doubling); a
+/// graph built from an exact-size iterator costs the same few allocations
+/// at any size: the edge list, the graph's shared arrays and its name.
 #[derive(Clone, Debug)]
 pub struct GraphBuilder {
-    adjacency: Vec<Vec<NodeId>>,
+    nodes: usize,
+    edges: Vec<(u32, u32)>,
     name: String,
     ignored_self_loops: usize,
 }
@@ -20,7 +30,8 @@ impl GraphBuilder {
     /// Creates a builder for a graph with `n` nodes (ids `0..n`).
     pub fn new(n: usize) -> Self {
         GraphBuilder {
-            adjacency: vec![Vec::new(); n],
+            nodes: n,
+            edges: Vec::new(),
             name: String::new(),
             ignored_self_loops: 0,
         }
@@ -34,7 +45,7 @@ impl GraphBuilder {
 
     /// Number of nodes the resulting graph will have.
     pub fn node_count(&self) -> usize {
-        self.adjacency.len()
+        self.nodes
     }
 
     /// Adds the undirected edge `{u, v}`.
@@ -45,18 +56,22 @@ impl GraphBuilder {
     /// # Panics
     /// Panics if `u` or `v` is out of range.
     pub fn add_edge(&mut self, u: NodeId, v: NodeId) {
-        let n = self.adjacency.len();
+        let n = self.nodes;
         assert!(u < n && v < n, "edge ({u},{v}) out of range for {n} nodes");
         if u == v {
             self.ignored_self_loops += 1;
             return;
         }
-        self.adjacency[u].push(v);
-        self.adjacency[v].push(u);
+        // Ids past `u32::MAX` cannot occur in a graph that builds: `build`
+        // rejects such a node count.
+        self.edges.push((u as u32, v as u32));
     }
 
-    /// Adds every edge produced by the iterator.
+    /// Adds every edge produced by the iterator, reserving room for its
+    /// lower size bound first.
     pub fn add_edges<I: IntoIterator<Item = (NodeId, NodeId)>>(&mut self, edges: I) {
+        let edges = edges.into_iter();
+        self.edges.reserve(edges.size_hint().0);
         for (u, v) in edges {
             self.add_edge(u, v);
         }
@@ -67,17 +82,18 @@ impl GraphBuilder {
         self.ignored_self_loops
     }
 
-    /// Finalises the graph: sorts adjacency lists, removes duplicates and
-    /// packs the result into the CSR layout.
+    /// Finalises the graph: sorts the edges into the CSR layout, sorting and
+    /// de-duplicating each node's row.
     ///
     /// # Panics
     /// Panics if the graph exceeds the `u32`-indexed CSR limits (more than
-    /// `u32::MAX` nodes or directed edges). The builder cannot produce the
-    /// other [`crate::graph::GraphError`] conditions: self-loops are elided
-    /// and edges are always inserted symmetrically.
+    /// `u32::MAX` nodes, or directed edges counted before duplicates are
+    /// removed). The builder cannot produce the other
+    /// [`crate::graph::GraphError`] conditions: self-loops are elided and
+    /// edges are always inserted symmetrically.
     pub fn build(self) -> Graph {
-        Graph::from_adjacency(self.adjacency, self.name)
-            .expect("GraphBuilder maintains the simple-graph invariants")
+        Graph::from_edges(self.nodes, self.edges, self.name)
+            .expect("the graph fits the u32-indexed CSR")
     }
 }
 

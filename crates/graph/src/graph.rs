@@ -9,6 +9,7 @@
 //! (BFS, routing, verification) iterate `neighbors(v)` slices directly.
 
 use std::fmt;
+use std::sync::Arc;
 
 /// Identifier of a node inside a [`Graph`].
 ///
@@ -77,17 +78,36 @@ impl std::error::Error for GraphError {}
 ///
 /// Stored as CSR: `neighbors(v)` is the sorted slice
 /// `neighbors[offsets[v]..offsets[v+1]]`, so `has_edge` is `O(log d)` and
-/// neighbour iteration is a contiguous scan. The structure is immutable once
-/// built; use [`crate::GraphBuilder`] to construct one.
-#[derive(Clone, PartialEq, Eq)]
+/// neighbour iteration is a contiguous scan. Both arrays live in one
+/// immutable allocation behind an [`Arc`] (`offsets` first, `neighbors`
+/// right after), so a graph is shared, never copied: [`Clone`] is `O(1)`
+/// and allocates nothing, and every clone (a [`Graph`] handed to each
+/// simulated machine, say) reads the same memory. A read is still one
+/// load from the graph to its arrays, as with a `Vec`. Use
+/// [`crate::GraphBuilder`] to construct one.
+#[derive(Clone)]
 pub struct Graph {
-    /// `offsets[v]..offsets[v+1]` indexes `neighbors`; length `n + 1`.
-    offsets: Vec<u32>,
-    /// Flat, per-node-sorted adjacency; length `2 · edge_count`.
-    neighbors: Vec<u32>,
+    /// `offsets` (`nodes + 1` entries; `offsets[v]..offsets[v+1]` indexes
+    /// `neighbors`) followed by `neighbors` (flat, per-node-sorted
+    /// adjacency, `arcs` entries). A build that dropped duplicate arcs
+    /// leaves one unused slot per dropped arc after `neighbors`: trimming
+    /// them would copy the arrays, and a build's peak memory with them.
+    csr: Arc<[u32]>,
+    /// The number of nodes `n`.
+    nodes: usize,
+    /// The number of directed edges, `2 · edge_count`.
+    arcs: usize,
     /// Optional human-readable name (used by the renderers).
-    name: String,
+    name: Arc<str>,
 }
+
+impl PartialEq for Graph {
+    fn eq(&self, other: &Self) -> bool {
+        self.csr() == other.csr() && self.name == other.name
+    }
+}
+
+impl Eq for Graph {}
 
 impl Graph {
     /// Builds a graph from per-node adjacency lists, validating that the
@@ -97,7 +117,11 @@ impl Graph {
     /// (which only `debug_assert`ed), invalid input — self-loops, asymmetric
     /// adjacency, out-of-range neighbours, or more than `u32::MAX` nodes or
     /// directed edges — is rejected with a [`GraphError`] in release builds
-    /// too, instead of silently corrupting the edge count.
+    /// too, instead of silently corrupting the edge count. Rows are checked
+    /// in node order: the first row that names an out-of-range neighbour
+    /// (reported with its largest one) or itself wins, and range beats a
+    /// self-loop within one row; symmetry is checked only after every row
+    /// passed, arc by arc in CSR order.
     pub fn from_adjacency(
         mut adjacency: Vec<Vec<NodeId>>,
         name: String,
@@ -126,50 +150,111 @@ impl Graph {
         if total >= u32::MAX as usize {
             return Err(GraphError::TooLarge { nodes: n });
         }
-        let mut offsets = Vec::with_capacity(n + 1);
-        let mut neighbors = Vec::with_capacity(total);
-        offsets.push(0u32);
-        for list in &adjacency {
-            neighbors.extend(list.iter().map(|&u| u as u32));
-            offsets.push(neighbors.len() as u32);
-        }
-        let g = Graph {
-            offsets,
-            neighbors,
-            name,
-        };
-        // Symmetry: every (v, u) must be mirrored by (u, v). With sorted CSR
-        // rows this is one binary search per directed edge.
-        for v in 0..n {
-            for &u in g.neighbors(v) {
-                if !g.has_edge(u as NodeId, v) {
-                    return Err(GraphError::Asymmetric {
-                        u: v,
-                        v: u as NodeId,
-                    });
+        // Symmetry: every (v, u) must be mirrored by (u, v), one binary
+        // search per directed edge in the sorted rows. Each mirrored pair
+        // is then one edge of the fill.
+        let mut edges = Vec::with_capacity(total / 2);
+        for (v, list) in adjacency.iter().enumerate() {
+            for &u in list {
+                if adjacency[u].binary_search(&v).is_err() {
+                    return Err(GraphError::Asymmetric { u: v, v: u });
+                }
+                if v < u {
+                    edges.push((v as u32, u as u32));
                 }
             }
         }
-        Ok(g)
+        drop(adjacency);
+        Graph::from_edges(n, edges, name)
+    }
+
+    /// The one CSR fill path, shared by [`crate::GraphBuilder::build`] and
+    /// [`Graph::from_adjacency`]: counting-sorts both arcs of every edge into
+    /// its rows, then sorts and de-duplicates each row in place. Two
+    /// allocations (the shared arrays and the name) at any size; `edges`
+    /// is freed as soon as it has been scattered.
+    ///
+    /// Every endpoint must be below `n` and no edge may be a self-loop;
+    /// duplicates, in either orientation, are allowed. Fails only with
+    /// [`GraphError::TooLarge`]: `n` or the directed-edge count before
+    /// de-duplication reaches `u32::MAX`.
+    pub(crate) fn from_edges(
+        n: usize,
+        edges: Vec<(u32, u32)>,
+        name: String,
+    ) -> Result<Self, GraphError> {
+        let arcs = edges.len() * 2;
+        if n >= u32::MAX as usize || arcs >= u32::MAX as usize {
+            return Err(GraphError::TooLarge { nodes: n });
+        }
+        let mut csr: Arc<[u32]> = std::iter::repeat(0).take(n + 1 + arcs).collect();
+        let (offsets, neighbors) = Arc::get_mut(&mut csr)
+            .expect("a freshly collected Arc is unique")
+            .split_at_mut(n + 1);
+        // Row lengths, then their prefix sums: `offsets[v]` is where row
+        // `v` starts, and serves as its write cursor during the scatter.
+        for &(u, v) in &edges {
+            offsets[u as usize + 1] += 1;
+            offsets[v as usize + 1] += 1;
+        }
+        for v in 1..=n {
+            offsets[v] += offsets[v - 1];
+        }
+        for &(u, v) in &edges {
+            neighbors[offsets[u as usize] as usize] = v;
+            offsets[u as usize] += 1;
+            neighbors[offsets[v as usize] as usize] = u;
+            offsets[v as usize] += 1;
+        }
+        drop(edges);
+        // Each cursor now sits where the next row starts: shift them back.
+        offsets.copy_within(0..n, 1);
+        offsets[0] = 0;
+        // Sort each row and drop its duplicates, compacting the rows
+        // towards the front; `u32::MAX` is never a node id.
+        let mut kept = 0;
+        let mut start = 0;
+        for v in 0..n {
+            let end = offsets[v + 1] as usize;
+            neighbors[start..end].sort_unstable();
+            let mut prev = u32::MAX;
+            for i in start..end {
+                let u = neighbors[i];
+                if u != prev {
+                    neighbors[kept] = u;
+                    kept += 1;
+                    prev = u;
+                }
+            }
+            offsets[v + 1] = kept as u32;
+            start = end;
+        }
+        Ok(Graph {
+            csr,
+            nodes: n,
+            arcs: kept,
+            name: name.into(),
+        })
     }
 
     /// Creates a graph with `n` nodes and no edges.
     pub fn empty(n: usize) -> Self {
         Graph {
-            offsets: vec![0u32; n + 1],
-            neighbors: Vec::new(),
-            name: String::new(),
+            csr: std::iter::repeat(0).take(n + 1).collect(),
+            nodes: n,
+            arcs: 0,
+            name: "".into(),
         }
     }
 
     /// The number of nodes.
     pub fn node_count(&self) -> usize {
-        self.offsets.len() - 1
+        self.nodes
     }
 
     /// The number of undirected edges.
     pub fn edge_count(&self) -> usize {
-        self.neighbors.len() / 2
+        self.arcs / 2
     }
 
     /// An optional descriptive name (e.g. `"B(2,4)"`).
@@ -177,9 +262,9 @@ impl Graph {
         &self.name
     }
 
-    /// Returns a copy of this graph carrying the given name.
+    /// Returns this graph carrying the given name; the arrays stay shared.
     pub fn with_name(mut self, name: impl Into<String>) -> Self {
-        self.name = name.into();
+        self.name = name.into().into();
         self
     }
 
@@ -197,7 +282,8 @@ impl Graph {
     /// # Panics
     /// Panics if `v` is out of range.
     pub fn neighbors(&self, v: NodeId) -> &[u32] {
-        &self.neighbors[self.offsets[v] as usize..self.offsets[v + 1] as usize]
+        let (offsets, neighbors) = self.csr();
+        &neighbors[offsets[v] as usize..offsets[v + 1] as usize]
     }
 
     /// The neighbours of `v` as [`NodeId`]s (convenience wrapper over the raw
@@ -210,12 +296,14 @@ impl Graph {
     /// entries; the neighbours of `v` occupy
     /// `neighbors[offsets[v] as usize..offsets[v + 1] as usize]`.
     pub fn csr(&self) -> (&[u32], &[u32]) {
-        (&self.offsets, &self.neighbors)
+        let (offsets, neighbors) = self.csr.split_at(self.nodes + 1);
+        (offsets, &neighbors[..self.arcs])
     }
 
     /// The degree (number of incident edges) of `v`.
     pub fn degree(&self, v: NodeId) -> usize {
-        (self.offsets[v + 1] - self.offsets[v]) as usize
+        let offsets = self.csr().0;
+        (offsets[v + 1] - offsets[v]) as usize
     }
 
     /// The maximum degree over all nodes (0 for the empty graph).
@@ -268,13 +356,11 @@ impl Graph {
     ///
     /// Intended for tests and debug assertions; `O(V + E log d)`.
     pub fn check_invariants(&self) -> Result<(), String> {
-        if self.offsets.is_empty() {
-            return Err("offsets must contain at least the 0 sentinel".into());
-        }
-        if self.offsets[0] != 0 || *self.offsets.last().unwrap() as usize != self.neighbors.len() {
+        let (offsets, neighbors) = self.csr();
+        if offsets[0] != 0 || offsets[self.nodes] as usize != neighbors.len() {
             return Err("offsets do not span the neighbour array".into());
         }
-        if !self.offsets.windows(2).all(|w| w[0] <= w[1]) {
+        if !offsets.windows(2).all(|w| w[0] <= w[1]) {
             return Err("offsets not monotone".into());
         }
         for v in self.nodes() {

@@ -6,11 +6,12 @@
 //! This crate provides the small, self-contained graph toolkit that the rest
 //! of the workspace is built on:
 //!
-//! * [`Graph`] — a compact undirected simple graph with sorted adjacency
-//!   lists and O(log d) edge queries.
-//! * [`GraphBuilder`] — incremental construction with de-duplication and
-//!   self-loop elision (the paper's constructions are phrased with self-loops
-//!   that "should be ignored").
+//! * [`Graph`] — a compact undirected simple graph with sorted CSR
+//!   adjacency in one shared allocation (clones are O(1)) and O(log d) edge
+//!   queries.
+//! * [`GraphBuilder`] — construction from a flat edge list with
+//!   de-duplication and self-loop elision (the paper's constructions are
+//!   phrased with self-loops that "should be ignored").
 //! * [`Embedding`] — injective node maps between graphs together with
 //!   edge-preservation verification, the formal object at the heart of the
 //!   paper's `(k, G)`-tolerance definition.

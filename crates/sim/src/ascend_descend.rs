@@ -48,11 +48,12 @@ impl AscendOutcome {
 
 /// All-reduce (sum) over `2^h` logical nodes executed natively on the
 /// hypercube: phase `i` combines partners across dimension `i`. Takes `h`
-/// communication steps and leaves the total in every node.
+/// communication steps and leaves the total in every node. `values` needs
+/// one entry per logical node ([`SimError::SizeMismatch`] otherwise).
 #[allow(clippy::needless_range_loop)]
-pub fn allreduce_hypercube(h: usize, values: &[u64]) -> AscendOutcome {
+pub fn allreduce_hypercube(h: usize, values: &[u64]) -> Result<AscendOutcome, SimError> {
     let n = 1usize << h;
-    assert_eq!(values.len(), n, "need one value per logical node");
+    check_sizes(n, &[("values", values.len())])?;
     // Two fixed buffers, swapped per phase — no per-phase allocation.
     let mut vals = values.to_vec();
     let mut next = vec![0u64; n];
@@ -62,16 +63,16 @@ pub fn allreduce_hypercube(h: usize, values: &[u64]) -> AscendOutcome {
         }
         std::mem::swap(&mut vals, &mut next);
     }
-    AscendOutcome {
+    Ok(AscendOutcome {
         steps: h,
         values: vals,
-    }
+    })
 }
 
-/// [`SimError::SizeMismatch`] unless `placement` and `values` both hold one
-/// entry per logical node of an `n`-node network.
-fn check_sizes(n: usize, placement: &Embedding, values: &[u64]) -> Result<(), SimError> {
-    for (what, got) in [("values", values.len()), ("placement", placement.len())] {
+/// [`SimError::SizeMismatch`] for the first `(what, len)` whose length is
+/// not one entry per logical node of an `n`-node network.
+fn check_sizes(n: usize, sizes: &[(&'static str, usize)]) -> Result<(), SimError> {
+    for &(what, got) in sizes {
         if got != n {
             return Err(SimError::SizeMismatch {
                 what,
@@ -106,7 +107,10 @@ pub fn allreduce_shuffle_exchange(
     values: &[u64],
 ) -> Result<AscendOutcome, SimError> {
     let n = se.node_count();
-    check_sizes(n, placement, values)?;
+    check_sizes(
+        n,
+        &[("values", values.len()), ("placement", placement.len())],
+    )?;
     let h = se.h();
     // `vals` and `scratch` ping-pong across the exchange and shuffle steps;
     // every slot is overwritten each step, so no clearing (and no per-phase
@@ -150,7 +154,10 @@ pub fn descend_shuffle_exchange(
     values: &[u64],
 ) -> Result<AscendOutcome, SimError> {
     let n = se.node_count();
-    check_sizes(n, placement, values)?;
+    check_sizes(
+        n,
+        &[("values", values.len()), ("placement", placement.len())],
+    )?;
     let h = se.h();
     let mut vals = values.to_vec();
     let mut scratch = vec![0u64; n];
@@ -197,7 +204,7 @@ mod tests {
     fn hypercube_allreduce_sums_everything_in_h_steps() {
         for h in 1..=6 {
             let n = 1 << h;
-            let out = allreduce_hypercube(h, &seq(n));
+            let out = allreduce_hypercube(h, &seq(n)).unwrap();
             assert_eq!(out.steps, h);
             assert!(out.values.iter().all(|&v| v == total(n)));
             assert!((out.slowdown_vs_hypercube(h) - 1.0).abs() < 1e-12);
@@ -229,6 +236,18 @@ mod tests {
             assert_eq!(out.steps, 2 * h);
             assert!(out.values.iter().all(|&v| v == total(n)));
         }
+    }
+
+    #[test]
+    fn hypercube_allreduce_rejects_a_short_value_slice() {
+        assert_eq!(
+            allreduce_hypercube(3, &seq(3)),
+            Err(SimError::SizeMismatch {
+                what: "values",
+                expected: 8,
+                got: 3
+            })
+        );
     }
 
     #[test]

@@ -30,13 +30,10 @@ impl DeBruijn2 {
         assert!(h >= 1, "B(2,h) needs h >= 1");
         let n = pow_nodes(2, h);
         let mut b = GraphBuilder::new(n).name(format!("B(2,{h})"));
-        for x in 0..n {
-            for r in 0..2 {
-                // Edge (x, X(x, 2, r, 2^h)); the reverse direction produces
-                // the same undirected edge set.
-                b.add_edge(x, x_fn(x, 2, r as i64, n));
-            }
-        }
+        // Edge (x, X(x, 2, r, 2^h)) for r = 0, 1, as the flat index 2x + r
+        // so that the builder sizes its edge list once; the reverse
+        // direction produces the same undirected edge set.
+        b.add_edges((0..2 * n).map(|i| (i / 2, x_fn(i / 2, 2, (i % 2) as i64, n))));
         DeBruijn2 {
             h,
             graph: b.build(),

@@ -28,7 +28,7 @@ fn main() {
     let values = workload::index_values(n);
 
     // Reference: the hypercube runs the Ascend all-reduce in h steps.
-    let reference = allreduce_hypercube(h, &values);
+    let reference = allreduce_hypercube(h, &values).expect("one value per logical node");
     println!(
         "hypercube reference     : {} steps, total = {}",
         reference.steps, reference.values[0]

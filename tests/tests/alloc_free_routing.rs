@@ -1,7 +1,8 @@
 //! Verifies the allocation-free guarantees of the routing and verification
 //! kernels with a counting global allocator: after a warm-up pass that sizes
 //! the scratch buffers, routing thousands of packets must not touch the
-//! allocator at all.
+//! allocator at all. Graph construction makes a fixed number of
+//! allocations at any size, and a cloned graph shares its CSR.
 
 use ftdb_core::FaultSet;
 use ftdb_graph::Embedding;
@@ -15,14 +16,17 @@ use ftdb_topology::DeBruijn2;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Wraps the system allocator and counts every allocation/reallocation.
+/// Wraps the system allocator and counts every allocation/reallocation,
+/// and the bytes each one asks for.
 struct CountingAllocator;
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+static BYTES: AtomicU64 = AtomicU64::new(0);
 
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
         unsafe { System.alloc(layout) }
     }
 
@@ -32,6 +36,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -41,6 +46,21 @@ static GLOBAL: CountingAllocator = CountingAllocator;
 
 fn allocations() -> u64 {
     ALLOCATIONS.load(Ordering::Relaxed)
+}
+
+/// The fewest allocations, and the fewest bytes, that `region` asks for
+/// over five runs (its result is dropped outside the count). A stray
+/// allocation from the test harness' own threads does not repeat.
+fn fewest_allocations<T>(mut region: impl FnMut() -> T) -> (u64, u64) {
+    let (mut calls, mut bytes) = (u64::MAX, u64::MAX);
+    for _ in 0..5 {
+        let (calls0, bytes0) = (allocations(), BYTES.load(Ordering::Relaxed));
+        let out = region();
+        calls = calls.min(allocations() - calls0);
+        bytes = bytes.min(BYTES.load(Ordering::Relaxed) - bytes0);
+        drop(out);
+    }
+    (calls, bytes)
 }
 
 /// The allocation counter is process-global, so the counting tests must not
@@ -473,4 +493,40 @@ fn sharded_serial_cycle_loop_is_allocation_free_after_warmup() {
             assert_eq!(delivered, warm.delivered, "shards={shards}");
         }
     }
+}
+
+#[test]
+fn graph_construction_allocations_do_not_scale_with_size() {
+    let _guard = serial_guard();
+    // The builder's flat edge list, the graph's shared arrays and its name:
+    // 64x the nodes, the same allocations.
+    let (small, _) = fewest_allocations(|| DeBruijn2::new(8));
+    let (large, _) = fewest_allocations(|| DeBruijn2::new(14));
+    assert_eq!(
+        small, large,
+        "B(2,8) made {small} allocations, B(2,14) {large}"
+    );
+}
+
+#[test]
+fn clones_and_machines_share_the_csr() {
+    let _guard = serial_guard();
+    let db = DeBruijn2::new(12);
+    let g = db.graph();
+    assert_eventually_alloc_free("Graph::clone", || {
+        std::hint::black_box(g.clone());
+    });
+    let clone = g.clone();
+    assert!(std::ptr::eq(clone.csr().0, g.csr().0));
+    assert!(std::ptr::eq(clone.csr().1, g.csr().1));
+    // A machine allocates its healthy fault bitset, one bit per node, and
+    // nothing for the CSR (20 bytes per node here).
+    let (_, bytes) = fewest_allocations(|| PhysicalMachine::new(g.clone(), PortModel::MultiPort));
+    let fault_bitset = g.node_count().div_ceil(64) * 8;
+    assert!(
+        bytes <= fault_bitset as u64,
+        "PhysicalMachine::new allocated {bytes} bytes; its fault bitset takes {fault_bitset}"
+    );
+    let machine = PhysicalMachine::new(g.clone(), PortModel::MultiPort);
+    assert!(std::ptr::eq(machine.graph().csr().1, g.csr().1));
 }

@@ -64,7 +64,7 @@ fn ascend_and_descend_agree_on_the_total() {
     let placement = Embedding::identity(n);
     let mut rng = ftdb_tests::seeded_rng(77);
     let (values, total) = workload::random_values(n, &mut rng);
-    let reference = allreduce_hypercube(h, &values);
+    let reference = allreduce_hypercube(h, &values).unwrap();
     let ascend = allreduce_shuffle_exchange(&se, &placement, &machine, &values).unwrap();
     let descend = descend_shuffle_exchange(&se, &placement, &machine, &values).unwrap();
     assert!(reference.values.iter().all(|&v| v == total));
@@ -103,7 +103,7 @@ fn every_single_fault_is_absorbed_by_the_ft_machine() {
     let se = ShuffleExchange::new(h);
     let n = se.node_count();
     let values = workload::index_values(n);
-    let expected = allreduce_hypercube(h, &values).values[0];
+    let expected = allreduce_hypercube(h, &values).unwrap().values[0];
     for faulty in 0..ft.node_count() {
         let faults = FaultSet::from_nodes(ft.node_count(), [faulty]);
         let placement = ft.reconfigure_verified(&faults).unwrap();
@@ -125,7 +125,7 @@ fn natural_construction_also_supports_the_ascend_run() {
     let ftse = NaturalFtShuffleExchange::new(h, k);
     let se = ShuffleExchange::new(h);
     let values = workload::index_values(se.node_count());
-    let expected = allreduce_hypercube(h, &values).values[0];
+    let expected = allreduce_hypercube(h, &values).unwrap().values[0];
     let mut rng = ftdb_tests::seeded_rng(13);
     for _ in 0..20 {
         let faults = FaultSet::random(ftse.node_count(), k, &mut rng).expect("k within node count");
