@@ -14,7 +14,7 @@ use ftdb_core::{FtDeBruijn2, FtDeBruijnM, FtShuffleExchange, NaturalFtShuffleExc
 use ftdb_topology::labels::pow_nodes;
 
 /// One row of the base-2 / base-m comparison table.
-#[derive(Clone, Debug, PartialEq, serde::Serialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct ComparisonRow {
     /// Base of the target de Bruijn graph.
     pub m: usize,
@@ -136,7 +136,7 @@ pub fn render_comparison(title: &str, rows: &[ComparisonRow]) -> TextTable {
 }
 
 /// One row of TAB3: the two fault-tolerant shuffle-exchange constructions.
-#[derive(Clone, Debug, PartialEq, serde::Serialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct ShuffleExchangeRow {
     /// Digits of the shuffle-exchange network.
     pub h: usize,

@@ -6,7 +6,7 @@ use ftdb_core::verify::{verify_exhaustive, verify_sampled, ToleranceReport};
 use ftdb_core::{BusArchitecture, FtDeBruijn2, FtDeBruijnM};
 
 /// Which corollary a sweep row instantiates.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, serde::Serialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Corollary {
     /// Corollary 1: `B^k_{2,h}` has `2^h + k` nodes and degree ≤ `4k + 4`.
     C1,
@@ -22,7 +22,7 @@ pub enum Corollary {
 
 /// One row of the corollary sweep: construction parameters, the bound the
 /// paper states, and the measured value.
-#[derive(Clone, Debug, PartialEq, Eq, serde::Serialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CorollaryRow {
     /// Which corollary this row checks.
     pub corollary: Corollary,
@@ -148,7 +148,7 @@ pub fn render_corollaries(title: &str, rows: &[CorollaryRow]) -> TextTable {
 }
 
 /// One row of the THM1/THM2 tolerance-verification sweep.
-#[derive(Clone, Debug, PartialEq, Eq, serde::Serialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ToleranceRow {
     /// Base of the target graph.
     pub m: usize,

@@ -1,4 +1,4 @@
-//! Plain-text table formatting and JSON export for experiment results.
+//! Plain-text table formatting for experiment results.
 
 use std::fmt::Write as _;
 
@@ -70,36 +70,6 @@ impl TextTable {
         }
         out
     }
-
-    /// Renders the table as GitHub-flavoured markdown (for pasting the
-    /// `experiments` binary's results into a document).
-    pub fn render_markdown(&self) -> String {
-        let mut out = String::new();
-        let _ = writeln!(out, "### {}", self.title);
-        let _ = writeln!(out, "| {} |", self.header.join(" | "));
-        let _ = writeln!(
-            out,
-            "|{}|",
-            self.header
-                .iter()
-                .map(|_| "---")
-                .collect::<Vec<_>>()
-                .join("|")
-        );
-        for row in &self.rows {
-            let _ = writeln!(out, "| {} |", row.join(" | "));
-        }
-        out
-    }
-
-    /// Serialises the table to a JSON object (title, header, rows).
-    pub fn to_json(&self) -> serde_json::Value {
-        serde_json::json!({
-            "title": self.title,
-            "header": self.header,
-            "rows": self.rows,
-        })
-    }
 }
 
 /// Formats a float with a fixed, compact precision used across the tables.
@@ -139,22 +109,6 @@ mod tests {
         // to at least that width.
         let header_line = text.lines().nth(1).unwrap();
         assert!(header_line.ends_with("   c"));
-    }
-
-    #[test]
-    fn render_markdown_shape() {
-        let md = sample().render_markdown();
-        assert!(md.starts_with("### demo"));
-        assert!(md.contains("| a | bbb | c |"));
-        assert!(md.contains("|---|---|---|"));
-        assert_eq!(md.lines().count(), 5);
-    }
-
-    #[test]
-    fn json_roundtrip_shape() {
-        let json = sample().to_json();
-        assert_eq!(json["title"], "demo");
-        assert_eq!(json["rows"].as_array().unwrap().len(), 2);
     }
 
     #[test]

@@ -300,6 +300,22 @@ fn run(name: &str, threads: usize, shards: usize, vcs: u32, rel: &ReliabilityArg
 
 const USAGE: &str = "usage: experiments [--threads N] [--shards N] [--vcs N] [--trials N] [--p-grid p1,p2,...] [--fault-model node|link|burst|all] [fig1|fig2|fig3|fig4|fig5|table1|table2|table3|corollaries|tolerance|sim|sim-bus|sim-congestion|sim-loadsweep|sim-sharded|sim-vc|sim-reliability|sim-million|sim-million-smoke|ablation|all]...";
 
+/// Prints the offending argument and the usage line, then exits with the
+/// usage-error status 2.
+fn usage_error(message: &str) -> ! {
+    eprintln!("experiments: {message}");
+    eprintln!("{USAGE}");
+    std::process::exit(2);
+}
+
+/// The value of a positive-integer flag, or a usage error.
+fn positive<T>(flag: &str, value: Option<&String>) -> T
+where
+    T: std::str::FromStr + PartialOrd + From<u8>,
+{
+    ftdb_bench::parse_positive(flag, value).unwrap_or_else(|msg| usage_error(&msg))
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut threads = std::thread::available_parallelism().map_or(1, |p| p.get());
@@ -310,38 +326,10 @@ fn main() {
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            "--threads" => match ftdb_bench::parse_threads_value(it.next()) {
-                Ok(t) => threads = t,
-                Err(msg) => {
-                    eprintln!("experiments: {msg}");
-                    eprintln!("{USAGE}");
-                    std::process::exit(2);
-                }
-            },
-            "--shards" => match ftdb_bench::parse_threads_value(it.next()) {
-                Ok(s) => shards = s,
-                Err(_) => {
-                    eprintln!("experiments: --shards requires a positive integer");
-                    eprintln!("{USAGE}");
-                    std::process::exit(2);
-                }
-            },
-            "--vcs" => match ftdb_bench::parse_threads_value(it.next()) {
-                Ok(v) => vcs = v as u32,
-                Err(_) => {
-                    eprintln!("experiments: --vcs requires a positive integer");
-                    eprintln!("{USAGE}");
-                    std::process::exit(2);
-                }
-            },
-            "--trials" => match ftdb_bench::parse_threads_value(it.next()) {
-                Ok(t) => rel.trials = t,
-                Err(_) => {
-                    eprintln!("experiments: --trials requires a positive integer");
-                    eprintln!("{USAGE}");
-                    std::process::exit(2);
-                }
-            },
+            "--threads" => threads = positive(arg, it.next()),
+            "--shards" => shards = positive(arg, it.next()),
+            "--vcs" => vcs = positive(arg, it.next()),
+            "--trials" => rel.trials = positive(arg, it.next()),
             "--p-grid" => match it.next().map(|v| {
                 v.split(',')
                     .map(|p| p.trim().parse::<f64>())
@@ -352,29 +340,14 @@ fn main() {
                 {
                     rel.p_grid = grid;
                 }
-                _ => {
-                    eprintln!(
-                        "experiments: --p-grid requires comma-separated probabilities in [0, 1]"
-                    );
-                    eprintln!("{USAGE}");
-                    std::process::exit(2);
-                }
+                _ => usage_error("--p-grid requires comma-separated probabilities in [0, 1]"),
             },
             "--fault-model" => match it.next().map(String::as_str) {
                 Some("all") => rel.models = FaultModel::ALL.to_vec(),
-                Some(m) => match FaultModel::parse(m) {
+                m => match m.and_then(FaultModel::parse) {
                     Some(model) => rel.models = vec![model],
-                    None => {
-                        eprintln!("experiments: --fault-model must be node, link, burst or all");
-                        eprintln!("{USAGE}");
-                        std::process::exit(2);
-                    }
+                    None => usage_error("--fault-model must be node, link, burst or all"),
                 },
-                None => {
-                    eprintln!("experiments: --fault-model must be node, link, burst or all");
-                    eprintln!("{USAGE}");
-                    std::process::exit(2);
-                }
             },
             _ => names.push(arg.clone()),
         }

@@ -122,9 +122,9 @@ fn main() {
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--quick" => quick = true,
-            "--threads" => match ftdb_bench::parse_threads_value(it.next()) {
+            "--threads" => match ftdb_bench::parse_positive(arg, it.next()) {
                 Ok(t) => threads_flag = Some(t),
-                Err(msg) => usage_error(msg),
+                Err(msg) => usage_error(&msg),
             },
             "--out" => match it.next() {
                 Some(path) => out_path = path.clone(),

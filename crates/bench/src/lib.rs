@@ -39,14 +39,21 @@ pub const ROUTING_H: &[usize] = &[6, 8, 10];
 /// verification in a bench iteration.
 pub const VERIFY_PARAMS: &[(usize, usize)] = &[(3, 1), (3, 2), (4, 1), (4, 2)];
 
-/// Parses the value of a `--threads` flag: both binaries (`experiments`,
-/// `perf_report`) accept the same worker-count knob and must validate it
-/// identically. Returns the parsed count or a message for the caller's
-/// usage-error path.
-pub fn parse_threads_value(value: Option<&String>) -> Result<usize, &'static str> {
-    match value.and_then(|t| t.parse::<usize>().ok()) {
-        Some(t) if t >= 1 => Ok(t),
-        _ => Err("--threads requires a positive integer"),
+/// Parses the value of a positive-integer flag (`--threads`, `--shards`,
+/// `--vcs`, `--trials`): both binaries (`experiments`, `perf_report`)
+/// validate these knobs identically. A missing value, a non-number, zero
+/// and a number that `T` cannot hold are errors. Returns the value or a
+/// message naming `flag` for the caller's usage-error path.
+pub fn parse_positive<T>(flag: &str, value: Option<&String>) -> Result<T, String>
+where
+    T: std::str::FromStr + PartialOrd + From<u8>,
+{
+    match value.and_then(|v| v.parse::<T>().ok()) {
+        Some(v) if v >= T::from(1) => Ok(v),
+        _ => Err(format!(
+            "{flag} requires a positive integer that fits in {}",
+            std::any::type_name::<T>()
+        )),
     }
 }
 
@@ -221,5 +228,17 @@ mod tests {
             .all(|&(m, h, k)| m >= 2 && h >= 2 && k >= 1));
         assert!(VERIFY_PARAMS.iter().all(|&(h, k)| (1usize << h) + k <= 20));
         assert!(!ROUTING_H.is_empty());
+    }
+
+    #[test]
+    fn positive_flags_reject_zero_non_numbers_and_overflow() {
+        let vcs = |v: &str| parse_positive::<u32>("--vcs", Some(&v.to_string()));
+        assert_eq!(vcs("4"), Ok(4));
+        assert_eq!(vcs("4294967295"), Ok(u32::MAX));
+        let rejected = "--vcs requires a positive integer that fits in u32";
+        for bad in ["0", "four", "-1", "4294967296", "4294967297"] {
+            assert_eq!(vcs(bad), Err(rejected.to_string()), "{bad}");
+        }
+        assert!(parse_positive::<usize>("--trials", None).is_err());
     }
 }

@@ -26,7 +26,7 @@ use ftdb_topology::DeBruijnM;
 
 /// Closed-form description of the Samatham–Pradhan fault-tolerant graph for
 /// a base-m, h-digit target tolerating `k` faults.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, serde::Serialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SpBaseline {
     /// Base of the target de Bruijn graph.
     pub m: usize,

@@ -5,7 +5,7 @@ use std::collections::BTreeMap;
 
 /// Summary of a graph's degree structure, as reported in the experiment
 /// tables (the paper's claims are all about node counts and degree bounds).
-#[derive(Clone, Debug, PartialEq, Eq, serde::Serialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct DegreeStats {
     /// Number of nodes.
     pub nodes: usize,

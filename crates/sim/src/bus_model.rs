@@ -20,7 +20,7 @@
 use crate::machine::PortModel;
 
 /// The interconnect implementation being timed.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, serde::Serialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Interconnect {
     /// Dedicated point-to-point links with the given port model.
     PointToPoint(PortModel),
@@ -61,7 +61,7 @@ pub fn bus_slowdown(port_model: PortModel, distinct_values: usize) -> f64 {
 }
 
 /// A row of the SIM2 table: one fanout / port-model combination.
-#[derive(Clone, Debug, PartialEq, serde::Serialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct BusTimingRow {
     /// Number of distinct values each node must send per superstep.
     pub fanout: usize,

@@ -291,7 +291,7 @@ impl Default for CongestionConfig {
 }
 
 /// Aggregate result of a congestion run.
-#[derive(Clone, Debug, PartialEq, serde::Serialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct CongestionReport {
     /// Cycles simulated until the run drained (or hit the cap).
     pub cycles: u32,
@@ -422,7 +422,7 @@ impl CycleEvents {
 }
 
 /// Outcome of a [`run_recovery`] scenario.
-#[derive(Clone, Debug, PartialEq, serde::Serialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct RecoveryOutcome {
     /// The full congestion report of the run (pre- and post-fault cycles).
     pub report: CongestionReport,
@@ -537,7 +537,7 @@ pub(super) fn recover(
 
 /// One point on a latency–throughput curve: the measured outcome of an
 /// open-loop run at a fixed offered load.
-#[derive(Clone, Debug, PartialEq, serde::Serialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct OpenLoopReport {
     /// The requested injection probability (packets/node/cycle).
     pub offered_load: f64,

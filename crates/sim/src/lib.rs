@@ -16,11 +16,12 @@
 //! * [`machine`] — the physical machine model: a graph of processors, a set
 //!   of faulty nodes, and a port model (how many distinct values a processor
 //!   may transmit per step).
-//! * [`ascend_descend`] — Ascend-class algorithms (all-reduce / parallel
-//!   prefix over hypercube dimensions) executed natively on the hypercube,
-//!   on the shuffle-exchange emulation, and on an arbitrary physical host
-//!   through an embedding (which is how the fault-tolerant graphs are
-//!   exercised after reconfiguration).
+//! * [`ascend_descend`] — Ascend/Descend-class collectives (all-reduce and
+//!   parallel prefix over hypercube dimensions), each a combine rule run by
+//!   one driver per network: natively on the hypercube, or on the
+//!   shuffle-exchange emulation over an arbitrary physical host through an
+//!   embedding (which is how the fault-tolerant graphs are exercised after
+//!   reconfiguration).
 //! * [`routing`] — packet routing on healthy and faulty machines, both along
 //!   the logical de Bruijn/shuffle-exchange routes and with fault-avoiding
 //!   BFS fallback.
@@ -37,7 +38,6 @@
 
 pub mod ascend_descend;
 pub mod bus_model;
-pub mod collectives;
 pub mod congestion;
 pub mod diagnosis;
 pub mod machine;

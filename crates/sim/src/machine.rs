@@ -11,7 +11,7 @@ use ftdb_core::FaultSet;
 use ftdb_graph::{Graph, NodeId};
 
 /// How many distinct values a processor may transmit in one synchronous step.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, serde::Serialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum PortModel {
     /// One outgoing value per step (single-ported).
     SinglePort,
@@ -76,6 +76,12 @@ pub enum SimError {
         /// Number of faults in the set that failed to reconfigure.
         faults: usize,
     },
+    /// A network of `2^h` logical nodes, whose node count does not fit in
+    /// a `usize`.
+    DimensionTooLarge {
+        /// The requested dimension.
+        h: usize,
+    },
     /// An input is sized for a different network than the one it is used
     /// with.
     SizeMismatch {
@@ -119,6 +125,9 @@ impl std::fmt::Display for SimError {
                     "reconfiguration failed verification for a within-budget set of \
                      {faults} faults (construction bug)"
                 )
+            }
+            SimError::DimensionTooLarge { h } => {
+                write!(f, "2^{h} logical nodes do not fit in a usize")
             }
             SimError::SizeMismatch {
                 what,

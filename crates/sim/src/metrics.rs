@@ -3,7 +3,7 @@
 use crate::routing::PacketOutcome;
 
 /// Aggregated routing statistics over a workload.
-#[derive(Clone, Debug, Default, PartialEq, serde::Serialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct RoutingStats {
     /// Number of packets delivered.
     pub delivered: u64,
@@ -68,7 +68,7 @@ impl RoutingStats {
 
 /// A labelled slowdown measurement, used by the experiment driver to print
 /// the SIM1/SIM2 tables.
-#[derive(Clone, Debug, PartialEq, serde::Serialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct SlowdownRow {
     /// Scenario label (e.g. "healthy SE", "1 fault, no spares").
     pub scenario: String,
@@ -94,7 +94,7 @@ impl SlowdownRow {
 /// Distribution summary of per-packet delivery latencies (in cycles) from a
 /// cycle-level congestion run. Computed once after the run, so it may sort
 /// and allocate freely — the engine's hot loop only stamps delivery cycles.
-#[derive(Clone, Debug, Default, PartialEq, serde::Serialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct LatencySummary {
     /// Number of delivered packets summarised.
     pub count: u64,
@@ -151,7 +151,7 @@ impl LatencySummary {
 /// is sized at construction and [`LatencyHistogram::record`] only touches
 /// pre-allocated bins, so the measurement loop stays allocation-free; the
 /// summary accessors may be called at any time.
-#[derive(Clone, Debug, PartialEq, serde::Serialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct LatencyHistogram {
     /// Width of each bin in cycles (≥ 1).
     bin_width: u32,

@@ -100,8 +100,8 @@ fn drive(
         }
     }
     let report = sim.report();
-    // The vendored serde derive is annotation-only, so "byte-identical" is
-    // pinned on the deterministic Debug rendering of the full report.
+    // Reports have no serialised form, so "byte-identical" is pinned on the
+    // deterministic Debug rendering of the full report.
     let report_text = format!("{report:?}");
     let outcomes = (0..sim.counts().0 as usize)
         .map(|id| sim.packet_outcome(id))
