@@ -288,10 +288,12 @@ fn run_trial(
         sim.load_oblivious(db, &placement, &pairs);
         if let Some(faults) = &faults {
             for &node in &faults.nodes {
-                sim.schedule_fault(spec.kill_cycle, node);
+                sim.schedule_fault(spec.kill_cycle, node)
+                    .expect("node kills are drawn over the engine's graph");
             }
             if let Some(links) = &faults.links {
-                sim.schedule_link_faults(spec.kill_cycle, links);
+                sim.schedule_link_faults(spec.kill_cycle, links)
+                    .expect("link kills are drawn over the engine's graph");
             }
         }
         let report = sim.run();

@@ -53,16 +53,6 @@ impl LinkFaultSet {
         (from, neighbors[slot] as NodeId)
     }
 
-    /// The CSR slot of the directed link `from → to`, or `None` if `graph`
-    /// has no such link (including out-of-range endpoints).
-    pub fn slot_of(graph: &Graph, from: NodeId, to: NodeId) -> Option<usize> {
-        if from >= graph.node_count() || to >= graph.node_count() {
-            return None;
-        }
-        let (offsets, neighbors) = graph.csr();
-        (offsets[from] as usize..offsets[from + 1] as usize).find(|&s| neighbors[s] as NodeId == to)
-    }
-
     /// A link-fault set from explicit directed links `(from, to)`.
     ///
     /// Fails with [`FaultError::MissingLink`] on the first pair that is not a
@@ -73,7 +63,7 @@ impl LinkFaultSet {
     ) -> Result<Self, FaultError> {
         let mut set = LinkFaultSet::empty(graph);
         for (from, to) in links {
-            match LinkFaultSet::slot_of(graph, from, to) {
+            match graph.edge_slot(from, to) {
                 Some(slot) => {
                     set.slots.insert(slot);
                 }
@@ -286,12 +276,12 @@ mod tests {
         let mut seen = 0;
         for slot in 0..LinkFaultSet::empty(&g).universe() {
             let (u, v) = LinkFaultSet::endpoints(&g, slot);
-            assert_eq!(LinkFaultSet::slot_of(&g, u, v), Some(slot));
+            assert_eq!(g.edge_slot(u, v), Some(slot));
             seen += 1;
         }
         let (offsets, _) = g.csr();
         assert_eq!(seen, offsets[g.node_count()] as usize);
-        assert_eq!(LinkFaultSet::slot_of(&g, 0, g.node_count() + 5), None);
+        assert_eq!(g.edge_slot(0, g.node_count() + 5), None);
     }
 
     #[test]
@@ -299,8 +289,8 @@ mod tests {
         let g = ftdb_graph::generators::path(4); // 0-1-2-3
         let ok = LinkFaultSet::from_links(&g, [(0, 1), (2, 1)]).unwrap();
         assert_eq!(ok.len(), 2);
-        assert!(ok.contains(LinkFaultSet::slot_of(&g, 0, 1).unwrap()));
-        assert!(!ok.contains(LinkFaultSet::slot_of(&g, 1, 0).unwrap()));
+        assert!(ok.contains(g.edge_slot(0, 1).unwrap()));
+        assert!(!ok.contains(g.edge_slot(1, 0).unwrap()));
         assert_eq!(
             LinkFaultSet::from_links(&g, [(0, 3)]),
             Err(FaultError::MissingLink { from: 0, to: 3 })

@@ -317,21 +317,31 @@ impl Graph {
     }
 
     /// Whether the undirected edge `{u, v}` is present.
+    pub fn has_edge(&self, u: NodeId, v: NodeId) -> bool {
+        self.edge_slot(u, v).is_some()
+    }
+
+    /// The CSR slot of the directed arc `u → v` — its index into the
+    /// neighbour array of [`Graph::csr`] — or `None` when there is no such
+    /// arc (out-of-range endpoints included).
     ///
     /// `O(log d)`; short CSR rows (the constant-degree graphs this library
     /// is about) use a branch-light linear scan instead, which is faster
     /// than binary search at these sizes.
-    pub fn has_edge(&self, u: NodeId, v: NodeId) -> bool {
+    pub fn edge_slot(&self, u: NodeId, v: NodeId) -> Option<usize> {
         if u >= self.node_count() || v >= self.node_count() {
-            return false;
+            return None;
         }
-        let row = self.neighbors(u);
+        let (offsets, neighbors) = self.csr();
+        let start = offsets[u] as usize;
+        let row = &neighbors[start..offsets[u + 1] as usize];
         let v = v as u32;
-        if row.len() <= 32 {
-            row.contains(&v)
+        let at = if row.len() <= 32 {
+            row.iter().position(|&x| x == v)
         } else {
-            row.binary_search(&v).is_ok()
-        }
+            row.binary_search(&v).ok()
+        };
+        at.map(|p| start + p)
     }
 
     /// Iterator over all undirected edges as `(u, v)` pairs with `u < v`.

@@ -770,13 +770,7 @@ mod tests {
         // Cycle 0-1-2-3-4-5: killing the directed slot 0→1 forces the long
         // way around, while 1→0 stays usable (directed semantics).
         let c = generators::cycle(6);
-        let (offsets, neighbors) = c.csr();
-        let slot_of = |u: usize, v: usize| {
-            (offsets[u] as usize..offsets[u + 1] as usize)
-                .find(|&s| neighbors[s] as usize == v)
-                .unwrap()
-        };
-        let dead = slot_of(0, 1);
+        let dead = c.edge_slot(0, 1).unwrap();
         let mut s = Searcher::new();
         let mut out = Vec::new();
         assert!(s.shortest_path_avoiding_into(&c, 0, 2, |_| true, |sl| sl != dead, &mut out));

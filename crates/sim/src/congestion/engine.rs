@@ -63,26 +63,6 @@ pub(crate) fn pk_terminal(entry: u64) -> bool {
     pk_slot(entry) == NO_SLOT & !(1 << 31)
 }
 
-/// CSR slot of directed edge `(u, v)` in `machine`'s graph, mirroring
-/// `Graph::has_edge`'s scan strategy (rows are sorted; short rows scan
-/// linearly). The engine calls it off the hop path only: to build the
-/// implicit successor-slot table
-/// ([`ImplicitRoute`](super::implicit_route::ImplicitRoute)), to pack the
-/// hop slots of materialized loads and re-routes, and to resolve a
-/// scheduled link fault. Debug builds also check every implicit hop's
-/// table slot against it.
-// analyzer: alloc-free
-pub(crate) fn edge_slot_in(machine: &PhysicalMachine, u: NodeId, v: u32) -> Option<usize> {
-    let (offsets, neighbors) = machine.graph().csr();
-    let start = offsets[u] as usize;
-    let row = &neighbors[start..offsets[u + 1] as usize];
-    if row.len() <= 32 {
-        row.iter().position(|&x| x == v).map(|p| start + p)
-    } else {
-        row.binary_search(&v).ok().map(|p| start + p)
-    }
-}
-
 /// Per-directed-link claim stamp and credit counter, interleaved so the
 /// examination fast path touches one cache location per link.
 #[derive(Clone, Copy, Debug)]
@@ -453,7 +433,8 @@ pub struct RecoveryOutcome {
 ///    and reports `deadlocked`.
 ///
 /// Returns an error if the fault schedule exceeds the construction's
-/// budget `k` (reconfiguration is only guaranteed below it).
+/// budget `k` (reconfiguration is only guaranteed below it) or names a
+/// processor the machine does not have.
 pub fn run_recovery(
     ft: &FtDeBruijn2,
     pairs: &[(NodeId, NodeId)],
@@ -478,7 +459,7 @@ pub fn run_recovery(
     let mut sim = CongestionSim::new(machine, config);
     sim.load_oblivious(ft.target(), &initial, pairs);
     for &(cycle, node) in fault_schedule {
-        sim.schedule_fault(cycle, node);
+        sim.schedule_fault(cycle, node)?;
     }
     recover(&mut sim, ft, config.max_cycles)
 }
@@ -497,7 +478,7 @@ pub(super) fn recover(
     let mut lost_on_dead_nodes = 0;
     let mut rerouted = 0;
     while sim.counts().3 > 0 && sim.cycle() < max_cycles {
-        // Fire due faults *before* this cycle's movement so the online
+        // Fire due faults here, ahead of `step`, so the online
         // reconfiguration can re-target in-flight packets the same cycle the
         // processors die — packets lost are exactly those hosted on them.
         let before_drop = sim.counts().2;
@@ -706,8 +687,8 @@ mod tests {
         let mut rng = rand::rngs::StdRng::seed_from_u64(7);
         let pairs = workload::uniform_pairs(n, 3 * n, &mut rng);
         sim.load_oblivious(&db, &Embedding::identity(n), &pairs);
-        sim.schedule_fault(2, 3);
-        sim.schedule_fault(4, 9);
+        sim.schedule_fault(2, 3).unwrap();
+        sim.schedule_fault(4, 9).unwrap();
         loop {
             let (injected, delivered, dropped, in_flight) = sim.counts();
             assert_eq!(delivered + dropped + in_flight, injected);
@@ -857,7 +838,7 @@ mod tests {
             // Everyone routes to node 2; node 1 (a predecessor of 2, so on
             // many routes) dies at cycle 1 while packets are in flight.
             sim.load_oblivious(&db, &Embedding::identity(n), &workload::all_to_one(n, 2));
-            sim.schedule_fault(1, 1);
+            sim.schedule_fault(1, 1).unwrap();
             let report = sim.run();
             assert!(report.completed);
             assert_eq!(report.delivered + report.dropped, n as u64);
@@ -891,7 +872,7 @@ mod tests {
             },
         );
         sim.load_oblivious(&db, &Embedding::identity(db.node_count()), &[(6, 5)]);
-        sim.schedule_fault(1, 2);
+        sim.schedule_fault(1, 2).unwrap();
         let report = sim.run();
         assert!(report.completed);
         assert_eq!(report.delivered, 1);
@@ -1004,13 +985,13 @@ mod tests {
         let machine = PhysicalMachine::new(db.graph().clone(), PortModel::MultiPort);
         let mut sim = CongestionSim::new(machine, reroute_config());
         sim.load_oblivious(&db, &Embedding::identity(db.node_count()), &[(0, 4)]);
-        sim.schedule_fault(0, 2);
+        sim.schedule_fault(0, 2).unwrap();
         let report = sim.run();
         assert!(!report.deadlocked && report.completed, "{report:?}");
         assert_eq!((report.delivered, report.dropped), (1, 0));
         sim.clear_workload();
         sim.load_oblivious(&db, &Embedding::identity(db.node_count()), &[(0, 4)]);
-        sim.schedule_fault(0, 2);
+        sim.schedule_fault(0, 2).unwrap();
         let first = sim.step();
         assert_eq!((first.faults_fired, first.moved, first.rerouted), (1, 1, 0));
         let second = sim.step();
@@ -1036,7 +1017,7 @@ mod tests {
                     for kill in 0..3 {
                         sim.clear_workload();
                         sim.load_oblivious(&db, &placement, &[(s, t)]);
-                        sim.schedule_fault(kill, victim);
+                        sim.schedule_fault(kill, victim).unwrap();
                         let report = sim.run();
                         assert!(
                             !report.deadlocked && report.completed,
@@ -1300,8 +1281,8 @@ mod tests {
             // Kill two heavily-used processors while traffic is in flight:
             // without the kill-path slot release this leaks their input
             // buffers' credits and the invariant breaks.
-            sim.schedule_fault(3, 1);
-            sim.schedule_fault(5, 9);
+            sim.schedule_fault(3, 1).unwrap();
+            sim.schedule_fault(5, 9).unwrap();
             // Depth-1 buffers under this load may hard-deadlock (that is
             // the point of bounded buffers); conservation must hold right
             // through the deadlock, so step manually and stop once the
@@ -1445,7 +1426,7 @@ mod tests {
         // Node 0 self-send at cycle 2 (before the kill) and cycle 10
         // (after); node 0 dies at cycle 5.
         sim.load_oblivious_timed(&db, &Embedding::identity(n), &[(2, 0, 0), (10, 0, 0)]);
-        sim.schedule_fault(5, 0);
+        sim.schedule_fault(5, 0).unwrap();
         let report = sim.run();
         assert_eq!(report.delivered, 1, "pre-fault self-send is consumed");
         assert_eq!(
@@ -1456,7 +1437,7 @@ mod tests {
         // And identically on a reused engine.
         sim.clear_workload();
         sim.load_oblivious_timed(&db, &Embedding::identity(n), &[(2, 0, 0), (10, 0, 0)]);
-        sim.schedule_fault(5, 0);
+        sim.schedule_fault(5, 0).unwrap();
         assert_eq!(sim.run(), report);
     }
 
@@ -1471,7 +1452,7 @@ mod tests {
         let machine = PhysicalMachine::new(db.graph().clone(), PortModel::MultiPort);
         let mut sim = CongestionSim::new(machine, credit_config(2));
         sim.load_oblivious(&db, &Embedding::identity(n), &workload::all_to_one(n, 2));
-        sim.schedule_fault(2, 1);
+        sim.schedule_fault(2, 1).unwrap();
         let report = sim.run();
         assert!(
             report.completed,
@@ -1516,7 +1497,7 @@ mod tests {
                 let mut sim = CongestionSim::new(machine, CongestionConfig { engine, ..config });
                 sim.load_oblivious(&db, &Embedding::identity(n), &pairs);
                 for &(cycle, node) in &faults {
-                    sim.schedule_fault(cycle, node);
+                    sim.schedule_fault(cycle, node).unwrap();
                 }
                 let report = sim.run();
                 outcomes.push((report, sim.counts()));
@@ -1556,12 +1537,12 @@ mod tests {
         // schedule and dynamic deaths must have been fully cleared too.
         sim.clear_workload();
         sim.load_oblivious(&db, &Embedding::identity(n), &workload::all_to_one(n, 2));
-        sim.schedule_fault(2, 1);
+        sim.schedule_fault(2, 1).unwrap();
         let reused = sim.run();
         let machine = PhysicalMachine::new(db.graph().clone(), PortModel::MultiPort);
         let mut reference = CongestionSim::new(machine, credit_config(2));
         reference.load_oblivious(&db, &Embedding::identity(n), &workload::all_to_one(n, 2));
-        reference.schedule_fault(2, 1);
+        reference.schedule_fault(2, 1).unwrap();
         assert_eq!(reused, reference.run());
     }
 

@@ -29,7 +29,7 @@
 //! context's hop methods run in the engine's cycle loop and must stay
 //! that way. Only `ImplicitRoute::capture` allocates, once per load.
 
-use super::engine::{edge_slot_in, pk, DELIVERS, NO_SLOT};
+use super::engine::{pk, DELIVERS, NO_SLOT};
 use crate::machine::PhysicalMachine;
 use ftdb_graph::Embedding;
 use ftdb_topology::DeBruijn2;
@@ -228,24 +228,22 @@ impl ImplicitRoute {
     /// edges of the logical graph, each resolved by a CSR row search —
     /// O(V + E).
     fn build_table(&mut self, machine: &PhysicalMachine) {
-        let nodes = machine.node_count();
+        let graph = machine.graph();
         // An identity context maps every label to itself; a placed one
-        // leaves the labels past a short map unplaced.
+        // leaves the labels past a short map unplaced. An image past the
+        // machine has no CSR row, so `edge_slot` finds no link there.
         let image = |x: u32| {
-            let v = if self.place.is_empty() {
-                Some(x)
+            if self.place.is_empty() {
+                Some(x as usize)
             } else {
-                self.place.get(x as usize).copied()
-            };
-            v.filter(|&v| (v as usize) < nodes)
+                self.place.get(x as usize).map(|&v| v as usize)
+            }
         };
         let mask = self.mask;
         self.next_slot.clear();
         self.next_slot.extend((0..2 * (mask + 1)).map(|key| {
             match (image(key >> 1), image(key & mask)) {
-                (Some(u), Some(v)) if u != v => {
-                    edge_slot_in(machine, u as usize, v).map_or(NO_SLOT, |slot| slot as u32)
-                }
+                (Some(u), Some(v)) if u != v => graph.edge_slot(u, v).map_or(NO_SLOT, |s| s as u32),
                 _ => NO_SLOT,
             }
         }));
@@ -311,7 +309,7 @@ impl ImplicitRoute {
         let slot = self.next_slot[key as usize];
         debug_assert_eq!(
             Some(slot as usize),
-            edge_slot_in(machine, here as usize, next),
+            machine.graph().edge_slot(here as usize, next as usize),
             "successor-slot table disagrees with the CSR row of node {here} (key {key})"
         );
         let delivers = route_ends_at(&self.place, self.mask, next, pos2, rem2);
@@ -386,7 +384,10 @@ mod tests {
             let got = ctx.next_slot[key as usize];
             match (image(x), image(y)) {
                 (Some(u), Some(v)) if u != v => {
-                    let want = edge_slot_in(machine, u, v as u32).map_or(NO_SLOT, |s| s as u32);
+                    let want = machine
+                        .graph()
+                        .edge_slot(u, v)
+                        .map_or(NO_SLOT, |s| s as u32);
                     assert_eq!(got, want, "key {key}: {x} -> {y} placed {u} -> {v}");
                     assert_eq!(got != NO_SLOT, machine.graph().has_edge(u, v), "key {key}");
                     if got != NO_SLOT {

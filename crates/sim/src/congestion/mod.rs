@@ -69,8 +69,10 @@
 //! paths store them from load, and implicit routes read them from a per-load
 //! successor-slot table, so no move runs a neighbour search.
 //!
-//! **Dynamic faults.** A fault schedule (`Vec<(cycle, node)>`) kills
-//! processors *mid-run*. A packet sitting on a dying node is lost with it.
+//! **Dynamic faults.** A fault schedule ([`ShardedSim::schedule_fault`])
+//! kills processors *mid-run*. The engine holds it once, whatever the shard
+//! count, and a cycle's kills fire first, before any credit, injection or
+//! move of that cycle. A packet sitting on a dying node is lost with it.
 //! A packet that later tries to enter a dead node reacts according to the
 //! configured [`FaultResponse`]: dropped, or re-routed in place by a BFS
 //! through the surviving machine. On a fault-tolerant machine the driver
@@ -81,9 +83,9 @@
 //! embeddability.
 //!
 //! A second schedule kills individual **directed links** (CSR edge slots)
-//! mid-run — [`ShardedSim::schedule_link_fault`] and the bulk
-//! [`ShardedSim::schedule_link_faults`] over an
-//! [`ftdb_core::LinkFaultSet`]. A link kill is a *local* wake event: only the packets
+//! mid-run — [`ShardedSim::schedule_link_faults`] over an
+//! [`ftdb_core::LinkFaultSet`] (`LinkFaultSet::from_links` names single
+//! links). A link kill is a *local* wake event: only the packets
 //! parked on the dead slot's gates are flushed to re-examination (every
 //! other packet's movability is untouched), the hazard check extends to
 //! `dead_link[slot]`, and re-route BFS avoids dead slots via an edge

@@ -43,12 +43,12 @@
 
 use super::boundary::{shard_floor, shard_of, BoundaryBatch, Flit};
 use super::engine::{
-    edge_slot_in, pk, pk_node, pk_slot, pk_terminal, CongestionConfig, CongestionReport,
-    CycleEvents, EngineKind, FaultResponse, FlowControl, LinkGate, RouteSource, Switching,
-    DELIVERS, IMPLICIT_ACTIVE, NEVER, NONE_ID, NO_LOGICAL, NO_SLOT,
+    pk, pk_node, pk_slot, pk_terminal, CongestionConfig, CongestionReport, CycleEvents, EngineKind,
+    FaultResponse, FlowControl, LinkGate, RouteSource, Switching, DELIVERS, IMPLICIT_ACTIVE, NEVER,
+    NONE_ID, NO_LOGICAL, NO_SLOT,
 };
 use super::implicit_route::{self, ImplicitRoute};
-use crate::machine::{PhysicalMachine, PortModel};
+use crate::machine::{PhysicalMachine, PortModel, SimError};
 use crate::metrics::LatencySummary;
 use crate::routing::{self, Trust};
 use ftdb_core::parallel::fan_out;
@@ -108,8 +108,10 @@ fn pack_hop_slots(path: &mut [u64], machine: &PhysicalMachine) {
     let len = path.len();
     for i in 0..len.saturating_sub(1) {
         let u = pk_node(path[i]);
-        let v = pk_node(path[i + 1]) as u32;
-        let slot = edge_slot_in(machine, u, v)
+        let v = pk_node(path[i + 1]);
+        let slot = machine
+            .graph()
+            .edge_slot(u, v)
             // analyzer: allow(expect) -- every loaded or re-routed path was computed against this CSR, so a missing slot is a loader bug; aborting beats simulating a phantom link
             .expect("routes only traverse physical links");
         let delivers = if i + 2 == len { DELIVERS } else { 0 };
@@ -130,11 +132,82 @@ struct ShardCtx<'a> {
     logical_target: &'a [u32],
     /// The engine's implicit context, shared read-only by every core.
     implicit: &'a ImplicitRoute,
+    /// The engine's kills; only [`ShardedSim::fire_due_faults`] fires them.
+    node_kills: &'a Kills,
+    link_kills: &'a Kills,
     n: usize,
     shards: usize,
     single_port: bool,
     park: bool,
     fault_response: FaultResponse,
+}
+
+impl ShardCtx<'_> {
+    /// Whether `node` is usable (healthy in the static fault set and not
+    /// killed by the dynamic schedule).
+    // analyzer: alloc-free
+    fn is_alive(&self, node: NodeId) -> bool {
+        self.machine.is_healthy(node) && !self.node_kills.dead[node]
+    }
+}
+
+/// One of the engine's two kill schedules — processors or directed CSR
+/// slots — with the mask and list of the ids it has killed. The engine
+/// holds each once; every core reads them through [`ShardCtx`].
+#[derive(Default)]
+struct Kills {
+    /// `(cycle, id)` kills: the first `fired` have fired, and the rest are
+    /// sorted by cycle.
+    schedule: Vec<(u32, u32)>,
+    fired: usize,
+    /// Dead mask over the id universe, and the ids it marks in firing order.
+    dead: Vec<bool>,
+    list: Vec<u32>,
+}
+
+impl Kills {
+    fn new(universe: usize) -> Self {
+        Kills {
+            dead: vec![false; universe],
+            ..Kills::default()
+        }
+    }
+
+    /// Adds kills to the unfired tail, keeping it sorted: a kill for a
+    /// cycle already simulated fires at the next step.
+    fn schedule(&mut self, kills: impl IntoIterator<Item = (u32, u32)>) {
+        self.schedule.extend(kills);
+        self.schedule[self.fired..].sort_unstable();
+    }
+
+    /// Fires the kills due by `cycle` and returns how many ids died (an id
+    /// killed twice dies once).
+    fn fire(&mut self, cycle: u32) -> usize {
+        let before = self.list.len();
+        while let Some(&(_, id)) = self.schedule.get(self.fired).filter(|k| k.0 <= cycle) {
+            self.fired += 1;
+            if !self.dead[id as usize] {
+                self.dead[id as usize] = true;
+                self.list.push(id);
+            }
+        }
+        self.list.len() - before
+    }
+
+    /// Whether every scheduled kill has fired.
+    // analyzer: alloc-free
+    fn idle(&self) -> bool {
+        self.fired >= self.schedule.len()
+    }
+
+    /// Drops the schedule and revives every id on the list.
+    fn clear(&mut self) {
+        for id in self.list.drain(..) {
+            self.dead[id as usize] = false;
+        }
+        self.schedule.clear();
+        self.fired = 0;
+    }
 }
 
 /// One shard's share of the engine state. Link-gate state (`links`, the
@@ -196,20 +269,6 @@ struct ShardCore {
     // --- local node state ------------------------------------------------
     /// Per-node output-port claim stamp (consulted under `SinglePort`).
     node_claim: Vec<u32>,
-    // --- dynamic faults (full copies: hazard checks need remote deads) ---
-    dead: Vec<bool>,
-    dead_list: Vec<u32>,
-    /// `(cycle, node)` kills sorted by cycle; applied before movement.
-    schedule: Vec<(u32, u32)>,
-    schedule_pos: usize,
-    /// `(cycle, global CSR slot)` directed-link kills; every core carries
-    /// the full schedule (the hazard check needs remote dead links), but a
-    /// kill only wakes the gates of *locally owned* slots.
-    link_schedule: Vec<(u32, u32)>,
-    link_schedule_pos: usize,
-    /// Dead directed CSR slots, over the full global slot universe.
-    dead_link: Vec<bool>,
-    dead_link_list: Vec<u32>,
     // --- packet state (full id space; valid while hosted here) -----------
     /// Cached packed entry of each hosted packet's current position: node,
     /// the CSR slot of its next hop, and the `DELIVERS` flag. The cycle
@@ -271,7 +330,6 @@ struct ShardCore {
     moved: u64,
     injected: u64,
     credits_applied: u64,
-    killed: usize,
     /// Packets re-routed this cycle (activity under the stop rule).
     rerouted: u64,
     /// Per-VC flit totals for this core's links (summed by the driver).
@@ -291,8 +349,6 @@ impl ShardCore {
         node_hi: usize,
         slot_lo: usize,
         slot_hi: usize,
-        n: usize,
-        total_slots: usize,
         shards: usize,
         flow_depth: u32,
         vcs: usize,
@@ -331,14 +387,6 @@ impl ShardCore {
             served_fifo: Vec::with_capacity((slots * packet_flits as usize).min(1 << 16)),
             served_fifo_pos: 0,
             node_claim: vec![NEVER; node_hi - node_lo],
-            dead: vec![false; n],
-            dead_list: Vec::new(),
-            schedule: Vec::new(),
-            schedule_pos: 0,
-            link_schedule: Vec::new(),
-            link_schedule_pos: 0,
-            dead_link: vec![false; total_slots],
-            dead_link_list: Vec::new(),
             entry: Vec::new(),
             imp_pos: Vec::new(),
             imp_rem: Vec::new(),
@@ -359,7 +407,6 @@ impl ShardCore {
             moved: 0,
             injected: 0,
             credits_applied: 0,
-            killed: 0,
             rerouted: 0,
             vc_flits: vec![0; if track_vc { vcs } else { 0 }],
             vc_hol_blocked_cycles: vec![0; if track_vc { vcs } else { 0 }],
@@ -385,13 +432,6 @@ impl ShardCore {
         let words = packets.div_ceil(64);
         self.queued_now.resize(words, 0);
         self.queued_next.resize(words, 0);
-    }
-
-    /// Whether `node` is usable (healthy in the static fault set and not
-    /// killed by the dynamic schedule).
-    // analyzer: alloc-free
-    fn is_alive(&self, ctx: &ShardCtx<'_>, node: NodeId) -> bool {
-        ctx.machine.is_healthy(node) && !self.dead[node]
     }
 
     /// Queues packet `id` for examination *this* cycle (wake events fire
@@ -636,14 +676,11 @@ impl ShardCore {
     }
 
     /// This core's share of the stop rule's `timers_idle`: no timed credit
-    /// return or claim expiry in flight, and no node or link kill still
-    /// scheduled.
+    /// return or claim expiry in flight.
     // analyzer: alloc-free
     fn timers_idle(&self) -> bool {
         self.credit_fifo_pos >= self.credit_fifo.len()
             && self.served_fifo_pos >= self.served_fifo.len()
-            && self.schedule_pos >= self.schedule.len()
-            && self.link_schedule_pos >= self.link_schedule.len()
     }
 
     /// Home packets loaded with a future injection cycle that have not
@@ -665,7 +702,7 @@ impl ShardCore {
                 break;
             }
             self.inject_pos += 1;
-            let code = if !self.is_alive(ctx, pk_node(self.entry[id])) {
+            let code = if !ctx.is_alive(pk_node(self.entry[id])) {
                 RES_DROPPED_AT_INJECT
             } else if pk_terminal(self.entry[id]) {
                 RES_DELIVERED_AT_INJECT
@@ -681,61 +718,33 @@ impl ShardCore {
         }
     }
 
-    /// Applies the schedule entries due by `cycle`, before any flit moves
-    /// that cycle, and returns how many nodes and links died. Every core
-    /// holds the full node and link schedules, so the count agrees across
-    /// shards, and a second call in the same cycle finds nothing due.
-    /// Packets hosted on a dying node die with it and give their buffer
-    /// slots back; every parked packet is woken, because its next hop may
-    /// now lead into a dead node. A directed-link kill is a local wake
-    /// event: only the gates of the dead slot are flushed (on the shard
-    /// that owns it, where every packet parked on them lives), and packets
-    /// buffered downstream keep flying — the link died, not the receiving
-    /// buffer — so credit conservation holds per gate with no eviction.
-    fn fire_faults(&mut self, ctx: &ShardCtx<'_>, cycle: u32) -> usize {
-        let mut killed = 0;
-        while self.schedule_pos < self.schedule.len() && self.schedule[self.schedule_pos].0 <= cycle
-        {
-            let (_, node) = self.schedule[self.schedule_pos];
-            self.schedule_pos += 1;
-            if !self.dead[node as usize] {
-                self.dead[node as usize] = true;
-                self.dead_list.push(node);
-                killed += 1;
-            }
-        }
-        if killed > 0 {
+    /// Reacts to the kills [`ShardedSim::fire_due_faults`] just fired at
+    /// `cycle`: `node_died` when a node died, and `slots` the directed CSR
+    /// slots that died. Packets hosted on a dead node die with it and give
+    /// their buffer slots back, and every parked packet is woken, because
+    /// its next hop may now lead into a dead node. A link kill is a local
+    /// wake event: only the gates of a dead slot this core owns are flushed
+    /// (every packet parked on them lives here), and packets buffered
+    /// downstream keep flying — the link died, not the receiving buffer —
+    /// so credit conservation holds per gate with no eviction.
+    fn react_to_kills(&mut self, ctx: &ShardCtx<'_>, cycle: u32, node_died: bool, slots: &[u32]) {
+        if node_died {
             for id in 0..self.in_network.len() {
-                if self.in_network[id] && self.dead[pk_node(self.entry[id])] {
+                if self.in_network[id] && ctx.node_kills.dead[pk_node(self.entry[id])] {
                     self.resolve(ctx, id, cycle, RES_DROPPED);
                 }
             }
             self.wake_all_parked();
         }
-        let first_new_link = self.dead_link_list.len();
-        while self.link_schedule_pos < self.link_schedule.len()
-            && self.link_schedule[self.link_schedule_pos].0 <= cycle
-        {
-            let (_, slot) = self.link_schedule[self.link_schedule_pos];
-            self.link_schedule_pos += 1;
-            if !self.dead_link[slot as usize] {
-                self.dead_link[slot as usize] = true;
-                self.dead_link_list.push(slot);
-                killed += 1;
-            }
-        }
-        for i in first_new_link..self.dead_link_list.len() {
-            let slot = self.dead_link_list[i] as usize;
+        for &slot in slots {
+            let slot = slot as usize;
             if slot >= self.slot_lo && slot < self.slot_hi {
                 let base = (slot - self.slot_lo) * self.vcs;
                 for lg in base..base + self.vcs {
-                    if self.blocked_head[lg] != NONE_ID {
-                        self.wake_slot(lg);
-                    }
+                    self.wake_slot(lg);
                 }
             }
         }
-        killed
     }
 
     /// The physical node hosted packet `id`'s route ends on — where a
@@ -756,25 +765,22 @@ impl ShardCore {
     /// re-route is not a shift-register walk). Returns false (packet
     /// untouched) when `target` is dead or no healthy path reaches it.
     fn reroute_packet(&mut self, ctx: &ShardCtx<'_>, id: usize, target: NodeId) -> bool {
-        if !self.is_alive(ctx, target) {
+        if !ctx.is_alive(target) {
             return false;
         }
         let here = pk_node(self.entry[id]);
-        let machine = ctx.machine;
-        let dead = &self.dead;
-        let dead_link = &self.dead_link;
         let found = self.searcher.shortest_path_avoiding_into(
-            machine.graph(),
+            ctx.machine.graph(),
             here,
             target,
-            |v| machine.is_healthy(v) && !dead[v],
-            |slot| !dead_link[slot],
+            |v| ctx.is_alive(v),
+            |slot| !ctx.link_kills.dead[slot],
             &mut self.reroute_path,
         );
         if !found {
             return false;
         }
-        let (start, end) = spill(&mut self.arena, machine, &self.reroute_path);
+        let (start, end) = spill(&mut self.arena, ctx.machine, &self.reroute_path);
         self.cursor[id] = start;
         self.seg_end[id] = end;
         self.entry[id] = self.arena[start as usize];
@@ -927,12 +933,11 @@ impl ShardCore {
         }
     }
 
-    /// Drops the loaded workload and both fault schedules, rewinding every
-    /// gate, queue and metric to its state after [`ShardCore::new`] while
-    /// keeping every buffer's capacity and the warmed [`Searcher`]. Only
-    /// the nodes and links on the dead lists are un-marked. The per-cycle
-    /// outputs (`resolved`, `out`, the counters) need nothing: every step
-    /// drains or resets them.
+    /// Drops the loaded workload, rewinding every gate, queue and metric to
+    /// its state after [`ShardCore::new`] while keeping every buffer's
+    /// capacity and the warmed [`Searcher`]. The per-cycle outputs
+    /// (`resolved`, `out`, the counters) need nothing: every step drains or
+    /// resets them.
     fn clear_workload(&mut self) {
         for gate in &mut self.links {
             gate.claim = NEVER;
@@ -946,18 +951,6 @@ impl ShardCore {
         self.served_fifo.clear();
         self.served_fifo_pos = 0;
         self.node_claim.fill(NEVER);
-        for &node in &self.dead_list {
-            self.dead[node as usize] = false;
-        }
-        self.dead_list.clear();
-        self.schedule.clear();
-        self.schedule_pos = 0;
-        for &slot in &self.dead_link_list {
-            self.dead_link[slot as usize] = false;
-        }
-        self.dead_link_list.clear();
-        self.link_schedule.clear();
-        self.link_schedule_pos = 0;
         self.resize_packets(0);
         self.arena.clear();
         self.pending_inject.clear();
@@ -966,9 +959,9 @@ impl ShardCore {
         self.vc_hol_blocked_cycles.fill(0);
     }
 
-    /// One shard's share of a cycle: apply due credits, wake due served
-    /// slots, inject due packets, fire due faults, then examine queued
-    /// packets in ascending id order.
+    /// One shard's share of a cycle, after the cycle's kills have fired:
+    /// apply due credits, wake due served slots, inject due packets, then
+    /// examine queued packets in ascending id order.
     // analyzer: alloc-free
     fn phase(&mut self, ctx: &ShardCtx<'_>, cycle: u32) {
         self.moved = 0;
@@ -977,8 +970,6 @@ impl ShardCore {
         self.credits_applied = self.apply_pending_credits(cycle);
         self.apply_due_serves(cycle);
         self.inject_due(ctx, cycle);
-        // analyzer: trusted-call -- grows dead_list only when a scheduled fault fires; cold by design
-        self.killed = self.fire_faults(ctx, cycle);
         self.exam(ctx, cycle);
     }
 
@@ -996,7 +987,7 @@ impl ShardCore {
         let track_vc = self.track_vc;
         // Loaded paths never cross statically-faulty processors, so the
         // dead-next-hop check only matters once a dynamic fault has fired.
-        let hazard = !self.dead_list.is_empty() || !self.dead_link_list.is_empty();
+        let hazard = !ctx.node_kills.list.is_empty() || !ctx.link_kills.list.is_empty();
         // Examine the queued packets in ascending id order (= age order),
         // clearing each bitmap word as it is consumed; survivors set their
         // bit in the next-cycle bitmap, which is all-zero on entry.
@@ -1021,7 +1012,7 @@ impl ShardCore {
                     // The next node on the route is the CSR target of the
                     // cached hop slot.
                     let next = ctx.machine.graph().csr().1[slot] as usize;
-                    if self.dead[next] || self.dead_link[slot] {
+                    if ctx.node_kills.dead[next] || ctx.link_kills.dead[slot] {
                         // The precomputed route runs into a node (or
                         // crosses a directed link) that died after the
                         // route was computed.
@@ -1199,7 +1190,8 @@ impl Outcomes {
 /// reports are byte-identical in every configuration.
 ///
 /// Lifecycle: [`ShardedSim::new`] → `load_*` workload →
-/// ([`ShardedSim::schedule_fault`])* → [`ShardedSim::run`] (or
+/// ([`ShardedSim::schedule_fault`] | [`ShardedSim::schedule_link_faults`])*
+/// → [`ShardedSim::run`] (or
 /// [`ShardedSim::step`] in a driver loop) → [`ShardedSim::report`].
 /// [`ShardedSim::clear_workload`] discards the workload (keeping the
 /// machine and the engine's capacity) so one engine can serve many loads.
@@ -1238,6 +1230,11 @@ pub struct ShardedSim {
     /// Latest injection cycle queued by a timed load, for the cross-load
     /// ordering assert.
     last_queued_inject: Option<u32>,
+    // --- dynamic faults, once per engine ----------------------------------
+    /// Processor kills over the node universe.
+    node_kills: Kills,
+    /// Directed-link kills over the global CSR slot universe.
+    link_kills: Kills,
 }
 
 impl ShardedSim {
@@ -1304,8 +1301,6 @@ impl ShardedSim {
                     shard_floor(s + 1, n, shards),
                     slot_start[s] as usize,
                     slot_start[s + 1] as usize,
-                    n,
-                    slot_start[shards] as usize,
                     shards,
                     flow_depth,
                     vcs as usize,
@@ -1319,6 +1314,8 @@ impl ShardedSim {
             packet_flits,
             shards,
             threads: threads.clamp(1, shards),
+            node_kills: Kills::new(n),
+            link_kills: Kills::new(slot_start[shards] as usize),
             slot_start,
             cores,
             inject_at: Vec::new(),
@@ -1395,6 +1392,8 @@ impl ShardedSim {
         for core in &mut self.cores {
             core.clear_workload();
         }
+        self.node_kills.clear();
+        self.link_kills.clear();
         for table in [
             &mut self.inject_at,
             &mut self.logical_target,
@@ -1586,81 +1585,55 @@ impl ShardedSim {
         self.load_oblivious_packets(db, placement, injections.iter().copied());
     }
 
-    /// Schedules processor `node` to die at the *start* of `cycle` (before
-    /// any flit moves that cycle). Every core carries the full schedule
-    /// (hazard checks need remote deads).
+    /// Schedules processor `node` to die at the *start* of `cycle`, before
+    /// any flit moves that cycle; a `cycle` already simulated means the
+    /// next one.
     ///
-    /// # Panics
-    /// Panics if `node` is out of range.
-    pub fn schedule_fault(&mut self, cycle: u32, node: NodeId) {
-        assert!(node < self.machine.node_count(), "fault node out of range");
-        for core in &mut self.cores {
-            core.schedule.push((cycle, node as u32));
-            core.schedule.sort_unstable();
+    /// Fails with [`SimError::EndpointOutOfRange`] when the machine has no
+    /// processor `node`.
+    pub fn schedule_fault(&mut self, cycle: u32, node: NodeId) -> Result<(), SimError> {
+        let limit = self.machine.node_count();
+        if node >= limit {
+            return Err(SimError::EndpointOutOfRange { node, limit });
         }
+        self.node_kills.schedule([(cycle, node as u32)]);
+        Ok(())
     }
 
-    /// Schedules the directed link `from -> to` to die at the *start* of
-    /// `cycle`. The reverse direction keeps carrying flits unless scheduled
-    /// separately. Every core carries the full link schedule (the hazard
-    /// check needs remote dead links); the kill's wake event stays local
-    /// to the slot's owning shard.
+    /// Schedules every directed CSR slot in `faults` to die at the start of
+    /// `cycle`, like [`ShardedSim::schedule_fault`]. The reverse direction
+    /// of a dead link keeps carrying flits unless it is in `faults` too.
+    /// [`LinkFaultSet::from_links`] names single links; the correlated
+    /// generators ([`LinkFaultSet::bernoulli`], [`LinkFaultSet::burst`],
+    /// [`LinkFaultSet::from_node_faults`]) build the sets the reliability
+    /// sweep draws.
     ///
-    /// # Panics
-    /// Panics when the directed link does not exist in the machine's graph.
-    pub fn schedule_link_fault(&mut self, cycle: u32, from: NodeId, to: NodeId) {
-        let slot = edge_slot_in(&self.machine, from, to as u32)
-            // analyzer: allow(expect) -- schedule-time validation of caller input, mirroring schedule_fault's range assert; never on the cycle loop
-            .expect("scheduled link fault names a missing directed link");
-        self.schedule_link_fault_slot(cycle, slot);
-    }
-
-    /// Schedules the directed CSR slot `slot` to die at the start of
-    /// `cycle`; see [`ShardedSim::schedule_link_fault`].
-    ///
-    /// # Panics
-    /// Panics when `slot` is not a valid CSR slot of the machine's graph.
-    pub fn schedule_link_fault_slot(&mut self, cycle: u32, slot: usize) {
-        let total = self.slot_start[self.shards] as usize;
-        assert!(slot < total, "fault slot out of range");
-        for core in &mut self.cores {
-            core.link_schedule.push((cycle, slot as u32));
-            core.link_schedule.sort_unstable();
+    /// Fails with [`SimError::SizeMismatch`] when `faults` was built over a
+    /// graph with a different slot count.
+    pub fn schedule_link_faults(
+        &mut self,
+        cycle: u32,
+        faults: &LinkFaultSet,
+    ) -> Result<(), SimError> {
+        let expected = self.link_kills.dead.len();
+        if faults.universe() != expected {
+            return Err(SimError::SizeMismatch {
+                what: "link fault set",
+                expected,
+                got: faults.universe(),
+            });
         }
-    }
-
-    /// Schedules every directed slot in `faults` to die at the start of
-    /// `cycle` — the bulk entry point for the correlated generators
-    /// ([`LinkFaultSet::bernoulli`], [`LinkFaultSet::burst`],
-    /// [`LinkFaultSet::from_node_faults`]).
-    ///
-    /// # Panics
-    /// Panics when `faults` was built over a different graph (slot universe
-    /// mismatch).
-    pub fn schedule_link_faults(&mut self, cycle: u32, faults: &LinkFaultSet) {
-        let total = self.slot_start[self.shards] as usize;
-        assert_eq!(
-            faults.universe(),
-            total,
-            "link fault set universe must match the machine's slot count"
-        );
-        for core in &mut self.cores {
-            for slot in faults.iter() {
-                core.link_schedule.push((cycle, slot as u32));
-            }
-            core.link_schedule.sort_unstable();
-        }
+        self.link_kills
+            .schedule(faults.iter().map(|slot| (cycle, slot as u32)));
+        Ok(())
     }
 
     /// The dynamic faults applied so far, merged with the machine's static
     /// fault set — the set a diagnosing runtime would hand to
     /// `reconfigure_verified`.
     pub fn current_fault_set(&self) -> FaultSet {
-        let mut faults = FaultSet::empty(self.machine.node_count());
-        for f in self.machine.faults().iter() {
-            faults.add(f);
-        }
-        for &d in self.cores.first().map_or(&[][..], |c| &c.dead_list[..]) {
+        let mut faults = self.machine.faults().clone();
+        for &d in &self.node_kills.list {
             faults.add(d as usize);
         }
         faults
@@ -1676,6 +1649,8 @@ impl ShardedSim {
             inject_at: &self.inject_at,
             logical_target: &self.logical_target,
             implicit: &self.implicit,
+            node_kills: &self.node_kills,
+            link_kills: &self.link_kills,
             n: self.machine.node_count(),
             shards: self.shards,
             single_port: self.machine.port_model() == PortModel::SinglePort,
@@ -1685,21 +1660,28 @@ impl ShardedSim {
         (ctx, &mut self.cores, &mut self.outcomes)
     }
 
-    /// Fires the node and link kills due this cycle ahead of
-    /// [`ShardedSim::step`], so a recovery driver can reconfigure and
-    /// re-target *before* the fault-cycle movement. The packets lost with
-    /// a dying node are in [`ShardedSim::counts`] when this returns. Returns
-    /// how many nodes and links died; a second call in the same cycle (and
-    /// the step that follows) finds nothing left to fire.
+    /// Fires the node and link kills due by the current cycle and returns
+    /// how many nodes and links died. [`ShardedSim::step`] calls it first,
+    /// so a cycle's kills land before any of its credits, injections or
+    /// moves. A recovery driver calls it ahead of `step` to reconfigure and
+    /// re-target between the kills and the movement; the step then finds
+    /// nothing left to fire. The packets lost with a dying node are in
+    /// [`ShardedSim::counts`] when this returns.
     pub fn fire_due_faults(&mut self) -> usize {
         let cycle = self.cycle;
+        let first_new_slot = self.link_kills.list.len();
+        let nodes = self.node_kills.fire(cycle);
+        let links = self.link_kills.fire(cycle);
+        if nodes + links == 0 {
+            return 0;
+        }
         let (ctx, cores, outcomes) = self.parts();
-        let mut fired = 0;
+        let slots = &ctx.link_kills.list[first_new_slot..];
         for core in cores.iter_mut() {
-            fired = core.fire_faults(&ctx, cycle);
+            core.react_to_kills(&ctx, cycle, nodes > 0, slots);
         }
         outcomes.take_resolutions(ctx.inject_at, cores);
-        fired
+        nodes + links
     }
 
     /// Re-targets every in-flight packet at `placement`'s image of its
@@ -1722,8 +1704,9 @@ impl ShardedSim {
         totals
     }
 
-    /// Simulates one cycle. Every core applies its due credits and claim
-    /// expiries, injects due packets, fires due faults and runs its
+    /// Simulates one cycle. The cycle's due kills fire first
+    /// ([`ShardedSim::fire_due_faults`]); then every core applies its due
+    /// credits and claim expiries, injects due packets and runs its
     /// examination pass. The barrier then hands every outbound buffer to
     /// its receiver, each core adopts its inbound flits and credits
     /// (landing at the start of the next cycle), and the driver applies the
@@ -1733,6 +1716,8 @@ impl ShardedSim {
     /// the run has drained. With one worker a warm step allocates nothing.
     // analyzer: alloc-free
     pub fn step(&mut self) -> CycleEvents {
+        // analyzer: trusted-call -- grows the dead lists only when a scheduled kill fires; cold by design
+        let faults_fired = self.fire_due_faults();
         let cycle = self.cycle;
         let workers = self.threads();
         let (ctx, cores, outcomes) = self.parts();
@@ -1747,7 +1732,7 @@ impl ShardedSim {
             moved: 0,
             injected: 0,
             credits_applied: 0,
-            faults_fired: 0,
+            faults_fired,
             rerouted: 0,
             live: 0,
             pending_injections: 0,
@@ -1756,7 +1741,6 @@ impl ShardedSim {
             events.moved += core.moved;
             events.injected += core.injected;
             events.credits_applied += core.credits_applied;
-            events.faults_fired = core.killed;
             events.rerouted += core.rerouted;
         }
         // Injections enter the network before any resolution of the same
@@ -1796,7 +1780,9 @@ impl ShardedSim {
     /// must stop.
     // analyzer: alloc-free
     pub(crate) fn detect_deadlock(&mut self, events: &CycleEvents) -> bool {
-        let idle = self.cores.iter().all(ShardCore::timers_idle);
+        let idle = self.node_kills.idle()
+            && self.link_kills.idle()
+            && self.cores.iter().all(ShardCore::timers_idle);
         if proves_deadlock(events, idle) {
             self.deadlocked = true;
         }
@@ -2119,7 +2105,7 @@ mod tests {
         let run = |shards, threads| {
             let mut sim = ShardedSim::new(machine.clone(), config, shards, threads);
             sim.load_oblivious(&db, &Embedding::identity(db.node_count()), &[(0, 4)]);
-            sim.schedule_fault(0, 2);
+            sim.schedule_fault(0, 2).unwrap();
             sim.run()
         };
         let want = run(1, 1);
@@ -2145,8 +2131,8 @@ mod tests {
             let run = |shards| {
                 let mut sim = ShardedSim::new(machine.clone(), config, shards, 1);
                 sim.load_oblivious(&db, &Embedding::identity(n), &pairs);
-                sim.schedule_fault(2, 3);
-                sim.schedule_fault(4, 17);
+                sim.schedule_fault(2, 3).unwrap();
+                sim.schedule_fault(4, 17).unwrap();
                 sim.run()
             };
             let want = run(1);
@@ -2178,7 +2164,7 @@ mod tests {
         let run = |shards, threads| {
             let mut sim = ShardedSim::new(machine.clone(), config, shards, threads);
             sim.load_oblivious_timed(&db, &Embedding::identity(n), &injections);
-            sim.schedule_fault(20, 5);
+            sim.schedule_fault(20, 5).unwrap();
             measure_open_loop(&mut sim, &spec)
         };
         let want = run(1, 1);
@@ -2304,10 +2290,10 @@ mod tests {
             None => sim.load_oblivious(db, load.placement, load.pairs),
         }
         for &node in load.kills {
-            sim.schedule_fault(2, node);
+            sim.schedule_fault(2, node).unwrap();
         }
         if let Some(links) = load.links {
-            sim.schedule_link_faults(2, links);
+            sim.schedule_link_faults(2, links).unwrap();
         }
     }
 
@@ -2511,7 +2497,7 @@ mod tests {
             let mut sim = ShardedSim::new(machine, config, shards, 1);
             sim.load_oblivious(ft.target(), &initial, &pairs);
             for &(cycle, node) in &schedule {
-                sim.schedule_fault(cycle, node);
+                sim.schedule_fault(cycle, node).unwrap();
             }
             let got = super::super::engine::recover(&mut sim, &ft, config.max_cycles)
                 .expect("two faults are within the budget");

@@ -45,6 +45,8 @@ pub enum SimError {
     /// A route endpoint does not name a node of the logical topology. The
     /// routing kernels return this instead of panicking, so a malformed
     /// workload degrades into dropped packets like every other failure.
+    /// A scheduled fault that names no processor of the machine is
+    /// rejected with it too.
     EndpointOutOfRange {
         /// The offending endpoint.
         node: NodeId,
@@ -85,7 +87,8 @@ pub enum SimError {
     /// An input is sized for a different network than the one it is used
     /// with.
     SizeMismatch {
-        /// Which input: `"values"`, `"placement"` or `"fault set"`.
+        /// Which input: `"values"`, `"placement"`, `"fault set"` or
+        /// `"link fault set"`.
         what: &'static str,
         /// The size the network needs.
         expected: usize,

@@ -479,7 +479,7 @@ fn sharded_serial_cycle_loop_is_allocation_free_after_warmup() {
             let load = |sim: &mut ShardedSim| {
                 sim.load_oblivious(&db, &placement, &pairs);
                 for &node in kills {
-                    sim.schedule_fault(2, node);
+                    sim.schedule_fault(2, node).unwrap();
                 }
             };
             load(&mut sim);

@@ -91,8 +91,8 @@ fn conservation_invariant_holds_every_cycle_with_dynamic_faults() {
     let mut rng = ftdb_tests::seeded_rng(13);
     let pairs = workload::uniform_pairs(n, 4 * n, &mut rng);
     sim.load_oblivious(&db, &Embedding::identity(n), &pairs);
-    sim.schedule_fault(2, 7);
-    sim.schedule_fault(5, 20);
+    sim.schedule_fault(2, 7).unwrap();
+    sim.schedule_fault(5, 20).unwrap();
     let mut guard = 0u32;
     loop {
         let (injected, delivered, dropped, in_flight) = sim.counts();

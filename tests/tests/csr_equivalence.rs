@@ -1,8 +1,8 @@
 //! Property tests asserting the CSR `Graph` is identical to the seed
 //! `Vec<Vec<NodeId>>` adjacency representation: the same `csr()` arrays,
 //! bit for bit, for every constructor family and for random edge lists,
-//! the same observables (neighbour order, `has_edge`, `degree`, BFS
-//! distances), and the same `GraphError` for every invalid
+//! the same observables (neighbour order, `has_edge`, `edge_slot`,
+//! `degree`, BFS distances), and the same `GraphError` for every invalid
 //! `Graph::from_adjacency` input.
 
 use ftdb_core::bus::BusArchitecture;
@@ -145,6 +145,27 @@ proptest! {
         assert_eq!(graph_from_edges(n, &edges).csr(), csr.csr());
         let raw = Graph::from_adjacency(raw_adjacency(n, &edges), String::new()).unwrap();
         assert_eq!(raw.csr(), csr.csr());
+        // The random rows stay short (the linear-scan branch); a complete
+        // graph on the same nodes has rows past 32 (the binary search).
+        assert_edge_slot_matches_row_scan(&csr);
+        assert_edge_slot_matches_row_scan(&generators::complete(n));
+    }
+}
+
+/// `edge_slot(u, v)` agrees with a plain scan of row `u` for every pair,
+/// out-of-range endpoints included (no slot).
+fn assert_edge_slot_matches_row_scan(graph: &Graph) {
+    let n = graph.node_count();
+    let (offsets, neighbors) = graph.csr();
+    for u in 0..n + 2 {
+        for v in 0..n + 2 {
+            let scan = if u < n && v < n {
+                (offsets[u] as usize..offsets[u + 1] as usize).find(|&s| neighbors[s] as usize == v)
+            } else {
+                None
+            };
+            assert_eq!(graph.edge_slot(u, v), scan, "edge_slot({u},{v})");
+        }
     }
 }
 

@@ -232,11 +232,11 @@ fn observe(sim: &mut ShardedSim, sc: &Scenario) -> (String, String) {
         }
     }
     for &(cycle, node) in &sc.node_kills {
-        sim.schedule_fault(cycle, node);
+        sim.schedule_fault(cycle, node).unwrap();
     }
     if let Some((cycle, p, seed)) = sc.link_kills {
         let links = LinkFaultSet::bernoulli(db.graph(), p, &mut ftdb_tests::seeded_rng(seed));
-        sim.schedule_link_faults(cycle, &links);
+        sim.schedule_link_faults(cycle, &links).unwrap();
     }
     let mut text = String::new();
     match &sc.window {

@@ -111,7 +111,7 @@ fn assert_node_kill_equals_incident_links(flow: FlowControl, response: FaultResp
     for engine in [EngineKind::WakeList, EngineKind::NaiveScan] {
         for (seed, victim, kill_cycle) in [(0x51u64, 11usize, 2u32), (0x52, 30, 4), (0x53, 5, 1)] {
             let (_, mut by_node) = loaded_sim(5, config(engine, flow, response), seed);
-            by_node.schedule_fault(kill_cycle, victim);
+            by_node.schedule_fault(kill_cycle, victim).unwrap();
             by_node.run_to_quiescence();
             by_node
                 .check_credit_conservation()
@@ -121,7 +121,7 @@ fn assert_node_kill_equals_incident_links(flow: FlowControl, response: FaultResp
             let (_, mut by_links) = loaded_sim(5, config(engine, flow, response), seed);
             let faults = LinkFaultSet::node_fault(by_links.machine().graph(), victim)
                 .expect("victim in range");
-            by_links.schedule_link_faults(kill_cycle, &faults);
+            by_links.schedule_link_faults(kill_cycle, &faults).unwrap();
             by_links.run_to_quiescence();
             by_links
                 .check_credit_conservation()
@@ -183,7 +183,7 @@ fn run_with_burst(
 ) -> Observed {
     let (_, mut sim) = loaded_sim(5, config(engine, flow, response), seed);
     let faults = burst_set(&sim, 12, 2);
-    sim.schedule_link_faults(kill_cycle, &faults);
+    sim.schedule_link_faults(kill_cycle, &faults).unwrap();
     sim.run_to_quiescence();
     sim.check_credit_conservation()
         .expect("conservation at quiescence");
@@ -244,7 +244,7 @@ fn sharded_engine_matches_single_table_through_link_bursts() {
             sim.load_oblivious(&db, &Embedding::identity(db.node_count()), &pairs);
             let faults =
                 LinkFaultSet::burst(sim.machine().graph(), 12, 2).expect("center in range");
-            sim.schedule_link_faults(2, &faults);
+            sim.schedule_link_faults(2, &faults).unwrap();
             sim.run_to_quiescence();
             let report = sim.report();
             let text = format!("{report:?}");
@@ -282,9 +282,13 @@ fn credit_conservation_holds_every_cycle_through_link_bursts() {
             for response in [FaultResponse::Drop, FaultResponse::RerouteAdaptive] {
                 let (_, mut sim) = loaded_sim(5, config(engine, flow, response), 0xC0);
                 let faults = burst_set(&sim, 21, 2);
-                sim.schedule_link_faults(3, &faults);
+                sim.schedule_link_faults(3, &faults).unwrap();
                 // A second, single-link wave later in the drain.
-                sim.schedule_link_fault_slot(9, 0);
+                let graph = sim.machine().graph();
+                let first_slot = LinkFaultSet::endpoints(graph, 0);
+                let single =
+                    LinkFaultSet::from_links(graph, [first_slot]).expect("slot 0 is a link");
+                sim.schedule_link_faults(9, &single).unwrap();
                 let mut cycles = 0u32;
                 loop {
                     let events = sim.step();
@@ -331,7 +335,7 @@ proptest! {
             );
             let mut rng = StdRng::seed_from_u64(seed ^ 0xFA_17);
             let faults = LinkFaultSet::bernoulli(sim.machine().graph(), p, &mut rng);
-            sim.schedule_link_faults(0, &faults);
+            sim.schedule_link_faults(0, &faults).unwrap();
             sim.run_to_quiescence();
             let delivered: Vec<bool> = (0..sim.counts().0 as usize)
                 .map(|id| sim.packet_outcome(id).1.is_some())

@@ -88,7 +88,7 @@ fn drive(
         None => sim.load_oblivious(&db, placement, pairs),
     }
     for &(cycle, node) in schedule {
-        sim.schedule_fault(cycle, node);
+        sim.schedule_fault(cycle, node).unwrap();
     }
     loop {
         let before = sim.cycle();
