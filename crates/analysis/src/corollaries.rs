@@ -2,7 +2,7 @@
 //! (experiments COR1-4 and THM1-2).
 
 use crate::report::TextTable;
-use ftdb_core::verify::{verify_exhaustive, verify_sampled, ToleranceReport};
+use ftdb_core::verify::{certify, verify_exhaustive};
 use ftdb_core::{BusArchitecture, FtDeBruijn2, FtDeBruijnM};
 
 /// Which corollary a sweep row instantiates.
@@ -156,21 +156,21 @@ pub struct ToleranceRow {
     pub h: usize,
     /// Fault budget (and fault-set size checked).
     pub k: usize,
-    /// Number of fault sets checked.
+    /// Number of fault sets enumerated (0 for a certified row).
     pub checked: u64,
     /// Whether every fault set admitted a valid reconfiguration.
     pub tolerant: bool,
-    /// Whether the check was exhaustive (`false` = random sampling).
+    /// Whether every fault set was enumerated (`false` = decided by
+    /// [`certify`], which enumerates none).
     pub exhaustive: bool,
 }
 
 /// Verifies Theorem 1/2 for each parameter triple, exhaustively when
-/// `C(m^h + k, k)` does not exceed `exhaustive_limit` and by sampling
-/// `sample_count` random fault sets otherwise.
+/// `C(m^h + k, k)` does not exceed `exhaustive_limit` and by [`certify`]
+/// otherwise.
 pub fn tolerance_sweep(
     params: &[(usize, usize, usize)],
     exhaustive_limit: u128,
-    sample_count: u64,
     threads: usize,
 ) -> Vec<ToleranceRow> {
     params
@@ -184,20 +184,19 @@ pub fn tolerance_sweep(
                 (ft.target().graph().clone(), ft.graph().clone())
             };
             let combos = ftdb_core::fault::Combinations::total(host.node_count(), k);
-            let (report, exhaustive): (ToleranceReport, bool) = if combos <= exhaustive_limit {
-                (verify_exhaustive(&target, &host, k, threads), true)
+            let exhaustive = combos <= exhaustive_limit;
+            let (checked, tolerant) = if exhaustive {
+                let report = verify_exhaustive(&target, &host, k, threads);
+                (report.checked, report.is_tolerant())
             } else {
-                (
-                    verify_sampled(&target, &host, k, sample_count, 0xF7DB),
-                    false,
-                )
+                (0, certify(&target, &host, k).is_ok())
             };
             ToleranceRow {
                 m,
                 h,
                 k,
-                checked: report.checked,
-                tolerant: report.is_tolerant(),
+                checked,
+                tolerant,
                 exhaustive,
             }
         })
@@ -219,7 +218,7 @@ pub fn render_tolerance(rows: &[ToleranceRow]) -> TextTable {
             if r.exhaustive {
                 "exhaustive"
             } else {
-                "sampled"
+                "certified"
             }
             .to_string(),
             if r.tolerant { "yes" } else { "NO" }.to_string(),
@@ -266,7 +265,7 @@ mod tests {
 
     #[test]
     fn tolerance_sweep_small_instances_exhaustive() {
-        let rows = tolerance_sweep(&[(2, 3, 1), (2, 3, 2), (3, 3, 1)], 100_000, 50, 2);
+        let rows = tolerance_sweep(&[(2, 3, 1), (2, 3, 2), (3, 3, 1)], 100_000, 2);
         assert_eq!(rows.len(), 3);
         assert!(rows.iter().all(|r| r.tolerant));
         assert!(rows.iter().all(|r| r.exhaustive));
@@ -274,12 +273,17 @@ mod tests {
     }
 
     #[test]
-    fn tolerance_sweep_falls_back_to_sampling() {
-        let rows = tolerance_sweep(&[(2, 6, 3)], 100, 25, 2);
+    fn tolerance_sweep_falls_back_to_certificate() {
+        // C(67, 3) = 47,905 fault sets exceed the limit of 100: the row is
+        // certified, enumerates nothing, and agrees with the enumeration.
+        let rows = tolerance_sweep(&[(2, 6, 3)], 100, 2);
         assert!(!rows[0].exhaustive);
-        assert_eq!(rows[0].checked, 25);
+        assert_eq!(rows[0].checked, 0);
         assert!(rows[0].tolerant);
         let table = render_tolerance(&rows);
-        assert!(table.render().contains("sampled"));
+        assert!(table.render().contains("certified"));
+        let enumerated = tolerance_sweep(&[(2, 6, 3)], u128::MAX, 2);
+        assert!(enumerated[0].exhaustive && enumerated[0].tolerant);
+        assert_eq!(enumerated[0].checked, 47_905);
     }
 }

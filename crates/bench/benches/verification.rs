@@ -1,9 +1,8 @@
-//! Bench: exhaustive and sampled `(k, G)`-tolerance verification
-//! (THM1-2 machinery), including the parallel speed-up of the exhaustive
-//! sweep.
+//! Bench: exhaustive `(k, G)`-tolerance verification (THM1-2 machinery),
+//! including the parallel speed-up of the sweep.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use ftdb_core::verify::{verify_exhaustive, verify_sampled};
+use ftdb_core::verify::verify_exhaustive;
 use ftdb_core::FtDeBruijn2;
 use std::hint::black_box;
 
@@ -32,28 +31,5 @@ fn bench_exhaustive(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_sampled(c: &mut Criterion) {
-    let mut group = c.benchmark_group("verify_sampled");
-    group.measurement_time(std::time::Duration::from_secs(2));
-    group.warm_up_time(std::time::Duration::from_millis(500));
-    group.sample_size(10);
-    for &(h, k) in &[(8usize, 3usize), (10, 4)] {
-        let ft = FtDeBruijn2::new(h, k);
-        group.bench_with_input(
-            BenchmarkId::from_parameter(format!("h{h}_k{k}_200samples")),
-            &ft,
-            |b, ft| {
-                b.iter(|| {
-                    let report =
-                        verify_sampled(ft.target().graph(), ft.graph(), ft.k(), 200, 0xF7DB);
-                    assert!(report.is_tolerant());
-                    black_box(report.checked)
-                })
-            },
-        );
-    }
-    group.finish();
-}
-
-criterion_group!(benches, bench_exhaustive, bench_sampled);
+criterion_group!(benches, bench_exhaustive);
 criterion_main!(benches);

@@ -158,7 +158,6 @@ fn run(name: &str, threads: usize, shards: usize, vcs: u32, rel: &ReliabilityArg
                     (3, 4, 2),
                 ],
                 200_000,
-                500,
                 threads,
             );
             println!("{}", render_tolerance(&rows).render());

@@ -113,10 +113,13 @@ impl FtDeBruijn2 {
     /// diagnosing the fault set.
     ///
     /// The result is exactly [`FtDeBruijn2::reconfigure`] followed by
-    /// [`Embedding::verify`], `Err` values included. The first call builds
-    /// displacement masks for the budget `k` and keeps them (a clone
-    /// carries them): about 0.3 ms at `B^4_{2,10}`, where each later call
-    /// then takes about 9 µs against 27 µs for a plain verification.
+    /// [`Embedding::verify`], `Err` values included. The first call proves
+    /// the construction tolerant of every fault set of at most `k` nodes
+    /// ([`certify`](crate::verify::certify)) and keeps the verdict (a clone
+    /// carries it), so later calls return the rank map with no check: at
+    /// `B^4_{2,10}` on a 2-vCPU host the first call took about 0.23 ms and
+    /// each later one about 0.6 µs, against about 50 µs for the map plus
+    /// [`Embedding::verify`].
     ///
     /// # Panics
     /// As [`FtDeBruijn2::reconfigure`].
@@ -230,7 +233,7 @@ mod tests {
         let ft = FtDeBruijn2::new(5, 3);
         let n = ft.node_count();
         let unbuilt = ft.clone();
-        // The first call, with no faults, builds the masks for k = 3.
+        // The first call, with no faults, certifies the host for k = 3.
         let none = FaultSet::empty(n);
         assert_eq!(ft.reconfigure_verified(&none), Ok(Embedding::identity(32)));
         let built = ft.clone();

@@ -111,10 +111,11 @@ impl FtDeBruijnM {
     /// Reconfigures and verifies the resulting embedding (Theorem 2).
     ///
     /// The result is exactly [`FtDeBruijnM::reconfigure`] followed by
-    /// [`Embedding::verify`], `Err` values included. The first call builds
-    /// displacement masks for the budget `k` and keeps them for every later
-    /// call; [`FtDeBruijn2::reconfigure_verified`](crate::FtDeBruijn2::reconfigure_verified)
-    /// gives their cost.
+    /// [`Embedding::verify`], `Err` values included. The first call proves
+    /// the construction tolerant of every fault set of at most `k` nodes
+    /// and keeps the verdict, so later calls return the rank map with no
+    /// check; [`FtDeBruijn2::reconfigure_verified`](crate::FtDeBruijn2::reconfigure_verified)
+    /// gives the costs.
     ///
     /// # Panics
     /// As [`FtDeBruijnM::reconfigure`].

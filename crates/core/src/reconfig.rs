@@ -13,7 +13,7 @@
 //! `δ = φ(x) - x ∈ [0, k]`).
 
 use crate::fault::FaultSet;
-use crate::verify::EdgeMasks;
+use crate::verify::certify;
 use ftdb_graph::embedding::EmbeddingError;
 use ftdb_graph::{Embedding, Graph, NodeId};
 use std::sync::OnceLock;
@@ -32,10 +32,19 @@ pub fn reconfigure(target_nodes: usize, faults: &FaultSet) -> Embedding {
         healthy >= target_nodes,
         "only {healthy} healthy nodes remain, target needs {target_nodes}"
     );
-    // Fill an exact-capacity map straight off the healthy iterator: one
-    // allocation, no intermediate healthy-node vector.
+    // The healthy nodes between two faults take consecutive images, so the
+    // exact-capacity map fills one run per fault instead of node by node,
+    // and stops at the first run that covers the images still owed.
     let mut map = Vec::with_capacity(target_nodes);
-    map.extend(faults.healthy_iter().take(target_nodes));
+    let mut next = 0;
+    for fault in faults.iter() {
+        if fault - next >= target_nodes - map.len() {
+            break;
+        }
+        map.extend(next..fault);
+        next = fault + 1;
+    }
+    map.extend(next..next + (target_nodes - map.len()));
     Embedding::from_map(map)
 }
 
@@ -43,12 +52,12 @@ pub fn reconfigure(target_nodes: usize, faults: &FaultSet) -> Embedding {
 /// ([`FtDeBruijn2`](crate::FtDeBruijn2), [`FtDeBruijnM`](crate::FtDeBruijnM)
 /// and [`NaturalFtShuffleExchange`](crate::NaturalFtShuffleExchange)). Each
 /// construction owns one, always called with its own target, host and
-/// budget `k`; a clone carries the masks once they are built.
+/// budget `k`; a clone carries the verdict once it is decided.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct RankReconfig {
-    /// The displacement masks of the target in the host for `k` faults,
-    /// built on the first [`RankReconfig::reconfigure_verified`].
-    masks: OnceLock<EdgeMasks>,
+    /// Whether [`certify`] proves the host tolerant of `k` faults, decided
+    /// on the first [`RankReconfig::reconfigure_verified`].
+    certified: OnceLock<bool>,
 }
 
 impl RankReconfig {
@@ -80,15 +89,10 @@ impl RankReconfig {
     /// the result is exactly [`RankReconfig::reconfigure`] followed by
     /// [`Embedding::verify`], every `Err` included.
     ///
-    /// `φ(x) = x + δ(x)` with `0 ≤ δ ≤ |faults| ≤ k`, so every target edge
-    /// `(a, b)` lands on one of the `(k+1)²` host pairs `(a + i, b + j)`
-    /// that its [`EdgeMasks`] mask records. The masks are built for the
-    /// budget `k` on the first call (about 0.3 ms at `B^4_{2,10}`, against
-    /// 0.03 ms for a plain verification) and serve every fault count after
-    /// it. A call then reads `φ` once, checks that it is strictly
-    /// increasing with every `δ` in `0..=k`, and tests one mask bit per
-    /// target edge; a map that fails any check goes to
-    /// [`Embedding::verify`] for its verdict.
+    /// The first call asks [`certify`] whether the rank map of every fault
+    /// set of at most `k` nodes is an embedding, and keeps the verdict. On a
+    /// certified host `φ` is returned with no check; any other host gets
+    /// `verify`'s verdict on each call.
     ///
     /// # Panics
     /// As [`RankReconfig::reconfigure`].
@@ -100,8 +104,10 @@ impl RankReconfig {
         faults: &FaultSet,
     ) -> Result<Embedding, EmbeddingError> {
         let phi = Self::reconfigure(target, host, k, faults);
-        let masks = self.masks.get_or_init(|| EdgeMasks::new(target, host, k));
-        if !masks.accepts(phi.as_slice()) {
+        let certified = self
+            .certified
+            .get_or_init(|| certify(target, host, k).is_ok());
+        if !certified {
             phi.verify(target, host)?;
         }
         Ok(phi)
@@ -216,7 +222,50 @@ mod tests {
         );
     }
 
+    /// The rank map node by node: the first `target_nodes` healthy nodes.
+    fn healthy_prefix(target_nodes: usize, faults: &FaultSet) -> Vec<NodeId> {
+        faults.healthy_iter().take(target_nodes).collect()
+    }
+
+    #[test]
+    fn run_fill_matches_the_healthy_prefix_at_the_edges() {
+        // (universe, target nodes, faults): faults at node 0 and at the top
+        // node, adjacent faults, fewer faults than spares, a universe
+        // larger than N + k, and runs across 64-bit word boundaries.
+        for (universe, nodes, faults) in [
+            (10, 8, vec![0, 1]),
+            (10, 8, vec![0]),
+            (10, 8, vec![9]),
+            (10, 8, vec![8, 9]),
+            (10, 8, vec![0, 9]),
+            (10, 8, vec![3, 4]),
+            (10, 8, vec![7]),
+            (10, 8, vec![]),
+            (16, 8, vec![2, 3, 4]),
+            (16, 8, vec![0, 1, 2, 3, 4, 5, 6, 7]),
+            (200, 128, vec![0, 63, 64, 65, 127, 128, 199]),
+            (3, 0, vec![1]),
+        ] {
+            let faults = FaultSet::from_nodes(universe, faults);
+            let phi = reconfigure(nodes, &faults);
+            assert_eq!(phi.as_slice(), healthy_prefix(nodes, &faults), "{faults:?}");
+        }
+    }
+
     proptest! {
+        /// The run fill is the healthy prefix for any fault set that leaves
+        /// room, in universes up to 79 nodes larger than the target.
+        #[test]
+        fn run_fill_matches_the_healthy_prefix(nodes in 0usize..150, spares in 0usize..80, count in 0usize..10, seed in 0u64..1_000_000) {
+            use rand::SeedableRng;
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let universe = nodes + spares;
+            let count = count.min(spares);
+            let faults = FaultSet::random(universe, count, &mut rng).expect("count within universe");
+            let phi = reconfigure(nodes, &faults);
+            prop_assert_eq!(phi.as_slice(), healthy_prefix(nodes, &faults).as_slice());
+        }
+
         /// δ(x) ∈ [0, k] for every x (the key fact in the proof of Theorem 1).
         #[test]
         fn displacement_bounded_by_fault_count(n in 4usize..60, k in 0usize..6, seed in 0u64..1000) {

@@ -1,23 +1,25 @@
 //! `(k, G)`-tolerance verification.
 //!
-//! The paper proves Theorems 1 and 2 analytically; this module verifies them
+//! The paper proves Theorems 1 and 2 analytically; this module checks them
 //! *mechanically* on concrete instances, in two modes:
 //!
+//! * **Certified** — [`certify`] decides tolerance for every fault set at
+//!   once, at any size, from each target edge's candidate host pairs.
 //! * **Exhaustive** — enumerate every fault set of size `k` (there are
 //!   `C(N+k, k)` of them) and check that the rank-based reconfiguration is a
-//!   valid embedding for each. The enumeration is cut into contiguous
-//!   blocks, one per worker ([`crate::parallel::fan_out`]), since the
-//!   checks are embarrassingly parallel and the instances used in the
-//!   experiments run into the hundreds of thousands of fault sets.
-//! * **Sampled** — draw random fault sets, for instances where exhaustive
-//!   enumeration is intractable.
+//!   valid embedding for each. It counts the failing sets, and it is the
+//!   oracle the certificate is tested against. The enumeration is cut into
+//!   contiguous blocks, one per worker ([`crate::parallel::fan_out`]).
 //!
-//! Both modes run one allocation-free kernel, built on the displacement
-//! bound that the paper's proof rests on. The rank map sends target node `x`
-//! to `φ(x) = x + δ(x)`. For sorted faults `f_0 < … < f_{k−1}`, `δ(x)` is the
-//! number of thresholds `f_i − i` that are `≤ x`, so `0 ≤ δ(x) ≤ k`
-//! (Lemma 1). The image of a target edge `(a, b)` is therefore always one of
-//! the `(k+1)²` host pairs `(a + i, b + j)` with `i, j ∈ 0..=k`. One mask of
+//! Both rest on the displacement bound of the paper's proof. The rank map
+//! sends target node `x` to `φ(x) = x + δ(x)`. For sorted faults
+//! `f_0 < … < f_{k−1}`, `δ(x)` is the number of thresholds `f_i − i` that
+//! are `≤ x`, so `δ` is non-decreasing with `0 ≤ δ(x) ≤ k` (Lemma 1), and
+//! every such `δ` is some fault set's. The image of a target edge `(a, b)`,
+//! `a < b`, is therefore one of the host pairs `(a + i, b + j)` with
+//! `0 ≤ i ≤ j ≤ k`, and each of them is the image under some fault set.
+//!
+//! The exhaustive mode runs one allocation-free kernel. One mask of
 //! `(k+1)²` bits per target edge, with bit `i·(k+1) + j` set when the host
 //! has the edge `(a + i, b + j)`, answers every edge test of every fault set
 //! exactly. The masks are built once per call, so the check does not depend
@@ -35,13 +37,6 @@
 //! (reconfigure, then verify the embedding) stays the independent reference
 //! that the kernel is tested against.
 //!
-//! The masks also serve online reconfiguration. Each rank-map construction
-//! (`FtDeBruijn2`, `FtDeBruijnM`, `NaturalFtShuffleExchange`) builds one set
-//! for its budget `k` on its first `reconfigure_verified` and keeps it. A
-//! call then tests the one map it produced: strictly increasing, every
-//! `φ(x) − x` in `0..=k`, and one mask bit per target edge. A map that
-//! fails goes to `Embedding::verify`, so the result is always `verify`'s.
-//!
 //! The same machinery accepts an *arbitrary* candidate host graph, which is
 //! how the experiments show that a plain de Bruijn graph with a spare node
 //! bolted on is **not** `(k, G)`-tolerant — i.e. that the widened edge
@@ -51,7 +46,6 @@ use crate::fault::{Combinations, FaultSet, RevolvingDoor};
 use crate::parallel::fan_out;
 use crate::reconfig::reconfigure;
 use ftdb_graph::{Graph, NodeId};
-use rand::SeedableRng;
 use std::ops::Range;
 
 /// Outcome of a tolerance verification run.
@@ -86,12 +80,66 @@ pub fn check_fault_set(target: &Graph, host: &Graph, faults: &FaultSet) -> bool 
     phi.verify(target, host).is_ok()
 }
 
+/// Why [`certify`] refused a host: a fault set on which the rank map is not
+/// an embedding, and the hole it falls into.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Witness {
+    /// The target edge `(a, b)`, `a < b`, whose image the host lacks, or
+    /// `None` when the host has fewer than `N + k` nodes.
+    pub edge: Option<(NodeId, NodeId)>,
+    /// The displacements `(i, j)`, `0 ≤ i ≤ j ≤ k`, of `a` and `b`: the host
+    /// has no edge `(a + i, b + j)`. `(0, 0)` when `edge` is `None`.
+    pub shift: (usize, usize),
+    /// At most `k` faults: nodes `0..i`, `a + i + 1..=a + j` and the top
+    /// `k − j` host nodes, so the rank map moves `a` by `i` and `b` by `j`.
+    pub faults: FaultSet,
+}
+
+/// Decides at once whether `host` is `(k, target)`-tolerant under the rank
+/// map, for every fault set of at most `k` nodes, without enumerating them.
+///
+/// It passes when the host has at least `N + k` nodes and every target
+/// edge `(a, b)` has all of its host pairs `(a + i, b + j)`,
+/// `0 ≤ i ≤ j ≤ k`: the sorted row of each `a + i` holds `b + i..=b + k`.
+/// That is `O(E·k)` row reads and no allocation. `Ok` holds exactly when
+/// [`verify_exhaustive`] passes at `k` faults, and then it passes at every
+/// count below. The one exception is a `k` above the host's node count:
+/// no `k`-set exists, so the enumeration passes, while `certify` finds no
+/// room. An `Err`'s witness fails [`check_fault_set`].
+pub fn certify(target: &Graph, host: &Graph, k: usize) -> Result<(), Witness> {
+    let n = host.node_count();
+    let refuse = |edge: Option<(NodeId, NodeId)>, (i, j): (usize, usize)| {
+        let a = edge.map_or(0, |(a, _)| a);
+        let nodes = (0..i).chain(a + i + 1..=a + j);
+        let faults = FaultSet::from_nodes(n, nodes.chain(n.saturating_sub(k - j)..n));
+        Err(Witness {
+            edge,
+            shift: (i, j),
+            faults,
+        })
+    };
+    if n < target.node_count().saturating_add(k) {
+        return refuse(None, (0, 0));
+    }
+    for (a, b) in target.edges() {
+        for i in 0..=k {
+            let row = host.neighbors(a + i);
+            let row = &row[row.partition_point(|&v| (v as usize) < b + i)..];
+            // The run b + i, b + i + 1, … at the start of `row`.
+            let run = row.iter().zip(b + i..=b + k);
+            let held = run.take_while(|&(&v, w)| v as usize == w).count();
+            if i + held <= k {
+                return refuse(Some((a, b)), (i, i + held));
+            }
+        }
+    }
+    Ok(())
+}
+
 /// The displacement masks of a target's edges in a host, for fault sets of
 /// at most `k` faults, with the target's edge incidence lists. Built once
-/// per verification call and shared read-only by every worker; the
-/// rank-map constructions keep one set for their online reconfiguration.
-#[derive(Clone, Debug)]
-pub(crate) struct EdgeMasks {
+/// per verification call and shared read-only by every worker.
+struct EdgeMasks {
     /// Target edges `(a, b)` with `a < b`, in [`Graph::edges`] order.
     edges: Vec<(u32, u32)>,
     /// The ids of the edges incident to target node `x` are
@@ -109,7 +157,7 @@ pub(crate) struct EdgeMasks {
 }
 
 impl EdgeMasks {
-    pub(crate) fn new(target: &Graph, host: &Graph, k: usize) -> Self {
+    fn new(target: &Graph, host: &Graph, k: usize) -> Self {
         let nodes = target.node_count();
         let edges: Vec<(u32, u32)> = target.edges().map(|(a, b)| (a as u32, b as u32)).collect();
         // Incidence lists by counting sort: each node's edge ids ascend.
@@ -182,35 +230,6 @@ impl EdgeMasks {
     fn moved_holds(&self, e: usize, i: usize, j: usize) -> bool {
         let bit = (e * self.side + i) * self.side + j;
         self.bits[bit / 64] >> (bit % 64) & 1 == 1
-    }
-
-    /// Whether `map` is an embedding of the target into the host shaped
-    /// like a rank map of at most `k` faults, proved by the masks: it has
-    /// one image per target node, is strictly increasing, moves every node
-    /// by `map[x] − x ∈ 0..=k`, and keeps every target edge. Its last image,
-    /// at most `N − 1 + k`, is then a host node, since masks exist only for
-    /// hosts of `N + k` nodes or more. A `true` is exactly
-    /// [`ftdb_graph::Embedding::verify`]'s `Ok`; a `false` says nothing, and
-    /// the caller asks `verify` for the verdict.
-    // analyzer: alloc-free
-    pub(crate) fn accepts(&self, map: &[NodeId]) -> bool {
-        if !self.fits || map.len() + 1 != self.offsets.len() {
-            return false;
-        }
-        let k = self.side - 1;
-        // The least image node x may take: strict increase from map[0] ≥ 0
-        // gives map[x] ≥ x, so only the upper displacement bound needs a test.
-        let mut least = 0;
-        for (x, &image) in map.iter().enumerate() {
-            if image < least || image - x > k {
-                return false;
-            }
-            least = image + 1;
-        }
-        self.edges.iter().enumerate().all(|(e, &(a, b))| {
-            let (a, b) = (a as usize, b as usize);
-            self.moved_holds(e, map[a] - a, map[b] - b)
-        })
     }
 }
 
@@ -388,53 +407,6 @@ pub fn verify_exhaustive(
     }
 }
 
-/// Verifies tolerance on `samples` random fault sets of size `k` drawn with
-/// the given seed (deterministic for a fixed seed).
-pub fn verify_sampled(
-    target: &Graph,
-    host: &Graph,
-    k: usize,
-    samples: u64,
-    seed: u64,
-) -> ToleranceReport {
-    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-    let n = host.node_count();
-    if k > n {
-        // No fault set of size k exists; report an empty (vacuous) pass.
-        return ToleranceReport {
-            checked: 0,
-            failures: Vec::new(),
-            failure_count: 0,
-        };
-    }
-    let masks = EdgeMasks::new(target, host, k);
-    let mut kernel = VerifyKernel::new(&masks);
-    let mut combo: Vec<usize> = Vec::with_capacity(k);
-    let mut failures = Vec::new();
-    let mut failure_count = 0;
-    for _ in 0..samples {
-        // `k <= n` was checked above, so the draw cannot fail; skip
-        // defensively rather than panic to keep this path panic-free.
-        let Ok(faults) = FaultSet::random(n, k, &mut rng) else {
-            continue;
-        };
-        combo.clear();
-        combo.extend(faults.iter());
-        if !kernel.prime(&combo) {
-            failure_count += 1;
-            if failures.len() < ToleranceReport::MAX_RECORDED {
-                failures.push(combo.clone());
-            }
-        }
-    }
-    failures.sort();
-    ToleranceReport {
-        checked: samples,
-        failures,
-        failure_count,
-    }
-}
-
 /// Exhaustively verifies tolerance for *all* fault-set sizes `0..=k`
 /// (the definition quantifies over exactly `|V(G')| − N` missing nodes, but
 /// tolerating every smaller fault count follows and is what a real system
@@ -459,7 +431,8 @@ mod tests {
     use crate::reconfig::RankReconfig;
     use ftdb_graph::GraphBuilder;
     use ftdb_topology::{DeBruijn2, DeBruijnM};
-    use rand::RngExt;
+    use proptest::prelude::*;
+    use rand::{RngExt, SeedableRng};
 
     /// A host of `nodes` nodes carrying `edges`.
     fn graph_of(nodes: usize, edges: impl IntoIterator<Item = (usize, usize)>) -> Graph {
@@ -557,9 +530,9 @@ mod tests {
     /// The plain reference: every fault set in revolving-door order through
     /// `check_fault_set`, failures tagged by their enumeration index. One
     /// kernel is stepped through the same order alongside, and each of its
-    /// verdicts must equal the reference's. So must the masks' acceptance
-    /// of the set's rank map, and the online `reconfigure_verified` must
-    /// return exactly what `Embedding::verify` does.
+    /// verdicts must equal the reference's. The online
+    /// `reconfigure_verified`, certified or not, must return exactly what
+    /// `Embedding::verify` does.
     fn stepped_reference(target: &Graph, host: &Graph, k: usize) -> ToleranceReport {
         let n = host.node_count();
         let masks = EdgeMasks::new(target, host, k);
@@ -583,11 +556,6 @@ mod tests {
             // Too small a host has no rank map; `check_fault_set` fails it.
             if masks.fits {
                 let phi = reconfigure(target.node_count(), &faults);
-                assert_eq!(
-                    masks.accepts(phi.as_slice()),
-                    passed,
-                    "acceptance disagrees on {combo:?} for {host:?}, k = {k}"
-                );
                 let verified = phi.verify(target, host).map(|()| phi);
                 assert_eq!(
                     online.reconfigure_verified(target, host, k, &faults),
@@ -608,6 +576,116 @@ mod tests {
             checked,
             failures,
             failure_count,
+        }
+    }
+
+    /// Checks a refusal of `certify`: at most `k` faults over the host's
+    /// nodes that fail `check_fault_set`, and, where the host has room, a
+    /// target edge whose rank map under those faults lands on the hole.
+    fn assert_witness_fails(name: &str, target: &Graph, host: &Graph, k: usize, witness: &Witness) {
+        let faults = &witness.faults;
+        assert!(faults.len() <= k, "{name}: {witness:?}");
+        assert_eq!(faults.universe(), host.node_count(), "{name}");
+        assert!(
+            !check_fault_set(target, host, faults),
+            "{name}: {witness:?}"
+        );
+        let (i, j) = witness.shift;
+        match witness.edge {
+            None => {
+                assert!(host.node_count() < target.node_count() + k, "{name}");
+                assert_eq!((i, j), (0, 0), "{name}");
+            }
+            Some((a, b)) => {
+                assert!(a < b && target.has_edge(a, b), "{name}: {witness:?}");
+                assert!(
+                    i <= j && j <= k && !host.has_edge(a + i, b + j),
+                    "{name}: {witness:?}"
+                );
+                let phi = reconfigure(target.node_count(), faults);
+                assert_eq!((phi.apply(a), phi.apply(b)), (a + i, b + j), "{name}");
+            }
+        }
+    }
+
+    /// Asserts that `certify` passes exactly when the enumeration of every
+    /// `k`-fault set does, and that each refusal's witness fails. Returns
+    /// the verdict.
+    fn certificate_matches_enumeration(name: &str, target: &Graph, host: &Graph, k: usize) -> bool {
+        let certified = certify(target, host, k);
+        let tolerant = verify_exhaustive(target, host, k, 2).is_tolerant();
+        assert_eq!(
+            certified.is_ok(),
+            tolerant,
+            "{name} at k = {k}: {certified:?}"
+        );
+        if let Err(witness) = &certified {
+            assert_witness_fails(name, target, host, k, witness);
+        }
+        tolerant
+    }
+
+    #[test]
+    fn certificate_agrees_with_the_enumeration() {
+        // Every host of both lists at every fault count up to 4. A tolerant
+        // host has no room past its own budget; a smaller count is a
+        // sub-triangle of its own.
+        let mut verdicts = [0; 2];
+        for (name, target, host, _) in tolerant_hosts().into_iter().chain(non_tolerant_hosts()) {
+            for k in 0..=4 {
+                let tolerant = certificate_matches_enumeration(&name, &target, &host, k);
+                verdicts[usize::from(tolerant)] += 1;
+            }
+        }
+        assert!(verdicts.iter().all(|&count| count > 10), "{verdicts:?}");
+    }
+
+    #[test]
+    fn certifies_every_construction_past_enumeration() {
+        // C(4100, 4), about 1.2·10^13 fault sets, for the base-2 and
+        // shuffle-exchange hosts.
+        let b2 = FtDeBruijn2::new(12, 4);
+        assert_eq!(certify(b2.target().graph(), b2.graph(), 4), Ok(()));
+        let b3 = FtDeBruijnM::new(3, 6, 2);
+        assert_eq!(certify(b3.target().graph(), b3.graph(), 2), Ok(()));
+        let se = NaturalFtShuffleExchange::new(12, 4);
+        assert_eq!(certify(se.target().graph(), se.graph(), 4), Ok(()));
+        // Without the host edge (1, 2), edge (0, 1) moved by (1, 1) fails.
+        let target = b2.target().graph();
+        let host = graph_of(b2.node_count(), b2.graph().edges().filter(|&e| e != (1, 2)));
+        let witness = certify(target, &host, 4).unwrap_err();
+        assert_eq!((witness.edge, witness.shift), (Some((0, 1)), (1, 1)));
+        assert_witness_fails("B^4(2,12) minus (1, 2)", target, &host, 4, &witness);
+    }
+
+    #[test]
+    #[ignore = "release only: builds B^8(2,20), about 10^43 fault sets"]
+    fn certifies_b8_2_20() {
+        let ft = FtDeBruijn2::new(20, 8);
+        assert_eq!(certify(ft.target().graph(), ft.graph(), 8), Ok(()));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// `B^k(2,h)` with random edges dropped and added: the certificate
+        /// equals the enumeration at every fault count up to `k`.
+        #[test]
+        fn certificate_agrees_on_perturbed_hosts(h in 3usize..6, k in 0usize..4, dropped in 0usize..4, added in 0usize..4, seed in 0u64..1_000_000) {
+            let ft = FtDeBruijn2::new(h, k);
+            let n = ft.node_count();
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let m = ft.graph().edge_count();
+            let drop: Vec<usize> = (0..dropped).map(|_| rng.random_range(0..m)).collect();
+            let add: Vec<(usize, usize)> = (0..added)
+                .map(|_| (rng.random_range(0..n), rng.random_range(0..n)))
+                .collect();
+            let kept = ft.graph().edges().enumerate().filter(|(e, _)| !drop.contains(e));
+            let host = graph_of(n, kept.map(|(_, edge)| edge).chain(add));
+            let name = format!("B^{k}(2,{h}), seed {seed}");
+            for faults in 0..=k {
+                certificate_matches_enumeration(&name, ft.target().graph(), &host, faults);
+            }
         }
     }
 
@@ -697,57 +775,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn acceptance_rejects_maps_off_the_rank_map_shape() {
-        // B^2(2,4): N = 16 target nodes in 18 host nodes.
-        let ft = FtDeBruijn2::new(4, 2);
-        let (target, host) = (ft.target().graph(), ft.graph());
-        let masks = EdgeMasks::new(target, host, 2);
-        let n = target.node_count();
-        let identity: Vec<usize> = (0..n).collect();
-        // The rank maps of {} and {0, 1}: δ = 0 and δ = k everywhere.
-        assert!(masks.accepts(&identity));
-        assert!(masks.accepts(&(2..n + 2).collect::<Vec<_>>()));
-        let with = |x: usize, image: usize| {
-            let mut map = identity.clone();
-            map[x] = image;
-            map
-        };
-        // Nodes 4 and 5 both on host node 5, and swapped after a shift by
-        // one, with every δ in 0..=k.
-        let mut swapped: Vec<usize> = (1..n + 1).collect();
-        swapped.swap(4, 5);
-        for (what, map) in [
-            ("one image short", identity[..n - 1].to_vec()),
-            ("one image over", (0..=n).collect()),
-            ("an image past the host", with(n - 1, host.node_count())),
-            ("two equal images", with(4, 5)),
-            ("a decreasing pair", swapped),
-        ] {
-            assert!(!masks.accepts(&map), "{what}: {map:?}");
-        }
-        // In 18 nodes, δ = k + 1 puts the last image past the host; test it
-        // where there is room: masks for two faults in B^3(2,4)'s 19 nodes.
-        let roomy = FtDeBruijn2::new(4, 3);
-        let masks = EdgeMasks::new(target, roomy.graph(), 2);
-        assert!(masks.accepts(&identity));
-        assert!(!masks.accepts(&with(n - 1, n + 2)));
-        // A host with no room for the target accepts nothing.
-        let small = FtDeBruijn2::new(3, 1);
-        let masks = EdgeMasks::new(small.target().graph(), small.graph(), 2);
-        assert!(!masks.accepts(&(0..8).collect::<Vec<_>>()));
-    }
-
-    #[test]
-    fn sampled_and_exhaustive_agree_on_tolerant_instance() {
-        let ft = FtDeBruijnM::new(2, 4, 2);
-        let exhaustive = verify_exhaustive(ft.target().graph(), ft.graph(), 2, 4);
-        let sampled = verify_sampled(ft.target().graph(), ft.graph(), 2, 200, 42);
-        assert!(exhaustive.is_tolerant());
-        assert!(sampled.is_tolerant());
-        assert_eq!(sampled.checked, 200);
     }
 
     #[test]

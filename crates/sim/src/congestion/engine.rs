@@ -175,9 +175,12 @@ pub enum FlowControl {
     /// own `buffer_depth`-slot input buffer and credit counter, sharing the
     /// physical link bandwidth of one flit per cycle. Packets are assigned
     /// VCs by the dateline rule (start on VC 0, bump on every descent of
-    /// the physical label — see `docs/CONGESTION.md` for the
-    /// deadlock-freedom proof sketch), which breaks the de Bruijn
-    /// shift-cycle credit loops that deadlock [`FlowControl::CreditBased`].
+    /// the physical label, capped at `vcs − 1`). The channel-dependency
+    /// graph is acyclic, so no run can deadlock, when `vcs` exceeds the
+    /// most non-final descents of any route: `vcs ≥ h` on the
+    /// identity-placed `B(2,h)` (`docs/CONGESTION.md` §4.4 has the proof
+    /// sketch). With fewer VCs it can be cyclic and a run can deadlock;
+    /// the detector reports it ([`CongestionReport::deadlocked`]).
     /// `VirtualChannel { vcs: 1, buffer_depth, switching: StoreAndForward }`
     /// behaves byte-identically to `CreditBased { buffer_depth }` apart
     /// from the extra per-VC report fields.
@@ -286,11 +289,12 @@ pub struct CongestionReport {
     /// Whether every packet resolved before `max_cycles`.
     pub completed: bool,
     /// Whether the run ended in a hard buffer deadlock: live packets remain
-    /// but no flit can ever move again. Only possible with bounded buffers;
+    /// but no flit can ever move again. Only possible with bounded buffers:
     /// single-channel credit loops ([`FlowControl::CreditBased`], or
     /// [`FlowControl::VirtualChannel`] with `vcs = 1`) deadlock on the
-    /// de Bruijn shift cycles, and the dateline VC ordering with `vcs ≥ 2`
-    /// is what breaks them (see `docs/CONGESTION.md`).
+    /// de Bruijn shift cycles, and dateline VCs rule it out only with
+    /// enough of them (`vcs ≥ h` on the identity-placed `B(2,h)`; see
+    /// `docs/CONGESTION.md` §4.4).
     pub deadlocked: bool,
     /// Flits carried per virtual channel over the whole run (a wormhole hop
     /// counts `packet_flits`). Empty unless the run used

@@ -333,10 +333,10 @@ impl ImplicitRoute {
 /// `(2·cur + b) mod 2^h`, which is smaller than `cur` iff `cur`'s top bit
 /// is set (the wrap of a de Bruijn shift cycle; equality happens only at
 /// the two shift-invariant self-loops, which the generators skip). The cap
-/// at `vcs - 1` means full formal freedom needs more VCs than a route has
-/// descents; with fewer, datelines still break the single-loop waits that
-/// deadlock depth-1 buffers, and the engine's quiescence detector remains
-/// the honest backstop (see `docs/CONGESTION.md`).
+/// at `vcs - 1` means freedom needs more VCs than any route has non-final
+/// descents (`vcs ≥ h` here); with fewer the channel dependencies can form
+/// a cycle and a run can deadlock, which the engine's quiescence detector
+/// reports (see `docs/CONGESTION.md` §4.4).
 // analyzer: alloc-free
 #[inline]
 pub fn dateline_crossing(cur: u32, next: u32) -> bool {

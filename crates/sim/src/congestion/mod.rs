@@ -25,11 +25,13 @@
 //!   saturation throughput.
 //! * [`FlowControl::VirtualChannel`] multiplexes `vcs` independent
 //!   dateline-ordered virtual channels over each directed link (each with
-//!   its own credit-guarded buffer), which breaks the de Bruijn shift-cycle
-//!   credit loops that deadlock single-channel bounded buffers, and
+//!   its own credit-guarded buffer). They rule deadlock out when `vcs`
+//!   exceeds the most non-final descents of any route (`vcs ≥ h` on the
+//!   identity-placed `B(2,h)`); with fewer the channel dependencies can
+//!   form a cycle and a run can deadlock, which the detector reports.
 //!   [`Switching::Wormhole`] streams multi-flit packets cut-through with
 //!   the link held for the whole flit train. The full design — dateline
-//!   deadlock-freedom argument included — is written up in
+//!   deadlock-freedom argument and its bound included — is written up in
 //!   `docs/CONGESTION.md`.
 //!
 //! Arbitration is deterministic oldest-first: packets are visited in age

@@ -239,10 +239,10 @@ fn exhaustive_verifier_hot_loop_is_allocation_light() {
 #[test]
 fn online_reconfiguration_allocates_only_the_returned_map() {
     let _guard = serial_guard();
-    // The first call builds the construction's displacement masks, for the
-    // budget k whatever its own fault count. After it, a reconfiguration
-    // with k faults allocates its map and nothing else: the masks accept
-    // it without `Embedding::verify`'s scratch. A clone carries the masks.
+    // The first call certifies the construction for its budget k, whatever
+    // its own fault count. After it, a reconfiguration with k faults
+    // allocates its map and nothing else: the certified map is returned
+    // without `Embedding::verify`'s scratch. A clone carries the verdict.
     let ft = ftdb_core::FtDeBruijn2::new(10, 4);
     let n = ft.node_count();
     assert!(ft.reconfigure_verified(&FaultSet::empty(n)).is_ok());
