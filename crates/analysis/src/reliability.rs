@@ -31,9 +31,7 @@ use crate::report::TextTable;
 use ftdb_core::parallel::fan_out;
 use ftdb_core::LinkFaultSet;
 use ftdb_graph::Embedding;
-use ftdb_sim::congestion::{
-    CongestionConfig, EngineKind, FaultResponse, FlowControl, RouteSource, ShardedSim,
-};
+use ftdb_sim::congestion::{CongestionConfig, FaultResponse, FlowControl, ShardedSim};
 use ftdb_sim::machine::{PhysicalMachine, PortModel};
 use ftdb_sim::workload;
 use ftdb_topology::DeBruijn2;
@@ -195,15 +193,13 @@ struct TrialOutcome {
     per_p: Vec<(u64, u64, f64)>,
 }
 
-/// The engine configuration every reliability run uses: wake-list,
-/// unbounded buffers (reliability isolates *routability*, not buffer
-/// sizing), implicit routes, adaptive re-routing around the drawn faults.
+/// The engine configuration every reliability run uses: unbounded buffers
+/// (reliability isolates *routability*, not buffer sizing) and adaptive
+/// re-routing around the drawn faults.
 fn reliability_config() -> CongestionConfig {
     CongestionConfig {
         flow_control: FlowControl::Infinite,
         fault_response: FaultResponse::RerouteAdaptive,
-        engine: EngineKind::WakeList,
-        route_source: RouteSource::Implicit,
         max_cycles: 50_000,
     }
 }

@@ -1,9 +1,9 @@
 //! Differential-coverage audit: every public field of a report struct must
 //! be compared somewhere in the differential equivalence suite.
 //!
-//! The wake-list engine's headline guarantee — byte-identical
-//! `CongestionReport`s against the naive rescan — is only as strong as the
-//! test that states it. This audit closes the loophole where a *new* report
+//! The congestion engine's headline guarantee — `CongestionReport`s equal
+//! to those of the reference model of its cycle rules (`tests/model.rs`),
+//! at every shard count — is only as strong as the test that states it. This audit closes the loophole where a *new* report
 //! field compiles, ships, and silently never participates in the
 //! equivalence check: it parses the struct's public fields from source and
 //! requires each field name to appear as a code token (comments don't
@@ -19,7 +19,7 @@ use crate::rules::RuleId;
 
 /// One audit: `struct_name` in `struct_file` versus the comparisons in
 /// each of `test_files` (all paths workspace-relative). *Every* listed
-/// suite must compare every public field — the engine-vs-rescan suite and
+/// suite must compare every public field — the engine-vs-model suite and
 /// the sharded determinism suite each make an independent byte-identical
 /// claim, and a field absent from either one escapes that claim.
 #[derive(Debug, Clone)]

@@ -32,8 +32,7 @@ use ftdb_core::verify::verify_exhaustive;
 use ftdb_core::{FaultSet, FtDeBruijn2};
 use ftdb_graph::Embedding;
 use ftdb_sim::congestion::{
-    measure_open_loop, CongestionConfig, CongestionSim, EngineKind, FlowControl, RouteSource,
-    Switching,
+    measure_open_loop, CongestionConfig, CongestionSim, FlowControl, Switching,
 };
 use ftdb_sim::machine::{PhysicalMachine, PortModel};
 use ftdb_sim::routing::{route_logical_debruijn_into, run_adaptive_workload, run_logical_workload};
@@ -287,46 +286,6 @@ fn main() {
         ));
     }
 
-    // ---- Route-state memory accounting ---------------------------------
-    // The implicit-routing claim as a tracked number, not prose: bytes of
-    // per-packet route storage for the same h=10 permutation under the
-    // implicit (O(1)/packet) and materialized (O(h)/packet) representations.
-    // Not a timed suite (no ns_per_item), so it lives beside `suites` and
-    // the regression gate ignores it.
-    let route_state = {
-        let h = 10;
-        let db = DeBruijn2::new(h);
-        let n = db.node_count();
-        let placement = Embedding::identity(n);
-        let mut rng = rand::rngs::StdRng::seed_from_u64(9);
-        let pairs = workload::permutation_pairs(n, &mut rng);
-        let bytes_for = |route_source: RouteSource| {
-            let machine = PhysicalMachine::new(db.graph().clone(), PortModel::MultiPort);
-            let mut sim = CongestionSim::new(
-                machine,
-                CongestionConfig {
-                    route_source,
-                    ..CongestionConfig::default()
-                },
-            );
-            sim.load_oblivious(&db, &placement, &pairs);
-            sim.route_state_bytes() as u64
-        };
-        let implicit = bytes_for(RouteSource::Implicit);
-        let materialized = bytes_for(RouteSource::Materialized);
-        println!(
-            "route_state h{h} ({} packets): implicit {implicit} B, materialized {materialized} B ({:.2}x)",
-            pairs.len(),
-            materialized as f64 / implicit as f64,
-        );
-        json!({
-            "h": h,
-            "packets": pairs.len() as u64,
-            "implicit_bytes": implicit,
-            "materialized_bytes": materialized,
-        })
-    };
-
     // ---- Bounded buffers: credit flow control --------------------------
     // The same drained-permutation measurement as above, but through the
     // credit-gated movement path (depth 4 drains these workloads; depth 1
@@ -432,12 +391,7 @@ fn main() {
     // ---- Wake-list core at near saturation ------------------------------
     // The wake-list engine's home turf: an open-loop run just past the
     // saturation knee, where most live packets are parked on full buffers.
-    // The retained naive rescan runs the identical workload so every report
-    // carries the before/after pair (the README "Engine internals" table).
-    for &(engine, label) in &[
-        (EngineKind::WakeList, "wakelist"),
-        (EngineKind::NaiveScan, "naivescan"),
-    ] {
+    {
         let h = 8;
         let db = DeBruijn2::new(h);
         let n = db.node_count();
@@ -455,7 +409,6 @@ fn main() {
             machine,
             CongestionConfig {
                 flow_control: FlowControl::CreditBased { buffer_depth: 4 },
-                engine,
                 ..CongestionConfig::default()
             },
         );
@@ -467,7 +420,7 @@ fn main() {
             last = measure_open_loop(&mut sim, &spec);
             black_box(last.window_delivered);
         });
-        let name = format!("congestion_{label}_nearsat_h{h}");
+        let name = format!("congestion_wakelist_nearsat_h{h}");
         let (ns, rate) = per_item(&m, injections.len() as u64);
         // This run is deliberately past the saturation knee (full
         // congestion collapse), so window statistics are degenerate —
@@ -496,7 +449,7 @@ fn main() {
     }
 
     // ---- Virtual channels / wormhole at near saturation ------------------
-    // The same past-the-knee workload as the nearsat pair, under
+    // The same past-the-knee workload as the wake-list nearsat suite, under
     // `FlowControl::VirtualChannel`: two dateline-ordered VCs per link
     // (store-and-forward, then 4-flit wormhole trains). This prices the
     // per-(link, vc) gate layout, the timed credit FIFO and — for the
@@ -701,7 +654,6 @@ fn main() {
         "schema": "ftdb-perf/1",
         "mode": if quick { "quick" } else { "full" },
         "threads": threads,
-        "route_state": route_state,
         "suites": Value::Object(suites.into_iter().collect()),
     });
     std::fs::write(&out_path, format!("{report}\n")).expect("write BENCH_perf.json");

@@ -64,9 +64,13 @@ impl ToleranceReport {
     /// Maximum number of failing fault sets recorded verbatim.
     pub const MAX_RECORDED: usize = 16;
 
-    /// `true` if every checked fault set admitted a valid reconfiguration.
+    /// `true` if at least one fault set was checked and every checked set
+    /// admitted a valid reconfiguration. A run that checked none — more
+    /// faults than the host has nodes, so no fault set exists — is not
+    /// tolerant: such a host has fewer than `N + k` nodes and no room for
+    /// the target, as [`certify`] and [`check_fault_set`] say too.
     pub fn is_tolerant(&self) -> bool {
-        self.failure_count == 0
+        self.checked > 0 && self.failure_count == 0
     }
 }
 
@@ -103,9 +107,7 @@ pub struct Witness {
 /// `0 ≤ i ≤ j ≤ k`: the sorted row of each `a + i` holds `b + i..=b + k`.
 /// That is `O(E·k)` row reads and no allocation. `Ok` holds exactly when
 /// [`verify_exhaustive`] passes at `k` faults, and then it passes at every
-/// count below. The one exception is a `k` above the host's node count:
-/// no `k`-set exists, so the enumeration passes, while `certify` finds no
-/// room. An `Err`'s witness fails [`check_fault_set`].
+/// count below. An `Err`'s witness fails [`check_fault_set`].
 pub fn certify(target: &Graph, host: &Graph, k: usize) -> Result<(), Witness> {
     let n = host.node_count();
     let refuse = |edge: Option<(NodeId, NodeId)>, (i, j): (usize, usize)| {
@@ -812,6 +814,28 @@ mod tests {
         assert_eq!(one.failure_count, many.failure_count);
         assert_eq!(one.failures, many.failures);
         assert_eq!(one.failures.len(), ToleranceReport::MAX_RECORDED);
+    }
+
+    #[test]
+    fn a_host_without_room_is_never_tolerant() {
+        // B(2,3)'s 8-node target on a 5-node host: no fault count leaves
+        // room, including k = 6, where no 6-set of 5 nodes exists and the
+        // enumeration checks nothing.
+        let target = DeBruijn2::new(3);
+        let host = graph_of(5, (0..5).flat_map(|a| (a + 1..5).map(move |b| (a, b))));
+        for k in 0..=7 {
+            let report = verify_exhaustive(target.graph(), &host, k, 1);
+            assert!(!report.is_tolerant(), "k={k}: {report:?}");
+            assert!(certify(target.graph(), &host, k).is_err(), "k={k}");
+            assert!(!check_fault_set(
+                target.graph(),
+                &host,
+                &FaultSet::from_nodes(5, 0..k.min(5))
+            ));
+        }
+        let reports = verify_up_to(target.graph(), &host, 6, 1);
+        assert_eq!(reports.last().map(|r| r.checked), Some(0));
+        assert!(reports.iter().all(|r| !r.is_tolerant()));
     }
 
     #[test]

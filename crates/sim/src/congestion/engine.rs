@@ -1,7 +1,7 @@
 //! The congestion engine's public types, the packed route-entry helpers,
 //! [`CongestionSim`] (the one-shard [`ShardedSim`]) and the drivers built
 //! on the one cycle kernel: online recovery ([`run_recovery`]) and
-//! open-loop measurement ([`measure_open_loop`], [`run_open_loop`]).
+//! open-loop measurement ([`measure_open_loop`]).
 //!
 //! See the [module docs](super) for the full model and
 //! [`super::shard`] for the kernel.
@@ -10,8 +10,7 @@ use super::shard::ShardedSim;
 use crate::machine::{PhysicalMachine, PortModel, SimError};
 use crate::metrics::LatencySummary;
 use ftdb_core::{FaultSet, FtDeBruijn2};
-use ftdb_graph::{Embedding, NodeId};
-use ftdb_topology::DeBruijn2;
+use ftdb_graph::NodeId;
 
 /// Sentinel for "not yet": a cycle stamp that no real cycle reaches.
 pub(crate) const NEVER: u32 = u32::MAX;
@@ -194,21 +193,6 @@ pub enum FlowControl {
     },
 }
 
-/// Which per-cycle scan discipline the engine runs. Both produce
-/// byte-identical reports; they differ only in how much work a cycle costs.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum EngineKind {
-    /// The event-driven wake-list core (default): a packet blocked on a
-    /// full downstream buffer leaves the examination list and parks on
-    /// that link slot's blocked queue until a credit returns, so a cycle
-    /// costs O(packets that could actually move).
-    #[default]
-    WakeList,
-    /// The naive full rescan retained as the differential-testing
-    /// reference: every in-flight packet is examined every cycle.
-    NaiveScan,
-}
-
 /// What a packet does when its precomputed route runs into a processor that
 /// died after the route was computed.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -222,25 +206,6 @@ pub enum FaultResponse {
     RerouteAdaptive,
 }
 
-/// How oblivious routes are represented per packet. Reports are
-/// byte-identical either way (enforced by the differential suite); the
-/// choice only moves memory.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum RouteSource {
-    /// O(1) route state per packet (default): a packed current entry plus
-    /// the digit-shift register of [`super::implicit_route`]. Mid-run
-    /// re-routes still materialize (their paths are BFS results, not
-    /// shift-register walks) into the hosting shard core's path arena.
-    #[default]
-    Implicit,
-    /// The pre-PR-7 behaviour: every packet's full physical path is
-    /// materialized at load, O(h) entries per packet. Retained as the
-    /// differential-testing reference and for exotic loads the generator
-    /// cannot express (a second oblivious load through a different
-    /// placement also falls back here).
-    Materialized,
-}
-
 /// Knobs for a congestion run.
 #[derive(Clone, Copy, Debug)]
 pub struct CongestionConfig {
@@ -252,13 +217,6 @@ pub struct CongestionConfig {
     /// Link-buffer sizing: unbounded queues (default) or bounded buffers
     /// with credit-based flow control.
     pub flow_control: FlowControl,
-    /// Scan discipline: event-driven wake lists (default) or the retained
-    /// naive rescan. Reports are byte-identical either way.
-    pub engine: EngineKind,
-    /// Route representation for oblivious loads: implicit O(1) shift
-    /// registers (default) or materialized O(h) paths. Reports are
-    /// byte-identical either way.
-    pub route_source: RouteSource,
 }
 
 impl Default for CongestionConfig {
@@ -267,8 +225,6 @@ impl Default for CongestionConfig {
             max_cycles: 1 << 20,
             fault_response: FaultResponse::Drop,
             flow_control: FlowControl::Infinite,
-            engine: EngineKind::WakeList,
-            route_source: RouteSource::Implicit,
         }
     }
 }
@@ -631,28 +587,13 @@ pub fn measure_open_loop(
     }
 }
 
-/// Builds a [`CongestionSim`] for `machine`, loads the open-loop schedule
-/// the spec describes (oblivious de Bruijn routes through `placement`), and
-/// measures one latency–throughput point. The offered-load sweep drivers in
-/// `ftdb-analysis` call this once per load.
-pub fn run_open_loop(
-    db: &DeBruijn2,
-    placement: &Embedding,
-    machine: PhysicalMachine,
-    config: CongestionConfig,
-    spec: &crate::workload::OpenLoopSpec,
-) -> OpenLoopReport {
-    let injections = crate::workload::open_loop_injections(db.node_count(), spec);
-    let mut sim = CongestionSim::new(machine, config);
-    sim.load_oblivious_timed(db, placement, &injections);
-    measure_open_loop(&mut sim, spec)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::routing::run_logical_workload;
     use crate::workload;
+    use ftdb_graph::Embedding;
+    use ftdb_topology::DeBruijn2;
     use rand::SeedableRng;
 
     fn healthy_sim(h: usize, port: PortModel) -> (DeBruijn2, CongestionSim) {
@@ -753,23 +694,22 @@ mod tests {
     fn short_placement_drops_unplaced_routes_at_load() {
         // identity(8) maps half of B(2,4): (3, 12) leaves the placement at
         // node 15 and (9, 1) starts outside it, so both drop at load instead
-        // of panicking; (0, 5) and (0, 3) stay inside it and deliver.
+        // of panicking; (0, 5) and (0, 3) stay inside it and deliver. The
+        // second load comes through a different placement, so its packets
+        // take materialized paths, which drop the same way.
         let db = DeBruijn2::new(4);
         let short = Embedding::identity(8);
-        for route_source in [RouteSource::Implicit, RouteSource::Materialized] {
+        let shifted = Embedding::from_map((0..8).map(|v| (v + 1) % 8).collect());
+        for second in [&short, &shifted] {
             let machine = PhysicalMachine::new(db.graph().clone(), PortModel::MultiPort);
-            let config = CongestionConfig {
-                route_source,
-                ..CongestionConfig::default()
-            };
-            let mut sim = CongestionSim::new(machine, config);
+            let mut sim = CongestionSim::new(machine, CongestionConfig::default());
             sim.load_oblivious(&db, &short, &[(3, 12), (0, 5)]);
-            sim.load_oblivious_timed(&db, &short, &[(2, 9, 1), (3, 0, 3)]);
+            sim.load_oblivious_timed(&db, second, &[(2, 9, 1), (3, 0, 3)]);
             let report = sim.run();
             assert_eq!(
                 (report.injected, report.delivered, report.dropped),
                 (4, 2, 2),
-                "{route_source:?}"
+                "{second:?}"
             );
         }
     }
@@ -1038,6 +978,24 @@ mod tests {
             flow_control: FlowControl::CreditBased { buffer_depth },
             ..CongestionConfig::default()
         }
+    }
+
+    /// Measures one open-loop point: a fresh engine over `machine` loaded
+    /// with the schedule `spec` draws on the identity-placed `db`.
+    fn open_loop(
+        db: &DeBruijn2,
+        machine: PhysicalMachine,
+        config: CongestionConfig,
+        spec: &workload::OpenLoopSpec,
+    ) -> OpenLoopReport {
+        let n = db.node_count();
+        let mut sim = CongestionSim::new(machine, config);
+        sim.load_oblivious_timed(
+            db,
+            &Embedding::identity(n),
+            &workload::open_loop_injections(n, spec),
+        );
+        measure_open_loop(&mut sim, spec)
     }
 
     fn open_spec(offered_load: f64, seed: u64) -> workload::OpenLoopSpec {
@@ -1319,16 +1277,9 @@ mod tests {
         // every measured packet's latency is (close to) its hop count, and
         // throughput tracks the offered rate.
         let db = DeBruijn2::new(5);
-        let n = db.node_count();
         let machine = PhysicalMachine::new(db.graph().clone(), PortModel::MultiPort);
         let spec = open_spec(0.02, 42);
-        let report = run_open_loop(
-            &db,
-            &Embedding::identity(n),
-            machine,
-            CongestionConfig::default(),
-            &spec,
-        );
+        let report = open_loop(&db, machine, CongestionConfig::default(), &spec);
         assert!(!report.deadlocked);
         assert!(report.window_injected > 0, "trickle load still injects");
         assert_eq!(
@@ -1356,13 +1307,7 @@ mod tests {
             };
             let db = DeBruijn2::new(5);
             let machine = PhysicalMachine::new(db.graph().clone(), PortModel::SinglePort);
-            let report = run_open_loop(
-                &db,
-                &Embedding::identity(db.node_count()),
-                machine,
-                config,
-                &open_spec(0.8, 7),
-            );
+            let report = open_loop(&db, machine, config, &open_spec(0.8, 7));
             assert!(
                 report.cum_delivered_by_window_end <= report.cum_injected_by_window_end,
                 "depth {depth}: delivered more than was injected"
@@ -1374,7 +1319,6 @@ mod tests {
     #[test]
     fn staggered_and_bernoulli_processes_both_drive_the_engine() {
         let db = DeBruijn2::new(4);
-        let n = db.node_count();
         for process in [
             workload::InjectionProcess::Bernoulli,
             workload::InjectionProcess::Staggered,
@@ -1384,13 +1328,7 @@ mod tests {
                 ..open_spec(0.25, 11)
             };
             let machine = PhysicalMachine::new(db.graph().clone(), PortModel::MultiPort);
-            let report = run_open_loop(
-                &db,
-                &Embedding::identity(n),
-                machine,
-                credit_config(2),
-                &spec,
-            );
+            let report = open_loop(&db, machine, credit_config(2), &spec);
             assert!(report.window_injected > 0, "{process:?} injected nothing");
             assert!(report.window_delivered > 0);
             // Staggered injects on an exact period: realized load is within
@@ -1469,48 +1407,6 @@ mod tests {
     }
 
     #[test]
-    fn naive_scan_and_wake_list_agree_on_canned_scenarios() {
-        // The heavyweight randomized differential suite lives in
-        // tests/tests/wakelist_differential.rs; this smoke pins the three
-        // behaviours most likely to diverge: deadlock detection, mid-run
-        // fault reroutes under credits, and open-loop timed injection.
-        let db = DeBruijn2::new(5);
-        let n = db.node_count();
-        type Scenario = (CongestionConfig, Vec<(usize, usize)>, Vec<(u32, usize)>);
-        let scenarios: Vec<Scenario> = vec![
-            (credit_config(1), workload::all_to_one(n, 2), vec![]),
-            (
-                CongestionConfig {
-                    fault_response: FaultResponse::RerouteAdaptive,
-                    flow_control: FlowControl::CreditBased { buffer_depth: 2 },
-                    ..CongestionConfig::default()
-                },
-                workload::uniform_pairs(n, 4 * n, &mut rand::rngs::StdRng::seed_from_u64(17)),
-                vec![(3, 1), (5, 9)],
-            ),
-            (
-                CongestionConfig::default(),
-                workload::bit_reversal_pairs(5),
-                vec![(2, 7)],
-            ),
-        ];
-        for (config, pairs, faults) in scenarios {
-            let mut outcomes = Vec::new();
-            for engine in [EngineKind::WakeList, EngineKind::NaiveScan] {
-                let machine = PhysicalMachine::new(db.graph().clone(), PortModel::SinglePort);
-                let mut sim = CongestionSim::new(machine, CongestionConfig { engine, ..config });
-                sim.load_oblivious(&db, &Embedding::identity(n), &pairs);
-                for &(cycle, node) in &faults {
-                    sim.schedule_fault(cycle, node).unwrap();
-                }
-                let report = sim.run();
-                outcomes.push((report, sim.counts()));
-            }
-            assert_eq!(outcomes[0], outcomes[1], "config {config:?}");
-        }
-    }
-
-    #[test]
     fn clear_workload_reuses_the_engine_for_fresh_loads() {
         // One warmed engine cycling through different workloads (the
         // parallel sweep harness' per-worker reuse) must reproduce what a
@@ -1521,13 +1417,7 @@ mod tests {
         let spec_b = open_spec(0.6, 9);
         let fresh = |spec: &workload::OpenLoopSpec| {
             let machine = PhysicalMachine::new(db.graph().clone(), PortModel::MultiPort);
-            run_open_loop(
-                &db,
-                &Embedding::identity(n),
-                machine,
-                credit_config(2),
-                spec,
-            )
+            open_loop(&db, machine, credit_config(2), spec)
         };
         let machine = PhysicalMachine::new(db.graph().clone(), PortModel::MultiPort);
         let mut sim = CongestionSim::new(machine, credit_config(2));

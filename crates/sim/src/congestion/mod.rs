@@ -63,10 +63,12 @@
 //!
 //! Because parked packets provably cannot move (credits only decrease within
 //! a cycle), skipping them leaves every claim decision — and therefore every
-//! report — byte-identical to the naive full rescan. The rescan is retained
-//! as [`EngineKind::NaiveScan`] and the equivalence is enforced by a
-//! differential property test (`tests/tests/wakelist_differential.rs`).
-//! Wake-list bookkeeping aside, every packet's cached entry carries its next
+//! report — what a full rescan of every live packet would produce. The
+//! oracle for that is a reference model of the cycle rules in the test
+//! crate (`tests/model.rs`), a plain rescan with materialized paths; a
+//! differential property suite (`tests/tests/wakelist_differential.rs`)
+//! holds the engine to it report by report, packet by packet and cycle by
+//! cycle. Wake-list bookkeeping aside, every packet's cached entry carries its next
 //! hop's CSR link slot next to the node (one packed `u64`): materialized
 //! paths store them from load, and implicit routes read them from a per-load
 //! successor-slot table, so no move runs a neighbour search.
@@ -113,14 +115,12 @@
 //! need to materialize paths at all. [`implicit_route`] holds the digit-shift
 //! next-hop generators (de Bruijn and shuffle-exchange) and the implicit
 //! context every shard core shares: the load's placement plus a
-//! successor-slot table naming the link of every logical shift edge. Under the default
-//! [`RouteSource::Implicit`] a packet carries O(1) route state (a packed
-//! current entry plus a two-word shift register) instead of O(h) path
-//! entries, which is what makes million-node runs fit in memory. Mid-run
-//! re-routes, and a second load through a different placement, fall back
-//! to materialized segments in the path arena of the shard core hosting
-//! the packet ([`RouteSource::Materialized`] forces that representation
-//! everywhere; the differential suite proves the two byte-identical).
+//! successor-slot table naming the link of every logical shift edge. A
+//! packet carries O(1) route state (a packed current entry plus a two-word
+//! shift register) instead of O(h) path entries, which is what makes
+//! million-node runs fit in memory. Mid-run re-routes, and a second load
+//! through a different placement, fall back to materialized segments in
+//! the path arena of the shard core hosting the packet.
 //!
 //! **One kernel, any shard count.** [`ShardedSim`] partitions the CSR
 //! graph along the de Bruijn label-prefix cut, gives each shard its own
@@ -136,8 +136,7 @@ pub mod implicit_route;
 pub mod shard;
 
 pub use engine::{
-    measure_open_loop, run_open_loop, run_recovery, CongestionConfig, CongestionReport,
-    CongestionSim, CycleEvents, EngineKind, FaultResponse, FlowControl, OpenLoopReport,
-    RecoveryOutcome, RouteSource, Switching,
+    measure_open_loop, run_recovery, CongestionConfig, CongestionReport, CongestionSim,
+    CycleEvents, FaultResponse, FlowControl, OpenLoopReport, RecoveryOutcome, Switching,
 };
 pub use shard::ShardedSim;

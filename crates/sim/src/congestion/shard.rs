@@ -4,9 +4,10 @@
 //! shard, and exchanges boundary flits and credit returns at cycle
 //! barriers. With one shard there is no barrier traffic at all, and that
 //! configuration is [`super::CongestionSim`]. Its [`CongestionReport`] is
-//! byte-identical for any shard count and thread count — enforced by the
-//! differential suite, the golden outputs of `tests/tests/engine_golden.rs`
-//! and the CI shard-determinism job.
+//! byte-identical for any shard count and thread count, and equal to what
+//! the reference model of the cycle rules (`tests/model.rs`) computes —
+//! enforced by the differential suite, the golden outputs of
+//! `tests/tests/engine_golden.rs` and the CI shard-determinism job.
 //!
 //! [`ShardedSim::step`] is the only cycle body at every thread count.
 //! Threads change only where per-core work runs: on `min(threads, shards)`
@@ -30,11 +31,10 @@
 //! [`Flit`].
 //!
 //! Route state: an oblivious packet rides the shared implicit context
-//! ([`ImplicitRoute`], O(1) state per packet). Materialized paths —
-//! [`RouteSource::Materialized`] loads, a second load through a different
-//! placement, and mid-run re-routes — live in the arena of the core that
-//! hosts the packet and travel in the barrier's path words when it
-//! migrates.
+//! ([`ImplicitRoute`], O(1) state per packet). Materialized paths — a
+//! second load through a different placement, and mid-run re-routes —
+//! live in the arena of the core that hosts the packet and travel in the
+//! barrier's path words when it migrates.
 //!
 //! One engine can serve many workloads: [`ShardedSim::clear_workload`]
 //! drops the loaded workload and both fault schedules but keeps the
@@ -43,9 +43,9 @@
 
 use super::boundary::{shard_floor, shard_of, BoundaryBatch, Flit};
 use super::engine::{
-    pk, pk_node, pk_slot, pk_terminal, CongestionConfig, CongestionReport, CycleEvents, EngineKind,
-    FaultResponse, FlowControl, LinkGate, RouteSource, Switching, DELIVERS, IMPLICIT_ACTIVE, NEVER,
-    NONE_ID, NO_LOGICAL, NO_SLOT,
+    pk, pk_node, pk_slot, pk_terminal, CongestionConfig, CongestionReport, CycleEvents,
+    FaultResponse, FlowControl, LinkGate, Switching, DELIVERS, IMPLICIT_ACTIVE, NEVER, NONE_ID,
+    NO_LOGICAL, NO_SLOT,
 };
 use super::implicit_route::{self, ImplicitRoute};
 use crate::machine::{PhysicalMachine, PortModel, SimError};
@@ -138,7 +138,6 @@ struct ShardCtx<'a> {
     n: usize,
     shards: usize,
     single_port: bool,
-    park: bool,
     fault_response: FaultResponse,
 }
 
@@ -297,9 +296,9 @@ struct ShardCore {
     vc: Vec<u8>,
     /// Cycle each hosted packet first failed examination since it last
     /// moved (`NEVER` = not blocked); feeds `vc_hol_blocked_cycles` and is
-    /// only maintained when `track_vc`. Set on the first failing
-    /// examination under both scan disciplines, so the totals agree even
-    /// though the naive rescan re-fails every cycle.
+    /// only maintained when `track_vc`. A parked packet is not examined
+    /// again until it is woken, so the span runs from its first failure,
+    /// however many cycles it then waits.
     blocked_since: Vec<u32>,
     /// Intrusive next-pointers threading the blocked queues through the
     /// packet table.
@@ -1075,15 +1074,11 @@ impl ShardCore {
                         }
                         self.occupied_slot[id] = (slot * vcs + vc) as u32;
                     }
-                    if ctx.park || pf > 1 {
-                        // Whoever queues behind this move wakes when the
-                        // claim expires. Under wormhole the pending entry is
-                        // also the quiescence witness for the streaming
-                        // body, which the naive rescan's deadlock proof
-                        // needs too.
-                        // analyzer: allow(alloc) -- capacity reserved at construction and kept across cycles; the counting-allocator tests prove the cycle loop never reallocates
-                        self.served_fifo.push((stamp + pf, ls as u32));
-                    }
+                    // Whoever queues behind this move wakes when the claim
+                    // expires. Under wormhole the pending entry is also the
+                    // quiescence witness for the streaming body.
+                    // analyzer: allow(alloc) -- capacity reserved at construction and kept across cycles; the counting-allocator tests prove the cycle loop never reallocates
+                    self.served_fifo.push((stamp + pf, ls as u32));
                     self.moved += 1;
                     if track_vc {
                         self.vc_flits[vc] += pf as u64;
@@ -1111,8 +1106,7 @@ impl ShardCore {
                             self.emigrate(ctx, id, now);
                         }
                     }
-                } else if ctx.park
-                    && (!credit_free || (link_claim == stamp && self.blocked_head[lg] != NONE_ID))
+                } else if !credit_free || (link_claim == stamp && self.blocked_head[lg] != NONE_ID)
                 {
                     // Blocked on the gate itself: zero credits on this VC's
                     // buffer (which only return at a cycle boundary), or a
@@ -1126,10 +1120,9 @@ impl ShardCore {
                     self.note_blocked(id, stamp);
                     self.park_on_slot(id, lg);
                 } else {
-                    // Blocked on the node's output port alone (`SinglePort`),
-                    // on a still-streaming wormhole body, or running the
-                    // naive rescan: re-examine next cycle, when per-cycle
-                    // claims expire.
+                    // Blocked on the node's output port alone (`SinglePort`)
+                    // or on a still-streaming wormhole body: re-examine next
+                    // cycle, when per-cycle claims expire.
                     self.note_blocked(id, stamp);
                     self.queued_next[wi] |= 1u64 << (id & 63);
                 }
@@ -1484,8 +1477,7 @@ impl ShardedSim {
         // A context mismatch (a second load through a different placement
         // or radix) loads materialized paths, so the generator state of
         // the packets already loaded stays well-defined.
-        let implicit = self.config.route_source == RouteSource::Implicit
-            && self.implicit.capture(db, placement, &self.machine);
+        let implicit = self.implicit.capture(db, placement, &self.machine);
         // Route feasibility belongs to the (machine, placement) pair, so an
         // implicit load proves it once, in O(V + E), and then checks each
         // packet at the tier that proof earned. Materialized packets store
@@ -1654,7 +1646,6 @@ impl ShardedSim {
             n: self.machine.node_count(),
             shards: self.shards,
             single_port: self.machine.port_model() == PortModel::SinglePort,
-            park: self.config.engine == EngineKind::WakeList,
             fault_response: self.config.fault_response,
         };
         (ctx, &mut self.cores, &mut self.outcomes)
@@ -1986,7 +1977,7 @@ mod tests {
     /// `..`), so a new report field fails to compile here until it is
     /// compared — and `ftdb-analyzer`'s `diff-coverage` audit holds this
     /// file, as the sharded determinism suite, to the same bar as the
-    /// engine-vs-rescan suite.
+    /// engine-vs-model suite.
     fn assert_report_fields_equal(sharded: &CongestionReport, single: &CongestionReport) {
         let CongestionReport {
             cycles,
@@ -2424,20 +2415,28 @@ mod tests {
 
     #[test]
     fn materialized_loads_match_across_shards() {
-        // Materialized paths live in the arena of the core hosting their
-        // source and travel in the barrier's path words; mid-run re-routes
-        // spill beside them. Every shard count must agree with the
-        // single-table run and with the implicit load, packet by packet.
+        // Materialized segments come from two places: a second load through
+        // a placement other than the captured one (the complement map, a de
+        // Bruijn automorphism), and every mid-run re-route around the node
+        // kills. They live in the arena of the core hosting their packet and
+        // travel in the barrier's path words. Every shard and thread count
+        // must agree with the single-table run, packet by packet.
         let db = DeBruijn2::new(6);
         let n = db.node_count();
+        let identity = Embedding::identity(n);
+        let complement = Embedding::from_map((0..n).map(|v| n - 1 - v).collect());
         let mut rng = rand::rngs::StdRng::seed_from_u64(5);
-        let pairs = workload::uniform_pairs(n, 3 * n, &mut rng);
-        let load = Load {
-            placement: &Embedding::identity(n),
-            pairs: &pairs,
-            timed: None,
-            kills: &[9, 40],
-            links: None,
+        let first = workload::uniform_pairs(n, 2 * n, &mut rng);
+        let second = workload::uniform_pairs(n, 2 * n, &mut rng);
+        let machine = PhysicalMachine::new(db.graph().clone(), PortModel::SinglePort);
+        let load = |config, shards, threads| {
+            let mut sim = ShardedSim::new(machine.clone(), config, shards, threads);
+            sim.load_oblivious(&db, &identity, &first);
+            sim.load_oblivious(&db, &complement, &second);
+            for node in [9, 40] {
+                sim.schedule_fault(2, node).unwrap();
+            }
+            sim
         };
         for flow_control in [
             FlowControl::Infinite,
@@ -2447,30 +2446,33 @@ mod tests {
                 switching: Switching::Wormhole { packet_flits: 2 },
             },
         ] {
-            let config = |route_source| CongestionConfig {
+            let config = CongestionConfig {
                 flow_control,
                 fault_response: FaultResponse::RerouteAdaptive,
-                route_source,
                 ..CongestionConfig::default()
             };
-            let machine = PhysicalMachine::new(db.graph().clone(), PortModel::SinglePort);
-            let mut implicit =
-                super::super::CongestionSim::new(machine.clone(), config(RouteSource::Implicit));
-            load_sharded(&mut implicit, &db, &load);
-            let want = observe(&mut implicit);
-            for (shards, threads) in [(1usize, 1usize), (2, 1), (4, 1), (4, 2)] {
-                let mut sim = ShardedSim::new(
-                    machine.clone(),
-                    config(RouteSource::Materialized),
-                    shards,
-                    threads,
-                );
-                load_sharded(&mut sim, &db, &load);
-                let got = observe(&mut sim);
+            let want = observe(&mut load(config, 1, 1));
+            for (shards, threads) in [(2usize, 1usize), (4, 1), (4, 2), (3, 2)] {
+                let got = observe(&mut load(config, shards, threads));
                 assert_eq!(got.1, want.1, "{flow_control:?} shards={shards}: report");
                 assert_eq!(got.2, want.2, "{flow_control:?} shards={shards}: outcomes");
             }
         }
+        // The kills do force re-routes: on unbounded buffers the run drains,
+        // so stepping it to the end counts them.
+        let mut sim = load(
+            CongestionConfig {
+                fault_response: FaultResponse::RerouteAdaptive,
+                ..CongestionConfig::default()
+            },
+            2,
+            1,
+        );
+        let mut rerouted = 0;
+        while sim.counts().3 > 0 {
+            rerouted += sim.step().rerouted;
+        }
+        assert!(rerouted > 0, "no packet re-routed");
     }
 
     #[test]

@@ -4,10 +4,13 @@
 //! (`cross_crate_properties`, `end_to_end_debruijn`,
 //! `end_to_end_shuffle_exchange`, `paper_claims`,
 //! `reconfiguration_edge_cases`); this crate root only hosts utilities they
-//! share.
+//! share, and [`model`], the reference model of the congestion engine's
+//! cycle rules that the engine suites compare against.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+
+pub mod model;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;

@@ -6,9 +6,11 @@
 
 use ftdb_analysis::sim_experiments::{sim5_load_sweep, SweepScenario};
 use ftdb_graph::Embedding;
-use ftdb_sim::congestion::{run_open_loop, CongestionConfig, FlowControl, OpenLoopReport};
+use ftdb_sim::congestion::{
+    measure_open_loop, CongestionConfig, CongestionSim, FlowControl, OpenLoopReport,
+};
 use ftdb_sim::machine::{PhysicalMachine, PortModel};
-use ftdb_sim::workload::{InjectionProcess, OpenLoopSpec};
+use ftdb_sim::workload::{self, InjectionProcess, OpenLoopSpec};
 use ftdb_topology::DeBruijn2;
 
 const SWEEP_LOADS: [f64; 4] = [0.05, 0.2, 0.5, 0.9];
@@ -133,7 +135,10 @@ fn b25_open_loop(offered_load: f64, buffer_depth: u32, seed: u64) -> OpenLoopRep
         drain_cycles: 240,
         seed,
     };
-    run_open_loop(&db, &Embedding::identity(n), machine, config, &spec)
+    let mut sim = CongestionSim::new(machine, config);
+    let injections = workload::open_loop_injections(n, &spec);
+    sim.load_oblivious_timed(&db, &Embedding::identity(n), &injections);
+    measure_open_loop(&mut sim, &spec)
 }
 
 proptest::proptest! {

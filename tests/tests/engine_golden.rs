@@ -6,21 +6,24 @@
 //! the `OpenLoopReport` or `RecoveryOutcome` where the scenario has one),
 //! and every packet's `(inject, delivered, dropped)` stamps. The surviving
 //! kernel must reproduce them at every shard count, so the retired engine's
-//! verdicts stay in tier-1 after its code is gone.
+//! verdicts stay in tier-1 after its code is gone, and the reference model
+//! of the cycle rules (`ftdb_tests::model`) must reproduce every report,
+//! every packet's stamps and the recovery outcome too.
 //!
-//! The scenarios cover both scan disciplines, both route sources, every
-//! flow-control mode, both port models, node and link kills under both
-//! fault responses, a second load through a different placement, one
-//! open-loop measurement window and one online recovery.
+//! The scenarios cover every flow-control mode, both port models, node and
+//! link kills under both fault responses, a second load through a
+//! different placement, one open-loop measurement window and one online
+//! recovery.
 
 use ftdb_core::{FtDeBruijn2, LinkFaultSet};
 use ftdb_graph::Embedding;
 use ftdb_sim::congestion::{
-    measure_open_loop, run_recovery, CongestionConfig, EngineKind, FaultResponse, FlowControl,
-    RouteSource, ShardedSim, Switching,
+    measure_open_loop, run_recovery, CongestionConfig, FaultResponse, FlowControl, ShardedSim,
+    Switching,
 };
 use ftdb_sim::machine::{PhysicalMachine, PortModel};
 use ftdb_sim::workload::{self, InjectionProcess, OpenLoopSpec};
+use ftdb_tests::model::{self, CycleModel};
 use ftdb_topology::DeBruijn2;
 
 /// One load of a scenario: pairs (or an open-loop schedule) routed through
@@ -45,18 +48,11 @@ struct Scenario {
     window: Option<OpenLoopSpec>,
 }
 
-fn config(
-    flow_control: FlowControl,
-    fault_response: FaultResponse,
-    engine: EngineKind,
-    route_source: RouteSource,
-) -> CongestionConfig {
+fn config(flow_control: FlowControl, fault_response: FaultResponse) -> CongestionConfig {
     CongestionConfig {
         max_cycles: 4_000,
         fault_response,
         flow_control,
-        engine,
-        route_source,
     }
 }
 
@@ -80,9 +76,7 @@ fn open_spec(offered_load: f64, seed: u64) -> OpenLoopSpec {
 }
 
 fn scenarios() -> Vec<Scenario> {
-    use EngineKind::{NaiveScan, WakeList};
     use FaultResponse::{Drop, RerouteAdaptive};
-    use RouteSource::{Implicit, Materialized};
     let id4 = || Embedding::identity(16);
     let id5 = || Embedding::identity(32);
     let perm = |h: usize, seed: u64| {
@@ -107,45 +101,45 @@ fn scenarios() -> Vec<Scenario> {
     let window_spec = open_spec(0.3, 17);
     vec![
         base(
-            "b4_perm_infinite_multi_wakelist",
+            "b4_perm_infinite_multi",
             4,
             PortModel::MultiPort,
-            config(FlowControl::Infinite, Drop, WakeList, Implicit),
+            config(FlowControl::Infinite, Drop),
             vec![Load::Pairs(id4(), perm(4, 1))],
         ),
         base(
-            "b4_uniform_infinite_single_naive_materialized",
+            "b4_uniform_infinite_single",
             4,
             PortModel::SinglePort,
-            config(FlowControl::Infinite, Drop, NaiveScan, Materialized),
+            config(FlowControl::Infinite, Drop),
             vec![Load::Pairs(id4(), uniform(4, 48, 2))],
         ),
         base(
-            "b5_uniform_credit1_single_materialized",
+            "b5_uniform_credit1_single",
             5,
             PortModel::SinglePort,
-            config(credit(1), Drop, WakeList, Materialized),
+            config(credit(1), Drop),
             vec![Load::Pairs(id5(), uniform(5, 96, 3))],
         ),
         base(
             "b4_hotspot_credit1_multi_deadlocks",
             4,
             PortModel::MultiPort,
-            config(credit(1), Drop, WakeList, Implicit),
+            config(credit(1), Drop),
             vec![Load::Pairs(id4(), workload::all_to_one(16, 5))],
         ),
         base(
-            "b4_hotspot_vc2_saf_single_naive",
+            "b4_hotspot_vc2_saf_single",
             4,
             PortModel::SinglePort,
-            config(vc(2, 1, saf), Drop, NaiveScan, Implicit),
+            config(vc(2, 1, saf), Drop),
             vec![Load::Pairs(id4(), workload::all_to_one(16, 9))],
         ),
         base(
             "b5_uniform_vc2_wormhole3_single",
             5,
             PortModel::SinglePort,
-            config(vc(2, 2, worm), Drop, WakeList, Implicit),
+            config(vc(2, 2, worm), Drop),
             vec![Load::Pairs(id5(), uniform(5, 80, 4))],
         ),
         Scenario {
@@ -154,17 +148,17 @@ fn scenarios() -> Vec<Scenario> {
                 "b5_node_kills_drop_credit2_single",
                 5,
                 PortModel::SinglePort,
-                config(credit(2), Drop, WakeList, Implicit),
+                config(credit(2), Drop),
                 vec![Load::Pairs(id5(), uniform(5, 96, 5))],
             )
         },
         Scenario {
             node_kills: vec![(1, 3), (3, 17), (3, 26)],
             ..base(
-                "b5_node_kills_reroute_vc2_wormhole3_multi_materialized",
+                "b5_node_kills_reroute_vc2_wormhole3_multi",
                 5,
                 PortModel::MultiPort,
-                config(vc(2, 2, worm), RerouteAdaptive, WakeList, Materialized),
+                config(vc(2, 2, worm), RerouteAdaptive),
                 vec![Load::Pairs(id5(), uniform(5, 96, 6))],
             )
         },
@@ -174,7 +168,7 @@ fn scenarios() -> Vec<Scenario> {
                 "b5_link_kills_drop_infinite_multi",
                 5,
                 PortModel::MultiPort,
-                config(FlowControl::Infinite, Drop, WakeList, Implicit),
+                config(FlowControl::Infinite, Drop),
                 vec![Load::Pairs(id5(), uniform(5, 96, 8))],
             )
         },
@@ -182,10 +176,10 @@ fn scenarios() -> Vec<Scenario> {
             link_kills: Some((1, 0.15, 9)),
             node_kills: vec![(3, 11)],
             ..base(
-                "b5_link_and_node_kills_reroute_credit1_single_naive",
+                "b5_link_and_node_kills_reroute_credit1_single",
                 5,
                 PortModel::SinglePort,
-                config(credit(1), RerouteAdaptive, NaiveScan, Implicit),
+                config(credit(1), RerouteAdaptive),
                 vec![Load::Pairs(id5(), uniform(5, 64, 10))],
             )
         },
@@ -193,7 +187,7 @@ fn scenarios() -> Vec<Scenario> {
             "b4_second_load_through_complement_placement",
             4,
             PortModel::MultiPort,
-            config(credit(2), Drop, WakeList, Implicit),
+            config(credit(2), Drop),
             vec![
                 Load::Pairs(id4(), perm(4, 11)),
                 Load::Timed(
@@ -209,7 +203,7 @@ fn scenarios() -> Vec<Scenario> {
                 "b5_open_loop_window_credit2_single",
                 5,
                 PortModel::SinglePort,
-                config(credit(2), RerouteAdaptive, WakeList, Implicit),
+                config(credit(2), RerouteAdaptive),
                 vec![Load::Timed(
                     id5(),
                     workload::open_loop_injections(32, &window_spec),
@@ -244,20 +238,59 @@ fn observe(sim: &mut ShardedSim, sc: &Scenario) -> (String, String) {
         None => sim.run_to_quiescence(),
     }
     text += &format!("{:?}", sim.report());
-    (text, encode_outcomes(sim))
+    let outcomes = encode_outcomes((0..sim.counts().0 as usize).map(|id| sim.packet_outcome(id)));
+    (text, outcomes)
 }
 
 /// Every packet as `inject:dCYCLE` (delivered), `inject:xCYCLE` (dropped)
 /// or `inject:-` (unresolved), space-separated in id order.
-fn encode_outcomes(sim: &ShardedSim) -> String {
-    (0..sim.counts().0 as usize)
-        .map(|id| match sim.packet_outcome(id) {
+fn encode_outcomes(outcomes: impl Iterator<Item = (u32, Option<u32>, Option<u32>)>) -> String {
+    outcomes
+        .map(|outcome| match outcome {
             (i, Some(d), _) => format!("{i}:d{d}"),
             (i, None, Some(x)) => format!("{i}:x{x}"),
             (i, None, None) => format!("{i}:-"),
         })
         .collect::<Vec<_>>()
         .join(" ")
+}
+
+/// Runs one scenario on the model, to the open-loop window's horizon where
+/// the scenario has one; returns the report text and the encoded outcomes.
+fn model_observe(sc: &Scenario) -> (String, String) {
+    let db = DeBruijn2::new(sc.h);
+    let machine = PhysicalMachine::new(db.graph().clone(), sc.port);
+    let mut model = CycleModel::new(machine, sc.config);
+    for load in &sc.loads {
+        match load {
+            Load::Pairs(placement, pairs) => model.load(&db, placement, pairs),
+            Load::Timed(placement, injections) => model.load_timed(&db, placement, injections),
+        }
+    }
+    for &(cycle, node) in &sc.node_kills {
+        model.schedule_fault(cycle, node);
+    }
+    if let Some((cycle, p, seed)) = sc.link_kills {
+        let links = LinkFaultSet::bernoulli(db.graph(), p, &mut ftdb_tests::seeded_rng(seed));
+        model.schedule_link_faults(cycle, &links);
+    }
+    model.run_until(sc.window.as_ref().map_or(u32::MAX, OpenLoopSpec::horizon));
+    let outcomes =
+        encode_outcomes((0..model.counts().0 as usize).map(|id| model.packet_outcome(id)));
+    (format!("{:?}", model.report()), outcomes)
+}
+
+#[test]
+fn the_model_reproduces_every_golden_output() {
+    for sc in &scenarios() {
+        let (want_report, want_outcomes) = golden(sc.name);
+        let (report, outcomes) = model_observe(sc);
+        // A window scenario's text leads with its `OpenLoopReport`, which
+        // `measure_open_loop` derives from these outcomes.
+        let want_report = want_report.lines().last().expect("a report line");
+        assert_eq!(report, want_report, "{}: report", sc.name);
+        assert_eq!(outcomes, want_outcomes, "{}: packet outcomes", sc.name);
+    }
 }
 
 fn golden(name: &str) -> (&'static str, &'static str) {
@@ -307,12 +340,13 @@ fn retired_engine_recovery_outcome_holds() {
     let config = config(
         FlowControl::CreditBased { buffer_depth: 2 },
         FaultResponse::RerouteAdaptive,
-        EngineKind::WakeList,
-        RouteSource::Implicit,
     );
     let outcome = run_recovery(&ft, &pairs, &[(3, 5)], PortModel::SinglePort, config)
         .expect("one fault is within the budget");
     assert_eq!(format!("{outcome:?}"), RECOVERY);
+    let model = model::run_recovery(&ft, &pairs, &[(3, 5)], PortModel::SinglePort, config)
+        .expect("one fault is within the budget");
+    assert_eq!(format!("{model:?}"), RECOVERY, "the model's recovery");
 }
 
 /// The single-table engine's recorded `RecoveryOutcome`.
@@ -322,17 +356,17 @@ const RECOVERY: &str = "RecoveryOutcome { report: CongestionReport { cycles: 12,
 /// single-table engine.
 const GOLDEN: &[(&str, &str, &str)] = &[
     (
-        "b4_perm_infinite_multi_wakelist",
+        "b4_perm_infinite_multi",
         "CongestionReport { cycles: 4, injected: 16, delivered: 16, dropped: 0, total_flits: 60, completed: true, deadlocked: false, vc_flits: [], vc_hol_blocked_cycles: [], latency: LatencySummary { count: 16, mean: 2.75, p50: 3, p95: 3, max: 3 } }",
         "0:d0 0:d3 0:d3 0:d3 0:d3 0:d3 0:d3 0:d3 0:d3 0:d3 0:d3 0:d3 0:d3 0:d3 0:d3 0:d2",
     ),
     (
-        "b4_uniform_infinite_single_naive_materialized",
+        "b4_uniform_infinite_single",
         "CongestionReport { cycles: 18, injected: 48, delivered: 48, dropped: 0, total_flits: 181, completed: true, deadlocked: false, vc_flits: [], vc_hol_blocked_cycles: [], latency: LatencySummary { count: 48, mean: 8.333333333333334, p50: 8, p95: 15, max: 17 } }",
         "0:d3 0:d3 0:d3 0:d3 0:d3 0:d4 0:d5 0:d4 0:d2 0:d5 0:d4 0:d6 0:d8 0:d7 0:d1 0:d6 0:d9 0:d6 0:d6 0:d4 0:d6 0:d8 0:d10 0:d9 0:d11 0:d9 0:d9 0:d12 0:d7 0:d11 0:d10 0:d11 0:d9 0:d7 0:d10 0:d12 0:d7 0:d15 0:d9 0:d12 0:d15 0:d15 0:d13 0:d14 0:d13 0:d13 0:d14 0:d17",
     ),
     (
-        "b5_uniform_credit1_single_materialized",
+        "b5_uniform_credit1_single",
         "CongestionReport { cycles: 13, injected: 96, delivered: 4, dropped: 0, total_flits: 120, completed: false, deadlocked: true, vc_flits: [], vc_hol_blocked_cycles: [], latency: LatencySummary { count: 4, mean: 4.25, p50: 4, p95: 5, max: 5 } }",
         "0:- 0:- 0:- 0:- 0:d5 0:- 0:- 0:- 0:- 0:- 0:- 0:- 0:- 0:- 0:- 0:- 0:- 0:- 0:- 0:- 0:- 0:- 0:- 0:- 0:- 0:- 0:- 0:- 0:- 0:- 0:- 0:- 0:d3 0:- 0:- 0:- 0:- 0:- 0:- 0:- 0:- 0:- 0:- 0:d5 0:- 0:- 0:- 0:- 0:- 0:- 0:- 0:- 0:- 0:- 0:- 0:- 0:- 0:- 0:- 0:- 0:- 0:- 0:- 0:- 0:- 0:- 0:- 0:- 0:- 0:- 0:- 0:- 0:- 0:- 0:- 0:- 0:- 0:- 0:- 0:- 0:- 0:- 0:- 0:- 0:- 0:- 0:- 0:- 0:d4 0:- 0:- 0:- 0:- 0:- 0:- 0:-",
     ),
@@ -342,7 +376,7 @@ const GOLDEN: &[(&str, &str, &str)] = &[
         "0:d3 0:- 0:- 0:- 0:- 0:- 0:- 0:- 0:- 0:- 0:- 0:- 0:- 0:- 0:- 0:-",
     ),
     (
-        "b4_hotspot_vc2_saf_single_naive",
+        "b4_hotspot_vc2_saf_single",
         "CongestionReport { cycles: 11, injected: 16, delivered: 16, dropped: 0, total_flits: 63, completed: true, deadlocked: false, vc_flits: [30, 33], vc_hol_blocked_cycles: [1, 48], latency: LatencySummary { count: 16, mean: 6.0, p50: 6, p95: 10, max: 10 } }",
         "0:d3 0:d3 0:d4 0:d4 0:d5 0:d5 0:d6 0:d6 0:d7 0:d7 0:d8 0:d8 0:d9 0:d9 0:d10 0:d2",
     ),
@@ -357,7 +391,7 @@ const GOLDEN: &[(&str, &str, &str)] = &[
         "0:d7 0:d0 0:d5 0:d6 0:d4 0:d4 0:d4 0:d4 0:d8 0:x5 0:d4 0:d5 0:d6 0:d4 0:d6 0:d5 0:d9 0:d10 0:d14 0:d5 0:d6 0:x4 0:d9 0:x7 0:d4 0:x7 0:d8 0:d12 0:d7 0:d9 0:d11 0:x2 0:x16 0:d12 0:d9 0:d11 0:x4 0:d13 0:x9 0:d6 0:d12 0:d12 0:d10 0:x4 0:d7 0:x7 0:d7 0:x14 0:d12 0:d14 0:d9 0:d12 0:d14 0:x15 0:d8 0:d15 0:d10 0:x13 0:d15 0:x2 0:x4 0:d13 0:d17 0:d17 0:d13 0:x2 0:d12 0:x15 0:x2 0:d11 0:d17 0:d18 0:d20 0:d18 0:d20 0:d15 0:x4 0:x2 0:d21 0:d19 0:x17 0:d19 0:d21 0:x2 0:d15 0:d24 0:x23 0:d20 0:d20 0:d22 0:d20 0:d25 0:d15 0:d19 0:d24 0:x18",
     ),
     (
-        "b5_node_kills_reroute_vc2_wormhole3_multi_materialized",
+        "b5_node_kills_reroute_vc2_wormhole3_multi",
         "CongestionReport { cycles: 46, injected: 96, delivered: 85, dropped: 11, total_flits: 1311, completed: true, deadlocked: false, vc_flits: [546, 765], vc_hol_blocked_cycles: [794, 607], latency: LatencySummary { count: 85, mean: 19.176470588235293, p50: 17, p95: 39, max: 45 } }",
         "0:d9 0:d10 0:d7 0:d9 0:d10 0:d9 0:d12 0:d5 0:x7 0:x3 0:d12 0:d6 0:d14 0:d7 0:d10 0:d9 0:d12 0:d7 0:d13 0:d9 0:d16 0:d15 0:x3 0:d13 0:d16 0:d15 0:d9 0:d9 0:x16 0:d5 0:d18 0:x1 0:d12 0:d19 0:d10 0:d15 0:d15 0:d15 0:d23 0:d18 0:d15 0:d7 0:d23 0:d22 0:d21 0:d19 0:d7 0:d22 0:d6 0:x1 0:d13 0:d21 0:x16 0:d24 0:d23 0:d19 0:x27 0:x29 0:d27 0:x20 0:d10 0:d13 0:d31 0:d16 0:d12 0:d30 0:d38 0:d26 0:d24 0:d30 0:d20 0:d38 0:x13 0:d17 0:d18 0:d34 0:d22 0:d19 0:d20 0:d27 0:d31 0:d16 0:d41 0:d37 0:d21 0:d45 0:d41 0:d15 0:d28 0:d27 0:d29 0:d43 0:d33 0:d39 0:d32 0:d25",
     ),
@@ -367,7 +401,7 @@ const GOLDEN: &[(&str, &str, &str)] = &[
         "0:x4 0:d4 0:x3 0:x2 0:x2 0:d4 0:d4 0:x5 0:x2 0:d5 0:x2 0:d5 0:d5 0:d4 0:d4 0:x4 0:x2 0:d5 0:x2 0:d2 0:d5 0:x3 0:x2 0:x2 0:x3 0:d4 0:x4 0:x3 0:x5 0:d3 0:x5 0:x4 0:x4 0:d6 0:x6 0:d5 0:x3 0:x2 0:d8 0:x7 0:x3 0:d6 0:d6 0:x2 0:d7 0:x2 0:d8 0:d7 0:x6 0:d4 0:d8 0:d5 0:d7 0:x9 0:x4 0:x2 0:x2 0:d6 0:d8 0:x2 0:x3 0:d7 0:x2 0:d10 0:d7 0:x5 0:d9 0:d7 0:x10 0:x2 0:d11 0:x6 0:d4 0:x2 0:x8 0:x11 0:x4 0:d11 0:x12 0:d7 0:x13 0:x2 0:x10 0:x6 0:x10 0:x2 0:x2 0:d14 0:d0 0:d10 0:d10 0:x7 0:x6 0:x5 0:x7 0:x2",
     ),
     (
-        "b5_link_and_node_kills_reroute_credit1_single_naive",
+        "b5_link_and_node_kills_reroute_credit1_single",
         "CongestionReport { cycles: 13, injected: 64, delivered: 12, dropped: 2, total_flits: 124, completed: false, deadlocked: true, vc_flits: [], vc_hol_blocked_cycles: [], latency: LatencySummary { count: 12, mean: 6.583333333333333, p50: 6, p95: 11, max: 11 } }",
         "0:- 0:- 0:- 0:- 0:- 0:- 0:- 0:- 0:- 0:- 0:- 0:- 0:d8 0:d9 0:- 0:- 0:d7 0:- 0:d6 0:d4 0:- 0:- 0:- 0:- 0:- 0:- 0:- 0:- 0:- 0:- 0:- 0:- 0:- 0:- 0:x1 0:- 0:- 0:- 0:d8 0:- 0:- 0:- 0:- 0:d6 0:d6 0:- 0:- 0:x3 0:d4 0:- 0:- 0:- 0:- 0:- 0:- 0:- 0:- 0:d11 0:d4 0:- 0:d6 0:- 0:- 0:-",
     ),

@@ -3,11 +3,13 @@
 //! * killing every CSR slot incident to a node is report-identical to
 //!   killing the node itself (for traffic injected before the kill), under
 //!   both [`FaultResponse`] modes and bounded-buffer flow control;
-//! * the wake-list engine, the naive rescan and the sharded engine agree
-//!   byte-for-byte on workloads with mid-run link kills;
+//! * the engine at shards {1, 2, 4} agrees with the reference model of the
+//!   cycle rules ([`CycleModel`]) on every report field, every packet's
+//!   outcome and every step's events through mid-run link bursts, and
+//!   every shard and thread count agrees with the single-table engine;
 //! * credit/VC conservation holds through a mid-run correlated link burst,
-//!   checked every cycle, for both engines x both fault responses x all
-//!   three flow-control modes;
+//!   checked every cycle, for both fault responses x all three
+//!   flow-control modes;
 //! * delivery under Bernoulli link faults is monotone non-increasing in
 //!   the fault probability `p` (coupled coin flips make the fault sets
 //!   nested, so the property holds per packet, not just in aggregate).
@@ -15,11 +17,12 @@
 use ftdb_core::LinkFaultSet;
 use ftdb_graph::Embedding;
 use ftdb_sim::congestion::{
-    CongestionConfig, CongestionReport, CongestionSim, EngineKind, FaultResponse, FlowControl,
-    RouteSource, ShardedSim, Switching,
+    CongestionConfig, CongestionReport, CycleEvents, FaultResponse, FlowControl, ShardedSim,
+    Switching,
 };
 use ftdb_sim::machine::{PhysicalMachine, PortModel};
 use ftdb_sim::workload;
+use ftdb_tests::model::CycleModel;
 use ftdb_topology::DeBruijn2;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -27,26 +30,37 @@ use rand::SeedableRng;
 
 const MAX_CYCLES: u32 = 5_000;
 
-fn config(engine: EngineKind, flow: FlowControl, response: FaultResponse) -> CongestionConfig {
+fn config(flow: FlowControl, response: FaultResponse) -> CongestionConfig {
     CongestionConfig {
         flow_control: flow,
         fault_response: response,
-        engine,
-        route_source: RouteSource::Implicit,
         max_cycles: MAX_CYCLES,
     }
 }
 
-/// Builds a loaded single-table engine over `B(2,h)` with a random
-/// permutation workload injected at cycle 0.
-fn loaded_sim(h: usize, cfg: CongestionConfig, seed: u64) -> (DeBruijn2, CongestionSim) {
+/// The machine and the random permutation workload, injected at cycle 0,
+/// of every run here.
+fn workload_of(h: usize, seed: u64) -> (DeBruijn2, PhysicalMachine, Vec<(usize, usize)>) {
     let db = DeBruijn2::new(h);
     let machine = PhysicalMachine::new(db.graph().clone(), PortModel::MultiPort);
-    let mut sim = CongestionSim::new(machine, cfg);
     let mut rng = StdRng::seed_from_u64(seed);
     let pairs = workload::permutation_pairs(db.node_count(), &mut rng);
+    (db, machine, pairs)
+}
+
+/// Builds an engine of `shards` shards and `threads` workers over `B(2,h)`,
+/// loaded with the permutation workload of `seed`.
+fn loaded_sim(
+    h: usize,
+    cfg: CongestionConfig,
+    seed: u64,
+    shards: usize,
+    threads: usize,
+) -> ShardedSim {
+    let (db, machine, pairs) = workload_of(h, seed);
+    let mut sim = ShardedSim::new(machine, cfg, shards, threads);
     sim.load_oblivious(&db, &Embedding::identity(db.node_count()), &pairs);
-    (db, sim)
+    sim
 }
 
 /// One finished run: the report, its `Debug` text, and every packet's
@@ -58,7 +72,7 @@ type Observed = (
 );
 
 /// Everything observable about one finished run.
-fn observe(sim: &mut CongestionSim) -> Observed {
+fn observe(sim: &mut ShardedSim) -> Observed {
     let report = sim.report();
     let text = format!("{report:?}");
     let outcomes = (0..sim.counts().0 as usize)
@@ -108,31 +122,29 @@ fn assert_report_fields_equal(a: &CongestionReport, b: &CongestionReport, what: 
 /// exactly when they would have hit the dead node, so every drop, every
 /// re-route BFS and every cycle stamp coincides.
 fn assert_node_kill_equals_incident_links(flow: FlowControl, response: FaultResponse) {
-    for engine in [EngineKind::WakeList, EngineKind::NaiveScan] {
-        for (seed, victim, kill_cycle) in [(0x51u64, 11usize, 2u32), (0x52, 30, 4), (0x53, 5, 1)] {
-            let (_, mut by_node) = loaded_sim(5, config(engine, flow, response), seed);
-            by_node.schedule_fault(kill_cycle, victim).unwrap();
-            by_node.run_to_quiescence();
-            by_node
-                .check_credit_conservation()
-                .expect("conservation after node kill");
-            let (nr, nt, no) = observe(&mut by_node);
+    for (seed, victim, kill_cycle) in [(0x51u64, 11usize, 2u32), (0x52, 30, 4), (0x53, 5, 1)] {
+        let mut by_node = loaded_sim(5, config(flow, response), seed, 1, 1);
+        by_node.schedule_fault(kill_cycle, victim).unwrap();
+        by_node.run_to_quiescence();
+        by_node
+            .check_credit_conservation()
+            .expect("conservation after node kill");
+        let (nr, nt, no) = observe(&mut by_node);
 
-            let (_, mut by_links) = loaded_sim(5, config(engine, flow, response), seed);
-            let faults = LinkFaultSet::node_fault(by_links.machine().graph(), victim)
-                .expect("victim in range");
-            by_links.schedule_link_faults(kill_cycle, &faults).unwrap();
-            by_links.run_to_quiescence();
-            by_links
-                .check_credit_conservation()
-                .expect("conservation after incident-link kill");
-            let (lr, lt, lo) = observe(&mut by_links);
+        let mut by_links = loaded_sim(5, config(flow, response), seed, 1, 1);
+        let faults =
+            LinkFaultSet::node_fault(by_links.machine().graph(), victim).expect("victim in range");
+        by_links.schedule_link_faults(kill_cycle, &faults).unwrap();
+        by_links.run_to_quiescence();
+        by_links
+            .check_credit_conservation()
+            .expect("conservation after incident-link kill");
+        let (lr, lt, lo) = observe(&mut by_links);
 
-            let what = format!("{engine:?}/{flow:?}/{response:?} victim {victim}");
-            assert_report_fields_equal(&nr, &lr, &what);
-            assert_eq!(nt, lt, "{what}: report text diverged");
-            assert_eq!(no, lo, "{what}: per-packet outcome stamps diverged");
-        }
+        let what = format!("{flow:?}/{response:?} victim {victim}");
+        assert_report_fields_equal(&nr, &lr, &what);
+        assert_eq!(nt, lt, "{what}: report text diverged");
+        assert_eq!(no, lo, "{what}: per-packet outcome stamps diverged");
     }
 }
 
@@ -169,20 +181,22 @@ fn node_kill_equals_incident_link_kills_under_virtual_channels() {
 // ---------------------------------------------------------------------------
 
 /// A correlated burst: every directed link incident to the label-prefix
-/// ball around `center` of the given radius.
-fn burst_set(sim: &CongestionSim, center: usize, radius_bits: u32) -> LinkFaultSet {
-    LinkFaultSet::burst(sim.machine().graph(), center, radius_bits).expect("center in range")
+/// ball of radius 2 around node 12.
+fn burst_set(graph: &ftdb_graph::Graph) -> LinkFaultSet {
+    LinkFaultSet::burst(graph, 12, 2).expect("center in range")
 }
 
+/// The burst workload run to quiescence by an engine of `shards` shards and
+/// `threads` workers.
 fn run_with_burst(
-    engine: EngineKind,
-    flow: FlowControl,
-    response: FaultResponse,
+    cfg: CongestionConfig,
     seed: u64,
     kill_cycle: u32,
+    shards: usize,
+    threads: usize,
 ) -> Observed {
-    let (_, mut sim) = loaded_sim(5, config(engine, flow, response), seed);
-    let faults = burst_set(&sim, 12, 2);
+    let mut sim = loaded_sim(5, cfg, seed, shards, threads);
+    let faults = burst_set(sim.machine().graph());
     sim.schedule_link_faults(kill_cycle, &faults).unwrap();
     sim.run_to_quiescence();
     sim.check_credit_conservation()
@@ -190,8 +204,29 @@ fn run_with_burst(
     observe(&mut sim)
 }
 
+/// The burst workload run by the model: every step's events and the
+/// outcome.
+fn model_with_burst(
+    cfg: CongestionConfig,
+    seed: u64,
+    kill_cycle: u32,
+) -> (Vec<CycleEvents>, Observed) {
+    let (db, machine, pairs) = workload_of(5, seed);
+    let faults = burst_set(machine.graph());
+    let mut model = CycleModel::new(machine, cfg);
+    model.load(&db, &Embedding::identity(db.node_count()), &pairs);
+    model.schedule_link_faults(kill_cycle, &faults);
+    let steps = model.run_until(u32::MAX);
+    let report = model.report();
+    let text = format!("{report:?}");
+    let outcomes = (0..model.counts().0 as usize)
+        .map(|id| model.packet_outcome(id))
+        .collect();
+    (steps, (report, text, outcomes))
+}
+
 #[test]
-fn wake_list_matches_naive_scan_through_link_bursts() {
+fn engine_matches_the_model_through_link_bursts() {
     for flow in [
         FlowControl::Infinite,
         FlowControl::CreditBased { buffer_depth: 1 },
@@ -203,12 +238,21 @@ fn wake_list_matches_naive_scan_through_link_bursts() {
     ] {
         for response in [FaultResponse::Drop, FaultResponse::RerouteAdaptive] {
             for (seed, kill_cycle) in [(0xB1u64, 1u32), (0xB2, 3), (0xB3, 7)] {
-                let wake = run_with_burst(EngineKind::WakeList, flow, response, seed, kill_cycle);
-                let naive = run_with_burst(EngineKind::NaiveScan, flow, response, seed, kill_cycle);
-                let what = format!("{flow:?}/{response:?}/seed {seed:#x}");
-                assert_report_fields_equal(&wake.0, &naive.0, &what);
-                assert_eq!(wake.1, naive.1, "{what}: report text diverged");
-                assert_eq!(wake.2, naive.2, "{what}: outcome stamps diverged");
+                let cfg = config(flow, response);
+                let (steps, want) = model_with_burst(cfg, seed, kill_cycle);
+                for shards in [1usize, 2, 4] {
+                    let what = format!("{flow:?}/{response:?}/seed {seed:#x} shards={shards}");
+                    let mut sim = loaded_sim(5, cfg, seed, shards, 1);
+                    let faults = burst_set(sim.machine().graph());
+                    sim.schedule_link_faults(kill_cycle, &faults).unwrap();
+                    for event in &steps {
+                        assert_eq!(sim.step(), *event, "{what}: cycle events diverged");
+                    }
+                    let got = run_with_burst(cfg, seed, kill_cycle, shards, 1);
+                    assert_report_fields_equal(&got.0, &want.0, &what);
+                    assert_eq!(got.1, want.1, "{what}: report text diverged");
+                    assert_eq!(got.2, want.2, "{what}: outcome stamps diverged");
+                }
             }
         }
     }
@@ -221,40 +265,14 @@ fn sharded_engine_matches_single_table_through_link_bursts() {
         FlowControl::Infinite,
         FlowControl::CreditBased { buffer_depth: 2 },
     ] {
-        let single = run_with_burst(EngineKind::WakeList, flow, response, 0xD1, 2);
-        for (shards, threads) in [
-            (1usize, 1usize),
-            (2, 1),
-            (4, 1),
-            (4, 2),
-            (3, 2),
-            (4, 3),
-            (2, 4),
-        ] {
-            let db = DeBruijn2::new(5);
-            let machine = PhysicalMachine::new(db.graph().clone(), PortModel::MultiPort);
-            let mut sim = ShardedSim::new(
-                machine,
-                config(EngineKind::WakeList, flow, response),
-                shards,
-                threads,
-            );
-            let mut rng = StdRng::seed_from_u64(0xD1);
-            let pairs = workload::permutation_pairs(db.node_count(), &mut rng);
-            sim.load_oblivious(&db, &Embedding::identity(db.node_count()), &pairs);
-            let faults =
-                LinkFaultSet::burst(sim.machine().graph(), 12, 2).expect("center in range");
-            sim.schedule_link_faults(2, &faults).unwrap();
-            sim.run_to_quiescence();
-            let report = sim.report();
-            let text = format!("{report:?}");
-            let outcomes: Vec<_> = (0..sim.counts().0 as usize)
-                .map(|id| sim.packet_outcome(id))
-                .collect();
+        let cfg = config(flow, response);
+        let single = run_with_burst(cfg, 0xD1, 2, 1, 1);
+        for (shards, threads) in [(2usize, 1usize), (4, 1), (4, 2), (3, 2), (4, 3), (2, 4)] {
+            let got = run_with_burst(cfg, 0xD1, 2, shards, threads);
             let what = format!("{flow:?} shards={shards} threads={threads}");
-            assert_report_fields_equal(&single.0, &report, &what);
-            assert_eq!(single.1, text, "{what}: report text diverged");
-            assert_eq!(single.2, outcomes, "{what}: outcome stamps diverged");
+            assert_report_fields_equal(&single.0, &got.0, &what);
+            assert_eq!(single.1, got.1, "{what}: report text diverged");
+            assert_eq!(single.2, got.2, "{what}: outcome stamps diverged");
         }
     }
 }
@@ -265,49 +283,41 @@ fn sharded_engine_matches_single_table_through_link_bursts() {
 
 #[test]
 fn credit_conservation_holds_every_cycle_through_link_bursts() {
-    for engine in [EngineKind::WakeList, EngineKind::NaiveScan] {
-        for flow in [
-            FlowControl::CreditBased { buffer_depth: 2 },
-            FlowControl::VirtualChannel {
-                vcs: 2,
-                buffer_depth: 2,
-                switching: Switching::StoreAndForward,
-            },
-            FlowControl::VirtualChannel {
-                vcs: 2,
-                buffer_depth: 2,
-                switching: Switching::Wormhole { packet_flits: 3 },
-            },
-        ] {
-            for response in [FaultResponse::Drop, FaultResponse::RerouteAdaptive] {
-                let (_, mut sim) = loaded_sim(5, config(engine, flow, response), 0xC0);
-                let faults = burst_set(&sim, 21, 2);
-                sim.schedule_link_faults(3, &faults).unwrap();
-                // A second, single-link wave later in the drain.
-                let graph = sim.machine().graph();
-                let first_slot = LinkFaultSet::endpoints(graph, 0);
-                let single =
-                    LinkFaultSet::from_links(graph, [first_slot]).expect("slot 0 is a link");
-                sim.schedule_link_faults(9, &single).unwrap();
-                let mut cycles = 0u32;
-                loop {
-                    let events = sim.step();
-                    sim.check_credit_conservation().unwrap_or_else(|msg| {
-                        panic!(
-                            "{engine:?}/{flow:?}/{response:?} cycle {}: {msg}",
-                            events.cycle
-                        )
-                    });
-                    cycles += 1;
-                    if events.is_idle() || cycles > MAX_CYCLES {
-                        break;
-                    }
+    for flow in [
+        FlowControl::CreditBased { buffer_depth: 2 },
+        FlowControl::VirtualChannel {
+            vcs: 2,
+            buffer_depth: 2,
+            switching: Switching::StoreAndForward,
+        },
+        FlowControl::VirtualChannel {
+            vcs: 2,
+            buffer_depth: 2,
+            switching: Switching::Wormhole { packet_flits: 3 },
+        },
+    ] {
+        for response in [FaultResponse::Drop, FaultResponse::RerouteAdaptive] {
+            let mut sim = loaded_sim(5, config(flow, response), 0xC0, 1, 1);
+            let faults =
+                LinkFaultSet::burst(sim.machine().graph(), 21, 2).expect("center in range");
+            sim.schedule_link_faults(3, &faults).unwrap();
+            // A second, single-link wave later in the drain.
+            let graph = sim.machine().graph();
+            let first_slot = LinkFaultSet::endpoints(graph, 0);
+            let single = LinkFaultSet::from_links(graph, [first_slot]).expect("slot 0 is a link");
+            sim.schedule_link_faults(9, &single).unwrap();
+            let mut cycles = 0u32;
+            loop {
+                let events = sim.step();
+                sim.check_credit_conservation().unwrap_or_else(|msg| {
+                    panic!("{flow:?}/{response:?} cycle {}: {msg}", events.cycle)
+                });
+                cycles += 1;
+                if events.is_idle() || cycles > MAX_CYCLES {
+                    break;
                 }
-                assert!(
-                    cycles <= MAX_CYCLES,
-                    "{engine:?}/{flow:?}/{response:?} never drained"
-                );
             }
+            assert!(cycles <= MAX_CYCLES, "{flow:?}/{response:?} never drained");
         }
     }
 }
@@ -328,10 +338,12 @@ proptest! {
         let grid = [0.0f64, 0.02, 0.05, 0.1, 0.25, 0.6];
         let mut prev: Option<Vec<bool>> = None;
         for &p in &grid {
-            let (_, mut sim) = loaded_sim(
+            let mut sim = loaded_sim(
                 5,
-                config(EngineKind::WakeList, FlowControl::Infinite, FaultResponse::Drop),
+                config(FlowControl::Infinite, FaultResponse::Drop),
                 seed,
+                1,
+                1,
             );
             let mut rng = StdRng::seed_from_u64(seed ^ 0xFA_17);
             let faults = LinkFaultSet::bernoulli(sim.machine().graph(), p, &mut rng);

@@ -1,31 +1,28 @@
-//! Differential property test: the event-driven wake-list congestion core
-//! against the retained naive full-rescan reference.
+//! Differential property suite: the congestion engine against
+//! [`CycleModel`], the reference model of its cycle rules written from
+//! `docs/CONGESTION.md` (`tests/model.rs`).
 //!
-//! The wake-list engine (`EngineKind::WakeList`, the default) is a
-//! reorganisation of the same cycle semantics — a packet that provably
-//! cannot move parks on its link slot's blocked queue instead of being
-//! rescanned — so for ANY workload, fault schedule, port model and
-//! flow-control mode it must produce results that are byte-identical to the
-//! naive scan (`EngineKind::NaiveScan`): the same `CongestionReport`
-//! (including `deadlocked`, `total_flits` and the latency distribution)
-//! and the same per-packet outcome stamps.
-//!
-//! The same suite pins the route sources (implicit against materialized)
-//! and every shard count against the single-table engine (the one-shard
-//! kernel), on identity loads and on placed ones: a reconfigured
-//! `B^k(2,h)` host and a non-injective fold. Sharded runs also check
-//! credit conservation between run chunks, while packets sit in buffers
-//! that another shard owns.
+//! The engine is a wake-list kernel with implicit O(1) route state, timed
+//! credit and claim-expiry FIFOs and any number of shards; the model is a
+//! plain loop over every live packet in id order with materialized paths
+//! and per-link counters. For any machine, placement, workload, kill
+//! schedule, port model and flow-control mode the two must agree on every
+//! `CongestionReport` field, every packet's outcome stamps and every
+//! step's `CycleEvents`, at shards {1, 2, 4} and at several thread counts.
+//! The engine also checks credit conservation after every step and
+//! between `run_until` chunks, while packets sit in buffers that another
+//! shard owns.
 
 use ftdb_analysis::sim_experiments::{sim5_load_sweep, SweepScenario};
-use ftdb_core::{FaultSet, FtDeBruijn2};
+use ftdb_core::{FaultSet, FtDeBruijn2, LinkFaultSet};
 use ftdb_graph::{Embedding, Graph};
 use ftdb_sim::congestion::{
-    measure_open_loop, CongestionConfig, CongestionReport, CongestionSim, EngineKind,
-    FaultResponse, FlowControl, RouteSource, ShardedSim, Switching,
+    measure_open_loop, run_recovery, CongestionConfig, CongestionReport, CycleEvents,
+    FaultResponse, FlowControl, ShardedSim, Switching,
 };
 use ftdb_sim::machine::{PhysicalMachine, PortModel};
 use ftdb_sim::workload::{self, InjectionProcess, OpenLoopSpec};
+use ftdb_tests::model::{self, CycleModel};
 use ftdb_topology::DeBruijn2;
 use proptest::prelude::*;
 use rand::RngExt;
@@ -39,87 +36,207 @@ struct RunOutcome {
     outcomes: Vec<(u32, Option<u32>, Option<u32>)>,
 }
 
-/// One engine configuration of a differential run.
-#[derive(Clone, Copy, Debug)]
-struct Kernel {
-    engine: EngineKind,
-    route_source: RouteSource,
-    shards: usize,
-    threads: usize,
-}
-
-/// The reference: the single-table engine, wake lists, implicit routes.
-const REFERENCE: Kernel = Kernel {
-    engine: EngineKind::WakeList,
-    route_source: RouteSource::Implicit,
-    shards: 1,
-    threads: 1,
-};
-
-/// Builds, loads through `placement`, faults and drains one engine,
-/// collecting every observable output. The run advances in short
-/// `run_until` chunks (the entry point the sweep drivers use, deadlock
-/// detection included) and checks credit conservation after each.
-#[allow(clippy::too_many_arguments)]
-fn drive(
-    kernel: Kernel,
+/// One workload on one machine: what the engine and the model both run.
+struct Workload<'a> {
     h: usize,
-    machine: &PhysicalMachine,
-    placement: &Embedding,
+    machine: &'a PhysicalMachine,
+    placement: &'a Embedding,
     flow: FlowControl,
     response: FaultResponse,
-    pairs: &[(usize, usize)],
-    schedule: &[(u32, usize)],
-    timed: Option<&[(u32, usize, usize)]>,
-) -> RunOutcome {
-    let db = DeBruijn2::new(h);
-    let config = CongestionConfig {
-        flow_control: flow,
-        fault_response: response,
-        engine: kernel.engine,
-        route_source: kernel.route_source,
-        // Small cap so pathological schedules still finish fast; identical
-        // caps on every engine keep truncated runs comparable too.
-        max_cycles: 5_000,
-    };
-    let mut sim = ShardedSim::new(machine.clone(), config, kernel.shards, kernel.threads);
-    match timed {
-        Some(injections) => sim.load_oblivious_timed(&db, placement, injections),
-        None => sim.load_oblivious(&db, placement, pairs),
-    }
-    for &(cycle, node) in schedule {
-        sim.schedule_fault(cycle, node).unwrap();
-    }
-    loop {
-        let before = sim.cycle();
-        sim.run_until(before + 8);
-        sim.check_credit_conservation()
-            .unwrap_or_else(|msg| panic!("{kernel:?} at cycle {}: {msg}", sim.cycle()));
-        if sim.cycle() < before + 8 || sim.deadlocked() {
-            break;
+    pairs: &'a [(usize, usize)],
+    /// An open-loop schedule, loaded instead of `pairs`.
+    timed: Option<&'a [(u32, usize, usize)]>,
+    node_kills: &'a [(u32, usize)],
+    link_kills: &'a [(u32, LinkFaultSet)],
+}
+
+impl Workload<'_> {
+    fn config(&self) -> CongestionConfig {
+        CongestionConfig {
+            flow_control: self.flow,
+            fault_response: self.response,
+            // Small cap so pathological schedules still finish fast; the
+            // same cap on both sides keeps truncated runs comparable too.
+            max_cycles: 5_000,
         }
     }
-    let report = sim.report();
-    // Reports have no serialised form, so "byte-identical" is pinned on the
-    // deterministic Debug rendering of the full report.
-    let report_text = format!("{report:?}");
-    let outcomes = (0..sim.counts().0 as usize)
-        .map(|id| sim.packet_outcome(id))
-        .collect();
-    RunOutcome {
-        report,
-        report_text,
-        counts: sim.counts(),
-        outcomes,
+
+    fn describe(&self) -> String {
+        format!(
+            "h={}, {:?}, {:?}, {:?}, {} pairs, timed={}, node kills {:?}, link kills at {:?}",
+            self.h,
+            self.machine.port_model(),
+            self.flow,
+            self.response,
+            self.pairs.len(),
+            self.timed.is_some(),
+            self.node_kills,
+            self.link_kills.iter().map(|k| k.0).collect::<Vec<_>>(),
+        )
     }
+
+    fn load_engine(&self, sim: &mut ShardedSim) {
+        let db = DeBruijn2::new(self.h);
+        match self.timed {
+            Some(injections) => sim.load_oblivious_timed(&db, self.placement, injections),
+            None => sim.load_oblivious(&db, self.placement, self.pairs),
+        }
+        for &(cycle, node) in self.node_kills {
+            sim.schedule_fault(cycle, node).unwrap();
+        }
+        for (cycle, links) in self.link_kills {
+            sim.schedule_link_faults(*cycle, links).unwrap();
+        }
+    }
+
+    fn load_model(&self, model: &mut CycleModel) {
+        let db = DeBruijn2::new(self.h);
+        match self.timed {
+            Some(injections) => model.load_timed(&db, self.placement, injections),
+            None => model.load(&db, self.placement, self.pairs),
+        }
+        for &(cycle, node) in self.node_kills {
+            model.schedule_fault(cycle, node);
+        }
+        for (cycle, links) in self.link_kills {
+            model.schedule_link_faults(*cycle, links);
+        }
+    }
+
+    /// The model's run to the end: every step's events and the outcome.
+    fn model_run(&self) -> (Vec<CycleEvents>, RunOutcome) {
+        let mut model = CycleModel::new(self.machine.clone(), self.config());
+        self.load_model(&mut model);
+        let steps = model.run_until(u32::MAX);
+        let report = model.report();
+        let outcome = RunOutcome {
+            report_text: format!("{report:?}"),
+            report,
+            counts: model.counts(),
+            outcomes: (0..model.counts().0 as usize)
+                .map(|id| model.packet_outcome(id))
+                .collect(),
+        };
+        (steps, outcome)
+    }
+
+    /// Steps an engine through the model's cycles, comparing each step's
+    /// events and checking credit conservation after every one.
+    fn engine_steps_match(&self, steps: &[CycleEvents], shards: usize, threads: usize) {
+        let mut sim = ShardedSim::new(self.machine.clone(), self.config(), shards, threads);
+        self.load_engine(&mut sim);
+        let what = format!("shards={shards} threads={threads} ({})", self.describe());
+        for want in steps {
+            assert_eq!(sim.step(), *want, "cycle events diverged: {what}");
+            sim.check_credit_conservation()
+                .unwrap_or_else(|msg| panic!("cycle {}: {msg} ({what})", want.cycle));
+        }
+    }
+
+    /// Drains an engine in short `run_until` chunks (the entry point the
+    /// open-loop sweeps use, stop rule included), checking credit
+    /// conservation after each, and collects every observable output.
+    fn engine_run(&self, shards: usize, threads: usize) -> RunOutcome {
+        let mut sim = ShardedSim::new(self.machine.clone(), self.config(), shards, threads);
+        self.load_engine(&mut sim);
+        loop {
+            let before = sim.cycle();
+            sim.run_until(before + 8);
+            sim.check_credit_conservation().unwrap_or_else(|msg| {
+                panic!(
+                    "shards={shards} cycle {}: {msg} ({})",
+                    sim.cycle(),
+                    self.describe()
+                )
+            });
+            if sim.cycle() < before + 8 || sim.deadlocked() {
+                break;
+            }
+        }
+        let report = sim.report();
+        RunOutcome {
+            // Reports have no serialised form, so "byte-identical" is
+            // pinned on the deterministic Debug rendering.
+            report_text: format!("{report:?}"),
+            report,
+            counts: sim.counts(),
+            outcomes: (0..sim.counts().0 as usize)
+                .map(|id| sim.packet_outcome(id))
+                .collect(),
+        }
+    }
+}
+
+/// The engine against the model on one workload: every step's events at
+/// shards {1, 2, 4}, and the full outcome at shards {1, 2, 3, 4} with one
+/// worker and with several. Returns the model's outcome.
+fn assert_engine_matches_model(w: &Workload<'_>) -> RunOutcome {
+    let (steps, want) = w.model_run();
+    for (shards, threads) in [(1usize, 1usize), (2, 1), (4, 2)] {
+        w.engine_steps_match(&steps, shards, threads);
+    }
+    for (shards, threads) in [(1usize, 1usize), (2, 2), (4, 1), (3, 2)] {
+        let got = w.engine_run(shards, threads);
+        assert_report_fields_equal(&got.report, &want.report);
+        assert_eq!(
+            got,
+            want,
+            "shards={shards} threads={threads} ({})",
+            w.describe()
+        );
+    }
+    // Unbounded buffers cannot deadlock, mid-run re-routes included.
+    if w.flow == FlowControl::Infinite {
+        assert!(
+            !want.report.deadlocked,
+            "deadlock under unbounded buffers ({})",
+            w.describe()
+        );
+    }
+    want
+}
+
+/// Field-by-field equality over every public `CongestionReport` field,
+/// with the field's name in the failure message. The destructuring is
+/// exhaustive (no `..`), so adding a report field fails to compile here
+/// until it is compared — and `ftdb-analyzer`'s `diff-coverage` audit
+/// cross-checks the struct definition against this file, so the field
+/// cannot be waved through with a `..` either.
+fn assert_report_fields_equal(engine: &CongestionReport, model: &CongestionReport) {
+    let CongestionReport {
+        cycles,
+        injected,
+        delivered,
+        dropped,
+        total_flits,
+        completed,
+        deadlocked,
+        vc_flits,
+        vc_hol_blocked_cycles,
+        latency,
+    } = engine;
+    assert_eq!(*cycles, model.cycles, "cycles diverged");
+    assert_eq!(*injected, model.injected, "injected diverged");
+    assert_eq!(*delivered, model.delivered, "delivered diverged");
+    assert_eq!(*dropped, model.dropped, "dropped diverged");
+    assert_eq!(*total_flits, model.total_flits, "total_flits diverged");
+    assert_eq!(*completed, model.completed, "completed diverged");
+    assert_eq!(*deadlocked, model.deadlocked, "deadlocked diverged");
+    assert_eq!(*vc_flits, model.vc_flits, "vc_flits diverged");
+    assert_eq!(
+        *vc_hol_blocked_cycles, model.vc_hol_blocked_cycles,
+        "vc_hol_blocked_cycles diverged"
+    );
+    assert_eq!(*latency, model.latency, "latency summary diverged");
 }
 
 /// Static damage to the machine a run loads onto. Each kind sends the
-/// oblivious loaders down a different validation tier, decided once per
-/// load: the healthy graph earns `Full` (endpoint checks only), static node
-/// faults on placement images `Health` (a health check per hop), and
-/// missing shift links `Checked` (the full per-hop walk). Packets whose
-/// routes the damage breaks drop at load.
+/// engine's oblivious loader down a different validation tier, decided
+/// once per load: the healthy graph earns `Full` (endpoint checks only),
+/// static node faults on placement images `Health` (a health check per
+/// hop), and missing shift links `Checked` (the full per-hop walk). The
+/// model walks every route, so it is the per-packet reference for all
+/// three. Packets whose routes the damage breaks drop at load.
 #[derive(Clone, Copy, Debug)]
 enum Damage {
     None,
@@ -169,8 +286,8 @@ fn machine_of(h: usize, port: PortModel, damage: Damage) -> PhysicalMachine {
 }
 
 /// A placed load: the logical `B(2,h)` routes through a placement that is
-/// not the identity, so both implicit engines take every hop's node from
-/// the placement map.
+/// not the identity, so the engine takes every hop's node from the
+/// placement map.
 #[derive(Clone, Copy, Debug)]
 enum Placed {
     /// The SIM5 set-up: `B^2(2,h)` reconfigured (`reconfigure_verified`)
@@ -212,155 +329,6 @@ fn placed_host(h: usize, port: PortModel, kind: Placed) -> (PhysicalMachine, Emb
             )
         }
     }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn assert_engines_agree(
-    h: usize,
-    port: PortModel,
-    damage: Damage,
-    flow: FlowControl,
-    response: FaultResponse,
-    pairs: &[(usize, usize)],
-    schedule: &[(u32, usize)],
-    timed: Option<&[(u32, usize, usize)]>,
-) {
-    let machine = machine_of(h, port, damage);
-    let identity = Embedding::identity(1 << h);
-    let what = format!("h={h}, {port:?}, {damage:?}, {flow:?}, {response:?}");
-    let wake = assert_sources_and_shards_agree(
-        h, &machine, &identity, flow, response, pairs, schedule, timed, &what,
-    );
-    // Unbounded buffers cannot deadlock, mid-run re-routes included.
-    if flow == FlowControl::Infinite {
-        assert!(
-            !wake.report.deadlocked,
-            "deadlock under unbounded buffers ({what})"
-        );
-    }
-    let naive = drive(
-        Kernel {
-            engine: EngineKind::NaiveScan,
-            ..REFERENCE
-        },
-        h,
-        &machine,
-        &identity,
-        flow,
-        response,
-        pairs,
-        schedule,
-        timed,
-    );
-    assert_report_fields_equal(&wake.report, &naive.report);
-    assert_eq!(wake, naive, "engines diverged ({what})");
-    // "Byte-identical" taken literally: the rendered reports match too.
-    assert_eq!(wake.report_text, naive.report_text);
-}
-
-/// The route-source and shard differentials of one load through
-/// `placement`; returns the reference run they all match.
-///
-/// Route sources: the O(1) digit-shift generator (the default) must
-/// reproduce the materialized-path engine byte-for-byte on the same
-/// workload — including mid-run re-routes, which materialize implicit
-/// packets into the hosting core's arena. The materialized loader walks
-/// every route, so it is also the per-packet reference for the implicit
-/// loader's once-per-load validation tier and its successor-slot table.
-///
-/// Shards: every shard count must reproduce the single-table run
-/// byte-for-byte — threaded runs too (`min(threads, shards)` workers
-/// running contiguous groups of shards, some of unequal size) and, at 2
-/// and 4 shards, the naive rescan and materialized routes.
-#[allow(clippy::too_many_arguments)]
-fn assert_sources_and_shards_agree(
-    h: usize,
-    machine: &PhysicalMachine,
-    placement: &Embedding,
-    flow: FlowControl,
-    response: FaultResponse,
-    pairs: &[(usize, usize)],
-    schedule: &[(u32, usize)],
-    timed: Option<&[(u32, usize, usize)]>,
-    what: &str,
-) -> RunOutcome {
-    let run = |kernel| {
-        drive(
-            kernel, h, machine, placement, flow, response, pairs, schedule, timed,
-        )
-    };
-    let reference = run(REFERENCE);
-    let materialized = Kernel {
-        route_source: RouteSource::Materialized,
-        ..REFERENCE
-    };
-    let naive = Kernel {
-        engine: EngineKind::NaiveScan,
-        ..REFERENCE
-    };
-    let mut kernels = vec![materialized];
-    for (shards, threads) in [
-        (2usize, 1usize),
-        (2, 2),
-        (4, 1),
-        (4, 2),
-        (3, 2),
-        (4, 3),
-        (2, 4),
-    ] {
-        kernels.push(Kernel {
-            shards,
-            threads,
-            ..REFERENCE
-        });
-    }
-    for shards in [2usize, 4] {
-        kernels.push(Kernel { shards, ..naive });
-        kernels.push(Kernel {
-            shards,
-            ..materialized
-        });
-    }
-    for kernel in kernels {
-        let got = run(kernel);
-        assert_report_fields_equal(&reference.report, &got.report);
-        assert_eq!(reference, got, "{kernel:?} diverged ({what})");
-    }
-    reference
-}
-
-/// Field-by-field equality over every public `CongestionReport` field,
-/// with the field's name in the failure message. The destructuring is
-/// exhaustive (no `..`), so adding a report field fails to compile here
-/// until it is compared — and `ftdb-analyzer`'s `diff-coverage` audit
-/// cross-checks the struct definition against this file, so the field
-/// cannot be waved through with a `..` either.
-fn assert_report_fields_equal(wake: &CongestionReport, naive: &CongestionReport) {
-    let CongestionReport {
-        cycles,
-        injected,
-        delivered,
-        dropped,
-        total_flits,
-        completed,
-        deadlocked,
-        vc_flits,
-        vc_hol_blocked_cycles,
-        latency,
-    } = wake;
-    assert_eq!(*cycles, naive.cycles, "cycles diverged");
-    assert_eq!(*injected, naive.injected, "injected diverged");
-    assert_eq!(*delivered, naive.delivered, "delivered diverged");
-    assert_eq!(*dropped, naive.dropped, "dropped diverged");
-    assert_eq!(*total_flits, naive.total_flits, "total_flits diverged");
-    assert_eq!(*completed, naive.completed, "completed diverged");
-    assert_eq!(*deadlocked, naive.deadlocked, "deadlocked diverged");
-    assert_eq!(*vc_flits, naive.vc_flits, "vc_flits diverged");
-    assert_eq!(
-        *vc_hol_blocked_cycles, naive.vc_hol_blocked_cycles,
-        "vc_hol_blocked_cycles diverged"
-    );
-    assert_eq!(*latency, naive.latency, "latency summary diverged");
 }
 
 /// Flow-control generator: `depth == 0` is infinite buffering; otherwise
@@ -413,11 +381,49 @@ fn damage_of(sel: u8, count: usize, seed: u64) -> Damage {
     }
 }
 
+/// `waves` random node kills drawn from `seed`: each one processor of
+/// `machine` at a cycle below `horizon`.
+fn node_kills_of(
+    machine: &PhysicalMachine,
+    waves: usize,
+    horizon: u32,
+    seed: u64,
+) -> Vec<(u32, usize)> {
+    let mut rng = ftdb_tests::seeded_rng(seed);
+    (0..waves)
+        .map(|_| {
+            (
+                rng.random_range(0..horizon),
+                rng.random_range(0..machine.node_count()),
+            )
+        })
+        .collect()
+}
+
+/// `waves` random link kills drawn from `seed`: each one to four directed
+/// links of `machine` at a cycle below `horizon`.
+fn link_kills_of(
+    machine: &PhysicalMachine,
+    waves: usize,
+    horizon: u32,
+    seed: u64,
+) -> Vec<(u32, LinkFaultSet)> {
+    let mut rng = ftdb_tests::seeded_rng(seed);
+    (0..waves)
+        .map(|_| {
+            let count = rng.random_range(1..5usize);
+            let set = LinkFaultSet::random(machine.graph(), count, &mut rng)
+                .expect("a machine with links");
+            (rng.random_range(0..horizon), set)
+        })
+        .collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Batch workloads: random pair sets, random fault schedules, both
-    /// flow-control modes, both port models, both fault responses, and
+    /// Batch workloads: random pair sets, random node and link kills, every
+    /// flow-control mode, both port models, both fault responses, and
     /// healthy, node-faulted and link-deficient machines.
     #[test]
     fn engines_agree_on_random_batch_workloads(
@@ -428,32 +434,33 @@ proptest! {
         single_port in 0u8..2,
         reroute in 0u8..2,
         packets in 1usize..200,
-        faults in 0usize..4,
+        node_waves in 0usize..4,
+        link_waves in 0usize..3,
         damage_sel in 0u8..3,
         damage_count in 1usize..4,
         seed in 0u64..10_000,
     ) {
         let n = 1usize << h;
-        let mut rng = ftdb_tests::seeded_rng(seed);
-        let pairs = workload::uniform_pairs(n, packets, &mut rng);
-        let schedule: Vec<(u32, usize)> = (0..faults)
-            .map(|_| (rng.random_range(0..12) as u32, rng.random_range(0..n)))
-            .collect();
-        assert_engines_agree(
+        let machine = machine_of(h, port_of(single_port == 1), damage_of(damage_sel, damage_count, seed ^ 0xDA4A));
+        let pairs = workload::uniform_pairs(n, packets, &mut ftdb_tests::seeded_rng(seed));
+        let node_kills = node_kills_of(&machine, node_waves, 12, seed ^ 0x40DE);
+        let link_kills = link_kills_of(&machine, link_waves, 12, seed ^ 0x11AC);
+        assert_engine_matches_model(&Workload {
             h,
-            port_of(single_port == 1),
-            damage_of(damage_sel, damage_count, seed ^ 0xDA4A),
-            flow_of(depth, vc_sel, worm_sel),
-            response_of(reroute == 1),
-            &pairs,
-            &schedule,
-            None,
-        );
+            machine: &machine,
+            placement: &Embedding::identity(n),
+            flow: flow_of(depth, vc_sel, worm_sel),
+            response: response_of(reroute == 1),
+            pairs: &pairs,
+            timed: None,
+            node_kills: &node_kills,
+            link_kills: &link_kills,
+        });
     }
 
     /// Hot-spot traffic at shallow buffer depths: the deadlock-detection
-    /// regime. `deadlocked`, the cycle count at detection and the per-link
-    /// flit counts all have to match.
+    /// regime. `deadlocked`, the cycle count at detection and the per-VC
+    /// counters all have to match.
     #[test]
     fn engines_agree_on_deadlocking_hotspots(
         h in 3usize..6,
@@ -466,36 +473,40 @@ proptest! {
         damage_count in 1usize..4,
     ) {
         let n = 1usize << h;
-        let pairs = workload::all_to_one(n, root_seed % n);
-        assert_engines_agree(
+        let machine = machine_of(h, port_of(single_port == 1), damage_of(damage_sel, damage_count, root_seed as u64));
+        assert_engine_matches_model(&Workload {
             h,
-            port_of(single_port == 1),
-            damage_of(damage_sel, damage_count, root_seed as u64),
-            flow_of(depth, vc_sel, worm_sel),
-            FaultResponse::Drop,
-            &pairs,
-            &[],
-            None,
-        );
+            machine: &machine,
+            placement: &Embedding::identity(n),
+            flow: flow_of(depth, vc_sel, worm_sel),
+            response: FaultResponse::Drop,
+            pairs: &workload::all_to_one(n, root_seed % n),
+            timed: None,
+            node_kills: &[],
+            link_kills: &[],
+        });
     }
 
-    /// Open-loop timed injection across the load range, with mid-run
-    /// faults: injection queues, credit accounting and fault kills all
-    /// interleave with the parked queues.
+    /// Open-loop timed injection across the load range, with mid-run node
+    /// and link kills: injection queues, credit accounting and kills all
+    /// interleave with blocked packets.
     #[test]
     fn engines_agree_on_open_loop_schedules(
         h in 3usize..6,
         depth in 0u32..4,
         vc_sel in 0u8..4,
         worm_sel in 0u8..3,
+        single_port in 0u8..2,
         load_pct in 5u32..95,
-        faults in 0usize..3,
+        node_waves in 0usize..3,
+        link_waves in 0usize..3,
         reroute in 0u8..2,
         damage_sel in 0u8..3,
         damage_count in 1usize..4,
         seed in 0u64..10_000,
     ) {
         let n = 1usize << h;
+        let machine = machine_of(h, port_of(single_port == 1), damage_of(damage_sel, damage_count, seed ^ 0xDA4A));
         let spec = OpenLoopSpec {
             offered_load: load_pct as f64 / 100.0,
             process: InjectionProcess::Bernoulli,
@@ -505,20 +516,19 @@ proptest! {
             seed,
         };
         let injections = workload::open_loop_injections(n, &spec);
-        let mut rng = ftdb_tests::seeded_rng(seed ^ 0x5EED);
-        let schedule: Vec<(u32, usize)> = (0..faults)
-            .map(|_| (rng.random_range(0..25) as u32, rng.random_range(0..n)))
-            .collect();
-        assert_engines_agree(
+        let node_kills = node_kills_of(&machine, node_waves, 25, seed ^ 0x5EED);
+        let link_kills = link_kills_of(&machine, link_waves, 25, seed ^ 0x11AC);
+        assert_engine_matches_model(&Workload {
             h,
-            PortModel::MultiPort,
-            damage_of(damage_sel, damage_count, seed ^ 0xDA4A),
-            flow_of(depth, vc_sel, worm_sel),
-            response_of(reroute == 1),
-            &[],
-            &schedule,
-            Some(&injections),
-        );
+            machine: &machine,
+            placement: &Embedding::identity(n),
+            flow: flow_of(depth, vc_sel, worm_sel),
+            response: response_of(reroute == 1),
+            pairs: &[],
+            timed: Some(&injections),
+            node_kills: &node_kills,
+            link_kills: &link_kills,
+        });
     }
 }
 
@@ -526,11 +536,11 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// The placement axis: batch or open-loop loads through a reconfigured
-    /// host or a non-injective fold, with mid-run faults on physical
-    /// nodes, every flow-control mode, both port models and both fault
-    /// responses. Implicit routes must match materialized ones, and every
-    /// shard configuration the single-table engine, field by field and
-    /// packet by packet.
+    /// host or a non-injective fold, with mid-run node and link kills on the
+    /// physical machine, every flow-control mode, both port models and both
+    /// fault responses. The engine's implicit shift-register routes must
+    /// match the model's materialized paths at every shard count, field by
+    /// field, packet by packet and step by step.
     #[test]
     fn placed_loads_agree_across_route_sources_and_shards(
         h in 3usize..6,
@@ -541,19 +551,17 @@ proptest! {
         single_port in 0u8..2,
         reroute in 0u8..2,
         packets in 1usize..160,
-        faults in 0usize..3,
+        node_waves in 0usize..3,
+        link_waves in 0usize..3,
         open_loop in 0u8..2,
         seed in 0u64..10_000,
     ) {
         let n = 1usize << h;
         let kind = if folded == 1 { Placed::Folded } else { Placed::Reconfigured { seed } };
-        let port = port_of(single_port == 1);
-        let (machine, placement) = placed_host(h, port, kind);
-        let mut rng = ftdb_tests::seeded_rng(seed ^ 0x9ACE);
-        let pairs = workload::uniform_pairs(n, packets, &mut rng);
-        let schedule: Vec<(u32, usize)> = (0..faults)
-            .map(|_| (rng.random_range(0..16) as u32, rng.random_range(0..machine.node_count())))
-            .collect();
+        let (machine, placement) = placed_host(h, port_of(single_port == 1), kind);
+        let pairs = workload::uniform_pairs(n, packets, &mut ftdb_tests::seeded_rng(seed ^ 0x9ACE));
+        let node_kills = node_kills_of(&machine, node_waves, 16, seed ^ 0x40DE);
+        let link_kills = link_kills_of(&machine, link_waves, 16, seed ^ 0x11AC);
         let spec = OpenLoopSpec {
             offered_load: 0.05 + (seed % 60) as f64 / 100.0,
             process: InjectionProcess::Bernoulli,
@@ -563,19 +571,144 @@ proptest! {
             seed,
         };
         let injections = workload::open_loop_injections(n, &spec);
-        let flow = flow_of(depth, vc_sel, worm_sel);
-        let response = response_of(reroute == 1);
-        assert_sources_and_shards_agree(
+        assert_engine_matches_model(&Workload {
             h,
-            &machine,
-            &placement,
-            flow,
-            response,
-            &pairs,
-            &schedule,
-            (open_loop == 1).then_some(injections.as_slice()),
-            &format!("h={h}, {kind:?}, {port:?}, {flow:?}, {response:?}"),
+            machine: &machine,
+            placement: &placement,
+            flow: flow_of(depth, vc_sel, worm_sel),
+            response: response_of(reroute == 1),
+            pairs: &pairs,
+            timed: (open_loop == 1).then_some(injections.as_slice()),
+            node_kills: &node_kills,
+            link_kills: &link_kills,
+        });
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The release-build variant of the suite on `B(2,6)` and `B(2,7)`:
+    /// every axis of the tier-1 properties, drawn together. Run it with
+    /// `cargo test --release -p ftdb-tests --test wakelist_differential --
+    /// --ignored`.
+    #[test]
+    #[ignore = "release-build differential on B(2,6)-B(2,7); run with --ignored"]
+    fn engines_agree_on_larger_machines(
+        h in 6usize..8,
+        placed in 0u8..3,
+        depth in 0u32..4,
+        vc_sel in 0u8..4,
+        worm_sel in 0u8..3,
+        single_port in 0u8..2,
+        reroute in 0u8..2,
+        packets in 1usize..512,
+        hot_spot in 0u8..4,
+        node_waves in 0usize..3,
+        link_waves in 0usize..3,
+        open_loop in 0u8..2,
+        damage_sel in 0u8..3,
+        seed in 0u64..100_000,
+    ) {
+        let n = 1usize << h;
+        let port = port_of(single_port == 1);
+        let (machine, placement) = match placed {
+            0 => (machine_of(h, port, damage_of(damage_sel, 3, seed ^ 0xDA4A)), Embedding::identity(n)),
+            1 => placed_host(h, port, Placed::Reconfigured { seed }),
+            _ => placed_host(h, port, Placed::Folded),
+        };
+        let pairs = if hot_spot == 0 {
+            workload::all_to_one(n, (seed as usize) % n)
+        } else {
+            workload::uniform_pairs(n, packets, &mut ftdb_tests::seeded_rng(seed ^ 0x9ACE))
+        };
+        let node_kills = node_kills_of(&machine, node_waves, 24, seed ^ 0x40DE);
+        let link_kills = link_kills_of(&machine, link_waves, 24, seed ^ 0x11AC);
+        let spec = OpenLoopSpec {
+            offered_load: 0.05 + (seed % 60) as f64 / 100.0,
+            process: InjectionProcess::Bernoulli,
+            warmup_cycles: 10,
+            measure_cycles: 20,
+            drain_cycles: 60,
+            seed,
+        };
+        let injections = workload::open_loop_injections(n, &spec);
+        assert_engine_matches_model(&Workload {
+            h,
+            machine: &machine,
+            placement: &placement,
+            flow: flow_of(depth, vc_sel, worm_sel),
+            response: response_of(reroute == 1),
+            pairs: &pairs,
+            timed: (open_loop == 1).then_some(injections.as_slice()),
+            node_kills: &node_kills,
+            link_kills: &link_kills,
+        });
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Online recovery on `B^k(2,h)`: up to `k` processors die mid-run,
+    /// and in each cycle a kill fires, `run_recovery` reconfigures around
+    /// the faults so far and re-targets every live packet before the cycle
+    /// moves. The engine's `run_recovery` and the model's must agree on the
+    /// whole `RecoveryOutcome`.
+    #[test]
+    fn recoveries_agree_with_the_model(
+        h in 3usize..6,
+        k in 1usize..3,
+        depth in 0u32..4,
+        vc_sel in 0u8..4,
+        worm_sel in 0u8..3,
+        single_port in 0u8..2,
+        reroute in 0u8..2,
+        packets in 1usize..160,
+        kills in 0usize..3,
+        seed in 0u64..10_000,
+    ) {
+        let ft = FtDeBruijn2::new(h, k);
+        let mut rng = ftdb_tests::seeded_rng(seed);
+        let pairs = workload::uniform_pairs(1 << h, packets, &mut rng);
+        let victims: Vec<usize> = (0..k).map(|_| rng.random_range(0..ft.node_count())).collect();
+        let schedule: Vec<(u32, usize)> = (0..kills)
+            .map(|_| (rng.random_range(0..12), victims[rng.random_range(0..k)]))
+            .collect();
+        let config = CongestionConfig {
+            flow_control: flow_of(depth, vc_sel, worm_sel),
+            fault_response: response_of(reroute == 1),
+            max_cycles: 5_000,
+        };
+        let port = port_of(single_port == 1);
+        let engine = run_recovery(&ft, &pairs, &schedule, port, config);
+        let model = model::run_recovery(&ft, &pairs, &schedule, port, config);
+        assert_eq!(
+            format!("{engine:?}"),
+            format!("{model:?}"),
+            "h={h} k={k} {port:?} {config:?} schedule {schedule:?}"
         );
+    }
+}
+
+/// A workload with no kills on `machine` through `placement`.
+fn quiet<'a>(
+    h: usize,
+    machine: &'a PhysicalMachine,
+    placement: &'a Embedding,
+    flow: FlowControl,
+    pairs: &'a [(usize, usize)],
+) -> Workload<'a> {
+    Workload {
+        h,
+        machine,
+        placement,
+        flow,
+        response: FaultResponse::Drop,
+        pairs,
+        timed: None,
+        node_kills: &[],
+        link_kills: &[],
     }
 }
 
@@ -600,34 +733,21 @@ fn placed_hosts_route_through_their_placements() {
             (0..n).all(|x| machine.is_healthy(placement.apply(x))),
             "{kind:?} places a label on a faulty processor"
         );
-        let run = assert_sources_and_shards_agree(
-            h,
-            &machine,
-            &placement,
-            FlowControl::CreditBased { buffer_depth: 2 },
-            FaultResponse::Drop,
-            &perm,
-            &[],
-            None,
-            &format!("{kind:?}"),
-        );
+        let credit = FlowControl::CreditBased { buffer_depth: 2 };
+        let run = assert_engine_matches_model(&quiet(h, &machine, &placement, credit, &perm));
         assert_eq!(run.report.delivered, n as u64, "{kind:?}");
     }
     // The fold collapses hops. 16 -> 0 is one logical shift between two
     // labels placed on node 0, so that packet is born on its target, and
     // the fold carries fewer flits than identity-placed B(2,5) does.
     let drain = |machine: &PhysicalMachine, placement: &Embedding, pairs: &[(usize, usize)]| {
-        let run = drive(
-            REFERENCE,
+        let run = assert_engine_matches_model(&quiet(
             h,
             machine,
             placement,
             FlowControl::Infinite,
-            FaultResponse::Drop,
             pairs,
-            &[],
-            None,
-        );
+        ));
         assert_eq!(run.report.delivered, pairs.len() as u64);
         run.report.total_flits
     };
@@ -643,45 +763,26 @@ fn placed_hosts_route_through_their_placements() {
 /// hot-spot workload that hard-deadlocks under single-channel credit flow
 /// (see `depth_one_hot_spot_deadlocks_and_is_detected`) must drain to
 /// completion once `vcs >= 2` dateline-ordered channels multiplex each
-/// link — across both engines, both route sources and every shard/thread
-/// configuration, byte-identically — while `vcs = 1` (a single virtual
-/// channel is just credit flow with extra bookkeeping) must still deadlock,
-/// so the detector stays honest.
+/// link, in the engine at every shard count and in the model alike, while
+/// `vcs = 1` (a single virtual channel is just credit flow with extra
+/// bookkeeping) must still deadlock, so the detector stays honest.
 #[test]
 fn virtual_channels_break_the_depth_one_hotspot_deadlock() {
     let h = 5;
     let n = 1usize << h;
     let pairs = workload::all_to_one(n, 2);
+    let identity = Embedding::identity(n);
     for port in [PortModel::MultiPort, PortModel::SinglePort] {
+        let machine = machine_of(h, port, Damage::None);
         for (vcs, wants_deadlock) in [(1u32, true), (2, false), (4, false)] {
             let flow = FlowControl::VirtualChannel {
                 vcs,
                 buffer_depth: 1,
                 switching: Switching::StoreAndForward,
             };
-            // Pin every engine variant to the same report first…
-            assert_engines_agree(
-                h,
-                port,
-                Damage::None,
-                flow,
-                FaultResponse::Drop,
-                &pairs,
-                &[],
-                None,
-            );
-            // …then pin what that report says.
-            let run = drive(
-                REFERENCE,
-                h,
-                &machine_of(h, port, Damage::None),
-                &Embedding::identity(n),
-                flow,
-                FaultResponse::Drop,
-                &pairs,
-                &[],
-                None,
-            );
+            // Pin the engine to the model first…
+            let run = assert_engine_matches_model(&quiet(h, &machine, &identity, flow, &pairs));
+            // …then pin what the report says.
             assert_eq!(
                 run.report.deadlocked, wants_deadlock,
                 "vcs={vcs} port={port:?}"
@@ -704,36 +805,27 @@ fn virtual_channels_break_the_depth_one_hotspot_deadlock() {
 
 /// Pins the machine axis of the property suites: on each damaged machine
 /// some routes really break at load (so the `Health` and `Checked` tiers
-/// are exercised, not vacuous) while others deliver, and every engine
-/// variant drops exactly the same packets.
+/// are exercised, not vacuous) while others deliver, and the engine drops
+/// exactly the packets whose routes the model's hop-by-hop walk rejects.
 #[test]
 fn damaged_machines_drop_the_same_packets_at_load() {
     let h = 5;
     let n = 1usize << h;
     let mut rng = ftdb_tests::seeded_rng(3);
     let pairs = workload::uniform_pairs(n, 4 * n, &mut rng);
-    let (port, flow, response) = (
-        PortModel::MultiPort,
-        FlowControl::Infinite,
-        FaultResponse::Drop,
-    );
+    let identity = Embedding::identity(n);
     for damage in [
         Damage::Nodes { count: 3, seed: 1 },
         Damage::Links { count: 3, seed: 2 },
     ] {
-        assert_engines_agree(h, port, damage, flow, response, &pairs, &[], None);
-        let machine = machine_of(h, port, damage);
-        let run = drive(
-            REFERENCE,
+        let machine = machine_of(h, PortModel::MultiPort, damage);
+        let run = assert_engine_matches_model(&quiet(
             h,
             &machine,
-            &Embedding::identity(n),
-            flow,
-            response,
+            &identity,
+            FlowControl::Infinite,
             &pairs,
-            &[],
-            None,
-        );
+        ));
         // No mid-run faults: every drop happened at load.
         assert!(run.report.dropped > 0, "{damage:?} broke no route");
         assert!(run.report.delivered > 0, "{damage:?} broke every route");
@@ -741,13 +833,84 @@ fn damaged_machines_drop_the_same_packets_at_load() {
     }
 }
 
+/// §2's zero-hop rule. A packet loaded for cycle 0 with an empty route
+/// (a self-send on the all-zeros label of the identity-placed `B(2,h)`)
+/// delivers at load, before a cycle-0 kill of its node; a self-send on any
+/// other label rides an `h`-hop route and dies with its node. A packet
+/// loaded for a later cycle resolves at its injection cycle, after that
+/// cycle's kills.
+#[test]
+fn zero_hop_packets_resolve_at_load_or_at_their_injection_cycle() {
+    let h = 6;
+    let n = 1usize << h;
+    let machine = machine_of(h, PortModel::MultiPort, Damage::None);
+    let identity = Embedding::identity(n);
+    let batch = [(0, 0), (62, 62)];
+    let run = assert_engine_matches_model(&Workload {
+        node_kills: &[(0, 0), (0, 62)],
+        ..quiet(h, &machine, &identity, FlowControl::Infinite, &batch)
+    });
+    assert_eq!(run.outcomes, [(0, Some(0), None), (0, None, Some(0))]);
+    let timed = [(2, 0, 0), (3, 0, 0), (4, 0, 0)];
+    let run = assert_engine_matches_model(&Workload {
+        timed: Some(&timed),
+        node_kills: &[(3, 0)],
+        ..quiet(h, &machine, &identity, FlowControl::Infinite, &[])
+    });
+    assert_eq!(
+        run.outcomes,
+        [(2, Some(2), None), (3, None, Some(3)), (4, None, Some(4))]
+    );
+}
+
+/// Three canned scenarios on `B(2,5)` with single-port nodes: the depth-1
+/// hot-spot deadlock, node kills re-routed under depth-2 credits, and a
+/// bit-reversal permutation losing a node on unbounded buffers.
+#[test]
+fn engine_matches_the_model_on_canned_scenarios() {
+    let h = 5;
+    let n = 1usize << h;
+    let machine = machine_of(h, PortModel::SinglePort, Damage::None);
+    let identity = Embedding::identity(n);
+    let hot = workload::all_to_one(n, 2);
+    let uniform = workload::uniform_pairs(n, 4 * n, &mut ftdb_tests::seeded_rng(17));
+    let reversal = workload::bit_reversal_pairs(h);
+    let credit = |buffer_depth| FlowControl::CreditBased { buffer_depth };
+    let run = assert_engine_matches_model(&quiet(h, &machine, &identity, credit(1), &hot));
+    assert!(run.report.deadlocked, "{:?}", run.report);
+    let run = assert_engine_matches_model(&Workload {
+        response: FaultResponse::RerouteAdaptive,
+        node_kills: &[(3, 1), (5, 9)],
+        ..quiet(h, &machine, &identity, credit(2), &uniform)
+    });
+    assert!(
+        run.report.completed && run.report.dropped > 0,
+        "{:?}",
+        run.report
+    );
+    let run = assert_engine_matches_model(&Workload {
+        node_kills: &[(2, 7)],
+        ..quiet(h, &machine, &identity, FlowControl::Infinite, &reversal)
+    });
+    assert!(
+        run.report.completed && run.report.dropped > 0,
+        "{:?}",
+        run.report
+    );
+}
+
 /// The measurement layer on top: a full `measure_open_loop` window report
-/// must match between engines, at a load below and a load beyond the
-/// saturation knee.
+/// must match across shard counts, at a load below and a load beyond the
+/// saturation knee, and the packet outcomes it is computed from must match
+/// the model run to the same horizon.
 #[test]
 fn open_loop_window_reports_match_across_engines() {
     let db = DeBruijn2::new(5);
     let n = db.node_count();
+    let config = CongestionConfig {
+        flow_control: FlowControl::CreditBased { buffer_depth: 2 },
+        ..CongestionConfig::default()
+    };
     for offered_load in [0.1, 0.6] {
         let spec = OpenLoopSpec {
             offered_load,
@@ -758,30 +921,35 @@ fn open_loop_window_reports_match_across_engines() {
             seed: 99,
         };
         let injections = workload::open_loop_injections(n, &spec);
+        let machine = PhysicalMachine::new(db.graph().clone(), PortModel::MultiPort);
+        let mut model = CycleModel::new(machine.clone(), config);
+        model.load_timed(&db, &Embedding::identity(n), &injections);
+        model.run_until(spec.horizon());
         let mut reports = Vec::new();
-        for engine in [EngineKind::WakeList, EngineKind::NaiveScan] {
-            let machine = PhysicalMachine::new(db.graph().clone(), PortModel::MultiPort);
-            let mut sim = CongestionSim::new(
-                machine,
-                CongestionConfig {
-                    flow_control: FlowControl::CreditBased { buffer_depth: 2 },
-                    engine,
-                    ..CongestionConfig::default()
-                },
-            );
+        for shards in [1usize, 2, 4] {
+            let mut sim = ShardedSim::new(machine.clone(), config, shards, 1);
             sim.load_oblivious_timed(&db, &Embedding::identity(n), &injections);
             reports.push(measure_open_loop(&mut sim, &spec));
+            assert_report_fields_equal(&sim.report(), &model.report());
+            for id in 0..sim.counts().0 as usize {
+                assert_eq!(
+                    sim.packet_outcome(id),
+                    model.packet_outcome(id),
+                    "load {offered_load} shards={shards}: packet {id}"
+                );
+            }
         }
-        assert_eq!(reports[0], reports[1], "load {offered_load}");
+        assert!(
+            reports.iter().all(|r| *r == reports[0]),
+            "load {offered_load}"
+        );
     }
 }
 
 /// The sweep driver end to end: a SIM5 curve is a pure function of its
-/// scenario and seed — and the engines agree point by point (the sweep
-/// always runs the default wake-list engine; this pins the driver's output
-/// against a manually-driven naive run at the same loads).
+/// scenario and seed, whether its points run on one worker or on two.
 #[test]
-fn sweep_points_reproduce_under_both_engines() {
+fn sweep_points_reproduce_at_any_thread_count() {
     let scenario = SweepScenario {
         h: 5,
         k: 1,
@@ -791,7 +959,7 @@ fn sweep_points_reproduce_under_both_engines() {
     };
     let loads = [0.15, 0.55];
     let a = sim5_load_sweep(&scenario, &loads, 21, 1);
-    let b = sim5_load_sweep(&scenario, &loads, 21, 1);
+    let b = sim5_load_sweep(&scenario, &loads, 21, 2);
     assert_eq!(a, b, "sweep must be deterministic");
     assert!(a[0].accepted >= a[1].accepted - 1e-9);
 }
