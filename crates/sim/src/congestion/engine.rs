@@ -263,7 +263,7 @@ pub struct CongestionReport {
     /// sits. Empty unless the run used [`FlowControl::VirtualChannel`].
     pub vc_hol_blocked_cycles: Vec<u64>,
     /// Latency distribution over delivered packets, in cycles since
-    /// injection (cycle 0).
+    /// injection.
     pub latency: LatencySummary,
 }
 
@@ -495,8 +495,6 @@ pub struct OpenLoopReport {
     /// Latency distribution over window-injected, delivered packets,
     /// measured from injection to delivery.
     pub latency: LatencySummary,
-    /// Fixed-bin histogram over the same latencies.
-    pub histogram: crate::metrics::LatencyHistogram,
     /// Packets injected during the measurement window.
     pub window_injected: u64,
     /// Of those, packets delivered by the end of the run.
@@ -516,8 +514,8 @@ pub struct OpenLoopReport {
 /// Drives an engine already loaded with an open-loop schedule (see
 /// [`ShardedSim::load_oblivious_timed`]) to the spec's horizon and
 /// computes the measurement-window statistics. The cycle loop is
-/// allocation-free; the statistics pass at the end allocates (latency sort,
-/// histogram). A [`CongestionSim`] coerces to the `&mut ShardedSim` taken
+/// allocation-free; the statistics pass at the end allocates (the latency
+/// sort). A [`CongestionSim`] coerces to the `&mut ShardedSim` taken
 /// here.
 pub fn measure_open_loop(
     sim: &mut ShardedSim,
@@ -540,9 +538,6 @@ pub fn measure_open_loop(
     let mut cum_injected_by_window_end = 0u64;
     let mut cum_delivered_by_window_end = 0u64;
     let mut latencies: Vec<u32> = Vec::new();
-    // Bins of 2 cycles spanning 4x the window — past that, overflow.
-    let mut histogram =
-        crate::metrics::LatencyHistogram::new(2, (2 * spec.measure_cycles).max(8) as usize);
     for id in 0..packets {
         let (inject, delivered, _) = sim.packet_outcome(id);
         if inject < w1 {
@@ -560,9 +555,7 @@ pub fn measure_open_loop(
             window_injected += 1;
             if let Some(d) = delivered {
                 window_delivered += 1;
-                let lat = d - inject;
-                latencies.push(lat);
-                histogram.record(lat);
+                latencies.push(d - inject);
             }
         }
     }
@@ -577,7 +570,6 @@ pub fn measure_open_loop(
             window_delivered as f64 / window_injected as f64
         },
         latency: LatencySummary::from_latencies(&mut latencies),
-        histogram,
         window_injected,
         window_delivered,
         cum_injected_by_window_end,
@@ -1293,7 +1285,7 @@ mod tests {
             "trickle-load mean latency {} too high",
             report.latency.mean
         );
-        assert_eq!(report.histogram.count(), report.window_delivered);
+        assert_eq!(report.latency.count, report.window_delivered);
         assert!((report.throughput - report.offered_realized).abs() < 0.01);
     }
 
@@ -1317,29 +1309,20 @@ mod tests {
     }
 
     #[test]
-    fn staggered_and_bernoulli_processes_both_drive_the_engine() {
+    fn bernoulli_process_drives_the_engine() {
         let db = DeBruijn2::new(4);
-        for process in [
-            workload::InjectionProcess::Bernoulli,
-            workload::InjectionProcess::Staggered,
-        ] {
-            let spec = workload::OpenLoopSpec {
-                process,
-                ..open_spec(0.25, 11)
-            };
-            let machine = PhysicalMachine::new(db.graph().clone(), PortModel::MultiPort);
-            let report = open_loop(&db, machine, credit_config(2), &spec);
-            assert!(report.window_injected > 0, "{process:?} injected nothing");
-            assert!(report.window_delivered > 0);
-            // Staggered injects on an exact period: realized load is within
-            // one rounding step of the request; Bernoulli within noise.
-            assert!(
-                (report.offered_realized - spec.offered_load).abs() < 0.1,
-                "{process:?}: realized {} vs offered {}",
-                report.offered_realized,
-                spec.offered_load
-            );
-        }
+        let spec = open_spec(0.25, 11);
+        let machine = PhysicalMachine::new(db.graph().clone(), PortModel::MultiPort);
+        let report = open_loop(&db, machine, credit_config(2), &spec);
+        assert!(report.window_injected > 0, "Bernoulli injected nothing");
+        assert!(report.window_delivered > 0);
+        // The realized load is within noise of the request.
+        assert!(
+            (report.offered_realized - spec.offered_load).abs() < 0.1,
+            "realized {} vs offered {}",
+            report.offered_realized,
+            spec.offered_load
+        );
     }
 
     #[test]

@@ -22,20 +22,28 @@
 //! `ImplicitRoute`: the captured (mask, placement) context of the load
 //! plus a successor-slot table that names the CSR slot of every logical
 //! shift edge, so a hop reads its next node from the register and its
-//! next link from one table entry, never from the CSR.
+//! next link from one table entry, never from the CSR. The pass that
+//! builds the table also decides whether the placement is sound, so
+//! route feasibility is proven once per (machine, placement) pair: a
+//! sound placement fails a route only at its endpoints, and an unsound
+//! one is checked per packet by the context's walk, which rejects exactly
+//! what [`crate::routing::route_logical_debruijn_into`] rejects. The
+//! engine's loaders and [`crate::routing::run_logical_workload`] both
+//! validate routes this way.
 //!
 //! The generators are branch-light integer arithmetic on caller-owned
 //! state: no allocation, no panics, no global state — they and the
 //! context's hop methods run in the engine's cycle loop and must stay
-//! that way. Only `ImplicitRoute::capture` allocates, once per load.
+//! that way. Only `ImplicitRoute::capture` allocates, once per context.
 
 use super::engine::{pk, DELIVERS, NO_SLOT};
-use crate::machine::PhysicalMachine;
-use ftdb_graph::Embedding;
+use crate::machine::{PhysicalMachine, SimError};
+use ftdb_graph::{Embedding, NodeId};
 use ftdb_topology::DeBruijn2;
 
 /// Initial remaining-bits register for a route to `target` on `B(2,h)`:
 /// all `h` target bits queued behind the sentinel.
+// analyzer: alloc-free
 #[inline]
 pub fn rem_init(h: u32, target: u32) -> u32 {
     (1 << h) | target
@@ -62,6 +70,22 @@ pub fn shift_step(pos: u32, rem: u32, mask: u32) -> (u32, u32) {
     let next = ((pos << 1) | bit) & mask;
     let low = (1 << (left - 1)) - 1;
     (next, (rem & low) | (low + 1))
+}
+
+/// Checks that both route endpoints name one of `limit` logical labels,
+/// source first, so a malformed pair surfaces as a [`SimError`] (and thus a
+/// dropped packet) instead of a release-mode panic.
+// analyzer: alloc-free
+#[inline]
+pub(crate) fn check_endpoints(
+    limit: usize,
+    source: NodeId,
+    target: NodeId,
+) -> Result<(), SimError> {
+    match [source, target].into_iter().find(|&node| node >= limit) {
+        Some(node) => Err(SimError::EndpointOutOfRange { node, limit }),
+        None => Ok(()),
+    }
 }
 
 /// Physical image of logical node `x` under `place` (an empty slice is the
@@ -154,9 +178,11 @@ pub fn hops_left(place: &[u32], mask: u32, cur_phys: u32, pos: u32, rem: u32) ->
 }
 
 /// The implicit-route context of one congestion engine: the logical mask
-/// and placement its oblivious loads route through, and a successor-slot
-/// table over that pair. Both engines own one; the sharded engine's cores
-/// borrow it read-only, so threaded workers share it.
+/// and placement its oblivious loads route through, a successor-slot
+/// table over that pair, and whether the placement is sound on the
+/// machine. Both engines own one; the sharded engine's cores borrow it
+/// read-only, so threaded workers share it, and
+/// [`crate::routing::run_logical_workload`] captures one per workload.
 ///
 /// Table entry `2x + b` holds the CSR slot of the link from the image of
 /// logical label `x` to the image of `(2x + b) & mask` — the shift edge
@@ -165,88 +191,175 @@ pub fn hops_left(place: &[u32], mask: u32, cur_phys: u32, pos: u32, rem: u32) ->
 /// next node from the register ([`apply_place`]) and its next link from
 /// the entry [`next_hop`] keys, so it reads no CSR. The table costs 8 B
 /// per logical label and depends on the (machine, placement) pair, not on
-/// any packet: it is rebuilt by every load and left out of the engines'
-/// `route_state_bytes`.
+/// any packet: it is built by the load that captures the context and left
+/// out of the engines' `route_state_bytes`.
+///
+/// The pass that builds the table also decides soundness: a placement is
+/// sound when every logical label sits on an in-range, healthy processor
+/// and every shift edge between distinct images has a slot. Then no route
+/// can fail past its endpoints (by Theorem 1, so is a `B^k(2,h)` rank map
+/// reconfigured around the host's faults), and [`ImplicitRoute::check`] is
+/// O(1); an unsound placement is checked per packet by
+/// [`ImplicitRoute::walk`].
 #[derive(Clone, Debug, Default)]
 pub(crate) struct ImplicitRoute {
     /// Logical-node mask (`2^h - 1`).
     mask: u32,
-    /// Logical→physical map as dense `u32`s; empty = identity placement
-    /// (the common healthy case stores nothing).
+    /// Labels the placement maps: `0..placed`.
+    placed: u32,
+    /// Logical→physical map as dense `u32`s; empty = the identity on every
+    /// label (the common healthy case stores nothing).
     place: Vec<u32>,
     /// The successor-slot table, `2 · (mask + 1)` entries; empty while no
     /// context is captured.
     next_slot: Vec<u32>,
+    /// Whether the placement is sound on the machine.
+    sound: bool,
 }
 
 impl ImplicitRoute {
-    /// Captures the context of an oblivious load through `placement` — or,
-    /// when one is already captured, checks that `placement` and `db` match
-    /// it — and rebuilds the successor-slot table for `machine`, once per
-    /// load. Returns false, leaving the captured context and its table as
-    /// they were, when a second load comes through a different placement
-    /// or radix.
+    /// Captures the context of an oblivious load through `placement` and
+    /// builds its successor-slot table for `machine`, or, when a context
+    /// is already captured, checks that `placement` and `db` match it.
+    /// Returns false, leaving the captured context as it was, when a
+    /// second load comes through a different placement or radix.
     pub(crate) fn capture(
         &mut self,
         db: &DeBruijn2,
         placement: &Embedding,
         machine: &PhysicalMachine,
     ) -> bool {
-        let mask = (db.node_count() - 1) as u32;
-        let identity = placement
-            .as_slice()
-            .iter()
-            .enumerate()
-            .all(|(i, &v)| i == v);
+        let n = db.node_count();
+        let mask = (n - 1) as u32;
+        // Routes only visit labels below n. An image too wide for a `u32`
+        // saturates, which keeps it past the machine.
+        let labels = &placement.as_slice()[..placement.len().min(n)];
+        let dense = |v: usize| u32::try_from(v).unwrap_or(u32::MAX);
         if !self.next_slot.is_empty() {
-            let same_place = if identity {
-                self.place.is_empty()
-            } else {
-                self.place.len() == placement.len()
-                    && placement
-                        .as_slice()
-                        .iter()
-                        .zip(&self.place)
-                        .all(|(&a, &b)| a as u32 == b)
-            };
-            if self.mask != mask || !same_place {
-                return false;
-            }
-        } else {
-            self.mask = mask;
-            self.place.clear();
-            if !identity {
-                self.place
-                    .extend(placement.as_slice().iter().map(|&v| v as u32));
-            }
+            return self.mask == mask
+                && (0..=mask)
+                    .all(|x| self.placed_image(x) == labels.get(x as usize).map(|&v| dense(v)));
+        }
+        self.mask = mask;
+        self.placed = labels.len() as u32;
+        self.place.clear();
+        // Only a map of every label may be elided as the identity.
+        if labels.len() < n || labels.iter().enumerate().any(|(i, &v)| i != v) {
+            self.place.extend(labels.iter().map(|&v| dense(v)));
         }
         self.build_table(machine);
         true
     }
 
-    /// Fills the successor-slot table: one pass over the `2^(h+1)` shift
+    /// Image of label `x`, or `None` when the placement does not reach it.
+    // analyzer: alloc-free
+    #[inline]
+    fn placed_image(&self, x: u32) -> Option<u32> {
+        (x < self.placed).then(|| apply_place(&self.place, x))
+    }
+
+    /// Fills the successor-slot table in one pass over the `2^(h+1)` shift
     /// edges of the logical graph, each resolved by a CSR row search —
-    /// O(V + E).
+    /// O(V + E) — and decides on the way whether the placement is sound.
     fn build_table(&mut self, machine: &PhysicalMachine) {
         let graph = machine.graph();
-        // An identity context maps every label to itself; a placed one
-        // leaves the labels past a short map unplaced. An image past the
-        // machine has no CSR row, so `edge_slot` finds no link there.
-        let image = |x: u32| {
-            if self.place.is_empty() {
-                Some(x as usize)
-            } else {
-                self.place.get(x as usize).map(|&v| v as usize)
-            }
-        };
         let mask = self.mask;
+        let mut sound = true;
         self.next_slot.clear();
-        self.next_slot.extend((0..2 * (mask + 1)).map(|key| {
-            match (image(key >> 1), image(key & mask)) {
-                (Some(u), Some(v)) if u != v => graph.edge_slot(u, v).map_or(NO_SLOT, |s| s as u32),
-                _ => NO_SLOT,
+        self.next_slot.reserve(2 * (mask as usize + 1));
+        for x in 0..=mask {
+            let from = self.placed_image(x);
+            // An unplaced label, or an image past the machine, is not a
+            // healthy processor.
+            sound &= from.is_some_and(|u| machine.is_healthy(u as usize));
+            for y in [(x << 1) & mask, ((x << 1) | 1) & mask] {
+                let slot = match (from, self.placed_image(y)) {
+                    (Some(u), Some(v)) if u != v => {
+                        let slot = graph.edge_slot(u as usize, v as usize);
+                        sound &= slot.is_some();
+                        slot.map_or(NO_SLOT, |s| s as u32)
+                    }
+                    _ => NO_SLOT,
+                };
+                self.next_slot.push(slot);
             }
-        }));
+        }
+        self.sound = sound;
+    }
+
+    /// Whether the oblivious route from logical `source` to logical
+    /// `target` is deliverable: the endpoint check alone on a sound
+    /// placement, the [`ImplicitRoute::walk`] otherwise.
+    // analyzer: alloc-free
+    #[inline]
+    pub(crate) fn check(
+        &self,
+        machine: &PhysicalMachine,
+        source: NodeId,
+        target: NodeId,
+    ) -> Result<(), SimError> {
+        if self.sound {
+            check_endpoints(self.mask as usize + 1, source, target)
+        } else {
+            self.walk(machine, source, target).map(drop)
+        }
+    }
+
+    /// Walks the oblivious route from logical `source` to logical `target`
+    /// through the captured context. Returns what
+    /// [`crate::routing::route_logical_debruijn_into`] returns: the hop
+    /// count on delivery — logical non-self steps, so a step whose
+    /// endpoints share an image under a non-injective placement still
+    /// counts — and otherwise the same error. On a sound placement only
+    /// the endpoints can fail, so the walk just counts; otherwise each hop
+    /// checks its image and reads its link from the table.
+    // analyzer: alloc-free
+    pub(crate) fn walk(
+        &self,
+        machine: &PhysicalMachine,
+        source: NodeId,
+        target: NodeId,
+    ) -> Result<usize, SimError> {
+        check_endpoints(self.mask as usize + 1, source, target)?;
+        let mut pos = source as u32;
+        let mut rem = rem_init(self.mask.trailing_ones(), target as u32);
+        let mut here = self.healthy_image(machine, pos)?;
+        let mut hops = 0;
+        while !rem_exhausted(rem) {
+            let (next, rest) = shift_step(pos, rem, self.mask);
+            if next != pos {
+                hops += 1;
+                if !self.sound {
+                    let there = self.healthy_image(machine, next)?;
+                    let key = (pos << 1) | (next & 1);
+                    if there != here && self.next_slot[key as usize] == NO_SLOT {
+                        return Err(SimError::MissingLink {
+                            link: (here as usize, there as usize),
+                        });
+                    }
+                    here = there;
+                }
+            }
+            pos = next;
+            rem = rest;
+        }
+        Ok(hops)
+    }
+
+    /// Image of label `x` when it is placed on a healthy processor.
+    // analyzer: alloc-free
+    #[inline]
+    fn healthy_image(&self, machine: &PhysicalMachine, x: u32) -> Result<u32, SimError> {
+        let image = self.placed_image(x).ok_or(SimError::UnplacedNode {
+            node: x as usize,
+            placed: self.placed as usize,
+        })?;
+        if !machine.is_healthy(image as usize) {
+            return Err(SimError::FaultyProcessor {
+                node: image as usize,
+            });
+        }
+        Ok(image)
     }
 
     /// Forgets the captured context; the next load captures afresh. The
@@ -347,15 +460,28 @@ pub fn dateline_crossing(cur: u32, next: u32) -> bool {
 mod tests {
     use super::*;
     use crate::machine::PortModel;
+    use crate::metrics::RoutingStats;
+    use crate::routing::{
+        route_logical_debruijn, route_logical_debruijn_into, run_logical_workload,
+    };
     use ftdb_core::{FaultSet, FtDeBruijn2};
     use ftdb_graph::Graph;
+    use rand::{RngExt, SeedableRng};
+
+    impl ImplicitRoute {
+        /// The soundness verdict of the captured placement.
+        pub(crate) fn sound(&self) -> bool {
+            self.sound
+        }
+    }
 
     /// Captures `placement` on a fresh context over `machine` and checks
     /// every table entry, key by key, against the placement's images: the
     /// CSR row search's slot where the images differ and are linked, the
     /// sentinel where they coincide, a label is unplaced, or the link is
-    /// missing. Slots are also checked against the graph's own adjacency.
-    /// Returns how many entries name a link.
+    /// missing. Slots are also checked against the graph's own adjacency,
+    /// and the soundness verdict against the images and links. Returns how
+    /// many entries name a link.
     fn assert_table_is_the_row_search(
         db: &DeBruijn2,
         placement: &Embedding,
@@ -365,18 +491,10 @@ mod tests {
         assert!(ctx.capture(db, placement, machine));
         let mask = (db.node_count() - 1) as u32;
         assert_eq!(ctx.next_slot.len(), 2 * db.node_count());
-        let placed = placement.as_slice();
-        // A placement that starts like the identity is captured as the
-        // identity map, which also covers the labels past a short one.
-        let identity = placed.iter().enumerate().all(|(i, &v)| i == v);
-        let image = |x: u32| {
-            let v = match placed.get(x as usize) {
-                Some(&v) => Some(v),
-                None if identity => Some(x as usize),
-                None => None,
-            };
-            v.filter(|&v| v < machine.node_count())
-        };
+        // Labels past a short placement are unplaced, even when it starts
+        // like the identity.
+        let image = |x: u32| placement.as_slice().get(x as usize).copied();
+        let mut sound = (0..=mask).all(|x| image(x).is_some_and(|u| machine.is_healthy(u)));
         let (offsets, targets) = machine.graph().csr();
         let mut links = 0;
         for key in 0..2 * (mask + 1) {
@@ -390,6 +508,7 @@ mod tests {
                         .map_or(NO_SLOT, |s| s as u32);
                     assert_eq!(got, want, "key {key}: {x} -> {y} placed {u} -> {v}");
                     assert_eq!(got != NO_SLOT, machine.graph().has_edge(u, v), "key {key}");
+                    sound &= got != NO_SLOT;
                     if got != NO_SLOT {
                         let row = offsets[u] as usize..offsets[u + 1] as usize;
                         assert!(row.contains(&(got as usize)), "key {key} outside row {u}");
@@ -400,7 +519,139 @@ mod tests {
                 _ => assert_eq!(got, NO_SLOT, "key {key}: {x} -> {y} is no hop"),
             }
         }
+        assert_eq!(ctx.sound, sound, "soundness verdict of {placement:?}");
         links
+    }
+
+    /// `B(2,h)` minus the links in `cut` (each named `(min, max)`).
+    fn minus_links(db: &DeBruijn2, cut: &[(usize, usize)]) -> PhysicalMachine {
+        let adjacency = (0..db.node_count())
+            .map(|u| {
+                db.graph()
+                    .neighbor_ids(u)
+                    .filter(|&v| !cut.contains(&(u.min(v), u.max(v))))
+                    .collect()
+            })
+            .collect();
+        let graph = Graph::from_adjacency(adjacency, "B(2,h) minus links".into())
+            .expect("a subgraph of a simple graph is simple");
+        PhysicalMachine::new(graph, PortModel::MultiPort)
+    }
+
+    /// One (machine, placement) pair for `B(2,h)`, `h >= 2`, from the
+    /// family `family` picks, its random parts drawn from `seed`: the
+    /// identity on a healthy and on a faulted machine; the rank map of
+    /// `B^2(2,h)` around static faults on processors in use and on spares;
+    /// a short placement (an identity prefix, possibly empty) and one longer
+    /// than `N`; a placement with an image past the machine; a non-injective
+    /// fold onto `B(2,h-1)`; and the identity on a host missing shift links.
+    fn drawn_pair(db: &DeBruijn2, family: u8, seed: u64) -> (PhysicalMachine, Embedding) {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let (h, n) = (db.h(), db.node_count());
+        let healthy = PhysicalMachine::new(db.graph().clone(), PortModel::MultiPort);
+        match family {
+            0 => (healthy, Embedding::identity(n)),
+            1 => {
+                let faults = FaultSet::from_nodes(n, (0..3).map(|_| rng.random_range(0..n)));
+                let machine =
+                    PhysicalMachine::with_faults(db.graph().clone(), faults, PortModel::MultiPort);
+                (machine, Embedding::identity(n))
+            }
+            2 | 3 => {
+                let ft = FtDeBruijn2::new(h, 2);
+                let used = ft.reconfigure(&FaultSet::empty(ft.node_count()));
+                let spares: Vec<usize> = (0..ft.node_count())
+                    .filter(|v| !used.as_slice().contains(v))
+                    .collect();
+                let pool = if family == 2 {
+                    used.as_slice()
+                } else {
+                    &spares
+                };
+                let faults = FaultSet::from_nodes(
+                    ft.node_count(),
+                    (0..2).map(|_| pool[rng.random_range(0..pool.len())]),
+                );
+                let placement = ft
+                    .reconfigure_verified(&faults)
+                    .expect("two faults are within B^2(2,h)'s budget");
+                let host =
+                    PhysicalMachine::with_faults(ft.graph().clone(), faults, PortModel::MultiPort);
+                (host, placement)
+            }
+            4 => (healthy, Embedding::identity(rng.random_range(0..n))),
+            5 => {
+                let extra = (0..rng.random_range(1..4)).map(|_| rng.random_range(0..4 * n));
+                (healthy, Embedding::from_map((0..n).chain(extra).collect()))
+            }
+            6 => {
+                let mut map: Vec<usize> = (0..n).collect();
+                map[rng.random_range(0..n)] = n + rng.random_range(0..3usize);
+                (healthy, Embedding::from_map(map))
+            }
+            7 => {
+                let half = DeBruijn2::new(h - 1);
+                let folded = PhysicalMachine::new(half.graph().clone(), PortModel::MultiPort);
+                (
+                    folded,
+                    Embedding::from_map((0..n).map(|x| x % (n / 2)).collect()),
+                )
+            }
+            _ => {
+                let edges: Vec<(usize, usize)> = db.graph().edges().collect();
+                let cut: Vec<(usize, usize)> = (0..3)
+                    .map(|_| edges[rng.random_range(0..edges.len())])
+                    .collect();
+                (minus_links(db, &cut), Embedding::identity(n))
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// The one placement check against the reference walker: the
+        /// placement reads sound exactly when every pair passes
+        /// `route_logical_debruijn_into`; the walk returns what that kernel
+        /// returns on every pair and on the drawn `(s, t)`, whose endpoints
+        /// may lie past `N`; the check is the walk's verdict; and
+        /// `run_logical_workload` at threads {1, 3} equals the per-packet
+        /// statistics.
+        #[test]
+        fn one_check_agrees_with_the_reference_walker(
+            h in 2usize..7,
+            family in 0u8..9,
+            seed in 0u64..1_000,
+            s in 0usize..72,
+            t in 0usize..72,
+        ) {
+            let db = DeBruijn2::new(h);
+            let n = db.node_count();
+            let (machine, placement) = drawn_pair(&db, family, seed);
+            let mut ctx = ImplicitRoute::default();
+            proptest::prop_assert!(ctx.capture(&db, &placement, &machine));
+            let (s, t) = (s % (n + 2), t % (n + 2));
+            let mut pairs: Vec<(usize, usize)> =
+                (0..n).flat_map(|a| (0..n).map(move |b| (a, b))).collect();
+            pairs.extend([(s, t), (t, s)]);
+            let mut path = Vec::new();
+            let mut reference = RoutingStats::default();
+            let mut every_pair_passes = true;
+            for &(a, b) in &pairs {
+                let want = route_logical_debruijn_into(&db, &placement, &machine, a, b, &mut path);
+                every_pair_passes &= want.is_ok() || a >= n || b >= n;
+                proptest::prop_assert_eq!(ctx.walk(&machine, a, b), want.clone(), "({}, {})", a, b);
+                proptest::prop_assert_eq!(ctx.check(&machine, a, b), want.map(drop));
+                reference.record(&route_logical_debruijn(&db, &placement, &machine, a, b));
+            }
+            proptest::prop_assert_eq!(ctx.sound, every_pair_passes, "{:?}", placement);
+            for threads in [1, 3] {
+                proptest::prop_assert_eq!(
+                    run_logical_workload(&db, &placement, &machine, &pairs, threads),
+                    reference.clone()
+                );
+            }
+        }
     }
 
     #[test]
@@ -418,19 +669,8 @@ mod tests {
                 "h={h}"
             );
             // B(2,h) minus a spread of links: their entries are sentinels.
-            let edges: Vec<(usize, usize)> = db.graph().edges().collect();
-            let cut: Vec<(usize, usize)> = edges.iter().copied().step_by(7).collect();
-            let adjacency = (0..n)
-                .map(|u| {
-                    db.graph()
-                        .neighbor_ids(u)
-                        .filter(|&v| !cut.contains(&(u.min(v), u.max(v))))
-                        .collect()
-                })
-                .collect();
-            let graph = Graph::from_adjacency(adjacency, "B(2,h) minus links".into())
-                .expect("a subgraph of a simple graph is simple");
-            let damaged = PhysicalMachine::new(graph, PortModel::MultiPort);
+            let cut: Vec<(usize, usize)> = db.graph().edges().step_by(7).collect();
+            let damaged = minus_links(&db, &cut);
             assert!(assert_table_is_the_row_search(&db, &identity, &damaged) < 2 * n - 2);
             // The short identity placement: only half the labels placed.
             assert_table_is_the_row_search(&db, &Embedding::identity(n / 2), &healthy);

@@ -50,7 +50,7 @@ use super::engine::{
 use super::implicit_route::{self, ImplicitRoute};
 use crate::machine::{PhysicalMachine, PortModel, SimError};
 use crate::metrics::LatencySummary;
-use crate::routing::{self, Trust};
+use crate::routing;
 use ftdb_core::parallel::fan_out;
 use ftdb_core::{FaultSet, LinkFaultSet};
 use ftdb_graph::traversal::Searcher;
@@ -1200,7 +1200,7 @@ pub struct ShardedSim {
     slot_start: Vec<u32>,
     cores: Vec<ShardCore>,
     // --- global packet table (driver-owned) -------------------------------
-    /// Injection cycle per packet (0 for the batch `load_*` APIs).
+    /// Injection cycle per packet (the load's cycle for `load_oblivious`).
     inject_at: Vec<u32>,
     /// Logical target per packet (`NO_LOGICAL` for packets dropped at
     /// load); lets the recovery driver re-target packets after a
@@ -1408,28 +1408,26 @@ impl ShardedSim {
     }
 
     /// Appends the outcome bookkeeping of packet `id == inject_at.len()`,
-    /// whose route state is already in `home`'s core: a zero-hop packet
-    /// injected at load is delivered on the spot (latency 0), a timed one
-    /// waits in its home core's injection queue, and every other packet is
-    /// live from cycle 0.
-    fn admit(&mut self, home: usize, t: u32, inject_cycle: u32) {
+    /// whose route state is already in `home`'s core. A packet that enters
+    /// the network at load is live from now on, or delivered on the spot
+    /// (latency 0) when it is born on its target; a timed one waits in its
+    /// home core's injection queue.
+    fn admit(&mut self, home: usize, t: u32, inject_cycle: u32, at_load: bool) {
         let id = self.inject_at.len();
         self.inject_at.push(inject_cycle);
         self.logical_target.push(t);
         self.outcomes.dropped_at.push(NEVER);
         let core = &mut self.cores[home];
-        if pk_terminal(core.entry[id]) && inject_cycle == 0 {
-            // Loading precedes any dynamic fault, so the batch semantics
-            // deliver a packet born on its target at injection.
+        if at_load && pk_terminal(core.entry[id]) {
             core.cursor[id] = NEVER;
-            self.outcomes.delivered_at.push(0);
+            self.outcomes.delivered_at.push(inject_cycle);
             self.outcomes.delivered += 1;
             self.outcomes.latencies.push(0);
         } else {
             // Timed zero-hop packets resolve at their injection cycle, in
             // `inject_due` — by then their source may have died.
             self.outcomes.delivered_at.push(NEVER);
-            if inject_cycle == 0 {
+            if at_load {
                 core.queue_now(id);
                 core.in_network[id] = true;
                 self.outcomes.live += 1;
@@ -1452,41 +1450,40 @@ impl ShardedSim {
     }
 
     /// Loads a workload of logical pairs routed with the oblivious de
-    /// Bruijn scheme through `placement`. Pairs whose fixed route is
-    /// infeasible on the machine as loaded (faulty node, missing link,
-    /// out-of-range endpoint, a node a short placement does not map) are
-    /// injected as immediately-dropped packets.
+    /// Bruijn scheme through `placement`. The packets enter the network at
+    /// the current cycle, which is their injection cycle (0 on a fresh
+    /// engine). Pairs whose fixed route is infeasible on the machine as
+    /// loaded (faulty node, missing link, out-of-range endpoint, a node a
+    /// short placement does not map), and pairs whose source processor has
+    /// already died, are injected as immediately-dropped packets.
     pub fn load_oblivious(
         &mut self,
         db: &DeBruijn2,
         placement: &Embedding,
         pairs: &[(NodeId, NodeId)],
     ) {
-        self.load_oblivious_packets(db, placement, pairs.iter().map(|&(s, t)| (0, s, t)));
+        let now = self.cycle;
+        self.load_oblivious_packets(db, placement, pairs.iter().map(|&(s, t)| (now, s, t)), true);
     }
 
     /// The loop behind both oblivious loaders: `(inject_cycle, source,
     /// target)` packets, validated and appended in order, each hosted by
-    /// the core owning its source.
+    /// the core owning its source. A `batch` packet, and a timed one for
+    /// cycle 0, enters the network at load.
     fn load_oblivious_packets(
         &mut self,
         db: &DeBruijn2,
         placement: &Embedding,
         packets: impl ExactSizeIterator<Item = (u32, NodeId, NodeId)>,
+        batch: bool,
     ) {
-        // A context mismatch (a second load through a different placement
-        // or radix) loads materialized paths, so the generator state of
-        // the packets already loaded stays well-defined.
+        // Route feasibility belongs to the (machine, placement) pair, so the
+        // capture that builds the successor-slot table proves it once and
+        // each packet is checked at the cost that proof leaves. A context
+        // mismatch (a second load through a different placement or radix)
+        // loads walked, materialized paths, so the generator state of the
+        // packets already loaded stays well-defined.
         let implicit = self.implicit.capture(db, placement, &self.machine);
-        // Route feasibility belongs to the (machine, placement) pair, so an
-        // implicit load proves it once, in O(V + E), and then checks each
-        // packet at the tier that proof earned. Materialized packets store
-        // the walked path, so they always walk.
-        let trust = if implicit {
-            routing::workload_trust(db, placement, &self.machine)
-        } else {
-            Trust::Checked
-        };
         let added = packets.len();
         let total = self.inject_at.len() + added;
         for core in &mut self.cores {
@@ -1510,34 +1507,40 @@ impl ShardedSim {
         let n = self.machine.node_count();
         let mut path = Vec::with_capacity(db.h() + 1);
         for (cycle, s, t) in packets {
-            if trust
-                .check_route(db, placement, &self.machine, s, t, &mut path)
-                .is_err()
-            {
-                self.push_dead(cycle);
-                continue;
-            }
+            let at_load = batch || cycle == 0;
+            let source = if implicit {
+                self.implicit
+                    .check(&self.machine, s, t)
+                    .map(|()| self.implicit.image(s as u32) as usize)
+            } else {
+                routing::route_logical_debruijn_into(db, placement, &self.machine, s, t, &mut path)
+                    .map(|_| path.first().copied().unwrap_or(0))
+            };
+            // No packet enters the network on a processor that has died.
+            let source = match source {
+                Ok(source) if !(at_load && self.node_kills.dead[source]) => source,
+                _ => {
+                    self.push_dead(cycle);
+                    continue;
+                }
+            };
             let id = self.inject_at.len();
-            let home = if implicit {
+            let home = shard_of(source, n, self.shards);
+            let core = &mut self.cores[home];
+            if implicit {
                 let (entry, pos, rem) =
                     self.implicit.first_entry(&self.machine, s as u32, t as u32);
-                let home = shard_of(pk_node(entry), n, self.shards);
-                let core = &mut self.cores[home];
                 core.entry[id] = entry;
                 core.imp_pos[id] = pos;
                 core.imp_rem[id] = rem;
                 core.cursor[id] = IMPLICIT_ACTIVE;
-                home
             } else {
-                let home = shard_of(path.first().copied().unwrap_or(0), n, self.shards);
-                let core = &mut self.cores[home];
                 let (start, end) = spill(&mut core.arena, &self.machine, &path);
                 core.entry[id] = core.arena[start as usize];
                 core.cursor[id] = start;
                 core.seg_end[id] = end;
-                home
-            };
-            self.admit(home, t as u32, cycle);
+            }
+            self.admit(home, t as u32, cycle, at_load);
         }
     }
 
@@ -1574,7 +1577,7 @@ impl ShardedSim {
             );
         }
         self.open_loop_sources = db.node_count() as u32;
-        self.load_oblivious_packets(db, placement, injections.iter().copied());
+        self.load_oblivious_packets(db, placement, injections.iter().copied(), false);
     }
 
     /// Schedules processor `node` to die at the *start* of `cycle`, before
@@ -1809,7 +1812,7 @@ impl ShardedSim {
 
     /// The report for the run so far — byte-identical for any shard and
     /// thread count. Latencies are measured from each packet's injection
-    /// cycle (0 for the batch `load_*` APIs).
+    /// cycle (the load's cycle for [`ShardedSim::load_oblivious`]).
     pub fn report(&mut self) -> CongestionReport {
         // Resolution order varies with the shard cut; the multiset of
         // latencies does not. A full sort (idempotent, and cheap on the

@@ -147,114 +147,6 @@ impl LatencySummary {
     }
 }
 
-/// A fixed-bin per-packet latency histogram for open-loop runs. All storage
-/// is sized at construction and [`LatencyHistogram::record`] only touches
-/// pre-allocated bins, so the measurement loop stays allocation-free; the
-/// summary accessors may be called at any time.
-#[derive(Clone, Debug, PartialEq)]
-pub struct LatencyHistogram {
-    /// Width of each bin in cycles (≥ 1).
-    bin_width: u32,
-    /// Bin `i` counts latencies in `[i*bin_width, (i+1)*bin_width)`.
-    bins: Vec<u64>,
-    /// Latencies past the last bin.
-    overflow: u64,
-    count: u64,
-    sum: u64,
-    max: u32,
-}
-
-impl LatencyHistogram {
-    /// A histogram of `bin_count` bins of `bin_width` cycles each.
-    ///
-    /// # Panics
-    /// Panics if either dimension is zero.
-    pub fn new(bin_width: u32, bin_count: usize) -> Self {
-        assert!(bin_width >= 1, "bin width must be at least one cycle");
-        assert!(bin_count >= 1, "histogram needs at least one bin");
-        LatencyHistogram {
-            bin_width,
-            bins: vec![0; bin_count],
-            overflow: 0,
-            count: 0,
-            sum: 0,
-            max: 0,
-        }
-    }
-
-    /// Records one delivered packet's latency. Allocation-free.
-    pub fn record(&mut self, latency: u32) {
-        let bin = (latency / self.bin_width) as usize;
-        match self.bins.get_mut(bin) {
-            Some(b) => *b += 1,
-            None => self.overflow += 1,
-        }
-        self.count += 1;
-        self.sum += latency as u64;
-        self.max = self.max.max(latency);
-    }
-
-    /// Empties the histogram for reuse without touching the allocator.
-    pub fn clear(&mut self) {
-        for b in &mut self.bins {
-            *b = 0;
-        }
-        self.overflow = 0;
-        self.count = 0;
-        self.sum = 0;
-        self.max = 0;
-    }
-
-    /// Packets recorded.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Mean latency (0.0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
-    }
-
-    /// The exact maximum recorded latency.
-    pub fn max(&self) -> u32 {
-        self.max
-    }
-
-    /// Latencies that fell past the last bin.
-    pub fn overflow(&self) -> u64 {
-        self.overflow
-    }
-
-    /// The per-bin counts (`bins()[i]` covers `[i*w, (i+1)*w)` cycles).
-    pub fn bins(&self) -> &[u64] {
-        &self.bins
-    }
-
-    /// Nearest-rank percentile, resolved to the *upper edge* of the bin
-    /// holding that rank (a conservative bound, exact to `bin_width`).
-    /// Returns [`LatencyHistogram::max`] when the rank lands in the
-    /// overflow region, and 0 when the histogram is empty.
-    pub fn percentile(&self, q: f64) -> u32 {
-        if self.count == 0 {
-            return 0;
-        }
-        let rank = ((q * self.count as f64).ceil() as u64).max(1);
-        let mut seen = 0;
-        for (i, &b) in self.bins.iter().enumerate() {
-            seen += b;
-            if seen >= rank {
-                let upper = (i as u32 + 1) * self.bin_width - 1;
-                return upper.min(self.max);
-            }
-        }
-        self.max
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -335,32 +227,6 @@ mod tests {
         let s = LatencySummary::from_latencies(&mut twenty);
         assert_eq!((s.count, s.p50, s.p95, s.max), (20, 10, 19, 20));
         assert!((s.mean - 10.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn latency_histogram_records_and_summarises() {
-        let mut hist = LatencyHistogram::new(4, 4); // covers [0, 16), overflow past
-        assert_eq!(hist.percentile(0.5), 0);
-        for lat in [0, 1, 3, 4, 7, 15] {
-            hist.record(lat);
-        }
-        assert_eq!(hist.count(), 6);
-        assert_eq!(hist.bins(), &[3, 2, 0, 1]);
-        assert_eq!(hist.overflow(), 0);
-        assert_eq!(hist.max(), 15);
-        assert!((hist.mean() - 30.0 / 6.0).abs() < 1e-12);
-        // Rank 3 of 6 is the last latency in bin 0: upper edge 3.
-        assert_eq!(hist.percentile(0.5), 3);
-        assert_eq!(hist.percentile(1.0), 15);
-        // Overflow: recorded in count/mean/max, percentile falls back to max.
-        hist.record(100);
-        assert_eq!(hist.overflow(), 1);
-        assert_eq!(hist.max(), 100);
-        assert_eq!(hist.percentile(1.0), 100);
-        hist.clear();
-        assert_eq!(hist.count(), 0);
-        assert_eq!(hist.bins(), &[0, 0, 0, 0]);
-        assert_eq!(hist.max(), 0);
     }
 
     #[test]

@@ -20,10 +20,17 @@
 //!   they allocate the delivered path.
 //! * `route_*_into` kernels that write the path into a caller-owned buffer
 //!   and report the hop count — zero heap allocation per packet once the
-//!   buffers are warm. [`RouteScratch`] bundles the buffers; the workload
-//!   drivers keep one scratch per worker thread and route entire
-//!   permutations without touching the allocator.
+//!   buffers are warm. [`RouteScratch`] bundles the buffers of adaptive
+//!   routing.
+//!
+//! [`route_logical_debruijn_into`] is the reference walker of the oblivious
+//! route. The oblivious workload driver proves the placement sound or not
+//! once, in the pass that builds the congestion engine's successor-slot
+//! table; its per-packet walk then only counts the hops of a sound
+//! placement and checks those of an unsound one, with the reference
+//! walker's statistics.
 
+use crate::congestion::implicit_route::{check_endpoints, ImplicitRoute};
 use crate::machine::{PhysicalMachine, SimError};
 use crate::metrics::RoutingStats;
 use ftdb_core::parallel::fan_out;
@@ -87,7 +94,7 @@ pub fn route_logical_debruijn_into(
     target: NodeId,
     out: &mut Vec<NodeId>,
 ) -> Result<usize, SimError> {
-    check_endpoints(db, source, target)?;
+    check_endpoints(db.node_count(), source, target)?;
     out.clear();
     let g = machine.graph();
     let h = db.h();
@@ -216,207 +223,18 @@ pub fn route_adaptive(
     }
 }
 
-/// How much per-packet validation a workload run still needs, decided once
-/// per workload (and once per congestion-engine load) by
-/// [`workload_trust`]. All tiers produce byte-identical statistics; the
-/// cheaper tiers just skip checks that the upfront validation proved can
-/// never fail.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum Trust {
-    /// Placement images are in range and healthy, and every logical edge
-    /// maps to a physical link: only the endpoints can fail, count hops
-    /// with pure arithmetic.
-    Full,
-    /// Links are valid but some placement image is faulty: check processor
-    /// health per hop.
-    Health,
-    /// No guarantees: run the full per-hop link + health checks.
-    Checked,
-}
-
-impl Trust {
-    /// Whether the oblivious route from `source` to `target` is deliverable:
-    /// `Ok` exactly when [`route_logical_debruijn_into`] would deliver it,
-    /// at this tier's per-packet cost. Only `Checked` walks the physical
-    /// path, into `path`; the congestion loaders that store paths pass
-    /// `Checked` for that reason.
-    #[inline]
-    pub(crate) fn check_route(
-        self,
-        db: &DeBruijn2,
-        placement: &Embedding,
-        machine: &PhysicalMachine,
-        source: NodeId,
-        target: NodeId,
-        path: &mut Vec<NodeId>,
-    ) -> Result<(), SimError> {
-        match self {
-            Trust::Full => check_endpoints(db, source, target),
-            Trust::Health => {
-                oblivious_hops_health(db, placement, machine, source, target).map(drop)
-            }
-            Trust::Checked => {
-                route_logical_debruijn_into(db, placement, machine, source, target, path).map(drop)
-            }
-        }
-    }
-}
-
-/// Validates `placement` against the machine once: O(V + E) instead of
-/// O(packets · h). This is the batching win — a production machine
-/// validates its routing table when it is installed, not per packet.
-pub(crate) fn workload_trust(
-    db: &DeBruijn2,
-    placement: &Embedding,
-    machine: &PhysicalMachine,
-) -> Trust {
-    let n = machine.node_count();
-    if placement.len() != db.node_count() || placement.as_slice().iter().any(|&p| p >= n) {
-        return Trust::Checked;
-    }
-    let g = machine.graph();
-    // Coinciding endpoints need no physical link, matching
-    // `PhysicalMachine::check_link`'s allowance for `u == v`.
-    let edges_ok = db.graph().edges().all(|(a, b)| {
-        let (pa, pb) = (placement.apply(a), placement.apply(b));
-        pa == pb || g.has_edge(pa, pb)
-    });
-    if !edges_ok {
-        return Trust::Checked;
-    }
-    // Routes only visit placement images, so faults elsewhere (the idle
-    // spares of a reconfigured B^k(2,h) host) cannot drop a packet.
-    if placement.as_slice().iter().all(|&p| machine.is_healthy(p)) {
-        Trust::Full
-    } else {
-        Trust::Health
-    }
-}
-
-/// Checks that both route endpoints name logical nodes. Every kernel calls
-/// this first, so a malformed pair surfaces as a [`SimError`] (and thus a
-/// dropped packet in the workload drivers) instead of a release-mode panic.
-// analyzer: alloc-free
-#[inline]
-fn check_endpoints(db: &DeBruijn2, source: NodeId, target: NodeId) -> Result<(), SimError> {
-    let limit = db.node_count();
-    if source >= limit {
-        return Err(SimError::EndpointOutOfRange {
-            node: source,
-            limit,
-        });
-    }
-    if target >= limit {
-        return Err(SimError::EndpointOutOfRange {
-            node: target,
-            limit,
-        });
-    }
-    Ok(())
-}
-
-/// Hop count of the oblivious route when nothing can fail (Trust::Full):
-/// pure shift arithmetic, no memory traffic besides the instruction stream.
-#[inline]
-// analyzer: alloc-free
-fn oblivious_hops_trusted(
-    db: &DeBruijn2,
-    source: NodeId,
-    target: NodeId,
-) -> Result<usize, SimError> {
-    check_endpoints(db, source, target)?;
-    let mut hops = 0;
-    let mut current = source;
-    for i in (0..db.h()).rev() {
-        let next = db.route_step(current, target >> i);
-        if next != current {
-            hops += 1;
-        }
-        current = next;
-    }
-    Ok(hops)
-}
-
-/// Hop count when links are trusted but processors may be faulty
-/// (Trust::Health): one health check per visited node.
-#[inline]
-// analyzer: alloc-free
-fn oblivious_hops_health(
-    db: &DeBruijn2,
-    placement: &Embedding,
-    machine: &PhysicalMachine,
-    source: NodeId,
-    target: NodeId,
-) -> Result<usize, SimError> {
-    check_endpoints(db, source, target)?;
-    let physical = placement.apply(source);
-    if !machine.is_healthy(physical) {
-        return Err(SimError::FaultyProcessor { node: physical });
-    }
-    let mut hops = 0;
-    let mut current = source;
-    for i in (0..db.h()).rev() {
-        let next = db.route_step(current, target >> i);
-        if next != current {
-            let p = placement.apply(next);
-            if !machine.is_healthy(p) {
-                return Err(SimError::FaultyProcessor { node: p });
-            }
-            hops += 1;
-        }
-        current = next;
-    }
-    Ok(hops)
-}
-
-/// Routes one chunk of a workload under a precomputed trust tier.
-fn run_logical_chunk(
-    db: &DeBruijn2,
-    placement: &Embedding,
-    machine: &PhysicalMachine,
-    pairs: &[(NodeId, NodeId)],
-    trust: Trust,
-    path: &mut Vec<NodeId>,
-) -> RoutingStats {
-    let mut stats = RoutingStats::default();
-    match trust {
-        Trust::Full => {
-            for &(s, t) in pairs {
-                match oblivious_hops_trusted(db, s, t) {
-                    Ok(hops) => stats.record_delivered(hops),
-                    Err(_) => stats.record_dropped(),
-                }
-            }
-        }
-        Trust::Health => {
-            for &(s, t) in pairs {
-                match oblivious_hops_health(db, placement, machine, s, t) {
-                    Ok(hops) => stats.record_delivered(hops),
-                    Err(_) => stats.record_dropped(),
-                }
-            }
-        }
-        Trust::Checked => {
-            for &(s, t) in pairs {
-                match route_logical_debruijn_into(db, placement, machine, s, t, path) {
-                    Ok(hops) => stats.record_delivered(hops),
-                    Err(_) => stats.record_dropped(),
-                }
-            }
-        }
-    }
-    stats
-}
-
 /// Routes a whole workload of logical `(source, target)` pairs with the
 /// oblivious de Bruijn strategy and aggregates statistics.
 ///
-/// The placement is validated once ([`workload_trust`]); `pairs` is then
-/// cut into `threads` contiguous chunks ([`fan_out`]), each routed with one
-/// private path buffer — zero allocation per packet, no lock in the hot
-/// loop — and the statistics are merged in chunk order. The per-packet
-/// outcomes are independent, so the result is the same for any `threads`;
-/// with 1 the workload is routed on the calling thread.
+/// The placement is checked against the machine once, by capturing the
+/// same [`ImplicitRoute`] context the congestion engine's loads use: on a
+/// sound placement each packet costs shift arithmetic, on any other one
+/// the context's walk, which agrees with [`route_logical_debruijn_into`]
+/// packet by packet. `pairs` is cut into `threads` contiguous chunks
+/// ([`fan_out`]) that share the context — zero allocation per packet, no
+/// lock in the hot loop — and the statistics are merged in chunk order.
+/// The per-packet outcomes are independent, so the result is the same for
+/// any `threads`; with 1 the workload is routed on the calling thread.
 pub fn run_logical_workload(
     db: &DeBruijn2,
     placement: &Embedding,
@@ -424,10 +242,17 @@ pub fn run_logical_workload(
     pairs: &[(NodeId, NodeId)],
     threads: usize,
 ) -> RoutingStats {
-    let trust = workload_trust(db, placement, machine);
+    let mut route = ImplicitRoute::default();
+    route.capture(db, placement, machine);
     let chunks = fan_out(pairs, threads, |chunk| {
-        let mut path = Vec::with_capacity(db.h() + 1);
-        run_logical_chunk(db, placement, machine, chunk, trust, &mut path)
+        let mut stats = RoutingStats::default();
+        for &(s, t) in chunk {
+            match route.walk(machine, s, t) {
+                Ok(hops) => stats.record_delivered(hops),
+                Err(_) => stats.record_dropped(),
+            }
+        }
+        stats
     });
     let mut stats = RoutingStats::default();
     for chunk in &chunks {
@@ -606,11 +431,12 @@ mod tests {
 
     #[test]
     fn workload_tiers_match_per_packet_reference() {
-        // The trust-tier workload runs and the per-packet tier check must agree
-        // with per-packet routing on (a) a healthy machine (Full), (b) a
-        // faulty machine (Health), (c) a machine whose graph is missing
-        // links (Checked), and (d) a reconfigured B^k(2,h) host, whose
-        // faults all sit off the placement (Full).
+        // The captured context's soundness verdict, its walk and check, and
+        // the workload runs must agree with per-packet routing on (a) a
+        // healthy machine (sound), (b) a faulty machine and (c) a machine
+        // whose graph is missing links (both unsound), and (d) a
+        // reconfigured B^k(2,h) host, whose faults all sit off the
+        // placement (sound).
         let db = DeBruijn2::new(5);
         let n = db.node_count();
         let identity = Embedding::identity(n);
@@ -627,29 +453,27 @@ mod tests {
         let reconfigured =
             PhysicalMachine::with_faults(ft.graph().clone(), faults, PortModel::MultiPort);
         let cases = [
-            (&healthy, &identity, Trust::Full),
-            (&faulty, &identity, Trust::Health),
-            (&sparse, &identity, Trust::Checked),
-            (&reconfigured, &reconfigured_placement, Trust::Full),
+            (&healthy, &identity, true),
+            (&faulty, &identity, false),
+            (&sparse, &identity, false),
+            (&reconfigured, &reconfigured_placement, true),
         ];
         let mut path = Vec::new();
-        for (machine, placement, tier) in cases {
-            assert_eq!(workload_trust(&db, placement, machine), tier);
+        for (machine, placement, sound) in cases {
+            let mut route = ImplicitRoute::default();
+            assert!(route.capture(&db, placement, machine));
+            assert_eq!(route.sound(), sound);
             let mut reference = RoutingStats::default();
             for &(s, t) in &pairs {
-                let outcome = route_logical_debruijn(&db, placement, machine, s, t);
-                let checked = tier.check_route(&db, placement, machine, s, t, &mut path);
-                assert_eq!(
-                    checked.is_ok(),
-                    outcome.hops().is_some(),
-                    "{tier:?} ({s},{t})"
-                );
-                reference.record(&outcome);
+                let want = route_logical_debruijn_into(&db, placement, machine, s, t, &mut path);
+                assert_eq!(route.walk(machine, s, t), want, "sound={sound} ({s},{t})");
+                assert_eq!(route.check(machine, s, t), want.map(drop), "({s},{t})");
+                reference.record(&route_logical_debruijn(&db, placement, machine, s, t));
             }
             let sequential = run_logical_workload(&db, placement, machine, &pairs, 1);
-            assert_eq!(sequential, reference, "{tier:?}");
+            assert_eq!(sequential, reference, "sound={sound}");
             let threaded = run_logical_workload(&db, placement, machine, &pairs, 3);
-            assert_eq!(threaded, reference, "{tier:?}");
+            assert_eq!(threaded, reference, "sound={sound}");
         }
     }
 
@@ -676,8 +500,18 @@ mod tests {
             route_logical_debruijn_into(&db, &short, &machine, 0, 5, &mut path),
             Ok(3)
         );
-        assert_eq!(workload_trust(&db, &short, &machine), Trust::Checked);
+        // A short identity placement is not the identity: the context keeps
+        // its map, reads unsound and walks to the same verdicts.
+        let mut route = ImplicitRoute::default();
+        assert!(route.capture(&db, &short, &machine));
+        assert!(!route.sound());
         let pairs = [(3, 12), (0, 5), (9, 1)];
+        for (s, t) in pairs {
+            assert_eq!(
+                route.walk(&machine, s, t),
+                route_logical_debruijn_into(&db, &short, &machine, s, t, &mut path)
+            );
+        }
         let stats = run_logical_workload(&db, &short, &machine, &pairs, 1);
         assert_eq!((stats.delivered, stats.dropped), (1, 2));
         assert_eq!(
@@ -754,8 +588,8 @@ mod tests {
     #[test]
     fn out_of_range_pairs_count_as_dropped_in_every_trust_tier() {
         // The same malformed pair must degrade into one dropped packet on a
-        // healthy machine (Full tier), a faulty machine (Health tier) and a
-        // link-deficient machine (Checked tier) — never a panic.
+        // healthy machine (a sound placement), a faulty machine and a
+        // link-deficient machine (unsound ones) — never a panic.
         let db = DeBruijn2::new(3);
         let n = db.node_count();
         let placement = Embedding::identity(n);
@@ -764,7 +598,10 @@ mod tests {
         let mut faulty = healthy.clone();
         faulty.inject_fault(6);
         let sparse = PhysicalMachine::new(ftdb_graph::generators::cycle(n), PortModel::MultiPort);
-        for machine in [&healthy, &faulty, &sparse] {
+        for (machine, sound) in [(&healthy, true), (&faulty, false), (&sparse, false)] {
+            let mut route = ImplicitRoute::default();
+            assert!(route.capture(&db, &placement, machine));
+            assert_eq!(route.sound(), sound);
             let stats = run_logical_workload(&db, &placement, machine, &pairs, 1);
             assert_eq!(stats.delivered + stats.dropped, pairs.len() as u64);
             assert!(stats.dropped >= 2, "both malformed pairs must be dropped");

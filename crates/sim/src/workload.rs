@@ -50,10 +50,6 @@ pub enum InjectionProcess {
     /// probability `offered_load`. The classic open-loop arrival process;
     /// bursty at the cycle scale.
     Bernoulli,
-    /// Each node injects on a fixed period of `round(1/offered_load)`
-    /// cycles, with its phase staggered by its node index so the fabric
-    /// never sees a synchronized all-nodes burst.
-    Staggered,
 }
 
 /// An open-loop offered-load experiment: inject for `warmup_cycles +
@@ -117,29 +113,14 @@ pub fn open_loop_injections_into(
 ) {
     assert!(spec.offered_load > 0.0, "offered load must be positive");
     let mut rng = rand::rngs::StdRng::seed_from_u64(spec.seed);
-    let schedule = out;
-    schedule.clear();
-    match spec.process {
-        InjectionProcess::Bernoulli => {
-            for cycle in 0..spec.injection_cycles() {
-                for node in 0..n {
-                    let coin: f64 = rng.random();
-                    let target = rng.random_range(0..n);
-                    if coin < spec.offered_load {
-                        schedule.push((cycle, node, target));
-                    }
-                }
-            }
-        }
-        InjectionProcess::Staggered => {
-            let period = (1.0 / spec.offered_load).round().max(1.0) as u32;
-            for cycle in 0..spec.injection_cycles() {
-                for node in 0..n {
-                    if (cycle + node as u32) % period == 0 {
-                        let target = rng.random_range(0..n);
-                        schedule.push((cycle, node, target));
-                    }
-                }
+    let InjectionProcess::Bernoulli = spec.process;
+    out.clear();
+    for cycle in 0..spec.injection_cycles() {
+        for node in 0..n {
+            let coin: f64 = rng.random();
+            let target = rng.random_range(0..n);
+            if coin < spec.offered_load {
+                out.push((cycle, node, target));
             }
         }
     }

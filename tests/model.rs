@@ -38,8 +38,10 @@
 //!    while a higher one exists. A packet that fails starts a head-of-line
 //!    span at its first failure; a move or resolution closes it.
 //!
-//! A packet loaded for cycle 0 enters the network at load, and one with an
-//! empty route delivers there, before any kill (§2's zero-hop rule).
+//! A batch load stamps the current cycle as its packets' injection cycle.
+//! Its packets, and a timed load's packets for cycle 0, enter the network
+//! at load: dropped there if the source has died, delivered there (before
+//! any later kill) if the route is empty (§2's zero-hop rule).
 //! `run_until` stops at the horizon, when the network drains, or when a
 //! cycle proves a deadlock: nothing moved, injected, fired or re-routed,
 //! packets are live, none wait to inject, no credit return or claim window
@@ -164,10 +166,10 @@ impl CycleModel {
         }
     }
 
-    /// Loads logical pairs for cycle 0 through `placement`.
+    /// Loads logical pairs for the current cycle through `placement`.
     pub fn load(&mut self, db: &DeBruijn2, placement: &Embedding, pairs: &[(NodeId, NodeId)]) {
         for &(s, t) in pairs {
-            self.admit(db, placement, 0, s, t);
+            self.admit(db, placement, self.cycle, true, s, t);
         }
     }
 
@@ -179,7 +181,7 @@ impl CycleModel {
         injections: &[(u32, NodeId, NodeId)],
     ) {
         for &(c, s, t) in injections {
-            self.admit(db, placement, c, s, t);
+            self.admit(db, placement, c, c == 0, s, t);
         }
     }
 
@@ -211,12 +213,23 @@ impl CycleModel {
         Some(path)
     }
 
-    fn admit(&mut self, db: &DeBruijn2, placement: &Embedding, c: u32, s: NodeId, t: NodeId) {
+    /// Appends packet `s → t` for cycle `c`; one loaded `now` enters the
+    /// network at load.
+    fn admit(
+        &mut self,
+        db: &DeBruijn2,
+        placement: &Embedding,
+        c: u32,
+        now: bool,
+        s: NodeId,
+        t: NodeId,
+    ) {
         let (state, route) = match self.route(db, placement, s, t) {
-            None => (State::Dropped(c), Vec::new()),
-            Some(route) if c > 0 => (State::Pending, route),
-            Some(route) if route.len() == 1 => (State::Delivered(0), route),
+            Some(route) if !now => (State::Pending, route),
+            Some(route) if !self.alive(route[0]) => (State::Dropped(c), Vec::new()),
+            Some(route) if route.len() == 1 => (State::Delivered(c), route),
             Some(route) => (State::Live, route),
+            None => (State::Dropped(c), Vec::new()),
         };
         self.packets.push(Packet {
             inject_at: c,

@@ -412,7 +412,7 @@ const GOLDEN: &[(&str, &str, &str)] = &[
     ),
     (
         "b5_open_loop_window_credit2_single",
-        "OpenLoopReport { offered_load: 0.3, offered_realized: 0.322265625, throughput: 0.15234375, accepted: 0.9333333333333333, latency: LatencySummary { count: 154, mean: 18.57792207792208, p50: 18, p95: 31, max: 36 }, histogram: LatencyHistogram { bin_width: 2, bins: [1, 0, 0, 3, 11, 9, 5, 18, 21, 22, 15, 14, 13, 7, 4, 8, 2, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0], overflow: 0, count: 154, sum: 2861, max: 36 }, window_injected: 165, window_delivered: 154, cum_injected_by_window_end: 241, cum_delivered_by_window_end: 98, deadlocked: false, cycles: 60 }\nCongestionReport { cycles: 60, injected: 241, delivered: 225, dropped: 16, total_flits: 1135, completed: true, deadlocked: false, vc_flits: [], vc_hol_blocked_cycles: [], latency: LatencySummary { count: 225, mean: 15.262222222222222, p50: 16, p95: 28, max: 36 } }",
+        "OpenLoopReport { offered_load: 0.3, offered_realized: 0.322265625, throughput: 0.15234375, accepted: 0.9333333333333333, latency: LatencySummary { count: 154, mean: 18.57792207792208, p50: 18, p95: 31, max: 36 }, window_injected: 165, window_delivered: 154, cum_injected_by_window_end: 241, cum_delivered_by_window_end: 98, deadlocked: false, cycles: 60 }\nCongestionReport { cycles: 60, injected: 241, delivered: 225, dropped: 16, total_flits: 1135, completed: true, deadlocked: false, vc_flits: [], vc_hol_blocked_cycles: [], latency: LatencySummary { count: 225, mean: 15.262222222222222, p50: 16, p95: 28, max: 36 } }",
         "0:d4 0:d4 0:d4 0:d4 0:d5 0:d4 0:d4 0:d6 0:d5 1:d6 1:d5 1:d6 1:d4 1:d5 1:d6 1:d3 1:d6 1:d7 2:d8 2:d8 2:d7 2:d10 2:d11 2:d9 2:d8 2:d8 2:d8 2:d8 2:d7 3:d9 3:d11 3:d9 3:d10 3:d13 3:d10 3:d11 3:d20 4:d8 4:d12 4:x12 4:d10 4:d14 4:d12 4:d11 4:x16 4:x12 4:d16 5:d10 5:d13 5:d12 5:d16 5:d12 5:d11 5:d12 5:d15 5:d15 5:d18 6:d15 6:x12 6:d17 6:d22 6:d18 6:d15 6:d22 6:d21 6:d12 7:d26 7:d18 7:d17 7:d24 7:x20 7:d21 7:d24 7:d20 7:d13 7:d22 8:d17 8:d22 8:d17 8:d20 8:d16 8:d19 8:d26 8:d22 8:d15 8:d23 8:d22 8:d18 8:d18 8:d21 9:d23 9:x12 9:d25 9:d18 9:d28 9:d29 9:d24 9:d23 10:d26 10:d23 10:d19 10:d29 10:d24 10:d26 10:d19 11:d27 11:d31 11:x12 11:d25 11:d22 11:d29 11:d23 11:d28 11:d30 11:x21 11:d31 11:d28 11:d17 11:d27 11:d27 11:d30 12:d30 12:d32 12:d30 12:d30 12:d29 12:d29 12:d28 13:d29 13:d23 13:d24 13:d32 13:x27 13:d19 13:d21 13:d28 13:d23 14:d32 14:d23 14:d39 14:d35 14:d32 14:d37 14:d22 14:d38 14:d34 14:d29 14:d33 14:d23 14:d36 14:d36 15:d29 15:d37 15:d34 15:d42 15:d30 15:d37 15:d34 15:d39 15:d41 15:d29 16:d35 16:d28 16:d26 16:d40 16:d36 16:x44 16:d32 17:d38 17:d41 17:x44 17:d34 17:d31 17:d33 17:d39 18:d43 18:d38 18:x44 18:d46 18:d49 18:d35 18:x32 18:d36 18:d46 18:d33 18:d45 18:d40 19:d42 19:d41 19:d28 19:d40 19:d35 19:d35 19:d44 19:d40 19:d51 19:d46 19:d37 19:d36 19:d39 20:d46 20:d46 20:d38 20:x50 20:d34 20:d45 20:d42 20:d48 20:d43 20:d38 21:d42 21:x21 21:d43 21:d51 21:d52 21:d38 21:d44 21:d49 21:d51 21:d40 21:d37 21:d47 22:d47 22:d22 22:d43 22:d52 22:x22 22:d53 22:d32 22:d43 22:d47 22:d53 22:d47 22:d54 22:d37 23:d48 23:d47 23:d54 23:d41 23:d59 23:d46",
     ),
 ];

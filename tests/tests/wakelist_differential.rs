@@ -230,13 +230,13 @@ fn assert_report_fields_equal(engine: &CongestionReport, model: &CongestionRepor
     assert_eq!(*latency, model.latency, "latency summary diverged");
 }
 
-/// Static damage to the machine a run loads onto. Each kind sends the
-/// engine's oblivious loader down a different validation tier, decided
-/// once per load: the healthy graph earns `Full` (endpoint checks only),
-/// static node faults on placement images `Health` (a health check per
-/// hop), and missing shift links `Checked` (the full per-hop walk). The
-/// model walks every route, so it is the per-packet reference for all
-/// three. Packets whose routes the damage breaks drop at load.
+/// Static damage to the machine a run loads onto. The engine's oblivious
+/// loader decides once per load whether the placement is sound: on the
+/// healthy graph it is, and each packet checks only its endpoints; static
+/// node faults on placement images and missing shift links make it
+/// unsound, and each packet walks its route. The model walks every route,
+/// so it is the per-packet reference for all three. Packets whose routes
+/// the damage breaks drop at load.
 #[derive(Clone, Copy, Debug)]
 enum Damage {
     None,
@@ -804,8 +804,8 @@ fn virtual_channels_break_the_depth_one_hotspot_deadlock() {
 }
 
 /// Pins the machine axis of the property suites: on each damaged machine
-/// some routes really break at load (so the `Health` and `Checked` tiers
-/// are exercised, not vacuous) while others deliver, and the engine drops
+/// some routes really break at load (so the walk of an unsound placement
+/// is exercised, not vacuous) while others deliver, and the engine drops
 /// exactly the packets whose routes the model's hop-by-hop walk rejects.
 #[test]
 fn damaged_machines_drop_the_same_packets_at_load() {
@@ -861,6 +861,61 @@ fn zero_hop_packets_resolve_at_load_or_at_their_injection_cycle() {
         run.outcomes,
         [(2, Some(2), None), (3, None, Some(3)), (4, None, Some(4))]
     );
+}
+
+/// §2's batch-load stamp. On `B(2,5)` with node 3 killed at cycle 0 and
+/// one cycle stepped, a batch load stamps cycle 1: its packet from the dead
+/// node is dropped at load, at cycle 1, as its timed twin for cycle 5 is
+/// dropped at injection; a zero-hop packet delivers at load with latency 0;
+/// and a packet from a live node counts its latency from cycle 1. The
+/// engine matches the model step by step at shards {1, 2, 4}.
+#[test]
+fn batch_loads_made_mid_run_stamp_the_current_cycle() {
+    let h = 5;
+    let db = DeBruijn2::new(h);
+    let n = db.node_count();
+    let machine = machine_of(h, PortModel::MultiPort, Damage::None);
+    let identity = Embedding::identity(n);
+    let config = quiet(h, &machine, &identity, FlowControl::Infinite, &[]).config();
+    let batch = [(3, 20), (0, 0), (5, 20)];
+    let timed = [(5, 3, 20)];
+    let mut model = CycleModel::new(machine.clone(), config);
+    model.schedule_fault(0, 3);
+    let first = model.step();
+    model.load(&db, &identity, &batch);
+    model.load_timed(&db, &identity, &timed);
+    let steps = model.run_until(u32::MAX);
+    let want: Vec<_> = (0..4).map(|id| model.packet_outcome(id)).collect();
+    // On a fresh engine the live packet's route takes `fresh` cycles.
+    let mut fresh = CycleModel::new(machine.clone(), config);
+    fresh.load(&db, &identity, &[(5, 20)]);
+    fresh.run_until(u32::MAX);
+    let (_, Some(hops), _) = fresh.packet_outcome(0) else {
+        panic!("5 -> 20 delivers on a healthy machine");
+    };
+    assert_eq!(
+        want,
+        [
+            (1, None, Some(1)),
+            (1, Some(1), None),
+            (1, Some(1 + hops), None),
+            (5, None, Some(5))
+        ]
+    );
+    for shards in [1usize, 2, 4] {
+        let mut sim = ShardedSim::new(machine.clone(), config, shards, 1);
+        sim.schedule_fault(0, 3).unwrap();
+        assert_eq!(sim.step(), first, "shards={shards}");
+        sim.load_oblivious(&db, &identity, &batch);
+        sim.load_oblivious_timed(&db, &identity, &timed);
+        for want_step in &steps {
+            assert_eq!(sim.step(), *want_step, "shards={shards}");
+        }
+        let got: Vec<_> = (0..4).map(|id| sim.packet_outcome(id)).collect();
+        assert_eq!(got, want, "shards={shards}");
+        assert_report_fields_equal(&sim.report(), &model.report());
+        assert_eq!(sim.counts(), model.counts(), "shards={shards}");
+    }
 }
 
 /// Three canned scenarios on `B(2,5)` with single-port nodes: the depth-1
