@@ -25,10 +25,10 @@
 //! one cycle late (`packet_flits` cycles under wormhole — the timed credit
 //! FIFO), which makes barrier shipping invisible: a credit generated at
 //! cycle `c` is due at `c + packet_flits`, and the barrier delivers it to
-//! its owner before the phase of cycle `c + 1 <= c + packet_flits`. A
+//! its owner before the phase of cycle `c + 1 <= c + packet_flits`: one
+//! FIFO entry and one head wake per credit, wherever it was generated. A
 //! migrating packet is examined again only on the following cycle, exactly
-//! like a mover that stays on its shard; its VC index rides along in the
-//! [`Flit`].
+//! like a mover that stays on its shard; its VC index rides in the [`Flit`].
 //!
 //! Route state: an oblivious packet rides the shared implicit context
 //! ([`ImplicitRoute`], O(1) state per packet). Materialized paths — a
@@ -210,7 +210,7 @@ impl Kills {
 }
 
 /// One shard's share of the engine state. Link-gate state (`links`, the
-/// credit FIFO marks, blocked queues) is indexed by *local* gate id
+/// credit FIFO, blocked queues) is indexed by *local* gate id
 /// (`global_gidx - slot_lo * vcs`, one gate per (link slot, VC)); packet
 /// arrays span the full id space so global packet ids index directly (a
 /// packet is *hosted* by the shard owning its current node — `cursor !=
@@ -238,17 +238,18 @@ struct ShardCore {
     /// bandwidth); `credits` is meaningful in every gate (each VC owns its
     /// own downstream buffer).
     links: Vec<LinkGate>,
-    /// Timed credit returns `(due_cycle, local_gidx, count)`, due cycles
-    /// nondecreasing (a credit returned during cycle `c` is due at
-    /// `c + packet_flits`; barrier-shipped returns land with the same due
-    /// cycle). `credit_fifo_pos` is the applied prefix; the tail is
-    /// compacted in place, so the cycle loop never reallocates once the
-    /// reserve is warm.
-    credit_fifo: Vec<(u32, u32, u32)>,
+    /// Timed credit returns `(due_cycle, local_gidx)`, one entry per
+    /// credit, due cycles nondecreasing (a credit returned during cycle `c`
+    /// is due at `c + packet_flits`; barrier-shipped returns land with the
+    /// same due cycle). A pending return is a buffer slot neither free nor
+    /// occupied, so at most `gates × flow_depth` are pending; compaction
+    /// keeps the applied prefix (`credit_fifo_pos`) under 64 entries or
+    /// under the pending tail, so twice that bound plus 64 always fits.
+    credit_fifo: Vec<(u32, u32)>,
     credit_fifo_pos: usize,
-    /// Per-gate coalescing cursor into `credit_fifo` (entry index + 1):
-    /// credits for the same gate due the same cycle merge into one entry.
-    credit_mark: Vec<u32>,
+    /// Packets parked on this core's blocked queues. While it is 0 the
+    /// credit and serve phases read no queue head.
+    parked: usize,
     /// Head of each gate's blocked queue (`NONE_ID` = empty). Every packet
     /// parked on a gate sits in the same upstream node and competes for
     /// the same port, link claim and credits, so only the oldest can ever
@@ -356,8 +357,6 @@ impl ShardCore {
     ) -> Self {
         let slots = slot_hi - slot_lo;
         let gates = slots * vcs;
-        // Credit state is only materialised when bounded.
-        let credit_len = if flow_depth > 0 { gates } else { 0 };
         ShardCore {
             node_lo,
             node_hi,
@@ -374,13 +373,10 @@ impl ShardCore {
                 };
                 gates
             ],
-            // Live credit entries are coalesced per (due, gate) and due
-            // cycles span at most `packet_flits` values, so one gate's
-            // worth of slack per flit keeps the steady state
-            // allocation-free.
-            credit_fifo: Vec::with_capacity(credit_len * packet_flits as usize),
+            // The bound in `credit_fifo`'s docs (64 entries when unbounded).
+            credit_fifo: Vec::with_capacity(2 * gates * flow_depth as usize + 64),
             credit_fifo_pos: 0,
-            credit_mark: vec![0; credit_len],
+            parked: 0,
             blocked_head: vec![NONE_ID; gates],
             blocked_tail: vec![NONE_ID; gates],
             served_fifo: Vec::with_capacity((slots * packet_flits as usize).min(1 << 16)),
@@ -449,6 +445,7 @@ impl ShardCore {
     /// O(1) tail append (or head prepend for a re-parking ex-head).
     // analyzer: alloc-free
     fn park_on_slot(&mut self, id: usize, lg: usize) {
+        self.parked += 1;
         let id32 = id as u32;
         let head = self.blocked_head[lg];
         if head == NONE_ID {
@@ -483,6 +480,7 @@ impl ShardCore {
     fn wake_head(&mut self, lg: usize) {
         let head = self.blocked_head[lg];
         if head != NONE_ID {
+            self.parked -= 1;
             self.queue_now(head as usize);
             self.blocked_head[lg] = self.blocked_next[head as usize];
             if self.blocked_head[lg] == NONE_ID {
@@ -496,6 +494,7 @@ impl ShardCore {
     fn wake_slot(&mut self, lg: usize) {
         let mut cur = self.blocked_head[lg];
         while cur != NONE_ID {
+            self.parked -= 1;
             self.queue_now(cur as usize);
             cur = self.blocked_next[cur as usize];
         }
@@ -505,13 +504,13 @@ impl ShardCore {
 
     /// Wakes every parked packet — the response to whole-network events (a
     /// node kill, a recovery driver re-routing in flight) that can change
-    /// any packet's next hop or its movability.
+    /// any packet's next hop or its movability; it stops once none is parked.
     // analyzer: alloc-free
     fn wake_all_parked(&mut self) {
-        for lg in 0..self.blocked_head.len() {
-            if self.blocked_head[lg] != NONE_ID {
-                self.wake_slot(lg);
-            }
+        let mut lg = 0;
+        while self.parked > 0 {
+            self.wake_slot(lg);
+            lg += 1;
         }
     }
 
@@ -540,25 +539,14 @@ impl ShardCore {
         }
     }
 
-    /// Enqueues a credit return for *local* gate `lg`, due at `due`,
-    /// coalescing per (due, gate) through `credit_mark` — one FIFO entry
-    /// (and so one wake) per gate per generating cycle, whatever mix of
-    /// local and barrier-shipped returns produced it. A stale mark only
-    /// coalesces when both the due cycle and the gate match, and applied
-    /// entries are always due in the past.
+    /// Enqueues one credit return for global gate `g` (owned here), due at
+    /// `due`. Every credit, local or barrier-shipped, is its own entry and
+    /// wakes its own queue head: one wake per credit at any shard count.
     // analyzer: alloc-free
-    fn push_credit(&mut self, lg: u32, due: u32) {
-        let m = self.credit_mark[lg as usize] as usize;
-        if m > 0 && m <= self.credit_fifo.len() {
-            let entry = &mut self.credit_fifo[m - 1];
-            if entry.0 == due && entry.1 == lg {
-                entry.2 += 1;
-                return;
-            }
-        }
-        self.credit_mark[lg as usize] = self.credit_fifo.len() as u32 + 1;
-        // analyzer: allow(alloc) -- capacity reserved at construction (one gate's worth per flit of packet length); the counting-allocator tests prove the cycle loop never reallocates
-        self.credit_fifo.push((due, lg, 1));
+    fn push_credit(&mut self, g: u32, due: u32) {
+        let lg = g - (self.slot_lo * self.vcs) as u32;
+        // analyzer: allow(alloc) -- capacity reserved at construction from the bound on pending returns (twice every buffer slot, plus 64); the counting-allocator tests prove the cycle loop never reallocates
+        self.credit_fifo.push((due, lg));
     }
 
     /// Returns a credit for *global* gate `g` generated at `cycle`: due
@@ -573,10 +561,7 @@ impl ShardCore {
         let gu = g as usize;
         let slot = gu / self.vcs;
         if slot >= self.slot_lo && slot < self.slot_hi {
-            self.push_credit(
-                (gu - self.slot_lo * self.vcs) as u32,
-                cycle + self.packet_flits,
-            );
+            self.push_credit(g, cycle + self.packet_flits);
         } else {
             let owner = ctx.slot_start.partition_point(|&x| (x as usize) <= slot) - 1;
             // analyzer: allow(alloc) -- the per-destination barrier buffer keeps its capacity for the core's life; the counting-allocator tests prove reruns never reallocate
@@ -606,36 +591,34 @@ impl ShardCore {
     }
 
     /// Applies the credit returns due by `cycle` (local and barrier-shipped
-    /// share the FIFO, with identical due cycles), wakes each replenished
-    /// gate's queue head, and returns how many credits were applied. The
-    /// applied prefix is reclaimed in place (full clear when drained, front
-    /// compaction when the tail lags), so the FIFO never grows past its
-    /// reserve in steady state. Per-gate independence makes the
-    /// application order irrelevant.
+    /// share the FIFO, with identical due cycles), one credit per entry, and
+    /// returns how many it applied. While anything is parked, each credit
+    /// wakes its gate's queue head: a second credit on one gate in one cycle
+    /// wakes a younger head, which is examined after the older one on the
+    /// same port and link, so it cannot move before the claim expiry would
+    /// have woken it. The applied prefix is reclaimed in place (full clear
+    /// when drained, front compaction when the tail lags). Per-gate
+    /// independence makes the application order irrelevant.
     // analyzer: alloc-free
     fn apply_pending_credits(&mut self, cycle: u32) -> u64 {
-        let mut applied = 0;
-        while self.credit_fifo_pos < self.credit_fifo.len() {
-            let (due, lg, count) = self.credit_fifo[self.credit_fifo_pos];
+        let start = self.credit_fifo_pos;
+        while let Some(&(due, lg)) = self.credit_fifo.get(self.credit_fifo_pos) {
             if due > cycle {
                 break;
             }
             self.credit_fifo_pos += 1;
-            applied += count as u64;
-            let lgu = lg as usize;
-            self.links[lgu].credits += count;
-            debug_assert!(
-                self.links[lgu].credits <= self.flow_depth,
-                "credit overflow"
-            );
-            self.wake_head(lgu);
+            let lg = lg as usize;
+            self.links[lg].credits += 1;
+            debug_assert!(self.links[lg].credits <= self.flow_depth, "credit overflow");
+            if self.parked > 0 {
+                self.wake_head(lg);
+            }
         }
+        let applied = (self.credit_fifo_pos - start) as u64;
         if self.credit_fifo_pos >= self.credit_fifo.len() {
             self.credit_fifo.clear();
             self.credit_fifo_pos = 0;
         } else if self.credit_fifo_pos >= 64 && self.credit_fifo_pos * 2 >= self.credit_fifo.len() {
-            // Stale coalescing marks survive compaction harmlessly: a mark
-            // only fires when both the due cycle and the gate match.
             self.credit_fifo.drain(..self.credit_fifo_pos);
             self.credit_fifo_pos = 0;
         }
@@ -647,10 +630,11 @@ impl ShardCore {
     /// admit a flit gets one examination (under credit flow only where the
     /// gate has a credit — otherwise the credit return will wake it).
     /// Extra wakes are harmless: examination is a pure function of engine
-    /// state, and an immovable woken packet re-parks identically.
+    /// state, and an immovable woken packet re-parks identically. With
+    /// nothing parked, the sorted due prefix is skipped in one step.
     // analyzer: alloc-free
     fn apply_due_serves(&mut self, cycle: u32) {
-        while self.served_fifo_pos < self.served_fifo.len() {
+        while self.parked > 0 && self.served_fifo_pos < self.served_fifo.len() {
             let (due, ls) = self.served_fifo[self.served_fifo_pos];
             if due > cycle {
                 break;
@@ -665,6 +649,8 @@ impl ShardCore {
                 }
             }
         }
+        let pending = &self.served_fifo[self.served_fifo_pos..];
+        self.served_fifo_pos += pending.partition_point(|&(due, _)| due <= cycle);
         if self.served_fifo_pos >= self.served_fifo.len() {
             self.served_fifo.clear();
             self.served_fifo_pos = 0;
@@ -888,13 +874,12 @@ impl ShardCore {
     fn apply_inbound(&mut self, flits: &[Flit], path_words: &[u64], credits: &[u32], now: u32) {
         let due = now + self.packet_flits - 1;
         for &g in credits {
-            let gu = g as usize;
-            let slot = gu / self.vcs;
+            let slot = g as usize / self.vcs;
             debug_assert!(
                 slot >= self.slot_lo && slot < self.slot_hi,
                 "foreign credit"
             );
-            self.push_credit((gu - self.slot_lo * self.vcs) as u32, due);
+            self.push_credit(g, due);
         }
         let mut words = path_words;
         for flit in flits {
@@ -944,7 +929,7 @@ impl ShardCore {
         }
         self.credit_fifo.clear();
         self.credit_fifo_pos = 0;
-        self.credit_mark.fill(0);
+        self.parked = 0;
         self.blocked_head.fill(NONE_ID);
         self.blocked_tail.fill(NONE_ID);
         self.served_fifo.clear();
@@ -1463,19 +1448,19 @@ impl ShardedSim {
         pairs: &[(NodeId, NodeId)],
     ) {
         let now = self.cycle;
-        self.load_oblivious_packets(db, placement, pairs.iter().map(|&(s, t)| (now, s, t)), true);
+        self.load_oblivious_packets(db, placement, pairs.iter().map(|&(s, t)| (now, s, t)));
     }
 
     /// The loop behind both oblivious loaders: `(inject_cycle, source,
     /// target)` packets, validated and appended in order, each hosted by
-    /// the core owning its source. A `batch` packet, and a timed one for
-    /// cycle 0, enters the network at load.
+    /// the core owning its source. A packet stamped with the current cycle
+    /// enters the network at load; a later one waits in its home core's
+    /// injection queue.
     fn load_oblivious_packets(
         &mut self,
         db: &DeBruijn2,
         placement: &Embedding,
         packets: impl ExactSizeIterator<Item = (u32, NodeId, NodeId)>,
-        batch: bool,
     ) {
         // Route feasibility belongs to the (machine, placement) pair, so the
         // capture that builds the successor-slot table proves it once and
@@ -1507,7 +1492,7 @@ impl ShardedSim {
         let n = self.machine.node_count();
         let mut path = Vec::with_capacity(db.h() + 1);
         for (cycle, s, t) in packets {
-            let at_load = batch || cycle == 0;
+            let at_load = cycle == self.cycle;
             let source = if implicit {
                 self.implicit
                     .check(&self.machine, s, t)
@@ -1551,6 +1536,9 @@ impl ShardedSim {
     /// enters its source's (unbounded) injection queue at `inject_cycle`
     /// and competes for the first link's output port — and, under credit
     /// flow control, the first link's buffer credit — from that cycle on.
+    /// A cycle the engine has already simulated is stamped up to the
+    /// current cycle: such a packet enters the network at load, like a
+    /// batch packet, and its latency counts from the current cycle.
     ///
     /// # Panics
     /// Panics when the schedule is unsorted or starts before a schedule
@@ -1569,7 +1557,9 @@ impl ShardedSim {
                 .all(|(a, b)| a.0 <= b.0),
             "injection schedule must be sorted by cycle"
         );
+        let now = self.cycle;
         if let (Some(last), Some(&(first, _, _))) = (self.last_queued_inject, injections.first()) {
+            let first = first.max(now);
             assert!(
                 first >= last,
                 "appended injection schedule starts at cycle {first}, before the \
@@ -1577,7 +1567,8 @@ impl ShardedSim {
             );
         }
         self.open_loop_sources = db.node_count() as u32;
-        self.load_oblivious_packets(db, placement, injections.iter().copied(), false);
+        let stamped = injections.iter().map(|&(c, s, t)| (c.max(now), s, t));
+        self.load_oblivious_packets(db, placement, stamped);
     }
 
     /// Schedules processor `node` to die at the *start* of `cycle`, before
@@ -1878,13 +1869,22 @@ impl ShardedSim {
     /// this cycle on another core, in that core's barrier buffer), while
     /// its occupants may be hosted by any core once they migrate on. Holds
     /// through node and link kills: a killed packet's slot drains back as
-    /// a timed return, and a dead gate accumulates its full depth. Returns
-    /// the first violation; always `Ok` under [`FlowControl::Infinite`].
-    /// Allocates its tallies, so call it between steps.
+    /// a timed return, and a dead gate accumulates its full depth. Also
+    /// checks that each core's parked count is the length of its blocked
+    /// queues. Returns the first violation. Allocates its tallies, so call
+    /// it between steps.
     pub fn check_credit_conservation(&self) -> Result<(), String> {
-        let Some(depth) = self.cores.first().map(|c| c.flow_depth) else {
-            return Ok(());
-        };
+        for (s, core) in self.cores.iter().enumerate() {
+            let entry = |&id: &u32| (id != NONE_ID).then_some(id);
+            let next = |&id: &u32| entry(&core.blocked_next[id as usize]);
+            let queued: usize = (core.blocked_head.iter())
+                .map(|head| std::iter::successors(entry(head), next).count())
+                .sum();
+            if queued != core.parked {
+                return Err(format!("shard {s}: parked {} != {queued}", core.parked));
+            }
+        }
+        let depth = self.cores.first().map_or(0, |c| c.flow_depth);
         if depth == 0 {
             return Ok(());
         }
@@ -1899,8 +1899,8 @@ impl ShardedSim {
                 }
             }
             let base = core.slot_lo * vcs;
-            for &(_, lg, count) in &core.credit_fifo[core.credit_fifo_pos..] {
-                pending[base + lg as usize] += count;
+            for &(_, lg) in &core.credit_fifo[core.credit_fifo_pos..] {
+                pending[base + lg as usize] += 1;
             }
             for &g in core.out.iter().flat_map(|out| &out.credits) {
                 pending[g as usize] += 1;
@@ -2538,6 +2538,85 @@ mod tests {
             assert_eq!(got.0, want.0, "shards={shards}: re-target counts");
             assert_eq!(got.1 .1, want.1 .1, "shards={shards}: report");
             assert_eq!(got.1 .2, want.1 .2, "shards={shards}: outcomes");
+        }
+    }
+
+    /// The pending `(due, gate)` credit returns of every core, sorted.
+    fn pending_credits(sim: &ShardedSim) -> Vec<(u32, u32)> {
+        let mut pending: Vec<_> = sim
+            .cores
+            .iter()
+            .flat_map(|c| {
+                let base = (c.slot_lo * c.vcs) as u32;
+                c.credit_fifo[c.credit_fifo_pos..]
+                    .iter()
+                    .map(move |&(due, lg)| (due, base + lg))
+            })
+            .collect();
+        pending.sort_unstable();
+        pending
+    }
+
+    #[test]
+    fn same_cycle_returns_to_one_gate_are_separate_entries() {
+        // Under a depth-2 hot spot on B(2,4) two packets leave one input
+        // buffer in the same cycle, so one gate gets two returns due the
+        // same cycle: two equal FIFO entries, which wake two heads.
+        // `wakelist_differential.rs` runs the scenario against the model.
+        let (db, machine) = machine_for(4, PortModel::MultiPort);
+        let config = CongestionConfig {
+            flow_control: FlowControl::CreditBased { buffer_depth: 2 },
+            ..CongestionConfig::default()
+        };
+        let mut sim = ShardedSim::new(machine, config, 1, 1);
+        sim.load_oblivious(&db, &Embedding::identity(16), &workload::all_to_one(16, 3));
+        let mut twins = 0;
+        for _ in 0..64 {
+            sim.step();
+            let pending = pending_credits(&sim);
+            twins += pending.windows(2).filter(|w| w[0] == w[1]).count();
+        }
+        assert!(twins > 0, "no gate got two returns in one cycle");
+    }
+
+    #[test]
+    fn credit_fifo_keeps_its_capacity_when_kills_drop_full_buffers() {
+        // Uniform traffic wedges a depth-3 B(2,4) with most buffers full;
+        // then every node dies at once, and each buffered packet returns
+        // its credit in that cycle: more returns than the machine has
+        // gates, all due together. No core's FIFO outgrows the reserve it
+        // got at construction, at any shard count.
+        let (db, machine) = machine_for(4, PortModel::MultiPort);
+        let n = db.node_count();
+        let mut rng = rand::rngs::StdRng::seed_from_u64(4);
+        let pairs = workload::uniform_pairs(n, 32 * n, &mut rng);
+        let config = CongestionConfig {
+            flow_control: FlowControl::CreditBased { buffer_depth: 3 },
+            ..CongestionConfig::default()
+        };
+        for shards in [1usize, 2, 4] {
+            let mut sim = ShardedSim::new(machine.clone(), config, shards, 1);
+            let capacity: Vec<_> = sim.cores.iter().map(|c| c.credit_fifo.capacity()).collect();
+            sim.load_oblivious(&db, &Embedding::identity(n), &pairs);
+            let wedged = sim.run();
+            assert!(wedged.deadlocked, "shards={shards}: {wedged:?}");
+            let kill = sim.cycle();
+            for node in 0..n {
+                sim.schedule_fault(kill, node).unwrap();
+            }
+            sim.fire_due_faults();
+            if shards == 1 {
+                let returns = pending_credits(&sim).iter().filter(|c| c.0 > kill).count();
+                assert!(returns > sim.cores[0].links.len(), "{returns} returns");
+            }
+            for _ in 0..2 {
+                sim.step();
+                sim.check_credit_conservation().unwrap();
+            }
+            assert!(sim.cores.iter().all(|c| c.timers_idle()), "shards={shards}");
+            for (core, &cap) in sim.cores.iter().zip(&capacity) {
+                assert_eq!(core.credit_fifo.capacity(), cap, "shards={shards}");
+            }
         }
     }
 

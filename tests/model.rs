@@ -38,10 +38,11 @@
 //!    while a higher one exists. A packet that fails starts a head-of-line
 //!    span at its first failure; a move or resolution closes it.
 //!
-//! A batch load stamps the current cycle as its packets' injection cycle.
-//! Its packets, and a timed load's packets for cycle 0, enter the network
-//! at load: dropped there if the source has died, delivered there (before
-//! any later kill) if the route is empty (§2's zero-hop rule).
+//! A batch load stamps the current cycle as its packets' injection cycle,
+//! and a timed load stamps a cycle already simulated up to the current one.
+//! A packet stamped with the current cycle enters the network at load:
+//! dropped there if the source has died, delivered there (before any later
+//! kill) if the route is empty (§2's zero-hop rule).
 //! `run_until` stops at the horizon, when the network drains, or when a
 //! cycle proves a deadlock: nothing moved, injected, fired or re-routed,
 //! packets are live, none wait to inject, no credit return or claim window
@@ -174,6 +175,8 @@ impl CycleModel {
     }
 
     /// Loads `(cycle, source, target)` logical packets through `placement`.
+    /// A cycle already simulated is stamped up to the current one, and a
+    /// packet stamped with the current cycle enters the network at load.
     pub fn load_timed(
         &mut self,
         db: &DeBruijn2,
@@ -181,7 +184,8 @@ impl CycleModel {
         injections: &[(u32, NodeId, NodeId)],
     ) {
         for &(c, s, t) in injections {
-            self.admit(db, placement, c, c == 0, s, t);
+            let c = c.max(self.cycle);
+            self.admit(db, placement, c, c == self.cycle, s, t);
         }
     }
 

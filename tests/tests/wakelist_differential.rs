@@ -918,6 +918,57 @@ fn batch_loads_made_mid_run_stamp_the_current_cycle() {
     }
 }
 
+/// §2's stamp for timed loads. On `B(2,5)` a timed 5 → 20 for cycle 3 on a
+/// fresh engine injects at cycle 3 and delivers at cycle 7. Loaded after
+/// three steps for cycle 1 or cycle 0, cycles already simulated, it is
+/// stamped cycle 3 and enters at load, so it reads the same. The engine
+/// matches the model step by step at shards {1, 2, 4}.
+#[test]
+fn timed_loads_made_mid_run_stamp_past_cycles_up_to_the_current_one() {
+    let h = 5;
+    let db = DeBruijn2::new(h);
+    let machine = machine_of(h, PortModel::MultiPort, Damage::None);
+    let identity = Embedding::identity(db.node_count());
+    let config = quiet(h, &machine, &identity, FlowControl::Infinite, &[]).config();
+    for (cycle, steps_before) in [(3, 0), (1, 3), (0, 3)] {
+        let timed = [(cycle, 5, 20)];
+        let mut model = CycleModel::new(machine.clone(), config);
+        let before: Vec<_> = (0..steps_before).map(|_| model.step()).collect();
+        model.load_timed(&db, &identity, &timed);
+        let steps = model.run_until(u32::MAX);
+        assert_eq!(model.packet_outcome(0), (3, Some(7), None), "cycle {cycle}");
+        for shards in [1usize, 2, 4] {
+            let what = format!("cycle {cycle} shards={shards}");
+            let mut sim = ShardedSim::new(machine.clone(), config, shards, 1);
+            for want in before.iter().chain(&steps) {
+                if want.cycle == steps_before as u32 {
+                    sim.load_oblivious_timed(&db, &identity, &timed);
+                }
+                assert_eq!(sim.step(), *want, "{what}");
+            }
+            assert_eq!(sim.packet_outcome(0), (3, Some(7), None), "{what}");
+            assert_report_fields_equal(&sim.report(), &model.report());
+            assert_eq!(sim.counts(), model.counts(), "{what}");
+        }
+    }
+}
+
+/// Under a depth-2 hot spot on multi-port `B(2,4)`, two packets leave one
+/// input buffer in the same cycle, so one gate gets two credit returns due
+/// together and wakes two queue heads (a `shard.rs` unit test pins that it
+/// happens). The younger head cannot move in that cycle, so the engine
+/// still matches the model at every shard count.
+#[test]
+fn same_cycle_returns_to_one_gate_match_the_model() {
+    let h = 4;
+    let n = 1usize << h;
+    let machine = machine_of(h, PortModel::MultiPort, Damage::None);
+    let identity = Embedding::identity(n);
+    let credit = FlowControl::CreditBased { buffer_depth: 2 };
+    let hot = workload::all_to_one(n, 3);
+    assert_engine_matches_model(&quiet(h, &machine, &identity, credit, &hot));
+}
+
 /// Three canned scenarios on `B(2,5)` with single-port nodes: the depth-1
 /// hot-spot deadlock, node kills re-routed under depth-2 credits, and a
 /// bit-reversal permutation losing a node on unbounded buffers.
