@@ -307,12 +307,29 @@ fn usage_error(message: &str) -> ! {
     std::process::exit(2);
 }
 
+/// Parses the value of a positive-integer flag (`--threads`, `--shards`,
+/// `--vcs`, `--trials`). A missing value, a non-number, zero and a number
+/// that `T` cannot hold are errors. Returns the value or a message naming
+/// `flag` for the caller's usage-error path.
+fn parse_positive<T>(flag: &str, value: Option<&String>) -> Result<T, String>
+where
+    T: std::str::FromStr + PartialOrd + From<u8>,
+{
+    match value.and_then(|v| v.parse::<T>().ok()) {
+        Some(v) if v >= T::from(1) => Ok(v),
+        _ => Err(format!(
+            "{flag} requires a positive integer that fits in {}",
+            std::any::type_name::<T>()
+        )),
+    }
+}
+
 /// The value of a positive-integer flag, or a usage error.
 fn positive<T>(flag: &str, value: Option<&String>) -> T
 where
     T: std::str::FromStr + PartialOrd + From<u8>,
 {
-    ftdb_bench::parse_positive(flag, value).unwrap_or_else(|msg| usage_error(&msg))
+    parse_positive(flag, value).unwrap_or_else(|msg| usage_error(&msg))
 }
 
 fn main() {
@@ -362,5 +379,22 @@ fn main() {
     if !ok {
         eprintln!("{USAGE}");
         std::process::exit(2);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn positive_flags_reject_zero_non_numbers_and_overflow() {
+        let vcs = |v: &str| parse_positive::<u32>("--vcs", Some(&v.to_string()));
+        assert_eq!(vcs("4"), Ok(4));
+        assert_eq!(vcs("4294967295"), Ok(u32::MAX));
+        let rejected = "--vcs requires a positive integer that fits in u32";
+        for bad in ["0", "four", "-1", "4294967296", "4294967297"] {
+            assert_eq!(vcs(bad), Err(rejected.to_string()), "{bad}");
+        }
+        assert!(parse_positive::<usize>("--trials", None).is_err());
     }
 }

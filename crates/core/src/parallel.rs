@@ -66,11 +66,12 @@ impl Split for Range<usize> {
 /// The number of parts [`fan_out`] cuts `len` items into at `workers`
 /// workers: one per worker, no more than there are items, and at least one
 /// (0 workers count as 1).
-pub fn part_count(len: usize, workers: usize) -> usize {
+fn part_count(len: usize, workers: usize) -> usize {
     workers.min(len).max(1)
 }
 
-/// Cuts `work` into [`part_count`] contiguous parts, the first
+/// Cuts `work` into `parts` contiguous parts (one per worker, no more than
+/// there are items, and at least one; 0 workers count as 1), the first
 /// `len % parts` of them one item longer than the rest, runs `run` on each
 /// (part 0 on the calling thread, every other part on a scoped thread) and
 /// returns the results in part order. With one part this is `vec![run(work)]`.

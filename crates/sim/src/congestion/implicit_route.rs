@@ -321,12 +321,14 @@ impl ImplicitRoute {
         target: NodeId,
     ) -> Result<usize, SimError> {
         check_endpoints(self.mask as usize + 1, source, target)?;
-        let mut pos = source as u32;
-        let mut rem = rem_init(self.mask.trailing_ones(), target as u32);
+        let (mut pos, target) = (source as u32, target as u32);
         let mut here = self.healthy_image(machine, pos)?;
         let mut hops = 0;
-        while !rem_exhausted(rem) {
-            let (next, rest) = shift_step(pos, rem, self.mask);
+        // Each step shifts in the next target bit, highest first, read
+        // straight from `target`: unlike the `rem` register of the cycle
+        // loop, no step waits on the one before it to find its bit.
+        for i in (0..self.mask.trailing_ones()).rev() {
+            let next = ((pos << 1) | ((target >> i) & 1)) & self.mask;
             if next != pos {
                 hops += 1;
                 if !self.sound {
@@ -341,7 +343,6 @@ impl ImplicitRoute {
                 }
             }
             pos = next;
-            rem = rest;
         }
         Ok(hops)
     }

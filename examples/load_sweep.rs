@@ -31,8 +31,8 @@ fn main() {
     let mut args = std::env::args().skip(1);
     let h: usize = args.next().and_then(|a| a.parse().ok()).unwrap_or(8);
     // A malformed threads argument is a hard error, matching the
-    // `--threads` validation of the experiments/perf_report binaries —
-    // silently falling back would only show up as surprising wall-clock.
+    // `--threads` validation of the experiments binary — silently
+    // falling back would only show up as surprising wall-clock.
     let threads: usize = match args.next() {
         Some(raw) => match raw.parse() {
             Ok(t) if t >= 1 => t,

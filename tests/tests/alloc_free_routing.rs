@@ -272,8 +272,8 @@ fn online_reconfiguration_allocates_only_the_returned_map() {
 fn congestion_cycle_loop_is_allocation_free_after_warmup() {
     let _guard = serial_guard();
     // The engine allocates while loading the workload; the stepped cycle
-    // loop of a reloaded engine (what perf_report measures) must never
-    // touch the allocator.
+    // loop of a reloaded engine (what a sweep worker runs between
+    // `clear_workload` calls) must never touch the allocator.
     use ftdb_sim::congestion::{CongestionConfig, CongestionSim};
     let db = DeBruijn2::new(7);
     let n = db.node_count();
