@@ -2,7 +2,7 @@
 //! (experiments TAB1, TAB2 and TAB3).
 //!
 //! The paper's introduction compares its constructions with the
-//! Samatham–Pradhan scheme [12]: *"our constructions use far fewer nodes and
+//! Samatham–Pradhan scheme \[12\]: *"our constructions use far fewer nodes and
 //! yet have only slightly larger degrees."* These tables make the comparison
 //! concrete for a sweep of parameters, reporting both the closed-form
 //! figures quoted in the paper and (for instances small enough to
@@ -43,7 +43,7 @@ pub struct ComparisonRow {
 
 /// Builds one comparison row; the graph is materialised (to measure its
 /// true degree) only when it has at most `measure_limit` nodes.
-pub fn comparison_row(m: usize, h: usize, k: usize, measure_limit: usize) -> ComparisonRow {
+fn comparison_row(m: usize, h: usize, k: usize, measure_limit: usize) -> ComparisonRow {
     let target_nodes = (m as u128).pow(h as u32);
     let ours_nodes = target_nodes + k as u128;
     let sp = SpBaseline::new(m, h, k);
@@ -176,7 +176,7 @@ pub fn shuffle_exchange_table(
                 nodes: pow_nodes(2, h) + k,
                 via_db_bound: 4 * k + 4,
                 via_db_measured,
-                natural_paper_bound: 6 * k + 4,
+                natural_paper_bound: natural.paper_degree_bound(),
                 natural_measured: natural.graph().max_degree(),
             }
         })

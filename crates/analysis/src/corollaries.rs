@@ -44,7 +44,7 @@ pub struct CorollaryRow {
 
 impl CorollaryRow {
     /// `true` if the measured values satisfy the statement.
-    pub fn holds(&self) -> bool {
+    pub(crate) fn holds(&self) -> bool {
         self.measured_nodes == self.expected_nodes && self.measured_degree <= self.degree_bound
     }
 }

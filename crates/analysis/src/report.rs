@@ -22,7 +22,7 @@ impl TextTable {
     }
 
     /// Appends a row; the number of cells should match the header.
-    pub fn push_row(&mut self, cells: Vec<String>) {
+    pub(crate) fn push_row(&mut self, cells: Vec<String>) {
         assert_eq!(
             cells.len(),
             self.header.len(),
@@ -32,7 +32,8 @@ impl TextTable {
     }
 
     /// Number of data rows.
-    pub fn row_count(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn row_count(&self) -> usize {
         self.rows.len()
     }
 
@@ -73,7 +74,7 @@ impl TextTable {
 }
 
 /// Formats a float with a fixed, compact precision used across the tables.
-pub fn fmt_f64(value: f64) -> String {
+pub(crate) fn fmt_f64(value: f64) -> String {
     if value.is_nan() {
         "-".to_string()
     } else {
@@ -82,7 +83,7 @@ pub fn fmt_f64(value: f64) -> String {
 }
 
 /// Formats an optional step count (`None` renders as "stalled").
-pub fn fmt_steps(steps: Option<usize>) -> String {
+pub(crate) fn fmt_steps(steps: Option<usize>) -> String {
     match steps {
         Some(s) => s.to_string(),
         None => "stalled".to_string(),

@@ -378,13 +378,12 @@ fn sweep_chunk(
 ) -> Vec<OpenLoopReport> {
     let machine = PhysicalMachine::with_faults(ft.graph().clone(), faults.clone(), port);
     let mut sim = CongestionSim::new(machine, config);
-    let mut injections = Vec::new();
     let logical_n = ft.target().node_count();
     loads
         .iter()
         .map(|&offered_load| {
             let spec = sim5_spec(offered_load, seed);
-            ftdb_sim::workload::open_loop_injections_into(logical_n, &spec, &mut injections);
+            let injections = ftdb_sim::workload::open_loop_injections(logical_n, &spec);
             sim.clear_workload();
             sim.load_oblivious_timed(ft.target(), placement, &injections);
             ftdb_sim::congestion::measure_open_loop(&mut sim, &spec)
@@ -574,7 +573,6 @@ pub fn sim6_sharded_sweep(
         flow_control: FlowControl::CreditBased { buffer_depth: 4 },
         ..CongestionConfig::default()
     };
-    let mut injections = Vec::new();
     loads
         .iter()
         .map(|&offered_load| {
@@ -586,7 +584,7 @@ pub fn sim6_sharded_sweep(
                 drain_cycles: windows.drain_cycles,
                 seed: windows.seed,
             };
-            ftdb_sim::workload::open_loop_injections_into(n, &spec, &mut injections);
+            let injections = ftdb_sim::workload::open_loop_injections(n, &spec);
             let machine = PhysicalMachine::new(db.graph().clone(), PortModel::MultiPort);
             let mut sim = ShardedSim::new(machine, config, shards, threads);
             sim.load_oblivious_timed(&db, &placement, &injections);

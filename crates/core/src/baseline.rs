@@ -1,7 +1,7 @@
 //! The Samatham–Pradhan baseline construction used in the paper's
 //! comparison.
 //!
-//! Samatham and Pradhan [12] also obtain fault-tolerant de Bruijn graphs in
+//! Samatham and Pradhan \[12\] also obtain fault-tolerant de Bruijn graphs in
 //! Hayes's model, but instead of adding `k` spare nodes they select a
 //! *larger de Bruijn graph* as the fault-tolerant graph. Quoting the paper's
 //! introduction: for a base-2 target with `N` nodes their construction has
@@ -45,7 +45,7 @@ impl SpBaseline {
 
     /// The base of the larger de Bruijn graph the scheme selects,
     /// `m(k + 1)`.
-    pub fn host_base(&self) -> usize {
+    fn host_base(&self) -> usize {
         self.m * (self.k + 1)
     }
 
@@ -64,13 +64,6 @@ impl SpBaseline {
     /// (`4k + 2` for base 2, `2mk + 2` in general).
     pub fn quoted_degree(&self) -> usize {
         2 * self.m * self.k + 2
-    }
-
-    /// The worst-case degree of the host de Bruijn graph itself,
-    /// `2·m(k+1)` (an upper bound; self-loop and 2-cycle effects can shave a
-    /// couple of edges off specific nodes).
-    pub fn structural_degree(&self) -> usize {
-        2 * self.host_base()
     }
 
     /// The redundancy ratio `nodes / target_nodes` — the factor by which the
@@ -113,7 +106,6 @@ mod tests {
         assert_eq!(sp.target_nodes(), 16);
         assert_eq!(sp.nodes(), 256); // 16^2
         assert_eq!(sp.quoted_degree(), 6); // 4k + 2
-        assert_eq!(sp.structural_degree(), 8);
         assert!((sp.redundancy_ratio() - 16.0).abs() < 1e-9);
     }
 
@@ -145,7 +137,8 @@ mod tests {
         let sp = SpBaseline::new(2, 3, 1);
         let host = sp.construct();
         assert_eq!(host.node_count() as u128, sp.nodes());
-        assert!(host.graph().max_degree() <= sp.structural_degree());
+        // The host B_{m(k+1), h} has degree at most 2·m(k+1).
+        assert!(host.graph().max_degree() <= 2 * sp.host_base());
     }
 
     #[test]

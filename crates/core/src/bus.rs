@@ -35,7 +35,7 @@ pub struct Bus {
 impl Bus {
     /// All nodes electrically attached to the bus (owner plus members,
     /// de-duplicated).
-    pub fn attached(&self) -> Vec<NodeId> {
+    fn attached(&self) -> Vec<NodeId> {
         let mut all = self.members.clone();
         if !all.contains(&self.owner) {
             all.push(self.owner);
@@ -123,13 +123,8 @@ impl BusArchitecture {
         &self.buses[owner]
     }
 
-    /// The buses node `v` is attached to (bus ids = owner ids).
-    pub fn buses_of_node(&self, v: NodeId) -> &[usize] {
-        &self.incident[v]
-    }
-
     /// The bus-degree of node `v`: how many buses it is attached to.
-    pub fn bus_degree(&self, v: NodeId) -> usize {
+    fn bus_degree(&self, v: NodeId) -> usize {
         self.incident[v].len()
     }
 
@@ -170,20 +165,6 @@ impl BusArchitecture {
         faulty_buses: I,
     ) -> FaultSet {
         FaultSet::from_nodes(self.node_count, faulty_buses)
-    }
-
-    /// Combined fault handling: some nodes and some buses fail; returns the
-    /// node-fault set that subsumes both.
-    pub fn combined_faults<N, B>(&self, node_faults: N, bus_faults: B) -> FaultSet
-    where
-        N: IntoIterator<Item = NodeId>,
-        B: IntoIterator<Item = usize>,
-    {
-        let mut set = FaultSet::from_nodes(self.node_count, node_faults);
-        for bus in bus_faults {
-            set.add(bus);
-        }
-        set
     }
 }
 
@@ -236,7 +217,7 @@ mod tests {
     fn every_node_taps_its_own_bus() {
         let arch = BusArchitecture::new(4, 2);
         for v in 0..arch.node_count() {
-            assert!(arch.buses_of_node(v).contains(&v));
+            assert!(arch.bus_of(v).attached().contains(&v));
             assert!(arch.bus_degree(v) >= 1);
         }
     }
@@ -252,18 +233,6 @@ mod tests {
             let phi = ft.reconfigure_verified(&faults).unwrap();
             assert!(phi.as_slice().iter().all(|&v| v != faulty_bus));
         }
-    }
-
-    #[test]
-    fn combined_faults_merge_both_kinds() {
-        let arch = BusArchitecture::new(4, 2);
-        let faults = arch.combined_faults([3], [10]);
-        assert_eq!(faults.len(), 2);
-        assert!(faults.contains(3));
-        assert!(faults.contains(10));
-        // Duplicates collapse.
-        let dup = arch.combined_faults([5], [5]);
-        assert_eq!(dup.len(), 1);
     }
 
     #[test]

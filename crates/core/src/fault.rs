@@ -9,7 +9,7 @@
 //! [`crate::linkfault`] and project back onto this node model via
 //! [`crate::linkfault::LinkFaultSet::project_to_nodes`].
 
-use ftdb_graph::{BitSet, Graph, NodeId};
+use ftdb_graph::{BitSet, NodeId};
 
 /// Errors reported by the fault-set generators instead of panicking.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -158,7 +158,7 @@ impl FaultSet {
     }
 
     /// Number of healthy nodes (`universe − len`).
-    pub fn healthy_count(&self) -> usize {
+    pub(crate) fn healthy_count(&self) -> usize {
         self.universe() - self.len()
     }
 
@@ -247,7 +247,7 @@ impl Iterator for Combinations {
 /// hot loop needs. Consecutive combinations differ by exactly one element
 /// (the "revolving door"), and the buffer always stays sorted ascending.
 #[derive(Clone, Debug)]
-pub struct RevolvingDoor {
+pub(crate) struct RevolvingDoor {
     n: usize,
     k: usize,
     /// 1-based: `c[1..=k]` is the combination, `c[k+1] = n` is the sentinel.
@@ -258,7 +258,7 @@ pub struct RevolvingDoor {
 
 impl RevolvingDoor {
     /// Creates the enumeration of all `k`-subsets of `0..n`.
-    pub fn new(n: usize, k: usize) -> Self {
+    pub(crate) fn new(n: usize, k: usize) -> Self {
         // `c[k+1] = n` is the algorithm's sentinel; `c[k+2] = n` pads the
         // one-past-sentinel read step R5 performs just before terminating.
         let mut c = vec![0; k + 3];
@@ -278,7 +278,7 @@ impl RevolvingDoor {
 
     /// Advances to the next combination and lends it as a sorted slice, or
     /// returns `None` when the enumeration is exhausted.
-    pub fn next_set(&mut self) -> Option<&[usize]> {
+    pub(crate) fn next_set(&mut self) -> Option<&[usize]> {
         if self.done {
             return None;
         }
@@ -358,31 +358,11 @@ impl RevolvingDoor {
             }
         }
     }
-
-    /// The total number of combinations this enumeration will produce.
-    pub fn total(&self) -> u128 {
-        Combinations::total(self.n, self.k)
-    }
-}
-
-/// Samples `samples` random fault sets of size `k` (with replacement across
-/// samples) for a graph `g`, returning them as [`FaultSet`]s. Fails with
-/// [`FaultError::CountExceedsUniverse`] when `k` exceeds the node count.
-pub fn sample_fault_sets<R: rand::RngExt>(
-    g: &Graph,
-    k: usize,
-    samples: usize,
-    rng: &mut R,
-) -> Result<Vec<FaultSet>, FaultError> {
-    (0..samples)
-        .map(|_| FaultSet::random(g.node_count(), k, rng))
-        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ftdb_graph::generators;
 
     #[test]
     fn basic_fault_set_operations() {
@@ -429,8 +409,6 @@ mod tests {
                 universe: 4
             })
         );
-        let g = generators::cycle(6);
-        assert!(sample_fault_sets(&g, 7, 2, &mut rng).is_err());
         // Errors render a human-readable message.
         let msg = format!(
             "{}",
@@ -593,14 +571,5 @@ mod tests {
             }
             assert_eq!(lex, gray, "n={n} k={k}");
         }
-    }
-
-    #[test]
-    fn sampling_produces_requested_number() {
-        let g = generators::cycle(12);
-        let mut rng = rand::rng();
-        let sets = sample_fault_sets(&g, 3, 7, &mut rng).unwrap();
-        assert_eq!(sets.len(), 7);
-        assert!(sets.iter().all(|f| f.len() == 3 && f.universe() == 12));
     }
 }

@@ -13,7 +13,7 @@
 
 use crate::fault::FaultSet;
 use crate::reconfig::RankReconfig;
-use ftdb_graph::{Embedding, Graph, GraphBuilder, NodeId};
+use ftdb_graph::{Embedding, Graph, GraphBuilder};
 use ftdb_topology::labels::{pow_nodes, x_fn};
 use ftdb_topology::DeBruijn2;
 
@@ -87,16 +87,6 @@ impl FtDeBruijn2 {
         &self.target
     }
 
-    /// The *forward block* of node `x`: the `2k + 2` consecutive nodes
-    /// starting at `(2x - k) mod (2^h + k)` that `x` is connected to. This is
-    /// the block a single bus replaces in the Section V implementation.
-    pub fn forward_block(&self, x: NodeId) -> Vec<NodeId> {
-        let n = self.node_count();
-        (-(self.k as i64)..=(self.k as i64 + 1))
-            .map(|r| x_fn(x, 2, r, n))
-            .collect()
-    }
-
     /// Reconfigures around `faults`: returns the embedding `φ` of the target
     /// `B_{2,h}` into this graph that avoids every faulty node.
     ///
@@ -136,7 +126,7 @@ impl FtDeBruijn2 {
 mod tests {
     use super::*;
     use ftdb_graph::ops;
-    use ftdb_graph::properties;
+    use ftdb_graph::{properties, NodeId};
     use proptest::prelude::*;
     use rand::SeedableRng;
 
@@ -160,7 +150,6 @@ mod tests {
         assert_eq!(ft.degree_bound(), 8);
         // Node x is connected to the block of 4 consecutive nodes starting
         // at (2x - 1) mod 17.
-        assert_eq!(ft.forward_block(3), vec![5, 6, 7, 8]);
         for b in [5, 6, 7, 8] {
             assert!(ft.graph().has_edge(3, b));
         }
@@ -281,7 +270,10 @@ mod tests {
         fn forward_block_size(h in 3usize..7, k in 0usize..5, x in 0usize..200) {
             let ft = FtDeBruijn2::new(h, k);
             let x = x % ft.node_count();
-            let block = ft.forward_block(x);
+            // The forward block: the 2k + 2 consecutive nodes starting at
+            // (2x - k) mod (2^h + k).
+            let block: Vec<NodeId> =
+                (-(k as i64)..=k as i64 + 1).map(|r| x_fn(x, 2, r, ft.node_count())).collect();
             prop_assert_eq!(block.len(), 2 * k + 2);
             // Every member of the block is a neighbour (or x itself, for the
             // unavoidable self-loop values that the simple graph drops).

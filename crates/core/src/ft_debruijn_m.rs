@@ -11,7 +11,7 @@
 
 use crate::fault::FaultSet;
 use crate::reconfig::RankReconfig;
-use ftdb_graph::{Embedding, Graph, GraphBuilder, NodeId};
+use ftdb_graph::{Embedding, Graph, GraphBuilder};
 use ftdb_topology::labels::{pow_nodes, x_fn};
 use ftdb_topology::DeBruijnM;
 
@@ -90,15 +90,6 @@ impl FtDeBruijnM {
         &self.target
     }
 
-    /// The forward block of node `x`: the `(m-1)(2k+1) + 1` consecutive nodes
-    /// `(mx + r) mod (m^h + k)` for `r ∈ {(m-1)(-k), …, (m-1)(k+1)}`.
-    pub fn forward_block(&self, x: NodeId) -> Vec<NodeId> {
-        let n = self.node_count();
-        let lo = -((self.m as i64 - 1) * self.k as i64);
-        let hi = (self.m as i64 - 1) * (self.k as i64 + 1);
-        (lo..=hi).map(|r| x_fn(x, self.m, r, n)).collect()
-    }
-
     /// Reconfigures around `faults`, returning the rank-based embedding `φ`
     /// of `B_{m,h}` into this graph.
     ///
@@ -132,7 +123,7 @@ impl FtDeBruijnM {
 mod tests {
     use super::*;
     use crate::ft_debruijn::FtDeBruijn2;
-    use ftdb_graph::properties;
+    use ftdb_graph::{properties, NodeId};
     use proptest::prelude::*;
     use rand::SeedableRng;
 
@@ -213,12 +204,19 @@ mod tests {
             prop_assert_eq!(ft.reconfigure_verified(&faults), verified);
         }
 
-        /// The forward block has (m-1)(2k+1)+1 entries.
+        /// The forward block of `x`, the nodes `(mx + r) mod (m^h + k)` for
+        /// `r ∈ {(m-1)(-k), …, (m-1)(k+1)}`, has (m-1)(2k+1)+1 entries, each
+        /// a neighbour of `x` (or `x` itself, a dropped self-loop).
         #[test]
         fn forward_block_size(m in 2usize..5, h in 2usize..4, k in 0usize..4, x in 0usize..300) {
             let ft = FtDeBruijnM::new(m, h, k);
             let x = x % ft.node_count();
-            prop_assert_eq!(ft.forward_block(x).len(), (m - 1) * (2 * k + 1) + 1);
+            let (lo, hi) = (-((m as i64 - 1) * k as i64), (m as i64 - 1) * (k as i64 + 1));
+            let block: Vec<NodeId> = (lo..=hi).map(|r| x_fn(x, m, r, ft.node_count())).collect();
+            prop_assert_eq!(block.len(), (m - 1) * (2 * k + 1) + 1);
+            for &b in &block {
+                prop_assert!(b == x || ft.graph().has_edge(x, b));
+            }
         }
     }
 }

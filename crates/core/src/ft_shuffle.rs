@@ -20,9 +20,9 @@
 use crate::fault::FaultSet;
 use crate::ft_debruijn::FtDeBruijn2;
 use crate::reconfig::RankReconfig;
-use ftdb_graph::{Embedding, Graph, GraphBuilder, NodeId};
+use ftdb_graph::{Embedding, Graph, GraphBuilder};
 use ftdb_topology::labels::{pow_nodes, x_fn};
-use ftdb_topology::se_embedding::{embed_se_into_debruijn_with_budget, SeEmbeddingResult};
+use ftdb_topology::se_embedding::{embed_se_into_debruijn, SeEmbeddingResult};
 use ftdb_topology::ShuffleExchange;
 
 /// Error constructing the de Bruijn-based fault-tolerant shuffle-exchange.
@@ -68,12 +68,7 @@ impl FtShuffleExchange {
     /// Builds the construction for `SE_h` tolerating `k` faults, computing
     /// the `SE_h ⊆ B_{2,h}` embedding with the default search budget.
     pub fn new(h: usize, k: usize) -> Result<Self, FtShuffleError> {
-        Self::with_embedding_budget(h, k, 200_000_000)
-    }
-
-    /// As [`FtShuffleExchange::new`] with an explicit embedding-search budget.
-    pub fn with_embedding_budget(h: usize, k: usize, budget: u64) -> Result<Self, FtShuffleError> {
-        let sigma = match embed_se_into_debruijn_with_budget(h, budget) {
+        let sigma = match embed_se_into_debruijn(h) {
             SeEmbeddingResult::Found(e) => e,
             SeEmbeddingResult::Impossible => return Err(FtShuffleError::NoEmbedding),
             SeEmbeddingResult::BudgetExhausted => {
@@ -112,19 +107,9 @@ impl FtShuffleExchange {
         self.ft.graph()
     }
 
-    /// The underlying fault-tolerant de Bruijn construction.
-    pub fn ft_debruijn(&self) -> &FtDeBruijn2 {
-        &self.ft
-    }
-
     /// The logical target shuffle-exchange network.
     pub fn target(&self) -> &ShuffleExchange {
         &self.se
-    }
-
-    /// The static `SE_h → B_{2,h}` embedding used by the construction.
-    pub fn se_to_debruijn(&self) -> &Embedding {
-        &self.sigma
     }
 
     /// Reconfigures around `faults`, returning the embedding of `SE_h` into
@@ -260,15 +245,6 @@ impl NaturalFtShuffleExchange {
         self.reconfig
             .reconfigure_verified(self.target.graph(), &self.graph, self.k, faults)
     }
-
-    /// The forward exchange block of node `x`: the nodes `x + 1, …, x + k + 1`
-    /// (clipped at the node count).
-    pub fn exchange_block(&self, x: NodeId) -> Vec<NodeId> {
-        (1..=(self.k + 1))
-            .map(|d| x + d)
-            .filter(|&y| y < self.node_count())
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -306,8 +282,8 @@ mod tests {
         let se = NaturalFtShuffleExchange::new(4, 1);
         assert_eq!(se.node_count(), 17);
         assert!(se.graph().max_degree() <= se.degree_bound());
-        assert_eq!(se.exchange_block(3), vec![4, 5]);
-        assert_eq!(se.exchange_block(16), vec![]);
+        // The exchange edges of node 3 widen to the block {4, 5}.
+        assert!(se.graph().has_edge(3, 4) && se.graph().has_edge(3, 5));
         se.graph().check_invariants().unwrap();
     }
 

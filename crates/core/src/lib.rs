@@ -14,11 +14,11 @@
 //!
 //! | Construction | Type | Nodes | Degree |
 //! |--------------|------|-------|--------|
-//! | [`FtDeBruijn2`](ft_debruijn::FtDeBruijn2) | `B^k_{2,h}` | `2^h + k` | ≤ `4k + 4` |
-//! | [`FtDeBruijnM`](ft_debruijn_m::FtDeBruijnM) | `B^k_{m,h}` | `m^h + k` | ≤ `4(m-1)k + 2m` |
-//! | [`FtShuffleExchange`](ft_shuffle::FtShuffleExchange) | via SE ⊆ DB | `2^h + k` | ≤ `4k + 4` |
-//! | [`NaturalFtShuffleExchange`](ft_shuffle::NaturalFtShuffleExchange) | natural labeling | `2^h + k` | ≈ `6k + 4` |
-//! | [`BusArchitecture`](bus::BusArchitecture) | Section V buses | `2^h + k` | `2k + 3` buses |
+//! | [`FtDeBruijn2`] | `B^k_{2,h}` | `2^h + k` | ≤ `4k + 4` |
+//! | [`FtDeBruijnM`] | `B^k_{m,h}` | `m^h + k` | ≤ `4(m-1)k + 2m` |
+//! | [`FtShuffleExchange`] | via SE ⊆ DB | `2^h + k` | ≤ `4k + 4` |
+//! | [`NaturalFtShuffleExchange`] | natural labeling | `2^h + k` | ≈ `6k + 4` |
+//! | [`BusArchitecture`] | Section V buses | `2^h + k` | `2k + 3` buses |
 //!
 //! The crate also contains the reconfiguration algorithm ([`reconfig`]),
 //! fault modelling ([`fault`]), exhaustive/randomised `(k, G)`-tolerance

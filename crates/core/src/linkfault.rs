@@ -230,11 +230,6 @@ impl LinkFaultSet {
         self.slots.capacity()
     }
 
-    /// Node count of the host graph this set was built against.
-    pub fn node_universe(&self) -> usize {
-        self.node_universe
-    }
-
     /// Iterates the faulty CSR slots in increasing order.
     pub fn iter(&self) -> impl Iterator<Item = usize> + '_ {
         self.slots.iter()
@@ -253,11 +248,6 @@ impl LinkFaultSet {
         for slot in other.iter() {
             self.slots.insert(slot);
         }
-    }
-
-    /// The underlying bit set of faulty slots.
-    pub fn as_bitset(&self) -> &BitSet {
-        &self.slots
     }
 }
 
@@ -400,8 +390,6 @@ mod tests {
         a.union_with(&b);
         assert_eq!(a.len(), 2);
         assert!(!a.is_empty());
-        assert_eq!(a.node_universe(), 6);
         assert_eq!(a.iter().count(), 2);
-        assert_eq!(a.as_bitset().count(), 2);
     }
 }

@@ -28,14 +28,14 @@
 //! Each worker keeps `δ`, a per-edge "bad" flag and the number of bad
 //! edges. It primes them with one full check at the first fault set of its
 //! block. From there the in-place revolving-door enumerator
-//! ([`crate::fault::RevolvingDoor`]) swaps one fault per step, which moves
+//! (`RevolvingDoor` in `fault.rs`) swaps one fault per step, which moves
 //! at most two thresholds (by two nodes in total on average). A step
 //! therefore recomputes `δ` only between each old and new threshold, and
 //! re-tests only the edges incident to those nodes. A fault set passes
 //! exactly when no edge is bad. Failures are collected per worker and merged
-//! after the join — no `Mutex` in the hot loop. [`check_fault_set`]
-//! (reconfigure, then verify the embedding) stays the independent reference
-//! that the kernel is tested against.
+//! after the join — no `Mutex` in the hot loop. Reconfiguring, then
+//! verifying the embedding, one fault set at a time stays the independent
+//! reference that the kernel is tested against.
 //!
 //! The same machinery accepts an *arbitrary* candidate host graph, which is
 //! how the experiments show that a plain de Bruijn graph with a spare node
@@ -44,7 +44,6 @@
 
 use crate::fault::{Combinations, FaultSet, RevolvingDoor};
 use crate::parallel::fan_out;
-use crate::reconfig::reconfigure;
 use ftdb_graph::{Graph, NodeId};
 use std::ops::Range;
 
@@ -68,20 +67,10 @@ impl ToleranceReport {
     /// admitted a valid reconfiguration. A run that checked none — more
     /// faults than the host has nodes, so no fault set exists — is not
     /// tolerant: such a host has fewer than `N + k` nodes and no room for
-    /// the target, as [`certify`] and [`check_fault_set`] say too.
+    /// the target, as [`certify`] says too.
     pub fn is_tolerant(&self) -> bool {
         self.checked > 0 && self.failure_count == 0
     }
-}
-
-/// Checks a single fault set: does the rank-based reconfiguration of
-/// `target` into `host` avoid the faults and preserve every edge?
-pub fn check_fault_set(target: &Graph, host: &Graph, faults: &FaultSet) -> bool {
-    if host.node_count() < target.node_count() + faults.len() {
-        return false;
-    }
-    let phi = reconfigure(target.node_count(), faults);
-    phi.verify(target, host).is_ok()
 }
 
 /// Why [`certify`] refused a host: a fault set on which the rank map is not
@@ -107,7 +96,8 @@ pub struct Witness {
 /// `0 ≤ i ≤ j ≤ k`: the sorted row of each `a + i` holds `b + i..=b + k`.
 /// That is `O(E·k)` row reads and no allocation. `Ok` holds exactly when
 /// [`verify_exhaustive`] passes at `k` faults, and then it passes at every
-/// count below. An `Err`'s witness fails [`check_fault_set`].
+/// count below. An `Err`'s witness is a fault set on which the rank map is
+/// not an embedding.
 pub fn certify(target: &Graph, host: &Graph, k: usize) -> Result<(), Witness> {
     let n = host.node_count();
     let refuse = |edge: Option<(NodeId, NodeId)>, (i, j): (usize, usize)| {
@@ -260,8 +250,9 @@ impl<'a> VerifyKernel<'a> {
         }
     }
 
-    /// Full check of a sorted fault set, equivalent to [`check_fault_set`]:
-    /// computes `δ` and every edge's flag from scratch.
+    /// Full check of a sorted fault set, equivalent to reconfiguring and
+    /// verifying the embedding: computes `δ` and every edge's flag from
+    /// scratch.
     fn prime(&mut self, faults: &[usize]) -> bool {
         if !self.masks.fits {
             return false;
@@ -430,11 +421,22 @@ mod tests {
     use crate::ft_debruijn::FtDeBruijn2;
     use crate::ft_debruijn_m::FtDeBruijnM;
     use crate::ft_shuffle::NaturalFtShuffleExchange;
-    use crate::reconfig::RankReconfig;
+    use crate::reconfig::{reconfigure, RankReconfig};
     use ftdb_graph::GraphBuilder;
     use ftdb_topology::{DeBruijn2, DeBruijnM};
     use proptest::prelude::*;
     use rand::{RngExt, SeedableRng};
+
+    /// The independent reference for one fault set: does the rank-based
+    /// reconfiguration of `target` into `host` avoid the faults and
+    /// preserve every edge?
+    fn check_fault_set(target: &Graph, host: &Graph, faults: &FaultSet) -> bool {
+        if host.node_count() < target.node_count() + faults.len() {
+            return false;
+        }
+        let phi = reconfigure(target.node_count(), faults);
+        phi.verify(target, host).is_ok()
+    }
 
     /// A host of `nodes` nodes carrying `edges`.
     fn graph_of(nodes: usize, edges: impl IntoIterator<Item = (usize, usize)>) -> Graph {

@@ -158,37 +158,6 @@ impl BitSet {
             *a |= *b;
         }
     }
-
-    /// In-place intersection with `other`. Both sets must have the same capacity.
-    pub fn intersect_with(&mut self, other: &BitSet) {
-        assert_eq!(self.len, other.len, "BitSet capacity mismatch");
-        for (a, b) in self.words.iter_mut().zip(&other.words) {
-            *a &= *b;
-        }
-    }
-
-    /// Returns `true` if the two sets share no element.
-    pub fn is_disjoint(&self, other: &BitSet) -> bool {
-        self.words.iter().zip(&other.words).all(|(a, b)| a & b == 0)
-    }
-
-    /// Returns `true` if every element of `self` is also in `other`.
-    pub fn is_subset(&self, other: &BitSet) -> bool {
-        self.words
-            .iter()
-            .zip(&other.words)
-            .all(|(a, b)| a & !b == 0)
-    }
-}
-
-impl FromIterator<usize> for BitSet {
-    /// Collects values into a bit set whose capacity is one more than the
-    /// maximum value (or 0 for an empty iterator).
-    fn from_iter<I: IntoIterator<Item = usize>>(iter: I) -> Self {
-        let values: Vec<usize> = iter.into_iter().collect();
-        let cap = values.iter().max().map_or(0, |m| m + 1);
-        BitSet::from_iter(cap, values)
-    }
 }
 
 #[cfg(test)]
@@ -247,13 +216,6 @@ mod tests {
         let mut u = a.clone();
         u.union_with(&b);
         assert_eq!(u.iter().collect::<Vec<_>>(), vec![1, 2, 3, 4]);
-        let mut i = a.clone();
-        i.intersect_with(&b);
-        assert_eq!(i.iter().collect::<Vec<_>>(), vec![3]);
-        assert!(!a.is_disjoint(&b));
-        assert!(BitSet::from_iter(10, [5, 6]).is_disjoint(&a));
-        assert!(BitSet::from_iter(10, [1, 3]).is_subset(&a));
-        assert!(!b.is_subset(&a));
     }
 
     #[test]
@@ -261,12 +223,5 @@ mod tests {
     fn out_of_range_insert_panics() {
         let mut s = BitSet::new(4);
         s.insert(4);
-    }
-
-    #[test]
-    fn collect_from_iterator() {
-        let s: BitSet = [2usize, 9, 4].into_iter().collect();
-        assert_eq!(s.capacity(), 10);
-        assert_eq!(s.iter().collect::<Vec<_>>(), vec![2, 4, 9]);
     }
 }

@@ -23,7 +23,6 @@ pub struct GraphBuilder {
     nodes: usize,
     edges: Vec<(u32, u32)>,
     name: String,
-    ignored_self_loops: usize,
 }
 
 impl GraphBuilder {
@@ -33,7 +32,6 @@ impl GraphBuilder {
             nodes: n,
             edges: Vec::new(),
             name: String::new(),
-            ignored_self_loops: 0,
         }
     }
 
@@ -50,8 +48,8 @@ impl GraphBuilder {
 
     /// Adds the undirected edge `{u, v}`.
     ///
-    /// Self-loops (`u == v`) are counted but ignored; duplicates are removed
-    /// when the graph is built.
+    /// Self-loops (`u == v`) are ignored; duplicates are removed when the
+    /// graph is built.
     ///
     /// # Panics
     /// Panics if `u` or `v` is out of range.
@@ -59,7 +57,6 @@ impl GraphBuilder {
         let n = self.nodes;
         assert!(u < n && v < n, "edge ({u},{v}) out of range for {n} nodes");
         if u == v {
-            self.ignored_self_loops += 1;
             return;
         }
         // Ids past `u32::MAX` cannot occur in a graph that builds: `build`
@@ -75,11 +72,6 @@ impl GraphBuilder {
         for (u, v) in edges {
             self.add_edge(u, v);
         }
-    }
-
-    /// The number of self-loops that were requested and ignored so far.
-    pub fn ignored_self_loops(&self) -> usize {
-        self.ignored_self_loops
     }
 
     /// Finalises the graph: sorts the edges into the CSR layout, sorting and
@@ -117,7 +109,6 @@ mod tests {
         b.add_edge(1, 0);
         b.add_edge(0, 1);
         b.add_edge(2, 2);
-        assert_eq!(b.ignored_self_loops(), 1);
         let g = b.build();
         assert_eq!(g.edge_count(), 1);
         assert_eq!(g.degree(0), 1);

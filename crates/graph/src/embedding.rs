@@ -128,18 +128,6 @@ impl Embedding {
         }
     }
 
-    /// Returns the inverse partial map as a vector indexed by host node:
-    /// `inv[h] = Some(g)` iff `φ(g) = h`.
-    pub fn inverse(&self, host_size: usize) -> Vec<Option<NodeId>> {
-        let mut inv = vec![None; host_size];
-        for (g, &h) in self.map.iter().enumerate() {
-            if h < host_size {
-                inv[h] = Some(g);
-            }
-        }
-        inv
-    }
-
     /// Verifies that `self` is an embedding of `guest` into `host`:
     /// the map must be total on `V(guest)`, injective, land inside
     /// `V(host)`, and preserve every guest edge.
@@ -179,22 +167,6 @@ impl Embedding {
     /// Convenience wrapper around [`Embedding::verify`] returning a boolean.
     pub fn is_valid(&self, guest: &Graph, host: &Graph) -> bool {
         self.verify(guest, host).is_ok()
-    }
-
-    /// The dilation of the embedding: the maximum distance in `host` between
-    /// the images of adjacent guest nodes (1 for a true subgraph embedding).
-    /// Returns `None` if some image pair is disconnected in the host.
-    pub fn dilation(&self, guest: &Graph, host: &Graph) -> Option<usize> {
-        let mut searcher = crate::traversal::Searcher::with_capacity(host.node_count());
-        let mut path = Vec::new();
-        let mut worst = 0usize;
-        for (x, y) in guest.edges() {
-            if !searcher.shortest_path_into(host, self.map[x], self.map[y], &mut path) {
-                return None;
-            }
-            worst = worst.max(path.len() - 1);
-        }
-        Some(worst)
     }
 }
 
@@ -247,23 +219,6 @@ mod tests {
         let outer = Embedding::from_map(vec![10, 11, 12]);
         let composed = inner.then(&outer);
         assert_eq!(composed.as_slice(), &[12, 10, 11]);
-    }
-
-    #[test]
-    fn inverse_map() {
-        let e = Embedding::from_map(vec![3, 1]);
-        let inv = e.inverse(5);
-        assert_eq!(inv, vec![None, Some(1), None, Some(0), None]);
-    }
-
-    #[test]
-    fn dilation_of_spread_embedding() {
-        // Map the path 0-1 onto opposite corners of a 6-cycle: dilation 3.
-        let p2 = generators::path(2);
-        let c6 = generators::cycle(6);
-        let e = Embedding::from_map(vec![0, 3]);
-        assert_eq!(e.dilation(&p2, &c6), Some(3));
-        assert!(!e.is_valid(&p2, &c6));
     }
 
     #[test]

@@ -40,7 +40,7 @@ pub fn complete(n: usize) -> Graph {
 /// iff their binary labels differ in exactly one bit.
 ///
 /// The hypercube is the reference topology the paper's introduction compares
-/// against: the constant-degree networks (de Bruijn, shuffle-exchange, CCC)
+/// against: the constant-degree networks (de Bruijn and shuffle-exchange)
 /// emulate it with constant slowdown.
 pub fn hypercube(d: u32) -> Graph {
     let n = 1usize << d;

@@ -263,7 +263,7 @@ impl Graph {
     }
 
     /// Returns this graph carrying the given name; the arrays stay shared.
-    pub fn with_name(mut self, name: impl Into<String>) -> Self {
+    pub(crate) fn with_name(mut self, name: impl Into<String>) -> Self {
         self.name = name.into().into();
         self
     }
@@ -312,7 +312,7 @@ impl Graph {
     }
 
     /// The minimum degree over all nodes (0 for the empty graph).
-    pub fn min_degree(&self) -> usize {
+    pub(crate) fn min_degree(&self) -> usize {
         self.nodes().map(|v| self.degree(v)).min().unwrap_or(0)
     }
 
@@ -355,7 +355,7 @@ impl Graph {
     }
 
     /// Returns the sorted degree sequence of the graph.
-    pub fn degree_sequence(&self) -> Vec<usize> {
+    pub(crate) fn degree_sequence(&self) -> Vec<usize> {
         let mut d: Vec<usize> = self.nodes().map(|v| self.degree(v)).collect();
         d.sort_unstable();
         d

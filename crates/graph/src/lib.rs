@@ -18,9 +18,9 @@
 //! * [`search`] — a backtracking subgraph-embedding search used to compute
 //!   the shuffle-exchange ⊆ de Bruijn embedding that the paper imports as an
 //!   external result.
-//! * traversal (BFS/DFS/components/diameter), generators, degree/regularity
-//!   properties, and DOT/ASCII rendering used to regenerate the paper's
-//!   figures.
+//! * traversal (BFS, shortest paths, connectivity, diameter), generators,
+//!   regularity and edge-set checks, and DOT/ASCII rendering used to
+//!   regenerate the paper's figures.
 //!
 //! Everything is implemented from scratch on `std` (plus `rand` for the
 //! randomised helpers) so the workspace has no external graph dependency.

@@ -21,11 +21,6 @@ pub struct InducedSubgraph {
 }
 
 impl InducedSubgraph {
-    /// Translates a node of the induced subgraph back to the host graph.
-    pub fn to_original(&self, v: NodeId) -> NodeId {
-        self.original[v]
-    }
-
     /// Translates a host-graph node into the induced subgraph, if it is part
     /// of it.
     pub fn from_original(&self, original: NodeId) -> Option<NodeId> {
@@ -138,7 +133,6 @@ mod tests {
         assert_eq!(ind.graph.node_count(), 4);
         assert_eq!(ind.graph.edge_count(), 3); // path on 4 nodes
         assert_eq!(ind.original, vec![0, 1, 3, 4]);
-        assert_eq!(ind.to_original(2), 3);
         assert_eq!(ind.from_original(3), Some(2));
         assert_eq!(ind.from_original(2), None);
     }

@@ -50,13 +50,8 @@ pub fn to_dot(g: &Graph, opts: &DotOptions) -> String {
 }
 
 /// Renders the graph as a plain adjacency table, one node per line:
-/// `node: neighbour neighbour ...`.
-pub fn adjacency_table(g: &Graph) -> String {
-    adjacency_table_with_labels(g, |v| v.to_string())
-}
-
-/// Renders the adjacency table with a custom node label function (e.g. the
-/// binary labels the paper uses for de Bruijn nodes).
+/// `node : neighbour neighbour ...`, with a custom node label function (e.g.
+/// the binary labels the paper uses for de Bruijn nodes).
 pub fn adjacency_table_with_labels<F: Fn(NodeId) -> String>(g: &Graph, label: F) -> String {
     let mut out = String::new();
     if !g.name().is_empty() {
@@ -143,7 +138,7 @@ mod tests {
     #[test]
     fn adjacency_table_lists_all_nodes() {
         let g = generators::star(4).with_name("S4");
-        let table = adjacency_table(&g);
+        let table = adjacency_table_with_labels(&g, |v| v.to_string());
         assert!(table.contains("# S4"));
         assert_eq!(table.lines().count(), 5); // header + 4 nodes
         assert!(table.contains("0 : 1 2 3"));

@@ -3,7 +3,7 @@
 //! The paper's fault-tolerant shuffle-exchange construction relies on the
 //! external structural result that the shuffle-exchange network `SE_h` is a
 //! subgraph of the base-2 de Bruijn graph `B_{2,h}` of the same size. The
-//! paper imports that result ([7]) as a black box; we make it constructive by
+//! paper imports that result (\[7\]) as a black box; we make it constructive by
 //! searching for an explicit embedding with a classic backtracking
 //! subgraph-isomorphism procedure (candidate filtering by degree and by
 //! adjacency to already-placed neighbours, most-constrained-first variable
@@ -45,16 +45,6 @@ pub enum SearchResult {
     NoEmbedding,
     /// The node budget was exhausted before the search completed.
     BudgetExhausted,
-}
-
-impl SearchResult {
-    /// Returns the embedding if one was found.
-    pub fn into_embedding(self) -> Option<Embedding> {
-        match self {
-            SearchResult::Found(e) => Some(e),
-            _ => None,
-        }
-    }
 }
 
 struct Searcher<'a> {

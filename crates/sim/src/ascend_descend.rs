@@ -1,4 +1,4 @@
-//! Ascend/Descend-class algorithms (Preparata and Vuillemin [11]).
+//! Ascend/Descend-class algorithms (Preparata and Vuillemin \[11\]).
 //!
 //! An *Ascend* algorithm processes the hypercube dimensions in increasing
 //! order: in phase `i`, every pair of logical nodes whose labels differ in
@@ -118,16 +118,6 @@ pub fn descend_shuffle_exchange(
     Ok(AscendOutcome { steps, values })
 }
 
-/// Inclusive prefix sum on the hypercube in `h` dimension-exchange steps.
-///
-/// Every node keeps a pair `(prefix, total)`; when exchanging across
-/// dimension `d`, the node whose bit `d` is 1 adds the partner's running
-/// total to its prefix, and both add each other's totals. Inputs are checked
-/// as in [`allreduce_hypercube`].
-pub fn scan_hypercube(h: usize, values: &[u64]) -> Result<ScanOutcome, SimError> {
-    Ok(scan_outcome(h, run_hypercube(h, values)?))
-}
-
 /// Inclusive prefix sum with the shuffle-exchange emulation on a physical
 /// machine (same calling convention and input checks as
 /// [`allreduce_shuffle_exchange`]).
@@ -170,9 +160,11 @@ impl Rule for u64 {
     }
 }
 
-/// The rule of [`scan_hypercube`] over `(owner, prefix, total)`. Partners'
-/// owners differ in exactly the dimension being processed, so the owner
-/// with that bit set is the larger.
+/// The inclusive prefix-sum rule over `(owner, prefix, total)`: across
+/// dimension `d`, the owner whose bit `d` is 1 adds the partner's running
+/// total to its prefix, and both add each other's totals. Partners' owners
+/// differ in exactly the dimension being processed, so the owner with that
+/// bit set is the larger.
 impl Rule for (usize, u64, u64) {
     fn start(owner: usize, value: u64) -> Self {
         (owner, value, value)
@@ -263,6 +255,13 @@ mod tests {
     use crate::machine::PortModel;
     use ftdb_core::{FaultSet, FtShuffleExchange};
     use rand::SeedableRng;
+
+    /// Inclusive prefix sum natively on the hypercube in `h`
+    /// dimension-exchange steps: the run the emulated scan is checked
+    /// against.
+    fn scan_hypercube(h: usize, values: &[u64]) -> Result<ScanOutcome, SimError> {
+        Ok(scan_outcome(h, run_hypercube(h, values)?))
+    }
 
     fn seq(n: usize) -> Vec<u64> {
         (0..n as u64).collect()

@@ -21,7 +21,7 @@ use crate::machine::PortModel;
 
 /// The interconnect implementation being timed.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Interconnect {
+enum Interconnect {
     /// Dedicated point-to-point links with the given port model.
     PointToPoint(PortModel),
     /// One shared bus per node (Section V): a single value can cross the bus
@@ -32,11 +32,7 @@ pub enum Interconnect {
 /// Number of unit-time slots needed for every node to send `distinct_values`
 /// different values to distinct forward partners, repeated for
 /// `supersteps` supersteps.
-pub fn slots_needed(
-    interconnect: Interconnect,
-    distinct_values: usize,
-    supersteps: usize,
-) -> usize {
+fn slots_needed(interconnect: Interconnect, distinct_values: usize, supersteps: usize) -> usize {
     let per_step = match interconnect {
         Interconnect::PointToPoint(PortModel::MultiPort) => usize::from(distinct_values > 0),
         Interconnect::PointToPoint(PortModel::SinglePort) => distinct_values,

@@ -35,7 +35,7 @@
 /// source shard computes the O(1) shift-register step before sending, since
 /// the graph is global).
 #[derive(Clone, Copy, Debug)]
-pub struct Flit {
+pub(crate) struct Flit {
     /// Global packet id (ids are global across shards; age order = id
     /// order everywhere).
     pub id: u32,
@@ -62,7 +62,7 @@ pub struct Flit {
 /// One shard's cycle output destined for one other shard, adopted by that
 /// shard at the cycle barrier.
 #[derive(Debug, Default)]
-pub struct BoundaryBatch {
+pub(crate) struct BoundaryBatch {
     /// Packets that crossed into the destination shard this cycle, in age
     /// order.
     pub flits: Vec<Flit>,
@@ -95,7 +95,7 @@ impl BoundaryBatch {
 /// shard boundary at 2 shards and 67% at 4.
 #[inline]
 // analyzer: alloc-free
-pub fn shard_of(node: usize, n: usize, shards: usize) -> usize {
+pub(crate) fn shard_of(node: usize, n: usize, shards: usize) -> usize {
     debug_assert!(node < n);
     node * shards / n
 }
@@ -103,7 +103,7 @@ pub fn shard_of(node: usize, n: usize, shards: usize) -> usize {
 /// First node of `shard` under the same partition (the range is
 /// `[shard_floor(s), shard_floor(s + 1))`).
 #[inline]
-pub fn shard_floor(shard: usize, n: usize, shards: usize) -> usize {
+pub(crate) fn shard_floor(shard: usize, n: usize, shards: usize) -> usize {
     // Smallest `node` with `node * shards >= shard * n`.
     (shard * n).div_ceil(shards)
 }

@@ -9,7 +9,8 @@
 //! * Packets advance **one hop per cycle** along a precomputed physical
 //!   route (oblivious de Bruijn, or a BFS re-route after a fault).
 //! * Each **directed link carries at most one flit per cycle**.
-//! * Per-node output arbitration follows the machine's [`PortModel`]:
+//! * Per-node output arbitration follows the machine's
+//!   [`PortModel`](crate::machine::PortModel):
 //!   `SinglePort` processors send at most one flit per cycle in total
 //!   (injection or forwarding), `MultiPort` processors send one per incident
 //!   link — exactly the distinction Section V prices at "a factor of 2".
@@ -112,15 +113,15 @@
 //! **Implicit O(1) routing.** Oblivious de Bruijn routes are shift-register
 //! walks: hop `i` of the route from `s` to `t` is computable in O(1) from
 //! the current label and the remaining target bits, so the engine does not
-//! need to materialize paths at all. [`implicit_route`] holds the digit-shift
-//! next-hop generators (de Bruijn and shuffle-exchange) and the implicit
-//! context every shard core shares: the load's placement plus a
-//! successor-slot table naming the link of every logical shift edge. A
-//! packet carries O(1) route state (a packed current entry plus a two-word
-//! shift register) instead of O(h) path entries, which is what makes
-//! million-node runs fit in memory. Mid-run re-routes, and a second load
-//! through a different placement, fall back to materialized segments in
-//! the path arena of the shard core hosting the packet.
+//! need to materialize paths at all. [`implicit_route`] holds the de Bruijn
+//! digit-shift next-hop generator and the implicit context every shard core
+//! shares: the load's placement plus a successor-slot table naming the link
+//! of every logical shift edge. A packet carries O(1) route state (a packed
+//! current entry plus a two-word shift register) instead of O(h) path
+//! entries, which is what makes million-node runs fit in memory. Mid-run
+//! re-routes, and a second load through a different placement, fall back to
+//! materialized segments in the path arena of the shard core hosting the
+//! packet.
 //!
 //! **One kernel, any shard count.** [`ShardedSim`] partitions the CSR
 //! graph along the de Bruijn label-prefix cut, gives each shard its own
@@ -128,9 +129,9 @@
 //! with a deterministic (shard-id, packet-age) merge. The single-table
 //! engine [`CongestionSim`] is that kernel with one shard (so no barrier
 //! traffic), and the [`CongestionReport`] is byte-identical for any shard
-//! and thread count. See [`shard`] and [`boundary`].
+//! and thread count. See [`shard`] and the private `boundary` module.
 
-pub mod boundary;
+mod boundary;
 mod engine;
 pub mod implicit_route;
 pub mod shard;

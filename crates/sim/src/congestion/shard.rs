@@ -1,13 +1,14 @@
 //! The congestion engine's one cycle kernel: [`ShardedSim`] partitions the
 //! machine's nodes into contiguous label ranges (the de Bruijn prefix cut,
-//! see [`super::boundary`]), runs one wake-list core ([`ShardCore`]) per
-//! shard, and exchanges boundary flits and credit returns at cycle
-//! barriers. With one shard there is no barrier traffic at all, and that
-//! configuration is [`super::CongestionSim`]. Its [`CongestionReport`] is
-//! byte-identical for any shard count and thread count, and equal to what
-//! the reference model of the cycle rules (`tests/model.rs`) computes —
-//! enforced by the differential suite, the golden outputs of
-//! `tests/tests/engine_golden.rs` and the CI shard-determinism job.
+//! see the private `boundary` module), runs one wake-list core
+//! (`ShardCore`) per shard, and exchanges boundary flits and credit returns
+//! at cycle barriers. With one shard there is no barrier traffic at all,
+//! and that configuration is [`super::CongestionSim`]. Its
+//! [`CongestionReport`] is byte-identical for any shard count and thread
+//! count, and equal to what the reference model of the cycle rules
+//! (`tests/model.rs`) computes — enforced by the differential suite, the
+//! golden outputs of `tests/tests/engine_golden.rs` and the CI
+//! shard-determinism job.
 //!
 //! [`ShardedSim::step`] is the only cycle body at every thread count.
 //! Threads change only where per-core work runs: on `min(threads, shards)`
@@ -28,10 +29,10 @@
 //! its owner before the phase of cycle `c + 1 <= c + packet_flits`: one
 //! FIFO entry and one head wake per credit, wherever it was generated. A
 //! migrating packet is examined again only on the following cycle, exactly
-//! like a mover that stays on its shard; its VC index rides in the [`Flit`].
+//! like a mover that stays on its shard; its VC index rides in the `Flit`.
 //!
 //! Route state: an oblivious packet rides the shared implicit context
-//! ([`ImplicitRoute`], O(1) state per packet). Materialized paths — a
+//! (`ImplicitRoute`, O(1) state per packet). Materialized paths — a
 //! second load through a different placement, and mid-run re-routes —
 //! live in the arena of the core that hosts the packet and travel in the
 //! barrier's path words when it migrates.
@@ -1675,7 +1676,7 @@ impl ShardedSim {
     /// already at the new image) resolve immediately; every parked packet
     /// is woken, since its route just changed under it. Returns
     /// `(rerouted, delivered_in_place, dropped)`.
-    pub fn retarget_and_reroute(&mut self, placement: &Embedding) -> (u64, u64, u64) {
+    pub(crate) fn retarget_and_reroute(&mut self, placement: &Embedding) -> (u64, u64, u64) {
         let cycle = self.cycle;
         let (ctx, cores, outcomes) = self.parts();
         let mut totals = (0, 0, 0);

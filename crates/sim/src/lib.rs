@@ -39,7 +39,6 @@
 pub mod ascend_descend;
 pub mod bus_model;
 pub mod congestion;
-pub mod diagnosis;
 pub mod machine;
 pub mod metrics;
 pub mod routing;

@@ -216,7 +216,7 @@ impl PhysicalMachine {
 
     /// Checks that a communication over link `(u, v)` is possible: both
     /// endpoints healthy and the link physically present.
-    pub fn check_link(&self, u: NodeId, v: NodeId) -> Result<(), SimError> {
+    pub(crate) fn check_link(&self, u: NodeId, v: NodeId) -> Result<(), SimError> {
         if !self.is_healthy(u) {
             return Err(SimError::FaultyProcessor { node: u });
         }
@@ -227,32 +227,6 @@ impl PhysicalMachine {
             return Err(SimError::MissingLink { link: (u, v) });
         }
         Ok(())
-    }
-
-    /// The healthy neighbours of `u`, without allocating. Hot loops (BFS
-    /// fallback routing, diagnosis sweeps) iterate this directly off the
-    /// graph's CSR row.
-    pub fn healthy_neighbors_iter(&self, u: NodeId) -> impl Iterator<Item = NodeId> + '_ {
-        self.graph
-            .neighbors(u)
-            .iter()
-            .map(|&v| v as NodeId)
-            .filter(|&v| self.is_healthy(v))
-    }
-
-    /// The healthy neighbours of `u` as a vector. Prefer
-    /// [`PhysicalMachine::healthy_neighbors_iter`] in loops.
-    pub fn healthy_neighbors(&self, u: NodeId) -> Vec<NodeId> {
-        self.healthy_neighbors_iter(u).collect()
-    }
-
-    /// The number of synchronous steps needed for one processor to inject
-    /// `values` distinct values under the machine's port model.
-    pub fn injection_steps(&self, values: usize) -> usize {
-        match self.port_model {
-            PortModel::SinglePort => values,
-            PortModel::MultiPort => usize::from(values > 0),
-        }
     }
 }
 
@@ -284,8 +258,8 @@ mod tests {
             m.check_link(1, 2),
             Err(SimError::FaultyProcessor { node: 2 })
         );
-        assert_eq!(m.healthy_neighbors(1), vec![0]);
-        assert_eq!(m.healthy_neighbors(3), vec![4]);
+        assert!(m.check_link(1, 0).is_ok() && m.check_link(3, 4).is_ok());
+        assert!(m.check_link(3, 2).is_err());
     }
 
     #[test]
@@ -301,16 +275,6 @@ mod tests {
     fn mismatched_universe_is_rejected() {
         let faults = FaultSet::from_nodes(4, [1]);
         PhysicalMachine::with_faults(generators::cycle(6), faults, PortModel::MultiPort);
-    }
-
-    #[test]
-    fn injection_steps_depend_on_port_model() {
-        let single = PhysicalMachine::new(generators::cycle(4), PortModel::SinglePort);
-        let multi = PhysicalMachine::new(generators::cycle(4), PortModel::MultiPort);
-        assert_eq!(single.injection_steps(2), 2);
-        assert_eq!(multi.injection_steps(2), 1);
-        assert_eq!(single.injection_steps(0), 0);
-        assert_eq!(multi.injection_steps(0), 0);
     }
 
     #[test]

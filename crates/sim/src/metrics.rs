@@ -1,7 +1,5 @@
 //! Summary statistics for simulation runs.
 
-use crate::routing::PacketOutcome;
-
 /// Aggregated routing statistics over a workload.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct RoutingStats {
@@ -16,25 +14,15 @@ pub struct RoutingStats {
 }
 
 impl RoutingStats {
-    /// Records one packet outcome.
-    pub fn record(&mut self, outcome: &PacketOutcome) {
-        match outcome.hops() {
-            Some(h) => self.record_delivered(h),
-            None => self.record_dropped(),
-        }
-    }
-
-    /// Records a delivered packet with the given hop count. Used by the
-    /// allocation-free routing kernels, which report hop counts directly
-    /// instead of materialising a [`PacketOutcome`].
-    pub fn record_delivered(&mut self, hops: usize) {
+    /// Records a delivered packet with the given hop count.
+    pub(crate) fn record_delivered(&mut self, hops: usize) {
         self.delivered += 1;
         self.total_hops += hops as u64;
         self.max_hops = self.max_hops.max(hops);
     }
 
     /// Records a dropped packet.
-    pub fn record_dropped(&mut self) {
+    pub(crate) fn record_dropped(&mut self) {
         self.dropped += 1;
     }
 
@@ -58,7 +46,7 @@ impl RoutingStats {
     }
 
     /// Merges another statistics record into this one.
-    pub fn merge(&mut self, other: &RoutingStats) {
+    pub(crate) fn merge(&mut self, other: &RoutingStats) {
         self.delivered += other.delivered;
         self.dropped += other.dropped;
         self.total_hops += other.total_hops;
@@ -115,11 +103,10 @@ impl LatencySummary {
         Self::from_sorted(latencies)
     }
 
-    /// Summarises an already-sorted set of latencies without re-sorting —
-    /// the congestion engine keeps its delivered latencies incrementally
-    /// merge-sorted, so repeated (windowed) reports skip the O(n log n)
-    /// pass entirely.
-    pub fn from_sorted(latencies: &[u32]) -> Self {
+    /// Summarises an already-sorted set of latencies without re-sorting.
+    /// The congestion engine's report sorts its delivered latencies in
+    /// place, then summarises them here.
+    pub(crate) fn from_sorted(latencies: &[u32]) -> Self {
         debug_assert!(
             latencies
                 .iter()
@@ -150,18 +137,13 @@ impl LatencySummary {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::machine::SimError;
 
     #[test]
     fn record_and_summarise() {
         let mut stats = RoutingStats::default();
-        stats.record(&PacketOutcome::Delivered {
-            path: vec![0, 1, 2],
-        });
-        stats.record(&PacketOutcome::Delivered { path: vec![4] });
-        stats.record(&PacketOutcome::Dropped(SimError::FaultyProcessor {
-            node: 9,
-        }));
+        stats.record_delivered(2);
+        stats.record_delivered(0);
+        stats.record_dropped();
         assert_eq!(stats.delivered, 2);
         assert_eq!(stats.dropped, 1);
         assert_eq!(stats.max_hops, 2);

@@ -14,14 +14,10 @@
 //!   be salvaged without spares, they pay latency and the machine loses the
 //!   uniform-step structure that Ascend/Descend algorithms rely on.
 //!
-//! Both strategies expose two layers:
-//!
-//! * `route_*` functions returning a [`PacketOutcome`] — convenient, but
-//!   they allocate the delivered path.
-//! * `route_*_into` kernels that write the path into a caller-owned buffer
-//!   and report the hop count — zero heap allocation per packet once the
-//!   buffers are warm. [`RouteScratch`] bundles the buffers of adaptive
-//!   routing.
+//! Each strategy is one `route_*_into` kernel that writes the path into a
+//! caller-owned buffer and reports the hop count — zero heap allocation per
+//! packet once the buffers are warm. [`RouteScratch`] bundles the buffers of
+//! adaptive routing.
 //!
 //! [`route_logical_debruijn_into`] is the reference walker of the oblivious
 //! route. The oblivious workload driver proves the placement sound or not
@@ -34,31 +30,9 @@ use crate::congestion::implicit_route::{check_endpoints, ImplicitRoute};
 use crate::machine::{PhysicalMachine, SimError};
 use crate::metrics::RoutingStats;
 use ftdb_core::parallel::fan_out;
-use ftdb_graph::traversal::{self, Searcher};
+use ftdb_graph::traversal::Searcher;
 use ftdb_graph::{Embedding, NodeId};
 use ftdb_topology::DeBruijn2;
-
-/// The result of routing one packet.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum PacketOutcome {
-    /// Delivered over the given physical path (hop count = `path.len() - 1`).
-    Delivered {
-        /// The physical path taken, source and target inclusive.
-        path: Vec<NodeId>,
-    },
-    /// Dropped because of the given error.
-    Dropped(SimError),
-}
-
-impl PacketOutcome {
-    /// Hop count if delivered.
-    pub fn hops(&self) -> Option<usize> {
-        match self {
-            PacketOutcome::Delivered { path } => Some(path.len().saturating_sub(1)),
-            PacketOutcome::Dropped(_) => None,
-        }
-    }
-}
 
 /// Reusable per-worker routing scratch: the physical path buffer and the
 /// BFS state for adaptive routing. One `RouteScratch` per thread routes any
@@ -147,26 +121,9 @@ fn image(placement: &Embedding, x: NodeId) -> Result<NodeId, SimError> {
         })
 }
 
-/// Routes one packet along the logical de Bruijn route from logical node
-/// `source` to logical node `target`, executing it on `machine` through the
-/// `placement` embedding.
-pub fn route_logical_debruijn(
-    db: &DeBruijn2,
-    placement: &Embedding,
-    machine: &PhysicalMachine,
-    source: NodeId,
-    target: NodeId,
-) -> PacketOutcome {
-    let mut path = Vec::with_capacity(db.h() + 1);
-    match route_logical_debruijn_into(db, placement, machine, source, target, &mut path) {
-        Ok(_) => PacketOutcome::Delivered { path },
-        Err(e) => PacketOutcome::Dropped(e),
-    }
-}
-
-/// Allocation-free kernel for adaptive routing: BFS restricted to healthy
-/// processors, path written into `scratch.path`. Returns the hop count on
-/// delivery.
+/// Allocation-free kernel for adaptive routing: the shortest path between
+/// the *physical* endpoints inside the healthy part of the machine, written
+/// into `scratch.path`. Returns the hop count on delivery.
 pub fn route_adaptive_into(
     machine: &PhysicalMachine,
     physical_source: NodeId,
@@ -192,11 +149,12 @@ pub fn route_adaptive_into(
             node: physical_target,
         });
     }
-    let found = scratch.searcher.shortest_path_filtered_into(
+    let found = scratch.searcher.shortest_path_avoiding_into(
         machine.graph(),
         physical_source,
         physical_target,
         |v| machine.is_healthy(v),
+        |_| true,
         &mut scratch.path,
     );
     if found {
@@ -209,25 +167,11 @@ pub fn route_adaptive_into(
     }
 }
 
-/// Routes one packet adaptively: shortest path between the *physical*
-/// endpoints inside the healthy part of the machine.
-pub fn route_adaptive(
-    machine: &PhysicalMachine,
-    physical_source: NodeId,
-    physical_target: NodeId,
-) -> PacketOutcome {
-    let mut scratch = RouteScratch::new();
-    match route_adaptive_into(machine, physical_source, physical_target, &mut scratch) {
-        Ok(_) => PacketOutcome::Delivered { path: scratch.path },
-        Err(e) => PacketOutcome::Dropped(e),
-    }
-}
-
 /// Routes a whole workload of logical `(source, target)` pairs with the
 /// oblivious de Bruijn strategy and aggregates statistics.
 ///
 /// The placement is checked against the machine once, by capturing the
-/// same [`ImplicitRoute`] context the congestion engine's loads use: on a
+/// same `ImplicitRoute` context the congestion engine's loads use: on a
 /// sound placement each packet costs shift arithmetic, on any other one
 /// the context's walk, which agrees with [`route_logical_debruijn_into`]
 /// packet by packet. `pairs` is cut into `threads` contiguous chunks
@@ -277,12 +221,6 @@ pub fn run_adaptive_workload(
     stats
 }
 
-/// A sanity helper used by tests and experiments: the maximum hop count the
-/// oblivious route can take on a healthy machine (the de Bruijn diameter).
-pub fn worst_case_oblivious_hops(db: &DeBruijn2) -> usize {
-    traversal::diameter(db.graph()).unwrap_or(0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -292,36 +230,51 @@ mod tests {
     use ftdb_graph::Embedding;
     use rand::SeedableRng;
 
+    /// Records one kernel result the way the workload drivers do.
+    fn record(stats: &mut RoutingStats, result: Result<usize, SimError>) {
+        match result {
+            Ok(hops) => stats.record_delivered(hops),
+            Err(_) => stats.record_dropped(),
+        }
+    }
+
     #[test]
     fn healthy_machine_delivers_all_logical_packets() {
         let db = DeBruijn2::new(4);
         let machine = PhysicalMachine::new(db.graph().clone(), PortModel::MultiPort);
         let placement = Embedding::identity(db.node_count());
+        let mut path = Vec::new();
         for s in 0..db.node_count() {
             for t in 0..db.node_count() {
-                let out = route_logical_debruijn(&db, &placement, &machine, s, t);
-                let hops = out.hops().expect("healthy machine must deliver");
+                let hops = route_logical_debruijn_into(&db, &placement, &machine, s, t, &mut path)
+                    .expect("healthy machine must deliver");
                 assert!(hops <= db.h());
+                assert_eq!(hops, path.len() - 1);
+                assert_eq!((path[0], path[hops]), (s, t));
+                assert!(path.windows(2).all(|w| db.graph().has_edge(w[0], w[1])));
             }
         }
     }
 
     #[test]
     fn into_kernel_path_matches_outcome_path() {
+        // The digit-shifting routes on B(2,5), derived by hand: each hop
+        // shifts the next target bit, most significant first, into the
+        // label.
         let db = DeBruijn2::new(5);
         let machine = PhysicalMachine::new(db.graph().clone(), PortModel::MultiPort);
         let placement = Embedding::identity(db.node_count());
         let mut path = Vec::new();
-        for (s, t) in [(0, 31), (7, 7), (12, 19)] {
+        let routes: [(usize, usize, &[usize]); 3] = [
+            (0, 31, &[0, 1, 3, 7, 15, 31]),
+            (7, 7, &[7, 14, 28, 25, 19, 7]),
+            (12, 19, &[12, 25, 18, 4, 9, 19]),
+        ];
+        for (s, t, want) in routes {
             let hops = route_logical_debruijn_into(&db, &placement, &machine, s, t, &mut path)
                 .expect("healthy delivery");
-            match route_logical_debruijn(&db, &placement, &machine, s, t) {
-                PacketOutcome::Delivered { path: reference } => {
-                    assert_eq!(path, reference);
-                    assert_eq!(hops, reference.len() - 1);
-                }
-                other => panic!("expected delivery, got {other:?}"),
-            }
+            assert_eq!(path, want, "({s},{t})");
+            assert_eq!(hops, want.len() - 1);
         }
     }
 
@@ -331,15 +284,15 @@ mod tests {
         let mut machine = PhysicalMachine::new(db.graph().clone(), PortModel::MultiPort);
         machine.inject_fault(1);
         let placement = Embedding::identity(db.node_count());
+        let mut path = Vec::new();
+        let mut route =
+            |s, t| route_logical_debruijn_into(&db, &placement, &machine, s, t, &mut path);
         // A route ending at the faulty node is dropped.
-        let out = route_logical_debruijn(&db, &placement, &machine, 5, 1);
-        assert!(matches!(out, PacketOutcome::Dropped(_)));
+        assert!(route(5, 1).is_err());
         // And so is one that merely passes through it: 8 -> 1 -> 2.
-        let through = route_logical_debruijn(&db, &placement, &machine, 8, 2);
-        assert!(matches!(through, PacketOutcome::Dropped(_)));
+        assert_eq!(route(8, 2), Err(SimError::FaultyProcessor { node: 1 }));
         // Routes that avoid it still work.
-        let ok = route_logical_debruijn(&db, &placement, &machine, 10, 5);
-        assert!(ok.hops().is_some());
+        assert!(route(10, 5).is_ok());
     }
 
     #[test]
@@ -347,15 +300,16 @@ mod tests {
         let db = DeBruijn2::new(4);
         let mut machine = PhysicalMachine::new(db.graph().clone(), PortModel::MultiPort);
         machine.inject_fault(1);
-        // 8 -> 2 obliviously goes through 1 (8=1000 -> 0001? shift route) and
-        // is droppable; adaptively it finds another healthy path.
-        let adaptive = route_adaptive(&machine, 8, 2);
-        assert!(adaptive.hops().is_some());
+        // 8 -> 2 obliviously goes through 1 and is dropped; adaptively it
+        // finds another healthy path.
+        let mut scratch = RouteScratch::new();
+        assert!(route_adaptive_into(&machine, 8, 2, &mut scratch).is_ok());
+        assert!(!scratch.path.contains(&1));
         // Faulty endpoints are still undeliverable.
-        assert!(matches!(
-            route_adaptive(&machine, 1, 3),
-            PacketOutcome::Dropped(SimError::FaultyProcessor { node: 1 })
-        ));
+        assert_eq!(
+            route_adaptive_into(&machine, 1, 3, &mut scratch),
+            Err(SimError::FaultyProcessor { node: 1 })
+        );
     }
 
     #[test]
@@ -364,10 +318,13 @@ mod tests {
         let g = ftdb_graph::generators::path(5);
         let faults = FaultSet::from_nodes(5, [2]);
         let machine = PhysicalMachine::with_faults(g, faults, PortModel::SinglePort);
-        assert!(matches!(
-            route_adaptive(&machine, 0, 4),
-            PacketOutcome::Dropped(SimError::Unreachable { .. })
-        ));
+        assert_eq!(
+            route_adaptive_into(&machine, 0, 4, &mut RouteScratch::new()),
+            Err(SimError::Unreachable {
+                source: 0,
+                target: 4
+            })
+        );
     }
 
     #[test]
@@ -410,14 +367,16 @@ mod tests {
         let db = DeBruijn2::new(3);
         let machine = PhysicalMachine::new(db.graph().clone(), PortModel::MultiPort);
         let collapsed = Embedding::from_map(vec![0; db.node_count()]);
+        let mut path = Vec::new();
         for (s, t) in [(0, 7), (3, 4), (6, 6)] {
-            let out = route_logical_debruijn(&db, &collapsed, &machine, s, t);
-            assert!(out.hops().is_some(), "({s},{t}) must deliver: {out:?}");
+            let out = route_logical_debruijn_into(&db, &collapsed, &machine, s, t, &mut path);
+            assert!(out.is_ok(), "({s},{t}) must deliver: {out:?}");
         }
         let pairs: Vec<(usize, usize)> = (0..8).map(|s| (s, 7 - s)).collect();
         let mut reference = RoutingStats::default();
         for &(s, t) in &pairs {
-            reference.record(&route_logical_debruijn(&db, &collapsed, &machine, s, t));
+            let out = route_logical_debruijn_into(&db, &collapsed, &machine, s, t, &mut path);
+            record(&mut reference, out);
         }
         assert_eq!(
             run_logical_workload(&db, &collapsed, &machine, &pairs, 1),
@@ -467,8 +426,12 @@ mod tests {
             for &(s, t) in &pairs {
                 let want = route_logical_debruijn_into(&db, placement, machine, s, t, &mut path);
                 assert_eq!(route.walk(machine, s, t), want, "sound={sound} ({s},{t})");
-                assert_eq!(route.check(machine, s, t), want.map(drop), "({s},{t})");
-                reference.record(&route_logical_debruijn(&db, placement, machine, s, t));
+                assert_eq!(
+                    route.check(machine, s, t),
+                    want.clone().map(drop),
+                    "({s},{t})"
+                );
+                record(&mut reference, want);
             }
             let sequential = run_logical_workload(&db, placement, machine, &pairs, 1);
             assert_eq!(sequential, reference, "sound={sound}");
@@ -565,10 +528,6 @@ mod tests {
                     limit: n
                 })
             );
-            assert!(matches!(
-                route_logical_debruijn(&db, &placement, &machine, s, t),
-                PacketOutcome::Dropped(SimError::EndpointOutOfRange { .. })
-            ));
         }
         // Adaptive kernel.
         let mut scratch = RouteScratch::new();
@@ -612,7 +571,18 @@ mod tests {
 
     #[test]
     fn worst_case_hops_is_the_diameter() {
+        // On a healthy B(2,h) the longest oblivious route has h hops, the
+        // de Bruijn diameter.
         let db = DeBruijn2::new(5);
-        assert_eq!(worst_case_oblivious_hops(&db), 5);
+        let machine = PhysicalMachine::new(db.graph().clone(), PortModel::MultiPort);
+        let placement = Embedding::identity(db.node_count());
+        let mut path = Vec::new();
+        let worst = (0..32)
+            .flat_map(|s| (0..32).map(move |t| (s, t)))
+            .map(|(s, t)| route_logical_debruijn_into(&db, &placement, &machine, s, t, &mut path))
+            .map(|hops| hops.expect("healthy machine must deliver"))
+            .max();
+        assert_eq!(worst, Some(5));
+        assert_eq!(ftdb_graph::traversal::diameter(db.graph()), Some(5));
     }
 }

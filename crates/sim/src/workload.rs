@@ -73,7 +73,7 @@ pub struct OpenLoopSpec {
 
 impl OpenLoopSpec {
     /// Cycles during which sources inject: warm-up plus measurement.
-    pub fn injection_cycles(&self) -> u32 {
+    fn injection_cycles(&self) -> u32 {
         self.warmup_cycles + self.measure_cycles
     }
 
@@ -98,23 +98,10 @@ impl OpenLoopSpec {
 /// latency-vs-load comparisons (and the monotonicity property test)
 /// well-posed.
 pub fn open_loop_injections(n: usize, spec: &OpenLoopSpec) -> Vec<(u32, NodeId, NodeId)> {
-    let mut schedule = Vec::new();
-    open_loop_injections_into(n, spec, &mut schedule);
-    schedule
-}
-
-/// Buffer-reusing form of [`open_loop_injections`]: writes the schedule
-/// into `out` (cleared first), so sweep drivers generating one schedule per
-/// sweep point amortise the allocation across the whole sweep.
-pub fn open_loop_injections_into(
-    n: usize,
-    spec: &OpenLoopSpec,
-    out: &mut Vec<(u32, NodeId, NodeId)>,
-) {
     assert!(spec.offered_load > 0.0, "offered load must be positive");
     let mut rng = rand::rngs::StdRng::seed_from_u64(spec.seed);
     let InjectionProcess::Bernoulli = spec.process;
-    out.clear();
+    let mut out = Vec::new();
     for cycle in 0..spec.injection_cycles() {
         for node in 0..n {
             let coin: f64 = rng.random();
@@ -124,6 +111,7 @@ pub fn open_loop_injections_into(
             }
         }
     }
+    out
 }
 
 /// Per-node initial values for the Ascend/Descend computations: the node

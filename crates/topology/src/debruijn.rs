@@ -79,11 +79,6 @@ impl DeBruijn2 {
         &self.graph
     }
 
-    /// Consumes the wrapper, returning the underlying graph.
-    pub fn into_graph(self) -> Graph {
-        self.graph
-    }
-
     /// The binary label of node `x`, as printed in the paper's figures
     /// (e.g. node 6 of `B_{2,4}` is `"0110"`).
     pub fn label(&self, x: NodeId) -> String {
@@ -96,11 +91,6 @@ impl DeBruijn2 {
     pub fn successors(&self, x: NodeId) -> [NodeId; 2] {
         let n = self.node_count();
         [x_fn(x, 2, 0, n), x_fn(x, 2, 1, n)]
-    }
-
-    /// The two *predecessor* nodes of `x`: `⌊x/2⌋` and `⌊x/2⌋ + 2^{h-1}`.
-    pub fn predecessors(&self, x: NodeId) -> [NodeId; 2] {
-        [x >> 1, (x >> 1) | (1 << (self.h - 1))]
     }
 
     /// One step of the digit-shifting route: shift `bit` into `current`.
@@ -200,7 +190,8 @@ mod tests {
     fn successors_and_predecessors() {
         let g = DeBruijn2::new(4);
         assert_eq!(g.successors(5), [10, 11]);
-        assert_eq!(g.predecessors(10), [5, 13]);
+        // The predecessors of x are ⌊x/2⌋ and ⌊x/2⌋ + 2^{h-1}.
+        assert!(g.successors(5).contains(&10) && g.successors(13).contains(&10));
         assert_eq!(g.successors(15), [14, 15]); // self-loop at the all-ones node
     }
 
@@ -249,7 +240,8 @@ mod tests {
                     prop_assert!(g.graph().has_edge(x, s));
                 }
             }
-            for p in g.predecessors(x) {
+            for p in [x >> 1, (x >> 1) | (1 << (h - 1))] {
+                prop_assert!(g.successors(p).contains(&x));
                 if p != x {
                     prop_assert!(g.graph().has_edge(x, p));
                 }

@@ -86,11 +86,6 @@ impl DeBruijnM {
         &self.graph
     }
 
-    /// Consumes the wrapper, returning the underlying graph.
-    pub fn into_graph(self) -> Graph {
-        self.graph
-    }
-
     /// The base-m label of node `x` as an `h`-character string.
     pub fn label(&self, x: NodeId) -> String {
         format_label(x, self.m, self.h)

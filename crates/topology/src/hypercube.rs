@@ -1,7 +1,7 @@
 //! The binary hypercube `Q_d`, the reference topology of the paper's
 //! introduction.
 //!
-//! The constant-degree networks (de Bruijn, shuffle-exchange, CCC) are
+//! The constant-degree networks (de Bruijn and shuffle-exchange) are
 //! interesting precisely because they emulate hypercube algorithms — in
 //! particular the Ascend/Descend classes of Preparata and Vuillemin — with
 //! only constant-factor slowdown while keeping node degree independent of
@@ -61,38 +61,27 @@ impl Hypercube {
     pub fn label(&self, x: NodeId) -> String {
         format_label(x, 2, self.d.max(1))
     }
-
-    /// The neighbour of `x` across dimension `dim`.
-    ///
-    /// # Panics
-    /// Panics if `dim >= d`.
-    pub fn neighbor_across(&self, x: NodeId, dim: usize) -> NodeId {
-        assert!(dim < self.d, "dimension {dim} out of range");
-        x ^ (1 << dim)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ftdb_graph::{properties, traversal};
+    use ftdb_graph::traversal;
 
     #[test]
     fn q4_counts() {
         let q = Hypercube::new(4);
         assert_eq!(q.node_count(), 16);
         assert_eq!(q.graph().edge_count(), 32);
-        assert!(properties::is_regular(q.graph(), 4));
+        assert!(q.graph().nodes().all(|v| q.graph().degree(v) == 4));
         assert_eq!(traversal::diameter(q.graph()), Some(4));
     }
 
     #[test]
     fn dimension_neighbors() {
         let q = Hypercube::new(3);
-        assert_eq!(q.neighbor_across(0b010, 0), 0b011);
-        assert_eq!(q.neighbor_across(0b010, 1), 0b000);
-        assert_eq!(q.neighbor_across(0b010, 2), 0b110);
-        assert!(q.graph().has_edge(0b010, 0b110));
+        let across: Vec<u32> = q.graph().neighbors(0b010).to_vec();
+        assert_eq!(across, vec![0b000, 0b011, 0b110]);
         assert_eq!(q.label(5), "101");
     }
 

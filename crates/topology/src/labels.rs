@@ -33,11 +33,6 @@ pub fn rank(x: usize, set: &[usize]) -> usize {
     set.iter().filter(|&&y| y < x).count()
 }
 
-/// `Rank(x, S)` for a sorted slice, in `O(log |S|)`.
-pub fn rank_sorted(x: usize, sorted_set: &[usize]) -> usize {
-    sorted_set.partition_point(|&y| y < x)
-}
-
 /// The h-digit base-m representation `[x_{h-1}, …, x_0]` of `x`
 /// (most-significant digit first).
 ///
@@ -84,7 +79,7 @@ pub fn format_label(x: usize, m: usize, h: usize) -> String {
 /// Left-rotates the h-digit base-m representation of `x` by one digit
 /// (the *shuffle* permutation). `[x_{h-1}, x_{h-2}, …, x_0] →
 /// [x_{h-2}, …, x_0, x_{h-1}]`.
-pub fn rotate_left(x: usize, m: usize, h: usize) -> usize {
+pub(crate) fn rotate_left(x: usize, m: usize, h: usize) -> usize {
     let total = m.pow(h as u32);
     assert!(x < total, "{x} out of range for {h} base-{m} digits");
     let msd = x / m.pow(h as u32 - 1);
@@ -93,7 +88,7 @@ pub fn rotate_left(x: usize, m: usize, h: usize) -> usize {
 
 /// Right-rotates the h-digit base-m representation of `x` by one digit
 /// (the *unshuffle* permutation). Inverse of [`rotate_left`].
-pub fn rotate_right(x: usize, m: usize, h: usize) -> usize {
+pub(crate) fn rotate_right(x: usize, m: usize, h: usize) -> usize {
     let total = m.pow(h as u32);
     assert!(x < total, "{x} out of range for {h} base-{m} digits");
     let lsd = x % m;
@@ -139,8 +134,6 @@ mod tests {
         assert_eq!(rank(2, &s), 0);
         assert_eq!(rank(9, &s), 3);
         assert_eq!(rank(5, &s), 2);
-        assert_eq!(rank_sorted(5, &[2, 4, 7, 9]), 2);
-        assert_eq!(rank_sorted(10, &[2, 4, 7, 9]), 4);
     }
 
     #[test]

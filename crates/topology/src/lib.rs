@@ -9,9 +9,8 @@
 //! * [`debruijn_m`] — the base-m generalisation `B_{m,h}` (Section IV).
 //! * [`shuffle_exchange`] — the point-to-point shuffle-exchange network
 //!   `SE_h` (shuffle, unshuffle and exchange edges).
-//! * [`hypercube`] and [`ccc`] — the reference topologies of the paper's
-//!   introduction (the hypercube that the constant-degree networks emulate,
-//!   and the cube-connected cycles).
+//! * [`hypercube`] — the reference topology of the paper's introduction,
+//!   which the constant-degree networks emulate.
 //! * [`labels`] — digit/label utilities shared by all of the above: base-m
 //!   digit vectors, the `Rank` function and the `X` function from the
 //!   paper's Section II.
@@ -35,7 +34,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod ccc;
 pub mod debruijn;
 pub mod debruijn_m;
 pub mod hypercube;

@@ -3,7 +3,7 @@
 //!
 //! The paper's fault-tolerant shuffle-exchange result (degree `4k + 4`) rests
 //! on one external structural fact: *"a shuffle-exchange network is a
-//! subgraph of a base-2 de Bruijn graph of the same size"* (reference [7]).
+//! subgraph of a base-2 de Bruijn graph of the same size"* (reference \[7\]).
 //! The paper uses the fact as a black box; this module makes it constructive
 //! by computing an explicit embedding `σ : V(SE_h) → V(B_{2,h})` with the
 //! backtracking subgraph-embedding search from `ftdb-graph`. The resulting
@@ -43,11 +43,6 @@ impl SeEmbeddingResult {
             _ => None,
         }
     }
-
-    /// `true` if an embedding was found.
-    pub fn is_found(&self) -> bool {
-        matches!(self, SeEmbeddingResult::Found(_))
-    }
 }
 
 /// Computes an embedding of `SE_h` into `B_{2,h}` with the default search
@@ -58,7 +53,7 @@ pub fn embed_se_into_debruijn(h: usize) -> SeEmbeddingResult {
 
 /// Computes an embedding of `SE_h` into `B_{2,h}` with an explicit search
 /// budget (number of search-tree nodes).
-pub fn embed_se_into_debruijn_with_budget(h: usize, node_budget: u64) -> SeEmbeddingResult {
+fn embed_se_into_debruijn_with_budget(h: usize, node_budget: u64) -> SeEmbeddingResult {
     let se = ShuffleExchange::new(h);
     let db = DeBruijn2::new(h);
     let opts = SearchOptions {

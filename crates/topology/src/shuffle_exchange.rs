@@ -1,4 +1,4 @@
-//! The point-to-point shuffle-exchange network `SE_h` (Stone [13]).
+//! The point-to-point shuffle-exchange network `SE_h` (Stone \[13\]).
 //!
 //! `SE_h` has `2^h` nodes labelled with `h`-bit binary numbers. Node `x` is
 //! connected to
@@ -67,11 +67,6 @@ impl ShuffleExchange {
         &self.graph
     }
 
-    /// Consumes the wrapper, returning the underlying graph.
-    pub fn into_graph(self) -> Graph {
-        self.graph
-    }
-
     /// The binary label of node `x`.
     pub fn label(&self, x: NodeId) -> String {
         format_label(x, 2, self.h)
@@ -83,7 +78,7 @@ impl ShuffleExchange {
     }
 
     /// The unshuffle neighbour of `x` (cyclic right shift of the label).
-    pub fn unshuffle(&self, x: NodeId) -> NodeId {
+    fn unshuffle(&self, x: NodeId) -> NodeId {
         rotate_right(x, 2, self.h)
     }
 

@@ -11,7 +11,6 @@ use ftdb_core::{FtDeBruijn2, FtDeBruijnM, FtShuffleExchange, NaturalFtShuffleExc
 use ftdb_graph::builder::graph_from_edges;
 use ftdb_graph::graph::GraphError;
 use ftdb_graph::{generators, ops, traversal, BitSet, Graph, GraphBuilder, NodeId};
-use ftdb_topology::ccc::CubeConnectedCycles;
 use ftdb_topology::hypercube::Hypercube;
 use ftdb_topology::{DeBruijn2, DeBruijnM, ShuffleExchange};
 use proptest::prelude::*;
@@ -286,7 +285,7 @@ fn csr_arrays_match_reference_for_shuffle_exchange_families() {
 }
 
 #[test]
-fn csr_arrays_match_reference_for_hypercubes_ccc_and_generators() {
+fn csr_arrays_match_reference_for_hypercubes_and_generators() {
     for d in 1..=8 {
         let n = 1usize << d;
         let edges: Vec<_> = (0..n)
@@ -294,17 +293,6 @@ fn csr_arrays_match_reference_for_hypercubes_ccc_and_generators() {
             .collect();
         assert_csr_is_reference(Hypercube::new(d).graph(), &edges);
         assert_csr_is_reference(&generators::hypercube(d as u32), &edges);
-    }
-    for d in 1..=6 {
-        let id = |x: usize, p: usize| x * d + p;
-        let mut edges = Vec::new();
-        for x in 0..1usize << d {
-            for p in 0..d {
-                edges.push((id(x, p), id(x, (p + 1) % d)));
-                edges.push((id(x, p), id(x ^ (1 << p), p)));
-            }
-        }
-        assert_csr_is_reference(CubeConnectedCycles::new(d).graph(), &edges);
     }
     for n in 0..=12 {
         let path: Vec<_> = (1..n).map(|v| (v - 1, v)).collect();
