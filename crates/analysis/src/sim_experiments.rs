@@ -556,8 +556,8 @@ pub struct ShardedSweepSpec {
 
 /// SIM6: an open-loop latency–throughput sweep on a healthy `B(2,h)`
 /// executed by the sharded engine ([`ShardedSim`]) under credit flow
-/// control. Deterministic for fixed inputs and — the property the CI
-/// shard-determinism job diffs — *independent of `shards` and `threads`*:
+/// control. Deterministic for fixed inputs and — the property the
+/// `shard_determinism` test compares — *independent of `shards` and `threads`*:
 /// the rendered table is byte-identical for any partition.
 pub fn sim6_sharded_sweep(
     h: usize,

@@ -10,9 +10,9 @@
 //! here:
 //!
 //! * a [`Flit`]: a packet crossed a shard boundary and its O(1) route state
-//!   (plus, for the rare re-routed packet, its remaining path, carried in
-//!   the batch's path words) must move to the destination shard before the
-//!   next cycle's examination pass;
+//!   must move to the destination shard before the next cycle's
+//!   examination pass. A materialized route stays where it is, in the
+//!   engine's one path arena: the flit carries only its position there;
 //! * a credit return: a packet vacated (or drained) an input buffer whose
 //!   link slot belongs to another shard. Every core already defers each
 //!   credit return by `packet_flits` cycles (its timed credit FIFO — at
@@ -32,19 +32,19 @@
 
 /// A packet mid-migration: everything the destination shard needs to host
 /// it. `entry` is already advanced to the node it just arrived on (the
-/// source shard computes the O(1) shift-register step before sending, since
-/// the graph is global).
+/// source shard computes the step before sending, since the graph and the
+/// path arena are global).
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct Flit {
     /// Global packet id (ids are global across shards; age order = id
     /// order everywhere).
     pub id: u32,
-    /// Packed route entry at the arrival node (node, next-hop CSR slot,
-    /// DELIVERS flag).
+    /// Packed route entry at the arrival node (node, next-hop CSR slot).
     pub entry: u64,
-    /// Shift-register position after the pending hop (implicit packets).
+    /// Shift-register position after the pending hop, or, when `rem` is 0,
+    /// the index of `entry` in the engine's path arena.
     pub pos: u32,
-    /// Sentinel-encoded remaining target bits (implicit packets).
+    /// Sentinel-encoded remaining target bits; 0 for a materialized route.
     pub rem: u32,
     /// Global gate id (`slot * vcs + vc`) of the input buffer the packet
     /// occupies (owned by the *source* shard; it drains back there when the
@@ -52,11 +52,6 @@ pub(crate) struct Flit {
     pub occupied_slot: u32,
     /// The packet's current virtual channel (0 outside VC flow control).
     pub vc: u8,
-    /// Length of the remaining packed path of a materialized (re-routed)
-    /// packet, starting at the arrival node; the words follow the previous
-    /// flits' words in [`BoundaryBatch::path_words`]. 0 for implicit
-    /// packets, which need no path at all.
-    pub path_len: u32,
 }
 
 /// One shard's cycle output destined for one other shard, adopted by that
@@ -66,9 +61,6 @@ pub(crate) struct BoundaryBatch {
     /// Packets that crossed into the destination shard this cycle, in age
     /// order.
     pub flits: Vec<Flit>,
-    /// The remaining paths of the materialized flits, concatenated in flit
-    /// order (`Flit::path_len` words each).
-    pub path_words: Vec<u64>,
     /// Global gate ids (`slot * vcs + vc`) owned by the destination shard
     /// whose buffers drained this cycle (one entry per returned credit; a
     /// gate may repeat).
@@ -79,7 +71,6 @@ impl BoundaryBatch {
     /// Empties the batch, keeping every buffer's capacity.
     pub(crate) fn clear(&mut self) {
         self.flits.clear();
-        self.path_words.clear();
         self.credits.clear();
     }
 }

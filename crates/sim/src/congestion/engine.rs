@@ -17,19 +17,11 @@ pub(crate) const NEVER: u32 = u32::MAX;
 /// Sentinel for "no logical target recorded" (packets dropped at load).
 pub(crate) const NO_LOGICAL: u32 = u32::MAX;
 /// Sentinel for "occupies no link buffer" (the packet sits in its source's
-/// unbounded injection queue). Doubles as the packed hop-slot of a path's
-/// final entry, which has no outgoing hop.
+/// unbounded injection queue). Doubles as the packed hop-slot of a route's
+/// terminal entry, which has no outgoing hop.
 pub(crate) const NO_SLOT: u32 = u32::MAX;
 /// Sentinel terminating the intrusive blocked-queue lists.
 pub(crate) const NONE_ID: u32 = u32::MAX;
-/// `cursor` value of a live packet riding the implicit digit-shift
-/// generator: its route position lives in `imp_pos`/`imp_rem`, not in the
-/// path arena. Distinct from [`NEVER`] (resolved).
-pub(crate) const IMPLICIT_ACTIVE: u32 = u32::MAX - 1;
-/// Flag bit on a packed path entry: the hop leaving this entry lands the
-/// packet on its target, so the mover resolves without re-reading the
-/// segment bounds on the hot path.
-pub(crate) const DELIVERS: u64 = 1 << 63;
 
 /// Packs a route entry: physical node in the low 32 bits, the CSR slot of
 /// the hop *leaving* this entry in the high 32 (`NO_SLOT` on a terminal
@@ -51,15 +43,15 @@ pub(crate) fn pk_node(entry: u64) -> usize {
 // analyzer: alloc-free
 #[inline]
 pub(crate) fn pk_slot(entry: u64) -> u32 {
-    ((entry >> 32) as u32) & !(1 << 31)
+    (entry >> 32) as u32
 }
 
-/// True for a terminal entry: the packet has no outgoing hop (it was loaded
-/// already sitting on its target).
+/// True for a terminal entry: the route ends on its node, so a packet that
+/// reaches it has arrived.
 // analyzer: alloc-free
 #[inline]
 pub(crate) fn pk_terminal(entry: u64) -> bool {
-    pk_slot(entry) == NO_SLOT & !(1 << 31)
+    pk_slot(entry) == NO_SLOT
 }
 
 /// Per-directed-link claim stamp and credit counter, interleaved so the

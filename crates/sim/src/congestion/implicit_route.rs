@@ -17,12 +17,17 @@
 //! binary heaps of bits: `rem = (1 << bits_left) | remaining_target_bits`.
 //! The sentinel's position *is* the count of bits left, so one `u32` carries
 //! both the queue and its length; `rem == 1` means the route is exhausted.
+//! No register holds `rem == 0`, so the engine marks a materialized route
+//! with it.
 //!
 //! The congestion engine routes implicit packets through one
 //! `ImplicitRoute`: the captured (mask, placement) context of the load
 //! plus a successor-slot table that names the CSR slot of every logical
 //! shift edge, so a hop reads its next node from the register and its
-//! next link from one table entry, never from the CSR. The pass that
+//! next link from one table entry, never from the CSR. Its
+//! `ImplicitRoute::advance` gives a packet the entry of its next hop, or a
+//! terminal entry where the route ends, so a mover reads its arrival from
+//! the entry it advances to and no hop looks further ahead. The pass that
 //! builds the table also decides whether the placement is sound, so
 //! route feasibility is proven once per (machine, placement) pair: a
 //! sound placement fails a route only at its endpoints, and an unsound
@@ -36,7 +41,7 @@
 //! context's hop methods run in the engine's cycle loop and must stay
 //! that way. Only `ImplicitRoute::capture` allocates, once per context.
 
-use super::engine::{pk, DELIVERS, NO_SLOT};
+use super::engine::{pk, NO_SLOT};
 use crate::machine::{PhysicalMachine, SimError};
 use ftdb_graph::{Embedding, NodeId};
 use ftdb_topology::DeBruijn2;
@@ -130,36 +135,6 @@ pub fn next_hop(
         }
     }
     None
-}
-
-/// O(1) "does the route end here?" test for the **identity placement**
-/// (empty `place`, where `phys == pos`): the register exhausts without
-/// leaving `cur` iff no queued bit can shift the label anywhere else. A
-/// shift keeps the label fixed only for the two shift-invariant labels —
-/// all-zeros fed a 0 and all-ones fed a 1 — so the walk stays in place iff
-/// the register is empty (`rem == 1`), or `cur` is all-zeros with only
-/// zero bits queued (`rem` is a bare sentinel: a power of two), or
-/// all-ones with only one bits queued (`rem + 1` is a power of two).
-/// Equivalent to `next_hop(&[], mask, cur, cur, rem).is_none()`
-/// (unit-tested below against the walk, exhaustively).
-// analyzer: alloc-free
-#[inline]
-fn exhausts_in_place(cur: u32, mask: u32, rem: u32) -> bool {
-    rem == 1 || (cur == 0 && rem & (rem - 1) == 0) || (cur == mask && rem & (rem + 1) == 0)
-}
-
-/// DELIVERS peek shared by the engines: true when the route from state
-/// `(phys, pos, rem)` has no further hop. O(1) on the identity placement
-/// via [`exhausts_in_place`]; placements break the `phys == pos` identity
-/// that relies on, so a placed walk peeks with [`next_hop`].
-// analyzer: alloc-free
-#[inline]
-fn route_ends_at(place: &[u32], mask: u32, phys: u32, pos: u32, rem: u32) -> bool {
-    if place.is_empty() {
-        exhausts_in_place(phys, mask, rem)
-    } else {
-        next_hop(place, mask, phys, pos, rem).is_none()
-    }
 }
 
 /// Hops remaining from state `(cur_phys, pos, rem)` — O(h) (it walks the
@@ -384,54 +359,29 @@ impl ImplicitRoute {
         self.place.capacity() * std::mem::size_of::<u32>()
     }
 
-    /// Initial cached entry and shift-register state of a packet from
-    /// logical `s` to logical `t` — O(h), used once per packet at load.
-    /// Returns `(entry, pos, rem)`; a terminal entry (no outgoing slot)
-    /// means the packet is born on its target.
-    pub(crate) fn first_entry(&self, machine: &PhysicalMachine, s: u32, t: u32) -> (u64, u32, u32) {
-        let src = self.image(s);
-        let rem = rem_init(self.mask.trailing_ones(), t);
-        self.entry_at(machine, src, s, rem)
-            .unwrap_or((pk(src, NO_SLOT), s, 1))
-    }
-
-    /// The cached entry and register of a packet that has just crossed a
-    /// non-delivering hop to the image of `pos`, with `rem` target bits
-    /// left — the implicit half of the engine's `advance_route`.
+    /// The cached entry and register of a packet on the image of `pos`
+    /// with `rem` target bits left: the entry of the next hop out of that
+    /// node and the register after it, or a terminal entry when the route
+    /// ends there. The engine calls it from the source at load, with the
+    /// register [`rem_init`] builds, and after every move. The hop's slot
+    /// is one table read; debug builds check it against the CSR row search
+    /// (`machine` is only read there).
     // analyzer: alloc-free
     #[inline]
     pub(crate) fn advance(&self, machine: &PhysicalMachine, pos: u32, rem: u32) -> (u64, u32, u32) {
-        self.entry_at(machine, self.image(pos), pos, rem)
-            // analyzer: allow(expect) -- the crossed entry lacked DELIVERS, so the register provably holds another hop
-            .expect("a non-delivering hop always has a successor")
-    }
-
-    /// The packed entry for the next hop out of `here` (the image of
-    /// `pos`) and the register after it, or `None` when the route ends at
-    /// `here`. The hop's slot is one table read; debug builds check it
-    /// against the CSR row search (`machine` is only read there).
-    // analyzer: alloc-free
-    #[inline]
-    fn entry_at(
-        &self,
-        machine: &PhysicalMachine,
-        here: u32,
-        pos: u32,
-        rem: u32,
-    ) -> Option<(u64, u32, u32)> {
-        let (next, pos2, rem2, key) = next_hop(&self.place, self.mask, here, pos, rem)?;
-        let slot = self.next_slot[key as usize];
-        debug_assert_eq!(
-            Some(slot as usize),
-            machine.graph().edge_slot(here as usize, next as usize),
-            "successor-slot table disagrees with the CSR row of node {here} (key {key})"
-        );
-        let delivers = route_ends_at(&self.place, self.mask, next, pos2, rem2);
-        Some((
-            pk(here, slot) | if delivers { DELIVERS } else { 0 },
-            pos2,
-            rem2,
-        ))
+        let here = self.image(pos);
+        match next_hop(&self.place, self.mask, here, pos, rem) {
+            Some((next, pos2, rem2, key)) => {
+                let slot = self.next_slot[key as usize];
+                debug_assert_eq!(
+                    Some(slot as usize),
+                    machine.graph().edge_slot(here as usize, next as usize),
+                    "successor-slot table disagrees with the CSR row of node {here} (key {key})"
+                );
+                (pk(here, slot), pos2, rem2)
+            }
+            None => (pk(here, NO_SLOT), pos, rem),
+        }
     }
 }
 
@@ -768,27 +718,6 @@ mod tests {
                     hops_left(&[], 31, s, s, rem_init(h, t)),
                     (path.len() - 1) as u32
                 );
-            }
-        }
-    }
-
-    #[test]
-    fn exhausts_in_place_matches_the_register_walk_exhaustively() {
-        // Every (cur, rem) pair — including states no route reaches — must
-        // agree with the walk the closed form replaces.
-        for h in 1..=6u32 {
-            let mask = (1u32 << h) - 1;
-            for cur in 0..=mask {
-                for left in 0..=h {
-                    for bits in 0..(1u32 << left) {
-                        let rem = (1 << left) | bits;
-                        assert_eq!(
-                            exhausts_in_place(cur, mask, rem),
-                            next_hop(&[], mask, cur, cur, rem).is_none(),
-                            "h={h} cur={cur} rem={rem:#b}"
-                        );
-                    }
-                }
             }
         }
     }

@@ -117,11 +117,13 @@
 //! digit-shift next-hop generator and the implicit context every shard core
 //! shares: the load's placement plus a successor-slot table naming the link
 //! of every logical shift edge. A packet carries O(1) route state (a packed
-//! current entry plus a two-word shift register) instead of O(h) path
-//! entries, which is what makes million-node runs fit in memory. Mid-run
-//! re-routes, and a second load through a different placement, fall back to
-//! materialized segments in the path arena of the shard core hosting the
-//! packet.
+//! current entry plus a two-word `(pos, rem)` shift register) instead of
+//! O(h) path entries, which is what makes million-node runs fit in memory.
+//! Mid-run re-routes, recovery re-targets and a second load through a
+//! different placement fall back to materialized paths in the engine's one
+//! path arena, where the same pair holds `rem = 0` and the index of the
+//! packet's entry. Every route ends at a terminal entry, so a packet has
+//! arrived when the entry it advances to is terminal.
 //!
 //! **One kernel, any shard count.** [`ShardedSim`] partitions the CSR
 //! graph along the de Bruijn label-prefix cut, gives each shard its own

@@ -7,8 +7,8 @@
 //! [`CongestionReport`] is byte-identical for any shard count and thread
 //! count, and equal to what the reference model of the cycle rules
 //! (`tests/model.rs`) computes — enforced by the differential suite, the
-//! golden outputs of `tests/tests/engine_golden.rs` and the CI
-//! shard-determinism job.
+//! golden outputs of `tests/tests/engine_golden.rs` and the shard and
+//! thread comparisons of `experiments` in `crates/bench/tests/`.
 //!
 //! [`ShardedSim::step`] is the only cycle body at every thread count.
 //! Threads change only where per-core work runs: on `min(threads, shards)`
@@ -31,22 +31,33 @@
 //! migrating packet is examined again only on the following cycle, exactly
 //! like a mover that stays on its shard; its VC index rides in the `Flit`.
 //!
-//! Route state: an oblivious packet rides the shared implicit context
-//! (`ImplicitRoute`, O(1) state per packet). Materialized paths — a
-//! second load through a different placement, and mid-run re-routes —
-//! live in the arena of the core that hosts the packet and travel in the
-//! barrier's path words when it migrates.
+//! Route state: every packet holds one packed entry (its node and the CSR
+//! slot of its next hop) and one `(pos, rem)` pair. An oblivious packet's
+//! pair is its shift register in the shared implicit context
+//! (`ImplicitRoute`, O(1) state per packet). A materialized path — a second
+//! load through a different placement, a mid-run re-route, a recovery
+//! re-target — lives in the engine's one path arena, which only serial
+//! code writes; its packet holds `rem = 0` and the index of its entry
+//! there, so a migration ships no path. Every route ends at a terminal
+//! entry, and a mover whose next entry is terminal has arrived.
+//!
+//! A packet whose next hop died under [`FaultResponse::RerouteAdaptive`] is
+//! only noted by its core's examination pass. One serial pass in
+//! [`ShardedSim::step`], after every core's phase and before the barrier,
+//! re-routes the noted packets in core order, then id order, with the
+//! engine's one [`Searcher`]. The kills a search reads are fixed for the
+//! whole cycle, and a re-routed packet moves only in a later cycle, so the
+//! pass decides what the examination pass would have decided.
 //!
 //! One engine can serve many workloads: [`ShardedSim::clear_workload`]
 //! drops the loaded workload and both fault schedules but keeps the
 //! machine, every buffer's capacity, the per-destination boundary buffers
-//! and each core's warmed re-route [`Searcher`].
+//! and the warmed re-route [`Searcher`].
 
 use super::boundary::{shard_floor, shard_of, BoundaryBatch, Flit};
 use super::engine::{
     pk, pk_node, pk_slot, pk_terminal, CongestionConfig, CongestionReport, CycleEvents,
-    FaultResponse, FlowControl, LinkGate, Switching, DELIVERS, IMPLICIT_ACTIVE, NEVER, NONE_ID,
-    NO_LOGICAL, NO_SLOT,
+    FaultResponse, FlowControl, LinkGate, Switching, NEVER, NONE_ID, NO_LOGICAL, NO_SLOT,
 };
 use super::implicit_route::{self, ImplicitRoute};
 use crate::machine::{PhysicalMachine, PortModel, SimError};
@@ -90,37 +101,27 @@ fn proves_deadlock(events: &CycleEvents, timers_idle: bool) -> bool {
 
 /// Appends `nodes` to `arena` as a packed path — consecutive duplicates
 /// (artifacts of non-injective placements) collapsed, since they cost no
-/// cycle and no link — and returns its `[start, end)` bounds.
-fn spill(arena: &mut Vec<u64>, machine: &PhysicalMachine, nodes: &[NodeId]) -> (u32, u32) {
+/// cycle and no link — ending at a terminal entry, and returns the index
+/// of its first entry. The links were validated when the route was
+/// computed, so a missing slot here is a loader or search bug.
+fn spill(arena: &mut Vec<u64>, machine: &PhysicalMachine, nodes: &[NodeId]) -> u32 {
     let start = arena.len();
     for &node in nodes {
-        if arena.len() == start || arena.last().map_or(true, |&t| pk_node(t) != node) {
-            arena.push(node as u64);
+        match arena[start..].last_mut() {
+            Some(last) if pk_node(*last) == node => continue,
+            Some(last) => {
+                let slot = machine
+                    .graph()
+                    .edge_slot(pk_node(*last), node)
+                    // analyzer: allow(expect) -- every loaded or re-routed path was computed against this CSR, so a missing slot is a loader bug; aborting beats simulating a phantom link
+                    .expect("routes only traverse physical links");
+                *last = pk(pk_node(*last) as u32, slot as u32);
+            }
+            None => {}
         }
+        arena.push(pk(node as u32, NO_SLOT));
     }
-    pack_hop_slots(&mut arena[start..], machine);
-    (start as u32, arena.len() as u32)
-}
-
-/// Fills the packed hop slots of a path (the final entry keeps `NO_SLOT`;
-/// the hop onto it carries `DELIVERS`). The links were validated when the
-/// route was computed, so a missing slot here is a loader or search bug.
-fn pack_hop_slots(path: &mut [u64], machine: &PhysicalMachine) {
-    let len = path.len();
-    for i in 0..len.saturating_sub(1) {
-        let u = pk_node(path[i]);
-        let v = pk_node(path[i + 1]);
-        let slot = machine
-            .graph()
-            .edge_slot(u, v)
-            // analyzer: allow(expect) -- every loaded or re-routed path was computed against this CSR, so a missing slot is a loader bug; aborting beats simulating a phantom link
-            .expect("routes only traverse physical links");
-        let delivers = if i + 2 == len { DELIVERS } else { 0 };
-        path[i] = pk(u as u32, slot as u32) | delivers;
-    }
-    if let Some(last) = path.last_mut() {
-        *last = pk(pk_node(*last) as u32, NO_SLOT);
-    }
+    start as u32
 }
 
 /// Read-only cycle context shared by every shard core and every worker
@@ -210,20 +211,13 @@ impl Kills {
     }
 }
 
-/// One shard's share of the engine state. Link-gate state (`links`, the
-/// credit FIFO, blocked queues) is indexed by *local* gate id
-/// (`global_gidx - slot_lo * vcs`, one gate per (link slot, VC)); packet
-/// arrays span the full id space so global packet ids index directly (a
-/// packet is *hosted* by the shard owning its current node — `cursor !=
-/// NEVER` exactly there).
-struct ShardCore {
-    node_lo: usize,
-    node_hi: usize,
-    slot_lo: usize,
-    slot_hi: usize,
+/// The engine's flow control, validated once by [`ShardedSim::new`] and
+/// shared by every core.
+#[derive(Clone, Copy, Debug)]
+struct FlowSpec {
     /// Buffer depth per (directed link, VC) buffer (0 =
     /// [`FlowControl::Infinite`]).
-    flow_depth: u32,
+    depth: u32,
     /// Virtual channels per link; 1 for the legacy flow-control modes.
     vcs: usize,
     /// Flits per packet: every hop holds its link for this many cycles and
@@ -233,6 +227,65 @@ struct ShardCore {
     /// Whether per-VC metrics (`vc`, `blocked_since`) are live — true only
     /// under [`FlowControl::VirtualChannel`].
     track_vc: bool,
+}
+
+impl FlowSpec {
+    /// Validates `flow`: panics when it asks for an empty buffer, no
+    /// virtual channel or an empty wormhole train.
+    fn new(flow: FlowControl) -> Self {
+        let (depth, vcs, packet_flits) = match flow {
+            FlowControl::Infinite => (0, 1, 1),
+            FlowControl::CreditBased { buffer_depth } => {
+                assert!(
+                    buffer_depth >= 1,
+                    "credit flow control needs at least one slot"
+                );
+                (buffer_depth, 1, 1)
+            }
+            FlowControl::VirtualChannel {
+                vcs,
+                buffer_depth,
+                switching,
+            } => {
+                assert!(
+                    vcs >= 1,
+                    "virtual-channel flow control needs at least one VC"
+                );
+                assert!(
+                    buffer_depth >= 1,
+                    "credit flow control needs at least one slot"
+                );
+                let packet_flits = match switching {
+                    Switching::StoreAndForward => 1,
+                    Switching::Wormhole { packet_flits } => {
+                        assert!(packet_flits >= 1, "wormhole packets need at least one flit");
+                        packet_flits
+                    }
+                };
+                (buffer_depth, vcs, packet_flits)
+            }
+        };
+        FlowSpec {
+            depth,
+            vcs: vcs as usize,
+            packet_flits,
+            track_vc: matches!(flow, FlowControl::VirtualChannel { .. }),
+        }
+    }
+}
+
+/// One shard's share of the engine state. Link-gate state (`links`, the
+/// credit FIFO, blocked queues) is indexed by *local* gate id
+/// (`global_gidx - slot_lo * vcs`, one gate per (link slot, VC)); packet
+/// arrays span the full id space so global packet ids index directly (a
+/// packet is *hosted* by the shard owning its current node — `in_network`
+/// exactly there).
+struct ShardCore {
+    node_lo: usize,
+    node_hi: usize,
+    slot_lo: usize,
+    slot_hi: usize,
+    flow: FlowSpec,
     // --- local link state (local gate ids: (slot - slot_lo) * vcs + vc) --
     /// Per-(slot, VC) gate. The physical link's claim stamp lives only in
     /// the slot's *first* gate (the VCs share one flit per cycle of link
@@ -243,7 +296,7 @@ struct ShardCore {
     /// credit, due cycles nondecreasing (a credit returned during cycle `c`
     /// is due at `c + packet_flits`; barrier-shipped returns land with the
     /// same due cycle). A pending return is a buffer slot neither free nor
-    /// occupied, so at most `gates × flow_depth` are pending; compaction
+    /// occupied, so at most `gates × depth` are pending; compaction
     /// keeps the applied prefix (`credit_fifo_pos`) under 64 entries or
     /// under the pending tail, so twice that bound plus 64 always fits.
     credit_fifo: Vec<(u32, u32)>,
@@ -271,21 +324,17 @@ struct ShardCore {
     /// Per-node output-port claim stamp (consulted under `SinglePort`).
     node_claim: Vec<u32>,
     // --- packet state (full id space; valid while hosted here) -----------
-    /// Cached packed entry of each hosted packet's current position: node,
-    /// the CSR slot of its next hop, and the `DELIVERS` flag. The cycle
-    /// loop reads only this.
+    /// Cached packed entry of each hosted packet's current position: node
+    /// and the CSR slot of its next hop. The examination pass reads only
+    /// this.
     entry: Vec<u64>,
-    /// Logical shift-register position *after* the pending hop (implicit
-    /// packets only).
-    imp_pos: Vec<u32>,
+    /// Logical shift-register position *after* the pending hop; for a
+    /// materialized route (`rem == 0`), the index of `entry` in the
+    /// engine's path arena.
+    pos: Vec<u32>,
     /// Remaining target bits after the pending hop, sentinel-encoded (see
-    /// [`implicit_route::rem_init`]).
-    imp_rem: Vec<u32>,
-    /// `NEVER` = resolved or hosted elsewhere, [`IMPLICIT_ACTIVE`] = riding
-    /// the digit-shift generator, else an index into the local `arena`.
-    cursor: Vec<u32>,
-    /// Local-arena end of a materialized segment.
-    seg_end: Vec<u32>,
+    /// [`implicit_route::rem_init`]), or 0 for a materialized route.
+    rem: Vec<u32>,
     /// *Global* gate id (`slot * vcs + vc`) of the buffer the packet
     /// occupies (may belong to another shard after a migration; credits
     /// route home at the barrier). `NO_SLOT` while the packet waits in its
@@ -305,6 +354,7 @@ struct ShardCore {
     /// Intrusive next-pointers threading the blocked queues through the
     /// packet table.
     blocked_next: Vec<u32>,
+    /// Whether the packet is live and hosted here.
     in_network: Vec<bool>,
     /// Bitmap work-queue of packets to examine this cycle (bit per packet
     /// id). Scanning set bits low-to-high *is* oldest-first arbitration,
@@ -313,9 +363,10 @@ struct ShardCore {
     /// The bitmap being built for the next cycle; swapped with
     /// `queued_now` after each examination pass.
     queued_next: Vec<u64>,
-    /// Local path arena: materialized loads of home packets, re-route
-    /// spills and migrated-in segments, as packed entries (see [`pk`]).
-    arena: Vec<u64>,
+    /// Packets whose next hop died this cycle under
+    /// [`FaultResponse::RerouteAdaptive`], in id order. The engine's serial
+    /// re-route pass drains it after every core's phase.
+    reroute: Vec<u32>,
     // --- injection (home-shard packets only) ------------------------------
     /// Packet ids not yet injected, sorted by injection cycle.
     pending_inject: Vec<u32>,
@@ -323,71 +374,58 @@ struct ShardCore {
     // --- per-cycle outputs ------------------------------------------------
     /// `(id, cycle, RES_*)` resolutions, drained by the driver.
     resolved: Vec<(u32, u32, u8)>,
-    /// Outbound flits, path words and credit returns, one buffer per
-    /// destination shard (indexed by it). The barrier swaps entry `dst`
-    /// with entry `src` of the receiver, which adopts and empties it, so
-    /// buffers keep their capacity but move between cores.
+    /// Outbound flits and credit returns, one buffer per destination shard
+    /// (indexed by it). The barrier swaps entry `dst` with entry `src` of
+    /// the receiver, which adopts and empties it, so buffers keep their
+    /// capacity but move between cores.
     out: Vec<BoundaryBatch>,
     moved: u64,
     injected: u64,
     credits_applied: u64,
-    /// Packets re-routed this cycle (activity under the stop rule).
-    rerouted: u64,
     /// Per-VC flit totals for this core's links (summed by the driver).
     vc_flits: Vec<u64>,
     /// Per-VC closed head-of-line blocked spans (summed by the driver; the
     /// report adds the still-open spans of hosted packets).
     vc_hol_blocked_cycles: Vec<u64>,
-    // --- re-route scratch -------------------------------------------------
-    searcher: Searcher,
-    reroute_path: Vec<NodeId>,
 }
 
 impl ShardCore {
-    #[allow(clippy::too_many_arguments)]
     fn new(
         node_lo: usize,
         node_hi: usize,
         slot_lo: usize,
         slot_hi: usize,
         shards: usize,
-        flow_depth: u32,
-        vcs: usize,
-        packet_flits: u32,
-        track_vc: bool,
+        flow: FlowSpec,
     ) -> Self {
         let slots = slot_hi - slot_lo;
-        let gates = slots * vcs;
+        let gates = slots * flow.vcs;
+        let vc_metrics = if flow.track_vc { flow.vcs } else { 0 };
         ShardCore {
             node_lo,
             node_hi,
             slot_lo,
             slot_hi,
-            flow_depth,
-            vcs,
-            packet_flits,
-            track_vc,
+            flow,
             links: vec![
                 LinkGate {
                     claim: NEVER,
-                    credits: flow_depth,
+                    credits: flow.depth,
                 };
                 gates
             ],
             // The bound in `credit_fifo`'s docs (64 entries when unbounded).
-            credit_fifo: Vec::with_capacity(2 * gates * flow_depth as usize + 64),
+            credit_fifo: Vec::with_capacity(2 * gates * flow.depth as usize + 64),
             credit_fifo_pos: 0,
             parked: 0,
             blocked_head: vec![NONE_ID; gates],
             blocked_tail: vec![NONE_ID; gates],
-            served_fifo: Vec::with_capacity((slots * packet_flits as usize).min(1 << 16)),
+            served_fifo: Vec::with_capacity((slots * flow.packet_flits as usize).min(1 << 16)),
             served_fifo_pos: 0,
             node_claim: vec![NEVER; node_hi - node_lo],
             entry: Vec::new(),
-            imp_pos: Vec::new(),
-            imp_rem: Vec::new(),
-            cursor: Vec::new(),
-            seg_end: Vec::new(),
+            pos: Vec::new(),
+            rem: Vec::new(),
             occupied_slot: Vec::new(),
             vc: Vec::new(),
             blocked_since: Vec::new(),
@@ -395,7 +433,7 @@ impl ShardCore {
             in_network: Vec::new(),
             queued_now: Vec::new(),
             queued_next: Vec::new(),
-            arena: Vec::new(),
+            reroute: Vec::new(),
             pending_inject: Vec::new(),
             inject_pos: 0,
             resolved: Vec::new(),
@@ -403,11 +441,8 @@ impl ShardCore {
             moved: 0,
             injected: 0,
             credits_applied: 0,
-            rerouted: 0,
-            vc_flits: vec![0; if track_vc { vcs } else { 0 }],
-            vc_hol_blocked_cycles: vec![0; if track_vc { vcs } else { 0 }],
-            searcher: Searcher::default(),
-            reroute_path: Vec::new(),
+            vc_flits: vec![0; vc_metrics],
+            vc_hol_blocked_cycles: vec![0; vc_metrics],
         }
     }
 
@@ -416,10 +451,8 @@ impl ShardCore {
     /// to 0), not a push per packet per array. Capacity is kept.
     fn resize_packets(&mut self, packets: usize) {
         self.entry.resize(packets, pk(0, NO_SLOT));
-        self.imp_pos.resize(packets, 0);
-        self.imp_rem.resize(packets, 1);
-        self.cursor.resize(packets, NEVER);
-        self.seg_end.resize(packets, 0);
+        self.pos.resize(packets, 0);
+        self.rem.resize(packets, 0);
         self.occupied_slot.resize(packets, NO_SLOT);
         self.vc.resize(packets, 0);
         self.blocked_since.resize(packets, NEVER);
@@ -430,8 +463,9 @@ impl ShardCore {
         self.queued_next.resize(words, 0);
     }
 
-    /// Queues packet `id` for examination *this* cycle (wake events fire
-    /// before the examination pass).
+    /// Queues packet `id` for the coming examination pass: this cycle's
+    /// for a wake event, which fires before the pass, and the next cycle's
+    /// for an adopted flit or a re-routed packet, which arrive after it.
     #[inline]
     // analyzer: alloc-free
     fn queue_now(&mut self, id: usize) {
@@ -521,7 +555,7 @@ impl ShardCore {
     #[inline]
     // analyzer: alloc-free
     fn note_unblocked(&mut self, id: usize, cycle: u32) {
-        if self.track_vc {
+        if self.flow.track_vc {
             let since = self.blocked_since[id];
             if since != NEVER {
                 self.vc_hol_blocked_cycles[self.vc[id] as usize] += (cycle - since) as u64;
@@ -535,7 +569,7 @@ impl ShardCore {
     #[inline]
     // analyzer: alloc-free
     fn note_blocked(&mut self, id: usize, cycle: u32) {
-        if self.track_vc && self.blocked_since[id] == NEVER {
+        if self.flow.track_vc && self.blocked_since[id] == NEVER {
             self.blocked_since[id] = cycle;
         }
     }
@@ -545,7 +579,7 @@ impl ShardCore {
     /// wakes its own queue head: one wake per credit at any shard count.
     // analyzer: alloc-free
     fn push_credit(&mut self, g: u32, due: u32) {
-        let lg = g - (self.slot_lo * self.vcs) as u32;
+        let lg = g - (self.slot_lo * self.flow.vcs) as u32;
         // analyzer: allow(alloc) -- capacity reserved at construction from the bound on pending returns (twice every buffer slot, plus 64); the counting-allocator tests prove the cycle loop never reallocates
         self.credit_fifo.push((due, lg));
     }
@@ -560,9 +594,9 @@ impl ShardCore {
     // analyzer: alloc-free
     fn return_credit(&mut self, ctx: &ShardCtx<'_>, g: u32, cycle: u32) {
         let gu = g as usize;
-        let slot = gu / self.vcs;
+        let slot = gu / self.flow.vcs;
         if slot >= self.slot_lo && slot < self.slot_hi {
-            self.push_credit(g, cycle + self.packet_flits);
+            self.push_credit(g, cycle + self.flow.packet_flits);
         } else {
             let owner = ctx.slot_start.partition_point(|&x| (x as usize) <= slot) - 1;
             // analyzer: allow(alloc) -- the per-destination barrier buffer keeps its capacity for the core's life; the counting-allocator tests prove reruns never reallocate
@@ -581,8 +615,7 @@ impl ShardCore {
         // analyzer: allow(alloc) -- drained by the driver every cycle, so it keeps the capacity of the busiest cycle; the counting-allocator tests prove reruns never reallocate
         self.resolved.push((id as u32, cycle, code));
         self.in_network[id] = false;
-        self.cursor[id] = NEVER;
-        if self.flow_depth > 0 {
+        if self.flow.depth > 0 {
             let g = self.occupied_slot[id];
             if g != NO_SLOT {
                 self.return_credit(ctx, g, cycle);
@@ -610,7 +643,7 @@ impl ShardCore {
             self.credit_fifo_pos += 1;
             let lg = lg as usize;
             self.links[lg].credits += 1;
-            debug_assert!(self.links[lg].credits <= self.flow_depth, "credit overflow");
+            debug_assert!(self.links[lg].credits <= self.flow.depth, "credit overflow");
             if self.parked > 0 {
                 self.wake_head(lg);
             }
@@ -641,10 +674,10 @@ impl ShardCore {
                 break;
             }
             self.served_fifo_pos += 1;
-            let base = ls as usize * self.vcs;
-            for lg in base..base + self.vcs {
+            let base = ls as usize * self.flow.vcs;
+            for lg in base..base + self.flow.vcs {
                 if self.blocked_head[lg] != NONE_ID
-                    && (self.flow_depth == 0 || self.links[lg].credits > 0)
+                    && (self.flow.depth == 0 || self.links[lg].credits > 0)
                 {
                     self.wake_head(lg);
                 }
@@ -698,7 +731,6 @@ impl ShardCore {
                 self.injected += 1;
                 continue;
             };
-            self.cursor[id] = NEVER;
             // analyzer: allow(alloc) -- drained by the driver every cycle, so it keeps the capacity of the busiest cycle; the counting-allocator tests prove reruns never reallocate
             self.resolved.push((id as u32, cycle, code));
         }
@@ -725,108 +757,30 @@ impl ShardCore {
         for &slot in slots {
             let slot = slot as usize;
             if slot >= self.slot_lo && slot < self.slot_hi {
-                let base = (slot - self.slot_lo) * self.vcs;
-                for lg in base..base + self.vcs {
+                let base = (slot - self.slot_lo) * self.flow.vcs;
+                for lg in base..base + self.flow.vcs {
                     self.wake_slot(lg);
                 }
             }
         }
     }
 
-    /// The physical node hosted packet `id`'s route ends on — where a
-    /// re-route must aim: the placement image of an implicit packet's
-    /// logical target, or the final entry of a materialized segment.
-    // analyzer: alloc-free
-    fn route_target(&self, ctx: &ShardCtx<'_>, id: usize) -> NodeId {
-        if self.cursor[id] == IMPLICIT_ACTIVE {
-            ctx.implicit.image(ctx.logical_target[id]) as usize
-        } else {
-            pk_node(self.arena[self.seg_end[id] as usize - 1])
-        }
-    }
-
-    /// Replaces hosted packet `id`'s remaining route with a BFS path from
-    /// its current node to `target` through the surviving machine, spilled
-    /// into the local arena (an implicit packet materializes here: the
-    /// re-route is not a shift-register walk). Returns false (packet
-    /// untouched) when `target` is dead or no healthy path reaches it.
-    fn reroute_packet(&mut self, ctx: &ShardCtx<'_>, id: usize, target: NodeId) -> bool {
-        if !ctx.is_alive(target) {
-            return false;
-        }
-        let here = pk_node(self.entry[id]);
-        let found = self.searcher.shortest_path_avoiding_into(
-            ctx.machine.graph(),
-            here,
-            target,
-            |v| ctx.is_alive(v),
-            |slot| !ctx.link_kills.dead[slot],
-            &mut self.reroute_path,
-        );
-        if !found {
-            return false;
-        }
-        let (start, end) = spill(&mut self.arena, ctx.machine, &self.reroute_path);
-        self.cursor[id] = start;
-        self.seg_end[id] = end;
-        self.entry[id] = self.arena[start as usize];
-        true
-    }
-
-    /// Re-targets every hosted packet at `placement`'s image of its logical
-    /// target and re-routes it — the drain step of online reconfiguration.
-    /// Packets already on the new image deliver, packets with no healthy
-    /// path drop, and every parked packet is woken, since its route just
-    /// changed under it. Returns `(rerouted, delivered_in_place, dropped)`.
-    fn retarget(
-        &mut self,
-        ctx: &ShardCtx<'_>,
-        placement: &Embedding,
-        cycle: u32,
-    ) -> (u64, u64, u64) {
-        let mut counts = (0, 0, 0);
-        for id in 0..self.in_network.len() {
-            let logical = ctx.logical_target[id];
-            if !self.in_network[id] || logical == NO_LOGICAL {
-                continue;
-            }
-            let target = placement.apply(logical as usize);
-            if pk_node(self.entry[id]) == target {
-                self.resolve(ctx, id, cycle, RES_DELIVERED);
-                counts.1 += 1;
-            } else if self.reroute_packet(ctx, id, target) {
-                // The packet stays in the same physical buffer: a re-route
-                // replaces its remaining path, not its position.
-                counts.0 += 1;
-            } else {
-                self.resolve(ctx, id, cycle, RES_DROPPED);
-                counts.2 += 1;
-            }
-        }
-        self.wake_all_parked();
-        counts
-    }
-
-    /// Advances hosted packet `id` past the hop it just won — for implicit
-    /// packets the shared context's O(1) step ([`ImplicitRoute::advance`]),
-    /// for materialized ones an arena-cursor bump. Never called on a
-    /// delivering hop.
+    /// Advances hosted packet `id` past the hop it just won: for an
+    /// implicit packet the shared context's step
+    /// ([`ImplicitRoute::advance`]), for a materialized one the next entry
+    /// of its path in `arena`. A terminal entry means it has arrived.
     #[inline]
     // analyzer: alloc-free
-    fn advance_route(&mut self, ctx: &ShardCtx<'_>, id: usize) {
-        let at = self.cursor[id];
-        if at == IMPLICIT_ACTIVE {
-            let (entry, pos, rem) =
-                ctx.implicit
-                    .advance(ctx.machine, self.imp_pos[id], self.imp_rem[id]);
-            self.entry[id] = entry;
-            self.imp_pos[id] = pos;
-            self.imp_rem[id] = rem;
+    fn advance_route(&mut self, ctx: &ShardCtx<'_>, arena: &[u64], id: usize) {
+        let (pos, rem) = (self.pos[id], self.rem[id]);
+        let (entry, pos, rem) = if rem == 0 {
+            (arena[pos as usize + 1], pos + 1, 0)
         } else {
-            let next = at + 1;
-            self.cursor[id] = next;
-            self.entry[id] = self.arena[next as usize];
-        }
+            ctx.implicit.advance(ctx.machine, pos, rem)
+        };
+        self.entry[id] = entry;
+        self.pos[id] = pos;
+        self.rem[id] = rem;
     }
 
     /// Ships hosted packet `id` — whose current node `now` belongs to
@@ -836,13 +790,6 @@ impl ShardCore {
     // analyzer: alloc-free
     fn emigrate(&mut self, ctx: &ShardCtx<'_>, id: usize, now: usize) {
         let out = &mut self.out[shard_of(now, ctx.n, ctx.shards)];
-        let path_len = if self.cursor[id] == IMPLICIT_ACTIVE {
-            0
-        } else {
-            let path = &self.arena[self.cursor[id] as usize..self.seg_end[id] as usize];
-            out.path_words.extend_from_slice(path);
-            path.len() as u32
-        };
         // A mover's blocked span was closed by `note_unblocked` on the move
         // that triggered this migration, so no HoL state needs to travel.
         debug_assert!(
@@ -853,14 +800,12 @@ impl ShardCore {
         out.flits.push(Flit {
             id: id as u32,
             entry: self.entry[id],
-            pos: self.imp_pos[id],
-            rem: self.imp_rem[id],
+            pos: self.pos[id],
+            rem: self.rem[id],
             occupied_slot: self.occupied_slot[id],
             vc: self.vc[id],
-            path_len,
         });
         self.in_network[id] = false;
-        self.cursor[id] = NEVER;
         self.occupied_slot[id] = NO_SLOT;
     }
 
@@ -869,37 +814,25 @@ impl ShardCore {
     /// same `generating_cycle + packet_flits` a local return would carry)
     /// and in-migrating flits into the hosted table, queued for this
     /// cycle's examination — the same timing a mover has when it stays on
-    /// its shard. `path_words` holds the materialized flits' remaining
-    /// paths in flit order.
+    /// its shard.
     // analyzer: alloc-free
-    fn apply_inbound(&mut self, flits: &[Flit], path_words: &[u64], credits: &[u32], now: u32) {
-        let due = now + self.packet_flits - 1;
+    fn apply_inbound(&mut self, flits: &[Flit], credits: &[u32], now: u32) {
+        let due = now + self.flow.packet_flits - 1;
         for &g in credits {
-            let slot = g as usize / self.vcs;
+            let slot = g as usize / self.flow.vcs;
             debug_assert!(
                 slot >= self.slot_lo && slot < self.slot_hi,
                 "foreign credit"
             );
             self.push_credit(g, due);
         }
-        let mut words = path_words;
         for flit in flits {
             let id = flit.id as usize;
             self.entry[id] = flit.entry;
-            self.imp_pos[id] = flit.pos;
-            self.imp_rem[id] = flit.rem;
+            self.pos[id] = flit.pos;
+            self.rem[id] = flit.rem;
             self.occupied_slot[id] = flit.occupied_slot;
             self.vc[id] = flit.vc;
-            if flit.path_len == 0 {
-                self.cursor[id] = IMPLICIT_ACTIVE;
-            } else {
-                let (path, rest) = words.split_at(flit.path_len as usize);
-                words = rest;
-                let start = self.arena.len() as u32;
-                self.arena.extend_from_slice(path);
-                self.cursor[id] = start;
-                self.seg_end[id] = start + flit.path_len;
-            }
             self.in_network[id] = true;
             self.queue_now(id);
         }
@@ -912,7 +845,7 @@ impl ShardCore {
     fn adopt_inbound(&mut self, now: u32) {
         for src in 0..self.out.len() {
             let mut batch = std::mem::take(&mut self.out[src]);
-            self.apply_inbound(&batch.flits, &batch.path_words, &batch.credits, now);
+            self.apply_inbound(&batch.flits, &batch.credits, now);
             batch.clear();
             self.out[src] = batch;
         }
@@ -920,13 +853,12 @@ impl ShardCore {
 
     /// Drops the loaded workload, rewinding every gate, queue and metric to
     /// its state after [`ShardCore::new`] while keeping every buffer's
-    /// capacity and the warmed [`Searcher`]. The per-cycle outputs
-    /// (`resolved`, `out`, the counters) need nothing: every step drains or
-    /// resets them.
+    /// capacity. The per-cycle outputs (`resolved`, `reroute`, `out`, the
+    /// counters) need nothing: every step drains or resets them.
     fn clear_workload(&mut self) {
         for gate in &mut self.links {
             gate.claim = NEVER;
-            gate.credits = self.flow_depth;
+            gate.credits = self.flow.depth;
         }
         self.credit_fifo.clear();
         self.credit_fifo_pos = 0;
@@ -937,7 +869,6 @@ impl ShardCore {
         self.served_fifo_pos = 0;
         self.node_claim.fill(NEVER);
         self.resize_packets(0);
-        self.arena.clear();
         self.pending_inject.clear();
         self.inject_pos = 0;
         self.vc_flits.fill(0);
@@ -946,16 +877,16 @@ impl ShardCore {
 
     /// One shard's share of a cycle, after the cycle's kills have fired:
     /// apply due credits, wake due served slots, inject due packets, then
-    /// examine queued packets in ascending id order.
+    /// examine queued packets in ascending id order. `arena` is the
+    /// engine's path arena, read-only here.
     // analyzer: alloc-free
-    fn phase(&mut self, ctx: &ShardCtx<'_>, cycle: u32) {
+    fn phase(&mut self, ctx: &ShardCtx<'_>, arena: &[u64], cycle: u32) {
         self.moved = 0;
         self.injected = 0;
-        self.rerouted = 0;
         self.credits_applied = self.apply_pending_credits(cycle);
         self.apply_due_serves(cycle);
         self.inject_due(ctx, cycle);
-        self.exam(ctx, cycle);
+        self.exam(ctx, arena, cycle);
     }
 
     /// The examination pass over this shard's queued packets: every packet
@@ -963,13 +894,19 @@ impl ShardCore {
     /// and moves when it wins its output port, its link and (under credit
     /// flow control) a free downstream buffer slot on its VC. A packet that
     /// fails on a full buffer parks on that gate's blocked queue; a packet
-    /// that fails on a per-cycle claim is re-examined next cycle.
+    /// that fails on a per-cycle claim is re-examined next cycle. A packet
+    /// whose next hop died is dropped, or under
+    /// [`FaultResponse::RerouteAdaptive`] left to the engine's serial
+    /// re-route pass.
     // analyzer: alloc-free
-    fn exam(&mut self, ctx: &ShardCtx<'_>, stamp: u32) {
-        let credit_based = self.flow_depth > 0;
-        let vcs = self.vcs;
-        let pf = self.packet_flits;
-        let track_vc = self.track_vc;
+    fn exam(&mut self, ctx: &ShardCtx<'_>, arena: &[u64], stamp: u32) {
+        let FlowSpec {
+            depth,
+            vcs,
+            packet_flits: pf,
+            track_vc,
+        } = self.flow;
+        let credit_based = depth > 0;
         // Loaded paths never cross statically-faulty processors, so the
         // dead-next-hop check only matters once a dynamic fault has fired.
         let hazard = !ctx.node_kills.list.is_empty() || !ctx.link_kills.list.is_empty();
@@ -986,7 +923,7 @@ impl ShardCore {
             while word != 0 {
                 let id = base + word.trailing_zeros() as usize;
                 word &= word - 1;
-                if self.cursor[id] == NEVER {
+                if !self.in_network[id] {
                     // Resolved while queued (fault kill, re-target): skip.
                     continue;
                 }
@@ -1007,22 +944,8 @@ impl ShardCore {
                                 continue;
                             }
                             FaultResponse::RerouteAdaptive => {
-                                let target = self.route_target(ctx, id);
-                                // analyzer: trusted-call -- BFS re-route runs only after a dynamic fault; cold by design
-                                if !self.reroute_packet(ctx, id, target) {
-                                    self.resolve(ctx, id, stamp, RES_DROPPED);
-                                    continue;
-                                }
-                                self.rerouted += 1;
-                                if self.cursor[id] + 1 == self.seg_end[id] {
-                                    // The oblivious route revisited the
-                                    // target and the packet was sitting on
-                                    // it: the re-route is the empty path.
-                                    self.resolve(ctx, id, stamp, RES_DELIVERED);
-                                    continue;
-                                }
-                                // Rerouted this cycle; it may move next cycle.
-                                self.queued_next[wi] |= 1u64 << (id & 63);
+                                // analyzer: allow(alloc) -- filled only after a dynamic fault and drained every cycle, so it keeps the capacity of the busiest cycle; the counting-allocator tests prove reruns never reallocate
+                                self.reroute.push(id as u32);
                                 continue;
                             }
                         }
@@ -1070,12 +993,12 @@ impl ShardCore {
                         self.vc_flits[vc] += pf as u64;
                         self.note_unblocked(id, stamp);
                     }
-                    if entry & DELIVERS != 0 {
+                    self.advance_route(ctx, arena, id);
+                    if pk_terminal(self.entry[id]) {
                         // Consumed at the target: the just-taken slot drains
                         // too (its credit also returns after the tail).
                         self.resolve(ctx, id, stamp, RES_DELIVERED);
                     } else {
-                        self.advance_route(ctx, id);
                         let now = pk_node(self.entry[id]);
                         // Dateline rule: a hop that descends the physical
                         // label closes a de Bruijn shift cycle, so the
@@ -1115,6 +1038,98 @@ impl ShardCore {
             }
         }
         std::mem::swap(&mut self.queued_now, &mut self.queued_next);
+    }
+}
+
+/// The engine's materialized routes and the one search that writes them.
+/// Only serial code writes it — the loaders, the re-route pass of
+/// [`ShardedSim::step`] and [`ShardedSim::retarget_and_reroute`] — and the
+/// cores read the arena during their phases.
+#[derive(Default)]
+struct Router {
+    /// Packed entries of every materialized route loaded or searched since
+    /// the last [`ShardedSim::clear_workload`]; each ends at a terminal
+    /// entry.
+    arena: Vec<u64>,
+    searcher: Searcher,
+    /// Node path of the last search.
+    path: Vec<NodeId>,
+}
+
+impl Router {
+    /// The physical node `core`'s packet `id` is routed to — where a
+    /// re-route must aim: the placement image of an implicit packet's
+    /// logical target, or the node of a materialized path's terminal entry.
+    fn target(&self, ctx: &ShardCtx<'_>, core: &ShardCore, id: usize) -> NodeId {
+        if core.rem[id] != 0 {
+            return ctx.implicit.image(ctx.logical_target[id]) as usize;
+        }
+        let mut at = core.pos[id] as usize;
+        while !pk_terminal(self.arena[at]) {
+            at += 1;
+        }
+        pk_node(self.arena[at])
+    }
+
+    /// Replaces `core`'s packet `id`'s remaining route with a BFS path from
+    /// its current node to `target` through the surviving machine, appended
+    /// to the arena (an implicit packet materializes here: a re-route is
+    /// not a shift-register walk). Returns false (packet untouched) when
+    /// `target` is dead or no healthy path reaches it.
+    fn reroute(
+        &mut self,
+        ctx: &ShardCtx<'_>,
+        core: &mut ShardCore,
+        id: usize,
+        target: NodeId,
+    ) -> bool {
+        if !ctx.is_alive(target) {
+            return false;
+        }
+        let found = self.searcher.shortest_path_avoiding_into(
+            ctx.machine.graph(),
+            pk_node(core.entry[id]),
+            target,
+            |v| ctx.is_alive(v),
+            |slot| !ctx.link_kills.dead[slot],
+            &mut self.path,
+        );
+        if !found {
+            return false;
+        }
+        let start = spill(&mut self.arena, ctx.machine, &self.path);
+        core.entry[id] = self.arena[start as usize];
+        core.pos[id] = start;
+        core.rem[id] = 0;
+        true
+    }
+
+    /// The cycle's serial re-route pass, after every core's phase: each
+    /// packet a core's examination pass found facing a dead hop is
+    /// re-routed in place, in core order and then id order. It drops when
+    /// no path is left, delivers when it already sits on its target (the
+    /// oblivious route revisited it), and otherwise is queued to move next
+    /// cycle. Returns how many packets found a path.
+    fn reroute_noted(&mut self, ctx: &ShardCtx<'_>, cores: &mut [ShardCore], cycle: u32) -> u64 {
+        let mut rerouted = 0;
+        for core in cores {
+            for i in 0..core.reroute.len() {
+                let id = core.reroute[i] as usize;
+                let target = self.target(ctx, core, id);
+                if !self.reroute(ctx, core, id, target) {
+                    core.resolve(ctx, id, cycle, RES_DROPPED);
+                    continue;
+                }
+                rerouted += 1;
+                if pk_terminal(core.entry[id]) {
+                    core.resolve(ctx, id, cycle, RES_DELIVERED);
+                } else {
+                    core.queue_now(id);
+                }
+            }
+            core.reroute.clear();
+        }
+        rerouted
     }
 }
 
@@ -1177,9 +1192,9 @@ impl Outcomes {
 pub struct ShardedSim {
     machine: PhysicalMachine,
     config: CongestionConfig,
-    /// Flits per packet (1 outside wormhole switching); the driver's
-    /// flit accounting multiplies packet-moves by this.
-    packet_flits: u32,
+    /// The validated flow control; the driver's flit accounting multiplies
+    /// packet-moves by its `packet_flits`.
+    flow: FlowSpec,
     shards: usize,
     threads: usize,
     /// First global CSR slot per shard (length `shards + 1`).
@@ -1197,6 +1212,8 @@ pub struct ShardedSim {
     /// the oblivious loads; a later load through a *different* context
     /// falls back to materialized paths rather than mixing generators.
     implicit: ImplicitRoute,
+    /// The materialized paths and the re-route search.
+    router: Router,
     // --- run state --------------------------------------------------------
     total_flits: u64,
     cycle: u32,
@@ -1234,39 +1251,7 @@ impl ShardedSim {
         threads: usize,
     ) -> Self {
         assert!(shards >= 1, "at least one shard");
-        let (flow_depth, vcs, packet_flits) = match config.flow_control {
-            FlowControl::Infinite => (0, 1, 1),
-            FlowControl::CreditBased { buffer_depth } => {
-                assert!(
-                    buffer_depth >= 1,
-                    "credit flow control needs at least one slot"
-                );
-                (buffer_depth, 1, 1)
-            }
-            FlowControl::VirtualChannel {
-                vcs,
-                buffer_depth,
-                switching,
-            } => {
-                assert!(
-                    vcs >= 1,
-                    "virtual-channel flow control needs at least one VC"
-                );
-                assert!(
-                    buffer_depth >= 1,
-                    "credit flow control needs at least one slot"
-                );
-                let packet_flits = match switching {
-                    Switching::StoreAndForward => 1,
-                    Switching::Wormhole { packet_flits } => {
-                        assert!(packet_flits >= 1, "wormhole packets need at least one flit");
-                        packet_flits
-                    }
-                };
-                (buffer_depth, vcs, packet_flits)
-            }
-        };
-        let track_vc = matches!(config.flow_control, FlowControl::VirtualChannel { .. });
+        let flow = FlowSpec::new(config.flow_control);
         let n = machine.node_count();
         let (offsets, _) = machine.graph().csr();
         let mut slot_start = Vec::with_capacity(shards + 1);
@@ -1281,16 +1266,13 @@ impl ShardedSim {
                     slot_start[s] as usize,
                     slot_start[s + 1] as usize,
                     shards,
-                    flow_depth,
-                    vcs as usize,
-                    packet_flits,
-                    track_vc,
+                    flow,
                 )
             })
             .collect();
         ShardedSim {
             config,
-            packet_flits,
+            flow,
             shards,
             threads: threads.clamp(1, shards),
             node_kills: Kills::new(n),
@@ -1301,6 +1283,7 @@ impl ShardedSim {
             logical_target: Vec::new(),
             outcomes: Outcomes::default(),
             implicit: ImplicitRoute::default(),
+            router: Router::default(),
             total_flits: 0,
             cycle: 0,
             deadlocked: false,
@@ -1363,8 +1346,8 @@ impl ShardedSim {
     }
 
     /// Discards the loaded workload, both fault schedules and the implicit
-    /// context, keeping the machine, every buffer's capacity and each
-    /// core's warmed re-route search, so one engine can `load_*` and run
+    /// context, keeping the machine, every buffer's capacity and the
+    /// warmed re-route search, so one engine can `load_*` and run
     /// many workloads (the parallel sweep harness keeps one engine per
     /// worker). The next load may come through a different placement.
     pub fn clear_workload(&mut self) {
@@ -1383,6 +1366,7 @@ impl ShardedSim {
             table.clear();
         }
         self.implicit.clear();
+        self.router.arena.clear();
         self.outcomes.delivered = 0;
         self.outcomes.dropped = 0;
         self.outcomes.live = 0;
@@ -1405,7 +1389,6 @@ impl ShardedSim {
         self.outcomes.dropped_at.push(NEVER);
         let core = &mut self.cores[home];
         if at_load && pk_terminal(core.entry[id]) {
-            core.cursor[id] = NEVER;
             self.outcomes.delivered_at.push(inject_cycle);
             self.outcomes.delivered += 1;
             self.outcomes.latencies.push(0);
@@ -1474,12 +1457,10 @@ impl ShardedSim {
         let total = self.inject_at.len() + added;
         for core in &mut self.cores {
             core.resize_packets(total);
-            if !implicit {
-                // Sources spread evenly over the shards; a route holds at
-                // most h + 1 nodes.
-                core.arena
-                    .reserve(added.div_ceil(self.shards) * (db.h() + 1));
-            }
+        }
+        if !implicit {
+            // A route holds at most h + 1 nodes.
+            self.router.arena.reserve(added * (db.h() + 1));
         }
         for table in [
             &mut self.inject_at,
@@ -1512,20 +1493,17 @@ impl ShardedSim {
             };
             let id = self.inject_at.len();
             let home = shard_of(source, n, self.shards);
-            let core = &mut self.cores[home];
-            if implicit {
-                let (entry, pos, rem) =
-                    self.implicit.first_entry(&self.machine, s as u32, t as u32);
-                core.entry[id] = entry;
-                core.imp_pos[id] = pos;
-                core.imp_rem[id] = rem;
-                core.cursor[id] = IMPLICIT_ACTIVE;
+            let (entry, pos, rem) = if implicit {
+                let rem = implicit_route::rem_init(db.h() as u32, t as u32);
+                self.implicit.advance(&self.machine, s as u32, rem)
             } else {
-                let (start, end) = spill(&mut core.arena, &self.machine, &path);
-                core.entry[id] = core.arena[start as usize];
-                core.cursor[id] = start;
-                core.seg_end[id] = end;
-            }
+                let start = spill(&mut self.router.arena, &self.machine, &path);
+                (self.router.arena[start as usize], start, 0)
+            };
+            let core = &mut self.cores[home];
+            core.entry[id] = entry;
+            core.pos[id] = pos;
+            core.rem[id] = rem;
             self.admit(home, t as u32, cycle, at_load);
         }
     }
@@ -1626,10 +1604,10 @@ impl ShardedSim {
         faults
     }
 
-    /// Splits the engine into the read-only cycle context, the cores and
-    /// the driver's outcome table.
+    /// Splits the engine into the read-only cycle context, the cores, the
+    /// driver's outcome table and the router.
     // analyzer: alloc-free
-    fn parts(&mut self) -> (ShardCtx<'_>, &mut [ShardCore], &mut Outcomes) {
+    fn parts(&mut self) -> (ShardCtx<'_>, &mut [ShardCore], &mut Outcomes, &mut Router) {
         let ctx = ShardCtx {
             machine: &self.machine,
             slot_start: &self.slot_start,
@@ -1643,7 +1621,7 @@ impl ShardedSim {
             single_port: self.machine.port_model() == PortModel::SinglePort,
             fault_response: self.config.fault_response,
         };
-        (ctx, &mut self.cores, &mut self.outcomes)
+        (ctx, &mut self.cores, &mut self.outcomes, &mut self.router)
     }
 
     /// Fires the node and link kills due by the current cycle and returns
@@ -1661,7 +1639,7 @@ impl ShardedSim {
         if nodes + links == 0 {
             return 0;
         }
-        let (ctx, cores, outcomes) = self.parts();
+        let (ctx, cores, outcomes, _) = self.parts();
         let slots = &ctx.link_kills.list[first_new_slot..];
         for core in cores.iter_mut() {
             core.react_to_kills(&ctx, cycle, nodes > 0, slots);
@@ -1678,22 +1656,38 @@ impl ShardedSim {
     /// `(rerouted, delivered_in_place, dropped)`.
     pub(crate) fn retarget_and_reroute(&mut self, placement: &Embedding) -> (u64, u64, u64) {
         let cycle = self.cycle;
-        let (ctx, cores, outcomes) = self.parts();
-        let mut totals = (0, 0, 0);
+        let (ctx, cores, outcomes, router) = self.parts();
+        let mut counts = (0, 0, 0);
         for core in cores.iter_mut() {
-            let (rerouted, delivered, dropped) = core.retarget(&ctx, placement, cycle);
-            totals.0 += rerouted;
-            totals.1 += delivered;
-            totals.2 += dropped;
+            for id in 0..core.in_network.len() {
+                let logical = ctx.logical_target[id];
+                if !core.in_network[id] || logical == NO_LOGICAL {
+                    continue;
+                }
+                let target = placement.apply(logical as usize);
+                if pk_node(core.entry[id]) == target {
+                    core.resolve(&ctx, id, cycle, RES_DELIVERED);
+                    counts.1 += 1;
+                } else if router.reroute(&ctx, core, id, target) {
+                    // The packet stays in the same physical buffer: a
+                    // re-route replaces its remaining path, not its position.
+                    counts.0 += 1;
+                } else {
+                    core.resolve(&ctx, id, cycle, RES_DROPPED);
+                    counts.2 += 1;
+                }
+            }
+            core.wake_all_parked();
         }
         outcomes.take_resolutions(ctx.inject_at, cores);
-        totals
+        counts
     }
 
     /// Simulates one cycle. The cycle's due kills fire first
     /// ([`ShardedSim::fire_due_faults`]); then every core applies its due
     /// credits and claim expiries, injects due packets and runs its
-    /// examination pass. The barrier then hands every outbound buffer to
+    /// examination pass, and the serial re-route pass handles the packets
+    /// it found facing a dead hop. The barrier then hands every outbound buffer to
     /// its receiver, each core adopts its inbound flits and credits
     /// (landing at the start of the next cycle), and the driver applies the
     /// cycle's resolutions. The per-core work of both halves runs on
@@ -1706,20 +1700,23 @@ impl ShardedSim {
         let faults_fired = self.fire_due_faults();
         let cycle = self.cycle;
         let workers = self.threads();
-        let (ctx, cores, outcomes) = self.parts();
+        let (ctx, cores, outcomes, router) = self.parts();
+        let arena = &router.arena;
         // analyzer: trusted-call -- spawning scoped workers allocates; only the one-worker path is allocation-free, which the counting-allocator tests pin
         fan_out(&mut *cores, workers, |group| {
             for core in group {
-                core.phase(&ctx, cycle);
+                core.phase(&ctx, arena, cycle);
             }
         });
+        // analyzer: trusted-call -- searches and grows the path arena only after a dynamic fault; cold by design
+        let rerouted = router.reroute_noted(&ctx, cores, cycle);
         let mut events = CycleEvents {
             cycle,
             moved: 0,
             injected: 0,
             credits_applied: 0,
             faults_fired,
-            rerouted: 0,
+            rerouted,
             live: 0,
             pending_injections: 0,
         };
@@ -1727,7 +1724,6 @@ impl ShardedSim {
             events.moved += core.moved;
             events.injected += core.injected;
             events.credits_applied += core.credits_applied;
-            events.rerouted += core.rerouted;
         }
         // Injections enter the network before any resolution of the same
         // cycle.
@@ -1753,7 +1749,7 @@ impl ShardedSim {
             }
         });
         outcomes.take_resolutions(ctx.inject_at, cores);
-        self.total_flits += events.moved * self.packet_flits as u64;
+        self.total_flits += events.moved * self.flow.packet_flits as u64;
         self.cycle += 1;
         events.live = self.outcomes.live;
         events.pending_injections = self.pending_injections();
@@ -1816,12 +1812,10 @@ impl ShardedSim {
         // hosting core without disturbing the live accumulators, so a
         // deadlocked report shows where the wait sits and a later report
         // stays consistent with continued stepping.
-        let first = self.cores.first();
-        let track_vc = first.is_some_and(|c| c.track_vc);
-        let vcs = first.map_or(0, |c| if c.track_vc { c.vcs } else { 0 });
+        let vcs = if self.flow.track_vc { self.flow.vcs } else { 0 };
         let mut vc_flits = vec![0u64; vcs];
         let mut vc_hol = vec![0u64; vcs];
-        if track_vc {
+        if self.flow.track_vc {
             for core in &self.cores {
                 for (acc, v) in vc_flits.iter_mut().zip(&core.vc_flits) {
                     *acc += v;
@@ -1885,11 +1879,10 @@ impl ShardedSim {
                 return Err(format!("shard {s}: parked {} != {queued}", core.parked));
             }
         }
-        let depth = self.cores.first().map_or(0, |c| c.flow_depth);
+        let FlowSpec { depth, vcs, .. } = self.flow;
         if depth == 0 {
             return Ok(());
         }
-        let vcs = self.cores.first().map_or(1, |c| c.vcs);
         let gates = self.slot_start[self.shards] as usize * vcs;
         let mut occupants = vec![0u32; gates];
         let mut pending = vec![0u32; gates];
@@ -1921,10 +1914,10 @@ impl ShardedSim {
         Ok(())
     }
 
-    /// Bytes of heap capacity devoted to per-packet route state across all
-    /// cores: the path arenas, cached entries, shift registers, cursors
-    /// and segment ends, the logical targets, plus the implicit placement
-    /// map. Implicit workloads keep this O(packets) regardless of `h`;
+    /// Bytes of heap capacity devoted to per-packet route state: every
+    /// core's cached entries and `(pos, rem)` pairs, the engine's path
+    /// arena, the logical targets, plus the implicit placement map.
+    /// Implicit workloads keep this O(packets) regardless of `h`;
     /// materialized ones pay O(packets × h) for the arena. The implicit
     /// successor-slot table (8 B per logical label) is left out: it belongs
     /// to the (machine, placement) pair, not to any packet, and shows in
@@ -1935,15 +1928,12 @@ impl ShardedSim {
             .cores
             .iter()
             .map(|c| {
-                (c.arena.capacity() + c.entry.capacity()) * size_of::<u64>()
-                    + (c.imp_pos.capacity()
-                        + c.imp_rem.capacity()
-                        + c.cursor.capacity()
-                        + c.seg_end.capacity())
-                        * size_of::<u32>()
+                c.entry.capacity() * size_of::<u64>()
+                    + (c.pos.capacity() + c.rem.capacity()) * size_of::<u32>()
             })
             .sum();
         per_core
+            + self.router.arena.capacity() * size_of::<u64>()
             + self.logical_target.capacity() * size_of::<u32>()
             + self.implicit.placement_bytes()
     }
@@ -2419,11 +2409,11 @@ mod tests {
 
     #[test]
     fn materialized_loads_match_across_shards() {
-        // Materialized segments come from two places: a second load through
-        // a placement other than the captured one (the complement map, a de
+        // Materialized paths come from two places: a second load through a
+        // placement other than the captured one (the complement map, a de
         // Bruijn automorphism), and every mid-run re-route around the node
-        // kills. They live in the arena of the core hosting their packet and
-        // travel in the barrier's path words. Every shard and thread count
+        // kills. They live in the engine's one path arena, and a migrating
+        // packet carries only its index there. Every shard and thread count
         // must agree with the single-table run, packet by packet.
         let db = DeBruijn2::new(6);
         let n = db.node_count();
@@ -2548,7 +2538,7 @@ mod tests {
             .cores
             .iter()
             .flat_map(|c| {
-                let base = (c.slot_lo * c.vcs) as u32;
+                let base = (c.slot_lo * c.flow.vcs) as u32;
                 c.credit_fifo[c.credit_fifo_pos..]
                     .iter()
                     .map(move |&(due, lg)| (due, base + lg))
@@ -2630,12 +2620,12 @@ mod tests {
         let mut sim = ShardedSim::new(machine, CongestionConfig::default(), 4, 1);
         sim.load_oblivious(&db, &Embedding::identity(n), &pairs);
         let bytes = sim.route_state_bytes();
-        // 4 cores x (8B entry + 16B registers/cursor/seg_end) per packet
-        // plus the driver's 4B logical target: comfortably under 192B per
-        // packet, independent of h = 10 (a materialized load would add
-        // ~8 x 11B of path entries per packet on top).
+        // 4 cores x (8B entry + 8B `(pos, rem)` pair) per packet plus the
+        // driver's 4B logical target is 68B per packet, independent of
+        // h = 10 (a materialized load would add ~8 x 11B of path entries
+        // per packet on top).
         assert!(
-            bytes < pairs.len() * 192,
+            bytes < pairs.len() * 72,
             "route state {bytes}B for {} packets",
             pairs.len()
         );

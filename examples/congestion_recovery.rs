@@ -12,6 +12,7 @@
 //! mid-run) and the cycle at which they strike.
 
 use ftdb_core::FtDeBruijn2;
+use ftdb_examples::arg_or;
 use ftdb_graph::Embedding;
 use ftdb_sim::congestion::{run_recovery, CongestionConfig, CongestionSim, FaultResponse};
 use ftdb_sim::machine::{PhysicalMachine, PortModel};
@@ -20,14 +21,14 @@ use ftdb_topology::DeBruijn2;
 use rand::SeedableRng;
 
 fn main() {
+    const USAGE: &str = "congestion_recovery [h] [k] [fault_cycle]";
+    let h: usize = arg_or(0, 6, USAGE);
+    let k: usize = arg_or(1, 2, USAGE);
+    let fault_cycle: u32 = arg_or(2, 3, USAGE);
     println!(
         "{}\n",
         ftdb_examples::section("Cycle-level congestion and online fault recovery")
     );
-    let mut args = std::env::args().skip(1);
-    let h: usize = args.next().and_then(|a| a.parse().ok()).unwrap_or(6);
-    let k: usize = args.next().and_then(|a| a.parse().ok()).unwrap_or(2);
-    let fault_cycle: u32 = args.next().and_then(|a| a.parse().ok()).unwrap_or(3);
 
     let db = DeBruijn2::new(h);
     let n = db.node_count();

@@ -15,6 +15,26 @@ pub fn section(title: &str) -> String {
     format!("{title}\n{}", "-".repeat(title.len()))
 }
 
+/// Positional argument `index` (0-based, after the program name) parsed as
+/// `T`, or `default` when it is absent. A malformed argument is a usage
+/// error, never a silent run at the default: the example prints the
+/// argument, why it does not parse and `usage` (such as
+/// `"load_sweep [h] [threads]"`) to stderr, and exits with status 2.
+pub fn arg_or<T>(index: usize, default: T, usage: &str) -> T
+where
+    T: std::str::FromStr,
+    T::Err: std::fmt::Display,
+{
+    let Some(raw) = std::env::args().nth(index + 1) else {
+        return default;
+    };
+    raw.parse().unwrap_or_else(|err| {
+        eprintln!("bad argument {raw:?}: {err}");
+        eprintln!("usage: {usage}");
+        std::process::exit(2)
+    })
+}
+
 #[cfg(test)]
 mod tests {
     #[test]

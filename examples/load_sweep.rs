@@ -18,32 +18,24 @@
 //! available parallelism; the output is byte-identical for any value).
 
 use ftdb_analysis::sim_experiments::{render_sim5, sim5_load_sweep, SweepScenario};
+use ftdb_examples::arg_or;
 use ftdb_sim::congestion::FlowControl;
 use ftdb_sim::machine::PortModel;
+use std::num::NonZeroUsize;
 
 fn main() {
+    const USAGE: &str = "load_sweep [h] [threads]";
+    let h: usize = arg_or(0, 8, USAGE);
+    // Zero threads is malformed too, matching the `--threads` validation
+    // of the experiments binary.
+    let default_threads = std::thread::available_parallelism().unwrap_or(NonZeroUsize::MIN);
+    let threads = arg_or(1, default_threads, USAGE).get();
     println!(
         "{}\n",
         ftdb_examples::section(
             "Offered-load sweeps: saturation collapse under credit flow control"
         )
     );
-    let mut args = std::env::args().skip(1);
-    let h: usize = args.next().and_then(|a| a.parse().ok()).unwrap_or(8);
-    // A malformed threads argument is a hard error, matching the
-    // `--threads` validation of the experiments binary — silently
-    // falling back would only show up as surprising wall-clock.
-    let threads: usize = match args.next() {
-        Some(raw) => match raw.parse() {
-            Ok(t) if t >= 1 => t,
-            _ => {
-                eprintln!("load_sweep: threads must be a positive integer, got {raw:?}");
-                eprintln!("usage: load_sweep [h] [threads]");
-                std::process::exit(2);
-            }
-        },
-        None => std::thread::available_parallelism().map_or(1, |p| p.get()),
-    };
     let seed = 0xF7DB;
     let loads = [0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.65, 0.8, 0.95];
 

@@ -12,15 +12,16 @@ use ftdb_analysis::comparison::{
     base2_table, render_comparison, render_shuffle_exchange, shuffle_exchange_table,
 };
 use ftdb_core::baseline::SpBaseline;
+use ftdb_examples::arg_or;
 
 fn main() {
+    const USAGE: &str = "network_comparison [h] [k]";
+    let h: usize = arg_or(0, 4, USAGE);
+    let k: usize = arg_or(1, 2, USAGE);
     println!(
         "{}\n",
         ftdb_examples::section("Degree cost of fault tolerance: paper bounds vs measured")
     );
-    let mut args = std::env::args().skip(1);
-    let h: usize = args.next().and_then(|a| a.parse().ok()).unwrap_or(4);
-    let k: usize = args.next().and_then(|a| a.parse().ok()).unwrap_or(2);
 
     println!("Comparing fault-tolerant constructions for B(2,{h}) tolerating {k} faults\n");
 

@@ -10,6 +10,7 @@
 //! where the arguments are `h` (network size `2^h`) and `k` (faults).
 
 use ftdb_core::{FaultSet, FtDeBruijn2};
+use ftdb_examples::arg_or;
 use ftdb_graph::Embedding;
 use ftdb_sim::machine::{PhysicalMachine, PortModel};
 use ftdb_sim::metrics::RoutingStats;
@@ -30,13 +31,13 @@ fn print_stats(label: &str, stats: &RoutingStats) {
 }
 
 fn main() {
+    const USAGE: &str = "routing_under_faults [h] [k]";
+    let h: usize = arg_or(0, 7, USAGE);
+    let k: usize = arg_or(1, 3, USAGE);
     println!(
         "{}\n",
         ftdb_examples::section("Packet routing on healthy, faulty and reconfigured machines")
     );
-    let mut args = std::env::args().skip(1);
-    let h: usize = args.next().and_then(|a| a.parse().ok()).unwrap_or(7);
-    let k: usize = args.next().and_then(|a| a.parse().ok()).unwrap_or(3);
 
     let db = DeBruijn2::new(h);
     let n = db.node_count();

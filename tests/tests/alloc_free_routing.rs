@@ -434,11 +434,13 @@ fn one_part_fan_out_allocates_nothing() {
 #[test]
 fn sharded_serial_cycle_loop_is_allocation_free_after_warmup() {
     let _guard = serial_guard();
-    // The serial barrier hands each core's per-destination buffers (flits,
-    // re-routed path words, credits) straight to the receiving core and
-    // empties them in place, so once one run has grown them a second run of
-    // the same load allocates nothing. Credit flow ships credits across
-    // shards; node kills under `RerouteAdaptive` ship re-routed paths.
+    // The serial barrier hands each core's per-destination buffers (flits
+    // and credits) straight to the receiving core and empties them in
+    // place, so once one run has grown them a second run of the same load
+    // allocates nothing. Credit flow ships credits across shards; node
+    // kills under `RerouteAdaptive` fill each core's re-route list and grow
+    // the engine's path arena, both of which keep their capacity too, and
+    // re-routed packets migrate with only their arena index.
     use ftdb_sim::congestion::{CongestionConfig, FaultResponse, FlowControl};
     let db = DeBruijn2::new(8);
     let n = db.node_count();
