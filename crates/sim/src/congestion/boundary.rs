@@ -6,13 +6,16 @@
 //! outgoing link's claim stamp, that link's downstream buffer credits — is
 //! owned by the shard hosting the packet's *current* node, so shards run
 //! their cycle phases without synchronisation. The only cross-shard effects
-//! are deferred to the cycle barrier, carried by the two message kinds
-//! here:
+//! are deferred to the cycle barrier, carried by the message kinds here:
 //!
-//! * a [`Flit`]: a packet crossed a shard boundary and its O(1) route state
-//!   must move to the destination shard before the next cycle's
-//!   examination pass. A materialized route stays where it is, in the
-//!   engine's one path arena: the flit carries only its position there;
+//! * a packet crossed a shard boundary, and the destination shard must
+//!   queue it for the next cycle's examination pass. Each worker thread
+//!   owns a contiguous group of shards and one table of the state of every
+//!   packet they host. Between two shards of one worker the packet keeps
+//!   its row there and travels as its 4-byte id. Between workers its state
+//!   travels in a [`Flit`], which the receiving worker writes into its own
+//!   table. A materialized route stays where it is, in the engine's one
+//!   path arena: the flit carries only its position there;
 //! * a credit return: a packet vacated (or drained) an input buffer whose
 //!   link slot belongs to another shard. Every core already defers each
 //!   credit return by `packet_flits` cycles (its timed credit FIFO — at
@@ -30,10 +33,10 @@
 //! (ascending packet id = age), so the merge gives a total (shard-id,
 //! packet-age) order.
 
-/// A packet mid-migration: everything the destination shard needs to host
-/// it. `entry` is already advanced to the node it just arrived on (the
-/// source shard computes the step before sending, since the graph and the
-/// path arena are global).
+/// A packet migrating to another worker: everything the destination
+/// worker needs to host it. `entry` is already advanced to the node it
+/// just arrived on (the source shard computes the step before sending,
+/// since the graph and the path arena are global).
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct Flit {
     /// Global packet id (ids are global across shards; age order = id
@@ -58,9 +61,12 @@ pub(crate) struct Flit {
 /// shard at the cycle barrier.
 #[derive(Debug, Default)]
 pub(crate) struct BoundaryBatch {
-    /// Packets that crossed into the destination shard this cycle, in age
-    /// order.
+    /// Packets that crossed into the destination shard from another
+    /// worker this cycle, in age order.
     pub flits: Vec<Flit>,
+    /// Ids of the packets that crossed into the destination shard from
+    /// another shard of the same worker this cycle, in age order.
+    pub ids: Vec<u32>,
     /// Global gate ids (`slot * vcs + vc`) owned by the destination shard
     /// whose buffers drained this cycle (one entry per returned credit; a
     /// gate may repeat).
@@ -71,6 +77,7 @@ impl BoundaryBatch {
     /// Empties the batch, keeping every buffer's capacity.
     pub(crate) fn clear(&mut self) {
         self.flits.clear();
+        self.ids.clear();
         self.credits.clear();
     }
 }

@@ -1,8 +1,8 @@
 //! The congestion engine's one cycle kernel: [`ShardedSim`] partitions the
 //! machine's nodes into contiguous label ranges (the de Bruijn prefix cut,
 //! see the private `boundary` module), runs one wake-list core
-//! (`ShardCore`) per shard, and exchanges boundary flits and credit returns
-//! at cycle barriers. With one shard there is no barrier traffic at all,
+//! (`ShardCore`) per shard, and exchanges migrating packets and credit
+//! returns at cycle barriers. With one shard there is no barrier traffic at all,
 //! and that configuration is [`super::CongestionSim`]. Its
 //! [`CongestionReport`] is byte-identical for any shard count and thread
 //! count, and equal to what the reference model of the cycle rules
@@ -12,9 +12,13 @@
 //!
 //! [`ShardedSim::step`] is the only cycle body at every thread count.
 //! Threads change only where per-core work runs: on `min(threads, shards)`
-//! scoped workers, each owning a contiguous group of cores. The barrier's
-//! buffer swap, the resolution drain and the stop rule run on the calling
-//! thread.
+//! scoped workers. Each worker owns a contiguous group of cores and one
+//! packet table, indexed by global packet id, that holds the state of every
+//! packet those cores host. A packet that moves to another core of the same
+//! worker keeps its row and is handed over as its id; only a packet that
+//! leaves its worker carries its state, in a `Flit`. With one worker,
+//! packet state exists once at any shard count. The barrier's buffer swap,
+//! the resolution drain and the stop rule run on the calling thread.
 //!
 //! Why equivalence holds: every resource a packet contends for in a cycle —
 //! its node's output port, its outgoing link's claim stamp, that link's
@@ -29,17 +33,18 @@
 //! its owner before the phase of cycle `c + 1 <= c + packet_flits`: one
 //! FIFO entry and one head wake per credit, wherever it was generated. A
 //! migrating packet is examined again only on the following cycle, exactly
-//! like a mover that stays on its shard; its VC index rides in the `Flit`.
+//! like a mover that stays on its shard; its VC index stays in its
+//! worker's table or rides in the `Flit`.
 //!
-//! Route state: every packet holds one packed entry (its node and the CSR
-//! slot of its next hop) and one `(pos, rem)` pair. An oblivious packet's
-//! pair is its shift register in the shared implicit context
-//! (`ImplicitRoute`, O(1) state per packet). A materialized path — a second
-//! load through a different placement, a mid-run re-route, a recovery
-//! re-target — lives in the engine's one path arena, which only serial
-//! code writes; its packet holds `rem = 0` and the index of its entry
-//! there, so a migration ships no path. Every route ends at a terminal
-//! entry, and a mover whose next entry is terminal has arrived.
+//! Route state: every packet holds, in its worker's table, one packed entry
+//! (its node and the CSR slot of its next hop) and one `(pos, rem)` pair.
+//! An oblivious packet's pair is its shift register in the shared implicit
+//! context (`ImplicitRoute`, O(1) state per packet). A materialized path —
+//! a second load through a different placement, a mid-run re-route, a
+//! recovery re-target — lives in the engine's one path arena, which only
+//! serial code writes; its packet holds `rem = 0` and the index of its
+//! entry there, so a migration ships no path. Every route ends at a
+//! terminal entry, and a mover whose next entry is terminal has arrived.
 //!
 //! A packet whose next hop died under [`FaultResponse::RerouteAdaptive`] is
 //! only noted by its core's examination pass. One serial pass in
@@ -68,6 +73,7 @@ use ftdb_core::{FaultSet, LinkFaultSet};
 use ftdb_graph::traversal::Searcher;
 use ftdb_graph::{Embedding, NodeId};
 use ftdb_topology::DeBruijn2;
+use std::ops::Range;
 
 /// Resolution code: packet dropped while in the network.
 const RES_DROPPED: u8 = 0;
@@ -274,17 +280,96 @@ impl FlowSpec {
     }
 }
 
+/// The state of every packet a worker's cores host, indexed by global
+/// packet id (the table spans the whole id space). A packet is *hosted* by
+/// the core owning its current node, and its row is valid while
+/// `in_network` is set: exactly in the table of that core's worker. Only
+/// that worker writes the row. A packet that moves to another core of the
+/// same worker keeps it; one that leaves the worker carries it in a
+/// [`Flit`], and the receiving worker writes it into its own table.
+#[derive(Default)]
+struct PacketTable {
+    /// Cached packed entry of each hosted packet's current position: node
+    /// and the CSR slot of its next hop. The examination pass reads only
+    /// this.
+    entry: Vec<u64>,
+    /// Logical shift-register position *after* the pending hop; for a
+    /// materialized route (`rem == 0`), the index of `entry` in the
+    /// engine's path arena.
+    pos: Vec<u32>,
+    /// Remaining target bits after the pending hop, sentinel-encoded (see
+    /// [`implicit_route::rem_init`]), or 0 for a materialized route.
+    rem: Vec<u32>,
+    /// *Global* gate id (`slot * vcs + vc`) of the buffer the packet
+    /// occupies (may belong to another core after a migration; credits
+    /// route home at the barrier). `NO_SLOT` while the packet waits in its
+    /// source's injection queue.
+    occupied_slot: Vec<u32>,
+    /// Current virtual channel per hosted packet (dateline rule: injected
+    /// on VC 0, bumped — capped at `vcs - 1` — after every hop that
+    /// descends the physical label; see
+    /// [`implicit_route::dateline_crossing`]).
+    vc: Vec<u8>,
+    /// Cycle each hosted packet first failed examination since it last
+    /// moved (`NEVER` = not blocked); feeds `vc_hol_blocked_cycles` and is
+    /// only maintained when `track_vc`. A parked packet is not examined
+    /// again until it is woken, so the span runs from its first failure,
+    /// however many cycles it then waits.
+    blocked_since: Vec<u32>,
+    /// Intrusive next-pointers threading the cores' blocked queues through
+    /// the table.
+    blocked_next: Vec<u32>,
+    /// Whether the packet is live and hosted by one of the worker's cores.
+    in_network: Vec<bool>,
+}
+
+impl PacketTable {
+    /// Resizes every column to `packets` ids, giving new ids the default
+    /// (not-hosted) state: one bulk resize per load (or per clear, to 0),
+    /// not a push per packet per column. Capacity is kept.
+    fn resize(&mut self, packets: usize) {
+        self.entry.resize(packets, pk(0, NO_SLOT));
+        self.pos.resize(packets, 0);
+        self.rem.resize(packets, 0);
+        self.occupied_slot.resize(packets, NO_SLOT);
+        self.vc.resize(packets, 0);
+        self.blocked_since.resize(packets, NEVER);
+        self.blocked_next.resize(packets, NONE_ID);
+        self.in_network.resize(packets, false);
+    }
+
+    /// Advances hosted packet `id` past the hop it just won: for an
+    /// implicit packet the shared context's step
+    /// ([`ImplicitRoute::advance`]), for a materialized one the next entry
+    /// of its path in `arena`. A terminal entry means it has arrived.
+    #[inline]
+    // analyzer: alloc-free
+    fn advance_route(&mut self, ctx: &ShardCtx<'_>, arena: &[u64], id: usize) {
+        let (pos, rem) = (self.pos[id], self.rem[id]);
+        let (entry, pos, rem) = if rem == 0 {
+            (arena[pos as usize + 1], pos + 1, 0)
+        } else {
+            ctx.implicit.advance(ctx.machine, pos, rem)
+        };
+        self.entry[id] = entry;
+        self.pos[id] = pos;
+        self.rem[id] = rem;
+    }
+}
+
 /// One shard's share of the engine state. Link-gate state (`links`, the
 /// credit FIFO, blocked queues) is indexed by *local* gate id
 /// (`global_gidx - slot_lo * vcs`, one gate per (link slot, VC)); packet
-/// arrays span the full id space so global packet ids index directly (a
-/// packet is *hosted* by the shard owning its current node — `in_network`
-/// exactly there).
+/// state lives in the worker's [`PacketTable`], which every method that
+/// reads it takes as `packets`.
 struct ShardCore {
     node_lo: usize,
     node_hi: usize,
     slot_lo: usize,
     slot_hi: usize,
+    /// Shard indices of the cores of this core's worker (its own included):
+    /// a packet moving to one of them keeps its table row.
+    crew: Range<usize>,
     flow: FlowSpec,
     // --- local link state (local gate ids: (slot - slot_lo) * vcs + vc) --
     /// Per-(slot, VC) gate. The physical link's claim stamp lives only in
@@ -323,39 +408,7 @@ struct ShardCore {
     // --- local node state ------------------------------------------------
     /// Per-node output-port claim stamp (consulted under `SinglePort`).
     node_claim: Vec<u32>,
-    // --- packet state (full id space; valid while hosted here) -----------
-    /// Cached packed entry of each hosted packet's current position: node
-    /// and the CSR slot of its next hop. The examination pass reads only
-    /// this.
-    entry: Vec<u64>,
-    /// Logical shift-register position *after* the pending hop; for a
-    /// materialized route (`rem == 0`), the index of `entry` in the
-    /// engine's path arena.
-    pos: Vec<u32>,
-    /// Remaining target bits after the pending hop, sentinel-encoded (see
-    /// [`implicit_route::rem_init`]), or 0 for a materialized route.
-    rem: Vec<u32>,
-    /// *Global* gate id (`slot * vcs + vc`) of the buffer the packet
-    /// occupies (may belong to another shard after a migration; credits
-    /// route home at the barrier). `NO_SLOT` while the packet waits in its
-    /// source's injection queue.
-    occupied_slot: Vec<u32>,
-    /// Current virtual channel per hosted packet (dateline rule: injected
-    /// on VC 0, bumped — capped at `vcs - 1` — after every hop that
-    /// descends the physical label; see
-    /// [`implicit_route::dateline_crossing`]).
-    vc: Vec<u8>,
-    /// Cycle each hosted packet first failed examination since it last
-    /// moved (`NEVER` = not blocked); feeds `vc_hol_blocked_cycles` and is
-    /// only maintained when `track_vc`. A parked packet is not examined
-    /// again until it is woken, so the span runs from its first failure,
-    /// however many cycles it then waits.
-    blocked_since: Vec<u32>,
-    /// Intrusive next-pointers threading the blocked queues through the
-    /// packet table.
-    blocked_next: Vec<u32>,
-    /// Whether the packet is live and hosted here.
-    in_network: Vec<bool>,
+    // --- work queues (bit per packet id, full id space) ------------------
     /// Bitmap work-queue of packets to examine this cycle (bit per packet
     /// id). Scanning set bits low-to-high *is* oldest-first arbitration,
     /// and re-waking an already-queued packet is naturally idempotent.
@@ -374,10 +427,10 @@ struct ShardCore {
     // --- per-cycle outputs ------------------------------------------------
     /// `(id, cycle, RES_*)` resolutions, drained by the driver.
     resolved: Vec<(u32, u32, u8)>,
-    /// Outbound flits and credit returns, one buffer per destination shard
-    /// (indexed by it). The barrier swaps entry `dst` with entry `src` of
-    /// the receiver, which adopts and empties it, so buffers keep their
-    /// capacity but move between cores.
+    /// Outbound packets and credit returns, one buffer per destination
+    /// shard (indexed by it). The barrier swaps entry `dst` with entry
+    /// `src` of the receiver, which adopts and empties it, so buffers keep
+    /// their capacity but move between cores.
     out: Vec<BoundaryBatch>,
     moved: u64,
     injected: u64,
@@ -390,14 +443,12 @@ struct ShardCore {
 }
 
 impl ShardCore {
-    fn new(
-        node_lo: usize,
-        node_hi: usize,
-        slot_lo: usize,
-        slot_hi: usize,
-        shards: usize,
-        flow: FlowSpec,
-    ) -> Self {
+    /// The core of shard `s` of `n` nodes cut into `slot_start.len() - 1`
+    /// shards, in the worker whose cores are `crew`.
+    fn new(s: usize, n: usize, slot_start: &[u32], crew: Range<usize>, flow: FlowSpec) -> Self {
+        let shards = slot_start.len() - 1;
+        let (node_lo, node_hi) = (shard_floor(s, n, shards), shard_floor(s + 1, n, shards));
+        let (slot_lo, slot_hi) = (slot_start[s] as usize, slot_start[s + 1] as usize);
         let slots = slot_hi - slot_lo;
         let gates = slots * flow.vcs;
         let vc_metrics = if flow.track_vc { flow.vcs } else { 0 };
@@ -406,6 +457,7 @@ impl ShardCore {
             node_hi,
             slot_lo,
             slot_hi,
+            crew,
             flow,
             links: vec![
                 LinkGate {
@@ -423,14 +475,6 @@ impl ShardCore {
             served_fifo: Vec::with_capacity((slots * flow.packet_flits as usize).min(1 << 16)),
             served_fifo_pos: 0,
             node_claim: vec![NEVER; node_hi - node_lo],
-            entry: Vec::new(),
-            pos: Vec::new(),
-            rem: Vec::new(),
-            occupied_slot: Vec::new(),
-            vc: Vec::new(),
-            blocked_since: Vec::new(),
-            blocked_next: Vec::new(),
-            in_network: Vec::new(),
             queued_now: Vec::new(),
             queued_next: Vec::new(),
             reroute: Vec::new(),
@@ -446,18 +490,9 @@ impl ShardCore {
         }
     }
 
-    /// Resizes every per-packet array to `packets` ids, giving new ids the
-    /// default (not-hosted) state: one bulk resize per load (or per clear,
-    /// to 0), not a push per packet per array. Capacity is kept.
-    fn resize_packets(&mut self, packets: usize) {
-        self.entry.resize(packets, pk(0, NO_SLOT));
-        self.pos.resize(packets, 0);
-        self.rem.resize(packets, 0);
-        self.occupied_slot.resize(packets, NO_SLOT);
-        self.vc.resize(packets, 0);
-        self.blocked_since.resize(packets, NEVER);
-        self.blocked_next.resize(packets, NONE_ID);
-        self.in_network.resize(packets, false);
+    /// Resizes both work queues to `packets` ids, new ids unqueued.
+    /// Capacity is kept.
+    fn resize_queues(&mut self, packets: usize) {
         let words = packets.div_ceil(64);
         self.queued_now.resize(words, 0);
         self.queued_next.resize(words, 0);
@@ -479,31 +514,32 @@ impl ShardCore {
     /// examination order everywhere else, so the insert is almost always an
     /// O(1) tail append (or head prepend for a re-parking ex-head).
     // analyzer: alloc-free
-    fn park_on_slot(&mut self, id: usize, lg: usize) {
+    fn park_on_slot(&mut self, packets: &mut PacketTable, id: usize, lg: usize) {
         self.parked += 1;
+        let next = &mut packets.blocked_next;
         let id32 = id as u32;
         let head = self.blocked_head[lg];
         if head == NONE_ID {
             self.blocked_head[lg] = id32;
             self.blocked_tail[lg] = id32;
-            self.blocked_next[id] = NONE_ID;
+            next[id] = NONE_ID;
         } else if id32 > self.blocked_tail[lg] {
             let tail = self.blocked_tail[lg] as usize;
-            self.blocked_next[tail] = id32;
+            next[tail] = id32;
             self.blocked_tail[lg] = id32;
-            self.blocked_next[id] = NONE_ID;
+            next[id] = NONE_ID;
         } else if id32 < head {
-            self.blocked_next[id] = head;
+            next[id] = head;
             self.blocked_head[lg] = id32;
         } else {
             // Mid-queue insert: rare (a buffered packet joining a long
             // injection queue), and bounded by the queue length.
             let mut prev = head as usize;
-            while self.blocked_next[prev] != NONE_ID && self.blocked_next[prev] < id32 {
-                prev = self.blocked_next[prev] as usize;
+            while next[prev] != NONE_ID && next[prev] < id32 {
+                prev = next[prev] as usize;
             }
-            self.blocked_next[id] = self.blocked_next[prev];
-            self.blocked_next[prev] = id32;
+            next[id] = next[prev];
+            next[prev] = id32;
         }
     }
 
@@ -512,12 +548,12 @@ impl ShardCore {
     /// same node port, link claim and credit counter and is strictly
     /// younger), so one head per wake event is exact — no thundering herd.
     // analyzer: alloc-free
-    fn wake_head(&mut self, lg: usize) {
+    fn wake_head(&mut self, packets: &PacketTable, lg: usize) {
         let head = self.blocked_head[lg];
         if head != NONE_ID {
             self.parked -= 1;
             self.queue_now(head as usize);
-            self.blocked_head[lg] = self.blocked_next[head as usize];
+            self.blocked_head[lg] = packets.blocked_next[head as usize];
             if self.blocked_head[lg] == NONE_ID {
                 self.blocked_tail[lg] = NONE_ID;
             }
@@ -526,12 +562,12 @@ impl ShardCore {
 
     /// Drains gate `lg`'s blocked queue into this cycle's work queue.
     // analyzer: alloc-free
-    fn wake_slot(&mut self, lg: usize) {
+    fn wake_slot(&mut self, packets: &PacketTable, lg: usize) {
         let mut cur = self.blocked_head[lg];
         while cur != NONE_ID {
             self.parked -= 1;
             self.queue_now(cur as usize);
-            cur = self.blocked_next[cur as usize];
+            cur = packets.blocked_next[cur as usize];
         }
         self.blocked_head[lg] = NONE_ID;
         self.blocked_tail[lg] = NONE_ID;
@@ -541,10 +577,10 @@ impl ShardCore {
     /// node kill, a recovery driver re-routing in flight) that can change
     /// any packet's next hop or its movability; it stops once none is parked.
     // analyzer: alloc-free
-    fn wake_all_parked(&mut self) {
+    fn wake_all_parked(&mut self, packets: &PacketTable) {
         let mut lg = 0;
         while self.parked > 0 {
-            self.wake_slot(lg);
+            self.wake_slot(packets, lg);
             lg += 1;
         }
     }
@@ -554,12 +590,12 @@ impl ShardCore {
     /// head-of-line counter.
     #[inline]
     // analyzer: alloc-free
-    fn note_unblocked(&mut self, id: usize, cycle: u32) {
+    fn note_unblocked(&mut self, packets: &mut PacketTable, id: usize, cycle: u32) {
         if self.flow.track_vc {
-            let since = self.blocked_since[id];
+            let since = packets.blocked_since[id];
             if since != NEVER {
-                self.vc_hol_blocked_cycles[self.vc[id] as usize] += (cycle - since) as u64;
-                self.blocked_since[id] = NEVER;
+                self.vc_hol_blocked_cycles[packets.vc[id] as usize] += (cycle - since) as u64;
+                packets.blocked_since[id] = NEVER;
             }
         }
     }
@@ -568,9 +604,9 @@ impl ShardCore {
     /// *first* failure since the last move sticks.
     #[inline]
     // analyzer: alloc-free
-    fn note_blocked(&mut self, id: usize, cycle: u32) {
-        if self.flow.track_vc && self.blocked_since[id] == NEVER {
-            self.blocked_since[id] = cycle;
+    fn note_blocked(&self, packets: &mut PacketTable, id: usize, cycle: u32) {
+        if self.flow.track_vc && packets.blocked_since[id] == NEVER {
+            packets.blocked_since[id] = cycle;
         }
     }
 
@@ -604,22 +640,31 @@ impl ShardCore {
         }
     }
 
-    /// Resolves hosted packet `id` with resolution `code`, releasing its
-    /// buffer slot (possibly to another shard) under credit flow control.
-    /// Every path that removes a live packet from the network goes through
-    /// here — fault kills included, which would otherwise leak the dead
-    /// processor's input slots and starve the upstream links forever.
+    /// Resolves packet `id` with resolution `code`, releasing its buffer
+    /// slot (possibly to another shard) under credit flow control. Every
+    /// path that removes a packet from the network or from its injection
+    /// queue goes through here — fault kills included, which would
+    /// otherwise leak the dead processor's input slots and starve the
+    /// upstream links forever. A packet still in its injection queue holds
+    /// no slot and no blocked span, so for it this only records the code.
     // analyzer: alloc-free
-    fn resolve(&mut self, ctx: &ShardCtx<'_>, id: usize, cycle: u32, code: u8) {
-        self.note_unblocked(id, cycle);
+    fn resolve(
+        &mut self,
+        ctx: &ShardCtx<'_>,
+        packets: &mut PacketTable,
+        id: usize,
+        cycle: u32,
+        code: u8,
+    ) {
+        self.note_unblocked(packets, id, cycle);
         // analyzer: allow(alloc) -- drained by the driver every cycle, so it keeps the capacity of the busiest cycle; the counting-allocator tests prove reruns never reallocate
         self.resolved.push((id as u32, cycle, code));
-        self.in_network[id] = false;
+        packets.in_network[id] = false;
         if self.flow.depth > 0 {
-            let g = self.occupied_slot[id];
+            let g = packets.occupied_slot[id];
             if g != NO_SLOT {
                 self.return_credit(ctx, g, cycle);
-                self.occupied_slot[id] = NO_SLOT;
+                packets.occupied_slot[id] = NO_SLOT;
             }
         }
     }
@@ -634,7 +679,7 @@ impl ShardCore {
     /// when drained, front compaction when the tail lags). Per-gate
     /// independence makes the application order irrelevant.
     // analyzer: alloc-free
-    fn apply_pending_credits(&mut self, cycle: u32) -> u64 {
+    fn apply_pending_credits(&mut self, packets: &PacketTable, cycle: u32) -> u64 {
         let start = self.credit_fifo_pos;
         while let Some(&(due, lg)) = self.credit_fifo.get(self.credit_fifo_pos) {
             if due > cycle {
@@ -645,7 +690,7 @@ impl ShardCore {
             self.links[lg].credits += 1;
             debug_assert!(self.links[lg].credits <= self.flow.depth, "credit overflow");
             if self.parked > 0 {
-                self.wake_head(lg);
+                self.wake_head(packets, lg);
             }
         }
         let applied = (self.credit_fifo_pos - start) as u64;
@@ -667,7 +712,7 @@ impl ShardCore {
     /// state, and an immovable woken packet re-parks identically. With
     /// nothing parked, the sorted due prefix is skipped in one step.
     // analyzer: alloc-free
-    fn apply_due_serves(&mut self, cycle: u32) {
+    fn apply_due_serves(&mut self, packets: &PacketTable, cycle: u32) {
         while self.parked > 0 && self.served_fifo_pos < self.served_fifo.len() {
             let (due, ls) = self.served_fifo[self.served_fifo_pos];
             if due > cycle {
@@ -679,7 +724,7 @@ impl ShardCore {
                 if self.blocked_head[lg] != NONE_ID
                     && (self.flow.depth == 0 || self.links[lg].credits > 0)
                 {
-                    self.wake_head(lg);
+                    self.wake_head(packets, lg);
                 }
             }
         }
@@ -714,111 +759,94 @@ impl ShardCore {
     /// its injection cycle is dropped at injection, and a zero-hop packet
     /// injected on a living source is delivered on the spot (latency 0).
     // analyzer: alloc-free
-    fn inject_due(&mut self, ctx: &ShardCtx<'_>, cycle: u32) {
+    fn inject_due(&mut self, ctx: &ShardCtx<'_>, packets: &mut PacketTable, cycle: u32) {
         while self.inject_pos < self.pending_inject.len() {
             let id = self.pending_inject[self.inject_pos] as usize;
             if ctx.inject_at[id] > cycle {
                 break;
             }
             self.inject_pos += 1;
-            let code = if !ctx.is_alive(pk_node(self.entry[id])) {
+            let code = if !ctx.is_alive(pk_node(packets.entry[id])) {
                 RES_DROPPED_AT_INJECT
-            } else if pk_terminal(self.entry[id]) {
+            } else if pk_terminal(packets.entry[id]) {
                 RES_DELIVERED_AT_INJECT
             } else {
                 self.queue_now(id);
-                self.in_network[id] = true;
+                packets.in_network[id] = true;
                 self.injected += 1;
                 continue;
             };
-            // analyzer: allow(alloc) -- drained by the driver every cycle, so it keeps the capacity of the busiest cycle; the counting-allocator tests prove reruns never reallocate
-            self.resolved.push((id as u32, cycle, code));
+            self.resolve(ctx, packets, id, cycle, code);
         }
     }
 
-    /// Reacts to the kills [`ShardedSim::fire_due_faults`] just fired at
-    /// `cycle`: `node_died` when a node died, and `slots` the directed CSR
-    /// slots that died. Packets hosted on a dead node die with it and give
-    /// their buffer slots back, and every parked packet is woken, because
-    /// its next hop may now lead into a dead node. A link kill is a local
-    /// wake event: only the gates of a dead slot this core owns are flushed
-    /// (every packet parked on them lives here), and packets buffered
-    /// downstream keep flying — the link died, not the receiving buffer —
-    /// so credit conservation holds per gate with no eviction.
-    fn react_to_kills(&mut self, ctx: &ShardCtx<'_>, cycle: u32, node_died: bool, slots: &[u32]) {
+    /// Wakes what the kills [`ShardedSim::fire_due_faults`] just fired may
+    /// have unblocked: every parked packet when a node died (`node_died`),
+    /// because its next hop may now lead into a dead node, and the gates of
+    /// each dead directed CSR slot in `slots` that this core owns. A link
+    /// kill is a local wake event (every packet parked on a dead slot's
+    /// gates lives here), and packets buffered downstream keep flying — the
+    /// link died, not the receiving buffer — so credit conservation holds
+    /// per gate with no eviction.
+    fn wake_after_kills(&mut self, packets: &PacketTable, node_died: bool, slots: &[u32]) {
         if node_died {
-            for id in 0..self.in_network.len() {
-                if self.in_network[id] && ctx.node_kills.dead[pk_node(self.entry[id])] {
-                    self.resolve(ctx, id, cycle, RES_DROPPED);
-                }
-            }
-            self.wake_all_parked();
+            self.wake_all_parked(packets);
         }
         for &slot in slots {
             let slot = slot as usize;
             if slot >= self.slot_lo && slot < self.slot_hi {
                 let base = (slot - self.slot_lo) * self.flow.vcs;
                 for lg in base..base + self.flow.vcs {
-                    self.wake_slot(lg);
+                    self.wake_slot(packets, lg);
                 }
             }
         }
     }
 
-    /// Advances hosted packet `id` past the hop it just won: for an
-    /// implicit packet the shared context's step
-    /// ([`ImplicitRoute::advance`]), for a materialized one the next entry
-    /// of its path in `arena`. A terminal entry means it has arrived.
-    #[inline]
-    // analyzer: alloc-free
-    fn advance_route(&mut self, ctx: &ShardCtx<'_>, arena: &[u64], id: usize) {
-        let (pos, rem) = (self.pos[id], self.rem[id]);
-        let (entry, pos, rem) = if rem == 0 {
-            (arena[pos as usize + 1], pos + 1, 0)
-        } else {
-            ctx.implicit.advance(ctx.machine, pos, rem)
-        };
-        self.entry[id] = entry;
-        self.pos[id] = pos;
-        self.rem[id] = rem;
-    }
-
-    /// Ships hosted packet `id` — whose current node `now` belongs to
-    /// another shard — to its new host at the cycle barrier. Its route
-    /// state travels in the flit; its occupied buffer slot stays recorded
+    /// Hands hosted packet `id` — whose current node `now` belongs to
+    /// another shard — to its new host at the cycle barrier. Within the
+    /// worker only its id travels: its row stays in the worker's table.
+    /// Leaving the worker, its state travels in a flit and its row here
+    /// goes dead. Either way its occupied buffer slot stays recorded
     /// (globally) and drains back to this shard when the packet next moves.
     // analyzer: alloc-free
-    fn emigrate(&mut self, ctx: &ShardCtx<'_>, id: usize, now: usize) {
-        let out = &mut self.out[shard_of(now, ctx.n, ctx.shards)];
+    fn emigrate(&mut self, ctx: &ShardCtx<'_>, packets: &mut PacketTable, id: usize, now: usize) {
+        let dst = shard_of(now, ctx.n, ctx.shards);
         // A mover's blocked span was closed by `note_unblocked` on the move
         // that triggered this migration, so no HoL state needs to travel.
         debug_assert!(
-            self.blocked_since[id] == NEVER,
+            packets.blocked_since[id] == NEVER,
             "blocked span crossed a barrier"
         );
+        let out = &mut self.out[dst];
+        if self.crew.contains(&dst) {
+            // analyzer: allow(alloc) -- the per-destination barrier buffer keeps its capacity for the core's life; the counting-allocator tests prove reruns never reallocate
+            out.ids.push(id as u32);
+            return;
+        }
         // analyzer: allow(alloc) -- the per-destination barrier buffer keeps its capacity for the core's life; the counting-allocator tests prove reruns never reallocate
         out.flits.push(Flit {
             id: id as u32,
-            entry: self.entry[id],
-            pos: self.pos[id],
-            rem: self.rem[id],
-            occupied_slot: self.occupied_slot[id],
-            vc: self.vc[id],
+            entry: packets.entry[id],
+            pos: packets.pos[id],
+            rem: packets.rem[id],
+            occupied_slot: packets.occupied_slot[id],
+            vc: packets.vc[id],
         });
-        self.in_network[id] = false;
-        self.occupied_slot[id] = NO_SLOT;
+        packets.in_network[id] = false;
     }
 
-    /// Adopts barrier-shipped state at the start of cycle `now`: credit
+    /// Adopts one barrier-shipped batch at the start of cycle `now`: credit
     /// returns into the timed FIFO (due `now + packet_flits - 1`, i.e. the
-    /// same `generating_cycle + packet_flits` a local return would carry)
-    /// and in-migrating flits into the hosted table, queued for this
-    /// cycle's examination — the same timing a mover has when it stays on
-    /// its shard.
+    /// same `generating_cycle + packet_flits` a local return would carry),
+    /// flits from another worker into `packets`, and every arriving packet
+    /// into this cycle's examination — the same timing a mover has when it
+    /// stays on its shard. A packet handed over within the worker already
+    /// has its row, so only its queue bit is set.
     // analyzer: alloc-free
-    fn apply_inbound(&mut self, flits: &[Flit], credits: &[u32], now: u32) {
+    fn apply_inbound(&mut self, packets: &mut PacketTable, batch: &BoundaryBatch, now: u32) {
         let due = now + self.flow.packet_flits - 1;
-        for &g in credits {
+        for &g in &batch.credits {
             let slot = g as usize / self.flow.vcs;
             debug_assert!(
                 slot >= self.slot_lo && slot < self.slot_hi,
@@ -826,15 +854,19 @@ impl ShardCore {
             );
             self.push_credit(g, due);
         }
-        for flit in flits {
+        for flit in &batch.flits {
             let id = flit.id as usize;
-            self.entry[id] = flit.entry;
-            self.pos[id] = flit.pos;
-            self.rem[id] = flit.rem;
-            self.occupied_slot[id] = flit.occupied_slot;
-            self.vc[id] = flit.vc;
-            self.in_network[id] = true;
+            packets.entry[id] = flit.entry;
+            packets.pos[id] = flit.pos;
+            packets.rem[id] = flit.rem;
+            packets.occupied_slot[id] = flit.occupied_slot;
+            packets.vc[id] = flit.vc;
+            packets.in_network[id] = true;
             self.queue_now(id);
+        }
+        for &id in &batch.ids {
+            debug_assert!(packets.in_network[id as usize], "handed-over packet left");
+            self.queue_now(id as usize);
         }
     }
 
@@ -842,10 +874,10 @@ impl ShardCore {
     /// what shard `src` sent here) in ascending source order at the start
     /// of cycle `now`, emptying each in place.
     // analyzer: alloc-free
-    fn adopt_inbound(&mut self, now: u32) {
+    fn adopt_inbound(&mut self, packets: &mut PacketTable, now: u32) {
         for src in 0..self.out.len() {
             let mut batch = std::mem::take(&mut self.out[src]);
-            self.apply_inbound(&batch.flits, &batch.credits, now);
+            self.apply_inbound(packets, &batch, now);
             batch.clear();
             self.out[src] = batch;
         }
@@ -868,7 +900,7 @@ impl ShardCore {
         self.served_fifo.clear();
         self.served_fifo_pos = 0;
         self.node_claim.fill(NEVER);
-        self.resize_packets(0);
+        self.resize_queues(0);
         self.pending_inject.clear();
         self.inject_pos = 0;
         self.vc_flits.fill(0);
@@ -880,13 +912,13 @@ impl ShardCore {
     /// examine queued packets in ascending id order. `arena` is the
     /// engine's path arena, read-only here.
     // analyzer: alloc-free
-    fn phase(&mut self, ctx: &ShardCtx<'_>, arena: &[u64], cycle: u32) {
+    fn phase(&mut self, ctx: &ShardCtx<'_>, arena: &[u64], packets: &mut PacketTable, cycle: u32) {
         self.moved = 0;
         self.injected = 0;
-        self.credits_applied = self.apply_pending_credits(cycle);
-        self.apply_due_serves(cycle);
-        self.inject_due(ctx, cycle);
-        self.exam(ctx, arena, cycle);
+        self.credits_applied = self.apply_pending_credits(packets, cycle);
+        self.apply_due_serves(packets, cycle);
+        self.inject_due(ctx, packets, cycle);
+        self.exam(ctx, arena, packets, cycle);
     }
 
     /// The examination pass over this shard's queued packets: every packet
@@ -899,7 +931,7 @@ impl ShardCore {
     /// [`FaultResponse::RerouteAdaptive`] left to the engine's serial
     /// re-route pass.
     // analyzer: alloc-free
-    fn exam(&mut self, ctx: &ShardCtx<'_>, arena: &[u64], stamp: u32) {
+    fn exam(&mut self, ctx: &ShardCtx<'_>, arena: &[u64], packets: &mut PacketTable, stamp: u32) {
         let FlowSpec {
             depth,
             vcs,
@@ -923,11 +955,11 @@ impl ShardCore {
             while word != 0 {
                 let id = base + word.trailing_zeros() as usize;
                 word &= word - 1;
-                if !self.in_network[id] {
+                if !packets.in_network[id] {
                     // Resolved while queued (fault kill, re-target): skip.
                     continue;
                 }
-                let entry = self.entry[id];
+                let entry = packets.entry[id];
                 let slot = pk_slot(entry) as usize;
                 debug_assert!(slot >= self.slot_lo && slot < self.slot_hi, "foreign slot");
                 if hazard {
@@ -940,7 +972,7 @@ impl ShardCore {
                         // route was computed.
                         match ctx.fault_response {
                             FaultResponse::Drop => {
-                                self.resolve(ctx, id, stamp, RES_DROPPED);
+                                self.resolve(ctx, packets, id, stamp, RES_DROPPED);
                                 continue;
                             }
                             FaultResponse::RerouteAdaptive => {
@@ -953,7 +985,7 @@ impl ShardCore {
                 }
                 let here = pk_node(entry);
                 let ls = slot - self.slot_lo;
-                let vc = self.vc[id] as usize;
+                let vc = packets.vc[id] as usize;
                 let lg = ls * vcs + vc;
                 // The physical link (and, under `SinglePort`, the output
                 // port) is free when its last claim has fully streamed —
@@ -977,11 +1009,11 @@ impl ShardCore {
                         // slot vacated upstream returns to its gate once the
                         // tail flit clears it.
                         self.links[lg].credits -= 1;
-                        let prev = self.occupied_slot[id];
+                        let prev = packets.occupied_slot[id];
                         if prev != NO_SLOT {
                             self.return_credit(ctx, prev, stamp);
                         }
-                        self.occupied_slot[id] = (slot * vcs + vc) as u32;
+                        packets.occupied_slot[id] = (slot * vcs + vc) as u32;
                     }
                     // Whoever queues behind this move wakes when the claim
                     // expires. Under wormhole the pending entry is also the
@@ -991,15 +1023,15 @@ impl ShardCore {
                     self.moved += 1;
                     if track_vc {
                         self.vc_flits[vc] += pf as u64;
-                        self.note_unblocked(id, stamp);
+                        self.note_unblocked(packets, id, stamp);
                     }
-                    self.advance_route(ctx, arena, id);
-                    if pk_terminal(self.entry[id]) {
+                    packets.advance_route(ctx, arena, id);
+                    if pk_terminal(packets.entry[id]) {
                         // Consumed at the target: the just-taken slot drains
                         // too (its credit also returns after the tail).
-                        self.resolve(ctx, id, stamp, RES_DELIVERED);
+                        self.resolve(ctx, packets, id, stamp, RES_DELIVERED);
                     } else {
-                        let now = pk_node(self.entry[id]);
+                        let now = pk_node(packets.entry[id]);
                         // Dateline rule: a hop that descends the physical
                         // label closes a de Bruijn shift cycle, so the
                         // packet moves up one VC (capped at the top).
@@ -1007,12 +1039,12 @@ impl ShardCore {
                             && vc + 1 < vcs
                             && implicit_route::dateline_crossing(here as u32, now as u32)
                         {
-                            self.vc[id] = (vc + 1) as u8;
+                            packets.vc[id] = (vc + 1) as u8;
                         }
                         if now >= self.node_lo && now < self.node_hi {
                             self.queued_next[wi] |= 1u64 << (id & 63);
                         } else {
-                            self.emigrate(ctx, id, now);
+                            self.emigrate(ctx, packets, id, now);
                         }
                     }
                 } else if !credit_free || (link_claim == stamp && self.blocked_head[lg] != NONE_ID)
@@ -1026,18 +1058,109 @@ impl ShardCore {
                     // claim loser finding an empty queue just retries — a
                     // one-cycle wait is cheaper as a rescan than as a
                     // park/wake round trip.
-                    self.note_blocked(id, stamp);
-                    self.park_on_slot(id, lg);
+                    self.note_blocked(packets, id, stamp);
+                    self.park_on_slot(packets, id, lg);
                 } else {
                     // Blocked on the node's output port alone (`SinglePort`)
                     // or on a still-streaming wormhole body: re-examine next
                     // cycle, when per-cycle claims expire.
-                    self.note_blocked(id, stamp);
+                    self.note_blocked(packets, id, stamp);
                     self.queued_next[wi] |= 1u64 << (id & 63);
                 }
             }
         }
         std::mem::swap(&mut self.queued_now, &mut self.queued_next);
+    }
+}
+
+/// One worker's share of the engine: a contiguous group of cores and the
+/// table of every packet they host. [`ShardedSim::step`] hands each worker
+/// to its own scoped thread, which owns both outright until the join; the
+/// serial passes read each table once.
+struct Worker {
+    /// Shard index of the first core.
+    first: usize,
+    cores: Vec<ShardCore>,
+    packets: PacketTable,
+}
+
+impl Worker {
+    /// Index in `cores` of the core hosting live packet `id`: the one that
+    /// owns its current node.
+    fn host(&self, ctx: &ShardCtx<'_>, id: usize) -> usize {
+        shard_of(pk_node(self.packets.entry[id]), ctx.n, ctx.shards) - self.first
+    }
+
+    /// The worker's share of a cycle's phases, core by core.
+    // analyzer: alloc-free
+    fn phases(&mut self, ctx: &ShardCtx<'_>, arena: &[u64], cycle: u32) {
+        for core in &mut self.cores {
+            core.phase(ctx, arena, &mut self.packets, cycle);
+        }
+    }
+
+    /// Every core's adoption of its inbound batches at the start of cycle
+    /// `now`.
+    // analyzer: alloc-free
+    fn adopt(&mut self, now: u32) {
+        for core in &mut self.cores {
+            core.adopt_inbound(&mut self.packets, now);
+        }
+    }
+
+    /// Reacts to the kills [`ShardedSim::fire_due_faults`] just fired at
+    /// `cycle` (see [`ShardCore::wake_after_kills`]): when a node died
+    /// (`node_died`), the packets hosted on it die with it and give their
+    /// buffer slots back; then every core wakes what the kills may have
+    /// unblocked.
+    fn react_to_kills(&mut self, ctx: &ShardCtx<'_>, cycle: u32, node_died: bool, slots: &[u32]) {
+        if node_died {
+            for id in 0..self.packets.in_network.len() {
+                let hosted = self.packets.in_network[id];
+                if hosted && ctx.node_kills.dead[pk_node(self.packets.entry[id])] {
+                    let host = self.host(ctx, id);
+                    self.cores[host].resolve(ctx, &mut self.packets, id, cycle, RES_DROPPED);
+                }
+            }
+        }
+        for core in &mut self.cores {
+            core.wake_after_kills(&self.packets, node_died, slots);
+        }
+    }
+
+    /// Drops the loaded workload from every core and the table.
+    fn clear_workload(&mut self) {
+        for core in &mut self.cores {
+            core.clear_workload();
+        }
+        self.packets.resize(0);
+    }
+}
+
+/// The barrier: each core's `out[dst]` trades places with its destination's
+/// `out[src]`, handing every batch to its receiver without a copy. Each
+/// core then adopts its batches in ascending source order (the `(dst, src)`
+/// merge order at any thread count), touching only itself and its worker's
+/// table.
+// analyzer: alloc-free
+fn exchange(workers: &mut [Worker]) {
+    let mut dst = 0;
+    for w in 0..workers.len() {
+        let (lower, rest) = workers.split_at_mut(w);
+        let Some((worker, _)) = rest.split_first_mut() else {
+            continue;
+        };
+        for i in 0..worker.cores.len() {
+            let (before, rest) = worker.cores.split_at_mut(i);
+            let Some((receiver, _)) = rest.split_first_mut() else {
+                continue;
+            };
+            let senders = lower.iter_mut().flat_map(|w| &mut w.cores).chain(before);
+            for (src, sender) in senders.enumerate() {
+                std::mem::swap(&mut sender.out[dst], &mut receiver.out[src]);
+            }
+            dst += 1;
+        }
     }
 }
 
@@ -1057,29 +1180,29 @@ struct Router {
 }
 
 impl Router {
-    /// The physical node `core`'s packet `id` is routed to — where a
-    /// re-route must aim: the placement image of an implicit packet's
-    /// logical target, or the node of a materialized path's terminal entry.
-    fn target(&self, ctx: &ShardCtx<'_>, core: &ShardCore, id: usize) -> NodeId {
-        if core.rem[id] != 0 {
+    /// The physical node packet `id` is routed to — where a re-route must
+    /// aim: the placement image of an implicit packet's logical target, or
+    /// the node of a materialized path's terminal entry.
+    fn target(&self, ctx: &ShardCtx<'_>, packets: &PacketTable, id: usize) -> NodeId {
+        if packets.rem[id] != 0 {
             return ctx.implicit.image(ctx.logical_target[id]) as usize;
         }
-        let mut at = core.pos[id] as usize;
+        let mut at = packets.pos[id] as usize;
         while !pk_terminal(self.arena[at]) {
             at += 1;
         }
         pk_node(self.arena[at])
     }
 
-    /// Replaces `core`'s packet `id`'s remaining route with a BFS path from
-    /// its current node to `target` through the surviving machine, appended
-    /// to the arena (an implicit packet materializes here: a re-route is
-    /// not a shift-register walk). Returns false (packet untouched) when
-    /// `target` is dead or no healthy path reaches it.
+    /// Replaces packet `id`'s remaining route with a BFS path from its
+    /// current node to `target` through the surviving machine, appended to
+    /// the arena (an implicit packet materializes here: a re-route is not a
+    /// shift-register walk). Returns false (packet untouched) when `target`
+    /// is dead or no healthy path reaches it.
     fn reroute(
         &mut self,
         ctx: &ShardCtx<'_>,
-        core: &mut ShardCore,
+        packets: &mut PacketTable,
         id: usize,
         target: NodeId,
     ) -> bool {
@@ -1088,7 +1211,7 @@ impl Router {
         }
         let found = self.searcher.shortest_path_avoiding_into(
             ctx.machine.graph(),
-            pk_node(core.entry[id]),
+            pk_node(packets.entry[id]),
             target,
             |v| ctx.is_alive(v),
             |slot| !ctx.link_kills.dead[slot],
@@ -1098,9 +1221,9 @@ impl Router {
             return false;
         }
         let start = spill(&mut self.arena, ctx.machine, &self.path);
-        core.entry[id] = self.arena[start as usize];
-        core.pos[id] = start;
-        core.rem[id] = 0;
+        packets.entry[id] = self.arena[start as usize];
+        packets.pos[id] = start;
+        packets.rem[id] = 0;
         true
     }
 
@@ -1110,24 +1233,26 @@ impl Router {
     /// no path is left, delivers when it already sits on its target (the
     /// oblivious route revisited it), and otherwise is queued to move next
     /// cycle. Returns how many packets found a path.
-    fn reroute_noted(&mut self, ctx: &ShardCtx<'_>, cores: &mut [ShardCore], cycle: u32) -> u64 {
+    fn reroute_noted(&mut self, ctx: &ShardCtx<'_>, workers: &mut [Worker], cycle: u32) -> u64 {
         let mut rerouted = 0;
-        for core in cores {
-            for i in 0..core.reroute.len() {
-                let id = core.reroute[i] as usize;
-                let target = self.target(ctx, core, id);
-                if !self.reroute(ctx, core, id, target) {
-                    core.resolve(ctx, id, cycle, RES_DROPPED);
-                    continue;
+        for Worker { cores, packets, .. } in workers {
+            for core in cores {
+                for i in 0..core.reroute.len() {
+                    let id = core.reroute[i] as usize;
+                    let target = self.target(ctx, packets, id);
+                    if !self.reroute(ctx, packets, id, target) {
+                        core.resolve(ctx, packets, id, cycle, RES_DROPPED);
+                        continue;
+                    }
+                    rerouted += 1;
+                    if pk_terminal(packets.entry[id]) {
+                        core.resolve(ctx, packets, id, cycle, RES_DELIVERED);
+                    } else {
+                        core.queue_now(id);
+                    }
                 }
-                rerouted += 1;
-                if pk_terminal(core.entry[id]) {
-                    core.resolve(ctx, id, cycle, RES_DELIVERED);
-                } else {
-                    core.queue_now(id);
-                }
+                core.reroute.clear();
             }
-            core.reroute.clear();
         }
         rerouted
     }
@@ -1169,8 +1294,8 @@ impl Outcomes {
 
     /// Applies every resolution the cores hold, in core order.
     // analyzer: alloc-free
-    fn take_resolutions(&mut self, inject_at: &[u32], cores: &mut [ShardCore]) {
-        for core in cores {
+    fn take_resolutions(&mut self, inject_at: &[u32], workers: &mut [Worker]) {
+        for core in workers.iter_mut().flat_map(|w| &mut w.cores) {
             for res in core.resolved.drain(..) {
                 self.apply(inject_at, res);
             }
@@ -1196,10 +1321,12 @@ pub struct ShardedSim {
     /// packet-moves by its `packet_flits`.
     flow: FlowSpec,
     shards: usize,
-    threads: usize,
     /// First global CSR slot per shard (length `shards + 1`).
     slot_start: Vec<u32>,
-    cores: Vec<ShardCore>,
+    /// `min(threads, shards)` workers, each owning a contiguous group of
+    /// cores (the first `shards % workers` one core longer) and their
+    /// packets.
+    workers: Vec<Worker>,
     // --- global packet table (driver-owned) -------------------------------
     /// Injection cycle per packet (the load's cycle for `load_oblivious`).
     inject_at: Vec<u32>,
@@ -1236,8 +1363,9 @@ pub struct ShardedSim {
 impl ShardedSim {
     /// Creates an engine over `machine` with `shards` contiguous node
     /// partitions. Each cycle's per-shard work runs on `min(threads, shards)`
-    /// worker threads, each owning a contiguous group of shards (0 counts
-    /// as 1); the stop rule runs on the calling thread. The
+    /// worker threads, each owning a contiguous group of shards and the
+    /// state of the packets they host (0 counts as 1); the stop rule runs
+    /// on the calling thread. The
     /// machine's static fault set (if any) is honoured at load time;
     /// dynamic faults are layered on top via [`ShardedSim::schedule_fault`].
     ///
@@ -1258,27 +1386,29 @@ impl ShardedSim {
         for s in 0..=shards {
             slot_start.push(offsets[shard_floor(s, n, shards)]);
         }
-        let cores = (0..shards)
-            .map(|s| {
-                ShardCore::new(
-                    shard_floor(s, n, shards),
-                    shard_floor(s + 1, n, shards),
-                    slot_start[s] as usize,
-                    slot_start[s + 1] as usize,
-                    shards,
-                    flow,
-                )
+        let workers = threads.clamp(1, shards);
+        let mut first = 0;
+        let workers = (0..workers)
+            .map(|w| {
+                let crew = first..first + shards / workers + usize::from(w < shards % workers);
+                first = crew.end;
+                Worker {
+                    first: crew.start,
+                    cores: (crew.clone())
+                        .map(|s| ShardCore::new(s, n, &slot_start, crew.clone(), flow))
+                        .collect(),
+                    packets: PacketTable::default(),
+                }
             })
             .collect();
         ShardedSim {
             config,
             flow,
             shards,
-            threads: threads.clamp(1, shards),
             node_kills: Kills::new(n),
             link_kills: Kills::new(slot_start[shards] as usize),
             slot_start,
-            cores,
+            workers,
             inject_at: Vec::new(),
             logical_target: Vec::new(),
             outcomes: Outcomes::default(),
@@ -1312,7 +1442,13 @@ impl ShardedSim {
     /// `min(threads, shards)` of the `threads` passed to [`ShardedSim::new`].
     // analyzer: alloc-free
     pub fn threads(&self) -> usize {
-        self.threads
+        self.workers.len()
+    }
+
+    /// Every core, in shard order.
+    // analyzer: alloc-free
+    fn cores(&self) -> impl Iterator<Item = &ShardCore> {
+        self.workers.iter().flat_map(|w| &w.cores)
     }
 
     /// `(injected, delivered, dropped, in_flight)` — the conservation
@@ -1332,7 +1468,7 @@ impl ShardedSim {
     /// the network yet.
     // analyzer: alloc-free
     pub fn pending_injections(&self) -> u64 {
-        self.cores.iter().map(ShardCore::pending_injections).sum()
+        self.cores().map(ShardCore::pending_injections).sum()
     }
 
     /// Whether the run so far ended in a proven hard buffer deadlock.
@@ -1351,8 +1487,8 @@ impl ShardedSim {
     /// many workloads (the parallel sweep harness keeps one engine per
     /// worker). The next load may come through a different placement.
     pub fn clear_workload(&mut self) {
-        for core in &mut self.cores {
-            core.clear_workload();
+        for worker in &mut self.workers {
+            worker.clear_workload();
         }
         self.node_kills.clear();
         self.link_kills.clear();
@@ -1377,18 +1513,34 @@ impl ShardedSim {
         self.last_queued_inject = None;
     }
 
-    /// Appends the outcome bookkeeping of packet `id == inject_at.len()`,
-    /// whose route state is already in `home`'s core. A packet that enters
-    /// the network at load is live from now on, or delivered on the spot
-    /// (latency 0) when it is born on its target; a timed one waits in its
-    /// home core's injection queue.
-    fn admit(&mut self, home: usize, t: u32, inject_cycle: u32, at_load: bool) {
+    /// Appends packet `id == inject_at.len()`, hosted by shard `home` with
+    /// route state `(entry, pos, rem)`. A packet that enters the network at
+    /// load is live from now on, or delivered on the spot (latency 0) when
+    /// it is born on its target; a timed one waits in its home core's
+    /// injection queue.
+    fn admit(
+        &mut self,
+        home: usize,
+        (entry, pos, rem): (u64, u32, u32),
+        t: u32,
+        inject_cycle: u32,
+        at_load: bool,
+    ) {
         let id = self.inject_at.len();
         self.inject_at.push(inject_cycle);
         self.logical_target.push(t);
         self.outcomes.dropped_at.push(NEVER);
-        let core = &mut self.cores[home];
-        if at_load && pk_terminal(core.entry[id]) {
+        let worker = self.workers.partition_point(|w| w.first <= home) - 1;
+        let Worker {
+            first,
+            cores,
+            packets,
+        } = &mut self.workers[worker];
+        let core = &mut cores[home - *first];
+        packets.entry[id] = entry;
+        packets.pos[id] = pos;
+        packets.rem[id] = rem;
+        if at_load && pk_terminal(entry) {
             self.outcomes.delivered_at.push(inject_cycle);
             self.outcomes.delivered += 1;
             self.outcomes.latencies.push(0);
@@ -1398,7 +1550,7 @@ impl ShardedSim {
             self.outcomes.delivered_at.push(NEVER);
             if at_load {
                 core.queue_now(id);
-                core.in_network[id] = true;
+                packets.in_network[id] = true;
                 self.outcomes.live += 1;
             } else {
                 core.pending_inject.push(id as u32);
@@ -1455,8 +1607,11 @@ impl ShardedSim {
         let implicit = self.implicit.capture(db, placement, &self.machine);
         let added = packets.len();
         let total = self.inject_at.len() + added;
-        for core in &mut self.cores {
-            core.resize_packets(total);
+        for worker in &mut self.workers {
+            worker.packets.resize(total);
+            for core in &mut worker.cores {
+                core.resize_queues(total);
+            }
         }
         if !implicit {
             // A route holds at most h + 1 nodes.
@@ -1491,20 +1646,15 @@ impl ShardedSim {
                     continue;
                 }
             };
-            let id = self.inject_at.len();
             let home = shard_of(source, n, self.shards);
-            let (entry, pos, rem) = if implicit {
+            let route = if implicit {
                 let rem = implicit_route::rem_init(db.h() as u32, t as u32);
                 self.implicit.advance(&self.machine, s as u32, rem)
             } else {
                 let start = spill(&mut self.router.arena, &self.machine, &path);
                 (self.router.arena[start as usize], start, 0)
             };
-            let core = &mut self.cores[home];
-            core.entry[id] = entry;
-            core.pos[id] = pos;
-            core.rem[id] = rem;
-            self.admit(home, t as u32, cycle, at_load);
+            self.admit(home, route, t as u32, cycle, at_load);
         }
     }
 
@@ -1604,10 +1754,10 @@ impl ShardedSim {
         faults
     }
 
-    /// Splits the engine into the read-only cycle context, the cores, the
+    /// Splits the engine into the read-only cycle context, the workers, the
     /// driver's outcome table and the router.
     // analyzer: alloc-free
-    fn parts(&mut self) -> (ShardCtx<'_>, &mut [ShardCore], &mut Outcomes, &mut Router) {
+    fn parts(&mut self) -> (ShardCtx<'_>, &mut [Worker], &mut Outcomes, &mut Router) {
         let ctx = ShardCtx {
             machine: &self.machine,
             slot_start: &self.slot_start,
@@ -1621,7 +1771,7 @@ impl ShardedSim {
             single_port: self.machine.port_model() == PortModel::SinglePort,
             fault_response: self.config.fault_response,
         };
-        (ctx, &mut self.cores, &mut self.outcomes, &mut self.router)
+        (ctx, &mut self.workers, &mut self.outcomes, &mut self.router)
     }
 
     /// Fires the node and link kills due by the current cycle and returns
@@ -1639,12 +1789,12 @@ impl ShardedSim {
         if nodes + links == 0 {
             return 0;
         }
-        let (ctx, cores, outcomes, _) = self.parts();
+        let (ctx, workers, outcomes, _) = self.parts();
         let slots = &ctx.link_kills.list[first_new_slot..];
-        for core in cores.iter_mut() {
-            core.react_to_kills(&ctx, cycle, nodes > 0, slots);
+        for worker in workers.iter_mut() {
+            worker.react_to_kills(&ctx, cycle, nodes > 0, slots);
         }
-        outcomes.take_resolutions(ctx.inject_at, cores);
+        outcomes.take_resolutions(ctx.inject_at, workers);
         nodes + links
     }
 
@@ -1656,30 +1806,34 @@ impl ShardedSim {
     /// `(rerouted, delivered_in_place, dropped)`.
     pub(crate) fn retarget_and_reroute(&mut self, placement: &Embedding) -> (u64, u64, u64) {
         let cycle = self.cycle;
-        let (ctx, cores, outcomes, router) = self.parts();
+        let (ctx, workers, outcomes, router) = self.parts();
         let mut counts = (0, 0, 0);
-        for core in cores.iter_mut() {
-            for id in 0..core.in_network.len() {
+        for worker in workers.iter_mut() {
+            for id in 0..worker.packets.in_network.len() {
                 let logical = ctx.logical_target[id];
-                if !core.in_network[id] || logical == NO_LOGICAL {
+                if !worker.packets.in_network[id] || logical == NO_LOGICAL {
                     continue;
                 }
                 let target = placement.apply(logical as usize);
-                if pk_node(core.entry[id]) == target {
-                    core.resolve(&ctx, id, cycle, RES_DELIVERED);
+                let host = worker.host(&ctx, id);
+                let Worker { cores, packets, .. } = &mut *worker;
+                if pk_node(packets.entry[id]) == target {
+                    cores[host].resolve(&ctx, packets, id, cycle, RES_DELIVERED);
                     counts.1 += 1;
-                } else if router.reroute(&ctx, core, id, target) {
+                } else if router.reroute(&ctx, packets, id, target) {
                     // The packet stays in the same physical buffer: a
                     // re-route replaces its remaining path, not its position.
                     counts.0 += 1;
                 } else {
-                    core.resolve(&ctx, id, cycle, RES_DROPPED);
+                    cores[host].resolve(&ctx, packets, id, cycle, RES_DROPPED);
                     counts.2 += 1;
                 }
             }
-            core.wake_all_parked();
+            for core in &mut worker.cores {
+                core.wake_all_parked(&worker.packets);
+            }
         }
-        outcomes.take_resolutions(ctx.inject_at, cores);
+        outcomes.take_resolutions(ctx.inject_at, workers);
         counts
     }
 
@@ -1699,17 +1853,17 @@ impl ShardedSim {
         // analyzer: trusted-call -- grows the dead lists only when a scheduled kill fires; cold by design
         let faults_fired = self.fire_due_faults();
         let cycle = self.cycle;
-        let workers = self.threads();
-        let (ctx, cores, outcomes, router) = self.parts();
+        let threads = self.threads();
+        let (ctx, workers, outcomes, router) = self.parts();
         let arena = &router.arena;
         // analyzer: trusted-call -- spawning scoped workers allocates; only the one-worker path is allocation-free, which the counting-allocator tests pin
-        fan_out(&mut *cores, workers, |group| {
-            for core in group {
-                core.phase(&ctx, arena, cycle);
+        fan_out(&mut *workers, threads, |group| {
+            for worker in group {
+                worker.phases(&ctx, arena, cycle);
             }
         });
         // analyzer: trusted-call -- searches and grows the path arena only after a dynamic fault; cold by design
-        let rerouted = router.reroute_noted(&ctx, cores, cycle);
+        let rerouted = router.reroute_noted(&ctx, workers, cycle);
         let mut events = CycleEvents {
             cycle,
             moved: 0,
@@ -1720,7 +1874,7 @@ impl ShardedSim {
             live: 0,
             pending_injections: 0,
         };
-        for core in cores.iter() {
+        for core in workers.iter().flat_map(|w| &w.cores) {
             events.moved += core.moved;
             events.injected += core.injected;
             events.credits_applied += core.credits_applied;
@@ -1728,27 +1882,14 @@ impl ShardedSim {
         // Injections enter the network before any resolution of the same
         // cycle.
         outcomes.live += events.injected;
-        // The barrier: each source's `out[dst]` trades places with its
-        // destination's `out[src]`, handing every batch to its receiver
-        // without a copy. Each core then adopts its batches in ascending
-        // source order (the `(dst, src)` merge order at any thread count),
-        // touching only itself.
-        for dst in 1..cores.len() {
-            let (lower, rest) = cores.split_at_mut(dst);
-            let Some((core, _)) = rest.split_first_mut() else {
-                continue;
-            };
-            for (src, sender) in lower.iter_mut().enumerate() {
-                std::mem::swap(&mut sender.out[dst], &mut core.out[src]);
-            }
-        }
+        exchange(workers);
         // analyzer: trusted-call -- spawning scoped workers allocates; only the one-worker path is allocation-free, which the counting-allocator tests pin
-        fan_out(&mut *cores, workers, |group| {
-            for core in group {
-                core.adopt_inbound(cycle + 1);
+        fan_out(&mut *workers, threads, |group| {
+            for worker in group {
+                worker.adopt(cycle + 1);
             }
         });
-        outcomes.take_resolutions(ctx.inject_at, cores);
+        outcomes.take_resolutions(ctx.inject_at, workers);
         self.total_flits += events.moved * self.flow.packet_flits as u64;
         self.cycle += 1;
         events.live = self.outcomes.live;
@@ -1764,7 +1905,7 @@ impl ShardedSim {
     pub(crate) fn detect_deadlock(&mut self, events: &CycleEvents) -> bool {
         let idle = self.node_kills.idle()
             && self.link_kills.idle()
-            && self.cores.iter().all(ShardCore::timers_idle);
+            && self.cores().all(ShardCore::timers_idle);
         if proves_deadlock(events, idle) {
             self.deadlocked = true;
         }
@@ -1809,24 +1950,26 @@ impl ShardedSim {
         // Per-VC counters are element-wise sums over the cores (u64 adds
         // commute, so the shard cut is invisible); still-open blocked spans
         // (up to the report cycle) are folded in from each packet's unique
-        // hosting core without disturbing the live accumulators, so a
+        // hosting worker without disturbing the live accumulators, so a
         // deadlocked report shows where the wait sits and a later report
         // stays consistent with continued stepping.
         let vcs = if self.flow.track_vc { self.flow.vcs } else { 0 };
         let mut vc_flits = vec![0u64; vcs];
         let mut vc_hol = vec![0u64; vcs];
         if self.flow.track_vc {
-            for core in &self.cores {
+            for core in self.cores() {
                 for (acc, v) in vc_flits.iter_mut().zip(&core.vc_flits) {
                     *acc += v;
                 }
                 for (acc, v) in vc_hol.iter_mut().zip(&core.vc_hol_blocked_cycles) {
                     *acc += v;
                 }
-                for id in 0..core.in_network.len() {
-                    if core.in_network[id] && core.blocked_since[id] != NEVER {
-                        vc_hol[core.vc[id] as usize] +=
-                            (self.cycle - core.blocked_since[id]) as u64;
+            }
+            for packets in self.workers.iter().map(|w| &w.packets) {
+                for id in 0..packets.in_network.len() {
+                    let since = packets.blocked_since[id];
+                    if packets.in_network[id] && since != NEVER {
+                        vc_hol[packets.vc[id] as usize] += (self.cycle - since) as u64;
                     }
                 }
             }
@@ -1869,9 +2012,11 @@ impl ShardedSim {
     /// queues. Returns the first violation. Allocates its tallies, so call
     /// it between steps.
     pub fn check_credit_conservation(&self) -> Result<(), String> {
-        for (s, core) in self.cores.iter().enumerate() {
+        let hosts =
+            (self.workers.iter()).flat_map(|w| w.cores.iter().map(move |c| (c, &w.packets)));
+        for (s, (core, packets)) in hosts.enumerate() {
             let entry = |&id: &u32| (id != NONE_ID).then_some(id);
-            let next = |&id: &u32| entry(&core.blocked_next[id as usize]);
+            let next = |&id: &u32| entry(&packets.blocked_next[id as usize]);
             let queued: usize = (core.blocked_head.iter())
                 .map(|head| std::iter::successors(entry(head), next).count())
                 .sum();
@@ -1886,12 +2031,14 @@ impl ShardedSim {
         let gates = self.slot_start[self.shards] as usize * vcs;
         let mut occupants = vec![0u32; gates];
         let mut pending = vec![0u32; gates];
-        for core in &self.cores {
-            for (id, &g) in core.occupied_slot.iter().enumerate() {
-                if core.in_network[id] && g != NO_SLOT {
+        for packets in self.workers.iter().map(|w| &w.packets) {
+            for (id, &g) in packets.occupied_slot.iter().enumerate() {
+                if packets.in_network[id] && g != NO_SLOT {
                     occupants[g as usize] += 1;
                 }
             }
+        }
+        for core in self.cores() {
             let base = core.slot_lo * vcs;
             for &(_, lg) in &core.credit_fifo[core.credit_fifo_pos..] {
                 pending[base + lg as usize] += 1;
@@ -1900,7 +2047,7 @@ impl ShardedSim {
                 pending[g as usize] += 1;
             }
         }
-        for core in &self.cores {
+        for core in self.cores() {
             for (lg, gate) in core.links.iter().enumerate() {
                 let g = core.slot_lo * vcs + lg;
                 if gate.credits + pending[g] + occupants[g] != depth {
@@ -1915,7 +2062,7 @@ impl ShardedSim {
     }
 
     /// Bytes of heap capacity devoted to per-packet route state: every
-    /// core's cached entries and `(pos, rem)` pairs, the engine's path
+    /// worker's cached entries and `(pos, rem)` pairs, the engine's path
     /// arena, the logical targets, plus the implicit placement map.
     /// Implicit workloads keep this O(packets) regardless of `h`;
     /// materialized ones pay O(packets × h) for the arena. The implicit
@@ -1924,15 +2071,14 @@ impl ShardedSim {
     /// peak RSS instead.
     pub fn route_state_bytes(&self) -> usize {
         use std::mem::size_of;
-        let per_core: usize = self
-            .cores
-            .iter()
-            .map(|c| {
-                c.entry.capacity() * size_of::<u64>()
-                    + (c.pos.capacity() + c.rem.capacity()) * size_of::<u32>()
+        let tables: usize = (self.workers.iter())
+            .map(|w| {
+                let p = &w.packets;
+                p.entry.capacity() * size_of::<u64>()
+                    + (p.pos.capacity() + p.rem.capacity()) * size_of::<u32>()
             })
             .sum();
-        per_core
+        tables
             + self.router.arena.capacity() * size_of::<u64>()
             + self.logical_target.capacity() * size_of::<u32>()
             + self.implicit.placement_bytes()
@@ -2535,8 +2681,7 @@ mod tests {
     /// The pending `(due, gate)` credit returns of every core, sorted.
     fn pending_credits(sim: &ShardedSim) -> Vec<(u32, u32)> {
         let mut pending: Vec<_> = sim
-            .cores
-            .iter()
+            .cores()
             .flat_map(|c| {
                 let base = (c.slot_lo * c.flow.vcs) as u32;
                 c.credit_fifo[c.credit_fifo_pos..]
@@ -2587,7 +2732,7 @@ mod tests {
         };
         for shards in [1usize, 2, 4] {
             let mut sim = ShardedSim::new(machine.clone(), config, shards, 1);
-            let capacity: Vec<_> = sim.cores.iter().map(|c| c.credit_fifo.capacity()).collect();
+            let capacity: Vec<_> = sim.cores().map(|c| c.credit_fifo.capacity()).collect();
             sim.load_oblivious(&db, &Embedding::identity(n), &pairs);
             let wedged = sim.run();
             assert!(wedged.deadlocked, "shards={shards}: {wedged:?}");
@@ -2598,14 +2743,17 @@ mod tests {
             sim.fire_due_faults();
             if shards == 1 {
                 let returns = pending_credits(&sim).iter().filter(|c| c.0 > kill).count();
-                assert!(returns > sim.cores[0].links.len(), "{returns} returns");
+                assert!(
+                    returns > sim.workers[0].cores[0].links.len(),
+                    "{returns} returns"
+                );
             }
             for _ in 0..2 {
                 sim.step();
                 sim.check_credit_conservation().unwrap();
             }
-            assert!(sim.cores.iter().all(|c| c.timers_idle()), "shards={shards}");
-            for (core, &cap) in sim.cores.iter().zip(&capacity) {
+            assert!(sim.cores().all(|c| c.timers_idle()), "shards={shards}");
+            for (core, &cap) in sim.cores().zip(&capacity) {
                 assert_eq!(core.credit_fifo.capacity(), cap, "shards={shards}");
             }
         }
@@ -2617,19 +2765,27 @@ mod tests {
         let n = db.node_count();
         let mut rng = rand::rngs::StdRng::seed_from_u64(77);
         let pairs = workload::permutation_pairs(n, &mut rng);
-        let mut sim = ShardedSim::new(machine, CongestionConfig::default(), 4, 1);
-        sim.load_oblivious(&db, &Embedding::identity(n), &pairs);
-        let bytes = sim.route_state_bytes();
-        // 4 cores x (8B entry + 8B `(pos, rem)` pair) per packet plus the
-        // driver's 4B logical target is 68B per packet, independent of
-        // h = 10 (a materialized load would add ~8 x 11B of path entries
-        // per packet on top).
-        assert!(
-            bytes < pairs.len() * 72,
-            "route state {bytes}B for {} packets",
-            pairs.len()
-        );
-        let report = sim.run();
-        assert_eq!(report.delivered, n as u64);
+        let bytes = |shards, threads| {
+            let config = CongestionConfig::default();
+            let mut sim = ShardedSim::new(machine.clone(), config, shards, threads);
+            sim.load_oblivious(&db, &Embedding::identity(n), &pairs);
+            let bytes = sim.route_state_bytes();
+            assert_eq!(sim.run().delivered, n as u64);
+            bytes
+        };
+        // Per packet, a worker's table holds an 8 B entry and an 8 B
+        // `(pos, rem)` pair, and the driver a 4 B logical target; the
+        // identity placement needs no map. That is independent of h = 10 (a
+        // materialized load would add ~8 x 11 B of path entries per packet
+        // on top).
+        let one = bytes(1, 1);
+        assert_eq!(one, 20 * pairs.len());
+        // One worker keeps one table however many shards it runs...
+        for shards in [2, 4] {
+            assert_eq!(bytes(shards, 1), one, "shards={shards}");
+        }
+        // ...and two workers keep two.
+        let table = |bytes: usize| bytes - 4 * pairs.len();
+        assert_eq!(table(bytes(4, 2)), 2 * table(one));
     }
 }

@@ -12,7 +12,7 @@
 //! mid-run) and the cycle at which they strike.
 
 use ftdb_core::FtDeBruijn2;
-use ftdb_examples::arg_or;
+use ftdb_examples::{arg_in, arg_or, MAX_H};
 use ftdb_graph::Embedding;
 use ftdb_sim::congestion::{run_recovery, CongestionConfig, CongestionSim, FaultResponse};
 use ftdb_sim::machine::{PhysicalMachine, PortModel};
@@ -22,8 +22,8 @@ use rand::SeedableRng;
 
 fn main() {
     const USAGE: &str = "congestion_recovery [h] [k] [fault_cycle]";
-    let h: usize = arg_or(0, 6, USAGE);
-    let k: usize = arg_or(1, 2, USAGE);
+    let h: usize = arg_in(0, 6, 1..=MAX_H, USAGE);
+    let k: usize = arg_in(1, 2, 0..=1 << h, USAGE);
     let fault_cycle: u32 = arg_or(2, 3, USAGE);
     println!(
         "{}\n",

@@ -10,6 +10,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+use std::fmt::Display;
+use std::ops::RangeInclusive;
+use std::str::FromStr;
+
 /// Renders the underlined title banner each example binary prints first.
 pub fn section(title: &str) -> String {
     format!("{title}\n{}", "-".repeat(title.len()))
@@ -22,8 +26,8 @@ pub fn section(title: &str) -> String {
 /// `"load_sweep [h] [threads]"`) to stderr, and exits with status 2.
 pub fn arg_or<T>(index: usize, default: T, usage: &str) -> T
 where
-    T: std::str::FromStr,
-    T::Err: std::fmt::Display,
+    T: FromStr,
+    T::Err: Display,
 {
     let Some(raw) = std::env::args().nth(index + 1) else {
         return default;
@@ -33,6 +37,30 @@ where
         eprintln!("usage: {usage}");
         std::process::exit(2)
     })
+}
+
+/// The largest `h` an example accepts: `B(2,24)`, with 16.8M nodes, is the
+/// largest graph the repository builds (the `sim-million-smoke` point of
+/// `experiments`).
+pub const MAX_H: usize = 24;
+
+/// [`arg_or`], with the parsed value checked against `range` before
+/// anything is built. A value outside it is a usage error too, never a
+/// panic deep in the library: the example prints the value, the range and
+/// `usage` to stderr, and exits with status 2.
+pub fn arg_in<T>(index: usize, default: T, range: RangeInclusive<T>, usage: &str) -> T
+where
+    T: FromStr + PartialOrd + Display,
+    T::Err: Display,
+{
+    let value = arg_or(index, default, usage);
+    if !range.contains(&value) {
+        let (lo, hi) = range.into_inner();
+        eprintln!("argument {value} is out of range {lo}..={hi}");
+        eprintln!("usage: {usage}");
+        std::process::exit(2)
+    }
+    value
 }
 
 #[cfg(test)]

@@ -18,14 +18,14 @@
 //! available parallelism; the output is byte-identical for any value).
 
 use ftdb_analysis::sim_experiments::{render_sim5, sim5_load_sweep, SweepScenario};
-use ftdb_examples::arg_or;
+use ftdb_examples::{arg_in, arg_or, MAX_H};
 use ftdb_sim::congestion::FlowControl;
 use ftdb_sim::machine::PortModel;
 use std::num::NonZeroUsize;
 
 fn main() {
     const USAGE: &str = "load_sweep [h] [threads]";
-    let h: usize = arg_or(0, 8, USAGE);
+    let h: usize = arg_in(0, 8, 1..=MAX_H, USAGE);
     // Zero threads is malformed too, matching the `--threads` validation
     // of the experiments binary.
     let default_threads = std::thread::available_parallelism().unwrap_or(NonZeroUsize::MIN);

@@ -12,12 +12,12 @@ use ftdb_analysis::comparison::{
     base2_table, render_comparison, render_shuffle_exchange, shuffle_exchange_table,
 };
 use ftdb_core::baseline::SpBaseline;
-use ftdb_examples::arg_or;
+use ftdb_examples::{arg_in, MAX_H};
 
 fn main() {
     const USAGE: &str = "network_comparison [h] [k]";
-    let h: usize = arg_or(0, 4, USAGE);
-    let k: usize = arg_or(1, 2, USAGE);
+    let h: usize = arg_in(0, 4, 1..=MAX_H, USAGE);
+    let k: usize = arg_in(1, 2, 0..=1 << h, USAGE);
     println!(
         "{}\n",
         ftdb_examples::section("Degree cost of fault tolerance: paper bounds vs measured")

@@ -10,7 +10,7 @@
 //! where the arguments are `h` (network size `2^h`) and `k` (faults).
 
 use ftdb_core::{FaultSet, FtDeBruijn2};
-use ftdb_examples::arg_or;
+use ftdb_examples::{arg_in, MAX_H};
 use ftdb_graph::Embedding;
 use ftdb_sim::machine::{PhysicalMachine, PortModel};
 use ftdb_sim::metrics::RoutingStats;
@@ -32,8 +32,9 @@ fn print_stats(label: &str, stats: &RoutingStats) {
 
 fn main() {
     const USAGE: &str = "routing_under_faults [h] [k]";
-    let h: usize = arg_or(0, 7, USAGE);
-    let k: usize = arg_or(1, 3, USAGE);
+    let h: usize = arg_in(0, 7, 1..=MAX_H, USAGE);
+    // The faulty machine draws k faults among its 2^h processors.
+    let k: usize = arg_in(1, 3, 0..=1 << h, USAGE);
     println!(
         "{}\n",
         ftdb_examples::section("Packet routing on healthy, faulty and reconfigured machines")
